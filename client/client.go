@@ -51,12 +51,24 @@ type Client struct {
 type Option func(*Client)
 
 // WithHTTPClient substitutes the underlying *http.Client (timeouts,
-// transports, instrumentation). The default is http.DefaultClient;
-// streaming responses require a client without a forced response timeout
-// shorter than the search.
+// transports, instrumentation). The default is a package-level client
+// shared by every Client built without this option: http.DefaultTransport's
+// settings with 16 idle connections kept per host instead of 2 — a router
+// scattering to a node, or a caller with a few goroutines on one Client,
+// otherwise redials on most requests — and a 90 s idle timeout. It sets no
+// response timeout: streaming responses require a client without a forced
+// response timeout shorter than the search.
 func WithHTTPClient(hc *http.Client) Option {
 	return func(c *Client) { c.hc = hc }
 }
+
+// defaultHTTPClient is New's client; see WithHTTPClient.
+var defaultHTTPClient = func() *http.Client {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConnsPerHost = 16
+	t.IdleConnTimeout = 90 * time.Second
+	return &http.Client{Transport: t}
+}()
 
 // RetryPolicy configures opt-in request retries (WithRetry): exponential
 // backoff with full jitter, capped at MaxDelay. Zero fields take the
@@ -179,7 +191,7 @@ func (c *Client) withRetries(ctx context.Context, idempotent bool, fn func() err
 // New builds a client for the server at baseURL (e.g.
 // "http://localhost:8080").
 func New(baseURL string, opts ...Option) *Client {
-	c := &Client{base: strings.TrimRight(baseURL, "/"), hc: http.DefaultClient}
+	c := &Client{base: strings.TrimRight(baseURL, "/"), hc: defaultHTTPClient}
 	for _, o := range opts {
 		o(c)
 	}

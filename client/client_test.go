@@ -5,8 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"math/rand"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"simsub/api"
@@ -305,5 +309,49 @@ func TestClientPolicyAdmin(t *testing.T) {
 	want := engine.MatchesToAPI(direct)
 	if !reflect.DeepEqual(resp.Results[0].Matches, want) {
 		t.Fatalf("client ranking %+v != engine ranking %+v", resp.Results[0].Matches, want)
+	}
+}
+
+// TestDefaultClientKeepsScatterConnections: a default Client used by eight
+// goroutines at once (a router scattering to one node) must reuse its eight
+// connections on the next wave instead of redialing — http.DefaultClient
+// keeps two idle per host and dials six anew each time.
+func TestDefaultClientKeepsScatterConnections(t *testing.T) {
+	const fan = 8
+	var dialed atomic.Int64
+	var arrived sync.WaitGroup
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// hold every request until the whole wave is in flight, so the wave
+		// needs fan connections at once
+		arrived.Done()
+		arrived.Wait()
+	}))
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			dialed.Add(1)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+	c := client.New(srv.URL)
+	wave := func() {
+		arrived.Add(fan)
+		var wg sync.WaitGroup
+		for i := 0; i < fan; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := c.Health(context.Background()); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	wave()
+	first := dialed.Load()
+	wave()
+	if again := dialed.Load() - first; first != fan || again != 0 {
+		t.Errorf("dialed %d connections for the first wave of %d and %d more for the second, want %d and 0", first, fan, again, fan)
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"simsub/internal/geo"
 	"simsub/internal/rl"
-	"simsub/internal/sim"
 	"simsub/internal/traj"
 )
 
@@ -85,7 +84,7 @@ func (a RLS) NewBatchThresholdSearch(q traj.Trajectory, lanes int) BatchThreshol
 	if !simplify {
 		// full-state policies report genuine subtrajectory distances, so the
 		// lower-bound cascade is sound — see the NewThresholdSearch comment
-		s.lb = lbFor(a.M, q)
+		s.cascade = cascadeFor(a.M, q)
 	}
 	s.runner = rl.NewBatchRunner(a.M, q, rl.EnvConfig{
 		UseSuffix:     useSuffix,
@@ -104,7 +103,7 @@ type rlsSeqBatchSearch struct {
 }
 
 func (b *rlsSeqBatchSearch) PrunesLB(t traj.Trajectory, meta TrajMeta, tau float64) bool {
-	return lbPrunes(b.s.lb, t, meta, tau)
+	return b.s.prunes(t, meta, tau)
 }
 
 func (b *rlsSeqBatchSearch) Feed(t traj.Trajectory, meta TrajMeta, tag int) []BatchResult {
@@ -117,13 +116,13 @@ func (b *rlsSeqBatchSearch) Drain() []BatchResult { return nil }
 func (b *rlsSeqBatchSearch) Release() { b.s.Release() }
 
 type rlsBatchSearch struct {
-	runner *rl.BatchRunner
-	lb     sim.SubtrajLB
-	out    []BatchResult
+	cascade // armed only for full-state policies
+	runner  *rl.BatchRunner
+	out     []BatchResult
 }
 
 func (s *rlsBatchSearch) PrunesLB(t traj.Trajectory, meta TrajMeta, tau float64) bool {
-	return lbPrunes(s.lb, t, meta, tau)
+	return s.prunes(t, meta, tau)
 }
 
 // convert re-shapes finished walks into BatchResults in the search's

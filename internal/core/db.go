@@ -340,8 +340,12 @@ func (db *Database) TopKParallelCtx(ctx context.Context, alg Algorithm, q traj.T
 				}
 				var r Result
 				if threshold {
+					meta, tau := db.Meta(cands[i]), shared.Threshold()
+					if search.Bound(t, meta, tau) > tau {
+						continue
+					}
 					var pruned Pruned
-					r, pruned = search.Search(t, db.Meta(cands[i]), shared.Threshold())
+					r, pruned = search.Search(t, meta, tau)
 					if pruned != NotPruned {
 						continue
 					}

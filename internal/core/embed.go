@@ -80,6 +80,9 @@ type embedRankSearch struct {
 	qEmb []float64
 }
 
+// Bound implements ThresholdSearch: embedding distances have no cascade.
+func (s *embedRankSearch) Bound(traj.Trajectory, TrajMeta, float64) float64 { return 0 }
+
 func (s *embedRankSearch) Search(t traj.Trajectory, meta TrajMeta, tau float64) (Result, Pruned) {
 	r := Result{Dist: math.Inf(1), Explored: 1}
 	if t.Len() == 0 {

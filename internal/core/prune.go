@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -13,10 +15,14 @@ import (
 
 // This file is the best-so-far threshold pipeline: the running k-th-best
 // distance of a top-k scan flows down into each per-trajectory search,
-// where it prunes at three levels —
+// where it prunes at four levels —
 //
 //	candidate  the measure's lower-bound cascade (sim.SubtrajLowerBounder)
-//	           drops a trajectory before any DP runs;
+//	           drops a trajectory before any DP runs, and orders the rest
+//	           best-first;
+//	gate       sim.FreeStartMeasure finds a trajectory's exact best
+//	           distance in one O(n·m) pass and drops it, or hands the
+//	           enumeration that distance as its threshold (ExactS);
 //	kernel     sim.ThresholdIncremental abandons a DP scan once no
 //	           extension can beat the threshold;
 //	result     a completed search whose best distance exceeds the
@@ -92,9 +98,6 @@ const (
 	// NotPruned: the search completed and its Result is the exact answer
 	// the unpruned Search would have returned.
 	NotPruned Pruned = iota
-	// PrunedLB: the lower-bound cascade proved every subtrajectory's
-	// distance strictly exceeds tau before any DP ran.
-	PrunedLB
 	// PrunedAbandon: the search ran but everything it could report has
 	// distance strictly greater than tau; the Result is meaningless.
 	PrunedAbandon
@@ -110,75 +113,115 @@ type ThresholdSearcher interface {
 	NewThresholdSearch(q traj.Trajectory) ThresholdSearch
 }
 
-// ThresholdSearch is the per-query form of a threshold-aware search.
+// ThresholdSearch is the per-query form of a threshold-aware search. A scan
+// asks Bound first and calls Search only for candidates whose bound does
+// not strictly exceed the threshold.
 type ThresholdSearch interface {
+	// Bound is the candidate-level lower-bound cascade: a value no greater
+	// than the distance of anything Search could report for t, so a
+	// candidate whose bound strictly exceeds the scan's threshold is
+	// skipped before any DP runs. The cascade stops refining once the
+	// bound exceeds tau. Searches that cannot bound their answer return 0.
+	// meta must describe t (Database.Meta).
+	Bound(t traj.Trajectory, meta TrajMeta, tau float64) float64
 	// Search is Algorithm.Search with pruning against tau. When the
 	// returned outcome is NotPruned, Result is byte-identical (interval
 	// and distance; Explored is the deterministic logical count) to the
 	// unpruned Search. Otherwise every subtrajectory the unpruned search
 	// could have reported has distance strictly greater than tau and the
-	// Result must be discarded. meta must describe t (Database.Meta).
+	// Result must be discarded.
 	Search(t traj.Trajectory, meta TrajMeta, tau float64) (Result, Pruned)
 	// Release returns pooled scratch; the search is unusable afterwards.
 	Release()
 }
 
-// lbFor builds the measure's per-query lower-bound cascade when it has one.
-func lbFor(m sim.Measure, q traj.Trajectory) sim.SubtrajLB {
-	if b, ok := m.(sim.SubtrajLowerBounder); ok {
-		return b.NewSubtrajLB(q)
-	}
-	return nil
+// cascade is the measure's per-query lower-bound cascade, embedded by the
+// threshold searches it is sound for; lb is nil when the measure has none
+// or the search cannot use it.
+type cascade struct {
+	lb sim.SubtrajLB
 }
 
-// lbPrunes reports whether the cascade proves every subtrajectory of t is
-// strictly farther than tau.
-func lbPrunes(lb sim.SubtrajLB, t traj.Trajectory, meta TrajMeta, tau float64) bool {
-	if lb == nil || math.IsInf(tau, 1) {
-		return false
+// cascadeFor builds the measure's cascade when it has one.
+func cascadeFor(m sim.Measure, q traj.Trajectory) cascade {
+	if b, ok := m.(sim.SubtrajLowerBounder); ok {
+		return cascade{lb: b.NewSubtrajLB(q)}
+	}
+	return cascade{}
+}
+
+// Bound implements ThresholdSearch.
+func (c cascade) Bound(t traj.Trajectory, meta TrajMeta, tau float64) float64 {
+	if c.lb == nil {
+		return 0
 	}
 	mbr := meta.MBR
 	if meta.N != t.Len() {
 		// defensive: zero-value meta falls back to a fresh MBR
 		mbr = t.MBR()
 	}
-	return lb.LowerBound(t, mbr, tau) > tau
+	return c.lb.LowerBound(t, mbr, tau)
+}
+
+// prunes reports whether the cascade proves every subtrajectory of t is
+// strictly farther than tau.
+func (c cascade) prunes(t traj.Trajectory, meta TrajMeta, tau float64) bool {
+	return !math.IsInf(tau, 1) && c.Bound(t, meta, tau) > tau
 }
 
 // exactThresholdSearch implements ThresholdSearch for ExactS: the full
-// enumeration with the lower-bound cascade in front and early-abandoning
-// inner scans. Per start index i, abandoning skips only evaluations the
-// kernel proved strictly worse than min(local best, tau), so the first
-// minimizer — interval tie-breaking included — is exactly the unpruned
-// one whenever the trajectory's true best is within tau.
+// enumeration with early-abandoning inner scans, behind the free-start gate
+// when the measure has one. Per start index i, abandoning skips only
+// evaluations the kernel proved strictly worse than min(local best, tau),
+// so the first minimizer — interval tie-breaking included — is exactly the
+// unpruned one whenever the trajectory's true best is within tau.
+//
+// The gate (sim.FreeStartMeasure) computes the trajectory's exact best
+// distance d* in one O(n·m) pass. Beyond tau, the candidate is dropped with
+// no enumeration at all; otherwise the enumeration runs against d* instead
+// of tau. Nothing it reports changes: d* carries the very bits the
+// enumeration's minimum does, comparisons stay strict, so the row holding
+// the lexicographically first interval at distance d* is never abandoned
+// before reaching it, while nearly every other start row is after one or
+// two extensions.
 type exactThresholdSearch struct {
-	m  sim.Measure
-	q  traj.Trajectory
-	lb sim.SubtrajLB
+	cascade
+	m    sim.Measure
+	gate sim.FreeStartMeasure // nil: enumerate against tau alone
+	q    traj.Trajectory
 }
 
 // NewThresholdSearch implements ThresholdSearcher.
 func (a ExactS) NewThresholdSearch(q traj.Trajectory) ThresholdSearch {
-	return &exactThresholdSearch{m: a.M, q: q, lb: lbFor(a.M, q)}
+	gate, _ := a.M.(sim.FreeStartMeasure)
+	return &exactThresholdSearch{cascade: cascadeFor(a.M, q), m: a.M, gate: gate, q: q}
 }
 
 func (s *exactThresholdSearch) Search(t traj.Trajectory, meta TrajMeta, tau float64) (Result, Pruned) {
-	if lbPrunes(s.lb, t, meta, tau) {
-		return Result{}, PrunedLB
+	// the enumeration ends at the first interval as good as stop: never
+	// without the gate, and behind it at the minimum itself — the first
+	// interval to reach it is the answer, nothing later is strictly smaller
+	stop := math.Inf(-1)
+	if s.gate != nil {
+		d, abandoned := s.gate.MinSubDist(t, s.q, tau)
+		if abandoned {
+			return Result{}, PrunedAbandon
+		}
+		tau, stop = d, d
 	}
 	n := t.Len()
 	best := Result{Dist: math.Inf(1)}
 	inc := s.m.NewIncremental(t, s.q)
 	defer sim.Release(inc)
 	tinc, _ := inc.(sim.ThresholdIncremental)
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && best.Dist > stop; i++ {
 		d := inc.Init(i)
 		if d < best.Dist {
 			best.Dist = d
 			best.Interval = traj.Interval{I: i, J: i}
 		}
 		bsf := math.Min(best.Dist, tau)
-		for j := i + 1; j < n; j++ {
+		for j := i + 1; j < n && best.Dist > stop; j++ {
 			if tinc != nil {
 				var abandoned bool
 				d, abandoned = tinc.ExtendAbandoning(bsf)
@@ -209,21 +252,18 @@ func (s *exactThresholdSearch) Release() {}
 // sizeThresholdSearch is exactThresholdSearch restricted to SizeS's
 // [m-ξ, m+ξ] length window.
 type sizeThresholdSearch struct {
+	cascade
 	m  sim.Measure
 	xi int
 	q  traj.Trajectory
-	lb sim.SubtrajLB
 }
 
 // NewThresholdSearch implements ThresholdSearcher.
 func (a SizeS) NewThresholdSearch(q traj.Trajectory) ThresholdSearch {
-	return &sizeThresholdSearch{m: a.M, xi: a.Xi, q: q, lb: lbFor(a.M, q)}
+	return &sizeThresholdSearch{cascade: cascadeFor(a.M, q), m: a.M, xi: a.Xi, q: q}
 }
 
 func (s *sizeThresholdSearch) Search(t traj.Trajectory, meta TrajMeta, tau float64) (Result, Pruned) {
-	if lbPrunes(s.lb, t, meta, tau) {
-		return Result{}, PrunedLB
-	}
 	n, m := t.Len(), s.q.Len()
 	lo := m - s.xi
 	if lo < 1 {
@@ -301,34 +341,31 @@ func (s *sizeThresholdSearch) Release() {}
 // store's precomputed reversal, the reversed query computed once per scan,
 // and a scratch buffer reused across candidates.
 type splitThresholdSearch struct {
+	cascade
 	m      sim.Measure
 	suffix bool // PSS: scan suffixes as well as prefixes
 	delay  int  // POS-D split delay
 	q      traj.Trajectory
 	qRev   traj.Trajectory
-	lb     sim.SubtrajLB
 	suf    []float64
 }
 
 // NewThresholdSearch implements ThresholdSearcher.
 func (a PSS) NewThresholdSearch(q traj.Trajectory) ThresholdSearch {
-	return &splitThresholdSearch{m: a.M, suffix: true, q: q, qRev: q.Reverse(), lb: lbFor(a.M, q)}
+	return &splitThresholdSearch{cascade: cascadeFor(a.M, q), m: a.M, suffix: true, q: q, qRev: q.Reverse()}
 }
 
 // NewThresholdSearch implements ThresholdSearcher.
 func (a POS) NewThresholdSearch(q traj.Trajectory) ThresholdSearch {
-	return &splitThresholdSearch{m: a.M, q: q, lb: lbFor(a.M, q)}
+	return &splitThresholdSearch{cascade: cascadeFor(a.M, q), m: a.M, q: q}
 }
 
 // NewThresholdSearch implements ThresholdSearcher.
 func (a POSD) NewThresholdSearch(q traj.Trajectory) ThresholdSearch {
-	return &splitThresholdSearch{m: a.M, delay: a.D, q: q, lb: lbFor(a.M, q)}
+	return &splitThresholdSearch{cascade: cascadeFor(a.M, q), m: a.M, delay: a.D, q: q}
 }
 
 func (s *splitThresholdSearch) Search(t traj.Trajectory, meta TrajMeta, tau float64) (Result, Pruned) {
-	if lbPrunes(s.lb, t, meta, tau) {
-		return Result{}, PrunedLB
-	}
 	var r Result
 	if s.suffix {
 		tr := meta.Rev
@@ -479,8 +516,9 @@ func (s *SharedKth) down(i int) {
 // ScanPrunedCtx is ScanFilteredCtx with the threshold pipeline: candidates
 // whose lower bound beats the threshold are skipped, per-trajectory
 // searches abandon against it, and fn only sees matches that could still
-// enter a top-k whose k-th-best distance is th.Threshold(). Algorithms
-// that do not implement ThresholdSearcher are scanned unpruned. st, when
+// enter a top-k whose k-th-best distance is th.Threshold() — in ascending
+// lower-bound order, not candidate order. Algorithms that do not implement
+// ThresholdSearcher are scanned unpruned, in candidate order. st, when
 // non-nil, receives the scan's pruning counters; it is not synchronized.
 func (db *Database) ScanPrunedCtx(ctx context.Context, alg Algorithm, q traj.Trajectory, filter *geo.Rect, th Thresholder, st *PruneStats, fn func(Match) error) error {
 	return db.ScanPrunedSourceCtx(ctx, alg, q, filter, th, st, nil, fn)
@@ -518,7 +556,17 @@ func (db *Database) ScanPrunedSourceCtx(ctx context.Context, alg Algorithm, q tr
 	}
 	search := ts.NewThresholdSearch(q)
 	defer search.Release()
-	for _, ci := range db.candidatesFrom(src, q, filter) {
+	// Best-first: bound every candidate once, then visit in ascending
+	// (bound, index) order, so the threshold tightens within the first few
+	// dozen candidates instead of after ~k·ln(N/k) record-breakers in ID
+	// order — and the first bound beyond it ends the scan, every later one
+	// being larger still. Rankings cannot change: what the heap retains is
+	// a function of the match set under RankBefore, not of the offer order
+	// (the argument batch.go spells out). Searches that cannot bound report
+	// 0 for every candidate and so keep ID order.
+	cands := db.candidatesFrom(src, q, filter)
+	order := make([]boundedCand, 0, len(cands))
+	for _, ci := range cands {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -527,21 +575,43 @@ func (db *Database) ScanPrunedSourceCtx(ctx context.Context, alg Algorithm, q tr
 			continue
 		}
 		st.Candidates++
-		r, pruned := search.Search(t, db.Meta(ci), th.Threshold())
-		switch pruned {
-		case PrunedLB:
+		tau := th.Threshold()
+		if b := search.Bound(t, db.Meta(ci), tau); b > tau {
 			st.LBSkipped++
-			continue
-		case PrunedAbandon:
+		} else {
+			order = append(order, boundedCand{bound: b, index: ci})
+		}
+	}
+	slices.SortFunc(order, func(a, b boundedCand) int {
+		return cmp.Or(cmp.Compare(a.bound, b.bound), cmp.Compare(a.index, b.index))
+	})
+	for i, c := range order {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		tau := th.Threshold()
+		if c.bound > tau {
+			st.LBSkipped += int64(len(order) - i)
+			break
+		}
+		r, pruned := search.Search(db.be.Traj(c.index), db.Meta(c.index), tau)
+		if pruned != NotPruned {
 			st.Abandoned++
 			continue
 		}
 		st.Scored++
-		if err := fn(Match{TrajIndex: ci, Result: r}); err != nil {
+		if err := fn(Match{TrajIndex: c.index, Result: r}); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// boundedCand is one entry of a scan's visit order: a candidate and its
+// cascade bound.
+type boundedCand struct {
+	bound float64
+	index int
 }
 
 // TopKPrunedCtx is TopKFilteredCtx with the threshold pipeline: the scan

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -226,4 +227,128 @@ func TestSharedKth(t *testing.T) {
 	if got := s.Threshold(); got != 3 {
 		t.Fatalf("threshold = %v, want 3", got)
 	}
+}
+
+// tieData is a corpus built to tie: walks on a small integer lattice with
+// stationary runs, so trajectories share sub-paths, whole groups of them
+// sit at the same distance from a query, and within one trajectory dozens
+// of intervals share the minimum (the Fréchet bottleneck especially).
+func tieData(n, pts int, seed int64) []traj.Trajectory {
+	rng := rand.New(rand.NewSource(seed))
+	ts := make([]traj.Trajectory, n)
+	for i := range ts {
+		p := make([]geo.Point, 0, pts)
+		x, y := rng.Intn(5), rng.Intn(5)
+		for len(p) < pts {
+			for r := rng.Intn(3); r >= 0 && len(p) < pts; r-- {
+				p = append(p, geo.Point{X: float64(x), Y: float64(y), T: float64(len(p))})
+			}
+			if rng.Intn(2) == 0 {
+				x = (x + 1 + 3*rng.Intn(2)) % 5 // ±1 mod 5
+			} else {
+				y = (y + 1 + 3*rng.Intn(2)) % 5
+			}
+		}
+		ts[i] = traj.Trajectory{ID: i, Points: p}
+	}
+	return ts
+}
+
+// TestPrunedScanTieHeavy: with ties everywhere the gate's "same bits, same
+// first interval" claim and the best-first visit order's "set, not order"
+// claim carry the whole ranking — every retained match must equal what
+// ExactS.Search reports for it (interval, distance bits, Explored), serial
+// and with workers racing on the shared threshold.
+func TestPrunedScanTieHeavy(t *testing.T) {
+	const k = 10
+	data := tieData(600, 30, 61)
+	db := NewDatabase(data, false)
+	onLattice := tieData(2, 7, 62)
+	// half a cell off the lattice: every lattice point near the query is
+	// at one of a handful of distances
+	offLattice := tieData(1, 6, 63)[0].Translate(0.5, 0.5)
+	queries := append(onLattice, offLattice)
+
+	for _, m := range []sim.Measure{sim.Frechet{}, sim.DTW{}} {
+		alg := ExactS{M: m}
+		tiedAcrossK := false
+		for qi, q := range queries {
+			want := unprunedTopK(t, db, alg, q, k+1, nil)
+			if want[k-1].Result.Dist == want[k].Result.Dist {
+				tiedAcrossK = true
+			}
+			want = want[:k]
+			check := func(how string, got []Match, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("%s q%d %s: %v", m.Name(), qi, how, err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%s q%d %s: got %d matches, want %d", m.Name(), qi, how, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Errorf("%s q%d %s rank %d: pruned %+v, ExactS %+v", m.Name(), qi, how, i, got[i], want[i])
+					}
+				}
+			}
+			got, err := db.TopKPrunedCtx(context.Background(), alg, q, k, nil, nil, nil)
+			check("serial", got, err)
+			for run := 0; run < 3; run++ {
+				got, err = db.TopKParallelCtx(context.Background(), alg, q, k, 8)
+				check("parallel", got, err)
+			}
+		}
+		if !tiedAcrossK {
+			t.Errorf("%s: no query tied across the k-th rank; the corpus no longer exercises ties", m.Name())
+		}
+	}
+}
+
+// TestSpringMatchesFreeStartDTW: unbanded SPRING and DTW's free-start pass
+// are the same recurrence written twice, independently — data-major with
+// start tracking there, query-major here — and must agree to the bit.
+func TestSpringMatchesFreeStartDTW(t *testing.T) {
+	data := append(equivData(40, 30, 71), tieData(40, 30, 72)...)
+	queries := append(equivData(3, 9, 73), tieData(3, 7, 74)...)
+	for _, q := range queries {
+		for _, tr := range data {
+			want := Spring{}.Search(tr, q).Dist
+			got, abandoned := sim.DTW{}.MinSubDist(tr, q, math.Inf(1))
+			if abandoned || math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("traj %d: MinSubDist = (%v, %v), Spring %v", tr.ID, got, abandoned, want)
+			}
+		}
+	}
+}
+
+// TestPrunedScanAllocations: the gate's column is pooled and the visit
+// order is one buffer per scan, so what a scan allocates does not grow with
+// the candidates it drops on their bounds — only with the few that reach
+// the gate (one Incremental per scored one, as before the gate; the factor
+// leaves room for every pooled row to miss, which the race detector makes
+// sync.Pool do) and the k matches retained (boxed once into container/heap
+// and once out of it).
+func TestPrunedScanAllocations(t *testing.T) {
+	const k = 10
+	db := NewDatabase(equivData(500, 24, 81), false)
+	q := equivData(1, 9, 82)[0]
+	alg := ExactS{M: sim.DTW{}}
+	var st PruneStats
+	scan := func() {
+		st = PruneStats{}
+		if _, err := db.TopKPrunedCtx(context.Background(), alg, q, k, nil, nil, &st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scan() // warm the row pool
+	allocs := testing.AllocsPerRun(20, scan)
+	if st.Candidates != 500 || st.Scored >= 100 {
+		t.Fatalf("unexpected scan shape: %+v", st)
+	}
+	if limit := float64(5*(st.Scored+st.Abandoned) + 2*k + 24); allocs > limit {
+		t.Errorf("scan over %d candidates (%d scored) allocates %.0f objects, want <= %.0f",
+			st.Candidates, st.Scored, allocs, limit)
+	}
+	t.Logf("allocs/scan %.0f for %+v", allocs, st)
 }

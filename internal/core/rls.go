@@ -133,7 +133,7 @@ func (a RLS) NewThresholdSearch(q traj.Trajectory) ThresholdSearch {
 		s.qRev = q.Reverse()
 	}
 	if !simplify {
-		s.lb = lbFor(a.M, q)
+		s.cascade = cascadeFor(a.M, q)
 	}
 	s.env = rl.NewScanEnv(a.M, q, rl.EnvConfig{UseSuffix: useSuffix, SimplifyState: simplify})
 	if a.Table != nil {
@@ -145,10 +145,10 @@ func (a RLS) NewThresholdSearch(q traj.Trajectory) ThresholdSearch {
 }
 
 type rlsThresholdSearch struct {
+	cascade   // armed only for full-state policies
 	m         sim.Measure
 	useSuffix bool
 	qRev      traj.Trajectory
-	lb        sim.SubtrajLB // non-nil only for full-state policies
 	env       *rl.SplitEnv
 	table     *rl.TablePolicy // serve from the fused table walk when set
 	actor     rl.Actor        // network actor otherwise
@@ -156,9 +156,6 @@ type rlsThresholdSearch struct {
 }
 
 func (s *rlsThresholdSearch) Search(t traj.Trajectory, meta TrajMeta, tau float64) (Result, Pruned) {
-	if lbPrunes(s.lb, t, meta, tau) {
-		return Result{}, PrunedLB
-	}
 	r := s.search(t, meta)
 	if r.Dist > tau {
 		return r, PrunedAbandon

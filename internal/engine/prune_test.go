@@ -168,3 +168,68 @@ func TestStreamPrunedEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// tieData is core's tie-heavy corpus (prune_equiv_test.go there): lattice
+// walks with stationary runs, so trajectories share sub-paths and whole
+// groups of them sit at one distance from a query.
+func tieData(n, pts int, seed int64) []traj.Trajectory {
+	rng := rand.New(rand.NewSource(seed))
+	ts := make([]traj.Trajectory, n)
+	for i := range ts {
+		p := make([]geo.Point, 0, pts)
+		x, y := rng.Intn(5), rng.Intn(5)
+		for len(p) < pts {
+			for r := rng.Intn(3); r >= 0 && len(p) < pts; r-- {
+				p = append(p, geo.Point{X: float64(x), Y: float64(y), T: float64(len(p))})
+			}
+			if rng.Intn(2) == 0 {
+				x = (x + 1 + 3*rng.Intn(2)) % 5 // ±1 mod 5
+			} else {
+				y = (y + 1 + 3*rng.Intn(2)) % 5
+			}
+		}
+		ts[i] = traj.New(p...)
+	}
+	return ts
+}
+
+// TestEngineTieHeavyEquivalence: every shard visits its candidates in its
+// own best-first order and races the others on the shared threshold; with
+// ties across the k-th rank the merged ranking still has to be the flat
+// unpruned ExactS one, whatever the shard count, batch or streamed.
+func TestEngineTieHeavyEquivalence(t *testing.T) {
+	data := tieData(600, 30, 61)
+	queries := append(tieData(2, 7, 62), tieData(1, 6, 63)[0].Translate(0.5, 0.5))
+	for _, shards := range []int{1, 3, 4} {
+		e := New(Config{Shards: shards, Workers: 4, Index: ScanAll})
+		e.Add(data)
+		for _, measure := range []string{"frechet", "dtw"} {
+			alg, err := ResolveNames(measure, "exacts")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for qi, q := range queries {
+				want := flatUnprunedTopK(t, data, alg, q, 10, nil, false)
+				qq := Query{Q: q, K: 10, Measure: measure, Algorithm: "exacts"}
+				got, _, err := e.TopK(context.Background(), qq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				streamed, _, err := e.TopKStream(context.Background(), qq, func(Match) error { return nil })
+				if err != nil {
+					t.Fatal(err)
+				}
+				for how, ms := range map[string][]Match{"topk": got, "stream": streamed} {
+					if len(ms) != len(want) {
+						t.Fatalf("%d shards %s q%d %s: got %d matches, want %d", shards, measure, qi, how, len(ms), len(want))
+					}
+					for i := range ms {
+						if ms[i] != want[i] {
+							t.Errorf("%d shards %s q%d %s rank %d: engine %+v, reference %+v", shards, measure, qi, how, i, ms[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -98,7 +98,9 @@ type Config struct {
 	// already inside the reserve is rejected with a typed deadline_exceeded
 	// before any node is contacted (default 20ms).
 	MergeReserve time.Duration
-	// HTTPClient overrides the transport shared by the per-node clients.
+	// HTTPClient overrides the transport shared by the per-node clients
+	// (default: the client package's, 16 idle connections per node — see
+	// client.WithHTTPClient).
 	HTTPClient *http.Client
 }
 
