@@ -614,8 +614,9 @@ type Searcher interface {
 }
 
 // StreamSearcher additionally delivers one spec's matches incrementally:
-// emit is called for every provisional match in ranking-entry order, then
-// the summary returns the authoritative final ranking.
+// emit is called, never concurrently, for every provisional match that
+// enters the running ranking, then the summary returns the authoritative
+// final ranking.
 type StreamSearcher interface {
 	Searcher
 	QueryStream(ctx context.Context, spec QuerySpec, emit func(Match) error) (*StreamSummary, error)

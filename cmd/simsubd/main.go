@@ -60,7 +60,6 @@ func main() {
 		timeout    = flag.Duration("timeout", 30*time.Second, "per-request search timeout cap")
 		policyPath = flag.String("policy", "", "optional RLS/RLS-Skip policy file (cmd/train -mode rls) enabling the learned algorithms")
 		policyRes  = flag.Int("policy-compile", 0, "compile the -policy network onto a dense action table at this grid resolution (0 = serve the network directly)")
-		batchLanes = flag.Int("batch-lanes", 0, "lockstep lanes per shard scan for the learned searches (0 = default 64, 1 = sequential)")
 		qualitySam = flag.Float64("quality-sample", 0, "fraction of learned-search queries re-scored against the exact ranking for serving-quality stats")
 		encPath    = flag.String("encoder", "", "optional t2vec encoder file (cmd/train -mode t2vec) enabling the ann prefilter and the embed algorithm")
 		recallSam  = flag.Float64("recall-sample", 0, "fraction of ann-prefiltered queries re-scored against the exhaustive candidate scan for recall stats")
@@ -93,7 +92,6 @@ func main() {
 		Index:         kind,
 		QualitySample: *qualitySam,
 		RecallSample:  *recallSam,
-		BatchLanes:    *batchLanes,
 	})
 	if *policyRes != 0 && *policyPath == "" {
 		log.Fatalf("-policy-compile requires -policy")

@@ -63,7 +63,7 @@ func annRecall(b *testing.B, db *core.Database, alg core.Algorithm, src core.Can
 		if err != nil {
 			b.Fatal(err)
 		}
-		got, err := db.TopKPrunedSourceCtx(context.Background(), alg, q, k, nil, nil, nil, src)
+		got, err := db.TopKPrunedCtx(context.Background(), alg, q, k, nil, src, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func benchANN(b *testing.B, name string, src core.CandidateSource, fraction floa
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.TopKPrunedSourceCtx(context.Background(), alg, q, k, nil, nil, nil, src); err != nil {
+		if _, err := db.TopKPrunedCtx(context.Background(), alg, q, k, nil, src, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -107,11 +107,9 @@ func rlsAccuracy(db *core.Database, alg core.Algorithm, m sim.Measure, q traj.Tr
 	return res.ApproxRatio, res.MeanRank, res.SkippedFraction
 }
 
-// benchRLS times one serving configuration: the pruned top-k scan with the
-// algorithm's batched lane path when lanes >= 2 (TopKPrunedBatchCtx falls
-// back to the sequential scan below that), recording allocs/op alongside
-// latency and accuracy.
-func benchRLS(b *testing.B, name string, alg core.Algorithm, lanes int) {
+// benchRLS times one serving configuration through the pruned top-k scan,
+// recording allocs/op alongside latency and accuracy.
+func benchRLS(b *testing.B, name string, alg core.Algorithm) {
 	m := sim.DTW{}
 	db := core.NewDatabase(servingData(1000, 24, 7), false)
 	q := servingData(1, 9, 8)[0]
@@ -120,7 +118,7 @@ func benchRLS(b *testing.B, name string, alg core.Algorithm, lanes int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.TopKPrunedBatchCtx(context.Background(), alg, q, k, nil, nil, nil, lanes); err != nil {
+		if _, err := db.TopKPrunedCtx(context.Background(), alg, q, k, nil, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -146,26 +144,22 @@ func benchTable(b *testing.B, p *rl.Policy) *rl.TablePolicy {
 
 // BenchmarkRLS measures the learned searches in their serving
 // configurations against PSS. The headline entries ("rls", "rls-skip")
-// use the engine's default scan settings with the compiled table policy —
-// the -policy-compile serving path, which runs the fused sequential table
-// walk regardless of the lane count; the "-net" entries serve the same
-// policies from the network, swept across lane widths to expose what
-// lockstep batching alone buys.
+// serve from the compiled table policy — the -policy-compile path, the
+// fused table walk; "rls-skip-net" serves the same policy from the network,
+// one forward pass per decision.
 func BenchmarkRLS(b *testing.B) {
 	pols := benchPolicies(b)
 	b.Run("rls", func(b *testing.B) {
-		benchRLS(b, "rls", core.RLS{M: sim.DTW{}, Policy: pols["rls"], Table: benchTable(b, pols["rls"])}, 64)
+		benchRLS(b, "rls", core.RLS{M: sim.DTW{}, Policy: pols["rls"], Table: benchTable(b, pols["rls"])})
 	})
 	b.Run("rls-skip", func(b *testing.B) {
-		benchRLS(b, "rls-skip", core.RLS{M: sim.DTW{}, Policy: pols["rls-skip"], Table: benchTable(b, pols["rls-skip"])}, 64)
+		benchRLS(b, "rls-skip", core.RLS{M: sim.DTW{}, Policy: pols["rls-skip"], Table: benchTable(b, pols["rls-skip"])})
 	})
-	for _, lanes := range []int{1, 8, 64} {
-		b.Run(fmt.Sprintf("rls-skip-net/lanes=%d", lanes), func(b *testing.B) {
-			benchRLS(b, fmt.Sprintf("rls-skip-net-lanes%d", lanes), core.RLS{M: sim.DTW{}, Policy: pols["rls-skip"]}, lanes)
-		})
-	}
+	b.Run("rls-skip-net", func(b *testing.B) {
+		benchRLS(b, "rls-skip-net", core.RLS{M: sim.DTW{}, Policy: pols["rls-skip"]})
+	})
 	b.Run("pss", func(b *testing.B) {
-		benchRLS(b, "pss", core.PSS{M: sim.DTW{}}, 1)
+		benchRLS(b, "pss", core.PSS{M: sim.DTW{}})
 	})
 }
 

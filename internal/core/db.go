@@ -1,11 +1,9 @@
 package core
 
 import (
-	"container/heap"
 	"context"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"simsub/internal/geo"
 	"simsub/internal/index"
@@ -186,8 +184,8 @@ type Match struct {
 // RankBefore is the canonical total order of top-k answers: ascending
 // distance, with deterministic tie-breaking by trajectory identifier and
 // interval so that serial, parallel and sharded searches agree on
-// equal-distance matches. Every ranking in this package and the engine's
-// per-shard merge must use it.
+// equal-distance matches. Every ranking in this package, the engine and the
+// router must use it.
 func RankBefore(d1 float64, id1 int, iv1 traj.Interval, d2 float64, id2 int, iv2 traj.Interval) bool {
 	if d1 != d2 {
 		return d1 < d2
@@ -206,68 +204,20 @@ func matchLess(a, b Match) bool {
 		b.Result.Dist, b.TrajIndex, b.Result.Interval)
 }
 
-// topKHeap is a bounded max-heap of the k best matches seen so far: the
-// worst retained match sits at the root and is evicted when a better one
-// arrives, giving O(n log k) top-k selection instead of sorting all n.
-type topKHeap struct {
-	k  int
-	ms []Match
-}
-
-func (h *topKHeap) Len() int           { return len(h.ms) }
-func (h *topKHeap) Less(i, j int) bool { return matchLess(h.ms[j], h.ms[i]) }
-func (h *topKHeap) Swap(i, j int)      { h.ms[i], h.ms[j] = h.ms[j], h.ms[i] }
-func (h *topKHeap) Push(x any)         { h.ms = append(h.ms, x.(Match)) }
-func (h *topKHeap) Pop() any           { m := h.ms[len(h.ms)-1]; h.ms = h.ms[:len(h.ms)-1]; return m }
-func (h *topKHeap) offer(m Match) {
-	switch {
-	case h.k <= 0:
-	case len(h.ms) < h.k:
-		heap.Push(h, m)
-	case matchLess(m, h.ms[0]):
-		h.ms[0] = m
-		heap.Fix(h, 0)
-	}
-}
-
-// sorted drains the heap into an ascending slice.
-func (h *topKHeap) sorted() []Match {
-	out := make([]Match, len(h.ms))
-	for i := len(out) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(h).(Match)
-	}
-	return out
-}
-
 // TopK runs the algorithm over every candidate trajectory and returns the k
 // best matches ordered by ascending distance. With the index enabled,
 // candidates are limited to MBR-intersecting trajectories.
 func (db *Database) TopK(alg Algorithm, q traj.Trajectory, k int) []Match {
-	out, _ := db.TopKCtx(context.Background(), alg, q, k)
+	out, _ := db.TopKPrunedCtx(context.Background(), alg, q, k, nil, nil, nil)
 	return out
 }
 
-// TopKCtx is TopK with cancellation: the context is checked between
-// per-trajectory searches, so a server can abandon a long-running query.
-// A single trajectory search is not interruptible once started. On
-// cancellation it returns (nil, ctx.Err()).
-func (db *Database) TopKCtx(ctx context.Context, alg Algorithm, q traj.Trajectory, k int) ([]Match, error) {
-	return db.TopKFilteredCtx(ctx, alg, q, k, nil)
-}
-
-// TopKFilteredCtx is TopKCtx restricted to trajectories whose MBR
-// intersects filter (nil = unrestricted). It prunes against its own
-// running k-th-best distance (see prune.go); the ranking is byte-identical
-// to the unpruned scan's.
-func (db *Database) TopKFilteredCtx(ctx context.Context, alg Algorithm, q traj.Trajectory, k int, filter *geo.Rect) ([]Match, error) {
-	return db.TopKPrunedCtx(ctx, alg, q, k, filter, nil, nil)
-}
-
-// ScanFilteredCtx runs the algorithm over every pruned (and, with a
-// non-nil filter, region-restricted) candidate, invoking fn with each
-// per-trajectory match in candidate order on the calling goroutine. An fn
-// error aborts the scan and is returned. It is the streaming primitive
-// under TopKFilteredCtx and the engine's incremental match delivery.
+// ScanFilteredCtx runs the algorithm over every index-pruned (and, with a
+// non-nil filter, region-restricted) candidate with no threshold pipeline
+// at all, invoking fn with each per-trajectory match in candidate order on
+// the calling goroutine. An fn error aborts the scan and is returned. It is
+// the unpruned reference the equivalence suites rank ScanPrunedSourceCtx
+// against.
 func (db *Database) ScanFilteredCtx(ctx context.Context, alg Algorithm, q traj.Trajectory, filter *geo.Rect, fn func(Match) error) error {
 	for _, ci := range db.CandidatesFiltered(q, filter) {
 		if err := ctx.Err(); err != nil {
@@ -292,14 +242,12 @@ func (db *Database) TopKParallel(alg Algorithm, q traj.Trajectory, k, workers in
 	return out
 }
 
-// TopKParallelCtx is TopKParallel with cancellation: every worker checks
-// the context before starting each per-trajectory search and stops early
-// when it is done. On cancellation it returns (nil, ctx.Err()).
-//
-// Workers share the running global k-th-best distance (a SharedKth, see
-// prune.go), so each per-trajectory search prunes against the best bound
-// any worker has established; pruned candidates are exactly those provably
-// outside the final top-k, keeping the ranking byte-identical.
+// TopKParallelCtx is TopKParallel with cancellation: on cancellation it
+// returns (nil, ctx.Err()). Each worker runs ScanPrunedSourceCtx over its
+// own stripe of the candidate list, all of them into one Collector, so
+// every per-trajectory search prunes against the best bound any worker has
+// established; pruned candidates are exactly those provably outside the
+// final top-k, keeping the ranking byte-identical.
 func (db *Database) TopKParallelCtx(ctx context.Context, alg Algorithm, q traj.Trajectory, k, workers int) ([]Match, error) {
 	cands := db.Candidates(q)
 	if workers <= 0 {
@@ -308,67 +256,31 @@ func (db *Database) TopKParallelCtx(ctx context.Context, alg Algorithm, q traj.T
 	if workers > len(cands) {
 		workers = len(cands)
 	}
-	if workers <= 1 {
-		return db.TopKCtx(ctx, alg, q, k)
+	if workers < 1 {
+		workers = 1
 	}
-	ts, threshold := alg.(ThresholdSearcher)
-	var shared *SharedKth
-	if threshold {
-		shared = NewSharedKth(k)
+	stripes := make([][]int, workers)
+	for i, ci := range cands {
+		stripes[i%workers] = append(stripes[i%workers], ci)
 	}
-	matches := make([]Match, len(cands))
-	valid := make([]bool, len(cands))
+	c := NewCollector(k)
+	errs := make([]error, workers)
 	var wg sync.WaitGroup
-	var next atomic.Int64
-	for w := 0; w < workers; w++ {
+	for w := range stripes {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
-			var search ThresholdSearch
-			if threshold {
-				search = ts.NewThresholdSearch(q)
-				defer search.Release()
-			}
-			for ctx.Err() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= len(cands) {
-					return
-				}
-				t := db.be.Traj(cands[i])
-				if t.Len() == 0 {
-					continue
-				}
-				var r Result
-				if threshold {
-					meta, tau := db.Meta(cands[i]), shared.Threshold()
-					if search.Bound(t, meta, tau) > tau {
-						continue
-					}
-					var pruned Pruned
-					r, pruned = search.Search(t, meta, tau)
-					if pruned != NotPruned {
-						continue
-					}
-					shared.Offer(r.Dist)
-				} else {
-					r = alg.Search(t, q)
-				}
-				matches[i] = Match{TrajIndex: cands[i], Result: r}
-				valid[i] = true
-			}
-		}()
+			stripe := CandidateSourceFunc(func(traj.Trajectory, *geo.Rect) []int { return stripes[w] })
+			errs[w] = db.ScanPrunedSourceCtx(ctx, alg, q, nil, c, nil, stripe, c.offer)
+		}(w)
 	}
 	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	h := topKHeap{k: k}
-	for i := range matches {
-		if valid[i] {
-			h.offer(matches[i])
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
-	return h.sorted(), nil
+	return c.Sorted(), nil
 }
 
 // Best returns the single best match (TopK with k = 1); ok is false when

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -186,5 +188,33 @@ func TestDatabaseTrajAccessor(t *testing.T) {
 		if !db.Traj(i).Equal(ts[i]) {
 			t.Errorf("Traj(%d) mismatched", i)
 		}
+	}
+}
+
+// TestDatabaseSurfacePinned compares *Database's exported method set with an
+// explicit allow-list, so a new scan or top-k spelling cannot arrive
+// unnoticed.
+func TestDatabaseSurfacePinned(t *testing.T) {
+	allowed := []string{
+		// the store
+		"Len", "Traj", "Meta", "HasIndex",
+		// candidate generation
+		"Candidates", "CandidatesFiltered", "SpatialSource",
+		// the one threshold scan, the one top-k on it, their conveniences
+		"ScanPrunedSourceCtx", "TopKPrunedCtx", "TopK", "Best", "TopKParallel", "TopKParallelCtx",
+		// the unpruned reference of the equivalence suites
+		"ScanFilteredCtx",
+	}
+	var got []string
+	typ := reflect.TypeOf(&Database{})
+	for i := 0; i < typ.NumMethod(); i++ {
+		got = append(got, typ.Method(i).Name)
+	}
+	sort.Strings(allowed)
+	if !slices.Equal(got, allowed) {
+		t.Fatalf("exported methods of *Database changed:\ngot  %v\nwant %v\n"+
+			"ISSUE 22 (one scan pipeline) cut this surface to one streaming threshold scan and one top-k on it; "+
+			"give an existing method a parameter rather than adding another TopKFooBarCtx, and edit this list only with that argument made.",
+			got, allowed)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"math"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -385,47 +386,35 @@ func (s *splitThresholdSearch) Search(t traj.Trajectory, meta TrajMeta, tau floa
 
 func (s *splitThresholdSearch) Release() {}
 
-// heapThresholder folds a scan's own top-k heap root together with an
-// optional external (engine-global) threshold.
-type heapThresholder struct {
-	h      *topKHeap
-	extern Thresholder
+// Collector is the result set and the Thresholder of a top-k scan in one: a
+// bounded max-heap of the k best matches offered so far under RankBefore,
+// publishing min(seed, k-th-best distance) through an atomic so scan loops
+// read the threshold without locking. Every top-k in the repository ends in
+// one — a serial scan's, the stripes of TopKParallelCtx, an engine query's
+// shard workers (offering under global trajectory IDs, so one shard's good
+// matches prune another's scan) and the router's provisional-match gate. An
+// optional external seed (Seed) caps the published threshold from the
+// start, so a caller that already knows an upper bound of the final
+// k-th-best — a distributed coordinator propagating its running global
+// bound — lets the scan prune before the heap fills. What a Collector
+// retains is a function of the SET of matches offered, not of their order:
+// RankBefore is a strict total order, and the scan only withholds a match
+// it has proved strictly beyond a threshold that never rises. The zero
+// value is unusable; use NewCollector.
+type Collector struct {
+	mu   sync.Mutex
+	k    int
+	seed float64
+	ms   []Match // max-heap under matchLess: the worst retained match at the root
+	bits atomic.Uint64
 }
 
-func (ht *heapThresholder) Threshold() float64 {
-	tau := math.Inf(1)
-	if ht.extern != nil {
-		tau = ht.extern.Threshold()
-	}
-	if ht.h.k > 0 && len(ht.h.ms) == ht.h.k {
-		if r := ht.h.ms[0].Result.Dist; r < tau {
-			tau = r
-		}
-	}
-	return tau
-}
-
-// SharedKth is the engine-global best-so-far: a bounded max-heap of the k
-// smallest distances offered so far across every shard worker, publishing
-// its k-th-best through an atomic so scan loops read it without locking.
-// An optional external seed (Seed) caps the published threshold from the
-// start, so a caller that already knows an upper bound of the final k-th
-// best — a distributed coordinator propagating its running global bound —
-// lets the scan prune before its own heap fills. The zero value is
-// unusable; use NewSharedKth.
-type SharedKth struct {
-	mu    sync.Mutex
-	k     int
-	seed  float64
-	dists []float64
-	bits  atomic.Uint64
-}
-
-// NewSharedKth builds a SharedKth for rankings of size k.
-func NewSharedKth(k int) *SharedKth {
-	s := &SharedKth{k: k, seed: math.Inf(1)}
-	s.bits.Store(math.Float64bits(math.Inf(1)))
-	return s
+// NewCollector builds a Collector for rankings of size k; k <= 0 retains
+// nothing.
+func NewCollector(k int) *Collector {
+	c := &Collector{k: k, seed: math.Inf(1)}
+	c.bits.Store(math.Float64bits(math.Inf(1)))
+	return c
 }
 
 // Seed tightens the published threshold with an externally known upper
@@ -434,101 +423,109 @@ func NewSharedKth(k int) *SharedKth {
 // comparison stays strict, so matches at exactly the bound survive, but
 // matches strictly beyond it may be dropped. Seeding never raises the
 // threshold; NaN seeds are ignored.
-func (s *SharedKth) Seed(d float64) {
-	if s.k <= 0 || math.IsNaN(d) {
+func (c *Collector) Seed(d float64) {
+	if c.k <= 0 || math.IsNaN(d) {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if d < s.seed {
-		s.seed = d
-		s.publish()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if d < c.seed {
+		c.seed = d
+		c.publish()
 	}
 }
 
 // publish stores min(seed, own k-th best) into the atomic. Callers hold mu.
-func (s *SharedKth) publish() {
-	v := s.seed
-	if len(s.dists) == s.k && s.dists[0] < v {
-		v = s.dists[0]
+func (c *Collector) publish() {
+	v := c.seed
+	if len(c.ms) == c.k && c.ms[0].Result.Dist < v {
+		v = c.ms[0].Result.Dist
 	}
-	s.bits.Store(math.Float64bits(v))
+	c.bits.Store(math.Float64bits(v))
 }
 
-// Offer feeds one match distance into the shared top-k.
-func (s *SharedKth) Offer(d float64) {
-	if s.k <= 0 {
-		return
+// Offer feeds one match into the running top-k and reports whether it was
+// retained (it may still be displaced by a later, better offer).
+func (c *Collector) Offer(m Match) bool {
+	if c.k <= 0 {
+		return false
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	switch {
-	case len(s.dists) < s.k:
-		s.dists = append(s.dists, d)
-		s.up(len(s.dists) - 1)
-	case d < s.dists[0]:
-		s.dists[0] = d
-		s.down(0)
+	case len(c.ms) < c.k:
+		c.ms = append(c.ms, m)
+		for i := len(c.ms) - 1; i > 0; {
+			p := (i - 1) / 2
+			if !matchLess(c.ms[p], c.ms[i]) {
+				break
+			}
+			c.ms[p], c.ms[i] = c.ms[i], c.ms[p]
+			i = p
+		}
+	case matchLess(m, c.ms[0]):
+		c.ms[0] = m
+		c.down(0)
 	default:
-		return
+		return false
 	}
-	if len(s.dists) == s.k {
-		s.publish()
+	if len(c.ms) == c.k {
+		c.publish()
 	}
+	return true
 }
 
-// Threshold implements Thresholder: the current k-th best distance, +Inf
-// until k offers have arrived.
-func (s *SharedKth) Threshold() float64 {
-	return math.Float64frombits(s.bits.Load())
+// offer is Offer as a scan callback.
+func (c *Collector) offer(m Match) error {
+	c.Offer(m)
+	return nil
 }
 
-func (s *SharedKth) up(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if s.dists[p] >= s.dists[i] {
-			break
-		}
-		s.dists[p], s.dists[i] = s.dists[i], s.dists[p]
-		i = p
-	}
-}
-
-func (s *SharedKth) down(i int) {
-	n := len(s.dists)
+// down restores the max-heap property below position i.
+func (c *Collector) down(i int) {
 	for {
-		l, r := 2*i+1, 2*i+2
-		big := i
-		if l < n && s.dists[l] > s.dists[big] {
-			big = l
+		worst := i
+		for _, ch := range [2]int{2*i + 1, 2*i + 2} {
+			if ch < len(c.ms) && matchLess(c.ms[worst], c.ms[ch]) {
+				worst = ch
+			}
 		}
-		if r < n && s.dists[r] > s.dists[big] {
-			big = r
-		}
-		if big == i {
+		if worst == i {
 			return
 		}
-		s.dists[i], s.dists[big] = s.dists[big], s.dists[i]
-		i = big
+		c.ms[i], c.ms[worst] = c.ms[worst], c.ms[i]
+		i = worst
 	}
 }
 
-// ScanPrunedCtx is ScanFilteredCtx with the threshold pipeline: candidates
-// whose lower bound beats the threshold are skipped, per-trajectory
-// searches abandon against it, and fn only sees matches that could still
-// enter a top-k whose k-th-best distance is th.Threshold() — in ascending
-// lower-bound order, not candidate order. Algorithms that do not implement
-// ThresholdSearcher are scanned unpruned, in candidate order. st, when
-// non-nil, receives the scan's pruning counters; it is not synchronized.
-func (db *Database) ScanPrunedCtx(ctx context.Context, alg Algorithm, q traj.Trajectory, filter *geo.Rect, th Thresholder, st *PruneStats, fn func(Match) error) error {
-	return db.ScanPrunedSourceCtx(ctx, alg, q, filter, th, st, nil, fn)
+// Threshold implements Thresholder: min(seed, k-th best distance), +Inf
+// until k matches are retained and no seed was given.
+func (c *Collector) Threshold() float64 {
+	return math.Float64frombits(c.bits.Load())
 }
 
-// ScanPrunedSourceCtx is ScanPrunedCtx with the candidate enumeration
-// swapped for src (nil = the Database's spatial enumeration, making it
-// exactly ScanPrunedCtx). The threshold pipeline is identical whatever the
-// source: each candidate the source yields flows through the lower-bound
-// cascade, the abandoning search and the result post-filter unchanged.
+// Sorted returns a copy of the retained matches in ascending RankBefore
+// order.
+func (c *Collector) Sorted() []Match {
+	c.mu.Lock()
+	out := slices.Clone(c.ms)
+	c.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return matchLess(out[i], out[j]) })
+	return out
+}
+
+// ScanPrunedSourceCtx is the one threshold scan every top-k runs on:
+// ScanFilteredCtx with the threshold pipeline. Candidates come from src
+// (nil = the Database's spatial enumeration); those whose lower bound beats
+// the threshold are skipped, per-trajectory searches abandon against it,
+// and fn only sees matches that could still enter a top-k whose k-th-best
+// distance is th.Threshold() (nil = NoThreshold) — in ascending lower-bound
+// order, not candidate order. The pipeline is identical whatever the
+// source: each candidate it yields flows through the lower-bound cascade,
+// the abandoning search and the result post-filter unchanged. Algorithms
+// that do not implement ThresholdSearcher are scanned unpruned, in
+// candidate order. st, when non-nil, receives the scan's pruning counters;
+// it is not synchronized.
 func (db *Database) ScanPrunedSourceCtx(ctx context.Context, alg Algorithm, q traj.Trajectory, filter *geo.Rect, th Thresholder, st *PruneStats, src CandidateSource, fn func(Match) error) error {
 	if st == nil {
 		st = &PruneStats{}
@@ -560,10 +557,10 @@ func (db *Database) ScanPrunedSourceCtx(ctx context.Context, alg Algorithm, q tr
 	// (bound, index) order, so the threshold tightens within the first few
 	// dozen candidates instead of after ~k·ln(N/k) record-breakers in ID
 	// order — and the first bound beyond it ends the scan, every later one
-	// being larger still. Rankings cannot change: what the heap retains is
-	// a function of the match set under RankBefore, not of the offer order
-	// (the argument batch.go spells out). Searches that cannot bound report
-	// 0 for every candidate and so keep ID order.
+	// being larger still. Rankings cannot change: what a Collector retains
+	// is a function of the match set under RankBefore, not of the offer
+	// order. Searches that cannot bound report 0 for every candidate and so
+	// keep ID order.
 	cands := db.candidatesFrom(src, q, filter)
 	order := make([]boundedCand, 0, len(cands))
 	for _, ci := range cands {
@@ -614,36 +611,21 @@ type boundedCand struct {
 	index int
 }
 
-// TopKPrunedCtx is TopKFilteredCtx with the threshold pipeline: the scan
-// prunes against its own running k-th best, tightened by the global
-// k-th-best published through shared when non-nil (the engine passes one
-// SharedKth across all shard workers). Every scored match is offered to
-// shared so concurrent scans tighten each other. The ranking is
-// byte-identical to the unpruned scan's.
-func (db *Database) TopKPrunedCtx(ctx context.Context, alg Algorithm, q traj.Trajectory, k int, filter *geo.Rect, shared *SharedKth, st *PruneStats) ([]Match, error) {
-	return db.TopKPrunedSourceCtx(ctx, alg, q, k, filter, shared, st, nil)
-}
-
-// TopKPrunedSourceCtx is TopKPrunedCtx over src's candidates (nil = the
-// spatial enumeration). With an approximate source the result is the exact
-// top-k OF THE CANDIDATES THE SOURCE RETURNED — every retained match
-// carries the same exact distance the spatial scan would have computed for
-// it, but trajectories the source omitted are simply absent.
-func (db *Database) TopKPrunedSourceCtx(ctx context.Context, alg Algorithm, q traj.Trajectory, k int, filter *geo.Rect, shared *SharedKth, st *PruneStats, src CandidateSource) ([]Match, error) {
-	h := topKHeap{k: k}
-	var extern Thresholder
-	if shared != nil {
-		extern = shared
-	}
-	th := heapThresholder{h: &h, extern: extern}
-	if err := db.ScanPrunedSourceCtx(ctx, alg, q, filter, &th, st, src, func(m Match) error {
-		h.offer(m)
-		if shared != nil {
-			shared.Offer(m.Result.Dist)
-		}
-		return nil
-	}); err != nil {
+// TopKPrunedCtx is the one top-k over ScanPrunedSourceCtx: the k best
+// matches among src's candidates (nil = the spatial enumeration, restricted
+// to trajectories whose MBR intersects a non-nil filter), the scan pruning
+// against its own running k-th best. The context is checked between
+// per-trajectory searches — a single search is not interruptible — and on
+// cancellation the result is (nil, ctx.Err()). Over the spatial source the
+// ranking is byte-identical to the unpruned scan's; with an approximate
+// source it is the exact top-k OF THE CANDIDATES THE SOURCE RETURNED —
+// every retained match carries the same exact distance the spatial scan
+// would have computed for it, but trajectories the source omitted are
+// simply absent.
+func (db *Database) TopKPrunedCtx(ctx context.Context, alg Algorithm, q traj.Trajectory, k int, filter *geo.Rect, src CandidateSource, st *PruneStats) ([]Match, error) {
+	c := NewCollector(k)
+	if err := db.ScanPrunedSourceCtx(ctx, alg, q, filter, c, st, src, c.offer); err != nil {
 		return nil, err
 	}
-	return h.sorted(), nil
+	return c.Sorted(), nil
 }

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"simsub/internal/geo"
@@ -200,32 +202,121 @@ func TestTopKExactPrunedEquivalence(t *testing.T) {
 	}
 }
 
-// TestSharedKth exercises the shared-threshold heap directly.
-func TestSharedKth(t *testing.T) {
-	s := NewSharedKth(3)
-	if got := s.Threshold(); !(got > 1e308) {
-		t.Fatalf("empty threshold = %v, want +Inf", got)
+// TestCollector checks the one top-k heap against its specification: after
+// every offer the retained set is sort-everything-under-RankBefore-and-
+// truncate and the published threshold is min(seed, k-th best) — +Inf until
+// k matches are retained, never increasing — over random offer sequences
+// whose distances tie heavily across rank k.
+func TestCollector(t *testing.T) {
+	atDist := func(ds ...float64) []Match {
+		ms := make([]Match, len(ds))
+		for i, d := range ds {
+			ms[i] = Match{TrajIndex: i, Result: Result{Dist: d}}
+		}
+		return ms
 	}
-	s.Offer(5)
-	s.Offer(3)
-	if got := s.Threshold(); !(got > 1e308) {
-		t.Fatalf("threshold before full = %v, want +Inf", got)
+	type input struct {
+		k      int
+		seed   float64
+		offers []Match
 	}
-	s.Offer(9)
-	if got := s.Threshold(); got != 9 {
-		t.Fatalf("threshold = %v, want 9", got)
+	inputs := []input{
+		// thresholds +Inf, +Inf, 9, 5 (evicts 9), 5 (no-op), 3
+		{3, math.Inf(1), atDist(5, 3, 9, 1, 100, 2)},
+		{2, 4, atDist(9, 4, 4, 7, 1)},
+		{0, 1, atDist(1, 2)},
+		{-3, math.Inf(1), atDist(1, 2)},
 	}
-	s.Offer(1) // evicts 9
-	if got := s.Threshold(); got != 5 {
-		t.Fatalf("threshold = %v, want 5", got)
+	rng := rand.New(rand.NewSource(91))
+	for i := 0; i < 40; i++ {
+		// a handful of distances, trajectories and intervals: ties at every
+		// level of RankBefore, but — as in a scan — no match offered twice
+		offers := make([]Match, rng.Intn(54))
+		for j, c := range rng.Perm(54)[:len(offers)] {
+			offers[j] = Match{TrajIndex: c / 9, Result: Result{
+				Dist:     float64(rng.Intn(4)),
+				Interval: traj.Interval{I: c / 3 % 3, J: 3 + c%3},
+			}}
+		}
+		seed := math.Inf(1)
+		if i%2 == 1 {
+			seed = float64(rng.Intn(4))
+		}
+		inputs = append(inputs, input{1 + rng.Intn(8), seed, offers})
 	}
-	s.Offer(100) // no-op
-	if got := s.Threshold(); got != 5 {
-		t.Fatalf("threshold after worse offer = %v, want 5", got)
+	for ii, in := range inputs {
+		c := NewCollector(in.k)
+		if got := c.Threshold(); !math.IsInf(got, 1) {
+			t.Fatalf("input %d: fresh threshold = %v, want +Inf", ii, got)
+		}
+		c.Seed(in.seed)
+		c.Seed(math.NaN())   // ignored
+		c.Seed(in.seed + 10) // never raises
+		prev := c.Threshold()
+		var all []Match
+		for oi, m := range in.offers {
+			retained := c.Offer(m)
+			all = append(all, m)
+			want := slices.Clone(all)
+			sort.SliceStable(want, func(i, j int) bool { return matchLess(want[i], want[j]) })
+			want = want[:max(0, min(in.k, len(want)))]
+			got := c.Sorted()
+			if !slices.Equal(got, want) {
+				t.Fatalf("input %d after offer %d:\ngot  %+v\nwant %+v", ii, oi, got, want)
+			}
+			if retained != slices.Contains(got, m) {
+				t.Fatalf("input %d offer %d: Offer reported %v for %+v, retained %+v", ii, oi, retained, m, got)
+			}
+			wantTau := math.Inf(1)
+			if in.k > 0 {
+				wantTau = in.seed
+				if len(want) == in.k && want[in.k-1].Result.Dist < wantTau {
+					wantTau = want[in.k-1].Result.Dist
+				}
+			}
+			tau := c.Threshold()
+			if tau != wantTau || tau > prev {
+				t.Fatalf("input %d after offer %d: threshold %v (previous %v), want %v", ii, oi, tau, prev, wantTau)
+			}
+			prev = tau
+		}
 	}
-	s.Offer(2)
-	if got := s.Threshold(); got != 3 {
-		t.Fatalf("threshold = %v, want 3", got)
+
+	// the collector itself never filters on the seed — pruning against it is
+	// the scan's job, and strict — so a match at exactly the seed survives
+	c := NewCollector(2)
+	c.Seed(4)
+	at := Match{TrajIndex: 1, Result: Result{Dist: 4}}
+	if !c.Offer(at) || !slices.Contains(c.Sorted(), at) {
+		t.Fatal("a match at exactly the seed was not retained")
+	}
+
+	// goroutines offering disjoint halves end at the serial ranking
+	offers := make([]Match, 400)
+	for i := range offers {
+		offers[i] = Match{TrajIndex: i, Result: Result{Dist: float64(rng.Intn(5))}}
+	}
+	serial, shared := NewCollector(10), NewCollector(10)
+	for _, m := range offers {
+		serial.Offer(m)
+	}
+	var wg sync.WaitGroup
+	for _, half := range [][]Match{offers[:200], offers[200:]} {
+		wg.Add(1)
+		go func(half []Match) {
+			defer wg.Done()
+			for _, m := range half {
+				shared.Offer(m)
+				shared.Threshold()
+			}
+		}(half)
+	}
+	wg.Wait()
+	if got, want := shared.Sorted(), serial.Sorted(); !slices.Equal(got, want) {
+		t.Fatalf("concurrent offers:\ngot  %+v\nwant %+v", got, want)
+	}
+	if shared.Threshold() != serial.Threshold() {
+		t.Fatalf("concurrent threshold %v, serial %v", shared.Threshold(), serial.Threshold())
 	}
 }
 

@@ -156,34 +156,30 @@ type rlsThresholdSearch struct {
 }
 
 func (s *rlsThresholdSearch) Search(t traj.Trajectory, meta TrajMeta, tau float64) (Result, Pruned) {
-	r := s.search(t, meta)
+	r := Result{Dist: math.Inf(1)}
+	if s.env != nil && t.Len() > 0 {
+		var suf []float64
+		if s.useSuffix {
+			tr := meta.Rev
+			if tr.Len() != t.Len() {
+				tr = t.Reverse() // defensive: zero-value meta
+			}
+			s.suf = sim.SuffixDistsInto(s.suf, s.m, tr, s.qRev)
+			suf = s.suf
+		}
+		s.env.Rebind(t, suf)
+		if s.table != nil {
+			s.env.WalkTable(s.table)
+		} else {
+			walk(s.env, s.actor)
+		}
+		iv, d := s.env.Best()
+		r = Result{Interval: iv, Dist: d, Explored: s.env.Explored(), Scanned: s.env.Scanned()}
+	}
 	if r.Dist > tau {
 		return r, PrunedAbandon
 	}
 	return r, NotPruned
-}
-
-func (s *rlsThresholdSearch) search(t traj.Trajectory, meta TrajMeta) Result {
-	if s.env == nil || t.Len() == 0 {
-		return Result{Dist: math.Inf(1)}
-	}
-	var suf []float64
-	if s.useSuffix {
-		tr := meta.Rev
-		if tr.Len() != t.Len() {
-			tr = t.Reverse() // defensive: zero-value meta
-		}
-		s.suf = sim.SuffixDistsInto(s.suf, s.m, tr, s.qRev)
-		suf = s.suf
-	}
-	s.env.Rebind(t, suf)
-	if s.table != nil {
-		s.env.WalkTable(s.table)
-	} else {
-		walk(s.env, s.actor)
-	}
-	iv, d := s.env.Best()
-	return Result{Interval: iv, Dist: d, Explored: s.env.Explored(), Scanned: s.env.Scanned()}
 }
 
 func (s *rlsThresholdSearch) Release() {

@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"simsub/internal/geo"
@@ -244,52 +246,93 @@ func TestSkippedFractionGuards(t *testing.T) {
 	}
 }
 
+// noisyPolicy builds a policy with random (DQN-initialization) weights: its
+// actions depend on the state, so walks over different candidates diverge.
+func noisyPolicy(seed int64, k int, useSuffix, simplify bool) *rl.Policy {
+	dim := rl.StateDim(useSuffix)
+	net := nn.NewMLP([]int{dim, 8, 2 + k}, []nn.Activation{nn.ReLU, nn.Sigmoid}, rand.New(rand.NewSource(seed)))
+	return &rl.Policy{Net: net, K: k, UseSuffix: useSuffix, SimplifyState: simplify}
+}
+
 // TestRLSThresholdScanMatchesUnpruned is the approximate-path counterpart
 // of the pruned≡unpruned equivalence matrix: a TopKPrunedCtx ranking must
-// be byte-identical to ranking every candidate's direct RLS.Search result.
-// Full-state policies may skip candidates through the lower-bound cascade
-// (their tracked distances are genuine subtrajectory distances, which the
-// cascade bounds from below); simplified-state policies must not touch it.
+// be byte-identical to ranking every candidate's direct RLS.Search result —
+// for constant and state-dependent policies, network- and table-served, the
+// policy-less degenerate algorithm and an empty query. Full-state policies
+// may skip candidates through the lower-bound cascade (their tracked
+// distances are genuine subtrajectory distances, which the cascade bounds
+// from below); simplified-state policies must not touch it. A threshold
+// seeded before the scan starts — a sibling shard or a router's bound having
+// got there first — must leave exactly the matches within it.
 func TestRLSThresholdScanMatchesUnpruned(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	ts := make([]traj.Trajectory, 60)
 	for i := range ts {
 		ts[i] = randTraj(rng, rng.Intn(18)+4)
 	}
-	q := randTraj(rng, 5)
-	for _, p := range []*rl.Policy{
-		constPolicy(0, 0, true, false),  // RLS, never split
-		constPolicy(1, 0, true, false),  // RLS, always split
-		constPolicy(2, 1, false, true),  // RLS-Skip, skip 1, simplified state
-		constPolicy(3, 2, false, false), // skip 2, full state
+	db := NewDatabase(ts, false)
+	table, err := rl.Compile(noisyPolicy(7, 2, true, true), 8)
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	m := sim.DTW{}
+	for ai, alg := range []RLS{
+		{M: m, Policy: constPolicy(0, 0, true, false)},  // RLS, never split
+		{M: m, Policy: constPolicy(1, 0, true, false)},  // RLS, always split
+		{M: m, Policy: constPolicy(2, 1, false, true)},  // RLS-Skip, skip 1, simplified state
+		{M: m, Policy: constPolicy(3, 2, false, false)}, // skip 2, full state
+		{M: m, Policy: noisyPolicy(3, 3, true, true)},   // RLS-Skip, state-dependent
+		{M: m, Policy: noisyPolicy(4, 3, false, true)},  // RLS-Skip+
+		{M: m, Table: table},                            // compiled table serving
+		{M: m},                                          // no policy: every distance infinite
 	} {
-		alg := RLS{M: sim.DTW{}, Policy: p}
 		if _, ok := Algorithm(alg).(ThresholdSearcher); !ok {
 			t.Fatal("RLS does not implement ThresholdSearcher")
 		}
-		db := NewDatabase(ts, false)
-		for _, k := range []int{1, 5, 20} {
-			var st PruneStats
-			got, err := db.TopKPrunedCtx(context.Background(), alg, q, k, nil, NewSharedKth(k), &st)
-			if err != nil {
-				t.Fatal(err)
+		_, _, simplified, _ := alg.params()
+		for qi, q := range []traj.Trajectory{randTraj(rng, 5), {}} {
+			// without stored metadata the search reverses the trajectory itself
+			bare := alg.NewThresholdSearch(q)
+			if got, _ := bare.Search(ts[0], TrajMeta{}, math.Inf(1)); got != alg.Search(ts[0], q) {
+				t.Fatalf("alg%d q%d: zero-meta search %+v, direct %+v", ai, qi, got, alg.Search(ts[0], q))
 			}
-			// reference: direct per-trajectory invocation, ranked
-			h := topKHeap{k: k}
-			for i, dt := range ts {
-				h.offer(Match{TrajIndex: i, Result: alg.Search(dt, q)})
-			}
-			want := h.sorted()
-			if len(got) != len(want) {
-				t.Fatalf("%s k=%d: got %d matches, want %d", alg.Name(), k, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%s k=%d rank %d: got %+v, want %+v", alg.Name(), k, i, got[i], want[i])
+			bare.Release()
+			for _, k := range []int{1, 5, 20} {
+				name := fmt.Sprintf("alg%d %s q%d k=%d", ai, alg.Name(), qi, k)
+				var st PruneStats
+				got, err := db.TopKPrunedCtx(context.Background(), alg, q, k, nil, nil, &st)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			if p.SimplifyState && st.LBSkipped != 0 {
-				t.Errorf("%s: simplified-state scan used the lower-bound cascade (%d LB skips)", alg.Name(), st.LBSkipped)
+				// reference: direct per-trajectory invocation, ranked
+				h := NewCollector(k)
+				for i, dt := range ts {
+					h.Offer(Match{TrajIndex: i, Result: alg.Search(dt, q)})
+				}
+				want := h.Sorted()
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s:\ngot  %+v\nwant %+v", name, got, want)
+				}
+				if simplified && st.LBSkipped != 0 {
+					t.Errorf("%s: simplified-state scan used the lower-bound cascade (%d LB skips)", name, st.LBSkipped)
+				}
+
+				tau := want[len(want)/2].Result.Dist
+				seeded := NewCollector(k)
+				seeded.Seed(tau)
+				if err := db.ScanPrunedSourceCtx(context.Background(), alg, q, nil, seeded, nil, nil, seeded.offer); err != nil {
+					t.Fatal(err)
+				}
+				within := want
+				for i, mt := range want {
+					if mt.Result.Dist > tau {
+						within = want[:i]
+						break
+					}
+				}
+				if got := seeded.Sorted(); !slices.Equal(got, within) {
+					t.Fatalf("%s seeded at %v:\ngot  %+v\nwant %+v", name, tau, got, within)
+				}
 			}
 		}
 	}

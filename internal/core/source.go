@@ -11,7 +11,7 @@ import (
 // with the region filter, see CandidatesFiltered) is the built-in source;
 // an approximate source — the engine's embedding index — returns a coarse
 // subset instead, and the exact cascade reranks it unchanged: lower bounds,
-// early abandoning and the SharedKth threshold all operate per candidate,
+// early abandoning and the Collector's threshold all operate per candidate,
 // so they neither know nor care how the candidate list was produced.
 //
 // Contract: a source must honor the region filter (never return a

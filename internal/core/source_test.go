@@ -37,7 +37,7 @@ func TestSpatialSourceEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
-					got, err := db.TopKPrunedSourceCtx(context.Background(), alg, q, k, f, nil, nil, db.SpatialSource())
+					got, err := db.TopKPrunedCtx(context.Background(), alg, q, k, f, db.SpatialSource(), nil)
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
@@ -88,7 +88,7 @@ func TestSubsetSourceRanksExactlyItsCandidates(t *testing.T) {
 		for _, alg := range []Algorithm{ExactS{M: m}, PSS{M: m}} {
 			want := subsetRank(alg, data, subset, q, k)
 			var st PruneStats
-			got, err := db.TopKPrunedSourceCtx(context.Background(), alg, q, k, nil, nil, &st, src)
+			got, err := db.TopKPrunedCtx(context.Background(), alg, q, k, nil, src, &st)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,16 +120,16 @@ func TestSourceThreadedThroughBatchAndStream(t *testing.T) {
 	alg := ExactS{M: sim.DTW{}}
 	want := subsetRank(alg, data, subset, q, k)
 
-	got, err := db.TopKPrunedBatchSourceCtx(context.Background(), alg, q, k, nil, nil, nil, src, 8)
+	got, err := db.TopKPrunedCtx(context.Background(), alg, q, k, nil, src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(want) {
-		t.Fatalf("batch: got %d matches, want %d", len(got), len(want))
+		t.Fatalf("top-k: got %d matches, want %d", len(got), len(want))
 	}
 	for i := range got {
 		if got[i] != want[i] {
-			t.Errorf("batch rank %d: %+v, want %+v", i, got[i], want[i])
+			t.Errorf("top-k rank %d: %+v, want %+v", i, got[i], want[i])
 		}
 	}
 

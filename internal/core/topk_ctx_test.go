@@ -71,8 +71,8 @@ func TestTopKCtxCancelled(t *testing.T) {
 	q := randTraj(rng, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := db.TopKCtx(ctx, ExactS{M: sim.DTW{}}, q, 5); err != context.Canceled {
-		t.Fatalf("TopKCtx err = %v, want context.Canceled", err)
+	if _, err := db.TopKPrunedCtx(ctx, ExactS{M: sim.DTW{}}, q, 5, nil, nil, nil); err != context.Canceled {
+		t.Fatalf("TopKPrunedCtx err = %v, want context.Canceled", err)
 	}
 	if _, err := db.TopKParallelCtx(ctx, ExactS{M: sim.DTW{}}, q, 5, 4); err != context.Canceled {
 		t.Fatalf("TopKParallelCtx err = %v, want context.Canceled", err)

@@ -43,10 +43,14 @@ func classOf(algorithm string) queryClass {
 }
 
 // degradeChain lists the graceful-degradation fallbacks of an algorithm in
-// preference order. Only the exhaustive exact scans degrade: PSS keeps the
-// ranking exact (the paper's spliting-based search is provably equivalent)
-// at a fraction of the cost, and the compiled learned policy is the last
-// resort when even PSS cannot fit the budget.
+// preference order. Only the exact scans degrade, and what the opt-in
+// trades is exactness: PSS is the paper's APPROXIMATE splitting search (its
+// Figure 3; cmd/experiments -exp fig3 reads approximation ratios of
+// 1.04–2.8 here), so a degraded ranking may name worse subtrajectories, or
+// other trajectories, than the one asked for — which is why the answer is
+// marked Degraded. The learned policy is the last resort when even PSS
+// cannot fit the budget. Whether each step is still a step towards cheaper
+// is ROADMAP item 1's question, not settled here.
 func degradeChain(algorithm string) []string {
 	switch algorithm {
 	case "exacts", "sizes":

@@ -158,7 +158,7 @@ func TestBudgetDegradesWithOptIn(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	q := Query{Q: randTraj(rand.New(rand.NewSource(2)), 5), K: 3, Measure: "dtw", Algorithm: "exacts", AllowDegraded: true}
-	full, _, _, deg, err := e.topK(ctx, q)
+	full, _, _, deg, err := e.topK(ctx, q, nil)
 	if err != nil {
 		t.Fatalf("topK: %v", err)
 	}
@@ -180,7 +180,7 @@ func TestNeverDegradedWithoutOptIn(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	q := Query{Q: randTraj(rand.New(rand.NewSource(2)), 5), K: 3, Measure: "dtw", Algorithm: "exacts"}
-	_, _, _, deg, err := e.topK(ctx, q)
+	_, _, _, deg, err := e.topK(ctx, q, nil)
 	var ae *api.Error
 	if !errors.As(err, &ae) || ae.Code != api.CodeDeadlineExceeded {
 		t.Fatalf("without opt-in: got %v, want deadline_exceeded (never a silent fallback)", err)

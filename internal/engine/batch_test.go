@@ -12,7 +12,7 @@ import (
 )
 
 // statePolicy builds a policy with random (DQN-initialization) weights, so
-// its actions depend on the state and batched lanes genuinely diverge.
+// its actions depend on the state and walks genuinely diverge.
 func statePolicy(seed int64, k int, useSuffix, simplify bool) *rl.Policy {
 	dim := rl.StateDim(useSuffix)
 	net := nn.NewMLP([]int{dim, 8, 2 + k}, []nn.Activation{nn.ReLU, nn.Sigmoid}, rand.New(rand.NewSource(seed)))
@@ -20,9 +20,9 @@ func statePolicy(seed int64, k int, useSuffix, simplify bool) *rl.Policy {
 }
 
 // TestEngineBatchedMatchesSequential is the serving-level equivalence
-// matrix: the engine's scatter over batched lockstep shard scans must return
-// the same ranking as the sequential configuration and as the flat direct
-// reference, across shard counts, lane widths and policy kinds.
+// matrix of the learned searches: the engine's scatter over shard scans
+// must return the same ranking as the flat, sequential direct reference,
+// across shard counts and policy kinds.
 func TestEngineBatchedMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	ts := randSet(rng, 60)
@@ -37,22 +37,20 @@ func TestEngineBatchedMatchesSequential(t *testing.T) {
 	} {
 		want := directRLS(ts, core.RLS{M: mustMeasure(t, "dtw"), Policy: tc.policy}, q, 10)
 		for _, shards := range []int{1, 3} {
-			for _, lanes := range []int{1, 7, 64} {
-				e := New(Config{Shards: shards, Index: ScanAll, BatchLanes: lanes})
-				e.Add(ts)
-				if _, err := e.SetPolicy(tc.policy); err != nil {
-					t.Fatal(err)
-				}
-				got, _, err := e.TopK(context.Background(), Query{
-					Q: q, K: 10, Measure: "dtw", Algorithm: tc.algo,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !matchesEqual(got, want) {
-					t.Fatalf("%s shards=%d lanes=%d: batched ranking diverges from direct reference\ngot  %+v\nwant %+v",
-						tc.algo, shards, lanes, got, want)
-				}
+			e := New(Config{Shards: shards, Index: ScanAll})
+			e.Add(ts)
+			if _, err := e.SetPolicy(tc.policy); err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := e.TopK(context.Background(), Query{
+				Q: q, K: 10, Measure: "dtw", Algorithm: tc.algo,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !matchesEqual(got, want) {
+				t.Fatalf("%s shards=%d: served ranking diverges from direct reference\ngot  %+v\nwant %+v",
+					tc.algo, shards, got, want)
 			}
 		}
 	}
@@ -140,7 +138,7 @@ func TestSetPolicyCompiledServesTable(t *testing.T) {
 	}
 }
 
-// TestConcurrentCompiledPolicySwap hammers batched queries against swaps
+// TestConcurrentCompiledPolicySwap hammers queries against swaps
 // that alternate the same policy between network and compiled-table serving:
 // every ranking must equal the policy's direct answer (the table is exact
 // for a constant policy), with no races under -race.
@@ -148,7 +146,7 @@ func TestConcurrentCompiledPolicySwap(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	ts := randSet(rng, 30)
 	q := randTraj(rng, 5)
-	e := New(Config{Shards: 2, Index: ScanAll, CacheSize: 32, BatchLanes: 8})
+	e := New(Config{Shards: 2, Index: ScanAll, CacheSize: 32})
 	e.Add(ts)
 
 	pols := []*rl.Policy{testPolicy(0, 0, true, false), testPolicy(1, 0, true, false)}

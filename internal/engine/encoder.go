@@ -150,7 +150,7 @@ type annQuery struct {
 // annQueryFor derives the per-shard prefilter state, splitting the query's
 // total candidate budget evenly across shards (rounding up, so the global
 // budget is a floor — every shard contributes, mirroring how the exact
-// scan's top-k merge draws from every shard).
+// scan's top-k draws from every shard).
 func (e *Engine) annQueryFor(ent *encoderEntry, q Query) *annQuery {
 	n := len(e.shards)
 	return &annQuery{
@@ -252,7 +252,7 @@ func (e *Engine) sampleRecall(ctx context.Context, q Query, alg core.Algorithm, 
 	}
 	exactQ := q
 	exactQ.ANN = nil
-	exact, _, err := e.scatter(ctx, alg, exactQ)
+	exact, _, err := e.scatter(ctx, alg, exactQ, nil)
 	if err != nil || e.gen.Load() != gen {
 		return
 	}

@@ -1,18 +1,18 @@
 // Package engine is the query-serving layer over the SimSub algorithms: a
 // sharded in-memory trajectory store whose shards each carry their own
 // pruning index, searched concurrently through a bounded worker pool with
-// context-based cancellation, an LRU cache of top-k answers, and a batched
-// top-k that merges the per-shard result heaps into one global ranking.
+// context-based cancellation, an LRU cache of top-k answers, and one top-k
+// collector per query that every shard's scan feeds and prunes against.
 //
 // The engine lifts the single-database search of internal/core to a
 // concurrent service: trajectories are distributed round-robin over shards
 // by global ID, each top-k query fans out one bounded task per shard
-// (core's cancellable heap-based TopKCtx), and the per-shard ascending
-// lists are k-way merged. Package server exposes it over HTTP.
+// (core's cancellable threshold scan), and the shard workers offer their
+// matches straight into the query's core.Collector. Package server exposes
+// it over HTTP.
 package engine
 
 import (
-	"container/heap"
 	"context"
 	"math"
 	"runtime"
@@ -79,12 +79,6 @@ type Config struct {
 	// Stats.MeanRecall). 0 disables sampling; each sample costs one full
 	// unprefiltered scan.
 	RecallSample float64
-	// BatchLanes is the lockstep width of batched per-shard scans for
-	// algorithms with a batched path (the learned searches): each shard
-	// worker feeds candidates into this many lanes and advances them with
-	// one batched policy inference per round (default 64). 1 forces the
-	// sequential scan; rankings are byte-identical either way.
-	BatchLanes int
 	// QuerySlots bounds concurrently admitted queries (default Workers).
 	// Queries beyond it wait in the admission queue; see admission.go.
 	QuerySlots int
@@ -111,9 +105,6 @@ func (c *Config) fill() {
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.BatchLanes <= 0 {
-		c.BatchLanes = 64
 	}
 	if c.QuerySlots <= 0 {
 		c.QuerySlots = c.Workers
@@ -380,24 +371,22 @@ func (s *shard) view() (*core.Database, *ann.Index) {
 	return s.db, s.ann
 }
 
-func (s *shard) topK(ctx context.Context, alg core.Algorithm, q traj.Trajectory, k int, filter *geo.Rect, shared *core.SharedKth, st *core.PruneStats, lanes int, annq *annQuery) ([]Match, error) {
+// scan runs the one threshold scan over the shard's current snapshot,
+// pruning against col and handing fn every surviving match under its global
+// trajectory ID.
+func (s *shard) scan(ctx context.Context, alg core.Algorithm, q Query, col *core.Collector, st *core.PruneStats, annq *annQuery, fn func(core.Match) error) error {
 	db, ix := s.view()
 	if db == nil {
-		return nil, nil
+		return nil
 	}
 	var src core.CandidateSource
 	if annq != nil && ix != nil {
 		src = annSource{db: db, ix: ix, q: annq}
 	}
-	local, err := db.TopKPrunedBatchSourceCtx(ctx, alg, q, k, filter, shared, st, src, lanes)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Match, len(local))
-	for i, m := range local {
-		out[i] = Match{TrajID: db.Traj(m.TrajIndex).ID, Result: m.Result}
-	}
-	return out, nil
+	return db.ScanPrunedSourceCtx(ctx, alg, q.Q, q.Filter, col, st, src, func(m core.Match) error {
+		m.TrajIndex = db.Traj(m.TrajIndex).ID
+		return fn(m)
+	})
 }
 
 // Engine is a sharded, concurrent trajectory-search service. All methods
@@ -818,39 +807,76 @@ next:
 	return out
 }
 
-// TopK answers a top-k query: one bounded search task per shard, merged
-// into a global ascending ranking, with distinct collapsing and
+// TopK answers a top-k query: one bounded search task per shard, all of
+// them feeding one global ascending ranking, with distinct collapsing and
 // offset/limit paging applied last. cached reports whether the answer came
 // from the LRU; the returned slice is shared on cache hits and must not be
 // mutated. TopK honors ctx cancellation and deadlines. Validation and
 // resolution failures are typed *api.Error values.
 func (e *Engine) TopK(ctx context.Context, q Query) (matches []Match, cached bool, err error) {
-	_, page, cached, _, err := e.topK(ctx, q)
+	_, page, cached, _, err := e.topK(ctx, q, nil)
+	return page, cached, err
+}
+
+// TopKStream answers q like TopK but delivers provisional matches while
+// the scan is still running: emit is invoked — always on the calling
+// goroutine — for every match that enters the running global top-k, so the
+// first answers reach the caller long before the last shard finishes. The
+// returned slice is the authoritative final ranking, identical to TopK's
+// answer for the same query; a provisionally emitted match may be absent
+// from it if later candidates displaced it. An emit error aborts the
+// search and is returned unchanged. On a cache hit the final page is
+// emitted match by match before the call returns.
+func (e *Engine) TopKStream(ctx context.Context, q Query, emit func(Match) error) (matches []Match, cached bool, err error) {
+	_, page, cached, _, err := e.topK(ctx, q, emit)
 	return page, cached, err
 }
 
 // scatter fans the search out — one bounded task per shard, every worker
-// sharing the running global k-th-best — and k-way merges the per-shard
-// ascending lists into the global top-k. It is the common scan core of topK
-// and of the quality sampler's exact rescans.
-func (e *Engine) scatter(ctx context.Context, alg core.Algorithm, q Query) ([]Match, core.PruneStats, error) {
-	// the shared best-so-far: every shard worker offers its matches here
-	// and reads the running GLOBAL k-th-best back, so one shard's good
-	// matches prune another shard's scan. A wire-propagated bound seeds it
-	// so remote shards prune like local ones from the first candidate.
-	shared := core.NewSharedKth(q.K)
+// offering its matches (under global IDs) into the query's one collector
+// and reading the running GLOBAL k-th-best back, so one shard's good
+// matches prune another shard's scan — and returns the collector's
+// ranking. A wire-propagated bound seeds the collector so remote shards
+// prune like local ones from the first candidate. With a non-nil emit,
+// every match the collector retains is also handed to emit on the calling
+// goroutine. scatter is the common scan core of topK and of the samplers'
+// reference rescans.
+func (e *Engine) scatter(ctx context.Context, alg core.Algorithm, q Query, emit func(Match) error) ([]Match, core.PruneStats, error) {
+	col := core.NewCollector(q.K)
 	if q.Bound != nil {
-		shared.Seed(*q.Bound)
+		col.Seed(*q.Bound)
 	}
 	// the ANN prefilter state: the query embedding is computed once here
-	// and shared by every shard worker, like the shared threshold
+	// and shared by every shard worker, like the collector
 	var annq *annQuery
 	if q.ANN != nil {
 		if ent := e.encoder.Load(); ent != nil {
 			annq = e.annQueryFor(ent, q)
 		}
 	}
-	perShard := make([][]Match, len(e.shards))
+	// The stream hand-off: scanners send what the collector retained to the
+	// calling goroutine, which runs emit — no per-shard completion barrier
+	// between a candidate being searched and its match streaming out. A
+	// scanner waiting to hand a match over still observes ctx, so a
+	// slow-reading consumer cannot pin worker-pool slots past the deadline.
+	// The buffer lets scanners run a few dozen matches ahead of emit.
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var entered chan Match
+	if emit != nil {
+		entered = make(chan Match, 64)
+	}
+	offer := func(m core.Match) error {
+		if !col.Offer(m) || emit == nil {
+			return nil
+		}
+		select {
+		case entered <- fromCore(m):
+			return nil
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
 	stats := make([]core.PruneStats, len(e.shards))
 	errs := make([]error, len(e.shards))
 	var wg sync.WaitGroup
@@ -869,11 +895,27 @@ func (e *Engine) scatter(ctx context.Context, alg core.Algorithm, q Query) ([]Ma
 				errs[i] = ferr
 				return
 			}
-			perShard[i], errs[i] = s.topK(ctx, alg, q.Q, q.K, q.Filter, shared, &stats[i], e.cfg.BatchLanes, annq)
+			errs[i] = s.scan(ctx, alg, q, col, &stats[i], annq, offer)
 		}(i, s)
 	}
-	wg.Wait()
 	var prune core.PruneStats
+	if emit == nil {
+		wg.Wait()
+	} else {
+		go func() { wg.Wait(); close(entered) }()
+		var emitErr error
+		for m := range entered {
+			if emitErr != nil {
+				continue // drain so the cancelled scanners can exit
+			}
+			if emitErr = emit(m); emitErr != nil {
+				cancel()
+			}
+		}
+		if emitErr != nil {
+			return nil, prune, emitErr
+		}
+	}
 	for _, serr := range errs {
 		if serr != nil {
 			return nil, prune, serr
@@ -882,13 +924,31 @@ func (e *Engine) scatter(ctx context.Context, alg core.Algorithm, q Query) ([]Ma
 	for i := range stats {
 		prune.Add(stats[i])
 	}
-	return mergeTopK(perShard, q.K), prune, nil
+	return ranking(col), prune, nil
 }
 
-// topK is TopK also returning the full (unpaged) ranking, which the API
-// adapter reports as the result's Total, and the degradation marker when
-// the overload-resilience plan substituted a cheaper algorithm.
-func (e *Engine) topK(ctx context.Context, q Query) (full, page []Match, cached bool, deg *api.Degraded, err error) {
+// fromCore re-labels a collector match, whose TrajIndex a shard scan has
+// already set to the global trajectory ID.
+func fromCore(m core.Match) Match { return Match{TrajID: m.TrajIndex, Result: m.Result} }
+
+// ranking drains a collector of global-ID matches into the ascending
+// ranking it holds.
+func ranking(col *core.Collector) []Match {
+	ranked := col.Sorted()
+	out := make([]Match, len(ranked))
+	for i, m := range ranked {
+		out[i] = fromCore(m)
+	}
+	return out
+}
+
+// topK is the one query path behind TopK and TopKStream (emit nil = not
+// streamed): validate → resolve → cache probe → admission plan → scatter →
+// cost model → quality/recall samplers → distinct → cache fill → page. It
+// also returns the full (unpaged) ranking, which the API adapter reports as
+// the result's Total, and the degradation marker when the
+// overload-resilience plan substituted a cheaper algorithm.
+func (e *Engine) topK(ctx context.Context, q Query, emit func(Match) error) (full, page []Match, cached bool, deg *api.Degraded, err error) {
 	if aerr := e.validateQuery(q); aerr != nil {
 		return nil, nil, false, nil, aerr
 	}
@@ -912,12 +972,29 @@ func (e *Engine) topK(ctx context.Context, q Query) (full, page []Match, cached 
 	e.inflight.Add(1)
 	defer e.inflight.Add(-1)
 
+	// probe looks key up in the LRU; a streamed query has the cached page
+	// emitted match by match
 	var key cacheKey
+	probe := func() (full, page []Match, hit bool, err error) {
+		ms, ok := e.cache.get(key, q.Q)
+		if !ok {
+			return nil, nil, false, nil
+		}
+		e.hits.Add(1)
+		page = pageOf(ms, q.Offset, q.Limit)
+		if emit != nil {
+			for _, m := range page {
+				if err := emit(m); err != nil {
+					return nil, nil, true, err
+				}
+			}
+		}
+		return ms, page, true, nil
+	}
 	if e.cache != nil {
 		key = e.cacheKeyFor(q, policyFP, encFP)
-		if ms, ok := e.cache.get(key, q.Q); ok {
-			e.hits.Add(1)
-			return ms, pageOf(ms, q.Offset, q.Limit), true, nil, nil
+		if full, page, hit, err := probe(); hit {
+			return full, page, err == nil, nil, err
 		}
 		e.misses.Add(1)
 	}
@@ -936,9 +1013,8 @@ func (e *Engine) topK(ctx context.Context, q Query) (full, page []Match, cached 
 		}
 		if e.cache != nil {
 			key = e.cacheKeyFor(q, policyFP, encFP)
-			if ms, ok := e.cache.get(key, q.Q); ok {
-				e.hits.Add(1)
-				return ms, pageOf(ms, q.Offset, q.Limit), true, deg, nil
+			if full, page, hit, err := probe(); hit {
+				return full, page, err == nil, deg, err
 			}
 		}
 	}
@@ -946,7 +1022,7 @@ func (e *Engine) topK(ctx context.Context, q Query) (full, page []Match, cached 
 	gen := e.gen.Load()
 	n := e.Len()
 	scanStart := time.Now()
-	merged, prune, err := e.scatter(ctx, alg, q)
+	merged, prune, err := e.scatter(ctx, alg, q, emit)
 	if err != nil {
 		return nil, nil, false, nil, err
 	}
@@ -975,67 +1051,19 @@ func (e *Engine) topK(ctx context.Context, q Query) (full, page []Match, cached 
 	return merged, pageOf(merged, q.Offset, q.Limit), false, deg, nil
 }
 
-// mergeHeap is a min-heap over the heads of per-shard ascending match
-// lists, ordered by core.RankBefore (with the global trajectory ID as the
-// identifier) so the merged order matches a flat database's ranking.
-type mergeHeap []mergeCursor
-
-type mergeCursor struct {
-	list []Match
-	pos  int
-}
-
-func (h mergeHeap) Len() int { return len(h) }
-func (h mergeHeap) Less(i, j int) bool {
-	a, b := h[i].list[h[i].pos], h[j].list[h[j].pos]
-	return core.RankBefore(a.Result.Dist, a.TrajID, a.Result.Interval,
-		b.Result.Dist, b.TrajID, b.Result.Interval)
-}
-func (h mergeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x any)   { *h = append(*h, x.(mergeCursor)) }
-func (h *mergeHeap) Pop() any     { old := *h; c := old[len(old)-1]; *h = old[:len(old)-1]; return c }
-func (h mergeHeap) head() Match   { return h[0].list[h[0].pos] }
-func (h *mergeHeap) advance() {
-	(*h)[0].pos++
-	if (*h)[0].pos >= len((*h)[0].list) {
-		heap.Pop(h)
-	} else {
-		heap.Fix(h, 0)
-	}
-}
-
-// MergeTopK k-way merges ascending top-k lists — per-shard, or per-node
-// for the distributed coordinator, which reuses the engine's merge
-// machinery over wire rankings whose trajectory IDs it has translated to
-// its own global ID space. Each input list must be ascending under
-// core.RankBefore with globally comparable IDs; the merged ranking is then
-// byte-identical to a flat database's.
-func MergeTopK(lists [][]Match, k int) []Match { return mergeTopK(lists, k) }
-
-// mergeTopK k-way merges per-shard ascending top-k lists into the global
-// top k.
-func mergeTopK(perShard [][]Match, k int) []Match {
-	h := make(mergeHeap, 0, len(perShard))
-	total := 0
-	for _, ms := range perShard {
-		if len(ms) > 0 {
-			h = append(h, mergeCursor{list: ms})
-			total += len(ms)
+// MergeTopK merges top-k lists — one per node, for the distributed
+// coordinator, over wire rankings whose trajectory IDs it has translated to
+// its own global ID space — into the global top k under core.RankBefore,
+// through the same collector a local query's shards feed. With globally
+// comparable IDs the merged ranking is byte-identical to a flat database's.
+func MergeTopK(lists [][]Match, k int) []Match {
+	col := core.NewCollector(k)
+	for _, ms := range lists {
+		for _, m := range ms {
+			col.Offer(core.Match{TrajIndex: m.TrajID, Result: m.Result})
 		}
 	}
-	heap.Init(&h)
-	if k < 0 {
-		k = 0
-	}
-	if k > total {
-		k = total
-	}
-	out := make([]Match, 0, k)
-	for len(out) < k && h.Len() > 0 {
-		out = append(out, h.head())
-		h.advance()
-	}
-	return out
+	return ranking(col)
 }
 
 // Stats snapshots the engine counters.

@@ -52,7 +52,7 @@ func TestEngineMatchesDatabase(t *testing.T) {
 		alg, _ := core.AlgorithmFor("exacts", m)
 		for _, kind := range []IndexKind{ScanAll, RTree} {
 			db := core.NewDatabaseIndexed(ts, kind.coreKind())
-			want, err := db.TopKCtx(context.Background(), alg, q, 10)
+			want, err := db.TopKPrunedCtx(context.Background(), alg, q, 10, nil, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -342,7 +342,7 @@ func (e *Engine) sampleQuality(ctx context.Context, q Query, rls core.RLS, appro
 	if gen%2 != 0 || e.gen.Load() != gen {
 		return
 	}
-	exact, _, err := e.scatter(ctx, core.ExactS{M: rls.M}, q)
+	exact, _, err := e.scatter(ctx, core.ExactS{M: rls.M}, q, nil)
 	if err != nil {
 		return
 	}

@@ -132,7 +132,7 @@ func (e *Engine) QueryOne(ctx context.Context, spec api.QuerySpec) api.QueryResu
 	if aerr != nil {
 		return api.QueryResult{Error: aerr, TookMS: tookMS(start)}
 	}
-	full, page, cached, deg, err := e.topK(ctx, q)
+	full, page, cached, deg, err := e.topK(ctx, q, nil)
 	if err != nil {
 		return api.QueryResult{Error: api.FromError(err), TookMS: tookMS(start)}
 	}
@@ -172,9 +172,9 @@ func (e *Engine) Query(ctx context.Context, req api.Query) (*api.QueryResponse, 
 }
 
 // QueryStream implements api.StreamSearcher: emit receives every
-// provisional match as it enters the running top-k (single-goroutine,
-// in order of entry), and the returned summary carries the authoritative
-// final ranking. An emit error aborts the search and is returned.
+// provisional match that enters the running top-k (always on the calling
+// goroutine), and the returned summary carries the authoritative final
+// ranking. An emit error aborts the search and is returned.
 func (e *Engine) QueryStream(ctx context.Context, spec api.QuerySpec, emit func(api.Match) error) (*api.StreamSummary, error) {
 	start := time.Now()
 	q, aerr := QueryFromSpec(spec)
@@ -182,7 +182,7 @@ func (e *Engine) QueryStream(ctx context.Context, spec api.QuerySpec, emit func(
 		return nil, aerr
 	}
 	emitted := 0
-	full, page, cached, deg, err := e.topKStream(ctx, q, func(m Match) error {
+	full, page, cached, deg, err := e.topK(ctx, q, func(m Match) error {
 		emitted++
 		return emit(MatchToAPI(m))
 	})

@@ -5,6 +5,9 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+	"time"
+
+	"simsub/internal/t2vec"
 )
 
 // TestTopKStreamMatchesTopK checks the streaming search's final ranking is
@@ -96,5 +99,101 @@ func TestTopKStreamEmitError(t *testing.T) {
 	}
 	if inflight := e.Stats().InFlight; inflight != 0 {
 		t.Fatalf("in-flight = %d after aborted stream", inflight)
+	}
+}
+
+// TestTopKStreamTrainsCostModelAndSamplers: a streamed query is the same
+// query path as a blocking one, so a node that serves only streams still
+// trains the scan-cost EWMA (which early deadline_exceeded rejection and
+// the budget fallback read) and still feeds the quality and recall samplers.
+func TestTopKStreamTrainsCostModelAndSamplers(t *testing.T) {
+	rng := rand.New(rand.NewSource(98))
+	ts := randSet(rng, 60)
+	e := New(Config{Shards: 2, Index: ScanAll, QualitySample: 1, RecallSample: 1})
+	if _, err := e.SetEncoder(t2vec.NewRandomModel(8, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Add(ts); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.SetPolicy(testPolicy(0, 0, true, false)); err != nil {
+		t.Fatal(err)
+	}
+	stream := func(q Query) {
+		t.Helper()
+		if _, _, err := e.TopKStream(context.Background(), q, func(Match) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < costMinSamples; i++ {
+		stream(Query{Q: randTraj(rng, 5), K: 5, Measure: "dtw", Algorithm: "rls"})
+	}
+	if _, known := e.cost.estimate("dtw", "rls", e.Len()); !known {
+		t.Errorf("cost model untrained after %d streamed scans", costMinSamples)
+	}
+	if got := e.Stats().QualitySamples; got != costMinSamples {
+		t.Errorf("QualitySamples = %d after %d streamed rls queries at sample rate 1", got, costMinSamples)
+	}
+	stream(Query{
+		Q: randTraj(rng, 6), K: 5, Measure: "dtw", Algorithm: "exacts",
+		ANN: &ANNParams{Candidates: len(ts) / 2, Probes: 2},
+	})
+	if got := e.Stats().RecallSamples; got != 1 {
+		t.Errorf("RecallSamples = %d after one streamed ann query at sample rate 1", got)
+	}
+}
+
+// TestTopKStreamBlockedEmitReleasesWorkers: a consumer that stops reading
+// must not pin the worker pool. Scanners waiting to hand a match over
+// observe the deadline and give their slots back, so other queries run
+// while emit is still blocked; the streamed call itself fails with the
+// context error once emit returns.
+func TestTopKStreamBlockedEmitReleasesWorkers(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	e := New(Config{Shards: 4, Workers: 2, Index: ScanAll})
+	e.Add(randSet(rng, 400))
+	// k = 200: the first 200 matches all enter the running top-k, far more
+	// than the hand-off buffers, so scanners are mid-scan at the deadline
+	streamed := Query{Q: randTraj(rng, 6), K: 200, Measure: "dtw", Algorithm: "pss"}
+	other := Query{Q: randTraj(rng, 6), K: 5, Measure: "dtw", Algorithm: "pss"}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	blocked, release, done := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+	go func() {
+		first := true
+		_, _, err := e.TopKStream(ctx, streamed, func(Match) error {
+			if first {
+				first = false
+				close(blocked)
+				<-release
+			}
+			return nil
+		})
+		done <- err
+	}()
+	select {
+	case <-blocked:
+	case err := <-done:
+		t.Fatalf("stream ended before its first emit: %v", err)
+	}
+	<-ctx.Done()
+
+	octx, ocancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer ocancel()
+	if _, _, err := e.TopK(octx, other); err != nil {
+		t.Fatalf("query beside a blocked stream: %v (worker slots still held past the stream's deadline)", err)
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("stream returned (%v) while its emit was still blocked", err)
+	default:
+	}
+	close(release)
+	if err := <-done; !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("stream err = %v, want the context's deadline error", err)
+	}
+	if inflight := e.Stats().InFlight; inflight != 0 {
+		t.Fatalf("in-flight = %d after the stream returned", inflight)
 	}
 }

@@ -265,9 +265,8 @@ func (e *SplitEnv) advance(action int) {
 // walking a tableActor) with no per-step actor dispatch and no reward
 // bookkeeping. The Θbest cell is recomputed only when the best distance
 // improves, which it does at most a handful of times per episode. This is
-// the serving fast path for table-backed searches — a table has no
-// inference worth batching, so the fused sequential walk is how both the
-// one-shot and the scan paths run it.
+// the serving fast path for table-backed searches: both the one-shot and
+// the scan paths run it.
 func (e *SplitEnv) WalkTable(tb *TablePolicy) {
 	res := tb.Resolution
 	n := e.t.Len()

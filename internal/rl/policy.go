@@ -36,19 +36,27 @@ func (p *Policy) NumActions() int { return 2 + p.K }
 // StateDim returns the width of the states the policy consumes.
 func (p *Policy) StateDim() int { return StateDim(p.UseSuffix) }
 
-// Actor is a greedy decision source a search walk (or a batch of walks in
-// lockstep) draws actions from: the Q network behind a Policy, or a
-// compiled TablePolicy. An Actor obtained from NewActor is single-
-// goroutine — it owns reusable inference scratch — and must be Released
-// when the scan ends; concurrent scans create one per worker.
+// Actor is a greedy decision source a search walk draws actions from: the Q
+// network behind a Policy, or a compiled TablePolicy. An Actor obtained
+// from NewActor is single-goroutine — it owns reusable inference scratch —
+// and must be Released when the scan ends; concurrent scans create one per
+// worker.
 type Actor interface {
 	// Actions writes the greedy action for each of b packed dim-wide state
 	// rows into out[:b]. For a fixed state row the result is deterministic
-	// and independent of b and of the row's position — the property that
-	// makes batched lockstep walks byte-identical to sequential ones.
+	// and independent of b and of the row's position, so evaluating many
+	// states in one call (rl.Compile's grid sweep) equals evaluating them
+	// one by one.
 	Actions(states []float64, b int, out []int)
 	// Release returns pooled scratch; the actor is unusable afterwards.
 	Release()
+}
+
+// ActorSource mints per-scan Actors: implemented by *Policy (network
+// inference) and *TablePolicy (compiled lookup).
+type ActorSource interface {
+	NewActor() Actor
+	StateDim() int
 }
 
 // netActor serves greedy actions from the policy network via the batched

@@ -8,98 +8,15 @@ import (
 
 	"simsub/internal/nn"
 	"simsub/internal/sim"
-	"simsub/internal/traj"
 )
 
 // randomPolicy builds a policy with the DQN's random weight initialization:
-// its actions vary with the state, exercising the lockstep machinery far
-// harder than a constant policy would.
+// its actions vary with the state, so walks and compiled tables are
+// exercised far harder than by a constant policy.
 func randomPolicy(seed int64, k int, useSuffix, simplify bool) *Policy {
 	dim := StateDim(useSuffix)
 	net := nn.NewMLP([]int{dim, 8, 2 + k}, []nn.Activation{nn.ReLU, nn.Sigmoid}, rand.New(rand.NewSource(seed)))
 	return &Policy{Net: net, K: k, UseSuffix: useSuffix, SimplifyState: simplify}
-}
-
-// sequentialWalk runs one scalar-path walk, returning what a batched lane
-// must reproduce exactly.
-func sequentialWalk(m sim.Measure, p *Policy, t, q traj.Trajectory) Walk {
-	env := NewSplitEnv(m, t, q, EnvConfig{UseSuffix: p.UseSuffix, SimplifyState: p.SimplifyState})
-	for !env.Done() {
-		env.Step(p.Action(env.State()))
-	}
-	iv, d := env.Best()
-	return Walk{Best: iv, Dist: d, Explored: env.Explored(), Scanned: env.Scanned()}
-}
-
-func TestBatchRunnerMatchesSequentialWalks(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	m := sim.DTW{}
-	policies := []*Policy{
-		randomPolicy(1, 0, true, false), // RLS
-		randomPolicy(2, 3, true, true),  // RLS-Skip
-		randomPolicy(3, 3, false, true), // RLS-Skip+
-		constantPolicy(1, 0, true),      // always-split
-	}
-	for pi, p := range policies {
-		q := randTraj(rng, 5)
-		cands := make([]traj.Trajectory, 40)
-		for i := range cands {
-			cands[i] = randTraj(rng, rng.Intn(25)+1)
-		}
-		want := make([]Walk, len(cands))
-		for i, c := range cands {
-			want[i] = sequentialWalk(m, p, c, q)
-		}
-		for _, width := range []int{1, 7, 64} {
-			r := NewBatchRunner(m, q, EnvConfig{UseSuffix: p.UseSuffix, SimplifyState: p.SimplifyState}, p, width)
-			got := make(map[int]Walk, len(cands))
-			collect := func(ws []Walk) {
-				for _, w := range ws {
-					if _, dup := got[w.Tag]; dup {
-						t.Fatalf("policy %d width %d: tag %d delivered twice", pi, width, w.Tag)
-					}
-					got[w.Tag] = w
-				}
-			}
-			for i, c := range cands {
-				collect(r.Add(i, c, c.Reverse()))
-			}
-			collect(r.Flush())
-			r.Release()
-			if len(got) != len(cands) {
-				t.Fatalf("policy %d width %d: %d walks delivered, want %d", pi, width, len(got), len(cands))
-			}
-			for i, w := range want {
-				g := got[i]
-				// bit-identical distance, same interval and counters: a
-				// batched lane must be indistinguishable from the scalar walk
-				if g.Best != w.Best || g.Dist != w.Dist || g.Explored != w.Explored || g.Scanned != w.Scanned {
-					t.Fatalf("policy %d width %d cand %d: batched %+v != sequential %+v", pi, width, i, g, w)
-				}
-			}
-		}
-	}
-}
-
-func TestBatchRunnerZeroMetaReversal(t *testing.T) {
-	// a zero-value reversal (no TrajMeta) must fall back to reversing
-	// locally, not corrupt suffix state
-	rng := rand.New(rand.NewSource(5))
-	m := sim.Frechet{}
-	p := randomPolicy(7, 2, true, true)
-	q := randTraj(rng, 4)
-	c := randTraj(rng, 12)
-	want := sequentialWalk(m, p, c, q)
-	r := NewBatchRunner(m, q, EnvConfig{UseSuffix: true, SimplifyState: true}, p, 4)
-	defer r.Release()
-	r.Add(0, c, traj.Trajectory{})
-	ws := r.Flush()
-	if len(ws) != 1 {
-		t.Fatalf("%d walks, want 1", len(ws))
-	}
-	if g := ws[0]; g.Best != want.Best || g.Dist != want.Dist || g.Explored != want.Explored {
-		t.Fatalf("zero-meta walk %+v != sequential %+v", ws[0], want)
-	}
 }
 
 func TestStateIntoMatchesState(t *testing.T) {
@@ -274,35 +191,6 @@ func TestTableFingerprintSensitivity(t *testing.T) {
 	mut.Actions[0] ^= 1
 	if mut.Fingerprint() == t1.Fingerprint() {
 		t.Fatal("flipping a cell action did not change the fingerprint")
-	}
-}
-
-func TestBatchRunnerTableMatchesNetWhenFaithful(t *testing.T) {
-	// with a constant policy the compiled table is exactly the network's
-	// greedy surface, so table-served walks must equal net-served walks
-	rng := rand.New(rand.NewSource(17))
-	m := sim.DTW{}
-	p := constantPolicy(1, 2, true)
-	p.SimplifyState = true
-	table, err := Compile(p, 4)
-	if err != nil {
-		t.Fatalf("Compile: %v", err)
-	}
-	q := randTraj(rng, 4)
-	cfg := EnvConfig{UseSuffix: true, SimplifyState: true}
-	for i := 0; i < 10; i++ {
-		c := randTraj(rng, rng.Intn(15)+1)
-		rn := NewBatchRunner(m, q, cfg, p, 4)
-		rn.Add(0, c, c.Reverse())
-		wsNet := append([]Walk(nil), rn.Flush()...)
-		rn.Release()
-		rt := NewBatchRunner(m, q, cfg, table, 4)
-		rt.Add(0, c, c.Reverse())
-		wsTab := append([]Walk(nil), rt.Flush()...)
-		rt.Release()
-		if len(wsNet) != 1 || len(wsTab) != 1 || wsNet[0] != wsTab[0] {
-			t.Fatalf("cand %d: net walk %+v != table walk %+v", i, wsNet, wsTab)
-		}
 	}
 }
 

@@ -302,8 +302,8 @@ func (r *Router) finishGather(g gather) (*api.Partial, *api.Error) {
 }
 
 // QueryOne answers a single spec by scatter-gather: per-group top-k lists
-// merged with the engine's k-way merge, then global distinct collapsing
-// and paging. The ranking is byte-identical to a single engine holding the
+// merged with engine.MergeTopK, then global distinct collapsing and
+// paging. The ranking is byte-identical to a single engine holding the
 // same corpus in the same load order. Failures land in the result's Error
 // field; unreachable shard groups degrade to a Partial summary instead.
 func (r *Router) QueryOne(ctx context.Context, spec api.QuerySpec) api.QueryResult {

@@ -1,7 +1,7 @@
 // Package router is the coordinator tier of a simsubd fleet: one front
 // door over N remote simsubd nodes that places trajectories with
 // consistent hashing, scatter-gathers top-k queries with the engine's
-// k-way merge, and propagates its running global k-th-best distance over
+// merge, and propagates its running global k-th-best distance over
 // the wire (api.QuerySpec.Bound) so remote shards prune exactly like the
 // local shards of a single engine.
 //

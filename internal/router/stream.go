@@ -1,7 +1,6 @@
 package router
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"sync"
@@ -11,47 +10,6 @@ import (
 	"simsub/internal/core"
 	"simsub/internal/engine"
 )
-
-// streamGate is the router's running global top-k during a streamed
-// scatter: a bounded max-heap ordered by core.RankBefore that decides
-// which per-node provisional matches are worth forwarding to the caller.
-// It only gates provisional emission — the final ranking is merged from
-// the per-group summaries, so gate state never affects correctness.
-type streamGate struct {
-	k  int
-	ms []engine.Match
-}
-
-func gateRankBefore(a, b engine.Match) bool {
-	return core.RankBefore(a.Result.Dist, a.TrajID, a.Result.Interval,
-		b.Result.Dist, b.TrajID, b.Result.Interval)
-}
-
-func (h *streamGate) Len() int           { return len(h.ms) }
-func (h *streamGate) Less(i, j int) bool { return gateRankBefore(h.ms[j], h.ms[i]) }
-func (h *streamGate) Swap(i, j int)      { h.ms[i], h.ms[j] = h.ms[j], h.ms[i] }
-func (h *streamGate) Push(x any)         { h.ms = append(h.ms, x.(engine.Match)) }
-func (h *streamGate) Pop() any {
-	m := h.ms[len(h.ms)-1]
-	h.ms = h.ms[:len(h.ms)-1]
-	return m
-}
-
-// offer reports whether m entered the running top-k.
-func (h *streamGate) offer(m engine.Match) bool {
-	switch {
-	case h.k <= 0:
-		return false
-	case len(h.ms) < h.k:
-		heap.Push(h, m)
-		return true
-	case gateRankBefore(m, h.ms[0]):
-		h.ms[0] = m
-		heap.Fix(h, 0)
-		return true
-	}
-	return false
-}
 
 // streamGroup streams one spec from one replica group (failover, no
 // hedging — a duplicated stream would duplicate provisional matches),
@@ -122,9 +80,13 @@ func (r *Router) QueryStream(ctx context.Context, spec api.QuerySpec, emit func(
 	}
 	g := gather{cached: true, active: len(active)}
 	emitted := 0
-	gate := streamGate{k: spec.K}
+	// the router's running global top-k decides which per-node provisional
+	// matches are worth forwarding to the caller. It only gates provisional
+	// emission — the final ranking is merged from the per-group summaries,
+	// so gate state never affects correctness.
+	gate := core.NewCollector(spec.K)
 	forward := func(gm engine.Match) error {
-		if gate.offer(gm) {
+		if gate.Offer(core.Match{TrajIndex: gm.TrajID, Result: gm.Result}) {
 			emitted++
 			if err := emit(engine.MatchToAPI(gm)); err != nil {
 				return &abortError{err: err}
