@@ -5,21 +5,23 @@
 // all three.
 //
 // One set of types, many front ends: the v2 endpoints (POST /v2/query,
-// POST /v2/query/stream, GET /v2/trajectories/{id}) consume these types
-// directly, the legacy /v1 endpoints adapt onto them, and the Searcher
-// interface lets a program swap an in-process *engine.Engine for a remote
-// *client.Client without touching call sites.
+// POST /v2/query/stream, POST /v2/load, GET /v2/trajectories/{id}, ...)
+// consume these types directly, and the Searcher interface lets a program
+// swap an in-process *engine.Engine for a remote *client.Client or a
+// *router.Router without touching call sites.
 package api
 
 import (
 	"context"
+	"math"
+	"sync"
+	"time"
 
 	"simsub/internal/geo"
 	"simsub/internal/traj"
 )
 
-// Version is the current wire version. The /v1 endpoints remain available
-// as a thin compatibility adapter over the same query core.
+// Version is the current (and only) wire version.
 const Version = "v2"
 
 // Defaults applied when a spec omits the field. K has no default: a spec
@@ -29,8 +31,6 @@ const (
 	DefaultMeasure = "dtw"
 	// DefaultTopKAlgorithm is used when QuerySpec.Algorithm is empty.
 	DefaultTopKAlgorithm = "pss"
-	// DefaultSearchAlgorithm is the /v1/search default (exact pairwise).
-	DefaultSearchAlgorithm = "exacts"
 	// DefaultANNProbes is the multi-probe width used when an ANNSpec omits
 	// probes.
 	DefaultANNProbes = 2
@@ -294,7 +294,7 @@ type StreamSummary struct {
 	TookMS   float64   `json:"took_ms"`
 }
 
-// LoadRequest is the body of POST /v1/trajectories.
+// LoadRequest is the body of POST /v2/load.
 type LoadRequest struct {
 	Trajectories []Trajectory `json:"trajectories"`
 }
@@ -458,15 +458,30 @@ type PolicySwapRequest struct {
 // and content fingerprint, plus the compiled-table descriptors when the
 // table path is serving (see the PolicyCompile* fields of Stats).
 type PolicyInfo struct {
-	Name                string  `json:"name"`
-	K                   int     `json:"k"`
-	UseSuffix           bool    `json:"use_suffix"`
-	SimplifyState       bool    `json:"simplify_state"`
-	Fingerprint         string  `json:"fingerprint"`
-	Compiled            bool    `json:"compiled,omitempty"`
-	CompileResolution   int     `json:"compile_resolution,omitempty"`
-	CompileDivergence   float64 `json:"compile_divergence,omitempty"`
-	CompiledFingerprint string  `json:"compiled_fingerprint,omitempty"`
+	// Name is the algorithm realized by the policy: "RLS", "RLS-Skip" or
+	// "RLS-Skip+".
+	Name string `json:"name"`
+	// K is the policy's skip-action count (0 for plain RLS).
+	K int `json:"k"`
+	// UseSuffix reports whether states carry the Θsuf component.
+	UseSuffix bool `json:"use_suffix"`
+	// SimplifyState reports RLS-Skip's skipped-point state simplification.
+	SimplifyState bool `json:"simplify_state"`
+	// Fingerprint is the hex form of the serving fingerprint (the policy's
+	// content hash, folded with the compiled table's when one is
+	// installed); it changes on every swap or recompile and is part of the
+	// result-cache key.
+	Fingerprint string `json:"fingerprint"`
+	// Compiled reports whether a compiled table policy is serving actions;
+	// the remaining fields are meaningful only then.
+	Compiled bool `json:"compiled,omitempty"`
+	// CompileResolution is the table's per-dimension grid resolution.
+	CompileResolution int `json:"compile_resolution,omitempty"`
+	// CompileDivergence is the fraction of compile-time validation probes
+	// where the network's greedy action differs from the table's.
+	CompileDivergence float64 `json:"compile_divergence,omitempty"`
+	// CompiledFingerprint is the hex content hash of the table itself.
+	CompiledFingerprint string `json:"compiled_fingerprint,omitempty"`
 }
 
 // EncoderSwapRequest is the body of POST /v2/admin/encoder: exactly one of
@@ -487,12 +502,16 @@ type EncoderSwapRequest struct {
 // coordinator verifies fleet-wide fingerprint agreement after a broadcast
 // swap.
 type EncoderInfo struct {
-	Dim         int    `json:"dim"`
-	Grid        int    `json:"grid,omitempty"`
+	// Dim is the embedding dimensionality.
+	Dim int `json:"dim"`
+	// Grid is the token-grid resolution (0 for coordinate-input encoders).
+	Grid int `json:"grid,omitempty"`
+	// Fingerprint is the hex content hash of the serialized encoder; it
+	// changes on every swap and is part of the result-cache key.
 	Fingerprint string `json:"fingerprint"`
 }
 
-// StatsResponse answers GET /v1/stats and GET /v2/stats.
+// StatsResponse answers GET /v2/stats.
 type StatsResponse struct {
 	Engine        Stats    `json:"engine"`
 	UptimeSeconds float64  `json:"uptime_seconds"`
@@ -620,4 +639,48 @@ type Searcher interface {
 type StreamSearcher interface {
 	Searcher
 	QueryStream(ctx context.Context, spec QuerySpec, emit func(Match) error) (*StreamSummary, error)
+}
+
+// TookMS is the wall-clock time since start in the wire's fractional
+// milliseconds.
+func TookMS(start time.Time) float64 {
+	return float64(time.Since(start).Microseconds()) / 1000
+}
+
+// msContext tightens ctx by ms milliseconds when positive, clamped so an
+// absurd value cannot overflow the duration multiply into an
+// already-expired deadline.
+func msContext(ctx context.Context, ms int) (context.Context, context.CancelFunc) {
+	if ms <= 0 {
+		return context.WithCancel(ctx)
+	}
+	maxMS := int(math.MaxInt64 / int64(time.Millisecond))
+	if ms > maxMS {
+		ms = maxMS
+	}
+	return context.WithTimeout(ctx, time.Duration(ms)*time.Millisecond)
+}
+
+// QueryBatch is the batch half of every Searcher that answers one spec at
+// a time: the specs run concurrently through one, Results[i] answers
+// Specs[i], a failed spec carries its typed error without failing the
+// batch, and TimeoutMS (when positive) bounds the whole batch.
+func QueryBatch(ctx context.Context, req Query, one func(context.Context, QuerySpec) QueryResult) (*QueryResponse, error) {
+	if len(req.Specs) == 0 {
+		return nil, Errorf(CodeInvalidArgument, "query batch has no specs")
+	}
+	ctx, cancel := msContext(ctx, req.TimeoutMS)
+	defer cancel()
+	start := time.Now()
+	results := make([]QueryResult, len(req.Specs))
+	var wg sync.WaitGroup
+	for i, spec := range req.Specs {
+		wg.Add(1)
+		go func(i int, spec QuerySpec) {
+			defer wg.Done()
+			results[i] = one(ctx, spec)
+		}(i, spec)
+	}
+	wg.Wait()
+	return &QueryResponse{Results: results, TookMS: TookMS(start)}, nil
 }

@@ -33,7 +33,7 @@ const (
 	// CodeCanceled: the caller went away before the search finished.
 	CodeCanceled Code = "canceled"
 	// CodeOverloaded: the server refused the work because a capacity bound
-	// (e.g. the pairwise-search slot pool) is saturated.
+	// (admission control, a recovering or draining node) is saturated.
 	CodeOverloaded Code = "overloaded"
 	// CodeTooLarge: the request body exceeds the server's size limit.
 	CodeTooLarge Code = "too_large"

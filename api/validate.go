@@ -104,3 +104,28 @@ func (s QuerySpec) WithDefaults() QuerySpec {
 	}
 	return s
 }
+
+// exactlyOne checks a swap request names its artifact exactly one way.
+func exactlyOne(path, b64, b64Field string) *Error {
+	if (path == "") == (b64 == "") {
+		return Errorf(CodeInvalidArgument, "exactly one of path or %s must be set", b64Field)
+	}
+	return nil
+}
+
+// Validate checks the swap request's shape: one artifact source and a
+// non-negative compile resolution.
+func (r PolicySwapRequest) Validate() *Error {
+	if aerr := exactlyOne(r.Path, r.PolicyB64, "policy_b64"); aerr != nil {
+		return aerr
+	}
+	if r.CompileResolution < 0 {
+		return Errorf(CodeInvalidArgument, "compile_resolution must be non-negative, got %d", r.CompileResolution)
+	}
+	return nil
+}
+
+// Validate checks the swap request names exactly one artifact source.
+func (r EncoderSwapRequest) Validate() *Error {
+	return exactlyOne(r.Path, r.EncoderB64, "encoder_b64")
+}

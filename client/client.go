@@ -255,7 +255,7 @@ func (c *Client) send(ctx context.Context, method, path string, in any) (*http.R
 // IDs in input order.
 func (c *Client) Load(ctx context.Context, ts []api.Trajectory) (*api.LoadResponse, error) {
 	var out api.LoadResponse
-	if err := c.roundTrip(ctx, http.MethodPost, "/v1/trajectories", api.LoadRequest{Trajectories: ts}, &out, false); err != nil {
+	if err := c.roundTrip(ctx, http.MethodPost, "/v2/load", api.LoadRequest{Trajectories: ts}, &out, false); err != nil {
 		return nil, err
 	}
 	return &out, nil

@@ -114,13 +114,13 @@ func TestClientRetriesOverloadedQuery(t *testing.T) {
 // delivery double-loads the corpus), so even an opted-in client must
 // surface the 503 after a single attempt.
 func TestClientLoadNeverRetried(t *testing.T) {
-	c, front := newFlakyClient(t, "/v1/trajectories", 1<<30, fastRetry(nil))
+	c, front := newFlakyClient(t, "/v2/load", 1<<30, fastRetry(nil))
 	_, err := c.Load(context.Background(), []api.Trajectory{api.FromTraj(randWalk(rand.New(rand.NewSource(91)), 8))})
 	var ae *api.Error
 	if !errors.As(err, &ae) || ae.Code != api.CodeOverloaded {
 		t.Fatalf("load: got %v, want overloaded", err)
 	}
-	if n := front.attempts("/v1/trajectories"); n != 1 {
+	if n := front.attempts("/v2/load"); n != 1 {
 		t.Fatalf("server saw %d load attempts, want exactly 1", n)
 	}
 }

@@ -15,12 +15,12 @@
 //	simsubd -addr :8080 -data-dir /var/lib/simsub -snapshot-interval 5m
 //
 // Endpoints: POST /v2/query (batched specs), POST /v2/query/stream (NDJSON
-// incremental matches), GET /v2/trajectories/{id}, POST /v2/load/stream
-// (NDJSON bulk ingest), GET /v2/stats, plus the /v1 compatibility surface
-// (POST /v1/trajectories, /v1/topk, /v1/search; GET /v1/stats) and
-// GET /healthz. Errors are typed {"error": {"code", "message"}} envelopes.
-// See docs/API.md for the full endpoint reference and README.md for an
-// example curl session; package client is the matching Go client.
+// incremental matches), GET /v2/trajectories/{id}, POST /v2/load (JSON
+// batch), POST /v2/load/stream (NDJSON bulk ingest), GET /v2/stats, the
+// /v2/admin registry endpoints and GET /healthz. Errors are typed
+// {"error": {"code", "message"}} envelopes. See docs/API.md for the full
+// endpoint reference and README.md for an example curl session; package
+// client is the matching Go client.
 package main
 
 import (

@@ -3,8 +3,8 @@
 // consistent hashing, scatter-gathers top-k queries with the engine's
 // k-way merge, and ships its running global k-th-best distance to remote
 // shards (QuerySpec.bound) so they prune like local ones. It speaks the
-// same HTTP surface as a single simsubd, so existing clients point at it
-// unchanged.
+// same HTTP surface as a single simsubd (all but the streaming bulk
+// ingest, POST /v2/load/stream), so existing clients point at it unchanged.
 //
 // Usage:
 //

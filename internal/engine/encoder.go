@@ -42,17 +42,9 @@ type encoderEntry struct {
 	fp    uint64
 }
 
-// EncoderInfo describes the engine's currently registered encoder.
-type EncoderInfo struct {
-	// Dim is the embedding dimensionality.
-	Dim int
-	// Grid is the token-grid resolution (0 for coordinate-input encoders).
-	Grid int
-	// Fingerprint is the hex content hash of the serialized encoder; it
-	// changes on every swap and is part of the result-cache key. The
-	// router verifies fleet-wide agreement on it after a broadcast swap.
-	Fingerprint string
-}
+// EncoderInfo describes the engine's currently registered encoder, in its
+// wire form.
+type EncoderInfo = api.EncoderInfo
 
 // EncoderFingerprint content-hashes an encoder (FNV-1a over its serialized
 // form): two encoders embed identically whenever their fingerprints match,

@@ -217,72 +217,8 @@ type Match struct {
 	Result core.Result
 }
 
-// Stats is a point-in-time snapshot of engine counters. The pruning
-// counters aggregate the threshold pipeline's per-query work disposal
-// across all served scans: of CandidatesSeen trajectories surviving
-// index/filter pruning, LBSkipped were dropped by the lower-bound cascade
-// before any DP ran, EarlyAbandoned ran a search that proved nothing could
-// enter the ranking, and the remainder were scored in full.
-type Stats struct {
-	Trajectories   int   `json:"trajectories"`
-	Points         int   `json:"points"`
-	Shards         int   `json:"shards"`
-	Workers        int   `json:"workers"`
-	Queries        int64 `json:"queries"`
-	CacheHits      int64 `json:"cache_hits"`
-	CacheMisses    int64 `json:"cache_misses"`
-	CacheEntries   int   `json:"cache_entries"`
-	InFlight       int64 `json:"in_flight"`
-	CandidatesSeen int64 `json:"candidates_seen"`
-	LBSkipped      int64 `json:"lb_skipped"`
-	EarlyAbandoned int64 `json:"early_abandoned"`
-
-	// Overload-resilience counters: queries shed by admission control
-	// (ShedExpensive of them from the expensive cost classes), queries
-	// rejected early because their predicted cost exceeded the remaining
-	// deadline budget, and queries answered by a degraded (cheaper)
-	// algorithm under the caller's opt-in. QueueDepth/QueueWaitMS/Shedding
-	// describe the admission queue right now.
-	Shed            int64   `json:"shed"`
-	ShedExpensive   int64   `json:"shed_expensive"`
-	DeadlineRejects int64   `json:"deadline_rejects"`
-	DegradedQueries int64   `json:"degraded_queries"`
-	QueueDepth      int64   `json:"queue_depth"`
-	QueueWaitMS     float64 `json:"queue_wait_ms"`
-	Shedding        bool    `json:"shedding,omitempty"`
-
-	// Learned-search serving state and sampled quality aggregates (see
-	// Config.QualitySample and sampleQuality for the exact definitions).
-	// The PolicyCompile* fields describe the compiled table policy when one
-	// is serving (SetPolicyCompiled): its grid resolution, the action-
-	// divergence rate measured at compile time, and the table's own content
-	// hash (the serving PolicyFingerprint folds it in).
-	PolicyLoaded              bool    `json:"policy_loaded"`
-	PolicyName                string  `json:"policy_name,omitempty"`
-	PolicyFingerprint         string  `json:"policy_fingerprint,omitempty"`
-	PolicyCompiled            bool    `json:"policy_compiled,omitempty"`
-	PolicyCompileResolution   int     `json:"policy_compile_resolution,omitempty"`
-	PolicyCompileDivergence   float64 `json:"policy_compile_divergence,omitempty"`
-	PolicyCompiledFingerprint string  `json:"policy_compiled_fingerprint,omitempty"`
-	RLSQueries                int64   `json:"rls_queries"`
-	QualitySamples            int64   `json:"quality_samples"`
-	ApproxRatio               float64 `json:"approx_ratio"`
-	MeanRank                  float64 `json:"mean_rank"`
-	SkippedFraction           float64 `json:"skipped_fraction"`
-
-	// Embedding serving state and sampled ANN recall aggregates: the
-	// registered encoder (SetEncoder), how many queries used the ANN
-	// prefilter, and the mean sampled recall@k of prefiltered rankings
-	// against the same search over the exhaustive candidate set (see
-	// Config.RecallSample and sampleRecall).
-	EncoderLoaded      bool    `json:"encoder_loaded"`
-	EncoderFingerprint string  `json:"encoder_fingerprint,omitempty"`
-	EncoderDim         int     `json:"encoder_dim,omitempty"`
-	EncoderGrid        int     `json:"encoder_grid,omitempty"`
-	ANNQueries         int64   `json:"ann_queries"`
-	RecallSamples      int64   `json:"recall_samples"`
-	MeanRecall         float64 `json:"mean_recall"`
-}
+// Stats is a point-in-time snapshot of engine counters, in its wire form.
+type Stats = api.Stats
 
 // shard is one partition of the store: a slice of trajectories (global IDs
 // ≡ shard index mod shard count) behind a core.Database rebuilt per bulk
@@ -690,13 +626,13 @@ func ResolveQuery(measure, algorithm string, p Params) (core.Algorithm, error) {
 	}
 	if info.NeedsPolicy {
 		// the learned searches bind a trained policy, which lives in an
-		// engine's registry — resolvable only through Engine.ResolveAlgorithm
+		// engine's registry — resolvable only through Engine.Resolve
 		return nil, api.Errorf(api.CodeInvalidArgument,
 			"algorithm %q requires a loaded policy; resolve it through an engine with one registered", algorithm)
 	}
 	if info.NeedsEncoder {
 		// embedding ranking binds a trajectory encoder, which lives in an
-		// engine's registry — resolvable only through Engine.ResolveAlgorithm
+		// engine's registry — resolvable only through Engine.Resolve
 		return nil, api.Errorf(api.CodeInvalidArgument,
 			"algorithm %q requires a registered encoder; resolve it through an engine with one registered", algorithm)
 	}
@@ -710,7 +646,8 @@ func ResolveQuery(measure, algorithm string, p Params) (core.Algorithm, error) {
 // Resolve builds the measure and algorithm a query names, binding the
 // learned searches ("rls", "rls-skip") to the engine's registered policy.
 func (e *Engine) Resolve(q Query) (core.Algorithm, error) {
-	return e.ResolveAlgorithm(q.Measure, q.Algorithm, q.Params)
+	alg, _, err := e.resolveAlg(q.Measure, q.Algorithm, q.Params)
+	return alg, err
 }
 
 // validateQuery rejects malformed queries with typed invalid_argument

@@ -44,34 +44,9 @@ type policyEntry struct {
 	fp uint64
 }
 
-// PolicyInfo describes the engine's currently registered policy.
-type PolicyInfo struct {
-	// Name is the algorithm realized by the policy: "RLS", "RLS-Skip" or
-	// "RLS-Skip+".
-	Name string
-	// K is the policy's skip-action count (0 for plain RLS).
-	K int
-	// UseSuffix reports whether states carry the Θsuf component.
-	UseSuffix bool
-	// SimplifyState reports RLS-Skip's skipped-point state simplification.
-	SimplifyState bool
-	// Fingerprint is the hex form of the serving fingerprint (the policy's
-	// content hash, folded with the compiled table's when one is
-	// installed); it changes on every swap or recompile and is part of the
-	// result-cache key.
-	Fingerprint string
-	// Compiled reports whether a compiled table policy is serving actions;
-	// the remaining fields are meaningful only then.
-	Compiled bool
-	// CompileResolution is the table's per-dimension grid resolution.
-	CompileResolution int
-	// CompileDivergence is the action-divergence rate measured at compile
-	// time: the fraction of validation probes where the network's greedy
-	// action differs from the table's.
-	CompileDivergence float64
-	// CompiledFingerprint is the hex content hash of the table itself.
-	CompiledFingerprint string
-}
+// PolicyInfo describes the engine's currently registered policy, in its
+// wire form.
+type PolicyInfo = api.PolicyInfo
 
 // PolicyFingerprint content-hashes a policy (FNV-1a over its serialized
 // form): two policies answer queries identically whenever their
@@ -228,16 +203,6 @@ func (e *Engine) resolveAlg(measure, algorithm string, p Params) (core.Algorithm
 			"algorithm \"rls-skip\" requested but the loaded policy has no skip actions; use \"rls\"")
 	}
 	return core.RLS{M: m, Policy: ent.p, Table: ent.table}, ent.fp, nil
-}
-
-// ResolveAlgorithm is the exported form of resolveAlg: the named measure
-// and algorithm with per-query parameter overrides, resolving the learned
-// searches against the engine's policy registry. The server's stateless
-// /v1/search uses it so every route rejects unknown or unservable names
-// with the same typed invalid_argument errors.
-func (e *Engine) ResolveAlgorithm(measure, algorithm string, p Params) (core.Algorithm, error) {
-	alg, _, err := e.resolveAlg(measure, algorithm, p)
-	return alg, err
 }
 
 // qualityTracker accumulates the sampled serving-quality aggregates the

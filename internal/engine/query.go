@@ -2,8 +2,6 @@ package engine
 
 import (
 	"context"
-	"math"
-	"sync"
 	"time"
 
 	"simsub/api"
@@ -106,42 +104,24 @@ func MatchesToAPI(ms []Match) []api.Match {
 	return out
 }
 
-func tookMS(start time.Time) float64 {
-	return float64(time.Since(start).Microseconds()) / 1000
-}
-
-// timeoutContext tightens ctx by ms milliseconds when positive. The
-// comparison-free clamp keeps an absurd ms from overflowing the duration
-// multiply into an already-expired deadline.
-func timeoutContext(ctx context.Context, ms int) (context.Context, context.CancelFunc) {
-	if ms <= 0 {
-		return context.WithCancel(ctx)
-	}
-	maxMS := int(math.MaxInt64 / int64(time.Millisecond))
-	if ms > maxMS {
-		ms = maxMS
-	}
-	return context.WithTimeout(ctx, time.Duration(ms)*time.Millisecond)
-}
-
 // QueryOne answers a single spec; failures land in the result's Error
 // field as typed errors, mirroring one lane of a batch.
 func (e *Engine) QueryOne(ctx context.Context, spec api.QuerySpec) api.QueryResult {
 	start := time.Now()
 	q, aerr := QueryFromSpec(spec)
 	if aerr != nil {
-		return api.QueryResult{Error: aerr, TookMS: tookMS(start)}
+		return api.QueryResult{Error: aerr, TookMS: api.TookMS(start)}
 	}
 	full, page, cached, deg, err := e.topK(ctx, q, nil)
 	if err != nil {
-		return api.QueryResult{Error: api.FromError(err), TookMS: tookMS(start)}
+		return api.QueryResult{Error: api.FromError(err), TookMS: api.TookMS(start)}
 	}
 	return api.QueryResult{
 		Matches:  MatchesToAPI(page),
 		Total:    len(full),
 		Cached:   cached,
 		Degraded: deg,
-		TookMS:   tookMS(start),
+		TookMS:   api.TookMS(start),
 	}
 }
 
@@ -152,23 +132,7 @@ func (e *Engine) QueryOne(ctx context.Context, spec api.QuerySpec) api.QueryResu
 // carries its typed error without failing the batch. The whole batch is
 // bounded by TimeoutMS when positive.
 func (e *Engine) Query(ctx context.Context, req api.Query) (*api.QueryResponse, error) {
-	if len(req.Specs) == 0 {
-		return nil, api.Errorf(api.CodeInvalidArgument, "query batch has no specs")
-	}
-	ctx, cancel := timeoutContext(ctx, req.TimeoutMS)
-	defer cancel()
-	start := time.Now()
-	results := make([]api.QueryResult, len(req.Specs))
-	var wg sync.WaitGroup
-	for i, spec := range req.Specs {
-		wg.Add(1)
-		go func(i int, spec api.QuerySpec) {
-			defer wg.Done()
-			results[i] = e.QueryOne(ctx, spec)
-		}(i, spec)
-	}
-	wg.Wait()
-	return &api.QueryResponse{Results: results, TookMS: tookMS(start)}, nil
+	return api.QueryBatch(ctx, req, e.QueryOne)
 }
 
 // QueryStream implements api.StreamSearcher: emit receives every
@@ -195,6 +159,6 @@ func (e *Engine) QueryStream(ctx context.Context, spec api.QuerySpec, emit func(
 		Cached:   cached,
 		Emitted:  emitted,
 		Degraded: deg,
-		TookMS:   tookMS(start),
+		TookMS:   api.TookMS(start),
 	}, nil
 }

@@ -10,30 +10,15 @@ import (
 	"time"
 
 	"simsub/api"
+	"simsub/client"
 )
 
-// SwapPolicy broadcasts a learned-search policy swap to every node of the
-// fleet. A Path request is resolved against the ROUTER's filesystem — the
-// file is read once here and shipped to the nodes as bytes, since the
-// nodes' local filesystems are not the operator's. The swap is
-// all-or-nothing in intent but not atomic across the fleet: every node
-// must accept it, and a mixed outcome is reported as an error naming the
-// nodes that rejected it (the accepted nodes keep serving the new policy —
-// re-issue the swap to converge). On success every node's fingerprint is
-// verified to agree.
-func (r *Router) SwapPolicy(ctx context.Context, req api.PolicySwapRequest) (*api.PolicyInfo, error) {
-	if (req.Path == "") == (req.PolicyB64 == "") {
-		return nil, api.Errorf(api.CodeInvalidArgument, "exactly one of path or policy_b64 must be set")
-	}
-	if req.Path != "" {
-		raw, err := os.ReadFile(req.Path)
-		if err != nil {
-			return nil, api.Errorf(api.CodeInvalidArgument, "reading policy file: %v", err)
-		}
-		req = api.PolicySwapRequest{PolicyB64: base64.StdEncoding.EncodeToString(raw)}
-	}
-
-	infos := make([]*api.PolicyInfo, len(r.nodes))
+// eachNode runs call against every node of the fleet concurrently, each
+// attempt bounded by NodeTimeout and folded into the node's telemetry, and
+// returns the outcomes in configuration order. call takes the client first
+// so the client's method expressions — (*client.Client).Stats — fit as is.
+func eachNode[T any](ctx context.Context, r *Router, call func(*client.Client, context.Context) (T, error)) ([]T, []error) {
+	vals := make([]T, len(r.nodes))
 	errs := make([]error, len(r.nodes))
 	var wg sync.WaitGroup
 	for i, n := range r.nodes {
@@ -43,177 +28,128 @@ func (r *Router) SwapPolicy(ctx context.Context, req api.PolicySwapRequest) (*ap
 			actx, cancel := r.attemptCtx(ctx)
 			defer cancel()
 			start := time.Now()
-			info, err := n.c.SwapPolicy(actx, req)
-			n.observe(start, err)
-			if err != nil {
-				errs[i] = fmt.Errorf("node %s: %w", n.base, err)
-				return
-			}
-			infos[i] = info
+			vals[i], errs[i] = call(n.c, actx)
+			n.observe(start, errs[i])
 		}(i, n)
 	}
 	wg.Wait()
+	return vals, errs
+}
+
+// inlineFile rewrites a swap request that names a Path into its inline
+// form, in place, leaving every other field as the caller sent it: the
+// file is read once here, against the ROUTER's filesystem, and shipped to
+// the nodes as base64 bytes, since the nodes' local filesystems are not the
+// operator's.
+func inlineFile(kind string, path, b64 *string) *api.Error {
+	if *path == "" {
+		return nil
+	}
+	raw, err := os.ReadFile(*path)
+	if err != nil {
+		return api.Errorf(api.CodeInvalidArgument, "reading %s file: %v", kind, err)
+	}
+	*path, *b64 = "", base64.StdEncoding.EncodeToString(raw)
+	return nil
+}
+
+// broadcastSwap sends a serving-artifact swap (kind "policy" or "encoder")
+// to every node. The swap is all-or-nothing in intent but not atomic
+// across the fleet: every node must accept it, and a mixed outcome is
+// reported as an error naming the nodes that rejected it (the accepted
+// nodes keep serving the new artifact — re-issue the swap to converge). On
+// success every node's fingerprint is verified to agree.
+func broadcastSwap[T any](ctx context.Context, r *Router, kind string, fingerprint func(T) string, swap func(*client.Client, context.Context) (T, error)) (T, error) {
+	infos, errs := eachNode(ctx, r, swap)
+	for i, err := range errs {
+		if err != nil {
+			errs[i] = fmt.Errorf("node %s: %w", r.nodes[i].base, err)
+		}
+	}
+	var zero T
 	if err := errors.Join(errs...); err != nil {
-		return nil, api.Errorf(api.CodeInternal, "policy broadcast incomplete, fleet may be serving mixed policies — re-issue the swap: %v", err)
+		return zero, api.Errorf(api.CodeInternal, "%s broadcast incomplete, the fleet may be serving a mix — re-issue the swap: %v", kind, err)
 	}
 	for i, info := range infos[1:] {
-		if info.Fingerprint != infos[0].Fingerprint {
-			return nil, api.Errorf(api.CodeInternal,
-				"fleet diverged after swap: node %s reports fingerprint %s, node %s reports %s",
-				r.nodes[0].base, infos[0].Fingerprint, r.nodes[i+1].base, info.Fingerprint)
+		if fingerprint(info) != fingerprint(infos[0]) {
+			return zero, api.Errorf(api.CodeInternal,
+				"fleet diverged after swap: node %s reports %s fingerprint %s, node %s reports %s",
+				r.nodes[0].base, kind, fingerprint(infos[0]), r.nodes[i+1].base, fingerprint(info))
 		}
 	}
 	return infos[0], nil
 }
 
-// Policy reports the fleet's registered policy. Every reachable node must
-// agree on the fingerprint; a divergent fleet is an internal error (it
-// would serve learned queries inconsistently).
+// readAgreed reports the fleet's registered serving artifact (kind
+// "policy" or "encoder"). Every reachable node must agree on the
+// fingerprint; a divergent fleet is an internal error — it would answer
+// the same query inconsistently per shard group.
+func readAgreed[T any](ctx context.Context, r *Router, kind string, fingerprint func(T) string, read func(*client.Client, context.Context) (T, error)) (T, error) {
+	infos, errs := eachNode(ctx, r, read)
+	first := -1
+	for i, err := range errs {
+		switch {
+		case err != nil:
+		case first < 0:
+			first = i
+		case fingerprint(infos[i]) != fingerprint(infos[first]):
+			var zero T
+			return zero, api.Errorf(api.CodeInternal,
+				"fleet %s fingerprints diverged: node %s reports %s, node %s reports %s — re-issue the swap",
+				kind, r.nodes[first].base, fingerprint(infos[first]), r.nodes[i].base, fingerprint(infos[i]))
+		}
+	}
+	if first >= 0 {
+		return infos[first], nil
+	}
+	// no node answered: propagate the first rejection (usually not_found:
+	// nothing registered)
+	var zero T
+	return zero, api.FromError(errs[0])
+}
+
+func policyFingerprint(i *api.PolicyInfo) string   { return i.Fingerprint }
+func encoderFingerprint(i *api.EncoderInfo) string { return i.Fingerprint }
+
+// SwapPolicy broadcasts a learned-search policy swap to every node of the
+// fleet (see broadcastSwap); a Path request is resolved here (inlineFile).
+func (r *Router) SwapPolicy(ctx context.Context, req api.PolicySwapRequest) (*api.PolicyInfo, error) {
+	if aerr := req.Validate(); aerr != nil {
+		return nil, aerr
+	}
+	if aerr := inlineFile("policy", &req.Path, &req.PolicyB64); aerr != nil {
+		return nil, aerr
+	}
+	return broadcastSwap(ctx, r, "policy", policyFingerprint, func(c *client.Client, ctx context.Context) (*api.PolicyInfo, error) {
+		return c.SwapPolicy(ctx, req)
+	})
+}
+
+// Policy reports the fleet's registered policy (see readAgreed).
 func (r *Router) Policy(ctx context.Context) (*api.PolicyInfo, error) {
-	infos := make([]*api.PolicyInfo, len(r.nodes))
-	errs := make([]error, len(r.nodes))
-	var wg sync.WaitGroup
-	for i, n := range r.nodes {
-		wg.Add(1)
-		go func(i int, n *node) {
-			defer wg.Done()
-			actx, cancel := r.attemptCtx(ctx)
-			defer cancel()
-			start := time.Now()
-			info, err := n.c.Policy(actx)
-			n.observe(start, err)
-			infos[i], errs[i] = info, err
-		}(i, n)
-	}
-	wg.Wait()
-	var first *api.PolicyInfo
-	firstNode := ""
-	for i, info := range infos {
-		if info == nil {
-			continue
-		}
-		if first == nil {
-			first, firstNode = info, r.nodes[i].base
-			continue
-		}
-		if info.Fingerprint != first.Fingerprint {
-			return nil, api.Errorf(api.CodeInternal,
-				"fleet policies diverged: node %s reports fingerprint %s, node %s reports %s — re-issue the swap",
-				firstNode, first.Fingerprint, r.nodes[i].base, info.Fingerprint)
-		}
-	}
-	if first != nil {
-		return first, nil
-	}
-	// no node answered with a policy: propagate the first typed rejection
-	// (usually not_found: no policy registered)
-	for _, err := range errs {
-		if err != nil {
-			return nil, api.FromError(err)
-		}
-	}
-	return nil, api.Errorf(api.CodeNotFound, "no policy registered")
+	return readAgreed(ctx, r, "policy", policyFingerprint, (*client.Client).Policy)
 }
 
 // SwapEncoder broadcasts a t2vec encoder swap to every node of the fleet,
-// enabling the "ann" prefilter and the "embed" ranking fleet-wide. A Path
-// request is resolved against the ROUTER's filesystem — the file is read
-// once here and shipped to the nodes as bytes. Like SwapPolicy the
-// broadcast is all-or-nothing in intent but not atomic: a mixed outcome is
-// reported as an error naming the rejecting nodes (re-issue to converge),
-// and on success every node's fingerprint is verified to agree — a
-// diverged fleet would rank the same ann query against different
-// embedding spaces per shard group.
+// enabling the "ann" prefilter and the "embed" ranking fleet-wide (see
+// broadcastSwap — a diverged fleet would rank the same ann query against
+// different embedding spaces per shard group); a Path request is resolved
+// here (inlineFile).
 func (r *Router) SwapEncoder(ctx context.Context, req api.EncoderSwapRequest) (*api.EncoderInfo, error) {
-	if (req.Path == "") == (req.EncoderB64 == "") {
-		return nil, api.Errorf(api.CodeInvalidArgument, "exactly one of path or encoder_b64 must be set")
+	if aerr := req.Validate(); aerr != nil {
+		return nil, aerr
 	}
-	if req.Path != "" {
-		raw, err := os.ReadFile(req.Path)
-		if err != nil {
-			return nil, api.Errorf(api.CodeInvalidArgument, "reading encoder file: %v", err)
-		}
-		req = api.EncoderSwapRequest{EncoderB64: base64.StdEncoding.EncodeToString(raw)}
+	if aerr := inlineFile("encoder", &req.Path, &req.EncoderB64); aerr != nil {
+		return nil, aerr
 	}
-
-	infos := make([]*api.EncoderInfo, len(r.nodes))
-	errs := make([]error, len(r.nodes))
-	var wg sync.WaitGroup
-	for i, n := range r.nodes {
-		wg.Add(1)
-		go func(i int, n *node) {
-			defer wg.Done()
-			actx, cancel := r.attemptCtx(ctx)
-			defer cancel()
-			start := time.Now()
-			info, err := n.c.SwapEncoder(actx, req)
-			n.observe(start, err)
-			if err != nil {
-				errs[i] = fmt.Errorf("node %s: %w", n.base, err)
-				return
-			}
-			infos[i] = info
-		}(i, n)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return nil, api.Errorf(api.CodeInternal, "encoder broadcast incomplete, fleet may be serving mixed encoders — re-issue the swap: %v", err)
-	}
-	for i, info := range infos[1:] {
-		if info.Fingerprint != infos[0].Fingerprint {
-			return nil, api.Errorf(api.CodeInternal,
-				"fleet diverged after swap: node %s reports encoder fingerprint %s, node %s reports %s",
-				r.nodes[0].base, infos[0].Fingerprint, r.nodes[i+1].base, info.Fingerprint)
-		}
-	}
-	return infos[0], nil
+	return broadcastSwap(ctx, r, "encoder", encoderFingerprint, func(c *client.Client, ctx context.Context) (*api.EncoderInfo, error) {
+		return c.SwapEncoder(ctx, req)
+	})
 }
 
-// Encoder reports the fleet's registered encoder. Every reachable node
-// must agree on the fingerprint; a divergent fleet is an internal error
-// (ann candidates would come from inconsistent embedding spaces).
+// Encoder reports the fleet's registered encoder (see readAgreed).
 func (r *Router) Encoder(ctx context.Context) (*api.EncoderInfo, error) {
-	infos := make([]*api.EncoderInfo, len(r.nodes))
-	errs := make([]error, len(r.nodes))
-	var wg sync.WaitGroup
-	for i, n := range r.nodes {
-		wg.Add(1)
-		go func(i int, n *node) {
-			defer wg.Done()
-			actx, cancel := r.attemptCtx(ctx)
-			defer cancel()
-			start := time.Now()
-			info, err := n.c.Encoder(actx)
-			n.observe(start, err)
-			infos[i], errs[i] = info, err
-		}(i, n)
-	}
-	wg.Wait()
-	var first *api.EncoderInfo
-	firstNode := ""
-	for i, info := range infos {
-		if info == nil {
-			continue
-		}
-		if first == nil {
-			first, firstNode = info, r.nodes[i].base
-			continue
-		}
-		if info.Fingerprint != first.Fingerprint {
-			return nil, api.Errorf(api.CodeInternal,
-				"fleet encoders diverged: node %s reports fingerprint %s, node %s reports %s — re-issue the swap",
-				firstNode, first.Fingerprint, r.nodes[i].base, info.Fingerprint)
-		}
-	}
-	if first != nil {
-		return first, nil
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, api.FromError(err)
-		}
-	}
-	return nil, api.Errorf(api.CodeNotFound, "no encoder registered")
+	return readAgreed(ctx, r, "encoder", encoderFingerprint, (*client.Client).Encoder)
 }
 
 // Stats aggregates fleet telemetry, best-effort: unreachable nodes
@@ -223,23 +159,8 @@ func (r *Router) Encoder(ctx context.Context) (*api.EncoderInfo, error) {
 // avoid double counting, work counters over every node, since replicas do
 // independent work. The Router section is the coordinator's own telemetry.
 func (r *Router) Stats(ctx context.Context) (*api.StatsResponse, error) {
-	stats := make([]*api.StatsResponse, len(r.nodes))
-	var wg sync.WaitGroup
-	for i, n := range r.nodes {
-		wg.Add(1)
-		go func(i int, n *node) {
-			defer wg.Done()
-			actx, cancel := r.attemptCtx(ctx)
-			defer cancel()
-			start := time.Now()
-			st, err := n.c.Stats(actx)
-			n.observe(start, err)
-			if err == nil {
-				stats[i] = st
-			}
-		}(i, n)
-	}
-	wg.Wait()
+	// a failed node leaves a nil entry
+	stats, _ := eachNode(ctx, r, (*client.Client).Stats)
 
 	var agg api.Stats
 	var measures []string
@@ -355,26 +276,14 @@ func durMS(d time.Duration) float64 {
 // Health probes every node; it succeeds when every group has at least one
 // healthy replica (the fleet can still answer complete queries).
 func (r *Router) Health(ctx context.Context) error {
-	ok := make([]bool, len(r.nodes))
-	var wg sync.WaitGroup
-	for i, n := range r.nodes {
-		wg.Add(1)
-		go func(i int, n *node) {
-			defer wg.Done()
-			actx, cancel := r.attemptCtx(ctx)
-			defer cancel()
-			start := time.Now()
-			err := n.c.Health(actx)
-			n.observe(start, err)
-			ok[i] = err == nil
-		}(i, n)
-	}
-	wg.Wait()
+	_, errs := eachNode(ctx, r, func(c *client.Client, ctx context.Context) (struct{}, error) {
+		return struct{}{}, c.Health(ctx)
+	})
 	idx := 0
 	for gi, g := range r.groups {
 		healthy := false
 		for range g.replicas {
-			healthy = healthy || ok[idx]
+			healthy = healthy || errs[idx] == nil
 			idx++
 		}
 		if !healthy {

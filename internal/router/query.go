@@ -3,11 +3,11 @@ package router
 import (
 	"context"
 	"errors"
-	"math"
 	"sync"
 	"time"
 
 	"simsub/api"
+	"simsub/internal/core"
 	"simsub/internal/engine"
 	"simsub/internal/traj"
 )
@@ -134,45 +134,73 @@ func tighten(bound *float64, d float64) *float64 {
 	return bound
 }
 
-// queryGroup answers one spec against one replica group (with hedging and
-// failover) and rewrites the matches into router-global ID space. The
-// request's remaining deadline budget (shaved by MergeReserve) rides to
+// groupAnswer is one replica group's share of a scatter: its top-k list in
+// router-global ID space, whether it came from the node's cache, and the
+// node's degradation marker.
+type groupAnswer struct {
+	ms     []engine.Match
+	cached bool
+	deg    *api.Degraded
+}
+
+// queryGroup answers one wave's spec against one replica group (count is
+// the group's holdings) and rewrites the matches into router-global ID
+// space. With a nil forward it is the unary call: hedged, with the
+// request's remaining deadline budget (shaved by MergeReserve) riding to
 // the node as timeout_ms, so the node's admission control can reject a
-// doomed query with a typed error instead of burning a slot on it.
-func (r *Router) queryGroup(ctx context.Context, g *group, spec api.QuerySpec) ([]engine.Match, bool, *api.Degraded, error) {
-	type answer struct {
-		ms     []engine.Match
-		cached bool
-		deg    *api.Degraded
-	}
-	a, err := groupDo(ctx, r, g, true, func(ctx context.Context, n *node) (answer, error) {
+// doomed query with a typed error instead of burning a slot on it. With a
+// forward it streams: failover but no hedging — a duplicated stream would
+// duplicate provisional matches — each provisional match handed to forward
+// in global ID space, and the deadline propagated by the client, which
+// ships the attempt context's (shaved) deadline as timeout_ms itself.
+func (r *Router) queryGroup(ctx context.Context, g *group, spec api.QuerySpec, bound *float64, count int, forward func(engine.Match) error) (groupAnswer, error) {
+	spec = nodeSpec(spec, bound, count)
+	return groupDo(ctx, r, g, forward == nil, func(ctx context.Context, n *node) (groupAnswer, error) {
 		start := time.Now()
 		if ferr := n.transportFault(ctx, start); ferr != nil {
-			return answer{}, ferr
+			return groupAnswer{}, ferr
 		}
-		resp, err := n.c.Query(ctx, api.Query{Specs: []api.QuerySpec{spec}, TimeoutMS: r.budgetMS(ctx)})
-		if err == nil && len(resp.Results) != 1 {
-			err = api.Errorf(api.CodeInternal, "node answered %d results for 1 spec", len(resp.Results))
-		}
-		if err == nil && resp.Results[0].Error != nil {
-			err = resp.Results[0].Error
+		var res api.QueryResult // the node's answer, whichever way it came
+		var err error
+		if forward == nil {
+			var resp *api.QueryResponse
+			resp, err = n.c.Query(ctx, api.Query{Specs: []api.QuerySpec{spec}, TimeoutMS: r.budgetMS(ctx)})
+			switch {
+			case err != nil:
+			case len(resp.Results) != 1:
+				err = api.Errorf(api.CodeInternal, "node answered %d results for 1 spec", len(resp.Results))
+			case resp.Results[0].Error != nil:
+				err = resp.Results[0].Error
+			default:
+				res = resp.Results[0]
+			}
+		} else {
+			var sum *api.StreamSummary
+			sum, err = n.c.QueryStream(ctx, spec, func(wm api.Match) error {
+				gm, terr := r.toGlobal(g, engine.MatchFromAPI(wm))
+				if terr != nil {
+					return terr
+				}
+				return forward(gm)
+			})
+			if err == nil {
+				res = api.QueryResult{Matches: sum.Matches, Cached: sum.Cached, Degraded: sum.Degraded}
+			}
 		}
 		n.observe(start, err)
 		if err != nil {
-			return answer{}, &nodeError{node: n.base, err: err}
+			return groupAnswer{}, &nodeError{node: n.base, err: err}
 		}
-		res := resp.Results[0]
-		ms := make([]engine.Match, len(res.Matches))
+		a := groupAnswer{ms: make([]engine.Match, len(res.Matches)), cached: res.Cached, deg: res.Degraded}
 		for i, wm := range res.Matches {
 			gm, terr := r.toGlobal(g, engine.MatchFromAPI(wm))
 			if terr != nil {
-				return answer{}, &nodeError{node: n.base, err: terr}
+				return groupAnswer{}, &nodeError{node: n.base, err: terr}
 			}
-			ms[i] = gm
+			a.ms[i] = gm
 		}
-		return answer{ms: ms, cached: res.Cached, deg: res.Degraded}, nil
+		return a, nil
 	})
-	return a.ms, a.cached, a.deg, err
 }
 
 // gather is the outcome of one scatter: the per-group top-k lists (global
@@ -187,96 +215,27 @@ type gather struct {
 	degraded *api.Degraded
 }
 
-// noteDegraded folds one group's degradation marker into the gather (the
-// first marker wins — it names the algorithm substitution, which every
-// degrading node performs identically).
-func (g *gather) noteDegraded(deg *api.Degraded) {
-	if g.degraded == nil {
-		g.degraded = deg
-	}
-}
-
-// scatterGather fans one spec out over every non-empty group and collects
-// the per-group rankings. With ≥ 2 active groups (and propagation on), it
-// runs two waves: the largest group first — the pilot — then the rest
-// carrying the pilot's k-th-best distance as their bound, so remote
-// engines seed their shared thresholds with a near-final global k-th-best
-// instead of discovering it from scratch. Since engine pruning is strict
-// against the bound and the pilot's k-th best upper-bounds the final
-// global k-th best, the merged ranking is byte-identical to an unbounded
-// scatter. A non-degradable node rejection (bad measure name, ...) returns
-// immediately as the spec's error; degradable failures become Partial
-// degradation, handled by the caller.
-func (r *Router) scatterGather(ctx context.Context, spec api.QuerySpec) (gather, *api.Error) {
-	counts := r.groupCounts()
-	var active []int
-	for gi, c := range counts {
-		if c > 0 {
-			active = append(active, gi)
+// add folds one group's outcome into the gather. A degradable failure
+// becomes a recorded group failure (Partial degradation, decided by
+// finishGather); any other error — a deterministic node rejection (bad
+// measure name, ...), an emit abort — is returned: it is the spec's answer.
+func (ga *gather) add(g *group, a groupAnswer, err error) error {
+	switch {
+	case err == nil:
+		ga.lists = append(ga.lists, a.ms)
+		ga.cached = ga.cached && a.cached
+		if ga.degraded == nil {
+			// the first marker wins — it names the algorithm substitution,
+			// which every degrading node performs identically
+			ga.degraded = a.deg
 		}
+	case !degradable(err):
+		return err
+	default:
+		ga.failures = append(ga.failures, failureOf(g, err))
+		ga.cached = false
 	}
-	out := gather{cached: true, active: len(active)}
-	bound := spec.Bound
-
-	rest := active
-	if !r.cfg.NoBoundPropagation && len(active) >= 2 {
-		pi := pilotOf(active, counts)
-		gi := active[pi]
-		rest = make([]int, 0, len(active)-1)
-		rest = append(rest, active[:pi]...)
-		rest = append(rest, active[pi+1:]...)
-		g := r.groups[gi]
-		ms, cached, deg, err := r.queryGroup(ctx, g, nodeSpec(spec, bound, counts[gi]))
-		switch {
-		case err == nil:
-			out.lists = append(out.lists, ms)
-			out.cached = out.cached && cached
-			out.noteDegraded(deg)
-			if len(ms) >= spec.K {
-				bound = tighten(bound, ms[spec.K-1].Result.Dist)
-			}
-		case !degradable(err):
-			return gather{}, api.FromError(err)
-		default:
-			out.failures = append(out.failures, failureOf(g, err))
-			out.cached = false
-		}
-	}
-	if bound != nil && len(rest) > 0 {
-		r.bounds.Add(1)
-	}
-
-	type groupOut struct {
-		ms     []engine.Match
-		cached bool
-		deg    *api.Degraded
-		err    error
-	}
-	outs := make([]groupOut, len(rest))
-	var wg sync.WaitGroup
-	for i, gi := range rest {
-		wg.Add(1)
-		go func(i, gi int) {
-			defer wg.Done()
-			ms, cached, deg, err := r.queryGroup(ctx, r.groups[gi], nodeSpec(spec, bound, counts[gi]))
-			outs[i] = groupOut{ms: ms, cached: cached, deg: deg, err: err}
-		}(i, gi)
-	}
-	wg.Wait()
-	for i, o := range outs {
-		switch {
-		case o.err == nil:
-			out.lists = append(out.lists, o.ms)
-			out.cached = out.cached && o.cached
-			out.noteDegraded(o.deg)
-		case !degradable(o.err):
-			return gather{}, api.FromError(o.err)
-		default:
-			out.failures = append(out.failures, failureOf(r.groups[rest[i]], o.err))
-			out.cached = false
-		}
-	}
-	return out, nil
+	return nil
 }
 
 // finishGather turns a scatter's outcome into the spec's degradation
@@ -301,65 +260,199 @@ func (r *Router) finishGather(g gather) (*api.Partial, *api.Error) {
 	return &api.Partial{NodesTotal: g.active, NodesFailed: len(g.failures), Failures: g.failures}, nil
 }
 
-// QueryOne answers a single spec by scatter-gather: per-group top-k lists
-// merged with engine.MergeTopK, then global distinct collapsing and
-// paging. The ranking is byte-identical to a single engine holding the
-// same corpus in the same load order. Failures land in the result's Error
-// field; unreachable shard groups degrade to a Partial summary instead.
-func (r *Router) QueryOne(ctx context.Context, spec api.QuerySpec) api.QueryResult {
+// query answers one spec by scatter-gather over every non-empty group:
+// per-group top-k lists merged with engine.MergeTopK, then global distinct
+// collapsing and paging, so the ranking is byte-identical to a single
+// engine holding the same corpus in the same load order. Unreachable shard
+// groups degrade to a Partial summary instead of failing the spec.
+//
+// With ≥ 2 active groups (and propagation on) the scatter runs two waves:
+// the largest group first — the pilot — then the rest carrying the pilot's
+// k-th-best distance as their bound, so remote engines seed their shared
+// thresholds with a near-final global k-th-best instead of discovering it
+// from scratch. Since engine pruning is strict against the bound and the
+// pilot's k-th best upper-bounds the final global k-th best, the merged
+// ranking is byte-identical to an unbounded scatter.
+//
+// A nil emit is the unary scatter. With an emit the groups stream: their
+// provisional matches pass the router's global top-k gate to emit
+// (single-goroutine, gate entry order), Emitted counts them, and an emit
+// error aborts the scatter and is returned unchanged.
+func (r *Router) query(ctx context.Context, spec api.QuerySpec, emit func(api.Match) error) (*api.StreamSummary, error) {
 	start := time.Now()
 	spec = spec.WithDefaults()
 	if aerr := r.validateSpec(spec); aerr != nil {
-		return api.QueryResult{Error: aerr, TookMS: tookMS(start)}
+		return nil, aerr
 	}
 	if aerr := r.checkBudget(ctx); aerr != nil {
-		return api.QueryResult{Error: aerr, TookMS: tookMS(start)}
+		return nil, aerr
 	}
 	r.queries.Add(1)
-	g, aerr := r.scatterGather(ctx, spec)
-	if aerr != nil {
-		return api.QueryResult{Error: aerr, TookMS: tookMS(start)}
+
+	counts := r.groupCounts()
+	var active []int
+	for gi, c := range counts {
+		if c > 0 {
+			active = append(active, gi)
+		}
 	}
+	g := gather{cached: true, active: len(active)}
+	emitted := 0
+	var forward func(engine.Match) error
+	if emit != nil {
+		// the router's running global top-k decides which per-node
+		// provisional matches are worth forwarding to the caller. It only
+		// gates provisional emission — the final ranking is merged from the
+		// per-group answers, so gate state never affects correctness.
+		gate := core.NewCollector(spec.K)
+		forward = func(gm engine.Match) error {
+			if gate.Offer(core.Match{TrajIndex: gm.TrajID, Result: gm.Result}) {
+				emitted++
+				if err := emit(engine.MatchToAPI(gm)); err != nil {
+					return &abortError{err: err}
+				}
+			}
+			return nil
+		}
+	}
+
+	bound := spec.Bound
+	rest := active
+	if !r.cfg.NoBoundPropagation && len(active) >= 2 {
+		pi := pilotOf(active, counts)
+		gi := active[pi]
+		rest = append(append(make([]int, 0, len(active)-1), active[:pi]...), active[pi+1:]...)
+		a, err := r.queryGroup(ctx, r.groups[gi], spec, bound, counts[gi], forward)
+		if err := g.add(r.groups[gi], a, err); err != nil {
+			return nil, unwrapAbort(err)
+		}
+		if len(a.ms) >= spec.K {
+			bound = tighten(bound, a.ms[spec.K-1].Result.Dist)
+		}
+	}
+	if bound != nil && len(rest) > 0 {
+		r.bounds.Add(1)
+	}
+
+	// the remaining groups run concurrently; when streaming, their
+	// provisional matches funnel through one channel so the caller's emit
+	// stays single-goroutine
+	cctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var (
+		ch     chan engine.Match
+		funnel func(engine.Match) error
+	)
+	if forward != nil {
+		// 64: deep enough that a group's stream rarely stalls on the
+		// caller's emit, small enough to bound what an abort discards
+		ch = make(chan engine.Match, 64)
+		funnel = func(gm engine.Match) error {
+			select {
+			case ch <- gm:
+				return nil
+			case <-cctx.Done():
+				return cctx.Err()
+			}
+		}
+	}
+	type groupOut struct {
+		a   groupAnswer
+		err error
+	}
+	outs := make([]groupOut, len(rest))
+	var wg sync.WaitGroup
+	for i, gi := range rest {
+		wg.Add(1)
+		go func(i, gi int) {
+			defer wg.Done()
+			a, err := r.queryGroup(cctx, r.groups[gi], spec, bound, counts[gi], funnel)
+			outs[i] = groupOut{a, err}
+		}(i, gi)
+	}
+	if forward == nil {
+		wg.Wait()
+	} else {
+		go func() { wg.Wait(); close(ch) }()
+		var emitErr error
+		for gm := range ch {
+			if emitErr != nil {
+				continue // drain so the cancelled group streams can exit
+			}
+			if err := forward(gm); err != nil {
+				emitErr = unwrapAbort(err)
+				cancel()
+			}
+		}
+		if emitErr != nil {
+			return nil, emitErr
+		}
+	}
+	for i, o := range outs {
+		if err := g.add(r.groups[rest[i]], o.a, o.err); err != nil {
+			return nil, unwrapAbort(err)
+		}
+	}
+
 	partial, aerr := r.finishGather(g)
 	if aerr != nil {
-		return api.QueryResult{Error: aerr, TookMS: tookMS(start)}
+		return nil, aerr
 	}
 	full := engine.MergeTopK(g.lists, spec.K)
 	if spec.Distinct {
 		full = r.collapseDistinct(ctx, full)
 	}
 	page := pageOf(full, spec.Offset, spec.Limit)
-	return api.QueryResult{
+	return &api.StreamSummary{
 		Matches:  engine.MatchesToAPI(page),
 		Total:    len(full),
 		Cached:   g.cached,
+		Emitted:  emitted,
 		Partial:  partial,
 		Degraded: g.degraded,
-		TookMS:   tookMS(start),
+		TookMS:   api.TookMS(start),
+	}, nil
+}
+
+// unwrapAbort restores a stream consumer's emit error to its original
+// value; other errors pass through as typed API errors.
+func unwrapAbort(err error) error {
+	var abort *abortError
+	if errors.As(err, &abort) {
+		return abort.err
+	}
+	return api.FromError(err)
+}
+
+// QueryOne answers a single spec (see query); failures land in the
+// result's Error field, mirroring one lane of a batch.
+func (r *Router) QueryOne(ctx context.Context, spec api.QuerySpec) api.QueryResult {
+	start := time.Now()
+	sum, err := r.query(ctx, spec, nil)
+	if err != nil {
+		return api.QueryResult{Error: api.FromError(err), TookMS: api.TookMS(start)}
+	}
+	return api.QueryResult{
+		Matches:  sum.Matches,
+		Total:    sum.Total,
+		Cached:   sum.Cached,
+		Partial:  sum.Partial,
+		Degraded: sum.Degraded,
+		TookMS:   sum.TookMS,
 	}
 }
 
-// Query implements api.Searcher: the batch's specs scatter concurrently;
-// Results[i] answers Specs[i], a failed spec carries its typed error
-// without failing the batch, and TimeoutMS bounds the whole batch.
+// Query implements api.Searcher: the batch's specs scatter concurrently.
 func (r *Router) Query(ctx context.Context, req api.Query) (*api.QueryResponse, error) {
-	if len(req.Specs) == 0 {
-		return nil, api.Errorf(api.CodeInvalidArgument, "query batch has no specs")
-	}
-	ctx, cancel := msContext(ctx, req.TimeoutMS)
-	defer cancel()
-	start := time.Now()
-	results := make([]api.QueryResult, len(req.Specs))
-	var wg sync.WaitGroup
-	for i, spec := range req.Specs {
-		wg.Add(1)
-		go func(i int, spec api.QuerySpec) {
-			defer wg.Done()
-			results[i] = r.QueryOne(ctx, spec)
-		}(i, spec)
-	}
-	wg.Wait()
-	return &api.QueryResponse{Results: results, TookMS: tookMS(start)}, nil
+	return api.QueryBatch(ctx, req, r.QueryOne)
+}
+
+// QueryStream implements api.StreamSearcher across the fleet (see query):
+// provisional matches stream to emit, and the summary carries the
+// authoritative merged ranking — identical to QueryOne's answer for the
+// same spec.
+func (r *Router) QueryStream(ctx context.Context, spec api.QuerySpec, emit func(api.Match) error) (*api.StreamSummary, error) {
+	return r.query(ctx, spec, emit)
 }
 
 // collapseDistinct keeps the best-ranked match per distinct matched
@@ -434,21 +527,4 @@ func pageOf(full []engine.Match, offset, limit int) []engine.Match {
 		out = out[:limit]
 	}
 	return out
-}
-
-func tookMS(start time.Time) float64 {
-	return float64(time.Since(start).Microseconds()) / 1000
-}
-
-// msContext tightens ctx by ms milliseconds when positive, clamped so an
-// absurd value cannot overflow into an already-expired deadline.
-func msContext(ctx context.Context, ms int) (context.Context, context.CancelFunc) {
-	if ms <= 0 {
-		return context.WithCancel(ctx)
-	}
-	maxMS := int(math.MaxInt64 / int64(time.Millisecond))
-	if ms > maxMS {
-		ms = maxMS
-	}
-	return context.WithTimeout(ctx, time.Duration(ms)*time.Millisecond)
 }

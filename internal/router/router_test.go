@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -106,6 +108,20 @@ func mustLoad(t *testing.T, r *Router, ts []traj.Trajectory) {
 	}
 }
 
+// rankingMatrix is the measure × algorithm × query spec matrix the
+// ranking-equivalence tests run.
+func rankingMatrix(queries []traj.Trajectory, k int) []api.QuerySpec {
+	var specs []api.QuerySpec
+	for _, measure := range []string{"dtw", "frechet"} {
+		for _, algo := range []string{"exacts", "pss", "pos"} {
+			for _, q := range queries {
+				specs = append(specs, api.QuerySpec{Query: api.FromTraj(q), K: k, Measure: measure, Algorithm: algo})
+			}
+		}
+	}
+	return specs
+}
+
 // TestRouterRankingsMatchSingleEngine is the distributed-correctness
 // anchor: a router over three shard nodes must answer every spec with the
 // byte-identical ranking a single engine holding the same corpus produces,
@@ -122,23 +138,18 @@ func TestRouterRankingsMatchSingleEngine(t *testing.T) {
 		nodes := startFleet(t, 3)
 		r := newTestRouter(t, nodes, func(c *Config) { c.NoBoundPropagation = !propagate })
 		mustLoad(t, r, ts)
-		for _, measure := range []string{"dtw", "frechet"} {
-			for _, algo := range []string{"exacts", "pss", "pos"} {
-				for qi, q := range queries {
-					spec := api.QuerySpec{Query: api.FromTraj(q), K: 25, Measure: measure, Algorithm: algo}
-					want := single.QueryOne(context.Background(), spec)
-					got := r.QueryOne(context.Background(), spec)
-					if want.Error != nil || got.Error != nil {
-						t.Fatalf("%s/%s q%d propagate=%v: errors %v / %v", measure, algo, qi, propagate, want.Error, got.Error)
-					}
-					if got.Partial != nil {
-						t.Fatalf("%s/%s q%d: unexpected partial %+v", measure, algo, qi, got.Partial)
-					}
-					if !reflect.DeepEqual(got.Matches, want.Matches) || got.Total != want.Total {
-						t.Fatalf("%s/%s q%d propagate=%v: router ranking diverged from single engine\ngot  %+v\nwant %+v",
-							measure, algo, qi, propagate, got.Matches, want.Matches)
-					}
-				}
+		for si, spec := range rankingMatrix(queries, 25) {
+			want := single.QueryOne(context.Background(), spec)
+			got := r.QueryOne(context.Background(), spec)
+			if want.Error != nil || got.Error != nil {
+				t.Fatalf("spec %d (%s/%s) propagate=%v: errors %v / %v", si, spec.Measure, spec.Algorithm, propagate, want.Error, got.Error)
+			}
+			if got.Partial != nil {
+				t.Fatalf("spec %d (%s/%s): unexpected partial %+v", si, spec.Measure, spec.Algorithm, got.Partial)
+			}
+			if !reflect.DeepEqual(got.Matches, want.Matches) || got.Total != want.Total {
+				t.Fatalf("spec %d (%s/%s) propagate=%v: router ranking diverged from single engine\ngot  %+v\nwant %+v",
+					si, spec.Measure, spec.Algorithm, propagate, got.Matches, want.Matches)
 			}
 		}
 		if propagate {
@@ -245,6 +256,34 @@ func TestRouterStreamMatchesUnary(t *testing.T) {
 	boom := errors.New("boom")
 	if _, err := r.QueryStream(context.Background(), spec, func(api.Match) error { return boom }); !errors.Is(err, boom) {
 		t.Fatalf("emit error came back as %v, want boom", err)
+	}
+
+	// the whole ranking matrix, through the unary (nil emit) and the
+	// streamed (emit) form of the one scatter, bound propagation on and off:
+	// both must equal the single engine's ranking
+	queries := []traj.Trajectory{randTraj(rng, 6), randTraj(rng, 9)}
+	for _, propagate := range []bool{true, false} {
+		pr := newTestRouter(t, startFleet(t, 3), func(c *Config) { c.NoBoundPropagation = !propagate })
+		mustLoad(t, pr, ts)
+		for si, spec := range rankingMatrix(queries, 25) {
+			want := single.QueryOne(context.Background(), spec)
+			unary := pr.QueryOne(context.Background(), spec)
+			emitted := 0
+			sum, err := pr.QueryStream(context.Background(), spec, func(api.Match) error { emitted++; return nil })
+			if want.Error != nil || unary.Error != nil || err != nil {
+				t.Fatalf("spec %d (%s/%s) propagate=%v: errors %v / %v / %v", si, spec.Measure, spec.Algorithm, propagate, want.Error, unary.Error, err)
+			}
+			if !reflect.DeepEqual(unary.Matches, want.Matches) || unary.Total != want.Total {
+				t.Fatalf("spec %d (%s/%s) propagate=%v: unary ranking diverged from single engine", si, spec.Measure, spec.Algorithm, propagate)
+			}
+			if !reflect.DeepEqual(sum.Matches, want.Matches) || sum.Total != want.Total || sum.Partial != nil {
+				t.Fatalf("spec %d (%s/%s) propagate=%v: streamed summary diverged from single engine\ngot  %+v\nwant %+v",
+					si, spec.Measure, spec.Algorithm, propagate, sum.Matches, want.Matches)
+			}
+			if sum.Emitted != emitted || emitted < len(sum.Matches) {
+				t.Fatalf("spec %d: summary counts %d emissions, emit saw %d, final ranking has %d", si, sum.Emitted, emitted, len(sum.Matches))
+			}
+		}
 	}
 }
 
@@ -412,7 +451,7 @@ func TestRouterHedgedRequests(t *testing.T) {
 	h0 := server.New(eng0, server.Options{})
 	delay := make(chan struct{})
 	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, rq *http.Request) {
-		if rq.URL.Path != "/v1/trajectories" { // loads pass; queries hang until released
+		if rq.URL.Path != "/v2/load" { // loads pass; queries hang until released
 			select {
 			case <-delay:
 			case <-rq.Context().Done():
@@ -537,6 +576,61 @@ func TestRouterPolicyBroadcast(t *testing.T) {
 	// swap requests must name exactly one source
 	if _, err := r.SwapPolicy(context.Background(), api.PolicySwapRequest{}); err == nil {
 		t.Fatal("empty swap request accepted")
+	}
+}
+
+// TestRouterSwapPolicyCarriesCompileResolution checks a Path swap is the
+// same swap as its inline form: the router's path → bytes rewrite must keep
+// compile_resolution, so both install a compiled table fleet-wide under one
+// fingerprint, and a negative resolution is the node's typed
+// invalid_argument, not a broadcast failure.
+func TestRouterSwapPolicyCarriesCompileResolution(t *testing.T) {
+	nodes := startFleet(t, 2)
+	r := newTestRouter(t, nodes, nil)
+
+	var buf bytes.Buffer
+	if err := testPolicy(1, 0, true).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "fleet.policy")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	b64 := base64.StdEncoding.EncodeToString(buf.Bytes())
+
+	inline, err := r.SwapPolicy(context.Background(), api.PolicySwapRequest{PolicyB64: b64, CompileResolution: 8})
+	if err != nil {
+		t.Fatalf("inline swap: %v", err)
+	}
+	if !inline.Compiled || inline.CompileResolution != 8 {
+		t.Fatalf("inline swap installed %+v, want a table compiled at resolution 8", inline)
+	}
+	// drop the table so the path swap has to install it again itself
+	if _, err := r.SwapPolicy(context.Background(), api.PolicySwapRequest{PolicyB64: b64}); err != nil {
+		t.Fatal(err)
+	}
+	byPath, err := r.SwapPolicy(context.Background(), api.PolicySwapRequest{Path: path, CompileResolution: 8})
+	if err != nil {
+		t.Fatalf("path swap: %v", err)
+	}
+	if byPath.Compiled != inline.Compiled || byPath.CompileResolution != inline.CompileResolution ||
+		byPath.Fingerprint != inline.Fingerprint {
+		t.Fatalf("path swap installed %+v, inline swap %+v: the same request in two forms", byPath, inline)
+	}
+	for i, n := range nodes {
+		if ni, ok := n.eng.Policy(); !ok || !ni.Compiled || ni.Fingerprint != byPath.Fingerprint {
+			t.Fatalf("node %d serves %+v after the path swap, want the compiled table", i, ni)
+		}
+	}
+
+	for _, req := range []api.PolicySwapRequest{
+		{Path: path, CompileResolution: -1},
+		{PolicyB64: b64, CompileResolution: -1},
+	} {
+		var ae *api.Error
+		if _, err := r.SwapPolicy(context.Background(), req); !errors.As(err, &ae) || ae.Code != api.CodeInvalidArgument {
+			t.Fatalf("negative compile_resolution: %v, want typed invalid_argument", err)
+		}
 	}
 }
 

@@ -22,7 +22,7 @@ func TestV2QueryBoundOverWire(t *testing.T) {
 		ts = append(ts, api.FromTraj(randWalk(rng, 12)))
 	}
 
-	resp := postJSON(t, srv.URL+"/v1/trajectories", api.LoadRequest{Trajectories: ts})
+	resp := postJSON(t, srv.URL+"/v2/load", api.LoadRequest{Trajectories: ts})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("load: status %d", resp.StatusCode)
 	}
@@ -68,7 +68,7 @@ func TestV2QueryBoundRejected(t *testing.T) {
 	srv, _ := newTestServer(t, engine.Config{Shards: 2, Index: engine.ScanAll})
 	rng := rand.New(rand.NewSource(82))
 
-	resp := postJSON(t, srv.URL+"/v1/trajectories", api.LoadRequest{
+	resp := postJSON(t, srv.URL+"/v2/load", api.LoadRequest{
 		Trajectories: []api.Trajectory{api.FromTraj(randWalk(rng, 10)), api.FromTraj(randWalk(rng, 10))},
 	})
 	resp.Body.Close()

@@ -138,7 +138,7 @@ func TestDrainHonorsContext(t *testing.T) {
 
 // TestOverloadedCarriesRetryAfter: every 503 the server writes carries a
 // Retry-After header (seconds, ceiling) matching the retry_after_ms field
-// in the envelope — here via the recovering gate, which uses writeErr's
+// in the envelope — here via the recovering gate, which uses WriteErr's
 // default hint.
 func TestOverloadedCarriesRetryAfter(t *testing.T) {
 	eng := engine.New(engine.Config{Shards: 2})

@@ -20,9 +20,9 @@ import (
 )
 
 // TestEndToEnd is the acceptance scenario: load 1000 trajectories over
-// /v1/trajectories, issue parallel /v1/topk requests under DTW and Fréchet,
-// and check every answer is identical to core's Database.TopK on the same
-// data.
+// /v2/load, issue parallel one-spec /v2/query requests under DTW and
+// Fréchet, and check every answer is identical to core's Database.TopK on
+// the same data.
 func TestEndToEnd(t *testing.T) {
 	const nTrajs = 1000
 	rng := rand.New(rand.NewSource(80))
@@ -38,11 +38,7 @@ func TestEndToEnd(t *testing.T) {
 
 	// bulk-load in a few batches, as a client would
 	for lo := 0; lo < nTrajs; lo += 250 {
-		req := loadRequest{}
-		for _, tr := range data[lo : lo+250] {
-			req.Trajectories = append(req.Trajectories, toWire(tr))
-		}
-		resp := postJSON(t, srv.URL+"/v1/trajectories", req)
+		resp := postJSON(t, srv.URL+"/v2/load", wireLoad(data[lo:lo+250]...))
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("load batch at %d: status %d", lo, resp.StatusCode)
 		}
@@ -73,15 +69,17 @@ func TestEndToEnd(t *testing.T) {
 		wg.Add(1)
 		go func(j job) {
 			defer wg.Done()
-			resp := postJSON(t, srv.URL+"/v1/topk", topkRequest{
+			resp := postJSON(t, srv.URL+"/v2/query", api.Query{Specs: []api.QuerySpec{{
 				Query: toWire(j.q), K: 5, Measure: j.measure, Algorithm: "pss",
-			})
-			if resp.StatusCode != http.StatusOK {
-				failures <- "topk status not OK"
+			}}})
+			var qr api.QueryResponse
+			code := resp.StatusCode
+			decodeBody(t, resp, &qr)
+			if code != http.StatusOK || len(qr.Results) != 1 || qr.Results[0].Error != nil {
+				failures <- "query not answered OK"
 				return
 			}
-			var tr topkResponse
-			decodeBody(t, resp, &tr)
+			tr := qr.Results[0]
 
 			m, _ := sim.ByName(j.measure)
 			alg, _ := core.AlgorithmFor("pss", m)
@@ -125,21 +123,24 @@ func TestClientTimeoutCancelsSearch(t *testing.T) {
 
 	q := toWire(randWalk(rng, 300))
 
+	slow := []api.QuerySpec{{Query: q, K: 3, Measure: "dtw", Algorithm: "exacts"}}
+
 	t.Run("server-side timeout_ms", func(t *testing.T) {
-		resp := postJSON(t, srv.URL+"/v1/topk", topkRequest{
-			Query: q, K: 3, Measure: "dtw", Algorithm: "exacts", TimeoutMS: 30,
-		})
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusGatewayTimeout {
-			t.Fatalf("status %d, want %d", resp.StatusCode, http.StatusGatewayTimeout)
+		// the batch envelope answers 200; the spec that ran out of time
+		// carries the typed timeout in its lane
+		resp := postJSON(t, srv.URL+"/v2/query", api.Query{Specs: slow, TimeoutMS: 30})
+		var qr api.QueryResponse
+		decodeBody(t, resp, &qr)
+		if len(qr.Results) != 1 || qr.Results[0].Error == nil || qr.Results[0].Error.Code != api.CodeTimeout {
+			t.Fatalf("results %+v, want one spec failed with code timeout", qr.Results)
 		}
 	})
 
 	t.Run("client disconnect", func(t *testing.T) {
-		body, _ := json.Marshal(topkRequest{Query: q, K: 3, Measure: "dtw", Algorithm: "exacts"})
+		body, _ := json.Marshal(api.Query{Specs: slow})
 		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 		defer cancel()
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL+"/v1/topk", bytes.NewReader(body))
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL+"/v2/query", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,41 +164,4 @@ func TestClientTimeoutCancelsSearch(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("in-flight = %d, searches not cancelled", eng.Stats().InFlight)
-}
-
-// TestSearchConcurrencyBounded checks /v1/search cannot pile up unbounded
-// background work: with a single search slot, a second request times out
-// waiting while a long abandoned search still holds the slot.
-func TestSearchConcurrencyBounded(t *testing.T) {
-	rng := rand.New(rand.NewSource(82))
-	eng := engine.New(engine.Config{})
-	srv := httptest.NewServer(New(eng, Options{MaxSearches: 1}))
-	defer srv.Close()
-
-	slow := searchRequest{
-		Data:    toWire(randWalk(rng, 900)),
-		Query:   toWire(randWalk(rng, 400)),
-		Measure: "dtw", Algorithm: "exacts", TimeoutMS: 20,
-	}
-	// occupies the only slot long after its request times out
-	resp := postJSON(t, srv.URL+"/v1/search", slow)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("first search: status %d, want 504", resp.StatusCode)
-	}
-	// a cheap search now has to wait for the slot and gives up: that is
-	// the server refusing work at its capacity bound, reported as a typed
-	// overloaded error (503), distinct from a search timeout (504)
-	fast := searchRequest{
-		Data:    toWire(randWalk(rng, 10)),
-		Query:   toWire(randWalk(rng, 4)),
-		Measure: "dtw", Algorithm: "exacts", TimeoutMS: 20,
-	}
-	resp = postJSON(t, srv.URL+"/v1/search", fast)
-	var er api.ErrorResponse
-	code := resp.StatusCode
-	decodeBody(t, resp, &er)
-	if code != http.StatusServiceUnavailable || er.Err.Code != api.CodeOverloaded {
-		t.Fatalf("queued search: status %d error %+v, want 503 overloaded while slot is held", code, er.Err)
-	}
 }

@@ -16,31 +16,31 @@ func FailpointsHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.Method {
 		case http.MethodGet:
-			writeJSON(w, http.StatusOK, failpointsResponse())
+			WriteJSON(w, http.StatusOK, failpointsResponse())
 		case http.MethodPost:
 			var req api.FailpointsRequest
-			if !decode(w, r, &req) {
+			if !Decode(w, r, &req) {
 				return
 			}
 			if req.ClearAll {
 				if req.Name != "" || req.Spec != "" {
-					writeErr(w, api.Errorf(api.CodeInvalidArgument, "clear_all excludes name/spec"))
+					WriteErr(w, api.Errorf(api.CodeInvalidArgument, "clear_all excludes name/spec"))
 					return
 				}
 				failpoint.DisableAll()
 			} else {
 				if req.Name == "" {
-					writeErr(w, api.Errorf(api.CodeInvalidArgument, "failpoint name is required"))
+					WriteErr(w, api.Errorf(api.CodeInvalidArgument, "failpoint name is required"))
 					return
 				}
 				if err := failpoint.Enable(req.Name, req.Spec); err != nil {
-					writeErr(w, api.Errorf(api.CodeInvalidArgument, "%v", err))
+					WriteErr(w, api.Errorf(api.CodeInvalidArgument, "%v", err))
 					return
 				}
 			}
-			writeJSON(w, http.StatusOK, failpointsResponse())
+			WriteJSON(w, http.StatusOK, failpointsResponse())
 		default:
-			writeErr(w, api.Errorf(api.CodeInvalidArgument, "method %s not allowed on /v2/admin/failpoints", r.Method))
+			WriteErr(w, api.Errorf(api.CodeInvalidArgument, "method %s not allowed on /v2/admin/failpoints", r.Method))
 		}
 	})
 }

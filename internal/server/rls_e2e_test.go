@@ -225,6 +225,7 @@ func TestAdminPolicySwapRejectsBadRequests(t *testing.T) {
 		{"missing file", api.PolicySwapRequest{Path: "/nonexistent/policy"}, http.StatusNotFound},
 		{"bad base64", api.PolicySwapRequest{PolicyB64: "!!!"}, http.StatusBadRequest},
 		{"corrupt policy", api.PolicySwapRequest{PolicyB64: base64.StdEncoding.EncodeToString([]byte("nope"))}, http.StatusBadRequest},
+		{"negative compile resolution", api.PolicySwapRequest{PolicyB64: "eA==", CompileResolution: -1}, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		resp := postJSON(t, srv.URL+"/v2/admin/policy", c.body)
@@ -239,8 +240,7 @@ func TestAdminPolicySwapRejectsBadRequests(t *testing.T) {
 
 // TestUnknownNamesUniformAcrossRoutes pins the satellite contract: unknown
 // measure/algorithm strings — and the learned algorithms with no policy
-// loaded — fail as typed invalid_argument envelopes with HTTP 400 on every
-// query route, v1 and v2 alike.
+// loaded — fail as typed invalid_argument on every query route.
 func TestUnknownNamesUniformAcrossRoutes(t *testing.T) {
 	rng := rand.New(rand.NewSource(82))
 	srv, eng := newTestServer(t, engine.Config{Shards: 2})
@@ -255,28 +255,6 @@ func TestUnknownNamesUniformAcrossRoutes(t *testing.T) {
 		{"dtw", "rls-skip"}, // no policy loaded
 	}
 	for _, p := range probes {
-		// /v1/topk: top-level typed envelope
-		resp := postJSON(t, srv.URL+"/v1/topk", map[string]any{
-			"query": wire, "k": 1, "measure": p.measure, "algorithm": p.algorithm,
-		})
-		var er api.ErrorResponse
-		status := resp.StatusCode
-		decodeBody(t, resp, &er)
-		if status != http.StatusBadRequest || er.Err.Code != api.CodeInvalidArgument {
-			t.Errorf("/v1/topk %v: status %d code %q", p, status, er.Err.Code)
-		}
-
-		// /v1/search: stateless pairwise route
-		resp = postJSON(t, srv.URL+"/v1/search", map[string]any{
-			"data": wire, "query": wire, "measure": p.measure, "algorithm": p.algorithm,
-		})
-		er = api.ErrorResponse{}
-		status = resp.StatusCode
-		decodeBody(t, resp, &er)
-		if status != http.StatusBadRequest || er.Err.Code != api.CodeInvalidArgument {
-			t.Errorf("/v1/search %v: status %d code %q", p, status, er.Err.Code)
-		}
-
 		// /v2/query: spec-level typed error inside the batch result
 		res := queryV2(t, srv.URL, api.QuerySpec{Query: wire, K: 1, Measure: p.measure, Algorithm: p.algorithm})
 		if res.Error == nil || res.Error.Code != api.CodeInvalidArgument {
@@ -284,11 +262,11 @@ func TestUnknownNamesUniformAcrossRoutes(t *testing.T) {
 		}
 
 		// /v2/query/stream: pre-stream failures use the ordinary envelope
-		resp = postJSON(t, srv.URL+"/v2/query/stream", api.StreamQuery{
+		resp := postJSON(t, srv.URL+"/v2/query/stream", api.StreamQuery{
 			Spec: api.QuerySpec{Query: wire, K: 1, Measure: p.measure, Algorithm: p.algorithm},
 		})
-		er = api.ErrorResponse{}
-		status = resp.StatusCode
+		var er api.ErrorResponse
+		status := resp.StatusCode
 		decodeBody(t, resp, &er)
 		if status != http.StatusBadRequest || er.Err.Code != api.CodeInvalidArgument {
 			t.Errorf("/v2/query/stream %v: status %d code %q", p, status, er.Err.Code)
@@ -296,10 +274,10 @@ func TestUnknownNamesUniformAcrossRoutes(t *testing.T) {
 	}
 }
 
-// TestRLSOverV1AndStreamRoutes proves the learned search serves through
-// the whole surface once a policy is registered: /v1/topk, /v1/search and
-// /v2/query/stream all accept algorithm "rls".
-func TestRLSOverV1AndStreamRoutes(t *testing.T) {
+// TestRLSOverStreamRoute proves the learned search serves through the
+// streamed route too once a policy is registered (TestV2QueryRLSMatchesDirectCore
+// covers /v2/query): /v2/query/stream accepts algorithm "rls".
+func TestRLSOverStreamRoute(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	set := make([]traj.Trajectory, 50)
 	for i := range set {
@@ -314,42 +292,6 @@ func TestRLSOverV1AndStreamRoutes(t *testing.T) {
 	}
 	want := directRLSMatches(set, p, q, 5)
 
-	resp := postJSON(t, srv.URL+"/v1/topk", map[string]any{
-		"query": toWire(q), "k": 5, "measure": "dtw", "algorithm": "rls",
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/v1/topk status %d", resp.StatusCode)
-	}
-	var v1 struct {
-		Matches []api.Match `json:"matches"`
-	}
-	decodeBody(t, resp, &v1)
-	if len(v1.Matches) != len(want) {
-		t.Fatalf("/v1/topk %d matches, want %d", len(v1.Matches), len(want))
-	}
-	for i := range want {
-		if v1.Matches[i] != want[i] {
-			t.Fatalf("/v1/topk rank %d: got %+v, want %+v", i, v1.Matches[i], want[i])
-		}
-	}
-
-	resp = postJSON(t, srv.URL+"/v1/search", map[string]any{
-		"data": toWire(set[0]), "query": toWire(q), "measure": "dtw", "algorithm": "rls",
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/v1/search status %d", resp.StatusCode)
-	}
-	var sr struct {
-		Start int     `json:"start"`
-		End   int     `json:"end"`
-		Dist  float64 `json:"dist"`
-	}
-	decodeBody(t, resp, &sr)
-	direct := core.RLS{M: sim.DTW{}, Policy: p}.Search(set[0], q)
-	if sr.Start != direct.Interval.I || sr.End != direct.Interval.J || sr.Dist != direct.Dist {
-		t.Fatalf("/v1/search = %+v, direct = %+v", sr, direct)
-	}
-
 	// stream: the trailing summary is the authoritative ranking
 	body, err := json.Marshal(api.StreamQuery{Spec: api.QuerySpec{
 		Query: api.FromTraj(q), K: 5, Measure: "dtw", Algorithm: "rls",
@@ -363,7 +305,7 @@ func TestRLSOverV1AndStreamRoutes(t *testing.T) {
 		t.Fatal(err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err = http.DefaultClient.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,17 +1,21 @@
 // Package server exposes the engine over an HTTP/JSON API. The wire types
-// and the typed error model live in package api; /v2 speaks them directly
-// and /v1 remains as a thin adapter over the same query core:
+// and the typed error model live in package api, and the endpoints speak
+// them directly:
 //
-//	POST /v1/trajectories  bulk-load trajectories into the engine
-//	POST /v1/topk          single top-k search (adapter over the v2 core)
-//	POST /v1/search        stateless subtrajectory search on an inline pair
-//	GET  /v1/stats         engine and server counters
 //	POST /v2/query         batch of query specs, one result per spec
 //	POST /v2/query/stream  one spec, matches streamed as NDJSON records
+//	POST /v2/load          bulk-load a JSON batch of trajectories
 //	POST /v2/load/stream   streaming NDJSON bulk ingest (one trajectory per record)
 //	GET  /v2/trajectories/{id}  fetch a stored trajectory by global ID
 //	GET  /v2/stats         engine and server counters
+//	GET/POST /v2/admin/policy, /v2/admin/encoder  serving-artifact registry
 //	GET  /healthz          liveness probe (503 while recovering)
+//
+// The wire front end itself — JSON rendering, the typed error envelope,
+// body decoding, the request deadline and the two query handlers — is
+// written over api.Searcher / api.StreamSearcher and exported, so the
+// distributed coordinator (internal/router) mounts the same code instead
+// of a copy.
 //
 // A server booting over a persistent data directory starts in the
 // "recovering" state: the data-path endpoints (loads, queries, trajectory
@@ -40,55 +44,50 @@ import (
 	"time"
 
 	"simsub/api"
-	"simsub/internal/core"
 	"simsub/internal/engine"
 	"simsub/internal/failpoint"
 	"simsub/internal/sim"
 	"simsub/internal/traj"
 )
 
-// Options tunes a Server. The zero value is usable.
+// Options tunes an HTTP front end (a Server, or the router's Handler).
+// The zero value is usable.
 type Options struct {
 	// MaxTimeout caps every request's search time (default 30s). A request
 	// may ask for less via timeout_ms but never for more.
 	MaxTimeout time.Duration
 	// MaxBodyBytes limits request body size (default 64 MiB).
 	MaxBodyBytes int64
-	// MaxSearches bounds concurrent /v1/search computations (default
-	// 2×GOMAXPROCS). An abandoned search holds its slot until it finishes,
-	// so timed-out requests cannot pile up unbounded background work.
-	MaxSearches int
 	// MaxBatchSpecs caps the specs per /v2/query batch (default 256).
 	MaxBatchSpecs int
-	// EnableFailpoints exposes the /v2/admin/failpoints endpoint (and honors
-	// the server/request fault site). Off by default: a production fleet
-	// cannot be chaos-tested by accident — arm it with the -failpoints flag
-	// or the SIMSUB_FAILPOINTS_ADMIN env var of simsubd.
+	// EnableFailpoints exposes the /v2/admin/failpoints endpoint (and, on a
+	// node, honors the server/request fault site). Off by default: a
+	// production fleet cannot be chaos-tested by accident — arm it with the
+	// -failpoints flag or the SIMSUB_FAILPOINTS_ADMIN env var of simsubd.
 	EnableFailpoints bool
 }
 
-func (o *Options) fill() {
+// WithDefaults returns the options with every unset field at its
+// documented default.
+func (o Options) WithDefaults() Options {
 	if o.MaxTimeout <= 0 {
 		o.MaxTimeout = 30 * time.Second
 	}
 	if o.MaxBodyBytes <= 0 {
 		o.MaxBodyBytes = 64 << 20
 	}
-	if o.MaxSearches <= 0 {
-		o.MaxSearches = 2 * runtime.GOMAXPROCS(0)
-	}
 	if o.MaxBatchSpecs <= 0 {
 		o.MaxBatchSpecs = 256
 	}
+	return o
 }
 
 // Server is the HTTP front end of an engine. It implements http.Handler.
 type Server struct {
-	eng       *engine.Engine
-	opts      Options
-	mux       *http.ServeMux
-	searchSem chan struct{}
-	start     time.Time
+	eng   *engine.Engine
+	opts  Options
+	mux   *http.ServeMux
+	start time.Time
 
 	// ready gates the data-path endpoints; false while the node replays
 	// its persistent log on boot (see SetReady).
@@ -111,23 +110,14 @@ type Server struct {
 // recovers a data directory in the background calls SetReady(false)
 // before serving and flips it back once the engine holds the full corpus.
 func New(eng *engine.Engine, opts Options) *Server {
-	opts.fill()
-	s := &Server{
-		eng:       eng,
-		opts:      opts,
-		mux:       http.NewServeMux(),
-		searchSem: make(chan struct{}, opts.MaxSearches),
-		start:     time.Now(),
-	}
+	opts = opts.WithDefaults()
+	s := &Server{eng: eng, opts: opts, mux: http.NewServeMux(), start: time.Now()}
 	s.ready.Store(true)
-	s.mux.HandleFunc("POST /v1/trajectories", s.handleLoad)
-	s.mux.HandleFunc("POST /v1/topk", s.handleTopK)
-	s.mux.HandleFunc("POST /v1/search", s.handleSearch)
-	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
-	s.mux.HandleFunc("POST /v2/query", s.handleQuery)
-	s.mux.HandleFunc("POST /v2/query/stream", s.handleQueryStream)
-	s.mux.HandleFunc("POST /v2/load/stream", s.handleLoadStream)
-	s.mux.HandleFunc("GET /v2/trajectories/{id}", s.handleGetTrajectory)
+	s.mux.HandleFunc("POST /v2/query", s.gated(opts.QueryHandler(eng)))
+	s.mux.HandleFunc("POST /v2/query/stream", s.gated(opts.QueryStreamHandler(eng)))
+	s.mux.HandleFunc("POST /v2/load", s.gated(s.handleLoad))
+	s.mux.HandleFunc("POST /v2/load/stream", s.gated(s.handleLoadStream))
+	s.mux.HandleFunc("GET /v2/trajectories/{id}", s.gated(s.handleGetTrajectory))
 	s.mux.HandleFunc("GET /v2/stats", s.handleStats)
 	s.mux.HandleFunc("POST /v2/admin/policy", s.handlePolicySwap)
 	s.mux.HandleFunc("GET /v2/admin/policy", s.handlePolicyGet)
@@ -156,13 +146,16 @@ func (s *Server) state() string {
 	return api.StateRecovering
 }
 
-// gate rejects data-path requests while the node is recovering.
-func (s *Server) gate(w http.ResponseWriter) bool {
-	if s.ready.Load() {
-		return true
+// gated wraps a data-path handler so it is rejected while the node is
+// recovering.
+func (s *Server) gated(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if !s.ready.Load() {
+			WriteErr(w, api.Errorf(api.CodeOverloaded, "node is recovering its persistent log; retry shortly"))
+			return
+		}
+		h(w, r)
 	}
-	writeErr(w, api.Errorf(api.CodeOverloaded, "node is recovering its persistent log; retry shortly"))
-	return false
 }
 
 // ServeHTTP implements http.Handler.
@@ -173,7 +166,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				// sever the connection without a response, as a dying node would
 				panic(http.ErrAbortHandler)
 			}
-			writeErr(w, api.Errorf(api.CodeInternal, "%v", err))
+			WriteErr(w, api.Errorf(api.CodeInternal, "%v", err))
 			return
 		}
 	}
@@ -215,7 +208,7 @@ func (s *Server) Drain(ctx context.Context) error {
 func (s *Server) admitLoad(w http.ResponseWriter) bool {
 	reject := func(ae *api.Error) bool {
 		ae.RetryAfterMS = int(s.eng.RetryAfterHint().Milliseconds())
-		writeErr(w, ae)
+		WriteErr(w, ae)
 		return false
 	}
 	if s.eng.Shedding() {
@@ -244,20 +237,18 @@ func (s *Server) endLoad() {
 	s.loadMu.Unlock()
 }
 
-// Trajectory is the wire form of a trajectory (see api.Trajectory).
-type Trajectory = api.Trajectory
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON renders v as the response body under the given status.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// writeErr renders the typed error envelope with its mapped HTTP status.
+// WriteErr renders the typed error envelope with its mapped HTTP status.
 // Every overloaded (503) response carries a Retry-After header: the
 // error's drain-rate-derived hint when it has one, a conservative 1s
 // otherwise.
-func writeErr(w http.ResponseWriter, ae *api.Error) {
+func WriteErr(w http.ResponseWriter, ae *api.Error) {
 	if ae.Code == api.CodeOverloaded {
 		if ae.RetryAfterMS <= 0 {
 			cp := *ae
@@ -266,71 +257,75 @@ func writeErr(w http.ResponseWriter, ae *api.Error) {
 		}
 		w.Header().Set("Retry-After", strconv.Itoa((ae.RetryAfterMS+999)/1000))
 	}
-	writeJSON(w, ae.HTTPStatus(), api.ErrorResponse{Err: *ae})
+	WriteJSON(w, ae.HTTPStatus(), api.ErrorResponse{Err: *ae})
 }
 
-func decode(w http.ResponseWriter, r *http.Request, v any) bool {
+// WriteResult renders a call's outcome: v under 200, or err as its typed
+// envelope.
+func WriteResult(w http.ResponseWriter, v any, err error) {
+	if err != nil {
+		WriteErr(w, api.FromError(err))
+		return
+	}
+	WriteJSON(w, http.StatusOK, v)
+}
+
+// Decode parses the JSON request body into v, rejecting unknown fields;
+// on failure it has answered with the typed error (too_large for a body
+// over the front end's cap) and reports false.
+func Decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		var maxErr *http.MaxBytesError
 		if errors.As(err, &maxErr) {
-			writeErr(w, api.Errorf(api.CodeTooLarge, "request body exceeds %d bytes", maxErr.Limit))
+			WriteErr(w, api.Errorf(api.CodeTooLarge, "request body exceeds %d bytes", maxErr.Limit))
 			return false
 		}
-		writeErr(w, api.Errorf(api.CodeInvalidArgument, "bad request body: %v", err))
+		WriteErr(w, api.Errorf(api.CodeInvalidArgument, "bad request body: %v", err))
 		return false
 	}
 	return true
 }
 
-// requestContext derives the search context: the client connection's
+// RequestContext derives the search context: the client connection's
 // context bounded by min(timeout_ms, MaxTimeout). The comparison happens
 // in millisecond space so an absurd client value cannot overflow the
 // duration multiply — it just gets the MaxTimeout cap.
-func (s *Server) requestContext(r *http.Request, timeoutMS int) (context.Context, context.CancelFunc) {
-	d := s.opts.MaxTimeout
+func (o Options) RequestContext(r *http.Request, timeoutMS int) (context.Context, context.CancelFunc) {
+	d := o.MaxTimeout
 	if timeoutMS > 0 && int64(timeoutMS) < int64(d/time.Millisecond) {
 		d = time.Duration(timeoutMS) * time.Millisecond
 	}
 	return context.WithTimeout(r.Context(), d)
 }
 
-type loadRequest = api.LoadRequest
-
-type loadResponse = api.LoadResponse
-
+// handleLoad answers POST /v2/load: one JSON batch validated and committed
+// whole, answered with the engine-assigned global ID of every trajectory.
 func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
-	if !s.gate(w) {
-		return
-	}
 	if !s.admitLoad(w) {
 		return
 	}
 	defer s.endLoad()
-	var req loadRequest
-	if !decode(w, r, &req) {
+	var req api.LoadRequest
+	if !Decode(w, r, &req) {
 		return
 	}
 	if len(req.Trajectories) == 0 {
-		writeErr(w, api.Errorf(api.CodeInvalidArgument, "no trajectories in request"))
+		WriteErr(w, api.Errorf(api.CodeInvalidArgument, "no trajectories in request"))
 		return
 	}
 	ts := make([]traj.Trajectory, len(req.Trajectories))
 	for i, wt := range req.Trajectories {
 		t, aerr := wt.ToTraj()
 		if aerr != nil {
-			writeErr(w, api.Errorf(api.CodeInvalidArgument, "trajectory %d: %s", i, aerr.Message))
+			WriteErr(w, api.Errorf(api.CodeInvalidArgument, "trajectory %d: %s", i, aerr.Message))
 			return
 		}
 		ts[i] = t
 	}
 	ids, err := s.eng.Add(ts)
-	if err != nil {
-		writeErr(w, api.FromError(err))
-		return
-	}
-	writeJSON(w, http.StatusOK, loadResponse{Loaded: len(ids), IDs: ids, Total: s.eng.Len()})
+	WriteResult(w, api.LoadResponse{Loaded: len(ids), IDs: ids, Total: s.eng.Len()}, err)
 }
 
 // streamLoadBatch is how many NDJSON records are buffered before each
@@ -347,9 +342,6 @@ const streamLoadBatch = 512
 // mid-stream error, records of already-committed batches remain loaded;
 // the error message carries the committed count.
 func (s *Server) handleLoadStream(w http.ResponseWriter, r *http.Request) {
-	if !s.gate(w) {
-		return
-	}
 	if !s.admitLoad(w) {
 		return
 	}
@@ -375,218 +367,48 @@ func (s *Server) handleLoadStream(w http.ResponseWriter, r *http.Request) {
 	}
 	recNo := 0
 	for {
-		var wt Trajectory
+		var wt api.Trajectory
 		if err := dec.Decode(&wt); err == io.EOF {
 			break
 		} else if err != nil {
-			writeErr(w, api.Errorf(api.CodeInvalidArgument,
+			WriteErr(w, api.Errorf(api.CodeInvalidArgument,
 				"stream record %d: bad JSON (%d records already committed): %v", recNo+1, loaded, err))
 			return
 		}
 		recNo++
 		t, aerr := wt.ToTraj()
 		if aerr != nil {
-			writeErr(w, api.Errorf(api.CodeInvalidArgument,
+			WriteErr(w, api.Errorf(api.CodeInvalidArgument,
 				"stream record %d (%d records already committed): %s", recNo, loaded, aerr.Message))
 			return
 		}
 		batch = append(batch, t)
 		if len(batch) == streamLoadBatch {
 			if aerr := flush(); aerr != nil {
-				writeErr(w, aerr)
+				WriteErr(w, aerr)
 				return
 			}
 		}
 	}
 	if aerr := flush(); aerr != nil {
-		writeErr(w, aerr)
+		WriteErr(w, aerr)
 		return
 	}
 	if recNo == 0 {
-		writeErr(w, api.Errorf(api.CodeInvalidArgument, "empty load stream"))
+		WriteErr(w, api.Errorf(api.CodeInvalidArgument, "empty load stream"))
 		return
 	}
-	writeJSON(w, http.StatusOK, api.BulkLoadResponse{
+	WriteJSON(w, http.StatusOK, api.BulkLoadResponse{
 		Loaded:  loaded,
 		FirstID: firstID,
 		Total:   s.eng.Len(),
-		TookMS:  float64(time.Since(start).Microseconds()) / 1000,
+		TookMS:  api.TookMS(start),
 	})
-}
-
-type topkRequest struct {
-	Query     Trajectory `json:"query"`
-	K         int        `json:"k"`
-	Measure   string     `json:"measure"`
-	Algorithm string     `json:"algorithm"`
-	TimeoutMS int        `json:"timeout_ms"`
-}
-
-type topkResponse struct {
-	Matches []api.Match `json:"matches"`
-	Cached  bool        `json:"cached"`
-	TookMS  float64     `json:"took_ms"`
-}
-
-// handleTopK is the /v1 single-query adapter: the request is recast as a
-// one-spec api.QuerySpec and answered by the same engine path as /v2.
-func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	if !s.gate(w) {
-		return
-	}
-	var req topkRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
-	defer cancel()
-	res := s.eng.QueryOne(ctx, api.QuerySpec{
-		Query: req.Query, K: req.K, Measure: req.Measure, Algorithm: req.Algorithm,
-	})
-	if res.Error != nil {
-		writeErr(w, res.Error)
-		return
-	}
-	writeJSON(w, http.StatusOK, topkResponse{
-		Matches: res.Matches,
-		Cached:  res.Cached,
-		TookMS:  res.TookMS,
-	})
-}
-
-type searchRequest struct {
-	Data      Trajectory `json:"data"`
-	Query     Trajectory `json:"query"`
-	Measure   string     `json:"measure"`
-	Algorithm string     `json:"algorithm"`
-	TimeoutMS int        `json:"timeout_ms"`
-}
-
-type searchResponse struct {
-	Start    int     `json:"start"`
-	End      int     `json:"end"`
-	Dist     float64 `json:"dist"`
-	Sim      float64 `json:"sim"`
-	Explored int     `json:"explored"`
-	TookMS   float64 `json:"took_ms"`
-}
-
-// handleSearch answers the stateless pairwise SimSub problem: the best
-// subtrajectory of an inline data trajectory for an inline query.
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	var req searchRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	data, aerr := req.Data.ToTraj()
-	if aerr != nil {
-		writeErr(w, api.Errorf(api.CodeInvalidArgument, "data: %s", aerr.Message))
-		return
-	}
-	q, aerr := req.Query.ToTraj()
-	if aerr != nil {
-		writeErr(w, api.Errorf(api.CodeInvalidArgument, "query: %s", aerr.Message))
-		return
-	}
-	if req.Measure == "" {
-		req.Measure = api.DefaultMeasure
-	}
-	if req.Algorithm == "" {
-		req.Algorithm = api.DefaultSearchAlgorithm
-	}
-	// resolution goes through the engine so the learned searches ("rls",
-	// "rls-skip") bind the registered policy here exactly as on /v1/topk
-	// and /v2/query, and unknown names fail with the same typed
-	// invalid_argument errors on every route
-	alg, err := s.eng.ResolveAlgorithm(req.Measure, req.Algorithm, engine.Params{})
-	if err != nil {
-		writeErr(w, api.FromError(err))
-		return
-	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
-	defer cancel()
-	start := time.Now()
-	// algorithms are not interruptible mid-trajectory, so the search runs in
-	// a goroutine the handler can abandon on timeout; the semaphore slot is
-	// held until the search actually finishes, bounding background work
-	select {
-	case s.searchSem <- struct{}{}:
-	case <-ctx.Done():
-		if errors.Is(ctx.Err(), context.Canceled) {
-			// the client went away while queued — a cancel, not overload
-			writeErr(w, api.FromError(ctx.Err()))
-			return
-		}
-		// the request expired before a slot freed up: the server is at its
-		// pairwise-search capacity bound, which is overload, not a search
-		// timeout
-		writeErr(w, api.Errorf(api.CodeOverloaded,
-			"no pairwise-search slot within the request deadline (%d concurrent searches)", s.opts.MaxSearches))
-		return
-	}
-	done := make(chan core.Result, 1)
-	go func() {
-		defer func() { <-s.searchSem }()
-		done <- alg.Search(data, q)
-	}()
-	select {
-	case res := <-done:
-		writeJSON(w, http.StatusOK, searchResponse{
-			Start:    res.Interval.I,
-			End:      res.Interval.J,
-			Dist:     res.Dist,
-			Sim:      sim.Sim(res.Dist),
-			Explored: res.Explored,
-			TookMS:   float64(time.Since(start).Microseconds()) / 1000,
-		})
-	case <-ctx.Done():
-		writeErr(w, api.FromError(ctx.Err()))
-	}
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	es := s.eng.Stats()
-	writeJSON(w, http.StatusOK, api.StatsResponse{
-		Engine: api.Stats{
-			Trajectories:              es.Trajectories,
-			Points:                    es.Points,
-			Shards:                    es.Shards,
-			Workers:                   es.Workers,
-			Queries:                   es.Queries,
-			CacheHits:                 es.CacheHits,
-			CacheMisses:               es.CacheMisses,
-			CacheEntries:              es.CacheEntries,
-			InFlight:                  es.InFlight,
-			CandidatesSeen:            es.CandidatesSeen,
-			LBSkipped:                 es.LBSkipped,
-			EarlyAbandoned:            es.EarlyAbandoned,
-			Shed:                      es.Shed,
-			ShedExpensive:             es.ShedExpensive,
-			DeadlineRejects:           es.DeadlineRejects,
-			DegradedQueries:           es.DegradedQueries,
-			QueueDepth:                es.QueueDepth,
-			QueueWaitMS:               es.QueueWaitMS,
-			Shedding:                  es.Shedding,
-			PolicyLoaded:              es.PolicyLoaded,
-			PolicyName:                es.PolicyName,
-			PolicyFingerprint:         es.PolicyFingerprint,
-			PolicyCompiled:            es.PolicyCompiled,
-			PolicyCompileResolution:   es.PolicyCompileResolution,
-			PolicyCompileDivergence:   es.PolicyCompileDivergence,
-			PolicyCompiledFingerprint: es.PolicyCompiledFingerprint,
-			RLSQueries:                es.RLSQueries,
-			QualitySamples:            es.QualitySamples,
-			ApproxRatio:               es.ApproxRatio,
-			MeanRank:                  es.MeanRank,
-			SkippedFraction:           es.SkippedFraction,
-			EncoderLoaded:             es.EncoderLoaded,
-			EncoderFingerprint:        es.EncoderFingerprint,
-			EncoderDim:                es.EncoderDim,
-			EncoderGrid:               es.EncoderGrid,
-			ANNQueries:                es.ANNQueries,
-			RecallSamples:             es.RecallSamples,
-			MeanRecall:                es.MeanRecall,
-		},
+	WriteJSON(w, http.StatusOK, api.StatsResponse{
+		Engine:        s.eng.Stats(),
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Goroutines:    runtime.NumGoroutine(),
 		Measures:      sim.Names(),
@@ -597,8 +419,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if !s.ready.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": api.StateRecovering})
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": api.StateRecovering})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }

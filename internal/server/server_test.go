@@ -33,12 +33,15 @@ func randWalk(rng *rand.Rand, n int) traj.Trajectory {
 	return traj.New(pts...)
 }
 
-func toWire(t traj.Trajectory) Trajectory {
-	pts := make([][]float64, t.Len())
-	for i, p := range t.Points {
-		pts[i] = []float64{p.X, p.Y, p.T}
+func toWire(t traj.Trajectory) api.Trajectory { return api.FromTraj(t) }
+
+// wireLoad is the /v2/load body carrying ts.
+func wireLoad(ts ...traj.Trajectory) api.LoadRequest {
+	var req api.LoadRequest
+	for _, t := range ts {
+		req.Trajectories = append(req.Trajectories, toWire(t))
 	}
-	return Trajectory{Points: pts}
+	return req
 }
 
 func postJSON(t *testing.T, url string, body any) *http.Response {
@@ -81,15 +84,15 @@ func TestHealthz(t *testing.T) {
 func TestLoadAndStats(t *testing.T) {
 	ts, eng := newTestServer(t, engine.Config{Shards: 2})
 	rng := rand.New(rand.NewSource(70))
-	req := loadRequest{}
+	var set []traj.Trajectory
 	for i := 0; i < 7; i++ {
-		req.Trajectories = append(req.Trajectories, toWire(randWalk(rng, 10)))
+		set = append(set, randWalk(rng, 10))
 	}
-	resp := postJSON(t, ts.URL+"/v1/trajectories", req)
+	resp := postJSON(t, ts.URL+"/v2/load", wireLoad(set...))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("load status %d", resp.StatusCode)
 	}
-	var lr loadResponse
+	var lr api.LoadResponse
 	decodeBody(t, resp, &lr)
 	if lr.Loaded != 7 || lr.Total != 7 || len(lr.IDs) != 7 {
 		t.Fatalf("load response %+v", lr)
@@ -98,7 +101,7 @@ func TestLoadAndStats(t *testing.T) {
 		t.Fatalf("engine holds %d trajectories", eng.Len())
 	}
 
-	resp, err := http.Get(ts.URL + "/v1/stats")
+	resp, err := http.Get(ts.URL + "/v2/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,97 +118,73 @@ func TestLoadAndStats(t *testing.T) {
 func TestTopKEndpoint(t *testing.T) {
 	ts, _ := newTestServer(t, engine.Config{Shards: 3, CacheSize: 8, Index: engine.ScanAll})
 	rng := rand.New(rand.NewSource(71))
-	load := loadRequest{}
+	var set []traj.Trajectory
 	for i := 0; i < 20; i++ {
-		load.Trajectories = append(load.Trajectories, toWire(randWalk(rng, 12)))
+		set = append(set, randWalk(rng, 12))
 	}
-	postJSON(t, ts.URL+"/v1/trajectories", load).Body.Close()
+	postJSON(t, ts.URL+"/v2/load", wireLoad(set...)).Body.Close()
 
-	req := topkRequest{Query: toWire(randWalk(rng, 5)), K: 4, Measure: "dtw", Algorithm: "pss"}
-	resp := postJSON(t, ts.URL+"/v1/topk", req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("topk status %d", resp.StatusCode)
+	spec := api.QuerySpec{Query: toWire(randWalk(rng, 5)), K: 4, Measure: "dtw", Algorithm: "pss"}
+	res := queryV2(t, ts.URL, spec)
+	if res.Error != nil || len(res.Matches) != 4 || res.Cached {
+		t.Fatalf("top-k result: err=%v, %d matches, cached=%v", res.Error, len(res.Matches), res.Cached)
 	}
-	var tr topkResponse
-	decodeBody(t, resp, &tr)
-	if len(tr.Matches) != 4 || tr.Cached {
-		t.Fatalf("topk response: %d matches cached=%v", len(tr.Matches), tr.Cached)
-	}
-	for i, m := range tr.Matches {
+	for i, m := range res.Matches {
 		if m.Start < 0 || m.End < m.Start || m.Dist < 0 || m.Sim <= 0 || m.Sim > 1 {
 			t.Fatalf("match %d malformed: %+v", i, m)
 		}
-		if i > 0 && tr.Matches[i-1].Dist > m.Dist {
+		if i > 0 && res.Matches[i-1].Dist > m.Dist {
 			t.Fatal("matches not ascending")
 		}
 	}
 
 	// identical query → cache hit
-	resp = postJSON(t, ts.URL+"/v1/topk", req)
-	var tr2 topkResponse
-	decodeBody(t, resp, &tr2)
-	if !tr2.Cached {
+	if res := queryV2(t, ts.URL, spec); !res.Cached {
 		t.Fatal("second identical query not served from cache")
 	}
 }
 
-func TestSearchEndpoint(t *testing.T) {
-	ts, _ := newTestServer(t, engine.Config{})
-	req := searchRequest{
-		Data:    Trajectory{Points: [][]float64{{0, 0}, {1, 0}, {2, 0}, {3, 1}, {4, 2}}},
-		Query:   Trajectory{Points: [][]float64{{2, 0}, {3, 1}}},
-		Measure: "dtw", Algorithm: "exacts",
-	}
-	resp := postJSON(t, ts.URL+"/v1/search", req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("search status %d", resp.StatusCode)
-	}
-	var sr searchResponse
-	decodeBody(t, resp, &sr)
-	// the exact answer is the identical subtrajectory [2,3] at distance 0
-	if sr.Start != 2 || sr.End != 3 || sr.Dist != 0 || sr.Sim != 1 {
-		t.Fatalf("search response %+v", sr)
-	}
-}
-
+// TestBadRequests checks malformed requests fail as typed invalid_argument:
+// as the 400 envelope when the request itself is bad, inside the spec's
+// result lane when one spec of a batch is.
 func TestBadRequests(t *testing.T) {
 	ts, eng := newTestServer(t, engine.Config{})
 	eng.Add([]traj.Trajectory{randWalk(rand.New(rand.NewSource(73)), 8)})
-	cases := []struct {
+	pair := api.Trajectory{Points: [][]float64{{0, 0}, {1, 1}}}
+	for _, tc := range []struct {
 		name string
 		path string
 		body any
-		want int
 	}{
-		{"empty load", "/v1/trajectories", loadRequest{}, http.StatusBadRequest},
-		{"empty trajectory", "/v1/trajectories",
-			loadRequest{Trajectories: []Trajectory{{}}}, http.StatusBadRequest},
-		{"bad point arity", "/v1/trajectories",
-			loadRequest{Trajectories: []Trajectory{{Points: [][]float64{{1}}}}}, http.StatusBadRequest},
-		{"empty query", "/v1/topk", topkRequest{K: 1}, http.StatusBadRequest},
-		{"unknown measure", "/v1/topk",
-			topkRequest{Query: Trajectory{Points: [][]float64{{0, 0}, {1, 1}}}, K: 1, Measure: "nope"},
-			http.StatusBadRequest},
-		{"unknown algorithm", "/v1/search",
-			searchRequest{
-				Data:  Trajectory{Points: [][]float64{{0, 0}, {1, 1}}},
-				Query: Trajectory{Points: [][]float64{{0, 0}}}, Algorithm: "nope"},
-			http.StatusBadRequest},
-		{"empty search data", "/v1/search",
-			searchRequest{Query: Trajectory{Points: [][]float64{{0, 0}}}}, http.StatusBadRequest},
-	}
-	for _, tc := range cases {
+		{"empty load", "/v2/load", api.LoadRequest{}},
+		{"empty trajectory", "/v2/load", api.LoadRequest{Trajectories: []api.Trajectory{{}}}},
+		{"bad point arity", "/v2/load",
+			api.LoadRequest{Trajectories: []api.Trajectory{{Points: [][]float64{{1}}}}}},
+		{"empty batch", "/v2/query", api.Query{}},
+		{"unknown request field", "/v2/query", map[string]any{"specs": []any{}, "data": pair}},
+		{"empty stream query", "/v2/query/stream", api.StreamQuery{Spec: api.QuerySpec{K: 1}}},
+	} {
 		resp := postJSON(t, ts.URL+tc.path, tc.body)
 		var e api.ErrorResponse
 		code := resp.StatusCode
 		decodeBody(t, resp, &e)
-		if code != tc.want || e.Err.Code != api.CodeInvalidArgument || e.Err.Message == "" {
-			t.Errorf("%s: status %d (want %d), error %+v", tc.name, code, tc.want, e.Err)
+		if code != http.StatusBadRequest || e.Err.Code != api.CodeInvalidArgument || e.Err.Message == "" {
+			t.Errorf("%s: status %d (want 400), error %+v", tc.name, code, e.Err)
+		}
+	}
+	for name, spec := range map[string]api.QuerySpec{
+		"empty query":       {K: 1},
+		"unknown measure":   {Query: pair, K: 1, Measure: "nope"},
+		"unknown algorithm": {Query: pair, K: 1, Algorithm: "nope"},
+	} {
+		res := queryV2(t, ts.URL, spec)
+		if res.Error == nil || res.Error.Code != api.CodeInvalidArgument || res.Error.Message == "" {
+			t.Errorf("%s: error %+v, want invalid_argument", name, res.Error)
 		}
 	}
 
 	// malformed JSON
-	resp, err := http.Post(ts.URL+"/v1/topk", "application/json", bytes.NewReader([]byte("{")))
+	resp, err := http.Post(ts.URL+"/v2/query", "application/json", bytes.NewReader([]byte("{")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,52 +194,47 @@ func TestBadRequests(t *testing.T) {
 	}
 
 	// wrong method
-	resp, err = http.Get(ts.URL + "/v1/topk")
+	resp, err = http.Get(ts.URL + "/v2/query")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /v1/topk: status %d", resp.StatusCode)
+		t.Fatalf("GET /v2/query: status %d", resp.StatusCode)
 	}
 }
 
 func TestTopKDefaults(t *testing.T) {
 	ts, _ := newTestServer(t, engine.Config{Index: engine.ScanAll})
 	rng := rand.New(rand.NewSource(72))
-	load := loadRequest{}
+	var set []traj.Trajectory
 	for i := 0; i < 15; i++ {
-		load.Trajectories = append(load.Trajectories, toWire(randWalk(rng, 8)))
+		set = append(set, randWalk(rng, 8))
 	}
-	postJSON(t, ts.URL+"/v1/trajectories", load).Body.Close()
+	postJSON(t, ts.URL+"/v2/load", wireLoad(set...)).Body.Close()
 	// measure and algorithm default; k is required
-	resp := postJSON(t, ts.URL+"/v1/topk", topkRequest{Query: toWire(randWalk(rng, 4)), K: 6})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	var tr topkResponse
-	decodeBody(t, resp, &tr)
-	if len(tr.Matches) != 6 {
-		t.Fatalf("%d matches with default measure/algorithm, want 6", len(tr.Matches))
+	res := queryV2(t, ts.URL, api.QuerySpec{Query: toWire(randWalk(rng, 4)), K: 6})
+	if res.Error != nil || len(res.Matches) != 6 {
+		t.Fatalf("default measure/algorithm: err=%v, %d matches, want 6", res.Error, len(res.Matches))
 	}
 
-	// an omitted (or non-positive) k is a typed invalid_argument error, the
-	// same shape /v2 returns — there is no silent default ranking size
-	resp = postJSON(t, ts.URL+"/v1/topk", topkRequest{Query: toWire(randWalk(rng, 4))})
-	var er api.ErrorResponse
-	code := resp.StatusCode
-	decodeBody(t, resp, &er)
-	if code != http.StatusBadRequest || er.Err.Code != api.CodeInvalidArgument {
-		t.Fatalf("omitted k: status %d, error %+v", code, er.Err)
+	// an omitted (or non-positive) k is a typed invalid_argument error —
+	// there is no silent default ranking size
+	res = queryV2(t, ts.URL, api.QuerySpec{Query: toWire(randWalk(rng, 4))})
+	if res.Error == nil || res.Error.Code != api.CodeInvalidArgument {
+		t.Fatalf("omitted k: error %+v", res.Error)
 	}
 
 	// an absurd timeout_ms must clamp to MaxTimeout, not overflow into an
 	// already-expired deadline
-	resp = postJSON(t, ts.URL+"/v1/topk", topkRequest{
-		Query: toWire(randWalk(rng, 4)), K: 3, TimeoutMS: 1 << 60,
+	resp := postJSON(t, ts.URL+"/v2/query", api.Query{
+		Specs:     []api.QuerySpec{{Query: toWire(randWalk(rng, 4)), K: 3}},
+		TimeoutMS: 1 << 60,
 	})
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("huge timeout_ms: status %d, want 200", resp.StatusCode)
+	var qr api.QueryResponse
+	code := resp.StatusCode
+	decodeBody(t, resp, &qr)
+	if code != http.StatusOK || len(qr.Results) != 1 || qr.Results[0].Error != nil {
+		t.Fatalf("huge timeout_ms: status %d, results %+v, want a 200 answer", code, qr.Results)
 	}
 }

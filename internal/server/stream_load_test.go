@@ -97,9 +97,8 @@ func TestRecoveringGate(t *testing.T) {
 		{http.MethodPost, "/v2/query", `{"queries":[]}`},
 		{http.MethodPost, "/v2/query/stream", `{}`},
 		{http.MethodGet, "/v2/trajectories/0", ""},
-		{http.MethodPost, "/v1/trajectories", `{"trajectories":[]}`},
+		{http.MethodPost, "/v2/load", `{"trajectories":[]}`},
 		{http.MethodPost, "/v2/load/stream", `{"points":[[0,0,0],[1,1,1]]}`},
-		{http.MethodPost, "/v1/topk", `{}`},
 	}
 	for _, g := range gated {
 		req, err := http.NewRequest(g.method, srv.URL+g.path, strings.NewReader(g.body))

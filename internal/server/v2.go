@@ -5,134 +5,139 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"errors"
+	"io"
 	"io/fs"
 	"net/http"
 	"strconv"
 
 	"simsub/api"
-	"simsub/internal/engine"
 	"simsub/internal/rl"
 	"simsub/internal/t2vec"
 )
 
-// This file holds the v2 endpoints, which speak the api package's wire
-// types natively: batched top-k queries, NDJSON match streaming, and
-// trajectory retrieval by global ID.
+// This file holds the query handlers every front end mounts — written
+// over api.Searcher / api.StreamSearcher, which the engine, the router and
+// the client all implement — and the node's own trajectory retrieval and
+// serving-artifact endpoints.
 
-// handleQuery answers POST /v2/query: a batch of specs fanned out across
-// the engine's worker pool, one QueryResult per spec in order. Spec-level
-// failures are reported inside their result; only envelope-level problems
-// (no specs, oversized batch, bad JSON) fail the request.
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if !s.gate(w) {
-		return
+// QueryHandler answers POST /v2/query: a batch of specs answered
+// concurrently, one QueryResult per spec in order. Spec-level failures are
+// reported inside their result; only envelope-level problems (no specs,
+// oversized batch, bad JSON) fail the request.
+func (o Options) QueryHandler(s api.Searcher) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req api.Query
+		if !Decode(w, r, &req) {
+			return
+		}
+		if len(req.Specs) == 0 {
+			WriteErr(w, api.Errorf(api.CodeInvalidArgument, "query batch has no specs"))
+			return
+		}
+		if len(req.Specs) > o.MaxBatchSpecs {
+			WriteErr(w, api.Errorf(api.CodeInvalidArgument,
+				"batch of %d specs exceeds the limit of %d", len(req.Specs), o.MaxBatchSpecs))
+			return
+		}
+		ctx, cancel := o.RequestContext(r, req.TimeoutMS)
+		defer cancel()
+		req.TimeoutMS = 0 // already applied (and capped) by RequestContext
+		resp, err := s.Query(ctx, req)
+		WriteResult(w, resp, err)
 	}
-	var req api.Query
-	if !decode(w, r, &req) {
-		return
-	}
-	if len(req.Specs) == 0 {
-		writeErr(w, api.Errorf(api.CodeInvalidArgument, "query batch has no specs"))
-		return
-	}
-	if len(req.Specs) > s.opts.MaxBatchSpecs {
-		writeErr(w, api.Errorf(api.CodeInvalidArgument,
-			"batch of %d specs exceeds the limit of %d", len(req.Specs), s.opts.MaxBatchSpecs))
-		return
-	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
-	defer cancel()
-	req.TimeoutMS = 0 // already applied (and capped) by requestContext
-	resp, err := s.eng.Query(ctx, req)
-	if err != nil {
-		writeErr(w, api.FromError(err))
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleQueryStream answers POST /v2/query/stream: one spec whose matches
+// QueryStreamHandler answers POST /v2/query/stream: one spec whose matches
 // are delivered as NDJSON StreamEvent records the moment they enter the
 // running top-k, each followed by a flush so clients see answers while the
 // scan is still running, terminated by a summary record carrying the
 // authoritative final ranking. Failures before the first record use the
 // ordinary error envelope and status; failures mid-stream arrive as a
 // trailing error record (the status line is long gone by then).
-func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
-	if !s.gate(w) {
-		return
-	}
-	var req api.StreamQuery
-	if !decode(w, r, &req) {
-		return
-	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
-	defer cancel()
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	wrote := false
-	emit := func(m api.Match) error {
-		if err := enc.Encode(api.StreamEvent{Match: &m}); err != nil {
-			return err
-		}
-		wrote = true
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return nil
-	}
-	sum, err := s.eng.QueryStream(ctx, req.Spec, emit)
-	if err != nil {
-		ae := api.FromError(err)
-		if !wrote {
-			writeErr(w, ae)
+func (o Options) QueryStreamHandler(s api.StreamSearcher) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req api.StreamQuery
+		if !Decode(w, r, &req) {
 			return
 		}
-		_ = enc.Encode(api.StreamEvent{Error: ae})
-		if flusher != nil {
-			flusher.Flush()
+		ctx, cancel := o.RequestContext(r, req.TimeoutMS)
+		defer cancel()
+
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		flusher, _ := w.(http.Flusher)
+		enc := json.NewEncoder(w)
+		wrote := false
+		send := func(ev api.StreamEvent) error {
+			if err := enc.Encode(ev); err != nil {
+				return err
+			}
+			wrote = true
+			if flusher != nil {
+				flusher.Flush()
+			}
+			return nil
 		}
-		return
-	}
-	_ = enc.Encode(api.StreamEvent{Summary: sum})
-	if flusher != nil {
-		flusher.Flush()
+		sum, err := s.QueryStream(ctx, req.Spec, func(m api.Match) error {
+			return send(api.StreamEvent{Match: &m})
+		})
+		if err == nil {
+			_ = send(api.StreamEvent{Summary: sum})
+		} else if ae := api.FromError(err); wrote {
+			_ = send(api.StreamEvent{Error: ae})
+		} else {
+			WriteErr(w, ae)
+		}
 	}
 }
 
 // handleGetTrajectory answers GET /v2/trajectories/{id} with the stored
 // trajectory, or a not_found typed error for an unassigned ID.
 func (s *Server) handleGetTrajectory(w http.ResponseWriter, r *http.Request) {
-	if !s.gate(w) {
-		return
-	}
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
-		writeErr(w, api.Errorf(api.CodeInvalidArgument, "trajectory id %q is not an integer", r.PathValue("id")))
+		WriteErr(w, api.Errorf(api.CodeInvalidArgument, "trajectory id %q is not an integer", r.PathValue("id")))
 		return
 	}
 	t, ok := s.eng.Traj(id)
 	if !ok {
-		writeErr(w, api.Errorf(api.CodeNotFound, "no trajectory with id %d", id))
+		WriteErr(w, api.Errorf(api.CodeNotFound, "no trajectory with id %d", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, api.TrajectoryRecord{ID: id, Trajectory: api.FromTraj(t)})
+	WriteJSON(w, http.StatusOK, api.TrajectoryRecord{ID: id, Trajectory: api.FromTraj(t)})
 }
 
-// policyInfoToAPI converts the engine's policy description to wire form.
-func policyInfoToAPI(info engine.PolicyInfo) api.PolicyInfo {
-	return api.PolicyInfo{
-		Name:                info.Name,
-		K:                   info.K,
-		UseSuffix:           info.UseSuffix,
-		SimplifyState:       info.SimplifyState,
-		Fingerprint:         info.Fingerprint,
-		Compiled:            info.Compiled,
-		CompileResolution:   info.CompileResolution,
-		CompileDivergence:   info.CompileDivergence,
-		CompiledFingerprint: info.CompiledFingerprint,
+// loadArtifact resolves a swap request's serving artifact (kind "policy"
+// or "encoder") from a server-local file path or inline base64 bytes.
+func loadArtifact[T any](kind, path, b64 string, fromFile func(string) (T, error), fromBytes func(io.Reader) (T, error)) (T, *api.Error) {
+	if path == "" {
+		raw, err := base64.StdEncoding.DecodeString(b64)
+		if err != nil {
+			var zero T
+			return zero, api.Errorf(api.CodeInvalidArgument, "decoding %s_b64: %v", kind, err)
+		}
+		// the caller supplied these bytes, so the parse error leaks nothing
+		v, err := fromBytes(bytes.NewReader(raw))
+		if err != nil {
+			return v, api.Errorf(api.CodeInvalidArgument, "loading %s: %v", kind, err)
+		}
+		return v, nil
+	}
+	v, err := fromFile(path)
+	var perr *fs.PathError
+	switch {
+	case err == nil:
+		return v, nil
+	case errors.Is(err, fs.ErrNotExist):
+		return v, api.Errorf(api.CodeNotFound, "%s file %q does not exist", kind, path)
+	case errors.As(err, &perr):
+		// an I/O-level failure (permissions, directory, ...), not a bad
+		// artifact — don't misdirect the operator toward re-training
+		return v, api.Errorf(api.CodeInternal, "reading %s file %q: %v", kind, path, perr.Err)
+	default:
+		// the parse error can echo fragments of the named file (e.g. a bad
+		// header tag), and this endpoint reads server-local paths — keep
+		// file contents out of the response
+		return v, api.Errorf(api.CodeInvalidArgument, "file %q is not a valid %s", path, kind)
 	}
 }
 
@@ -146,61 +151,20 @@ func policyInfoToAPI(info engine.PolicyInfo) api.PolicyInfo {
 // previous registration keeps serving.
 func (s *Server) handlePolicySwap(w http.ResponseWriter, r *http.Request) {
 	var req api.PolicySwapRequest
-	if !decode(w, r, &req) {
+	if !Decode(w, r, &req) {
 		return
 	}
-	if (req.Path == "") == (req.PolicyB64 == "") {
-		writeErr(w, api.Errorf(api.CodeInvalidArgument, "exactly one of path or policy_b64 must be set"))
+	if aerr := req.Validate(); aerr != nil {
+		WriteErr(w, aerr)
 		return
 	}
-	if req.CompileResolution < 0 {
-		writeErr(w, api.Errorf(api.CodeInvalidArgument, "compile_resolution must be non-negative, got %d", req.CompileResolution))
+	p, aerr := loadArtifact("policy", req.Path, req.PolicyB64, rl.LoadFile, rl.Load)
+	if aerr != nil {
+		WriteErr(w, aerr)
 		return
 	}
-	var (
-		p   *rl.Policy
-		err error
-	)
-	if req.Path != "" {
-		p, err = rl.LoadFile(req.Path)
-		if errors.Is(err, fs.ErrNotExist) {
-			writeErr(w, api.Errorf(api.CodeNotFound, "policy file %q does not exist", req.Path))
-			return
-		}
-		var perr *fs.PathError
-		if errors.As(err, &perr) {
-			// an I/O-level failure (permissions, directory, ...), not a bad
-			// policy — don't misdirect the operator toward re-training
-			writeErr(w, api.Errorf(api.CodeInternal, "reading policy file %q: %v", req.Path, perr.Err))
-			return
-		}
-		if err != nil {
-			// the parse error can echo fragments of the named file (e.g. a
-			// bad header tag), and this endpoint reads server-local paths —
-			// keep file contents out of the response
-			writeErr(w, api.Errorf(api.CodeInvalidArgument, "file %q is not a valid policy", req.Path))
-			return
-		}
-	} else {
-		var raw []byte
-		raw, err = base64.StdEncoding.DecodeString(req.PolicyB64)
-		if err != nil {
-			writeErr(w, api.Errorf(api.CodeInvalidArgument, "decoding policy_b64: %v", err))
-			return
-		}
-		// the caller supplied these bytes, so the parse error leaks nothing
-		p, err = rl.Load(bytes.NewReader(raw))
-		if err != nil {
-			writeErr(w, api.Errorf(api.CodeInvalidArgument, "loading policy: %v", err))
-			return
-		}
-	}
-	info, serr := s.eng.SetPolicyCompiled(p, req.CompileResolution)
-	if serr != nil {
-		writeErr(w, api.FromError(serr))
-		return
-	}
-	writeJSON(w, http.StatusOK, policyInfoToAPI(info))
+	info, err := s.eng.SetPolicyCompiled(p, req.CompileResolution)
+	WriteResult(w, info, err)
 }
 
 // handlePolicyGet answers GET /v2/admin/policy with the registered
@@ -208,19 +172,10 @@ func (s *Server) handlePolicySwap(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handlePolicyGet(w http.ResponseWriter, r *http.Request) {
 	info, ok := s.eng.Policy()
 	if !ok {
-		writeErr(w, api.Errorf(api.CodeNotFound, "no policy loaded"))
+		WriteErr(w, api.Errorf(api.CodeNotFound, "no policy loaded"))
 		return
 	}
-	writeJSON(w, http.StatusOK, policyInfoToAPI(info))
-}
-
-// encoderInfoToAPI converts the engine's encoder description to wire form.
-func encoderInfoToAPI(info engine.EncoderInfo) api.EncoderInfo {
-	return api.EncoderInfo{
-		Dim:         info.Dim,
-		Grid:        info.Grid,
-		Fingerprint: info.Fingerprint,
-	}
+	WriteJSON(w, http.StatusOK, info)
 }
 
 // handleEncoderSwap answers POST /v2/admin/encoder: load a t2vec encoder
@@ -233,53 +188,20 @@ func encoderInfoToAPI(info engine.EncoderInfo) api.EncoderInfo {
 // registration keeps serving.
 func (s *Server) handleEncoderSwap(w http.ResponseWriter, r *http.Request) {
 	var req api.EncoderSwapRequest
-	if !decode(w, r, &req) {
+	if !Decode(w, r, &req) {
 		return
 	}
-	if (req.Path == "") == (req.EncoderB64 == "") {
-		writeErr(w, api.Errorf(api.CodeInvalidArgument, "exactly one of path or encoder_b64 must be set"))
+	if aerr := req.Validate(); aerr != nil {
+		WriteErr(w, aerr)
 		return
 	}
-	var (
-		m   *t2vec.Model
-		err error
-	)
-	if req.Path != "" {
-		m, err = t2vec.LoadFile(req.Path)
-		if errors.Is(err, fs.ErrNotExist) {
-			writeErr(w, api.Errorf(api.CodeNotFound, "encoder file %q does not exist", req.Path))
-			return
-		}
-		var perr *fs.PathError
-		if errors.As(err, &perr) {
-			writeErr(w, api.Errorf(api.CodeInternal, "reading encoder file %q: %v", req.Path, perr.Err))
-			return
-		}
-		if err != nil {
-			// same redaction rationale as the policy path: the parse error can
-			// echo fragments of a server-local file
-			writeErr(w, api.Errorf(api.CodeInvalidArgument, "file %q is not a valid encoder", req.Path))
-			return
-		}
-	} else {
-		var raw []byte
-		raw, err = base64.StdEncoding.DecodeString(req.EncoderB64)
-		if err != nil {
-			writeErr(w, api.Errorf(api.CodeInvalidArgument, "decoding encoder_b64: %v", err))
-			return
-		}
-		m, err = t2vec.Load(bytes.NewReader(raw))
-		if err != nil {
-			writeErr(w, api.Errorf(api.CodeInvalidArgument, "loading encoder: %v", err))
-			return
-		}
-	}
-	info, serr := s.eng.SetEncoder(m)
-	if serr != nil {
-		writeErr(w, api.FromError(serr))
+	m, aerr := loadArtifact("encoder", req.Path, req.EncoderB64, t2vec.LoadFile, t2vec.Load)
+	if aerr != nil {
+		WriteErr(w, aerr)
 		return
 	}
-	writeJSON(w, http.StatusOK, encoderInfoToAPI(info))
+	info, err := s.eng.SetEncoder(m)
+	WriteResult(w, info, err)
 }
 
 // handleEncoderGet answers GET /v2/admin/encoder with the registered
@@ -287,12 +209,8 @@ func (s *Server) handleEncoderSwap(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleEncoderGet(w http.ResponseWriter, r *http.Request) {
 	info, ok := s.eng.Encoder()
 	if !ok {
-		writeErr(w, api.Errorf(api.CodeNotFound, "no encoder loaded"))
+		WriteErr(w, api.Errorf(api.CodeNotFound, "no encoder loaded"))
 		return
 	}
-	writeJSON(w, http.StatusOK, encoderInfoToAPI(info))
+	WriteJSON(w, http.StatusOK, info)
 }
-
-// compile-time guarantee that the engine backing this server satisfies the
-// interfaces the client package mirrors
-var _ api.StreamSearcher = (*engine.Engine)(nil)

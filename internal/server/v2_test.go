@@ -69,10 +69,10 @@ func (g gatedMeasure) NewIncremental(t, q traj.Trajectory) sim.Incremental {
 
 func init() { sim.Register("gatedtw", func() sim.Measure { return gatedMeasure{inner: sim.DTW{}} }) }
 
-// TestV2BatchMatchesV1Sequential is the acceptance scenario: a 16-spec
+// TestV2BatchMatchesSequential is the acceptance scenario: a 16-spec
 // /v2/query batch must return per-spec results byte-identical to 16
-// sequential /v1/topk calls on the same store.
-func TestV2BatchMatchesV1Sequential(t *testing.T) {
+// sequential one-spec batches on the same store.
+func TestV2BatchMatchesSequential(t *testing.T) {
 	const nTrajs = 1000
 	rng := rand.New(rand.NewSource(85))
 	ts, eng := newTestServer(t, engine.Config{Shards: 8, CacheSize: 64, Index: engine.ScanAll})
@@ -91,21 +91,17 @@ func TestV2BatchMatchesV1Sequential(t *testing.T) {
 		specs[i] = api.QuerySpec{Query: toWire(randWalk(rng, 5)), K: 5, Measure: measure, Algorithm: "pss"}
 	}
 
-	// 16 sequential v1 calls
-	v1Matches := make([][]api.Match, len(specs))
+	// 16 sequential one-spec calls
+	seqMatches := make([][]api.Match, len(specs))
 	for i, spec := range specs {
-		resp := postJSON(t, ts.URL+"/v1/topk", topkRequest{
-			Query: spec.Query, K: spec.K, Measure: spec.Measure, Algorithm: spec.Algorithm,
-		})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("v1 call %d: status %d", i, resp.StatusCode)
+		res := queryV2(t, ts.URL, spec)
+		if res.Error != nil {
+			t.Fatalf("sequential call %d: %v", i, res.Error)
 		}
-		var tr topkResponse
-		decodeBody(t, resp, &tr)
-		v1Matches[i] = tr.Matches
+		seqMatches[i] = res.Matches
 	}
 
-	// one v2 batch
+	// one 16-spec batch
 	resp := postJSON(t, ts.URL+"/v2/query", api.Query{Specs: specs})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("v2 batch: status %d", resp.StatusCode)
@@ -120,9 +116,9 @@ func TestV2BatchMatchesV1Sequential(t *testing.T) {
 			t.Fatalf("spec %d failed: %v", i, res.Error)
 		}
 		got, _ := json.Marshal(res.Matches)
-		want, _ := json.Marshal(v1Matches[i])
+		want, _ := json.Marshal(seqMatches[i])
 		if !bytes.Equal(got, want) {
-			t.Fatalf("spec %d: batch ranking differs from sequential /v1/topk:\n got %s\nwant %s", i, got, want)
+			t.Fatalf("spec %d: batch ranking differs from the sequential call:\n got %s\nwant %s", i, got, want)
 		}
 		if res.Total != len(res.Matches) {
 			t.Fatalf("spec %d: total %d for %d matches", i, res.Total, len(res.Matches))
@@ -210,7 +206,7 @@ func TestV2StreamFirstMatchBeforeSearchCompletes(t *testing.T) {
 
 // TestTypedErrorUniformity checks the satellite requirement: k ≤ 0,
 // k > store size and unknown measure/algorithm names surface as the same
-// typed invalid_argument shape from /v1, /v2 batch lanes and /v2 stream.
+// typed invalid_argument shape from /v2 batch lanes and /v2 stream.
 func TestTypedErrorUniformity(t *testing.T) {
 	rng := rand.New(rand.NewSource(87))
 	ts, eng := newTestServer(t, engine.Config{})
@@ -225,19 +221,8 @@ func TestTypedErrorUniformity(t *testing.T) {
 		"unknown algorithm": {Query: q, K: 1, Algorithm: "nope"},
 	}
 	for name, spec := range cases {
-		// v1: typed envelope with a 400 status
-		resp := postJSON(t, ts.URL+"/v1/topk", topkRequest{
-			Query: spec.Query, K: spec.K, Measure: spec.Measure, Algorithm: spec.Algorithm,
-		})
-		var er api.ErrorResponse
-		code := resp.StatusCode
-		decodeBody(t, resp, &er)
-		if code != http.StatusBadRequest || er.Err.Code != api.CodeInvalidArgument {
-			t.Errorf("%s via v1: status %d code %q", name, code, er.Err.Code)
-		}
-
-		// v2 batch: the same typed error inside the spec's result lane
-		resp = postJSON(t, ts.URL+"/v2/query", api.Query{Specs: []api.QuerySpec{spec}})
+		// v2 batch: the typed error inside the spec's result lane
+		resp := postJSON(t, ts.URL+"/v2/query", api.Query{Specs: []api.QuerySpec{spec}})
 		var qr api.QueryResponse
 		if resp.StatusCode != http.StatusOK {
 			t.Errorf("%s via v2 batch: status %d", name, resp.StatusCode)
@@ -253,7 +238,7 @@ func TestTypedErrorUniformity(t *testing.T) {
 		// v2 stream: the same typed envelope before any record is written
 		resp = postJSON(t, ts.URL+"/v2/query/stream", api.StreamQuery{Spec: spec})
 		var er2 api.ErrorResponse
-		code = resp.StatusCode
+		code := resp.StatusCode
 		decodeBody(t, resp, &er2)
 		if code != http.StatusBadRequest || er2.Err.Code != api.CodeInvalidArgument {
 			t.Errorf("%s via v2 stream: status %d code %q", name, code, er2.Err.Code)
