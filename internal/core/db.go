@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 
 	"simsub/internal/geo"
@@ -69,10 +70,28 @@ func DeriveMeta(t traj.Trajectory) TrajMeta {
 //
 // The trajectories live behind a pluggable Backend: in-memory by default,
 // or a persistent segment store serving mmap'd points.
+//
+// A Database is immutable: Append returns a new view and leaves the
+// receiver answering as it did. The R-tree is kept as a forest so that
+// growing costs what was added, not what is stored (see Append).
 type Database struct {
 	be   Backend
-	tree *index.RTree
-	grid *index.GridIndex
+	kind IndexKind
+	// parts is the RTreeIndex forest: STR-packed trees over contiguous,
+	// ascending ranges of local indices that together cover [0, be.Len()),
+	// each more than twice the size of the next. Trees are never modified
+	// once built, so successive views share them.
+	parts []treePart
+	grid  *index.GridIndex
+	// packed counts the entries bulk-loaded over this view's whole lineage
+	// of Appends: the clock-free measure of index maintenance work.
+	packed int
+}
+
+// treePart is one tree of the forest, over local indices [lo, hi).
+type treePart struct {
+	lo, hi int
+	tree   *index.RTree
 }
 
 // IndexKind selects the pruning structure of a Database.
@@ -85,6 +104,9 @@ const (
 	RTreeIndex
 	GridFileIndex
 )
+
+// rtreeFill is the fan-out of every tree in the forest.
+const rtreeFill = 32
 
 // NewDatabase builds a database; withIndex controls whether the R-tree is
 // constructed (bulk-loaded, fan-out 32).
@@ -107,22 +129,50 @@ func NewDatabaseIndexed(ts []traj.Trajectory, kind IndexKind) *Database {
 // build and the filter pushdown, so a backend restoring snapshot metadata
 // pays no per-point derivation here.
 func NewDatabaseBackend(be Backend, kind IndexKind) *Database {
-	db := &Database{be: be}
-	switch kind {
+	empty := &Database{be: &memBackend{}, kind: kind}
+	return empty.Append(be)
+}
+
+// Append returns the view of the database grown to be, which must extend
+// the receiver's backend: the same trajectories and metadata at every index
+// below db.Len(), the new ones behind them. The receiver is not modified
+// and shares its sealed trees with the result.
+//
+// For the R-tree this is the logarithmic method (Bentley & Saxe): the new
+// trajectories get a tree of their own, and while the youngest existing
+// tree is no more than twice the size of what is about to be packed it is
+// absorbed into the same bulk load (rectangles read back from be.Meta). An
+// entry is therefore re-packed only when its tree grows by half or more, so
+// N trajectories arriving in batches of b cost O(N log(N/b)) packing work in
+// at most ⌈log₂(N/b)⌉+1 trees, where rebuilding one tree per batch costs
+// O(N²/b). The grid file is rebuilt (its cell bounds depend on the whole
+// corpus); without an index there is nothing to maintain.
+func (db *Database) Append(be Backend) *Database {
+	next := &Database{be: be, kind: db.kind, parts: db.parts, packed: db.packed}
+	switch db.kind {
 	case RTreeIndex:
-		entries := make([]index.Entry, be.Len())
-		for i := range entries {
-			entries[i] = index.Entry{Rect: be.Meta(i).MBR, Ref: i}
+		if be.Len() == db.Len() {
+			break
 		}
-		db.tree = index.BulkLoad(entries, 32)
+		lo, keep := db.Len(), len(db.parts)
+		for keep > 0 && db.parts[keep-1].hi-db.parts[keep-1].lo <= 2*(be.Len()-lo) {
+			keep--
+			lo = db.parts[keep].lo
+		}
+		entries := make([]index.Entry, be.Len()-lo)
+		for i := range entries {
+			entries[i] = index.Entry{Rect: be.Meta(lo + i).MBR, Ref: lo + i}
+		}
+		next.parts = append(slices.Clip(db.parts[:keep]), treePart{lo, be.Len(), index.BulkLoad(entries, rtreeFill)})
+		next.packed += len(entries)
 	case GridFileIndex:
 		ts := make([]traj.Trajectory, be.Len())
 		for i := range ts {
 			ts[i] = be.Traj(i)
 		}
-		db.grid = index.NewGridIndex(ts, 32)
+		next.grid = index.NewGridIndex(ts, 32)
 	}
-	return db
+	return next
 }
 
 // Len returns the number of data trajectories.
@@ -134,16 +184,25 @@ func (db *Database) Traj(i int) traj.Trajectory { return db.be.Traj(i) }
 // Meta returns the i-th trajectory's precomputed scan metadata.
 func (db *Database) Meta(i int) TrajMeta { return db.be.Meta(i) }
 
-// HasIndex reports whether a pruning index was built.
-func (db *Database) HasIndex() bool { return db.tree != nil || db.grid != nil }
+// HasIndex reports whether the database prunes through an index.
+func (db *Database) HasIndex() bool { return db.kind != NoIndex }
 
 // Candidates returns the indices of trajectories surviving index pruning
-// for the query (all indices when no index was built).
+// for the query (all indices when no index was built). It is a set: the
+// order is unspecified — for the R-tree it is the concatenation of the
+// forest's searches — and nothing downstream depends on it, since the
+// threshold scan visits candidates by (bound, index) and the Collector's
+// ranking is a total order.
 func (db *Database) Candidates(q traj.Trajectory) []int {
-	switch {
-	case db.tree != nil:
-		return db.tree.Search(q.MBR(), nil)
-	case db.grid != nil:
+	switch db.kind {
+	case RTreeIndex:
+		var out []int
+		r := q.MBR()
+		for _, p := range db.parts {
+			out = p.tree.Search(r, out)
+		}
+		return out
+	case GridFileIndex:
 		return db.grid.Candidates(q)
 	default:
 		out := make([]int, db.be.Len())

@@ -57,7 +57,7 @@ func (k IndexKind) coreKind() core.IndexKind {
 // Config sizes an Engine. Zero values select the documented defaults.
 type Config struct {
 	// Shards is the number of store shards (default 4). More shards mean
-	// more intra-query parallelism and cheaper per-batch index rebuilds.
+	// more intra-query parallelism.
 	Shards int
 	// Workers bounds the number of concurrently executing per-shard search
 	// tasks across all in-flight queries (default GOMAXPROCS).
@@ -221,81 +221,71 @@ type Match struct {
 type Stats = api.Stats
 
 // shard is one partition of the store: a slice of trajectories (global IDs
-// ≡ shard index mod shard count) behind a core.Database rebuilt per bulk
-// load. Reads take the RLock; bulk loads swap in a fresh database under
-// the write lock, so in-flight searches keep their consistent snapshot.
+// ≡ shard index mod shard count) behind a core.Database view. Views are
+// immutable: a load or an encoder swap builds the next one beside the
+// current one and installs it under the write lock, which is held for the
+// pointer swap only, so in-flight searches keep their consistent view and
+// new ones never wait on an index build. Every mutation runs under
+// Engine.addMu, so the fields have one writer at a time and that writer may
+// read them without the lock.
 type shard struct {
 	mu    sync.RWMutex
-	kind  core.IndexKind
 	trajs []traj.Trajectory
 	metas []core.TrajMeta
 	db    *core.Database
 	// ann indexes the shard's embeddings (TrajMeta.Emb) for the approximate
-	// candidate prefilter; nil until an encoder is registered. Rebuilt
+	// candidate prefilter; nil until an encoder is registered. Installed
 	// together with db, so a view() pair is always consistent.
 	ann *ann.Index
 }
 
-// add appends a batch and rebuilds the shard's database. metas, when
-// non-nil, carries precomputed scan metadata (recovered from a storage
-// snapshot, or pre-embedded by the engine) aligned with ts; nil metas are
-// derived here, as a pure in-memory engine always did. With an encoder
-// registered the shard's LSH index is rebuilt over every stored embedding.
+// add appends a batch. metas, when non-nil, carries precomputed scan
+// metadata (recovered from a storage snapshot, or pre-embedded by the
+// engine) aligned with ts; nil metas are derived here, as a pure in-memory
+// engine always did. Readers of the current view never look past its
+// length, so appending in place behind it is safe.
 func (s *shard) add(ts []traj.Trajectory, metas []core.TrajMeta, enc *encoderEntry) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.trajs = append(s.trajs, ts...)
-	if metas != nil {
-		s.metas = append(s.metas, metas...)
-	} else {
+	grown := append(s.metas, metas...)
+	if metas == nil {
 		for _, t := range ts {
-			s.metas = append(s.metas, core.DeriveMeta(t))
+			grown = append(grown, core.DeriveMeta(t))
 		}
 	}
-	s.db = core.NewDatabaseBackend(core.NewMemBackend(s.trajs, s.metas), s.kind)
-	s.rebuildANN(enc)
-}
-
-// rebuildANN recomputes the shard's LSH index over the current embeddings
-// (caller holds the write lock). Without an encoder the index is dropped.
-func (s *shard) rebuildANN(enc *encoderEntry) {
-	if enc == nil {
-		s.ann = nil
-		return
-	}
-	vecs := make([][]float64, len(s.metas))
-	for i := range s.metas {
-		vecs[i] = s.metas[i].Emb
-	}
-	s.ann = ann.Build(vecs, enc.model.Dim(), ann.Config{})
+	s.install(append(s.trajs, ts...), grown, enc)
 }
 
 // reembed re-encodes every stored trajectory under enc into a FRESH meta
-// slice (in-flight searches keep reading the old one), rebuilds the
-// database and the LSH index, and returns the embeddings in local order.
+// slice (in-flight searches keep reading the old one) and returns the
+// embeddings in local order.
 func (s *shard) reembed(enc *encoderEntry) [][]float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	metas := make([]core.TrajMeta, len(s.metas))
-	copy(metas, s.metas)
+	metas := slices.Clone(s.metas)
 	embs := make([][]float64, len(metas))
 	for i := range metas {
-		emb := enc.model.Embed(s.trajs[i])
-		metas[i].Emb = emb
-		embs[i] = emb
+		embs[i] = enc.model.Embed(s.trajs[i])
+		metas[i].Emb = embs[i]
 	}
-	s.metas = metas
-	s.db = core.NewDatabaseBackend(core.NewMemBackend(s.trajs, s.metas), s.kind)
-	s.rebuildANN(enc)
+	s.install(s.trajs, metas, enc)
 	return embs
 }
 
-// snapshot returns the shard's current database, which is immutable once
-// built and therefore safe to search after the lock is released.
-func (s *shard) snapshot() *core.Database {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.db
+// install makes (trajs, metas) the shard's contents, which must extend the
+// current ones (metadata may differ in its embeddings only): the database
+// view is grown with core.Database.Append — whatever the index kind — and,
+// with an encoder registered, the LSH index is rebuilt over every stored
+// embedding, both outside the lock.
+func (s *shard) install(trajs []traj.Trajectory, metas []core.TrajMeta, enc *encoderEntry) {
+	db := s.db.Append(core.NewMemBackend(trajs, metas))
+	var ix *ann.Index
+	if enc != nil {
+		vecs := make([][]float64, len(metas))
+		for i := range metas {
+			vecs[i] = metas[i].Emb
+		}
+		ix = ann.Build(vecs, enc.model.Dim(), ann.Config{})
+	}
+	s.mu.Lock()
+	s.trajs, s.metas, s.db, s.ann = trajs, metas, db, ix
+	s.mu.Unlock()
 }
 
 // view returns the shard's current database together with the LSH index
@@ -312,9 +302,6 @@ func (s *shard) view() (*core.Database, *ann.Index) {
 // trajectory ID.
 func (s *shard) scan(ctx context.Context, alg core.Algorithm, q Query, col *core.Collector, st *core.PruneStats, annq *annQuery, fn func(core.Match) error) error {
 	db, ix := s.view()
-	if db == nil {
-		return nil
-	}
 	var src core.CandidateSource
 	if annq != nil && ix != nil {
 		src = annSource{db: db, ix: ix, q: annq}
@@ -387,15 +374,16 @@ func New(cfg Config) *Engine {
 		adm:    newAdmitter(cfg.QuerySlots, cfg.QueueLimit, cfg.QueueTarget, cfg.QueueInterval),
 	}
 	for i := range e.shards {
-		e.shards[i] = &shard{kind: cfg.Index.coreKind()}
+		e.shards[i] = &shard{db: core.NewDatabaseBackend(core.NewMemBackend(nil, nil), cfg.Index.coreKind())}
 	}
 	return e
 }
 
 // Add bulk-loads trajectories, assigning each a dense global ID (returned
 // in input order) and distributing them round-robin over the shards. Each
-// affected shard rebuilds its index once per call, so batch loads are much
-// cheaper than one-at-a-time loads. Loading invalidates cached results.
+// affected shard grows its index once per call, at a cost that follows the
+// batch and not the store (core.Database.Append). Loading invalidates
+// cached results.
 //
 // With a store attached (AttachStore), the batch is appended to the
 // durable log BEFORE it becomes searchable — write-ahead order — and a log

@@ -4,14 +4,19 @@
 // (following the Torch and seed-guided-metric-learning systems the paper
 // cites).
 //
-// The tree supports both one-shot STR bulk loading (Leutenegger et al.) for
-// static databases and dynamic insertion with quadratic splits for growing
-// ones.
+// The tree is built by one-shot STR bulk loading (Leutenegger et al.) and
+// is never modified afterwards by anything that serves queries: a growing
+// database (core.Database.Append) keeps a forest of bulk-loaded trees and
+// merges the youngest ones by bulk-loading their union. Insert, Guttman's
+// dynamic insertion with quadratic splits, is kept as the textbook
+// counterpart the tests compare against; nothing on the serving path
+// calls it.
 package index
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"simsub/internal/geo"
 )
@@ -61,76 +66,74 @@ func (t *RTree) Bounds() geo.Rect { return t.root.rect }
 // BulkLoad builds an R-tree from the entries with Sort-Tile-Recursive
 // packing: entries are sorted by center x, partitioned into vertical slices,
 // each slice sorted by center y and cut into full leaves. This yields a
-// well-packed tree in O(n log n).
+// well-packed tree in O(n log n). The entries slice is not retained.
 func BulkLoad(entries []Entry, maxFill int) *RTree {
 	t := New(maxFill)
 	if len(entries) == 0 {
 		return t
 	}
-	es := make([]Entry, len(entries))
-	copy(es, entries)
-	t.size = len(es)
+	t.size = len(entries)
 
 	// leaf level
-	leafCount := (len(es) + maxFill - 1) / maxFill
-	sliceCount := int(math.Ceil(math.Sqrt(float64(leafCount))))
-	perSlice := sliceCount * maxFill
-	sort.Slice(es, func(i, j int) bool {
-		return es[i].Rect.Center().X < es[j].Rect.Center().X
-	})
-	var leaves []*node
-	for s := 0; s < len(es); s += perSlice {
-		hi := s + perSlice
-		if hi > len(es) {
-			hi = len(es)
-		}
-		slice := es[s:hi]
-		sort.Slice(slice, func(i, j int) bool {
-			return slice[i].Rect.Center().Y < slice[j].Rect.Center().Y
-		})
-		for o := 0; o < len(slice); o += maxFill {
-			e := o + maxFill
-			if e > len(slice) {
-				e = len(slice)
-			}
-			leaf := &node{leaf: true, entries: append([]Entry(nil), slice[o:e]...)}
-			leaf.recomputeRect()
-			leaves = append(leaves, leaf)
-		}
+	items := make([]keyed, len(entries))
+	for i, e := range entries {
+		c := e.Rect.Center()
+		items[i] = keyed{c.X, c.Y, i}
 	}
-	// pack upper levels the same way until one root remains
-	level := leaves
-	for len(level) > 1 {
-		parentCount := (len(level) + maxFill - 1) / maxFill
-		sliceCount := int(math.Ceil(math.Sqrt(float64(parentCount))))
-		perSlice := sliceCount * maxFill
-		sort.Slice(level, func(i, j int) bool {
-			return level[i].rect.Center().X < level[j].rect.Center().X
-		})
-		var parents []*node
-		for s := 0; s < len(level); s += perSlice {
-			hi := s + perSlice
-			if hi > len(level) {
-				hi = len(level)
-			}
-			slice := level[s:hi]
-			sort.Slice(slice, func(i, j int) bool {
-				return slice[i].rect.Center().Y < slice[j].rect.Center().Y
-			})
-			for o := 0; o < len(slice); o += maxFill {
-				e := o + maxFill
-				if e > len(slice) {
-					e = len(slice)
-				}
-				p := &node{children: append([]*node(nil), slice[o:e]...)}
-				p.recomputeRect()
-				parents = append(parents, p)
-			}
+	var level []*node
+	strTile(items, t.maxFill, func(run []keyed) {
+		leaf := &node{leaf: true, entries: make([]Entry, len(run))}
+		for i, it := range run {
+			leaf.entries[i] = entries[it.i]
 		}
+		leaf.recomputeRect()
+		level = append(level, leaf)
+	})
+	// pack upper levels the same way until one root remains
+	for len(level) > 1 {
+		items = items[:len(level)]
+		for i, n := range level {
+			c := n.rect.Center()
+			items[i] = keyed{c.X, c.Y, i}
+		}
+		var parents []*node
+		strTile(items, t.maxFill, func(run []keyed) {
+			p := &node{children: make([]*node, len(run))}
+			for i, it := range run {
+				p.children[i] = level[it.i]
+			}
+			p.recomputeRect()
+			parents = append(parents, p)
+		})
 		level = parents
 	}
 	t.root = level[0]
 	return t
+}
+
+// keyed stands for the i-th item of the level being packed, with its
+// rectangle's center computed once: the sorts compare plain floats and move
+// 24 bytes, whatever the item is.
+type keyed struct {
+	x, y float64
+	i    int
+}
+
+// strTile is one level of Sort-Tile-Recursive packing: it sorts items by
+// center x, cuts them into vertical slices of about sqrt(groups) groups
+// each, sorts every slice by center y and hands emit each run of at most
+// maxFill items — one node's worth — in order. It reorders items in place.
+func strTile(items []keyed, maxFill int, emit func(run []keyed)) {
+	groups := (len(items) + maxFill - 1) / maxFill
+	perSlice := int(math.Ceil(math.Sqrt(float64(groups)))) * maxFill
+	slices.SortFunc(items, func(a, b keyed) int { return cmp.Compare(a.x, b.x) })
+	for s := 0; s < len(items); s += perSlice {
+		slice := items[s:min(s+perSlice, len(items))]
+		slices.SortFunc(slice, func(a, b keyed) int { return cmp.Compare(a.y, b.y) })
+		for o := 0; o < len(slice); o += maxFill {
+			emit(slice[o:min(o+maxFill, len(slice))])
+		}
+	}
 }
 
 func (n *node) recomputeRect() {

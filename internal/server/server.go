@@ -36,6 +36,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -172,7 +173,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	// the streaming bulk-ingest endpoint is exempt from the body cap: it
 	// decodes incrementally and never buffers the corpus, so its size is
-	// bounded by the store, not by memory
+	// bounded by the store, not by memory — its handler holds each record
+	// to the cap instead
 	if !(r.Method == http.MethodPost && r.URL.Path == "/v2/load/stream") {
 		r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
 	}
@@ -329,25 +331,26 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 }
 
 // streamLoadBatch is how many NDJSON records are buffered before each
-// engine.Add: large enough to amortize the per-batch index rebuild and
-// log write, small enough that memory stays flat at any corpus size.
+// engine.Add: large enough to amortize the per-batch log write and index
+// append, small enough that memory stays flat at any corpus size.
 const streamLoadBatch = 512
 
 // handleLoadStream is the streaming bulk-ingest endpoint: an NDJSON body
-// with one api.Trajectory object per record ({"points":[[x,y,t],...]},
-// unknown fields such as "id" ignored — the engine assigns global IDs).
-// Records are validated and committed in batches as they arrive, so a
-// 1M-trajectory corpus streams through constant memory straight into the
-// engine (and its write-ahead log when persistence is on). On a
-// mid-stream error, records of already-committed batches remain loaded;
-// the error message carries the committed count.
+// with one trajectory object per record ({"points":[[x,y,t],...]}, other
+// keys such as "id" ignored — the engine assigns global IDs; the grammar
+// is traj.Scanner's). Records are validated and committed in batches as
+// they arrive, so a 1M-trajectory corpus streams through constant memory
+// straight into the engine (and its write-ahead log when persistence is
+// on): the body as a whole is exempt from MaxBodyBytes, each record is
+// held to it. On a mid-stream error, records of already-committed batches
+// remain loaded; the error message carries the committed count.
 func (s *Server) handleLoadStream(w http.ResponseWriter, r *http.Request) {
 	if !s.admitLoad(w) {
 		return
 	}
 	defer s.endLoad()
 	start := time.Now()
-	dec := json.NewDecoder(r.Body)
+	sc := traj.NewScanner(r.Body, int(min(s.opts.MaxBodyBytes, math.MaxInt)))
 	batch := make([]traj.Trajectory, 0, streamLoadBatch)
 	firstID, loaded := -1, 0
 	flush := func() *api.Error {
@@ -367,19 +370,25 @@ func (s *Server) handleLoadStream(w http.ResponseWriter, r *http.Request) {
 	}
 	recNo := 0
 	for {
-		var wt api.Trajectory
-		if err := dec.Decode(&wt); err == io.EOF {
+		t, err := sc.Next()
+		if err == io.EOF {
 			break
-		} else if err != nil {
-			WriteErr(w, api.Errorf(api.CodeInvalidArgument,
-				"stream record %d: bad JSON (%d records already committed): %v", recNo+1, loaded, err))
-			return
 		}
 		recNo++
-		t, aerr := wt.ToTraj()
-		if aerr != nil {
+		var invalid *traj.InvalidError
+		switch {
+		case err == nil:
+		case errors.As(err, &invalid):
 			WriteErr(w, api.Errorf(api.CodeInvalidArgument,
-				"stream record %d (%d records already committed): %s", recNo, loaded, aerr.Message))
+				"stream record %d (%d records already committed): %s", recNo, loaded, invalid.Msg))
+			return
+		case errors.Is(err, traj.ErrRecordTooLarge):
+			WriteErr(w, api.Errorf(api.CodeTooLarge,
+				"stream record %d exceeds %d bytes (%d records already committed)", recNo, s.opts.MaxBodyBytes, loaded))
+			return
+		default:
+			WriteErr(w, api.Errorf(api.CodeInvalidArgument,
+				"stream record %d: bad JSON (%d records already committed): %v", recNo, loaded, err))
 			return
 		}
 		batch = append(batch, t)

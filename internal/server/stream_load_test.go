@@ -164,3 +164,83 @@ func TestRecoveringGate(t *testing.T) {
 		t.Fatalf("stats state after recovery: %q", stats.State)
 	}
 }
+
+// TestLoadStreamBadRecords is the route's table of refused records: what is
+// wrong with each, and the text the client reads. The same records seed
+// FuzzTrajectoryScanner (badRecords in internal/traj/scan_test.go); keep the
+// two in step.
+func TestLoadStreamBadRecords(t *testing.T) {
+	ts, eng := newTestServer(t, engine.Config{Shards: 2})
+	const good = `{"points":[[0,0],[1,1]]}` + "\n"
+	for _, c := range []struct{ record, message string }{
+		{`this is not json`, "stream record 2: bad JSON (0 records already committed): invalid character 't', want the '{' of a trajectory object at offset 25"},
+		{`{"points":[[0,0],[1,1]]`, "stream record 2: bad JSON (0 records already committed): unexpected EOF"},
+		{`{"points":[]}`, "stream record 2 (0 records already committed): trajectory is empty"},
+		{`{}`, "stream record 2 (0 records already committed): trajectory is empty"},
+		{`null`, "stream record 2: bad JSON (0 records already committed): invalid character 'n', want the '{' of a trajectory object at offset 25"},
+		{`[[0,0],[1,1]]`, "stream record 2: bad JSON (0 records already committed): invalid character '[', want the '{' of a trajectory object at offset 25"},
+		{`{"points":[[0,0],[1]]}`, "stream record 2 (0 records already committed): point 1 has 1 coordinates, want [x,y] or [x,y,t]"},
+		{`{"points":[[0,0,0,0]]}`, "stream record 2 (0 records already committed): point 0 has 4 coordinates, want [x,y] or [x,y,t]"},
+		{`{"points":[[0,0],null]}`, "stream record 2 (0 records already committed): point 1 has 0 coordinates, want [x,y] or [x,y,t]"},
+		{`{"points":[[0,null]]}`, "stream record 2 (0 records already committed): point 0 has a null coordinate"},
+		{`{"points":[[0,"1"]]}`, `stream record 2: bad JSON (0 records already committed): invalid character '"', want a coordinate at offset 39`},
+		{`{"points":[[0,1e400]]}`, "stream record 2: bad JSON (0 records already committed): coordinate 1e400 does not fit a float64 at offset 39"},
+		{`{"points":[[0,01]]}`, "stream record 2: bad JSON (0 records already committed): invalid character '1' after a value, want ',' or ']' at offset 40"},
+		{`{"points":{"0":[0,0]}}`, "stream record 2: bad JSON (0 records already committed): invalid character '{', want the '[' of a points array at offset 35"},
+		{`{"points":[[0,0]],}`, "stream record 2: bad JSON (0 records already committed): invalid character '}', want a key string at offset 43"},
+	} {
+		resp, err := http.Post(ts.URL+"/v2/load/stream", "application/x-ndjson", strings.NewReader(good+c.record+"\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var envelope struct {
+			Error *api.Error `json:"error"`
+		}
+		decodeBody(t, resp, &envelope)
+		if resp.StatusCode != http.StatusBadRequest || envelope.Error == nil ||
+			envelope.Error.Code != api.CodeInvalidArgument || envelope.Error.Message != c.message {
+			t.Errorf("%s: status %d, error %+v\nwant 400 invalid_argument %q", c.record, resp.StatusCode, envelope.Error, c.message)
+		}
+	}
+	if eng.Len() != 0 {
+		t.Fatalf("engine holds %d trajectories after refused streams", eng.Len())
+	}
+}
+
+// TestLoadStreamRecordCap: the route's body is exempt from MaxBodyBytes, a
+// single record is not. A record that never ends is cut off at the cap with
+// the typed too_large naming the record and what was committed before it,
+// instead of being buffered whole.
+func TestLoadStreamRecordCap(t *testing.T) {
+	eng := engine.New(engine.Config{Shards: 2})
+	srv := httptest.NewServer(New(eng, Options{MaxBodyBytes: 1 << 10}))
+	t.Cleanup(srv.Close)
+	small := strings.Repeat(`{"points":[[0,0],[1,1]]}`+"\n", 600) // 15 kB: well past the cap
+	resp, err := http.Post(srv.URL+"/v2/load/stream", "application/x-ndjson", strings.NewReader(small))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ok api.BulkLoadResponse
+	decodeBody(t, resp, &ok)
+	if resp.StatusCode != http.StatusOK || ok.Loaded != 600 {
+		t.Fatalf("a long stream of small records: status %d, %+v", resp.StatusCode, ok)
+	}
+
+	long := `{"points":[[0,0],[1,1]],"pad":"` + strings.Repeat("x", 4<<10) // no newline, no end
+	resp, err = http.Post(srv.URL+"/v2/load/stream", "application/x-ndjson", strings.NewReader(small+long))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var envelope struct {
+		Error *api.Error `json:"error"`
+	}
+	decodeBody(t, resp, &envelope)
+	const want = "stream record 601 exceeds 1024 bytes (512 records already committed)"
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || envelope.Error == nil ||
+		envelope.Error.Code != api.CodeTooLarge || envelope.Error.Message != want {
+		t.Fatalf("status %d, error %+v; want 413 too_large %q", resp.StatusCode, envelope.Error, want)
+	}
+	if eng.Len() != 600+512 {
+		t.Fatalf("engine holds %d trajectories, want the first stream's 600 and the second's committed 512", eng.Len())
+	}
+}

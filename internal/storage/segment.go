@@ -70,18 +70,28 @@ func checkFileHeader(data []byte, magic, path string) error {
 	return nil
 }
 
+// beginFramed opens a framed record (len | crc | payload) at the end of buf:
+// the caller appends the payload and closes the frame with endFramed(buf, at).
+func beginFramed(buf []byte) (_ []byte, at int) {
+	return append(buf, make([]byte, recHeaderSize)...), len(buf)
+}
+
+// endFramed backpatches the length and checksum of the frame opened at at,
+// whose payload runs to the end of buf.
+func endFramed(buf []byte, at int) {
+	payload := buf[at+recHeaderSize:]
+	binary.LittleEndian.PutUint32(buf[at:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[at+4:], crc32.ChecksumIEEE(payload))
+}
+
 // appendTrajRecord appends the framed record for t to buf.
 func appendTrajRecord(buf []byte, t traj.Trajectory) []byte {
-	plen := trajHeaderSize + t.Len()*pointSize
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(plen))
-	crcAt := len(buf)
-	buf = binary.LittleEndian.AppendUint32(buf, 0) // crc backpatched below
-	payloadAt := len(buf)
+	buf, at := beginFramed(buf)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(t.ID)))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(t.Len()))
 	buf = binary.LittleEndian.AppendUint32(buf, 0) // reserved
 	buf = appendPoints(buf, t.Points)
-	binary.LittleEndian.PutUint32(buf[crcAt:], crc32.ChecksumIEEE(buf[payloadAt:]))
+	endFramed(buf, at)
 	return buf
 }
 

@@ -3,7 +3,6 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -42,29 +41,50 @@ const (
 	embMagic            = "SEMB0001"
 )
 
+// snapshotImage encodes the snapshot file covering recs. The file's size is
+// known before its first byte — every record's length follows from its
+// point count — so the image is built in one buffer of exactly that size
+// instead of one grown by doubling, which at tens of thousands of records
+// was most of the time a snapshot took.
+func (s *Store) snapshotImage(recs []Record) []byte {
+	gen := uint64(len(recs)) // record count is monotone, so it doubles as generation
+	emb := s.embPayload(len(recs))
+	size := fileHeaderSize + recHeaderSize + manifestPayloadSize
+	for _, r := range recs {
+		size += recHeaderSize + metaHeaderSize + r.Meta.Rev.Len()*pointSize
+	}
+	if emb != nil {
+		size += recHeaderSize + len(emb)
+	}
+	buf := append(make([]byte, 0, size), fileHeader(snapMagic)...)
+	buf, at := beginFramed(buf)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(recs)))
+	buf = binary.LittleEndian.AppendUint64(buf, gen)
+	endFramed(buf, at)
+	for _, r := range recs {
+		buf, at = beginFramed(buf)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(r.ID)))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(r.Meta.N))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(r.Meta.Rev.Len()))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.Meta.MBR.MinX))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.Meta.MBR.MinY))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.Meta.MBR.MaxX))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.Meta.MBR.MaxY))
+		buf = appendPoints(buf, r.Meta.Rev.Points)
+		endFramed(buf, at)
+	}
+	if emb != nil {
+		buf, at = beginFramed(buf)
+		buf = append(buf, emb...)
+		endFramed(buf, at)
+	}
+	return buf
+}
+
 // writeSnapshot persists metas for recs to a new snapshot file, atomically
 // (temp file + fsync + rename).
 func (s *Store) writeSnapshot(recs []Record) error {
-	gen := uint64(len(recs)) // record count is monotone, so it doubles as generation
-	buf := fileHeader(snapMagic)
-	var payload []byte
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(len(recs)))
-	payload = binary.LittleEndian.AppendUint64(payload, gen)
-	buf = appendFramed(buf, payload)
-	for _, r := range recs {
-		payload = payload[:0]
-		payload = binary.LittleEndian.AppendUint64(payload, uint64(int64(r.ID)))
-		payload = binary.LittleEndian.AppendUint32(payload, uint32(r.Meta.N))
-		payload = binary.LittleEndian.AppendUint32(payload, uint32(r.Meta.Rev.Len()))
-		payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(r.Meta.MBR.MinX))
-		payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(r.Meta.MBR.MinY))
-		payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(r.Meta.MBR.MaxX))
-		payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(r.Meta.MBR.MaxY))
-		payload = appendPoints(payload, r.Meta.Rev.Points)
-		buf = appendFramed(buf, payload)
-	}
-	buf = s.appendEmbRecord(buf, len(recs))
-
+	buf := s.snapshotImage(recs)
 	tmp := filepath.Join(s.dir, ".tmp"+snapSuffix)
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -96,15 +116,15 @@ func (s *Store) writeSnapshot(recs []Record) error {
 	return syncDir(s.dir)
 }
 
-// appendEmbRecord frames the store's current embedding set — restricted to
-// record IDs below covered — onto buf. A no-op when no embedding was ever
-// recorded, which keeps snapshots of encoder-less deployments byte-for-byte
-// in the pre-embedding format.
-func (s *Store) appendEmbRecord(buf []byte, covered int) []byte {
+// embPayload builds the embedding record's payload from the store's
+// current embedding set, restricted to record IDs below covered. It is nil
+// when no embedding was ever recorded, which keeps snapshots of
+// encoder-less deployments byte-for-byte in the pre-embedding format.
+func (s *Store) embPayload(covered int) []byte {
 	s.embMu.Lock()
 	defer s.embMu.Unlock()
 	if !s.hasEmb {
-		return buf
+		return nil
 	}
 	dim := 0
 	count := 0
@@ -139,7 +159,7 @@ func (s *Store) appendEmbRecord(buf []byte, covered int) []byte {
 			payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(v))
 		}
 	}
-	return appendFramed(buf, payload)
+	return payload
 }
 
 // readEmbRecord parses the optional embedding record at data[off] and
@@ -175,13 +195,6 @@ func readEmbRecord(data []byte, off int, metas []core.TrajMeta) (fp uint64, ok b
 		metas[id].Emb = emb
 	}
 	return fp, true
-}
-
-// appendFramed appends one framed record (len | crc | payload) to buf.
-func appendFramed(buf, payload []byte) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
-	return append(buf, payload...)
 }
 
 // loadBestSnapshot tries snapshots newest-first and returns the metadata

@@ -1,6 +1,10 @@
 package storage
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -296,4 +300,61 @@ func TestEmptyTrajectoryRecord(t *testing.T) {
 	s2, _ := mustOpen(t, dir, Options{})
 	defer s2.Close()
 	equalRecords(t, s2.Records(), want)
+}
+
+// TestSnapshotImageUnchangedAndPresized holds the pre-sized snapshot writer
+// to the format: its image equals, byte for byte, the one assembled the way
+// the writer used to — each record framed from a payload of its own,
+// appended to a growing buffer — with and without an embedding record, and
+// its buffer is exactly the file's size, never grown.
+func TestSnapshotImageUnchangedAndPresized(t *testing.T) {
+	s, _ := mustOpen(t, t.TempDir(), Options{})
+	defer s.Close()
+	rng := rand.New(rand.NewSource(24))
+	recs, err := s.Append(genTrajs(rng, 300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	framed := func(buf, payload []byte) []byte {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+		buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
+		return append(buf, payload...)
+	}
+	for _, withEmb := range []bool{false, true} {
+		if withEmb {
+			for _, r := range recs[:200] {
+				s.SetEmbedding(r.ID, 0xfeed, []float64{float64(r.ID), -1, 0.25})
+			}
+		}
+		want := fileHeader(snapMagic)
+		var payload []byte
+		payload = binary.LittleEndian.AppendUint64(payload, uint64(len(recs)))
+		payload = binary.LittleEndian.AppendUint64(payload, uint64(len(recs)))
+		want = framed(want, payload)
+		for _, r := range recs {
+			payload = payload[:0]
+			payload = binary.LittleEndian.AppendUint64(payload, uint64(int64(r.ID)))
+			payload = binary.LittleEndian.AppendUint32(payload, uint32(r.Meta.N))
+			payload = binary.LittleEndian.AppendUint32(payload, uint32(r.Meta.Rev.Len()))
+			for _, f := range []float64{r.Meta.MBR.MinX, r.Meta.MBR.MinY, r.Meta.MBR.MaxX, r.Meta.MBR.MaxY} {
+				payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(f))
+			}
+			for _, p := range r.Meta.Rev.Points {
+				for _, f := range []float64{p.X, p.Y, p.T} {
+					payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(f))
+				}
+			}
+			want = framed(want, payload)
+		}
+		if withEmb {
+			want = framed(want, s.embPayload(len(recs)))
+		}
+		got := s.snapshotImage(recs)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("embeddings=%v: snapshot image differs from the reference encoding (%d vs %d bytes)", withEmb, len(got), len(want))
+		}
+		if cap(got) != len(got) {
+			t.Fatalf("embeddings=%v: image of %d bytes sits in a buffer of %d", withEmb, len(got), cap(got))
+		}
+	}
 }

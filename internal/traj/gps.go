@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -172,22 +173,23 @@ func WriteNDJSON(w io.Writer, ts []Trajectory) error {
 	return bw.Flush()
 }
 
-// ReadNDJSON reads the format produced by WriteNDJSON.
+// ReadNDJSON reads the format produced by WriteNDJSON through the Scanner,
+// the decoder POST /v2/load/stream runs, and so under its grammar and
+// rules: a two-coordinate point [x,y] reads as t = the point's index (as
+// the stream route always read it; this function used to read t = 0), and
+// a record with no points, or a point with more than three coordinates, is
+// an error rather than a short trajectory.
 func ReadNDJSON(r io.Reader) ([]Trajectory, error) {
-	dec := json.NewDecoder(bufio.NewReader(r))
+	sc := NewScanner(r, math.MaxInt)
 	var out []Trajectory
 	for {
-		var jt jsonTraj
-		if err := dec.Decode(&jt); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("traj: decoding NDJSON record %d: %w", len(out)+1, err)
+		t, err := sc.Next()
+		if err == io.EOF {
+			return out, nil
 		}
-		t := Trajectory{ID: jt.ID, Points: make([]geo.Point, len(jt.Points))}
-		for j, p := range jt.Points {
-			t.Points[j] = geo.Point{X: p[0], Y: p[1], T: p[2]}
+		if err != nil {
+			return nil, fmt.Errorf("traj: decoding NDJSON record %d: %w", len(out)+1, err)
 		}
 		out = append(out, t)
 	}
-	return out, nil
 }
