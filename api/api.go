@@ -379,11 +379,15 @@ type Stats struct {
 	EarlyAbandoned int64 `json:"early_abandoned"`
 	// Learned-search serving state: whether a policy is registered, its
 	// algorithm name and content fingerprint, and how many queries the
-	// learned searches have answered. The PolicyCompile* fields describe
-	// the compiled table policy when one is serving (policy-compile): its
-	// per-dimension grid resolution, the action-divergence rate measured
-	// against the source network at compile time, and the table's own
-	// content hash, which the serving PolicyFingerprint folds in.
+	// learned searches have answered. RLSQueries and ANNQueries count by
+	// the plan that answered: cache hits count, queries rejected before
+	// their scan or failed during it do not, and a degraded query counts
+	// under the algorithm it was degraded to. The PolicyCompile* fields
+	// describe the compiled table policy when one is serving
+	// (policy-compile): its per-dimension grid resolution, the
+	// action-divergence rate measured against the source network at compile
+	// time, and the table's own content hash, which the serving
+	// PolicyFingerprint folds in.
 	PolicyLoaded              bool    `json:"policy_loaded"`
 	PolicyName                string  `json:"policy_name,omitempty"`
 	PolicyFingerprint         string  `json:"policy_fingerprint,omitempty"`
@@ -407,8 +411,8 @@ type Stats struct {
 
 	// Embedding serving state: whether a trajectory encoder is registered
 	// (enabling the "embed" algorithm and the ann prefilter), its
-	// dimensionality / token grid / content fingerprint, how many queries
-	// used the ann prefilter, and the sampled recall telemetry — for a
+	// dimensionality / token grid / content fingerprint, how many answered
+	// queries used the ann prefilter, and the sampled recall telemetry — for a
 	// sampled fraction of ann-prefiltered queries the server reruns the
 	// same search over the exhaustive candidate set and records the top-k
 	// overlap (recall@k); MeanRecall is the lifetime mean of those samples
@@ -641,11 +645,15 @@ type StreamSearcher interface {
 	QueryStream(ctx context.Context, spec QuerySpec, emit func(Match) error) (*StreamSummary, error)
 }
 
+// MS is a duration in the wire's fractional milliseconds (microsecond
+// resolution).
+func MS(d time.Duration) float64 {
+	return float64(d.Microseconds()) / 1000
+}
+
 // TookMS is the wall-clock time since start in the wire's fractional
 // milliseconds.
-func TookMS(start time.Time) float64 {
-	return float64(time.Since(start).Microseconds()) / 1000
-}
+func TookMS(start time.Time) float64 { return MS(time.Since(start)) }
 
 // msContext tightens ctx by ms milliseconds when positive, clamped so an
 // absurd value cannot overflow the duration multiply into an

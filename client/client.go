@@ -232,6 +232,15 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, in, out any
 	})
 }
 
+// call is roundTrip for a request whose JSON answer decodes into a T.
+func call[T any](ctx context.Context, c *Client, method, path string, in any, idempotent bool) (*T, error) {
+	var out T
+	if err := c.roundTrip(ctx, method, path, in, &out, idempotent); err != nil {
+		return nil, err
+	}
+	return &out, nil
+}
+
 func (c *Client) send(ctx context.Context, method, path string, in any) (*http.Response, error) {
 	var body io.Reader
 	if in != nil {
@@ -254,11 +263,7 @@ func (c *Client) send(ctx context.Context, method, path string, in any) (*http.R
 // Load bulk-loads trajectories and returns their server-assigned global
 // IDs in input order.
 func (c *Client) Load(ctx context.Context, ts []api.Trajectory) (*api.LoadResponse, error) {
-	var out api.LoadResponse
-	if err := c.roundTrip(ctx, http.MethodPost, "/v2/load", api.LoadRequest{Trajectories: ts}, &out, false); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return call[api.LoadResponse](ctx, c, http.MethodPost, "/v2/load", api.LoadRequest{Trajectories: ts}, false)
 }
 
 // LoadStream streams an NDJSON corpus (one {"points":[[x,y,t],...]}
@@ -293,11 +298,7 @@ func (c *Client) LoadStream(ctx context.Context, corpus io.Reader) (*api.BulkLoa
 // answered concurrently by the server, Results[i] answering Specs[i], with
 // per-spec failures inside their result.
 func (c *Client) Query(ctx context.Context, req api.Query) (*api.QueryResponse, error) {
-	var out api.QueryResponse
-	if err := c.roundTrip(ctx, http.MethodPost, "/v2/query", req, &out, true); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return call[api.QueryResponse](ctx, c, http.MethodPost, "/v2/query", req, true)
 }
 
 // QueryStream implements api.StreamSearcher over POST /v2/query/stream:
@@ -369,11 +370,7 @@ func (c *Client) QueryStream(ctx context.Context, spec api.QuerySpec, emit func(
 // GetTrajectory fetches a stored trajectory by its global ID; an
 // unassigned ID returns a typed not_found error.
 func (c *Client) GetTrajectory(ctx context.Context, id int) (*api.TrajectoryRecord, error) {
-	var out api.TrajectoryRecord
-	if err := c.roundTrip(ctx, http.MethodGet, fmt.Sprintf("/v2/trajectories/%d", id), nil, &out, true); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return call[api.TrajectoryRecord](ctx, c, http.MethodGet, fmt.Sprintf("/v2/trajectories/%d", id), nil, true)
 }
 
 // SwapPolicy registers a new DQN splitting policy on the server (POST
@@ -384,22 +381,14 @@ func (c *Client) GetTrajectory(ctx context.Context, id int) (*api.TrajectoryReco
 // are rejected with a typed invalid_argument error and leave the previous
 // registration serving.
 func (c *Client) SwapPolicy(ctx context.Context, req api.PolicySwapRequest) (*api.PolicyInfo, error) {
-	var out api.PolicyInfo
-	if err := c.roundTrip(ctx, http.MethodPost, "/v2/admin/policy", req, &out, true); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return call[api.PolicyInfo](ctx, c, http.MethodPost, "/v2/admin/policy", req, true)
 }
 
 // Policy fetches the registered policy's description (GET
 // /v2/admin/policy); a server with no policy loaded returns a typed
 // not_found error.
 func (c *Client) Policy(ctx context.Context) (*api.PolicyInfo, error) {
-	var out api.PolicyInfo
-	if err := c.roundTrip(ctx, http.MethodGet, "/v2/admin/policy", nil, &out, true); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return call[api.PolicyInfo](ctx, c, http.MethodGet, "/v2/admin/policy", nil, true)
 }
 
 // SwapEncoder registers a new t2vec trajectory encoder on the server
@@ -410,31 +399,19 @@ func (c *Client) Policy(ctx context.Context) (*api.PolicyInfo, error) {
 // Invalid encoders are rejected with a typed invalid_argument error and
 // leave the previous registration serving.
 func (c *Client) SwapEncoder(ctx context.Context, req api.EncoderSwapRequest) (*api.EncoderInfo, error) {
-	var out api.EncoderInfo
-	if err := c.roundTrip(ctx, http.MethodPost, "/v2/admin/encoder", req, &out, true); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return call[api.EncoderInfo](ctx, c, http.MethodPost, "/v2/admin/encoder", req, true)
 }
 
 // Encoder fetches the registered encoder's description (GET
 // /v2/admin/encoder); a server with no encoder loaded returns a typed
 // not_found error.
 func (c *Client) Encoder(ctx context.Context) (*api.EncoderInfo, error) {
-	var out api.EncoderInfo
-	if err := c.roundTrip(ctx, http.MethodGet, "/v2/admin/encoder", nil, &out, true); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return call[api.EncoderInfo](ctx, c, http.MethodGet, "/v2/admin/encoder", nil, true)
 }
 
 // Stats fetches the engine and server counters.
 func (c *Client) Stats(ctx context.Context) (*api.StatsResponse, error) {
-	var out api.StatsResponse
-	if err := c.roundTrip(ctx, http.MethodGet, "/v2/stats", nil, &out, true); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return call[api.StatsResponse](ctx, c, http.MethodGet, "/v2/stats", nil, true)
 }
 
 // Health probes the liveness endpoint.

@@ -270,19 +270,21 @@ func (a *admitter) queueWait() time.Duration {
 }
 
 // servable reports whether the query could be answered by the given
-// algorithm instead of its own: resolution must succeed (the learned
-// fallback needs a loaded policy of the right kind).
-func (e *Engine) servable(q Query, algorithm string) bool {
-	_, _, err := e.resolveAlg(q.Measure, algorithm, q.Params)
+// algorithm instead of its own under the query's pinned registry snapshot:
+// resolution must succeed (the learned fallback needs a loaded policy of
+// the right kind).
+func servable(a *artifacts, q Query, algorithm string) bool {
+	q.Algorithm = algorithm
+	_, err := resolve(a, q)
 	return err == nil
 }
 
 // budgetFallback picks the first degradation fallback that is servable and
 // whose predicted cost fits the remaining budget (unknown costs are given
 // the benefit of the doubt); "" when none qualifies.
-func (e *Engine) budgetFallback(q Query, remaining time.Duration, n int) string {
+func (e *Engine) budgetFallback(a *artifacts, q Query, remaining time.Duration, n int) string {
 	for _, fb := range degradeChain(q.Algorithm) {
-		if !e.servable(q, fb) {
+		if !servable(a, q, fb) {
 			continue
 		}
 		if est, known := e.cost.estimate(q.Measure, fb, n); known && est > remaining {
@@ -296,9 +298,9 @@ func (e *Engine) budgetFallback(q Query, remaining time.Duration, n int) string 
 // degradeTarget is the overload-path fallback: the first servable entry of
 // the degradation chain, with no cost check — anything on the chain is
 // cheaper than the exhaustive scan being shed.
-func (e *Engine) degradeTarget(q Query) string {
+func degradeTarget(a *artifacts, q Query) string {
 	for _, fb := range degradeChain(q.Algorithm) {
-		if e.servable(q, fb) {
+		if servable(a, q, fb) {
 			return fb
 		}
 	}
@@ -310,9 +312,10 @@ func (e *Engine) degradeTarget(q Query) string {
 // remaining budget minus the merge reserve, rejecting EARLY with
 // deadline_exceeded), graceful degradation under the caller's explicit
 // opt-in, and admission through the CoDel controller. On success it may
-// have rewritten q.Algorithm to a cheaper fallback; it returns the slot
-// release func and the degradation marker for the response.
-func (e *Engine) planAdmit(ctx context.Context, q *Query) (func(), *api.Degraded, *api.Error) {
+// have rewritten q.Algorithm to a cheaper fallback servable under a, the
+// query's pinned registry snapshot; it returns the slot release func and
+// the degradation marker for the response.
+func (e *Engine) planAdmit(ctx context.Context, a *artifacts, q *Query) (func(), *api.Degraded, *api.Error) {
 	var deg *api.Degraded
 	if dl, ok := ctx.Deadline(); ok {
 		remaining := time.Until(dl) - e.cfg.MergeReserve
@@ -325,7 +328,7 @@ func (e *Engine) planAdmit(ctx context.Context, q *Query) (func(), *api.Degraded
 		if est, known := e.cost.estimate(q.Measure, q.Algorithm, n); known && est > remaining {
 			fb := ""
 			if q.AllowDegraded {
-				fb = e.budgetFallback(*q, remaining, n)
+				fb = e.budgetFallback(a, *q, remaining, n)
 			}
 			if fb == "" {
 				e.deadlineRejects.Add(1)
@@ -341,7 +344,7 @@ func (e *Engine) planAdmit(ctx context.Context, q *Query) (func(), *api.Degraded
 	if aerr != nil && aerr.Code == api.CodeOverloaded && q.AllowDegraded && classOf(q.Algorithm) == classExpensive {
 		// shed as an exhaustive scan, but the caller would rather have a
 		// cheaper answer than an error: retry once in the cheap class
-		if fb := e.degradeTarget(*q); fb != "" {
+		if fb := degradeTarget(a, *q); fb != "" {
 			deg = &api.Degraded{Reason: api.DegradedOverload, From: q.Algorithm, To: fb}
 			q.Algorithm = fb
 			rel, aerr = e.adm.acquire(ctx, classOf(q.Algorithm))

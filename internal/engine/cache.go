@@ -16,16 +16,18 @@ import (
 // older store version become unreachable and age out of the LRU instead of
 // being served stale. Every spec dimension that changes the ranking is
 // part of the key — measure/algorithm names and their parameter overrides,
-// k, the spatial filter, distinct collapsing, and for the learned searches
-// the fingerprint of the policy that computed the ranking — while
-// offset/limit are deliberately absent: pages are windows over the cached
-// full ranking, so every page of a query hits the same entry.
+// k, the spatial filter, distinct collapsing, the ann prefilter's knobs,
+// and the fingerprint of the registry snapshot (policy and encoder) the
+// ranking was computed under — while offset/limit are deliberately absent:
+// pages are windows over the cached full ranking, so every page of a query
+// hits the same entry.
 //
-// The policy fingerprint makes hot swaps cache-correct without any
-// locking: a query pins the policy it resolved, so a ranking that raced a
-// swap is keyed under the old fingerprint, which no post-swap lookup can
+// The snapshot fingerprint makes hot swaps cache-correct without any
+// locking: a query pins the snapshot it resolved, so a ranking that raced
+// a swap is keyed under the old fingerprint, which no post-swap lookup can
 // construct — the cache can never serve a ranking computed under a policy
-// other than the currently registered one.
+// or encoder other than the currently registered one. Keying every query
+// by it loses no hit, since every swap purges the cache anyway.
 type cacheKey struct {
 	gen       uint64
 	measure   string
@@ -38,24 +40,17 @@ type cacheKey struct {
 	// bound/hasBound key the wire-propagated k-th-best bound: a bounded
 	// query's ranking may legitimately omit matches beyond the bound, so
 	// it must never be served to a query with a different (or no) bound.
-	bound    float64
-	hasBound bool
-	policy   uint64
-	// ANN-prefiltered rankings depend on the candidate budget, the probe
-	// width and the encoder that embedded the corpus, so all three are
-	// keyed; encoder is the encoder fingerprint (0 = no prefilter),
-	// playing the same role for hot encoder swaps as the policy
-	// fingerprint does for policy swaps.
-	encoder   uint64
+	bound     float64
+	hasBound  bool
+	fp        uint64
 	annCands  int
 	annProbes int
 	digest    uint64
 }
 
-// cacheKeyFor derives the ranking's cache key from the query spec, the
-// fingerprint of the resolved policy (0 for non-learned algorithms) and
-// the fingerprint of the encoder behind the ANN prefilter (0 without one).
-func (e *Engine) cacheKeyFor(q Query, policyFP, encoderFP uint64) cacheKey {
+// cacheKeyFor derives the ranking's cache key from the query spec and the
+// fingerprint of the query's pinned registry snapshot.
+func (e *Engine) cacheKeyFor(q Query, fp uint64) cacheKey {
 	key := cacheKey{
 		gen:      e.gen.Load(),
 		measure:  q.Measure,
@@ -63,8 +58,7 @@ func (e *Engine) cacheKeyFor(q Query, policyFP, encoderFP uint64) cacheKey {
 		k:        q.K,
 		params:   q.Params,
 		distinct: q.Distinct,
-		policy:   policyFP,
-		encoder:  encoderFP,
+		fp:       fp,
 		digest:   digest(q.Q),
 	}
 	if q.ANN != nil {

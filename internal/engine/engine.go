@@ -29,6 +29,7 @@ import (
 	"simsub/internal/geo"
 	"simsub/internal/sim"
 	"simsub/internal/storage"
+	"simsub/internal/t2vec"
 	"simsub/internal/traj"
 )
 
@@ -244,7 +245,7 @@ type shard struct {
 // engine) aligned with ts; nil metas are derived here, as a pure in-memory
 // engine always did. Readers of the current view never look past its
 // length, so appending in place behind it is safe.
-func (s *shard) add(ts []traj.Trajectory, metas []core.TrajMeta, enc *encoderEntry) {
+func (s *shard) add(ts []traj.Trajectory, metas []core.TrajMeta, enc *t2vec.Model) {
 	grown := append(s.metas, metas...)
 	if metas == nil {
 		for _, t := range ts {
@@ -257,11 +258,11 @@ func (s *shard) add(ts []traj.Trajectory, metas []core.TrajMeta, enc *encoderEnt
 // reembed re-encodes every stored trajectory under enc into a FRESH meta
 // slice (in-flight searches keep reading the old one) and returns the
 // embeddings in local order.
-func (s *shard) reembed(enc *encoderEntry) [][]float64 {
+func (s *shard) reembed(enc *t2vec.Model) [][]float64 {
 	metas := slices.Clone(s.metas)
 	embs := make([][]float64, len(metas))
 	for i := range metas {
-		embs[i] = enc.model.Embed(s.trajs[i])
+		embs[i] = enc.Embed(s.trajs[i])
 		metas[i].Emb = embs[i]
 	}
 	s.install(s.trajs, metas, enc)
@@ -273,7 +274,7 @@ func (s *shard) reembed(enc *encoderEntry) [][]float64 {
 // view is grown with core.Database.Append — whatever the index kind — and,
 // with an encoder registered, the LSH index is rebuilt over every stored
 // embedding, both outside the lock.
-func (s *shard) install(trajs []traj.Trajectory, metas []core.TrajMeta, enc *encoderEntry) {
+func (s *shard) install(trajs []traj.Trajectory, metas []core.TrajMeta, enc *t2vec.Model) {
 	db := s.db.Append(core.NewMemBackend(trajs, metas))
 	var ix *ann.Index
 	if enc != nil {
@@ -281,7 +282,7 @@ func (s *shard) install(trajs []traj.Trajectory, metas []core.TrajMeta, enc *enc
 		for i := range metas {
 			vecs[i] = metas[i].Emb
 		}
-		ix = ann.Build(vecs, enc.model.Dim(), ann.Config{})
+		ix = ann.Build(vecs, enc.Dim(), ann.Config{})
 	}
 	s.mu.Lock()
 	s.trajs, s.metas, s.db, s.ann = trajs, metas, db, ix
@@ -342,18 +343,14 @@ type Engine struct {
 	deadlineRejects atomic.Int64
 	degradedQueries atomic.Int64
 
-	// policy is the registered DQN splitting policy serving "rls" /
-	// "rls-skip" (nil until SetPolicy); see policy.go.
-	policy     atomic.Pointer[policyEntry]
+	// art is the serving-artifact registry snapshot: the DQN splitting
+	// policy serving "rls"/"rls-skip" and the trajectory encoder serving
+	// "embed" and the ANN candidate prefilter; see artifact.go.
+	art        atomic.Pointer[artifacts]
 	rlsQueries atomic.Int64
-	quality    qualityTracker
-
-	// encoder is the registered trajectory encoder serving the "embed"
-	// algorithm and the ANN candidate prefilter (nil until SetEncoder);
-	// see encoder.go.
-	encoder    atomic.Pointer[encoderEntry]
 	annQueries atomic.Int64
-	recall     recallTracker
+	quality    sampler // approximation ratio, mean rank, skipped fraction
+	recall     sampler // recall@k of ann-prefiltered rankings
 }
 
 // recordPrune folds one query's pruning counters into the engine totals.
@@ -376,6 +373,7 @@ func New(cfg Config) *Engine {
 	for i := range e.shards {
 		e.shards[i] = &shard{db: core.NewDatabaseBackend(core.NewMemBackend(nil, nil), cfg.Index.coreKind())}
 	}
+	e.art.Store(&artifacts{})
 	return e
 }
 
@@ -406,7 +404,8 @@ func (e *Engine) Add(ts []traj.Trajectory) ([]int, error) {
 	// from a mixed pre/post-load snapshot can never enter the cache.
 	e.gen.Add(1)
 	defer e.gen.Add(1)
-	enc := e.encoder.Load()
+	a := e.art.Load()
+	enc := a.enc
 	ids := make([]int, len(ts))
 	buckets := make([][]traj.Trajectory, len(e.shards))
 	var metaBuckets [][]core.TrajMeta
@@ -438,9 +437,9 @@ func (e *Engine) Add(ts []traj.Trajectory) ([]int, error) {
 			if enc != nil {
 				// embed at insert, and record the vector against the store
 				// so the next snapshot persists it for recovery
-				meta.Emb = enc.model.Embed(t)
+				meta.Emb = enc.Embed(t)
 				if st != nil {
-					st.SetEmbedding(id, enc.fp, meta.Emb)
+					st.SetEmbedding(id, a.encFP, meta.Emb)
 				}
 			}
 			metaBuckets[si] = append(metaBuckets[si], meta)
@@ -479,13 +478,14 @@ func (e *Engine) AttachStore(st *storage.Store) error {
 	e.gen.Add(1)
 	defer e.gen.Add(1)
 	recs := st.Records()
-	enc := e.encoder.Load()
+	a := e.art.Load()
+	enc := a.enc
 	var reusable bool
 	if enc != nil {
 		// snapshot-restored embeddings are reused only under the exact
 		// registered encoder (fingerprint match); anything else re-encodes
 		fp, ok := st.EmbeddingInfo()
-		reusable = ok && fp == enc.fp
+		reusable = ok && fp == a.encFP
 	}
 	buckets := make([][]traj.Trajectory, len(e.shards))
 	metaBuckets := make([][]core.TrajMeta, len(e.shards))
@@ -493,9 +493,9 @@ func (e *Engine) AttachStore(st *storage.Store) error {
 	for _, r := range recs {
 		si := r.ID % len(e.shards)
 		meta := r.Meta
-		if enc != nil && (!reusable || len(meta.Emb) != enc.model.Dim()) {
-			meta.Emb = enc.model.Embed(r.Traj)
-			st.SetEmbedding(r.ID, enc.fp, meta.Emb)
+		if enc != nil && (!reusable || len(meta.Emb) != enc.Dim()) {
+			meta.Emb = enc.Embed(r.Traj)
+			st.SetEmbedding(r.ID, a.encFP, meta.Emb)
 		}
 		buckets[si] = append(buckets[si], r.Traj)
 		metaBuckets[si] = append(metaBuckets[si], meta)
@@ -585,57 +585,6 @@ func measureFor(name string, p Params) (sim.Measure, error) {
 		return nil, api.Errorf(api.CodeInvalidArgument, "%v", err)
 	}
 	return m, nil
-}
-
-// ResolveQuery builds the measure and algorithm a query names, applying
-// per-query parameter overrides. Algorithm names, aliases and
-// measure pinning (spring/ucr are DTW-only, embed is t2vec-only) come
-// from the api registration table, so pairing a pinned algorithm with
-// any other measure is rejected rather than silently returning
-// mislabeled distances. All resolution failures are typed *api.Error
-// values with code invalid_argument.
-func ResolveQuery(measure, algorithm string, p Params) (core.Algorithm, error) {
-	m, err := measureFor(measure, p)
-	if err != nil {
-		return nil, err
-	}
-	info, aerr := api.CheckAlgorithm(measure, algorithm)
-	if aerr != nil {
-		return nil, aerr
-	}
-	if p.POSDelay != 0 {
-		if p.POSDelay < 0 {
-			return nil, api.Errorf(api.CodeInvalidArgument, "pos_delay must be positive, got %d", p.POSDelay)
-		}
-		if info.Name != "pos-d" {
-			return nil, api.Errorf(api.CodeInvalidArgument, "pos_delay set but algorithm is %q, not \"pos-d\"", algorithm)
-		}
-		return core.POSD{M: m, D: p.POSDelay}, nil
-	}
-	if info.NeedsPolicy {
-		// the learned searches bind a trained policy, which lives in an
-		// engine's registry — resolvable only through Engine.Resolve
-		return nil, api.Errorf(api.CodeInvalidArgument,
-			"algorithm %q requires a loaded policy; resolve it through an engine with one registered", algorithm)
-	}
-	if info.NeedsEncoder {
-		// embedding ranking binds a trajectory encoder, which lives in an
-		// engine's registry — resolvable only through Engine.Resolve
-		return nil, api.Errorf(api.CodeInvalidArgument,
-			"algorithm %q requires a registered encoder; resolve it through an engine with one registered", algorithm)
-	}
-	alg, ok := core.AlgorithmFor(info.Name, m)
-	if !ok {
-		return nil, api.Errorf(api.CodeInvalidArgument, "unknown algorithm %q", algorithm)
-	}
-	return alg, nil
-}
-
-// Resolve builds the measure and algorithm a query names, binding the
-// learned searches ("rls", "rls-skip") to the engine's registered policy.
-func (e *Engine) Resolve(q Query) (core.Algorithm, error) {
-	alg, _, err := e.resolveAlg(q.Measure, q.Algorithm, q.Params)
-	return alg, err
 }
 
 // validateQuery rejects malformed queries with typed invalid_argument
@@ -765,8 +714,9 @@ func (e *Engine) TopKStream(ctx context.Context, q Query, emit func(Match) error
 // prune like local ones from the first candidate. With a non-nil emit,
 // every match the collector retains is also handed to emit on the calling
 // goroutine. scatter is the common scan core of topK and of the samplers'
-// reference rescans.
-func (e *Engine) scatter(ctx context.Context, alg core.Algorithm, q Query, emit func(Match) error) ([]Match, core.PruneStats, error) {
+// reference rescans; a is the query's pinned registry snapshot, whose
+// encoder resolve has checked for every ann-prefiltered query.
+func (e *Engine) scatter(ctx context.Context, a *artifacts, alg core.Algorithm, q Query, emit func(Match) error) ([]Match, core.PruneStats, error) {
 	col := core.NewCollector(q.K)
 	if q.Bound != nil {
 		col.Seed(*q.Bound)
@@ -775,9 +725,7 @@ func (e *Engine) scatter(ctx context.Context, alg core.Algorithm, q Query, emit 
 	// and shared by every shard worker, like the collector
 	var annq *annQuery
 	if q.ANN != nil {
-		if ent := e.encoder.Load(); ent != nil {
-			annq = e.annQueryFor(ent, q)
-		}
+		annq = e.annQueryFor(a.enc, q)
 	}
 	// The stream hand-off: scanners send what the collector retained to the
 	// calling goroutine, which runs emit — no per-shard completion barrier
@@ -877,23 +825,14 @@ func (e *Engine) topK(ctx context.Context, q Query, emit func(Match) error) (ful
 	if aerr := e.validateQuery(q); aerr != nil {
 		return nil, nil, false, nil, aerr
 	}
-	alg, policyFP, err := e.resolveAlg(q.Measure, q.Algorithm, q.Params)
+	// the query's one load of the registry snapshot: resolution, the cache
+	// key, the ann query embedding and the samplers all read it
+	a := e.art.Load()
+	b, err := resolve(a, q)
 	if err != nil {
 		return nil, nil, false, nil, err
 	}
-	ent, aerr := e.annCheck(q)
-	if aerr != nil {
-		return nil, nil, false, nil, aerr
-	}
-	var encFP uint64
-	if ent != nil {
-		encFP = ent.fp
-		e.annQueries.Add(1)
-	}
 	e.queries.Add(1)
-	if _, ok := alg.(core.RLS); ok {
-		e.rlsQueries.Add(1)
-	}
 	e.inflight.Add(1)
 	defer e.inflight.Add(-1)
 
@@ -914,17 +853,18 @@ func (e *Engine) topK(ctx context.Context, q Query, emit func(Match) error) (ful
 				}
 			}
 		}
+		e.served(b, q)
 		return ms, page, true, nil
 	}
 	if e.cache != nil {
-		key = e.cacheKeyFor(q, policyFP, encFP)
+		key = e.cacheKeyFor(q, a.fp)
 		if full, page, hit, err := probe(); hit {
 			return full, page, err == nil, nil, err
 		}
 		e.misses.Add(1)
 	}
 
-	rel, deg, aerr := e.planAdmit(ctx, &q)
+	rel, deg, aerr := e.planAdmit(ctx, a, &q)
 	if aerr != nil {
 		return nil, nil, false, nil, aerr
 	}
@@ -932,12 +872,11 @@ func (e *Engine) topK(ctx context.Context, q Query, emit func(Match) error) (ful
 	if deg != nil {
 		// the plan substituted a cheaper algorithm: rebind it and retry the
 		// cache under the rewritten query's key
-		alg, policyFP, err = e.resolveAlg(q.Measure, q.Algorithm, q.Params)
-		if err != nil {
+		if b, err = resolve(a, q); err != nil {
 			return nil, nil, false, nil, err
 		}
 		if e.cache != nil {
-			key = e.cacheKeyFor(q, policyFP, encFP)
+			key = e.cacheKeyFor(q, a.fp)
 			if full, page, hit, err := probe(); hit {
 				return full, page, err == nil, deg, err
 			}
@@ -947,22 +886,23 @@ func (e *Engine) topK(ctx context.Context, q Query, emit func(Match) error) (ful
 	gen := e.gen.Load()
 	n := e.Len()
 	scanStart := time.Now()
-	merged, prune, err := e.scatter(ctx, alg, q, emit)
+	merged, prune, err := e.scatter(ctx, a, b.alg, q, emit)
 	if err != nil {
 		return nil, nil, false, nil, err
 	}
+	e.served(b, q)
 	e.cost.observe(q.Measure, q.Algorithm, n, time.Since(scanStart))
 	e.recordPrune(prune)
 	// sampled serving quality of the learned searches: compare this ranking
 	// against the exact one over the same snapshot — before distinct
 	// collapsing, which the exact reference scan does not apply
-	if rls, ok := alg.(core.RLS); ok && e.quality.sampled(e.cfg.QualitySample) {
-		e.sampleQuality(ctx, q, rls, merged, gen)
+	if b.row.NeedsPolicy && e.quality.sampled(e.cfg.QualitySample) {
+		e.sampleQuality(ctx, a, b.m, q, merged, gen)
 	}
 	// sampled ANN recall: compare the prefiltered ranking against the same
 	// search over the exhaustive candidate set, on the same snapshot
 	if q.ANN != nil && e.recall.sampled(e.cfg.RecallSample) {
-		e.sampleRecall(ctx, q, alg, merged, gen)
+		e.sampleRecall(ctx, a, b.alg, q, merged, gen)
 	}
 	if q.Distinct {
 		merged = e.collapseDuplicates(merged)
@@ -1013,7 +953,7 @@ func (e *Engine) Stats() Stats {
 		DeadlineRejects: e.deadlineRejects.Load(),
 		DegradedQueries: e.degradedQueries.Load(),
 		QueueDepth:      e.adm.queued.Load(),
-		QueueWaitMS:     float64(e.adm.queueWait().Microseconds()) / 1000,
+		QueueWaitMS:     api.MS(e.adm.queueWait()),
 		Shedding:        e.adm.shedding.Load(),
 	}
 	if info, ok := e.Policy(); ok {
@@ -1025,7 +965,9 @@ func (e *Engine) Stats() Stats {
 		st.PolicyCompileDivergence = info.CompileDivergence
 		st.PolicyCompiledFingerprint = info.CompiledFingerprint
 	}
-	st.QualitySamples, st.ApproxRatio, st.MeanRank, st.SkippedFraction = e.quality.snapshot()
+	var quality, recall [3]float64
+	st.QualitySamples, quality = e.quality.snapshot()
+	st.ApproxRatio, st.MeanRank, st.SkippedFraction = quality[0], quality[1], quality[2]
 	if info, ok := e.Encoder(); ok {
 		st.EncoderLoaded = true
 		st.EncoderFingerprint = info.Fingerprint
@@ -1033,6 +975,7 @@ func (e *Engine) Stats() Stats {
 		st.EncoderGrid = info.Grid
 	}
 	st.ANNQueries = e.annQueries.Load()
-	st.RecallSamples, st.MeanRecall = e.recall.snapshot()
+	st.RecallSamples, recall = e.recall.snapshot()
+	st.MeanRecall = recall[0]
 	return st
 }

@@ -259,18 +259,14 @@ func (r *Router) Stats(ctx context.Context) (*api.StatsResponse, error) {
 			Failures:     n.failures.Load(),
 			Hedges:       n.hedges.Load(),
 			Retries:      n.retries.Load(),
-			RTTMeanMS:    durMS(n.rtt.mean()),
-			RTTP50MS:     durMS(n.rtt.quantile(0.50)),
-			RTTP95MS:     durMS(n.rtt.quantile(0.95)),
+			RTTMeanMS:    api.MS(n.rtt.mean()),
+			RTTP50MS:     api.MS(n.rtt.quantile(0.50)),
+			RTTP95MS:     api.MS(n.rtt.quantile(0.95)),
 			Breaker:      n.brk.stateName(),
 			BreakerOpens: n.brk.openCount(),
 		})
 	}
 	return &api.StatsResponse{Engine: agg, Measures: measures, Router: rs}, nil
-}
-
-func durMS(d time.Duration) float64 {
-	return float64(d.Microseconds()) / 1000
 }
 
 // Health probes every node; it succeeds when every group has at least one
