@@ -176,7 +176,7 @@ func (a PSS) Search(t, q traj.Trajectory) Result {
 
 // pssScan is the prefix scan of Algorithm 2 over precomputed suffix
 // distances; the threshold-aware search path shares it, supplying suffix
-// state built from the store's cached reversals.
+// state from its per-scan suffixPass.
 func pssScan(m sim.Measure, t, q traj.Trajectory, suf []float64) Result {
 	n := t.Len()
 	best := Result{Dist: math.Inf(1)}

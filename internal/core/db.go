@@ -13,8 +13,8 @@ import (
 )
 
 // Backend supplies a Database's trajectories and their precomputed scan
-// metadata (TrajMeta: point count, MBR, reversal). The in-memory default is
-// built by the NewDatabase* constructors; persistent backends (package
+// metadata (TrajMeta: point count, MBR). The in-memory default is built by
+// the NewDatabase* constructors; persistent backends (package
 // internal/storage) serve mmap'd on-disk points and snapshot-restored
 // metadata through the same interface, so the zero-allocation scan path is
 // oblivious to where the points live. Backends must be immutable once a
@@ -41,8 +41,8 @@ func (b *memBackend) Len() int                   { return len(b.trajs) }
 func (b *memBackend) Traj(i int) traj.Trajectory { return b.trajs[i] }
 func (b *memBackend) Meta(i int) TrajMeta        { return b.metas[i] }
 
-// NewMemBackend builds the in-memory Backend: per-trajectory MBRs and
-// reversals are derived once, here, so the scan hot path never re-derives
+// NewMemBackend builds the in-memory Backend: per-trajectory point counts
+// and MBRs are derived once, here, so the scan hot path never re-derives
 // them. When metas is non-nil it must be parallel to ts and is adopted
 // as-is (the caller — a persistent store restoring a snapshot — already
 // owns the derivation).
@@ -59,7 +59,7 @@ func NewMemBackend(ts []traj.Trajectory, metas []TrajMeta) Backend {
 // DeriveMeta computes a trajectory's scan metadata from scratch: the
 // insert-time derivation the snapshot path exists to skip.
 func DeriveMeta(t traj.Trajectory) TrajMeta {
-	return TrajMeta{N: t.Len(), MBR: t.MBR(), Rev: t.Reverse()}
+	return TrajMeta{N: t.Len(), MBR: t.MBR()}
 }
 
 // Database is a collection of data trajectories with an optional MBR R-tree

@@ -41,15 +41,13 @@ import (
 // through PruneStats instead.
 
 // TrajMeta is per-trajectory metadata precomputed at insert time and handed
-// to threshold-aware searches, so the scan hot path neither re-derives MBRs
-// nor re-allocates reversals.
+// to threshold-aware searches, so the scan hot path never re-derives MBRs.
+// Suffix passes reverse candidates into per-scan scratch (suffixPass).
 type TrajMeta struct {
 	// N is the trajectory's point count.
 	N int
 	// MBR is the trajectory's minimum bounding rectangle.
 	MBR geo.Rect
-	// Rev is the reversed trajectory (suffix-state scans run over it).
-	Rev traj.Trajectory
 	// Emb is the trajectory's embedding under the engine's registered
 	// encoder, or nil/empty when no encoder is registered. Its length must
 	// equal the encoder's Dim; consumers treat a mismatched length as
@@ -338,22 +336,19 @@ func (s *sizeThresholdSearch) Release() {}
 // answer; the threshold instead gates the whole candidate through the
 // lower-bound cascade — valid because every split the algorithms report is
 // a genuine subtrajectory, whose distance the cascade bounds from below —
-// and suppresses completed results beyond tau. Suffix state reuses the
-// store's precomputed reversal, the reversed query computed once per scan,
-// and a scratch buffer reused across candidates.
+// and suppresses completed results beyond tau. PSS's suffix state comes
+// from the scan's suffixPass.
 type splitThresholdSearch struct {
 	cascade
-	m      sim.Measure
-	suffix bool // PSS: scan suffixes as well as prefixes
-	delay  int  // POS-D split delay
-	q      traj.Trajectory
-	qRev   traj.Trajectory
-	suf    []float64
+	*suffixPass // PSS only: nil for the prefix-only POS and POS-D
+	m           sim.Measure
+	delay       int // POS-D split delay
+	q           traj.Trajectory
 }
 
 // NewThresholdSearch implements ThresholdSearcher.
 func (a PSS) NewThresholdSearch(q traj.Trajectory) ThresholdSearch {
-	return &splitThresholdSearch{cascade: cascadeFor(a.M, q), m: a.M, suffix: true, q: q, qRev: q.Reverse()}
+	return &splitThresholdSearch{cascade: cascadeFor(a.M, q), suffixPass: &suffixPass{m: a.M, qRev: q.Reverse()}, m: a.M, q: q}
 }
 
 // NewThresholdSearch implements ThresholdSearcher.
@@ -368,13 +363,8 @@ func (a POSD) NewThresholdSearch(q traj.Trajectory) ThresholdSearch {
 
 func (s *splitThresholdSearch) Search(t traj.Trajectory, meta TrajMeta, tau float64) (Result, Pruned) {
 	var r Result
-	if s.suffix {
-		tr := meta.Rev
-		if tr.Len() != t.Len() {
-			tr = t.Reverse() // defensive: zero-value meta
-		}
-		s.suf = sim.SuffixDistsInto(s.suf, s.m, tr, s.qRev)
-		r = pssScan(s.m, t, s.q, s.suf)
+	if s.suffixPass != nil {
+		r = pssScan(s.m, t, s.q, s.dists(t))
 	} else {
 		r = posSearch(s.m, t, s.q, s.delay)
 	}
@@ -385,6 +375,27 @@ func (s *splitThresholdSearch) Search(t traj.Trajectory, meta TrajMeta, tau floa
 }
 
 func (s *splitThresholdSearch) Release() {}
+
+// suffixPass is one scan's suffix similarities (PSS, Algorithm 2 lines
+// 2–3, and the RLS state Θsuf): the measure run over the reversed candidate
+// against qRev, the query reversed once per scan. Each candidate is
+// reversed into rev, an O(n) copy beside the O(n·m) pass; rev and suf are
+// reused across candidates, so the pass allocates nothing per candidate.
+type suffixPass struct {
+	m    sim.Measure
+	qRev traj.Trajectory
+	rev  []geo.Point
+	suf  []float64
+}
+
+// dists returns d(T[i,n-1]^R, Q^R) for every start index i of t. The slice
+// is scratch: the next call overwrites it.
+func (p *suffixPass) dists(t traj.Trajectory) []float64 {
+	p.rev = append(p.rev[:0], t.Points...)
+	slices.Reverse(p.rev)
+	p.suf = sim.SuffixDistsInto(p.suf, p.m, traj.Trajectory{ID: t.ID, Points: p.rev}, p.qRev)
+	return p.suf
+}
 
 // Collector is the result set and the Thresholder of a top-k scan in one: a
 // bounded max-heap of the k best matches offered so far under RankBefore,

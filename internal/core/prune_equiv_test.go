@@ -136,7 +136,7 @@ func TestPrunedScanSharedThreshold(t *testing.T) {
 }
 
 // TestTopKExactPrunedEquivalence checks the natively pruned TopKExact (and
-// TopKSplit over cached-reversal suffix state) against seed-faithful
+// TopKSplit over its suffix state) against seed-faithful
 // references, distinct on and off.
 func TestTopKExactPrunedEquivalence(t *testing.T) {
 	data := equivData(40, 30, 31)
@@ -413,33 +413,45 @@ func TestSpringMatchesFreeStartDTW(t *testing.T) {
 	}
 }
 
-// TestPrunedScanAllocations: the gate's column is pooled and the visit
-// order is one buffer per scan, so what a scan allocates does not grow with
-// the candidates it drops on their bounds — only with the few that reach
-// the gate (one Incremental per scored one, as before the gate; the factor
-// leaves room for every pooled row to miss, which the race detector makes
-// sync.Pool do) and the k matches retained (boxed once into container/heap
-// and once out of it).
+// TestPrunedScanAllocations: the gate's column is pooled, the visit order
+// is one buffer per scan and PSS's suffix pass reverses every candidate
+// into one scratch, so what a scan allocates does not grow with the
+// candidates it drops on their bounds — only with the few that reach a
+// search (one Incremental per scored one, two for PSS's prefix and suffix
+// passes; the factor leaves room for every pooled row to miss, which the
+// race detector makes sync.Pool do) and the Collector's k-match heap and
+// its sorted copy.
 func TestPrunedScanAllocations(t *testing.T) {
 	const k = 10
 	db := NewDatabase(equivData(500, 24, 81), false)
 	q := equivData(1, 9, 82)[0]
-	alg := ExactS{M: sim.DTW{}}
-	var st PruneStats
-	scan := func() {
-		st = PruneStats{}
-		if _, err := db.TopKPrunedCtx(context.Background(), alg, q, k, nil, nil, &st); err != nil {
-			t.Fatal(err)
+	for _, alg := range []Algorithm{ExactS{M: sim.DTW{}}, PSS{M: sim.DTW{}}} {
+		var st PruneStats
+		scan := func() {
+			st = PruneStats{}
+			if _, err := db.TopKPrunedCtx(context.Background(), alg, q, k, nil, nil, &st); err != nil {
+				t.Fatal(err)
+			}
 		}
+		scan() // warm the row pool
+		allocs := testing.AllocsPerRun(20, scan)
+		if st.Candidates != 500 || st.Scored >= 100 {
+			t.Fatalf("%s: unexpected scan shape: %+v", alg.Name(), st)
+		}
+		if limit := float64(5*(st.Scored+st.Abandoned) + 2*k + 24); allocs > limit {
+			t.Errorf("%s: scan over %d candidates (%d scored) allocates %.0f objects, want <= %.0f",
+				alg.Name(), st.Candidates, st.Scored, allocs, limit)
+		}
+		t.Logf("%s: allocs/scan %.0f for %+v", alg.Name(), allocs, st)
 	}
-	scan() // warm the row pool
-	allocs := testing.AllocsPerRun(20, scan)
-	if st.Candidates != 500 || st.Scored >= 100 {
-		t.Fatalf("unexpected scan shape: %+v", st)
+	// the bound has room for a few allocations per scored candidate, so the
+	// suffix pass's scratch is pinned directly: once grown, every candidate
+	// no longer than the last is reversed into the same backing arrays
+	p := &suffixPass{m: sim.DTW{}, qRev: q.Reverse()}
+	ts := equivData(2, 24, 83)
+	p.dists(ts[0])
+	rev, suf := &p.rev[0], &p.suf[0]
+	if p.dists(ts[1]); &p.rev[0] != rev || &p.suf[0] != suf {
+		t.Error("the suffix pass re-allocated its scratch for a candidate of the same length")
 	}
-	if limit := float64(5*(st.Scored+st.Abandoned) + 2*k + 24); allocs > limit {
-		t.Errorf("scan over %d candidates (%d scored) allocates %.0f objects, want <= %.0f",
-			st.Candidates, st.Scored, allocs, limit)
-	}
-	t.Logf("allocs/scan %.0f for %+v", allocs, st)
 }

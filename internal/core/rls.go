@@ -116,9 +116,8 @@ func walk(env *rl.SplitEnv, actor rl.Actor) {
 // exactly what the top-k heap would do. Either way rankings stay
 // byte-identical to an unpruned RLS scan.
 //
-// The per-query state mirrors splitThresholdSearch: the reversed query and
-// a suffix scratch reused across candidates (fed from the store's
-// precomputed reversals), plus one environment and one actor Rebind-ed at
+// The per-query state mirrors splitThresholdSearch: PSS's suffixPass when
+// the policy reads Θsuf, plus one environment and one actor Rebind-ed at
 // each candidate, so the sequential scan path performs no per-candidate
 // allocation either.
 func (a RLS) NewThresholdSearch(q traj.Trajectory) ThresholdSearch {
@@ -127,10 +126,8 @@ func (a RLS) NewThresholdSearch(q traj.Trajectory) ThresholdSearch {
 	if !ok || q.Len() == 0 {
 		return s // degenerate: every candidate reports an infinite distance
 	}
-	s.m = a.M
-	s.useSuffix = useSuffix
 	if useSuffix {
-		s.qRev = q.Reverse()
+		s.suffixPass = &suffixPass{m: a.M, qRev: q.Reverse()}
 	}
 	if !simplify {
 		s.cascade = cascadeFor(a.M, q)
@@ -145,27 +142,19 @@ func (a RLS) NewThresholdSearch(q traj.Trajectory) ThresholdSearch {
 }
 
 type rlsThresholdSearch struct {
-	cascade   // armed only for full-state policies
-	m         sim.Measure
-	useSuffix bool
-	qRev      traj.Trajectory
-	env       *rl.SplitEnv
-	table     *rl.TablePolicy // serve from the fused table walk when set
-	actor     rl.Actor        // network actor otherwise
-	suf       []float64
+	cascade     // armed only for full-state policies
+	*suffixPass // nil unless the policy reads Θsuf
+	env         *rl.SplitEnv
+	table       *rl.TablePolicy // serve from the fused table walk when set
+	actor       rl.Actor        // network actor otherwise
 }
 
 func (s *rlsThresholdSearch) Search(t traj.Trajectory, meta TrajMeta, tau float64) (Result, Pruned) {
 	r := Result{Dist: math.Inf(1)}
 	if s.env != nil && t.Len() > 0 {
 		var suf []float64
-		if s.useSuffix {
-			tr := meta.Rev
-			if tr.Len() != t.Len() {
-				tr = t.Reverse() // defensive: zero-value meta
-			}
-			s.suf = sim.SuffixDistsInto(s.suf, s.m, tr, s.qRev)
-			suf = s.suf
+		if s.suffixPass != nil {
+			suf = s.dists(t)
 		}
 		s.env.Rebind(t, suf)
 		if s.table != nil {

@@ -291,7 +291,8 @@ func TestRLSThresholdScanMatchesUnpruned(t *testing.T) {
 		}
 		_, _, simplified, _ := alg.params()
 		for qi, q := range []traj.Trajectory{randTraj(rng, 5), {}} {
-			// without stored metadata the search reverses the trajectory itself
+			// a zero TrajMeta is no special case: the suffix pass never reads
+			// metadata, it reverses every candidate into scratch
 			bare := alg.NewThresholdSearch(q)
 			if got, _ := bare.Search(ts[0], TrajMeta{}, math.Inf(1)); got != alg.Search(ts[0], q) {
 				t.Fatalf("alg%d q%d: zero-meta search %+v, direct %+v", ai, qi, got, alg.Search(ts[0], q))

@@ -462,7 +462,7 @@ func (e *Engine) Add(ts []traj.Trajectory) ([]int, error) {
 
 // AttachStore binds a persistent store to an empty engine and loads every
 // recovered record into the shards, reusing snapshot-restored metadata
-// (MBRs, reversals) instead of re-deriving it. Subsequent Adds are written
+// (MBRs, embeddings) instead of re-deriving it. Subsequent Adds are written
 // through the store's log before becoming searchable. The engine takes
 // over the store's ID sequence, which is dense and therefore matches the
 // engine's own assignment scheme exactly.

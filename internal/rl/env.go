@@ -106,8 +106,8 @@ func NewScanEnv(m sim.Measure, q traj.Trajectory, cfg EnvConfig) *SplitEnv {
 // Rebind retargets the environment at a new data trajectory against the
 // same measure and query, reusing the prefix stream and, with suf == nil,
 // rederiving suffix distances in place. A non-nil suf supplies them
-// precomputed (len == t.Len(), e.g. via sim.SuffixDistsInto over a stored
-// reversal); either way Explored accounts for them exactly as a fresh
+// precomputed (len == t.Len(), e.g. via sim.SuffixDistsInto over a
+// reversed scratch copy of t); either way Explored accounts for them exactly as a fresh
 // NewSplitEnv would, so results stay comparable across the two paths. The
 // caller keeps ownership of suf until the next Rebind or Reset.
 func (e *SplitEnv) Rebind(t traj.Trajectory, suf []float64) {

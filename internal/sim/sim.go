@@ -95,9 +95,9 @@ func SuffixDists(m Measure, t, q traj.Trajectory) []float64 {
 
 // SuffixDistsInto is SuffixDists with the reversals and the output buffer
 // supplied by the caller: tr and qr must be the already-reversed data and
-// query trajectories (stores precompute tr at insert time, scans reverse q
-// once per query), and dst is reused when its capacity suffices. This is
-// the scan hot path's allocation-free form.
+// query trajectories (scans reverse q once per query and each candidate
+// into scratch of their own), and dst is reused when its capacity
+// suffices. This is the scan hot path's allocation-free form.
 func SuffixDistsInto(dst []float64, m Measure, tr, qr traj.Trajectory) []float64 {
 	n := tr.Len()
 	if cap(dst) < n {

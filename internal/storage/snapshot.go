@@ -2,6 +2,7 @@ package storage
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -10,22 +11,22 @@ import (
 	"simsub/internal/core"
 	"simsub/internal/failpoint"
 	"simsub/internal/geo"
-	"simsub/internal/traj"
 )
 
 // Snapshot file layout ("SSNP" header, then the shared record framing):
 //
 //	manifest record payload := applied:u64 generation:u64
-//	meta record payload     := id:i64 n:u32 nrev:u32 mbr:4*f64 revpoint[nrev]
+//	meta record payload     := id:i64 n:u32 nrev:u32 mbr:4*f64 point[nrev]
 //	emb record payload      := tag:8B fp:u64 dim:u32 count:u32 entry[count]
 //	entry                   := id:u64 val[dim]:f64
 //
 // The manifest comes first and states how many records the snapshot covers
 // (applied) — exactly that many meta records follow, in ID order. The
 // generation counter increases with every snapshot so a fallback file is
-// recognizably older. Reversal points start 48 bytes into the payload
-// (8-aligned), so recovery serves TrajMeta.Rev zero-copy from the snapshot
-// mapping just as trajectory points are served from segment mappings.
+// recognizably older. A meta record holds N and the MBR: the writer emits
+// nrev = 0. Older writers stored each trajectory's reversal in the nrev
+// trailing points; the reader still checks their framing and skips them,
+// so those snapshots load unchanged, and older readers load these.
 //
 // The embedding record is optional and trails the meta records: readers
 // that predate it stop after `applied` meta records and never see it, so
@@ -42,17 +43,14 @@ const (
 )
 
 // snapshotImage encodes the snapshot file covering recs. The file's size is
-// known before its first byte — every record's length follows from its
-// point count — so the image is built in one buffer of exactly that size
-// instead of one grown by doubling, which at tens of thousands of records
-// was most of the time a snapshot took.
+// known before its first byte — every meta record has the same length — so
+// the image is built in one buffer of exactly that size instead of one
+// grown by doubling, which at tens of thousands of records was most of the
+// time a snapshot took.
 func (s *Store) snapshotImage(recs []Record) []byte {
 	gen := uint64(len(recs)) // record count is monotone, so it doubles as generation
 	emb := s.embPayload(len(recs))
-	size := fileHeaderSize + recHeaderSize + manifestPayloadSize
-	for _, r := range recs {
-		size += recHeaderSize + metaHeaderSize + r.Meta.Rev.Len()*pointSize
-	}
+	size := fileHeaderSize + recHeaderSize + manifestPayloadSize + len(recs)*(recHeaderSize+metaHeaderSize)
 	if emb != nil {
 		size += recHeaderSize + len(emb)
 	}
@@ -65,12 +63,11 @@ func (s *Store) snapshotImage(recs []Record) []byte {
 		buf, at = beginFramed(buf)
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(r.ID)))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(r.Meta.N))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(r.Meta.Rev.Len()))
+		buf = binary.LittleEndian.AppendUint32(buf, 0) // nrev
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.Meta.MBR.MinX))
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.Meta.MBR.MinY))
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.Meta.MBR.MaxX))
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.Meta.MBR.MaxY))
-		buf = appendPoints(buf, r.Meta.Rev.Points)
 		endFramed(buf, at)
 	}
 	if emb != nil {
@@ -179,11 +176,13 @@ func readEmbRecord(data []byte, off int, metas []core.TrajMeta) (fp uint64, ok b
 	fp = binary.LittleEndian.Uint64(p[8:])
 	dim := int(binary.LittleEndian.Uint32(p[16:]))
 	count := int(binary.LittleEndian.Uint32(p[20:]))
-	if dim < 0 || count < 0 || plen != embHeaderSize+count*(8+dim*8) {
+	// by division: count*entry can wrap for hostile u32s
+	body, entry := plen-embHeaderSize, 8+dim*8
+	if dim < 0 || count < 0 || body%entry != 0 || body/entry != count {
 		return 0, false
 	}
 	for i := 0; i < count; i++ {
-		eo := embHeaderSize + i*(8+dim*8)
+		eo := embHeaderSize + i*entry
 		id := int(binary.LittleEndian.Uint64(p[eo:]))
 		if id < 0 || id >= len(metas) {
 			return 0, false
@@ -198,73 +197,68 @@ func readEmbRecord(data []byte, off int, metas []core.TrajMeta) (fp uint64, ok b
 }
 
 // loadBestSnapshot tries snapshots newest-first and returns the metadata
-// of the first one that validates AND is covered by the recovered log
-// (applied <= logRecords — a snapshot ahead of the log means the log lost
-// a tail the snapshot saw; trusting it would resurrect truncated records'
-// metadata with wrong indices). Invalid candidates count as discarded.
-// Returns (nil, 0, 0, false) when no snapshot is usable.
-func (s *Store) loadBestSnapshot(snaps []int, logRecords int, stats *RecoveryStats) ([]core.TrajMeta, int, uint64, bool) {
+// of the first one that decodes against the recovered log's logRecords.
+// Unreadable or invalid candidates count as discarded. Returns
+// (nil, 0, false) when no snapshot is usable.
+func (s *Store) loadBestSnapshot(snaps []int, logRecords int, stats *RecoveryStats) ([]core.TrajMeta, uint64, bool) {
 	for i := len(snaps) - 1; i >= 0; i-- {
-		path := filepath.Join(s.dir, snapName(snaps[i]))
-		metas, applied, embFP, hasEmb, err := s.readSnapshot(path)
-		if err != nil || applied > logRecords {
-			stats.SnapshotsDiscarded++
-			continue
+		data, err := os.ReadFile(filepath.Join(s.dir, snapName(snaps[i])))
+		if err == nil {
+			metas, embFP, hasEmb, err := decodeSnapshot(data, logRecords)
+			if err == nil {
+				return metas, embFP, hasEmb
+			}
 		}
-		return metas, applied, embFP, hasEmb
+		stats.SnapshotsDiscarded++
 	}
-	return nil, 0, 0, false
+	return nil, 0, false
 }
 
-// readSnapshot maps and decodes one snapshot file. The mapping is retained
-// (returned Rev points alias it). Any framing or consistency violation is
-// an error: snapshots are atomic, so a partial one is simply not trusted.
-func (s *Store) readSnapshot(path string) ([]core.TrajMeta, int, uint64, bool, error) {
-	data, unmap, err := mmapPath(path)
-	if err != nil {
-		return nil, 0, 0, false, err
-	}
-	s.mu.Lock()
-	s.unmaps = append(s.unmaps, unmap)
-	s.mu.Unlock()
-
-	if err := checkFileHeader(data, snapMagic, path); err != nil {
-		return nil, 0, 0, false, err
+// decodeSnapshot decodes a snapshot image into the metadata of the records
+// it covers, exactly applied of them. Nothing returned aliases data. Any
+// framing or consistency violation is an error: snapshots are atomic, so a
+// partial one is simply not trusted. So is one ahead of the log (applied >
+// logRecords): the log lost a tail the snapshot saw, and trusting it would
+// resurrect truncated records' metadata with wrong indices.
+func decodeSnapshot(data []byte, logRecords int) ([]core.TrajMeta, uint64, bool, error) {
+	if err := checkFileHeader(data, snapMagic, "snapshot"); err != nil {
+		return nil, 0, false, err
 	}
 	off := fileHeaderSize
 	plen, ok := frameAt(data, off)
 	if !ok || plen != manifestPayloadSize {
-		return nil, 0, 0, false, fmt.Errorf("storage: %s: bad snapshot manifest", path)
+		return nil, 0, false, errors.New("storage: bad snapshot manifest")
 	}
-	applied := int(binary.LittleEndian.Uint64(data[off+recHeaderSize:]))
+	// checked before it sizes anything: the u64 is the file's word, not ours
+	applied := binary.LittleEndian.Uint64(data[off+recHeaderSize:])
+	if applied > uint64(logRecords) {
+		return nil, 0, false, fmt.Errorf("storage: snapshot covers %d records, the log holds %d", applied, logRecords)
+	}
 	off += recHeaderSize + plen
 
-	metas := make([]core.TrajMeta, 0, applied)
-	for i := 0; i < applied; i++ {
+	metas := make([]core.TrajMeta, applied)
+	for i := range metas {
 		plen, ok := frameAt(data, off)
 		if !ok || plen < metaHeaderSize {
-			return nil, 0, 0, false, fmt.Errorf("storage: %s: torn snapshot at meta record %d", path, i)
+			return nil, 0, false, fmt.Errorf("storage: torn snapshot at meta record %d", i)
 		}
 		p := data[off+recHeaderSize : off+recHeaderSize+plen]
 		id := int64(binary.LittleEndian.Uint64(p))
-		n := int(binary.LittleEndian.Uint32(p[8:]))
 		nrev := int(binary.LittleEndian.Uint32(p[12:]))
 		if id != int64(i) || plen != metaHeaderSize+nrev*pointSize {
-			return nil, 0, 0, false, fmt.Errorf("storage: %s: inconsistent meta record %d", path, i)
+			return nil, 0, false, fmt.Errorf("storage: inconsistent snapshot meta record %d", i)
 		}
-		mbr := geo.Rect{
-			MinX: math.Float64frombits(binary.LittleEndian.Uint64(p[16:])),
-			MinY: math.Float64frombits(binary.LittleEndian.Uint64(p[24:])),
-			MaxX: math.Float64frombits(binary.LittleEndian.Uint64(p[32:])),
-			MaxY: math.Float64frombits(binary.LittleEndian.Uint64(p[40:])),
+		metas[i] = core.TrajMeta{
+			N: int(binary.LittleEndian.Uint32(p[8:])),
+			MBR: geo.Rect{
+				MinX: math.Float64frombits(binary.LittleEndian.Uint64(p[16:])),
+				MinY: math.Float64frombits(binary.LittleEndian.Uint64(p[24:])),
+				MaxX: math.Float64frombits(binary.LittleEndian.Uint64(p[32:])),
+				MaxY: math.Float64frombits(binary.LittleEndian.Uint64(p[40:])),
+			},
 		}
-		metas = append(metas, core.TrajMeta{
-			N:   n,
-			MBR: mbr,
-			Rev: traj.Trajectory{ID: int(id), Points: viewPoints(data, off+recHeaderSize+metaHeaderSize, nrev)},
-		})
 		off += recHeaderSize + plen
 	}
 	embFP, hasEmb := readEmbRecord(data, off, metas)
-	return metas, applied, embFP, hasEmb, nil
+	return metas, embFP, hasEmb, nil
 }

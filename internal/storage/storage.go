@@ -1,8 +1,8 @@
 // Package storage is the durability layer under the engine: an append-only
 // segment log of trajectories plus periodic snapshots of their derived scan
-// metadata (core.TrajMeta: MBRs and reversals), so a simsubd node survives
-// restarts and recovers real-scale corpora without re-deriving per-point
-// state.
+// metadata (core.TrajMeta: point counts and MBRs, plus encoder embeddings
+// when one is registered), so a simsubd node survives restarts and
+// recovers real-scale corpora without re-deriving per-point state.
 //
 // Layout of a data directory:
 //
@@ -29,9 +29,10 @@
 // re-derive their metadata — recovery never trusts a snapshot it cannot
 // checksum.
 //
-// Ownership rules: everything a Store returns — record point slices and
-// snapshot-restored reversals — may be backed by an mmap'd file owned by
-// the Store. Treat them as immutable and do not use them after Close. This
+// Ownership rules: record point slices may be backed by an mmap'd segment
+// owned by the Store. Treat them as immutable and do not use them after
+// Close. Snapshots are read into memory and decoded, so restored metadata
+// aliases nothing, and only segment mappings live until Close. This
 // mirrors the sync.Pool ownership rules of internal/sim: pooled DP scratch
 // is per-search and returned on Release, while backing point data is
 // owned by the store for its whole lifetime.
@@ -99,9 +100,11 @@ type Record struct {
 	// Traj is the trajectory; points may be a zero-copy view over an
 	// mmap'd segment.
 	Traj traj.Trajectory
-	// Meta is the derived scan metadata. After recovery it comes from the
+	// Meta is the derived scan metadata: N and the MBR, plus the embedding
+	// when a snapshot persisted one. After recovery it comes from the
 	// newest valid snapshot when one covers the record (FromSnapshot),
-	// otherwise it is re-derived during replay.
+	// otherwise it is re-derived during replay. It never aliases a
+	// mapping.
 	Meta core.TrajMeta
 	// FromSnapshot reports whether Meta was restored rather than derived.
 	FromSnapshot bool
@@ -178,7 +181,8 @@ func snapName(n int) string { return fmt.Sprintf("%s%016d%s", snapPrefix, n, sna
 // contents: every segment is read (sealed ones through mmap), a torn tail
 // record is truncated away, and the newest valid snapshot supplies derived
 // metadata for the records it covers — only the log tail past the snapshot
-// re-derives MBRs and reversals.
+// re-derives MBRs. The snapshot is read, not mapped: it is garbage once
+// decoded.
 func Open(dir string, opts Options) (*Store, *RecoveryStats, error) {
 	opts.fill()
 	start := time.Now()
@@ -215,13 +219,13 @@ func Open(dir string, opts Options) (*Store, *RecoveryStats, error) {
 
 	// newest valid snapshot that the recovered log actually covers wins;
 	// torn or over-reaching snapshots are discarded, not trusted
-	metas, applied, embFP, hasEmb := s.loadBestSnapshot(snaps, len(raws), stats)
+	metas, embFP, hasEmb := s.loadBestSnapshot(snaps, len(raws), stats)
 
 	s.recs = make([]Record, len(raws))
 	for i, rr := range raws {
 		t := traj.Trajectory{ID: int(rr.id), Points: rr.points}
 		rec := Record{ID: int(rr.id), Traj: t}
-		if i < applied && metas[i].N == t.Len() {
+		if i < len(metas) && metas[i].N == t.Len() {
 			rec.Meta = metas[i]
 			rec.FromSnapshot = true
 			stats.SnapshotRecords++
@@ -231,7 +235,7 @@ func Open(dir string, opts Options) (*Store, *RecoveryStats, error) {
 		}
 		s.recs[i] = rec
 	}
-	s.snapApplied = applied
+	s.snapApplied = len(metas)
 	if hasEmb {
 		// carry the recovered embedding set forward so the next snapshot
 		// re-persists it even if the engine never re-registers an encoder

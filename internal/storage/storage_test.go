@@ -57,11 +57,6 @@ func equalRecords(t *testing.T, got, want []Record) {
 		if g.Meta.MBR != w.Meta.MBR || g.Meta.N != w.Meta.N {
 			t.Fatalf("record %d: meta differs: %+v vs %+v", i, g.Meta, w.Meta)
 		}
-		if len(g.Meta.Rev.Points) != 0 || len(w.Meta.Rev.Points) != 0 {
-			if !reflect.DeepEqual(g.Meta.Rev.Points, w.Meta.Rev.Points) {
-				t.Fatalf("record %d: reversal differs", i)
-			}
-		}
 	}
 }
 
@@ -302,11 +297,51 @@ func TestEmptyTrajectoryRecord(t *testing.T) {
 	equalRecords(t, s2.Records(), want)
 }
 
+// referenceSnapshotImage assembles a snapshot image the way the writer
+// used to — each record framed from a payload of its own, appended to a
+// growing buffer — with emb as the trailing embedding record when non-nil.
+// withRev writes the older format, which stored every trajectory's
+// reversal in its meta record (nrev = n, then the points last to first).
+func referenceSnapshotImage(recs []Record, emb []byte, withRev bool) []byte {
+	framed := func(buf, payload []byte) []byte {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+		buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
+		return append(buf, payload...)
+	}
+	img := fileHeader(snapMagic)
+	var payload []byte
+	payload = binary.LittleEndian.AppendUint64(payload, uint64(len(recs)))
+	payload = binary.LittleEndian.AppendUint64(payload, uint64(len(recs)))
+	img = framed(img, payload)
+	for _, r := range recs {
+		var rev []geo.Point
+		if withRev {
+			rev = r.Traj.Reverse().Points
+		}
+		payload = payload[:0]
+		payload = binary.LittleEndian.AppendUint64(payload, uint64(int64(r.ID)))
+		payload = binary.LittleEndian.AppendUint32(payload, uint32(r.Meta.N))
+		payload = binary.LittleEndian.AppendUint32(payload, uint32(len(rev)))
+		for _, f := range []float64{r.Meta.MBR.MinX, r.Meta.MBR.MinY, r.Meta.MBR.MaxX, r.Meta.MBR.MaxY} {
+			payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(f))
+		}
+		for _, p := range rev {
+			for _, f := range []float64{p.X, p.Y, p.T} {
+				payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(f))
+			}
+		}
+		img = framed(img, payload)
+	}
+	if emb != nil {
+		img = framed(img, emb)
+	}
+	return img
+}
+
 // TestSnapshotImageUnchangedAndPresized holds the pre-sized snapshot writer
-// to the format: its image equals, byte for byte, the one assembled the way
-// the writer used to — each record framed from a payload of its own,
-// appended to a growing buffer — with and without an embedding record, and
-// its buffer is exactly the file's size, never grown.
+// to the format: its image equals, byte for byte, the reference encoding
+// (nrev = 0), with and without an embedding record, and its buffer is
+// exactly the file's size, never grown.
 func TestSnapshotImageUnchangedAndPresized(t *testing.T) {
 	s, _ := mustOpen(t, t.TempDir(), Options{})
 	defer s.Close()
@@ -315,40 +350,15 @@ func TestSnapshotImageUnchangedAndPresized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	framed := func(buf, payload []byte) []byte {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-		buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
-		return append(buf, payload...)
-	}
 	for _, withEmb := range []bool{false, true} {
+		var emb []byte
 		if withEmb {
 			for _, r := range recs[:200] {
 				s.SetEmbedding(r.ID, 0xfeed, []float64{float64(r.ID), -1, 0.25})
 			}
+			emb = s.embPayload(len(recs))
 		}
-		want := fileHeader(snapMagic)
-		var payload []byte
-		payload = binary.LittleEndian.AppendUint64(payload, uint64(len(recs)))
-		payload = binary.LittleEndian.AppendUint64(payload, uint64(len(recs)))
-		want = framed(want, payload)
-		for _, r := range recs {
-			payload = payload[:0]
-			payload = binary.LittleEndian.AppendUint64(payload, uint64(int64(r.ID)))
-			payload = binary.LittleEndian.AppendUint32(payload, uint32(r.Meta.N))
-			payload = binary.LittleEndian.AppendUint32(payload, uint32(r.Meta.Rev.Len()))
-			for _, f := range []float64{r.Meta.MBR.MinX, r.Meta.MBR.MinY, r.Meta.MBR.MaxX, r.Meta.MBR.MaxY} {
-				payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(f))
-			}
-			for _, p := range r.Meta.Rev.Points {
-				for _, f := range []float64{p.X, p.Y, p.T} {
-					payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(f))
-				}
-			}
-			want = framed(want, payload)
-		}
-		if withEmb {
-			want = framed(want, s.embPayload(len(recs)))
-		}
+		want := referenceSnapshotImage(recs, emb, false)
 		got := s.snapshotImage(recs)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("embeddings=%v: snapshot image differs from the reference encoding (%d vs %d bytes)", withEmb, len(got), len(want))
