@@ -31,16 +31,21 @@ func (DTW) Dist(t, q traj.Trajectory) float64 {
 	}
 	row := getRow(m)
 	defer putRow(row)
-	// first data point: D(0,j) = sum_{k<=j} d(p0,qk)
-	acc := 0.0
-	for j := 0; j < m; j++ {
-		acc += geo.Dist(t.Pt(0), q.Pt(j))
-		row[j] = acc
-	}
+	dtwFirstRow(row, t.Pt(0), q)
 	for i := 1; i < n; i++ {
 		dtwExtendRow(row, t.Pt(i), q)
 	}
 	return row[m-1]
+}
+
+// dtwFirstRow fills row with the DP row of a one-point data sequence p:
+// D(0,j) = sum_{k<=j} d(p,q_k).
+func dtwFirstRow(row []float64, p geo.Point, q traj.Trajectory) {
+	acc := 0.0
+	for j := range row {
+		acc += geo.Dist(p, q.Pt(j))
+		row[j] = acc
+	}
 }
 
 // dtwExtendRow advances the DP by one data point in place: on entry row
@@ -91,47 +96,43 @@ func dtwExtendRowMin(row []float64, p geo.Point, q traj.Trajectory) float64 {
 	return rowMin
 }
 
-// dtwInc is the incremental DTW computer: it keeps the last DP row (over
-// query indices) and extends it by one data point per Extend call. The row
-// is pool-backed; see pool.go for the ownership rules.
+// dtwInc is DTW's one computer, for both Incremental and Stream: it keeps
+// the last DP row (over query indices) and extends it by one data point
+// per Push. The row is pool-backed; see pool.go for the ownership rules.
 type dtwInc struct {
-	t, q traj.Trajectory
-	row  []float64
-	end  int
+	seq
+	row []float64
+}
+
+func newDTWInc(t, q traj.Trajectory) *dtwInc {
+	return &dtwInc{seq: seq{t: t, q: q}, row: getRow(q.Len())}
 }
 
 // NewIncremental implements Measure.
-func (DTW) NewIncremental(t, q traj.Trajectory) Incremental {
-	return &dtwInc{t: t, q: q, row: getRow(q.Len())}
-}
+func (DTW) NewIncremental(t, q traj.Trajectory) Incremental { return newDTWInc(t, q) }
 
-func (c *dtwInc) Init(i int) float64 {
-	m := c.q.Len()
-	if m == 0 {
-		panic("sim: DTW incremental with empty query")
-	}
-	c.end = i
-	acc := 0.0
-	for j := 0; j < m; j++ {
-		acc += geo.Dist(c.t.Pt(i), c.q.Pt(j))
-		c.row[j] = acc
-	}
-	return c.row[m-1]
-}
+// NewStream implements StreamMeasure.
+func (DTW) NewStream(q traj.Trajectory) Stream { return newDTWInc(traj.Trajectory{}, q) }
 
-func (c *dtwInc) Extend() float64 {
-	c.end++
-	dtwExtendRow(c.row, c.t.Pt(c.end), c.q)
+func (c *dtwInc) Push(p geo.Point) float64 {
+	if c.n == 0 {
+		dtwFirstRow(c.row, p, c.q)
+	} else {
+		dtwExtendRow(c.row, p, c.q)
+	}
+	c.n++
 	return c.row[len(c.row)-1]
 }
 
-func (c *dtwInc) End() int { return c.end }
+func (c *dtwInc) Init(i int) float64 { return c.Push(c.begin(i)) }
+
+func (c *dtwInc) Extend() float64 { return c.Push(c.next()) }
 
 // ExtendAbandoning implements ThresholdIncremental; see dtwExtendRowMin for
 // the monotone-row-minimum argument.
 func (c *dtwInc) ExtendAbandoning(tau float64) (float64, bool) {
-	c.end++
-	rowMin := dtwExtendRowMin(c.row, c.t.Pt(c.end), c.q)
+	rowMin := dtwExtendRowMin(c.row, c.next(), c.q)
+	c.n++
 	if rowMin > tau {
 		return rowMin, true
 	}
@@ -252,36 +253,9 @@ func bandRange(i, n, m, w int) (lo, hi int) {
 	return lo, hi
 }
 
-// cdtwInc satisfies the Incremental interface for CDTW. The Sakoe-Chiba band
-// geometry depends on the final subtrajectory length (the band is laid along
-// the rescaled diagonal), so band-constrained DTW cannot be extended in O(m)
-// the way unconstrained DTW can: each Extend recomputes from scratch at cost
-// Φ. CDTW is only used by the UCR/Spring comparison (Figures 8 and 13),
-// which scores fixed-length windows from scratch with early abandoning and
-// never relies on this computer being cheap.
-type cdtwInc struct {
-	meas  CDTW
-	t, q  traj.Trajectory
-	start int
-	end   int
-}
-
-// NewIncremental implements Measure. See cdtwInc for the cost caveat.
+// NewIncremental implements Measure. The band depends on the final
+// subtrajectory length, so CDTW's computer is the buffering fallback fed
+// from t: each Extend recomputes from scratch at cost Φ.
 func (c CDTW) NewIncremental(t, q traj.Trajectory) Incremental {
-	return &cdtwInc{meas: c, t: t, q: q}
+	return &bufferStream{seq: seq{t: t, q: q}, m: c}
 }
-
-func (c *cdtwInc) Init(i int) float64 {
-	if c.q.Len() == 0 {
-		panic("sim: CDTW incremental with empty query")
-	}
-	c.start, c.end = i, i
-	return c.meas.Dist(c.t.Sub(i, i), c.q)
-}
-
-func (c *cdtwInc) Extend() float64 {
-	c.end++
-	return c.meas.Dist(c.t.Sub(c.start, c.end), c.q)
-}
-
-func (c *cdtwInc) End() int { return c.end }

@@ -113,47 +113,44 @@ func (e ERP) extendRowMin(row []float64, p geo.Point, q traj.Trajectory) float64
 	return rowMin
 }
 
+// erpInc is ERP's one computer, for both Incremental and Stream.
 type erpInc struct {
+	seq
 	meas ERP
-	t, q traj.Trajectory
 	row  []float64
-	end  int
+}
+
+func (e ERP) newInc(t, q traj.Trajectory) *erpInc {
+	return &erpInc{seq: seq{t: t, q: q}, meas: e, row: getRow(q.Len() + 1)}
 }
 
 // NewIncremental implements Measure.
-func (e ERP) NewIncremental(t, q traj.Trajectory) Incremental {
-	return &erpInc{meas: e, t: t, q: q}
-}
+func (e ERP) NewIncremental(t, q traj.Trajectory) Incremental { return e.newInc(t, q) }
 
-func (c *erpInc) Init(i int) float64 {
-	if c.q.Len() == 0 {
-		panic("sim: ERP incremental with empty query")
+// NewStream implements StreamMeasure.
+func (e ERP) NewStream(q traj.Trajectory) Stream { return e.newInc(traj.Trajectory{}, q) }
+
+func (c *erpInc) Push(p geo.Point) float64 {
+	if c.n == 0 {
+		c.meas.baseRowInto(c.row, c.q)
 	}
-	c.end = i
-	if c.row == nil {
-		c.row = getRow(c.q.Len() + 1)
-	}
-	c.meas.baseRowInto(c.row, c.q)
-	c.meas.extendRow(c.row, c.t.Pt(i), c.q)
-	return c.row[c.q.Len()]
+	c.meas.extendRow(c.row, p, c.q)
+	c.n++
+	return c.row[len(c.row)-1]
 }
 
-func (c *erpInc) Extend() float64 {
-	c.end++
-	c.meas.extendRow(c.row, c.t.Pt(c.end), c.q)
-	return c.row[c.q.Len()]
-}
+func (c *erpInc) Init(i int) float64 { return c.Push(c.begin(i)) }
 
-func (c *erpInc) End() int { return c.end }
+func (c *erpInc) Extend() float64 { return c.Push(c.next()) }
 
 // ExtendAbandoning implements ThresholdIncremental; see extendRowMin.
 func (c *erpInc) ExtendAbandoning(tau float64) (float64, bool) {
-	c.end++
-	rowMin := c.meas.extendRowMin(c.row, c.t.Pt(c.end), c.q)
+	rowMin := c.meas.extendRowMin(c.row, c.next(), c.q)
+	c.n++
 	if rowMin > tau {
 		return rowMin, true
 	}
-	return c.row[c.q.Len()], false
+	return c.row[len(c.row)-1], false
 }
 
 // Release implements Releaser.
@@ -189,13 +186,19 @@ func (e EDR) Dist(t, q traj.Trajectory) float64 {
 	}
 	row := getRow(m + 1)
 	defer putRow(row)
-	for j := 0; j <= m; j++ {
-		row[j] = float64(j)
-	}
+	edrBaseRow(row)
 	for i := 0; i < n; i++ {
 		e.extendRow(row, t.Pt(i), q)
 	}
 	return row[m]
+}
+
+// edrBaseRow fills row with EDR(∅, q[0..j-1]) = j for j = 0..m: inserting
+// the whole query prefix.
+func edrBaseRow(row []float64) {
+	for j := range row {
+		row[j] = float64(j)
+	}
 }
 
 func (e EDR) extendRow(row []float64, p geo.Point, q traj.Trajectory) {
@@ -220,17 +223,22 @@ func (e EDR) extendRow(row []float64, p geo.Point, q traj.Trajectory) {
 	}
 }
 
+// edrInc is EDR's one computer, for both Incremental and Stream.
 type edrInc struct {
+	seq
 	meas EDR
-	t, q traj.Trajectory
 	row  []float64
-	end  int
+}
+
+func (e EDR) newInc(t, q traj.Trajectory) *edrInc {
+	return &edrInc{seq: seq{t: t, q: q}, meas: e, row: getRow(q.Len() + 1)}
 }
 
 // NewIncremental implements Measure.
-func (e EDR) NewIncremental(t, q traj.Trajectory) Incremental {
-	return &edrInc{meas: e, t: t, q: q}
-}
+func (e EDR) NewIncremental(t, q traj.Trajectory) Incremental { return e.newInc(t, q) }
+
+// NewStream implements StreamMeasure.
+func (e EDR) NewStream(q traj.Trajectory) Stream { return e.newInc(traj.Trajectory{}, q) }
 
 // extendRowMin is extendRow additionally returning the new row's minimum:
 // every cell adds a non-negative edit cost to a minimum over earlier cells,
@@ -262,38 +270,27 @@ func (e EDR) extendRowMin(row []float64, p geo.Point, q traj.Trajectory) float64
 	return rowMin
 }
 
-func (c *edrInc) Init(i int) float64 {
-	m := c.q.Len()
-	if m == 0 {
-		panic("sim: EDR incremental with empty query")
+func (c *edrInc) Push(p geo.Point) float64 {
+	if c.n == 0 {
+		edrBaseRow(c.row)
 	}
-	c.end = i
-	if c.row == nil {
-		c.row = getRow(m + 1)
-	}
-	for j := 0; j <= m; j++ {
-		c.row[j] = float64(j)
-	}
-	c.meas.extendRow(c.row, c.t.Pt(i), c.q)
-	return c.row[m]
+	c.meas.extendRow(c.row, p, c.q)
+	c.n++
+	return c.row[len(c.row)-1]
 }
 
-func (c *edrInc) Extend() float64 {
-	c.end++
-	c.meas.extendRow(c.row, c.t.Pt(c.end), c.q)
-	return c.row[c.q.Len()]
-}
+func (c *edrInc) Init(i int) float64 { return c.Push(c.begin(i)) }
 
-func (c *edrInc) End() int { return c.end }
+func (c *edrInc) Extend() float64 { return c.Push(c.next()) }
 
 // ExtendAbandoning implements ThresholdIncremental; see extendRowMin.
 func (c *edrInc) ExtendAbandoning(tau float64) (float64, bool) {
-	c.end++
-	rowMin := c.meas.extendRowMin(c.row, c.t.Pt(c.end), c.q)
+	rowMin := c.meas.extendRowMin(c.row, c.next(), c.q)
+	c.n++
 	if rowMin > tau {
 		return rowMin, true
 	}
-	return c.row[c.q.Len()], false
+	return c.row[len(c.row)-1], false
 }
 
 // Release implements Releaser.
@@ -328,9 +325,7 @@ func (l LCSS) Dist(t, q traj.Trajectory) float64 {
 	}
 	row := getRow(m + 1)
 	defer putRow(row)
-	for j := range row {
-		row[j] = 0
-	}
+	clear(row)
 	for i := 0; i < n; i++ {
 		l.extendRow(row, t.Pt(i), q)
 	}
@@ -364,42 +359,35 @@ func (l LCSS) extendRow(row []float64, p geo.Point, q traj.Trajectory) {
 	}
 }
 
+// lcssInc is LCSS's one computer, for both Incremental and Stream.
 type lcssInc struct {
-	meas  LCSS
-	t, q  traj.Trajectory
-	row   []float64
-	start int
-	end   int
+	seq
+	meas LCSS
+	row  []float64
+}
+
+func (l LCSS) newInc(t, q traj.Trajectory) *lcssInc {
+	return &lcssInc{seq: seq{t: t, q: q}, meas: l, row: getRow(q.Len() + 1)}
 }
 
 // NewIncremental implements Measure.
-func (l LCSS) NewIncremental(t, q traj.Trajectory) Incremental {
-	return &lcssInc{meas: l, t: t, q: q}
+func (l LCSS) NewIncremental(t, q traj.Trajectory) Incremental { return l.newInc(t, q) }
+
+// NewStream implements StreamMeasure.
+func (l LCSS) NewStream(q traj.Trajectory) Stream { return l.newInc(traj.Trajectory{}, q) }
+
+func (c *lcssInc) Push(p geo.Point) float64 {
+	if c.n == 0 {
+		clear(c.row)
+	}
+	c.meas.extendRow(c.row, p, c.q)
+	c.n++
+	return c.meas.toDist(c.row[len(c.row)-1], c.n, c.q.Len())
 }
 
-func (c *lcssInc) Init(i int) float64 {
-	m := c.q.Len()
-	if m == 0 {
-		panic("sim: LCSS incremental with empty query")
-	}
-	c.start, c.end = i, i
-	if c.row == nil {
-		c.row = getRow(m + 1)
-	}
-	for j := range c.row {
-		c.row[j] = 0
-	}
-	c.meas.extendRow(c.row, c.t.Pt(i), c.q)
-	return c.meas.toDist(c.row[m], 1, m)
-}
+func (c *lcssInc) Init(i int) float64 { return c.Push(c.begin(i)) }
 
-func (c *lcssInc) Extend() float64 {
-	c.end++
-	c.meas.extendRow(c.row, c.t.Pt(c.end), c.q)
-	return c.meas.toDist(c.row[c.q.Len()], c.end-c.start+1, c.q.Len())
-}
-
-func (c *lcssInc) End() int { return c.end }
+func (c *lcssInc) Extend() float64 { return c.Push(c.next()) }
 
 // ExtendAbandoning implements ThresholdIncremental. LCSS grows by at most
 // one per added data point and is capped by both sequence lengths, so with
@@ -410,13 +398,12 @@ func (c *lcssInc) End() int { return c.end }
 // all futures and the current value (e = 0) is itself above tau whenever
 // the bound is.
 func (c *lcssInc) ExtendAbandoning(tau float64) (float64, bool) {
-	c.end++
 	m := c.q.Len()
-	c.meas.extendRow(c.row, c.t.Pt(c.end), c.q)
-	length := c.end - c.start + 1
-	d := c.meas.toDist(c.row[m], length, m)
-	remaining := c.t.Len() - 1 - c.end
-	mm := length + remaining
+	c.meas.extendRow(c.row, c.next(), c.q)
+	c.n++
+	d := c.meas.toDist(c.row[m], c.n, m)
+	remaining := c.t.Len() - c.start - c.n
+	mm := c.n + remaining
 	if m < mm {
 		mm = m
 	}

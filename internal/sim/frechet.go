@@ -30,18 +30,23 @@ func (Frechet) Dist(t, q traj.Trajectory) float64 {
 	}
 	row := getRow(m)
 	defer putRow(row)
-	acc := 0.0
-	for j := 0; j < m; j++ {
-		d := geo.Dist(t.Pt(0), q.Pt(j))
-		if d > acc {
-			acc = d
-		}
-		row[j] = acc
-	}
+	frechetFirstRow(row, t.Pt(0), q)
 	for i := 1; i < n; i++ {
 		frechetExtendRow(row, t.Pt(i), q)
 	}
 	return row[m-1]
+}
+
+// frechetFirstRow fills row with the DP row of a one-point data sequence p:
+// F(0,j) = max_{k<=j} d(p,q_k).
+func frechetFirstRow(row []float64, p geo.Point, q traj.Trajectory) {
+	acc := 0.0
+	for j := range row {
+		if d := geo.Dist(p, q.Pt(j)); d > acc {
+			acc = d
+		}
+		row[j] = acc
+	}
 }
 
 // frechetExtendRow advances the DP by one data point in place.
@@ -109,47 +114,41 @@ func frechetExtendRowMin(row []float64, p geo.Point, q traj.Trajectory) float64 
 	return rowMin
 }
 
+// frechetInc is Fréchet's one computer, for both Incremental and Stream.
 type frechetInc struct {
-	t, q traj.Trajectory
-	row  []float64
-	end  int
+	seq
+	row []float64
+}
+
+func newFrechetInc(t, q traj.Trajectory) *frechetInc {
+	return &frechetInc{seq: seq{t: t, q: q}, row: getRow(q.Len())}
 }
 
 // NewIncremental implements Measure.
-func (Frechet) NewIncremental(t, q traj.Trajectory) Incremental {
-	return &frechetInc{t: t, q: q, row: getRow(q.Len())}
-}
+func (Frechet) NewIncremental(t, q traj.Trajectory) Incremental { return newFrechetInc(t, q) }
 
-func (c *frechetInc) Init(i int) float64 {
-	m := c.q.Len()
-	if m == 0 {
-		panic("sim: Frechet incremental with empty query")
-	}
-	c.end = i
-	acc := 0.0
-	for j := 0; j < m; j++ {
-		d := geo.Dist(c.t.Pt(i), c.q.Pt(j))
-		if d > acc {
-			acc = d
-		}
-		c.row[j] = acc
-	}
-	return c.row[m-1]
-}
+// NewStream implements StreamMeasure.
+func (Frechet) NewStream(q traj.Trajectory) Stream { return newFrechetInc(traj.Trajectory{}, q) }
 
-func (c *frechetInc) Extend() float64 {
-	c.end++
-	frechetExtendRow(c.row, c.t.Pt(c.end), c.q)
+func (c *frechetInc) Push(p geo.Point) float64 {
+	if c.n == 0 {
+		frechetFirstRow(c.row, p, c.q)
+	} else {
+		frechetExtendRow(c.row, p, c.q)
+	}
+	c.n++
 	return c.row[len(c.row)-1]
 }
 
-func (c *frechetInc) End() int { return c.end }
+func (c *frechetInc) Init(i int) float64 { return c.Push(c.begin(i)) }
+
+func (c *frechetInc) Extend() float64 { return c.Push(c.next()) }
 
 // ExtendAbandoning implements ThresholdIncremental; see frechetExtendRowMin
 // for the monotone-row-minimum argument.
 func (c *frechetInc) ExtendAbandoning(tau float64) (float64, bool) {
-	c.end++
-	rowMin := frechetExtendRowMin(c.row, c.t.Pt(c.end), c.q)
+	rowMin := frechetExtendRowMin(c.row, c.next(), c.q)
+	c.n++
 	if rowMin > tau {
 		return rowMin, true
 	}

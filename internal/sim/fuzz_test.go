@@ -9,34 +9,77 @@ import (
 	"simsub/internal/traj"
 )
 
-// FuzzDTWIncremental cross-checks incremental DTW against the from-scratch
-// DP on fuzz-generated trajectory pairs.
-func FuzzDTWIncremental(f *testing.F) {
-	f.Add(int64(1), uint8(5), uint8(3))
-	f.Add(int64(99), uint8(17), uint8(1))
-	f.Add(int64(-7), uint8(2), uint8(8))
-	f.Fuzz(func(t *testing.T, seed int64, nRaw, mRaw uint8) {
+// FuzzIncremental checks every measure's one computer on fuzz-generated
+// pairs: from a fuzzed start, Init then Extend, Reset then Push of the same
+// points, and Dist of each subtrajectory give the same bits. A computer
+// that implements ThresholdIncremental and abandons at tau must have
+// proven every later end's distance strictly above tau, and its d must be
+// a lower bound on each of them, so it never abandons a winner.
+func FuzzIncremental(f *testing.F) {
+	for i := range allMeasures() {
+		f.Add(uint8(i), int64(i+1), uint8(5+2*i), uint8(3+i), uint8(i), 0.5, i%2 == 0)
+	}
+	f.Fuzz(func(t *testing.T, which uint8, seed int64, nRaw, mRaw, startRaw uint8, tauScale float64, lattice bool) {
+		ms := allMeasures()
+		meas := ms[int(which)%len(ms)]
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nRaw)%20 + 1
 		m := int(mRaw)%8 + 1
 		mk := func(k int) traj.Trajectory {
 			pts := make([]geo.Point, k)
 			for i := range pts {
-				pts[i] = geo.Point{X: rng.NormFloat64() * 5, Y: rng.NormFloat64() * 5}
+				if lattice {
+					pts[i] = geo.Point{X: float64(rng.Intn(4)), Y: float64(rng.Intn(4))}
+				} else {
+					pts[i] = geo.Point{X: rng.NormFloat64() * 5, Y: rng.NormFloat64() * 5}
+				}
 			}
 			return traj.New(pts...)
 		}
 		data, q := mk(n), mk(m)
-		inc := (DTW{}).NewIncremental(data, q)
-		got := inc.Init(0)
-		for j := 0; j < n; j++ {
-			if j > 0 {
+		start := int(startRaw) % n
+		inc := meas.NewIncremental(data, q)
+		defer Release(inc)
+		s := NewStream(meas, q)
+		s.Push(data.Pt(n - 1)) // leave state behind for Reset to clear
+		s.Reset()
+		want := make([]float64, 0, n-start)
+		for j := start; j < n; j++ {
+			var got float64
+			if j == start {
+				got = inc.Init(start)
+			} else {
 				got = inc.Extend()
 			}
-			want := (DTW{}).Dist(data.Sub(0, j), q)
-			if math.Abs(got-want) > 1e-9 {
-				t.Fatalf("n=%d m=%d j=%d: incremental %v, scratch %v", n, m, j, got, want)
+			pushed := s.Push(data.Pt(j))
+			d := meas.Dist(data.Sub(start, j), q)
+			if math.Float64bits(got) != math.Float64bits(d) || math.Float64bits(pushed) != math.Float64bits(d) {
+				t.Fatalf("%s n=%d m=%d [%d,%d]: Init/Extend %v, Reset/Push %v, Dist %v",
+					meas.Name(), n, m, start, j, got, pushed, d)
 			}
+			want = append(want, d)
+		}
+		tinc, ok := inc.(ThresholdIncremental)
+		tau := want[len(want)/2] * tauScale
+		if !ok || math.IsNaN(tau) {
+			return
+		}
+		tinc.Init(start)
+		for j := start + 1; j < n; j++ {
+			d, abandoned := tinc.ExtendAbandoning(tau)
+			if !abandoned {
+				if math.Float64bits(d) != math.Float64bits(want[j-start]) {
+					t.Fatalf("%s tau=%v [%d,%d]: ExtendAbandoning %v, Dist %v", meas.Name(), tau, start, j, d, want[j-start])
+				}
+				continue
+			}
+			for k := j; k < n; k++ {
+				if !(want[k-start] > tau) || d > want[k-start] {
+					t.Fatalf("%s tau=%v: abandoned at end %d with %v, but end %d has distance %v",
+						meas.Name(), tau, j, d, k, want[k-start])
+				}
+			}
+			break
 		}
 	})
 }

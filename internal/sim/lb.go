@@ -28,7 +28,13 @@ import (
 //	               last points align with actual points of T, not its MBR
 //
 // Correctness arguments per measure are documented on each implementation;
-// DESIGN.md carries the summary.
+// DESIGN.md carries the summary. The promise holds in floating point, not
+// just over the reals: a DP distance is a left fold of rounded additions
+// (or maxima) over the cells of one alignment path, and a sum-based stage
+// returns a fold in query order of terms each no larger than the first
+// path term of its query point. Rounded addition is monotone in each
+// argument and adding a non-negative term never decreases a sum, so the
+// path's fold dominates the stage's (freestart.go uses the same argument).
 
 // SubtrajLowerBounder is an optional Measure capability: measures that can
 // lower-bound all-subtrajectory distances implement it, and threshold-aware
@@ -60,15 +66,18 @@ type SubtrajLB interface {
 // stage 1 uses P = MBR(t) collapsed against MBR(q) (m · rect gap), stage 2
 // uses P = MBR(t) per point, and stage 3 replaces the first and last query
 // points' terms with their exact minimum distance to the points of t (their
-// alignment partners are real points of T, not MBR projections).
+// alignment partners are real points of T, not MBR projections). Each
+// stage is a fold in query order; stage 1 folds the m gap terms rather
+// than multiplying, since m·gap can round above the fold.
 type dtwLB struct {
 	q    traj.Trajectory
 	qmbr geo.Rect
+	d    []float64 // stage 2's terms d(q_j, MBR(t)), refolded by stage 3
 }
 
 // NewSubtrajLB implements SubtrajLowerBounder.
 func (DTW) NewSubtrajLB(q traj.Trajectory) SubtrajLB {
-	return &dtwLB{q: q, qmbr: q.MBR()}
+	return &dtwLB{q: q, qmbr: q.MBR(), d: make([]float64, q.Len())}
 }
 
 // NewSubtrajLB implements SubtrajLowerBounder. CDTW restricts DTW's
@@ -83,30 +92,37 @@ func (lb *dtwLB) LowerBound(t traj.Trajectory, mbr geo.Rect, tau float64) float6
 	if m == 0 || t.Len() == 0 {
 		return math.Inf(1)
 	}
-	// stage 1: O(1)
-	if b := float64(m) * lb.qmbr.DistToRect(mbr); b > tau {
-		return b
+	// stage 1: an O(1) gate, then the fold of m gap terms
+	if gap := lb.qmbr.DistToRect(mbr); float64(m)*gap > tau {
+		b := gap
+		for j := 1; j < m; j++ {
+			b += gap
+		}
+		if b > tau {
+			return b
+		}
 	}
 	// stage 2: O(m), early exit once the partial sum (itself a valid
 	// bound) clears tau
 	sum := 0.0
 	for j := 0; j < m; j++ {
-		sum += mbr.DistToPoint(lb.q.Pt(j))
+		lb.d[j] = mbr.DistToPoint(lb.q.Pt(j))
+		sum += lb.d[j]
 		if sum > tau {
 			return sum
 		}
 	}
-	// stage 3: O(n) endpoint refinement
-	first, last := lb.q.Pt(0), lb.q.Pt(m-1)
-	min0, minm := endpointMins(t, first, last)
+	// stage 3: O(n) endpoint refinement, stage 2's fold with the endpoint
+	// terms replaced by the larger exact minima
+	min0, minm := endpointMins(t, lb.q.Pt(0), lb.q.Pt(m-1))
 	if m == 1 {
 		return min0
 	}
-	refined := sum - mbr.DistToPoint(first) - mbr.DistToPoint(last) + min0 + minm
-	if refined > sum {
-		return refined
+	b := min0
+	for j := 1; j < m-1; j++ {
+		b += lb.d[j]
 	}
-	return sum
+	return b + minm
 }
 
 // endpointMins returns the minimum distances from the points of t to the

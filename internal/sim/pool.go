@@ -11,11 +11,13 @@ import "sync"
 //
 // Ownership rules (see DESIGN.md "Buffer pooling"):
 //
-//   - A row obtained with getRow belongs to exactly one incremental
-//     computer until Release is called; Release must not be called while
-//     the computer is still in use, and never twice.
-//   - Pooled rows carry stale garbage. Every Init must fully overwrite (or
-//     explicitly zero) the cells it will read.
+//   - A computer takes its rows with getRow in NewIncremental or
+//     NewStream, and they belong to it alone until Release is called;
+//     Release must not be called while the computer is still in use, and
+//     never twice.
+//   - Pooled rows carry stale garbage. Every first Push after a Reset (or
+//     Init) must fully overwrite (or explicitly zero) the cells it will
+//     read.
 //   - Releasing is optional: an unreleased row is ordinary garbage, so
 //     forgetting Release degrades to the old allocation behavior instead of
 //     corrupting anything.

@@ -116,3 +116,39 @@ func TestReleaseReuse(t *testing.T) {
 		Release(inc)
 	}
 }
+
+// TestComputersAllocateNothing: a computer takes its rows at construction,
+// so restarting it — Init per scan start, Reset per RLS-Skip split —
+// allocates nothing once warm.
+func TestComputersAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	q := poolTraj(3, 9)
+	tr := poolTraj(5, 15)
+	for _, m := range allMeasures() {
+		inc := m.NewIncremental(tr, q)
+		scan := func() {
+			inc.Init(2)
+			for j := 3; j < tr.Len(); j++ {
+				inc.Extend()
+			}
+		}
+		scan()
+		if a := testing.AllocsPerRun(20, scan); a > 0 {
+			t.Errorf("%s: an Init+Extend cycle allocates %.1f objects, want 0", m.Name(), a)
+		}
+		Release(inc)
+		s := NewStream(m, q)
+		stream := func() {
+			s.Reset()
+			for _, p := range tr.Points {
+				s.Push(p)
+			}
+		}
+		stream()
+		if a := testing.AllocsPerRun(20, stream); a > 0 {
+			t.Errorf("%s: a Reset+Push cycle allocates %.1f objects, want 0", m.Name(), a)
+		}
+	}
+}

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+
 	"simsub/internal/geo"
 	"simsub/internal/traj"
 )
@@ -51,24 +53,28 @@ type segCosts interface {
 	gap(e segment) float64
 }
 
-// segDist runs the edit-distance DP over segment sequences with the given
-// costs, in O(|es|·|fs|) time and O(|fs|) space.
-func segDist(cs segCosts, es, fs []segment) float64 {
-	row := segBaseRow(cs, fs)
-	for _, e := range es {
-		segExtendRow(cs, row, e, fs)
+// segDist computes a segment measure from scratch by running its computer
+// over t, in O(n·m) time.
+func segDist(cs segCosts, t, q traj.Trajectory) float64 {
+	if t.Len() == 0 || q.Len() == 0 {
+		return math.Inf(1)
 	}
-	return row[len(fs)]
+	c := newSegInc(cs, t, q)
+	defer c.Release()
+	d := c.Init(0)
+	for c.End() < t.Len()-1 {
+		d = c.Extend()
+	}
+	return d
 }
 
-// segBaseRow returns the DP row for an empty data prefix: inserting every
-// query segment.
-func segBaseRow(cs segCosts, fs []segment) []float64 {
-	row := make([]float64, len(fs)+1)
+// segBaseRow fills row with the DP row for an empty data prefix: inserting
+// every query segment.
+func segBaseRow(cs segCosts, row []float64, fs []segment) {
+	row[0] = 0
 	for j, f := range fs {
 		row[j+1] = row[j] + cs.gap(f)
 	}
-	return row
 }
 
 // segExtendRow advances the DP by one data segment in place.
@@ -105,17 +111,13 @@ func (EDS) rep(e, f segment) float64 {
 func (EDS) gap(e segment) float64 { return e.length() }
 
 // Dist computes EDS from scratch in O(n·m) time.
-func (m EDS) Dist(t, q traj.Trajectory) float64 {
-	if t.Len() < 2 || q.Len() < 2 {
-		return DTW{}.Dist(t, q)
-	}
-	return segDist(m, segmentsOf(t), segmentsOf(q))
-}
+func (m EDS) Dist(t, q traj.Trajectory) float64 { return segDist(m, t, q) }
 
 // NewIncremental implements Measure.
-func (m EDS) NewIncremental(t, q traj.Trajectory) Incremental {
-	return &segInc{cs: m, t: t, q: q, qsegs: segmentsOf(q)}
-}
+func (m EDS) NewIncremental(t, q traj.Trajectory) Incremental { return newSegInc(m, t, q) }
+
+// NewStream implements StreamMeasure.
+func (m EDS) NewStream(q traj.Trajectory) Stream { return newSegInc(m, traj.Trajectory{}, q) }
 
 // EDwP is a segment-based edit distance with coverage-weighted replacement
 // in the spirit of Ranu et al.: replacing e with f costs
@@ -139,51 +141,63 @@ func (EDwP) gap(e segment) float64 {
 }
 
 // Dist computes EDwP from scratch in O(n·m) time.
-func (m EDwP) Dist(t, q traj.Trajectory) float64 {
-	if t.Len() < 2 || q.Len() < 2 {
-		return DTW{}.Dist(t, q)
-	}
-	return segDist(m, segmentsOf(t), segmentsOf(q))
-}
+func (m EDwP) Dist(t, q traj.Trajectory) float64 { return segDist(m, t, q) }
 
 // NewIncremental implements Measure.
-func (m EDwP) NewIncremental(t, q traj.Trajectory) Incremental {
-	return &segInc{cs: m, t: t, q: q, qsegs: segmentsOf(q)}
-}
+func (m EDwP) NewIncremental(t, q traj.Trajectory) Incremental { return newSegInc(m, t, q) }
 
-// segInc extends a segment edit distance one data point at a time. A
-// subtrajectory of k points has k-1 segments, so Init (single point) uses the
-// degenerate fallback and the first Extend builds the first segment row.
+// NewStream implements StreamMeasure.
+func (m EDwP) NewStream(q traj.Trajectory) Stream { return newSegInc(m, traj.Trajectory{}, q) }
+
+// segInc is the one computer of a segment measure, for both Incremental
+// and Stream. A sequence of k points has k-1 segments, so a single point,
+// and every sequence against a one-point query, is scored by the DTW
+// fallback, which the computer delegates to a DTW computer; the second
+// point builds the first segment row.
 type segInc struct {
+	seq
 	cs    segCosts
-	t, q  traj.Trajectory
 	qsegs []segment
-	row   []float64
-	start int
-	end   int
+	row   []float64 // segment DP row, len(qsegs)+1 cells
+	dtw   *dtwInc
+	last  geo.Point // the last point consumed
 }
 
-func (c *segInc) Init(i int) float64 {
-	if c.q.Len() == 0 {
-		panic("sim: segment incremental with empty query")
+func newSegInc(cs segCosts, t, q traj.Trajectory) *segInc {
+	qsegs := segmentsOf(q)
+	return &segInc{
+		seq:   seq{t: t, q: q},
+		cs:    cs,
+		qsegs: qsegs,
+		row:   getRow(len(qsegs) + 1),
+		dtw:   newDTWInc(traj.Trajectory{}, q),
 	}
-	c.start, c.end = i, i
-	c.row = nil
-	return DTW{}.Dist(c.t.Sub(i, i), c.q)
 }
 
-func (c *segInc) Extend() float64 {
-	c.end++
-	if c.q.Len() < 2 {
-		// query has no segments; fall back for every prefix
-		return DTW{}.Dist(c.t.Sub(c.start, c.end), c.q)
+func (c *segInc) Push(p geo.Point) float64 {
+	if c.n == 0 {
+		c.dtw.Reset()
 	}
-	if c.row == nil {
-		c.row = segBaseRow(c.cs, c.qsegs)
+	prev := c.last
+	c.last = p
+	c.n++
+	if c.n == 1 || len(c.qsegs) == 0 {
+		return c.dtw.Push(p)
 	}
-	seg := segment{a: c.t.Pt(c.end - 1), b: c.t.Pt(c.end)}
-	segExtendRow(c.cs, c.row, seg, c.qsegs)
+	if c.n == 2 {
+		segBaseRow(c.cs, c.row, c.qsegs)
+	}
+	segExtendRow(c.cs, c.row, segment{a: prev, b: p}, c.qsegs)
 	return c.row[len(c.qsegs)]
 }
 
-func (c *segInc) End() int { return c.end }
+func (c *segInc) Init(i int) float64 { return c.Push(c.begin(i)) }
+
+func (c *segInc) Extend() float64 { return c.Push(c.next()) }
+
+// Release implements Releaser.
+func (c *segInc) Release() {
+	putRow(c.row)
+	c.row = nil
+	c.dtw.Release()
+}

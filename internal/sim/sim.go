@@ -15,6 +15,15 @@
 //	DTW       O(n·m)   O(m)   O(m)
 //	Fréchet   O(n·m)   O(m)   O(m)
 //
+// Each measure has exactly one computer type, which implements both
+// Incremental (ranges of a stored trajectory) and Stream (pushed points,
+// RLS-Skip's simplified state of §5.4). Push is the primitive: Init(i) is
+// Reset then Push(t.Pt(i)), and Extend is Push(t.Pt(End()+1)). The first
+// Push fills the first DP row with the same helper Dist uses, so a
+// computer and Dist agree bit for bit. CDTW, whose band depends on the
+// final length, and measures defined outside the package use the buffering
+// fallback, which recomputes from scratch per point.
+//
 // Suffix similarities Θ(T[i,n]^R, Tq^R) are computed by running an
 // Incremental over the reversed trajectories; SuffixDists wraps that.
 package sim

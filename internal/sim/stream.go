@@ -37,178 +37,62 @@ func NewStream(m Measure, q traj.Trajectory) Stream {
 	if sm, ok := m.(StreamMeasure); ok {
 		return sm.NewStream(q)
 	}
-	return &bufferStream{m: m, q: q}
+	return &bufferStream{seq: seq{q: q}, m: m}
 }
 
-// bufferStream is the generic fallback: it accumulates points and calls
-// Dist from scratch.
+// seq is the bookkeeping every computer in this package shares. Push is a
+// computer's primitive; when the computer is fed from a stored trajectory
+// t, Init(i) is Reset then Push(t.Pt(i)) and Extend is Push(t.Pt(End()+1)),
+// so the two interfaces are one code path. A stream has no t.
+type seq struct {
+	t, q  traj.Trajectory
+	start int // index in t of the first point consumed since Reset
+	n     int // points consumed since Reset
+}
+
+// begin resets the sequence to start at t's point i and returns that point.
+func (s *seq) begin(i int) geo.Point {
+	if s.q.Len() == 0 {
+		panic("sim: incremental computer with an empty query")
+	}
+	s.start, s.n = i, 0
+	return s.t.Pt(i)
+}
+
+// next returns the point of t that Extend consumes.
+func (s *seq) next() geo.Point { return s.t.Pt(s.start + s.n) }
+
+// End implements Incremental.
+func (s *seq) End() int { return s.start + s.n - 1 }
+
+// Len implements Stream.
+func (s *seq) Len() int { return s.n }
+
+// Reset implements Stream.
+func (s *seq) Reset() { s.n = 0 }
+
+// bufferStream accumulates points and calls Dist from scratch: the
+// fallback for measures defined outside this package, and CDTW's computer,
+// whose Sakoe-Chiba band is laid along the final subtrajectory's own
+// diagonal, so no row of an earlier prefix can be extended (cost Φ per
+// Push either way). CDTW is only used by the UCR/Spring comparison
+// (Figures 8 and 13), which scores fixed-length windows from scratch and
+// never relies on this computer being cheap.
 type bufferStream struct {
+	seq
 	m   Measure
-	q   traj.Trajectory
 	pts []geo.Point
 }
 
 func (s *bufferStream) Push(p geo.Point) float64 {
+	if s.n == 0 {
+		s.pts = s.pts[:0]
+	}
 	s.pts = append(s.pts, p)
+	s.n++
 	return s.m.Dist(traj.Trajectory{Points: s.pts}, s.q)
 }
 
-func (s *bufferStream) Len() int { return len(s.pts) }
+func (s *bufferStream) Init(i int) float64 { return s.Push(s.begin(i)) }
 
-func (s *bufferStream) Reset() { s.pts = s.pts[:0] }
-
-// dtwStream reuses the DTW row extension.
-type dtwStream struct {
-	q   traj.Trajectory
-	row []float64
-	n   int
-}
-
-// NewStream implements StreamMeasure.
-func (DTW) NewStream(q traj.Trajectory) Stream {
-	return &dtwStream{q: q, row: make([]float64, q.Len())}
-}
-
-func (s *dtwStream) Push(p geo.Point) float64 {
-	m := s.q.Len()
-	if s.n == 0 {
-		acc := 0.0
-		for j := 0; j < m; j++ {
-			acc += geo.Dist(p, s.q.Pt(j))
-			s.row[j] = acc
-		}
-	} else {
-		dtwExtendRow(s.row, p, s.q)
-	}
-	s.n++
-	return s.row[m-1]
-}
-
-func (s *dtwStream) Len() int { return s.n }
-
-func (s *dtwStream) Reset() { s.n = 0 }
-
-// frechetStream reuses the Fréchet row extension.
-type frechetStream struct {
-	q   traj.Trajectory
-	row []float64
-	n   int
-}
-
-// NewStream implements StreamMeasure.
-func (Frechet) NewStream(q traj.Trajectory) Stream {
-	return &frechetStream{q: q, row: make([]float64, q.Len())}
-}
-
-func (s *frechetStream) Push(p geo.Point) float64 {
-	m := s.q.Len()
-	if s.n == 0 {
-		acc := 0.0
-		for j := 0; j < m; j++ {
-			d := geo.Dist(p, s.q.Pt(j))
-			if d > acc {
-				acc = d
-			}
-			s.row[j] = acc
-		}
-	} else {
-		frechetExtendRow(s.row, p, s.q)
-	}
-	s.n++
-	return s.row[m-1]
-}
-
-func (s *frechetStream) Len() int { return s.n }
-
-func (s *frechetStream) Reset() { s.n = 0 }
-
-// erpStream reuses the ERP row extension.
-type erpStream struct {
-	meas ERP
-	q    traj.Trajectory
-	row  []float64
-	n    int
-}
-
-// NewStream implements StreamMeasure.
-func (e ERP) NewStream(q traj.Trajectory) Stream {
-	return &erpStream{meas: e, q: q}
-}
-
-func (s *erpStream) Push(p geo.Point) float64 {
-	if s.n == 0 {
-		if s.row == nil {
-			s.row = make([]float64, s.q.Len()+1)
-		}
-		s.meas.baseRowInto(s.row, s.q)
-	}
-	s.meas.extendRow(s.row, p, s.q)
-	s.n++
-	return s.row[s.q.Len()]
-}
-
-func (s *erpStream) Len() int { return s.n }
-
-func (s *erpStream) Reset() { s.n = 0 }
-
-// edrStream reuses the EDR row extension.
-type edrStream struct {
-	meas EDR
-	q    traj.Trajectory
-	row  []float64
-	n    int
-}
-
-// NewStream implements StreamMeasure.
-func (e EDR) NewStream(q traj.Trajectory) Stream {
-	return &edrStream{meas: e, q: q}
-}
-
-func (s *edrStream) Push(p geo.Point) float64 {
-	m := s.q.Len()
-	if s.n == 0 {
-		s.row = make([]float64, m+1)
-		for j := 0; j <= m; j++ {
-			s.row[j] = float64(j)
-		}
-	}
-	s.meas.extendRow(s.row, p, s.q)
-	s.n++
-	return s.row[m]
-}
-
-func (s *edrStream) Len() int { return s.n }
-
-func (s *edrStream) Reset() { s.n = 0 }
-
-// lcssStream reuses the LCSS row extension.
-type lcssStream struct {
-	meas LCSS
-	q    traj.Trajectory
-	row  []float64
-	n    int
-}
-
-// NewStream implements StreamMeasure.
-func (l LCSS) NewStream(q traj.Trajectory) Stream {
-	return &lcssStream{meas: l, q: q}
-}
-
-func (s *lcssStream) Push(p geo.Point) float64 {
-	m := s.q.Len()
-	if s.n == 0 {
-		s.row = make([]float64, m+1)
-	}
-	s.meas.extendRow(s.row, p, s.q)
-	s.n++
-	return s.meas.toDist(s.row[m], s.n, m)
-}
-
-func (s *lcssStream) Len() int { return s.n }
-
-func (s *lcssStream) Reset() {
-	s.n = 0
-	for i := range s.row {
-		s.row[i] = 0
-	}
-}
+func (s *bufferStream) Extend() float64 { return s.Push(s.next()) }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -9,7 +10,8 @@ import (
 
 func TestStreamMatchesDist(t *testing.T) {
 	// For every measure, pushing the points of a subsequence one at a time
-	// must reproduce Dist of the buffered prefix — including after Reset.
+	// must reproduce the bits of Dist of the buffered prefix — including
+	// after Reset.
 	rng := rand.New(rand.NewSource(30))
 	for _, m := range allMeasures() {
 		t.Run(m.Name(), func(t *testing.T) {
@@ -34,7 +36,7 @@ func TestStreamMatchesDist(t *testing.T) {
 						got := s.Push(p)
 						prefix.Points = append(prefix.Points, p)
 						want := m.Dist(prefix, q)
-						if !closeEnough(got, want) {
+						if math.Float64bits(got) != math.Float64bits(want) {
 							t.Fatalf("round %d: stream dist after %d pushes = %v, want %v",
 								round, len(prefix.Points), got, want)
 						}
@@ -55,7 +57,7 @@ func TestStreamMatchesDist(t *testing.T) {
 func TestNativeStreamsAvailable(t *testing.T) {
 	// the measures on the hot path must provide native streaming, not the
 	// quadratic fallback
-	for _, m := range []Measure{DTW{}, Frechet{}, ERP{}, EDR{Eps: 0.5}, LCSS{Eps: 0.5}} {
+	for _, m := range []Measure{DTW{}, Frechet{}, ERP{}, EDR{Eps: 0.5}, LCSS{Eps: 0.5}, EDS{}, EDwP{}} {
 		if _, ok := m.(StreamMeasure); !ok {
 			t.Errorf("%s should implement StreamMeasure", m.Name())
 		}
@@ -63,15 +65,20 @@ func TestNativeStreamsAvailable(t *testing.T) {
 }
 
 func TestBufferStreamFallback(t *testing.T) {
-	// segment measures use the fallback; verify it still agrees with Dist
+	// CDTW's band depends on the final length, so it uses the fallback;
+	// verify it still agrees with Dist
+	m := CDTW{R: 0.25}
+	if _, ok := Measure(m).(StreamMeasure); ok {
+		t.Fatal("cdtw should use the buffering fallback")
+	}
 	q := traj.FromXY(0, 0, 1, 0, 2, 0)
-	s := NewStream(EDS{}, q)
+	s := NewStream(m, q)
 	pts := traj.FromXY(0, 1, 1, 1, 2, 1)
 	var prefix traj.Trajectory
 	for i := 0; i < pts.Len(); i++ {
 		got := s.Push(pts.Pt(i))
 		prefix.Points = append(prefix.Points, pts.Pt(i))
-		want := (EDS{}).Dist(prefix, q)
+		want := m.Dist(prefix, q)
 		if !closeEnough(got, want) {
 			t.Fatalf("fallback stream = %v, want %v", got, want)
 		}

@@ -196,21 +196,22 @@ func euclid(a, b []float64) float64 {
 	return math.Sqrt(s)
 }
 
-// inc is the O(1)-per-extension incremental computer: it carries the
-// encoder hidden state of the current subtrajectory.
+// inc is the model's one computer, for both sim.Incremental and
+// sim.Stream: it carries the encoder hidden state of the points consumed so
+// far, and each point costs one GRU step (Φini = Φinc = O(1)). Push is the
+// primitive; Init(i) is Reset then Push(t.Pt(i)) and Extend is
+// Push(t.Pt(End()+1)). A stream has no t.
 type inc struct {
-	m    *Model
-	t    traj.Trajectory
-	qEmb []float64
-	h    []float64
-	x    []float64
-	end  int
+	m     *Model
+	t     traj.Trajectory
+	qEmb  []float64
+	h     []float64
+	x     []float64
+	start int // index in t of the first point consumed since Reset
+	n     int // points consumed since Reset
 }
 
-// NewIncremental implements sim.Measure. The query embedding is computed
-// once (amortized per the paper's Φ analysis); Init costs one GRU step
-// (Φini = O(1)) and each Extend one GRU step (Φinc = O(1)).
-func (m *Model) NewIncremental(t, q traj.Trajectory) sim.Incremental {
+func (m *Model) newInc(t, q traj.Trajectory) *inc {
 	return &inc{
 		m:    m,
 		t:    t,
@@ -220,24 +221,35 @@ func (m *Model) NewIncremental(t, q traj.Trajectory) sim.Incremental {
 	}
 }
 
-func (c *inc) Init(i int) float64 {
-	for j := range c.h {
-		c.h[j] = 0
+// NewIncremental implements sim.Measure. The query embedding is computed
+// once (amortized per the paper's Φ analysis).
+func (m *Model) NewIncremental(t, q traj.Trajectory) sim.Incremental { return m.newInc(t, q) }
+
+// NewStream implements sim.StreamMeasure.
+func (m *Model) NewStream(q traj.Trajectory) sim.Stream { return m.newInc(traj.Trajectory{}, q) }
+
+func (c *inc) Push(p geo.Point) float64 {
+	if c.n == 0 {
+		clear(c.h)
 	}
-	c.end = i
-	c.m.feature(c.t.Pt(i), c.x)
+	c.m.feature(p, c.x)
 	c.m.enc.StepInfer(c.h, c.x, c.h)
+	c.n++
 	return euclid(c.h, c.qEmb)
 }
 
-func (c *inc) Extend() float64 {
-	c.end++
-	c.m.feature(c.t.Pt(c.end), c.x)
-	c.m.enc.StepInfer(c.h, c.x, c.h)
-	return euclid(c.h, c.qEmb)
+func (c *inc) Init(i int) float64 {
+	c.start, c.n = i, 0
+	return c.Push(c.t.Pt(i))
 }
 
-func (c *inc) End() int { return c.end }
+func (c *inc) Extend() float64 { return c.Push(c.t.Pt(c.start + c.n)) }
+
+func (c *inc) End() int { return c.start + c.n - 1 }
+
+func (c *inc) Len() int { return c.n }
+
+func (c *inc) Reset() { c.n = 0 }
 
 // Save serializes the model (encoder weights, bounds and, for token
 // models, the grid size and embedding table).
