@@ -645,6 +645,22 @@ type StreamSearcher interface {
 	QueryStream(ctx context.Context, spec QuerySpec, emit func(Match) error) (*StreamSummary, error)
 }
 
+// Service is the whole shared /v2 surface: every route a node and a router
+// both serve, one method per route. A node (*server.Server), a router
+// (*router.Router) and the remote *client.Client all implement it, and the
+// one HTTP front end (internal/server) is written over it, so both tiers
+// answer each shared route through the same handler.
+type Service interface {
+	StreamSearcher
+	Load(ctx context.Context, ts []Trajectory) (*LoadResponse, error)
+	GetTrajectory(ctx context.Context, id int) (*TrajectoryRecord, error)
+	SwapPolicy(ctx context.Context, req PolicySwapRequest) (*PolicyInfo, error)
+	Policy(ctx context.Context) (*PolicyInfo, error)
+	SwapEncoder(ctx context.Context, req EncoderSwapRequest) (*EncoderInfo, error)
+	Encoder(ctx context.Context) (*EncoderInfo, error)
+	Stats(ctx context.Context) (*StatsResponse, error)
+}
+
 // MS is a duration in the wire's fractional milliseconds (microsecond
 // resolution).
 func MS(d time.Duration) float64 {

@@ -43,6 +43,23 @@ func (t Trajectory) ToTraj() (traj.Trajectory, *Error) {
 	return traj.Trajectory{Points: pts}, nil
 }
 
+// ToTrajs validates and converts a load batch: it must be non-empty, and
+// a bad trajectory fails the whole batch under its index.
+func ToTrajs(wts []Trajectory) ([]traj.Trajectory, *Error) {
+	if len(wts) == 0 {
+		return nil, Errorf(CodeInvalidArgument, "no trajectories in request")
+	}
+	ts := make([]traj.Trajectory, len(wts))
+	for i, wt := range wts {
+		t, aerr := wt.ToTraj()
+		if aerr != nil {
+			return nil, Errorf(CodeInvalidArgument, "trajectory %d: %s", i, aerr.Message)
+		}
+		ts[i] = t
+	}
+	return ts, nil
+}
+
 // Validate checks the filter rectangle: finite and non-empty.
 func (r Rect) Validate() *Error {
 	if !finite(r.MinX) || !finite(r.MinY) || !finite(r.MaxX) || !finite(r.MaxY) {

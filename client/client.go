@@ -34,10 +34,7 @@ import (
 	"simsub/api"
 )
 
-var (
-	_ api.Searcher       = (*Client)(nil)
-	_ api.StreamSearcher = (*Client)(nil)
-)
+var _ api.Service = (*Client)(nil)
 
 // Client is an HTTP client of one simsubd server. It is safe for
 // concurrent use.

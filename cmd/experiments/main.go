@@ -1,7 +1,8 @@
 // Command experiments regenerates the tables and figures of the paper's
 // evaluation (§6 and Appendix D) on the synthetic datasets and prints them
 // as text tables. DESIGN.md §4 maps each experiment id to its
-// implementation; EXPERIMENTS.md records a reference run.
+// implementation. No reference run is committed yet: ROADMAP item 3(c)
+// asks for one.
 //
 // Usage:
 //

@@ -600,17 +600,8 @@ func (e *Engine) validateQuery(q Query) *api.Error {
 			return api.Errorf(api.CodeInvalidArgument, "query point %d has a non-finite coordinate", i)
 		}
 	}
-	if q.K <= 0 {
-		return api.Errorf(api.CodeInvalidArgument, "k must be positive, got %d", q.K)
-	}
-	if n := e.Len(); q.K > n {
-		return api.Errorf(api.CodeInvalidArgument, "k %d exceeds store size %d", q.K, n)
-	}
-	if q.Offset < 0 {
-		return api.Errorf(api.CodeInvalidArgument, "offset must be non-negative, got %d", q.Offset)
-	}
-	if q.Limit < 0 {
-		return api.Errorf(api.CodeInvalidArgument, "limit must be non-negative, got %d", q.Limit)
+	if aerr := q.ValidatePage(e.Len()); aerr != nil {
+		return aerr
 	}
 	if q.Bound != nil {
 		if b := *q.Bound; !finite(b) || b < 0 {
@@ -636,10 +627,30 @@ func (e *Engine) validateQuery(q Query) *api.Error {
 	return nil
 }
 
-// pageOf selects the ranking window [offset, offset+limit) (limit 0 = to
+// ValidatePage checks the query's ranking window against a store of n
+// trajectories: k positive and no larger than the store, offset and limit
+// non-negative. The distributed coordinator runs the same check against
+// the fleet's size.
+func (q Query) ValidatePage(n int) *api.Error {
+	if q.K <= 0 {
+		return api.Errorf(api.CodeInvalidArgument, "k must be positive, got %d", q.K)
+	}
+	if q.K > n {
+		return api.Errorf(api.CodeInvalidArgument, "k %d exceeds store size %d", q.K, n)
+	}
+	if q.Offset < 0 {
+		return api.Errorf(api.CodeInvalidArgument, "offset must be non-negative, got %d", q.Offset)
+	}
+	if q.Limit < 0 {
+		return api.Errorf(api.CodeInvalidArgument, "limit must be non-negative, got %d", q.Limit)
+	}
+	return nil
+}
+
+// PageOf selects the ranking window [offset, offset+limit) (limit 0 = to
 // the end). The page aliases full — which cache hits share — so callers
 // must treat it as read-only.
-func pageOf(full []Match, offset, limit int) []Match {
+func PageOf(full []Match, offset, limit int) []Match {
 	if offset >= len(full) {
 		return nil
 	}
@@ -845,7 +856,7 @@ func (e *Engine) topK(ctx context.Context, q Query, emit func(Match) error) (ful
 			return nil, nil, false, nil
 		}
 		e.hits.Add(1)
-		page = pageOf(ms, q.Offset, q.Limit)
+		page = PageOf(ms, q.Offset, q.Limit)
 		if emit != nil {
 			for _, m := range page {
 				if err := emit(m); err != nil {
@@ -913,7 +924,7 @@ func (e *Engine) topK(ctx context.Context, q Query, emit func(Match) error) (ful
 	if e.cache != nil && key.gen%2 == 0 && e.gen.Load() == key.gen {
 		e.cache.put(key, q.Q, slices.Clone(merged))
 	}
-	return merged, pageOf(merged, q.Offset, q.Limit), false, deg, nil
+	return merged, PageOf(merged, q.Offset, q.Limit), false, deg, nil
 }
 
 // MergeTopK merges top-k lists — one per node, for the distributed

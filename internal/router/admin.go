@@ -5,12 +5,15 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
-	"os"
+	"io"
 	"sync"
 	"time"
 
 	"simsub/api"
 	"simsub/client"
+	"simsub/internal/rl"
+	"simsub/internal/server"
+	"simsub/internal/t2vec"
 )
 
 // eachNode runs call against every node of the fleet concurrently, each
@@ -38,16 +41,17 @@ func eachNode[T any](ctx context.Context, r *Router, call func(*client.Client, c
 
 // inlineFile rewrites a swap request that names a Path into its inline
 // form, in place, leaving every other field as the caller sent it: the
-// file is read once here, against the ROUTER's filesystem, and shipped to
-// the nodes as base64 bytes, since the nodes' local filesystems are not the
-// operator's.
-func inlineFile(kind string, path, b64 *string) *api.Error {
+// file is read and parsed once here, against the ROUTER's filesystem
+// (server.ReadArtifactFile, so its failures are classified as on a node),
+// and shipped to the nodes as base64 bytes, since the nodes' local
+// filesystems are not the operator's.
+func inlineFile[T any](kind string, path, b64 *string, parse func(io.Reader) (T, error)) *api.Error {
 	if *path == "" {
 		return nil
 	}
-	raw, err := os.ReadFile(*path)
-	if err != nil {
-		return api.Errorf(api.CodeInvalidArgument, "reading %s file: %v", kind, err)
+	raw, _, aerr := server.ReadArtifactFile(kind, *path, parse)
+	if aerr != nil {
+		return aerr
 	}
 	*path, *b64 = "", base64.StdEncoding.EncodeToString(raw)
 	return nil
@@ -117,7 +121,7 @@ func (r *Router) SwapPolicy(ctx context.Context, req api.PolicySwapRequest) (*ap
 	if aerr := req.Validate(); aerr != nil {
 		return nil, aerr
 	}
-	if aerr := inlineFile("policy", &req.Path, &req.PolicyB64); aerr != nil {
+	if aerr := inlineFile("policy", &req.Path, &req.PolicyB64, rl.Load); aerr != nil {
 		return nil, aerr
 	}
 	return broadcastSwap(ctx, r, "policy", policyFingerprint, func(c *client.Client, ctx context.Context) (*api.PolicyInfo, error) {
@@ -139,7 +143,7 @@ func (r *Router) SwapEncoder(ctx context.Context, req api.EncoderSwapRequest) (*
 	if aerr := req.Validate(); aerr != nil {
 		return nil, aerr
 	}
-	if aerr := inlineFile("encoder", &req.Path, &req.EncoderB64); aerr != nil {
+	if aerr := inlineFile("encoder", &req.Path, &req.EncoderB64, t2vec.Load); aerr != nil {
 		return nil, aerr
 	}
 	return broadcastSwap(ctx, r, "encoder", encoderFingerprint, func(c *client.Client, ctx context.Context) (*api.EncoderInfo, error) {

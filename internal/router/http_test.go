@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -139,11 +140,25 @@ func TestFrontEndParity(t *testing.T) {
 		return fmt.Sprintf("spec failed with http %d", qr.Results[0].Error.HTTPStatus())
 	}
 
+	// stats reads a 200 stats answer down to what both tiers must agree on
+	stats := func(r io.Reader) string {
+		var st api.StatsResponse
+		if err := json.NewDecoder(r).Decode(&st); err != nil {
+			return fmt.Sprintf("undecodable stats (%v)", err)
+		}
+		return fmt.Sprintf("%d trajectories, uptime stamped %v, goroutines stamped %v",
+			st.Engine.Trajectories, st.UptimeSeconds > 0, st.Goroutines > 0)
+	}
+	load := body(api.LoadRequest{Trajectories: []api.Trajectory{q}})
+	missing := filepath.Join(t.TempDir(), "missing")
+
 	rows := []struct {
 		name string
 		opts server.Options
-		path string
-		body string
+		// method is the request's; "" is POST
+		method string
+		path   string
+		body   string
 		// recovering rows run with every node replaying its log
 		recovering bool
 		// midStream rows read one match record, wait out the deadline,
@@ -186,6 +201,40 @@ func TestFrontEndParity(t *testing.T) {
 		{name: "overloaded carries Retry-After", path: "/v2/query/stream",
 			body: body(api.StreamQuery{Spec: spec(nil)}), recovering: true,
 			want: outcome{status: 503, contentType: "application/json", retryAfter: "1", code: api.CodeOverloaded}},
+		{name: "trailing JSON value", path: "/v2/load", body: load + load,
+			want: outcome{status: 400, contentType: "application/json", code: api.CodeInvalidArgument}},
+		{name: "trailing garbage", path: "/v2/query", body: body(api.Query{Specs: []api.QuerySpec{spec(nil)}}) + "garbage",
+			want: outcome{status: 400, contentType: "application/json", code: api.CodeInvalidArgument}},
+		{name: "load: empty batch", path: "/v2/load", body: `{"trajectories":[]}`,
+			want: outcome{status: 400, contentType: "application/json", code: api.CodeInvalidArgument}},
+		{name: "load: bad point", path: "/v2/load", body: `{"trajectories":[{"points":[[0,0],[1]]}]}`,
+			want: outcome{status: 400, contentType: "application/json", code: api.CodeInvalidArgument}},
+		{name: "load while recovering", path: "/v2/load", body: load, recovering: true,
+			want: outcome{status: 503, contentType: "application/json", retryAfter: "1", code: api.CodeOverloaded}},
+		{name: "trajectory: non-integer id", method: http.MethodGet, path: "/v2/trajectories/first",
+			want: outcome{status: 400, contentType: "application/json", code: api.CodeInvalidArgument}},
+		{name: "trajectory: unknown id", method: http.MethodGet, path: "/v2/trajectories/4000",
+			want: outcome{status: 404, contentType: "application/json", code: api.CodeNotFound}},
+		{name: "trajectory while recovering", method: http.MethodGet, path: "/v2/trajectories/0", recovering: true,
+			want: outcome{status: 503, contentType: "application/json", retryAfter: "1", code: api.CodeOverloaded}},
+		{name: "stats", method: http.MethodGet, path: "/v2/stats", detail: stats,
+			want: outcome{status: 200, contentType: "application/json", detail: "40 trajectories, uptime stamped true, goroutines stamped true"}},
+		{name: "policy: none loaded", method: http.MethodGet, path: "/v2/admin/policy",
+			want: outcome{status: 404, contentType: "application/json", code: api.CodeNotFound}},
+		{name: "encoder: none loaded", method: http.MethodGet, path: "/v2/admin/encoder",
+			want: outcome{status: 404, contentType: "application/json", code: api.CodeNotFound}},
+		{name: "policy swap naming path and bytes", path: "/v2/admin/policy",
+			body: body(api.PolicySwapRequest{Path: missing, PolicyB64: "eA=="}),
+			want: outcome{status: 400, contentType: "application/json", code: api.CodeInvalidArgument}},
+		{name: "encoder swap naming path and bytes", path: "/v2/admin/encoder",
+			body: body(api.EncoderSwapRequest{Path: missing, EncoderB64: "eA=="}),
+			want: outcome{status: 400, contentType: "application/json", code: api.CodeInvalidArgument}},
+		{name: "swap naming a missing file", path: "/v2/admin/policy",
+			body: body(api.PolicySwapRequest{Path: missing}),
+			want: outcome{status: 404, contentType: "application/json", code: api.CodeNotFound}},
+		{name: "swap naming a directory", path: "/v2/admin/policy",
+			body: body(api.PolicySwapRequest{Path: filepath.Dir(missing)}),
+			want: outcome{status: 500, contentType: "application/json", code: api.CodeInternal}},
 	}
 	for _, row := range rows {
 		for _, fe := range fronts {
@@ -201,8 +250,17 @@ func TestFrontEndParity(t *testing.T) {
 					stallArm()
 					defer stallOpen()
 				}
+				method := row.method
+				if method == "" {
+					method = http.MethodPost
+				}
+				req, err := http.NewRequest(method, srv.URL+row.path, strings.NewReader(row.body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				req.Header.Set("Content-Type", "application/json")
 				sent := time.Now()
-				resp, err := http.Post(srv.URL+row.path, "application/json", strings.NewReader(row.body))
+				resp, err := http.DefaultClient.Do(req)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -244,7 +302,9 @@ func TestFrontEndParity(t *testing.T) {
 						break
 					}
 				case resp.StatusCode/100 == 2:
-					got.detail = row.detail(resp.Body)
+					if row.detail != nil {
+						got.detail = row.detail(resp.Body)
+					}
 				default:
 					var er api.ErrorResponse
 					if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {

@@ -34,35 +34,16 @@ func failureOf(g *group, err error) api.NodeFailure {
 	return api.NodeFailure{Node: node, Err: *api.FromError(err)}
 }
 
-// validateSpec applies the router-level wire checks: shape, page, bound
-// and the store-size bound on k. Measure/algorithm names are validated by
-// the nodes — their rejections are deterministic, so the first one is the
-// spec's answer.
+// validateSpec applies the engine's own wire checks (engine.QueryFromSpec)
+// and its ranking-window check against the fleet's store size.
+// Measure/algorithm names are validated by the nodes — their rejections
+// are deterministic, so the first one is the spec's answer.
 func (r *Router) validateSpec(spec api.QuerySpec) *api.Error {
-	if _, aerr := spec.Query.ToTraj(); aerr != nil {
+	q, aerr := engine.QueryFromSpec(spec)
+	if aerr != nil {
 		return aerr
 	}
-	if spec.K <= 0 {
-		return api.Errorf(api.CodeInvalidArgument, "k must be positive, got %d", spec.K)
-	}
-	if n := r.Len(); spec.K > n {
-		return api.Errorf(api.CodeInvalidArgument, "k %d exceeds store size %d", spec.K, n)
-	}
-	if spec.Offset < 0 {
-		return api.Errorf(api.CodeInvalidArgument, "offset must be non-negative, got %d", spec.Offset)
-	}
-	if spec.Limit < 0 {
-		return api.Errorf(api.CodeInvalidArgument, "limit must be non-negative, got %d", spec.Limit)
-	}
-	if spec.Filter != nil {
-		if aerr := spec.Filter.Validate(); aerr != nil {
-			return aerr
-		}
-	}
-	if aerr := spec.ValidateANN(); aerr != nil {
-		return aerr
-	}
-	return spec.ValidateBound()
+	return q.ValidatePage(r.Len())
 }
 
 // checkBudget rejects a deadline-carrying request whose remaining budget
@@ -402,7 +383,7 @@ func (r *Router) query(ctx context.Context, spec api.QuerySpec, emit func(api.Ma
 	if spec.Distinct {
 		full = r.collapseDistinct(ctx, full)
 	}
-	page := pageOf(full, spec.Offset, spec.Limit)
+	page := engine.PageOf(full, spec.Offset, spec.Limit)
 	return &api.StreamSummary{
 		Matches:  engine.MatchesToAPI(page),
 		Total:    len(full),
@@ -512,19 +493,6 @@ next:
 		}
 		seen[d] = append(seen[d], sub)
 		out = append(out, m)
-	}
-	return out
-}
-
-// pageOf selects the ranking window [offset, offset+limit) (limit 0 = to
-// the end), exactly like the engine's paging.
-func pageOf(full []engine.Match, offset, limit int) []engine.Match {
-	if offset >= len(full) {
-		return nil
-	}
-	out := full[offset:]
-	if limit > 0 && limit < len(out) {
-		out = out[:limit]
 	}
 	return out
 }

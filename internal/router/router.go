@@ -5,9 +5,9 @@
 // the wire (api.QuerySpec.Bound) so remote shards prune exactly like the
 // local shards of a single engine.
 //
-// The Router implements the same api.Searcher / api.StreamSearcher
-// interfaces as *engine.Engine and *client.Client, and cmd/simsubrouter
-// exposes it over the same HTTP surface as simsubd — a client.Client
+// The Router implements api.Service, the whole shared /v2 surface, like a
+// node's *server.Server and the remote *client.Client, and cmd/simsubrouter
+// serves it through the node's own HTTP front end — a client.Client
 // pointed at a router is indistinguishable from one pointed at a single
 // node, and its rankings are byte-identical to a single engine holding the
 // same corpus.
@@ -32,13 +32,9 @@ import (
 	"simsub/client"
 	"simsub/internal/engine"
 	"simsub/internal/failpoint"
-	"simsub/internal/traj"
 )
 
-var (
-	_ api.Searcher       = (*Router)(nil)
-	_ api.StreamSearcher = (*Router)(nil)
-)
+var _ api.Service = (*Router)(nil)
 
 // Config sizes a Router. Nodes is required; zero values elsewhere select
 // the documented defaults.
@@ -469,16 +465,9 @@ func groupDo[T any](ctx context.Context, r *Router, g *group, hedge bool, fn fun
 // may leave already-loaded nodes ahead of the router's committed mapping,
 // which the error reports.
 func (r *Router) Load(ctx context.Context, wts []api.Trajectory) (*api.LoadResponse, error) {
-	if len(wts) == 0 {
-		return nil, api.Errorf(api.CodeInvalidArgument, "no trajectories in request")
-	}
-	ts := make([]traj.Trajectory, len(wts))
-	for i, wt := range wts {
-		t, aerr := wt.ToTraj()
-		if aerr != nil {
-			return nil, api.Errorf(api.CodeInvalidArgument, "trajectory %d: %s", i, aerr.Message)
-		}
-		ts[i] = t
+	ts, aerr := api.ToTrajs(wts)
+	if aerr != nil {
+		return nil, aerr
 	}
 
 	r.loadMu.Lock()
@@ -500,7 +489,7 @@ func (r *Router) Load(ctx context.Context, wts []api.Trajectory) (*api.LoadRespo
 	// group must agree on the assigned local IDs or the fleet is not
 	// dedicated to this router
 	var wg sync.WaitGroup
-	errs := make([]error, len(r.groups))
+	errs := make([][]error, len(r.groups))
 	for gi, bucket := range buckets {
 		if len(bucket) == 0 {
 			continue
@@ -512,8 +501,29 @@ func (r *Router) Load(ctx context.Context, wts []api.Trajectory) (*api.LoadRespo
 		}(gi, bucket)
 	}
 	wg.Wait()
-	for gi, err := range errs {
-		if err != nil {
+	// a node refuses a load with overloaded (recovering, draining,
+	// shedding) before committing any of it; when every replica refused,
+	// no node holds the batch and the refusal is the caller's to retry
+	refused, retryMS := true, 0
+	for _, rerrs := range errs {
+		for _, err := range rerrs {
+			var ae *api.Error
+			if err == nil || !errors.As(err, &ae) || ae.Code != api.CodeOverloaded {
+				refused = false
+				continue
+			}
+			retryMS = max(retryMS, ae.RetryAfterMS)
+		}
+	}
+	for gi, rerrs := range errs {
+		err := errors.Join(rerrs...)
+		switch {
+		case err == nil:
+		case refused:
+			ae := api.Errorf(api.CodeOverloaded, "loading shard group %d: %v (no node committed the load — retry it)", gi, err)
+			ae.RetryAfterMS = retryMS
+			return nil, ae
+		default:
 			return nil, api.Errorf(api.CodeInternal,
 				"loading shard group %d: %v (the load was not committed; some nodes may hold it — reconcile or restart the fleet)", gi, err)
 		}
@@ -532,8 +542,9 @@ func (r *Router) Load(ctx context.Context, wts []api.Trajectory) (*api.LoadRespo
 }
 
 // loadGroup ships one group's bucket to all of its replicas and checks
-// they assigned the expected dense local IDs.
-func (r *Router) loadGroup(ctx context.Context, g *group, bucket []api.Trajectory, wantBase int) error {
+// they assigned the expected dense local IDs; it reports each replica's
+// outcome (nil on success).
+func (r *Router) loadGroup(ctx context.Context, g *group, bucket []api.Trajectory, wantBase int) []error {
 	var wg sync.WaitGroup
 	errs := make([]error, len(g.replicas))
 	for ri, n := range g.replicas {
@@ -560,7 +571,7 @@ func (r *Router) loadGroup(ctx context.Context, g *group, bucket []api.Trajector
 		}(ri, n)
 	}
 	wg.Wait()
-	return errors.Join(errs...)
+	return errs
 }
 
 // GetTrajectory fetches a stored trajectory by router-global ID from the

@@ -12,10 +12,11 @@
 //	GET  /healthz          liveness probe (503 while recovering)
 //
 // The wire front end itself — JSON rendering, the typed error envelope,
-// body decoding, the request deadline and the two query handlers — is
-// written over api.Searcher / api.StreamSearcher and exported, so the
-// distributed coordinator (internal/router) mounts the same code instead
-// of a copy.
+// body decoding, the request deadline and one handler per shared route —
+// is written once over api.Service (Options.Mux). A *Server implements
+// api.Service over the engine and mounts it; the distributed coordinator
+// (internal/router) mounts the same front end over its *Router. Only
+// /v2/load/stream and /healthz are the node's own.
 //
 // A server booting over a persistent data directory starts in the
 // "recovering" state: the data-path endpoints (loads, queries, trajectory
@@ -33,13 +34,10 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"io"
 	"math"
 	"net/http"
-	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,12 +45,14 @@ import (
 	"simsub/api"
 	"simsub/internal/engine"
 	"simsub/internal/failpoint"
+	"simsub/internal/rl"
 	"simsub/internal/sim"
+	"simsub/internal/t2vec"
 	"simsub/internal/traj"
 )
 
-// Options tunes an HTTP front end (a Server, or the router's Handler).
-// The zero value is usable.
+// Options tunes the HTTP front end, a node's (New) or a router's
+// (router.NewHandler). The zero value is usable.
 type Options struct {
 	// MaxTimeout caps every request's search time (default 30s). A request
 	// may ask for less via timeout_ms but never for more.
@@ -83,12 +83,13 @@ func (o Options) WithDefaults() Options {
 	return o
 }
 
-// Server is the HTTP front end of an engine. It implements http.Handler.
+// Server is the HTTP front end of an engine. It implements http.Handler,
+// and api.Service over the engine — the node's side of the shared front
+// end.
 type Server struct {
-	eng   *engine.Engine
-	opts  Options
-	mux   *http.ServeMux
-	start time.Time
+	eng  *engine.Engine
+	opts Options
+	mux  *http.ServeMux
 
 	// ready gates the data-path endpoints; false while the node replays
 	// its persistent log on boot (see SetReady).
@@ -112,21 +113,14 @@ type Server struct {
 // before serving and flips it back once the engine holds the full corpus.
 func New(eng *engine.Engine, opts Options) *Server {
 	opts = opts.WithDefaults()
-	s := &Server{eng: eng, opts: opts, mux: http.NewServeMux(), start: time.Now()}
+	s := &Server{eng: eng, opts: opts}
 	s.ready.Store(true)
-	s.mux.HandleFunc("POST /v2/query", s.gated(opts.QueryHandler(eng)))
-	s.mux.HandleFunc("POST /v2/query/stream", s.gated(opts.QueryStreamHandler(eng)))
-	s.mux.HandleFunc("POST /v2/load", s.gated(s.handleLoad))
+	s.mux = opts.Mux(s, s.gated)
+	// the streaming bulk-ingest route is exempt from the body cap: it
+	// decodes incrementally and never buffers the corpus, so its size is
+	// bounded by the store, not by memory — its handler holds each record
+	// to the cap instead
 	s.mux.HandleFunc("POST /v2/load/stream", s.gated(s.handleLoadStream))
-	s.mux.HandleFunc("GET /v2/trajectories/{id}", s.gated(s.handleGetTrajectory))
-	s.mux.HandleFunc("GET /v2/stats", s.handleStats)
-	s.mux.HandleFunc("POST /v2/admin/policy", s.handlePolicySwap)
-	s.mux.HandleFunc("GET /v2/admin/policy", s.handlePolicyGet)
-	s.mux.HandleFunc("POST /v2/admin/encoder", s.handleEncoderSwap)
-	s.mux.HandleFunc("GET /v2/admin/encoder", s.handleEncoderGet)
-	if opts.EnableFailpoints {
-		s.mux.Handle("/v2/admin/failpoints", FailpointsHandler())
-	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	return s
 }
@@ -171,13 +165,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// the streaming bulk-ingest endpoint is exempt from the body cap: it
-	// decodes incrementally and never buffers the corpus, so its size is
-	// bounded by the store, not by memory — its handler holds each record
-	// to the cap instead
-	if !(r.Method == http.MethodPost && r.URL.Path == "/v2/load/stream") {
-		r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	}
 	s.mux.ServeHTTP(w, r)
 }
 
@@ -205,26 +192,25 @@ func (s *Server) Drain(ctx context.Context) error {
 }
 
 // admitLoad gates a load request behind the drain and load-shedding
-// states, registering it in the active-load count on success; the caller
-// must `defer s.endLoad()`.
-func (s *Server) admitLoad(w http.ResponseWriter) bool {
-	reject := func(ae *api.Error) bool {
+// states, registering it in the active-load count on success (the caller
+// must `defer s.endLoad()`) and answering a typed overloaded rejection
+// otherwise.
+func (s *Server) admitLoad() *api.Error {
+	reject := func(ae *api.Error) *api.Error {
 		ae.RetryAfterMS = int(s.eng.RetryAfterHint().Milliseconds())
-		WriteErr(w, ae)
-		return false
+		return ae
 	}
 	if s.eng.Shedding() {
 		// loads shed first: bulk ingestion is the most deferrable work
 		return reject(api.Errorf(api.CodeOverloaded, "shedding bulk loads while queries are backed up"))
 	}
 	s.loadMu.Lock()
+	defer s.loadMu.Unlock()
 	if s.draining.Load() {
-		s.loadMu.Unlock()
 		return reject(api.Errorf(api.CodeOverloaded, "node is draining for shutdown"))
 	}
 	s.loadActive++
-	s.loadMu.Unlock()
-	return true
+	return nil
 }
 
 // endLoad retires one admitted load, waking a pending Drain when the last
@@ -237,97 +223,6 @@ func (s *Server) endLoad() {
 		s.loadIdle = nil
 	}
 	s.loadMu.Unlock()
-}
-
-// WriteJSON renders v as the response body under the given status.
-func WriteJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// WriteErr renders the typed error envelope with its mapped HTTP status.
-// Every overloaded (503) response carries a Retry-After header: the
-// error's drain-rate-derived hint when it has one, a conservative 1s
-// otherwise.
-func WriteErr(w http.ResponseWriter, ae *api.Error) {
-	if ae.Code == api.CodeOverloaded {
-		if ae.RetryAfterMS <= 0 {
-			cp := *ae
-			cp.RetryAfterMS = 1000
-			ae = &cp
-		}
-		w.Header().Set("Retry-After", strconv.Itoa((ae.RetryAfterMS+999)/1000))
-	}
-	WriteJSON(w, ae.HTTPStatus(), api.ErrorResponse{Err: *ae})
-}
-
-// WriteResult renders a call's outcome: v under 200, or err as its typed
-// envelope.
-func WriteResult(w http.ResponseWriter, v any, err error) {
-	if err != nil {
-		WriteErr(w, api.FromError(err))
-		return
-	}
-	WriteJSON(w, http.StatusOK, v)
-}
-
-// Decode parses the JSON request body into v, rejecting unknown fields;
-// on failure it has answered with the typed error (too_large for a body
-// over the front end's cap) and reports false.
-func Decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			WriteErr(w, api.Errorf(api.CodeTooLarge, "request body exceeds %d bytes", maxErr.Limit))
-			return false
-		}
-		WriteErr(w, api.Errorf(api.CodeInvalidArgument, "bad request body: %v", err))
-		return false
-	}
-	return true
-}
-
-// RequestContext derives the search context: the client connection's
-// context bounded by min(timeout_ms, MaxTimeout). The comparison happens
-// in millisecond space so an absurd client value cannot overflow the
-// duration multiply — it just gets the MaxTimeout cap.
-func (o Options) RequestContext(r *http.Request, timeoutMS int) (context.Context, context.CancelFunc) {
-	d := o.MaxTimeout
-	if timeoutMS > 0 && int64(timeoutMS) < int64(d/time.Millisecond) {
-		d = time.Duration(timeoutMS) * time.Millisecond
-	}
-	return context.WithTimeout(r.Context(), d)
-}
-
-// handleLoad answers POST /v2/load: one JSON batch validated and committed
-// whole, answered with the engine-assigned global ID of every trajectory.
-func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
-	if !s.admitLoad(w) {
-		return
-	}
-	defer s.endLoad()
-	var req api.LoadRequest
-	if !Decode(w, r, &req) {
-		return
-	}
-	if len(req.Trajectories) == 0 {
-		WriteErr(w, api.Errorf(api.CodeInvalidArgument, "no trajectories in request"))
-		return
-	}
-	ts := make([]traj.Trajectory, len(req.Trajectories))
-	for i, wt := range req.Trajectories {
-		t, aerr := wt.ToTraj()
-		if aerr != nil {
-			WriteErr(w, api.Errorf(api.CodeInvalidArgument, "trajectory %d: %s", i, aerr.Message))
-			return
-		}
-		ts[i] = t
-	}
-	ids, err := s.eng.Add(ts)
-	WriteResult(w, api.LoadResponse{Loaded: len(ids), IDs: ids, Total: s.eng.Len()}, err)
 }
 
 // streamLoadBatch is how many NDJSON records are buffered before each
@@ -345,7 +240,8 @@ const streamLoadBatch = 512
 // held to it. On a mid-stream error, records of already-committed batches
 // remain loaded; the error message carries the committed count.
 func (s *Server) handleLoadStream(w http.ResponseWriter, r *http.Request) {
-	if !s.admitLoad(w) {
+	if aerr := s.admitLoad(); aerr != nil {
+		WriteErr(w, aerr)
 		return
 	}
 	defer s.endLoad()
@@ -415,21 +311,131 @@ func (s *Server) handleLoadStream(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, api.StatsResponse{
-		Engine:        s.eng.Stats(),
-		UptimeSeconds: time.Since(s.start).Seconds(),
-		Goroutines:    runtime.NumGoroutine(),
-		Measures:      sim.Names(),
-		State:         s.state(),
-		Recovery:      s.recovery.Load(),
-	})
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if !s.ready.Load() {
 		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": api.StateRecovering})
 		return
 	}
 	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+}
+
+// The node's side of the shared front end: api.Service over the engine.
+
+var _ api.Service = (*Server)(nil)
+
+// Query implements api.Searcher over the engine.
+func (s *Server) Query(ctx context.Context, req api.Query) (*api.QueryResponse, error) {
+	return s.eng.Query(ctx, req)
+}
+
+// QueryStream implements api.StreamSearcher over the engine.
+func (s *Server) QueryStream(ctx context.Context, spec api.QuerySpec, emit func(api.Match) error) (*api.StreamSummary, error) {
+	return s.eng.QueryStream(ctx, spec, emit)
+}
+
+// Load validates a JSON batch and commits it whole, answering the
+// engine-assigned global ID of every trajectory; it is admitted behind the
+// drain and load-shedding gates like the streaming ingest.
+func (s *Server) Load(_ context.Context, wts []api.Trajectory) (*api.LoadResponse, error) {
+	if aerr := s.admitLoad(); aerr != nil {
+		return nil, aerr
+	}
+	defer s.endLoad()
+	ts, aerr := api.ToTrajs(wts)
+	if aerr != nil {
+		return nil, aerr
+	}
+	ids, err := s.eng.Add(ts)
+	if err != nil {
+		return nil, err
+	}
+	return &api.LoadResponse{Loaded: len(ids), IDs: ids, Total: s.eng.Len()}, nil
+}
+
+// GetTrajectory returns the stored trajectory, or a typed not_found for an
+// unassigned ID.
+func (s *Server) GetTrajectory(_ context.Context, id int) (*api.TrajectoryRecord, error) {
+	t, ok := s.eng.Traj(id)
+	if !ok {
+		return nil, api.Errorf(api.CodeNotFound, "no trajectory with id %d", id)
+	}
+	return &api.TrajectoryRecord{ID: id, Trajectory: api.FromTraj(t)}, nil
+}
+
+// SwapPolicy loads a policy from a server-local file path or inline base64
+// bytes, validates it, and registers it as the serving policy of the "rls"
+// / "rls-skip" algorithms. The swap purges the result cache and changes
+// the policy fingerprint, so no cached ranking computed under the previous
+// policy can ever be served again. A policy that fails validation
+// (corrupted file, inconsistent network shape, non-finite weights) is
+// rejected with invalid_argument and the previous registration keeps
+// serving.
+func (s *Server) SwapPolicy(_ context.Context, req api.PolicySwapRequest) (*api.PolicyInfo, error) {
+	if aerr := req.Validate(); aerr != nil {
+		return nil, aerr
+	}
+	p, aerr := loadArtifact("policy", req.Path, req.PolicyB64, rl.Load)
+	if aerr != nil {
+		return nil, aerr
+	}
+	info, err := s.eng.SetPolicyCompiled(p, req.CompileResolution)
+	if err != nil {
+		return nil, err
+	}
+	return &info, nil
+}
+
+// Policy describes the registered policy, or answers a typed not_found
+// when none is loaded.
+func (s *Server) Policy(context.Context) (*api.PolicyInfo, error) {
+	info, ok := s.eng.Policy()
+	if !ok {
+		return nil, api.Errorf(api.CodeNotFound, "no policy loaded")
+	}
+	return &info, nil
+}
+
+// SwapEncoder loads a t2vec encoder from a server-local file path or
+// inline base64 bytes and registers it as the corpus embedder.
+// Registration re-embeds every stored trajectory, rebuilds the per-shard
+// ANN indexes, purges the result cache and changes the encoder
+// fingerprint — so the ann prefilter and the "embed" ranking switch
+// atomically and no stale cached ranking survives. An encoder that fails
+// to parse is rejected with invalid_argument and the previous registration
+// keeps serving.
+func (s *Server) SwapEncoder(_ context.Context, req api.EncoderSwapRequest) (*api.EncoderInfo, error) {
+	if aerr := req.Validate(); aerr != nil {
+		return nil, aerr
+	}
+	m, aerr := loadArtifact("encoder", req.Path, req.EncoderB64, t2vec.Load)
+	if aerr != nil {
+		return nil, aerr
+	}
+	info, err := s.eng.SetEncoder(m)
+	if err != nil {
+		return nil, err
+	}
+	return &info, nil
+}
+
+// Encoder describes the registered encoder, or answers a typed not_found
+// when none is loaded.
+func (s *Server) Encoder(context.Context) (*api.EncoderInfo, error) {
+	info, ok := s.eng.Encoder()
+	if !ok {
+		return nil, api.Errorf(api.CodeNotFound, "no encoder loaded")
+	}
+	return &info, nil
+}
+
+// Stats reports the engine counters, the registered measures and the
+// node's lifecycle state and recovery record; the front end stamps uptime
+// and goroutines.
+func (s *Server) Stats(context.Context) (*api.StatsResponse, error) {
+	return &api.StatsResponse{
+		Engine:   s.eng.Stats(),
+		Measures: sim.Names(),
+		State:    s.state(),
+		Recovery: s.recovery.Load(),
+	}, nil
 }
