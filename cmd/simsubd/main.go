@@ -9,7 +9,7 @@
 // Usage:
 //
 //	simsubd -addr :8080 -shards 8 -workers 16 -cache 4096
-//	simsubd -addr :8080 -data porto.csv -index grid
+//	simsubd -addr :8080 -data porto.csv -index none
 //	simsubd -addr :8080 -policy skip.policy -quality-sample 0.01
 //	simsubd -addr :8080 -encoder t2vec.model -recall-sample 0.05
 //	simsubd -addr :8080 -data-dir /var/lib/simsub -snapshot-interval 5m
@@ -53,7 +53,7 @@ func main() {
 		shards     = flag.Int("shards", 4, "store shard count")
 		workers    = flag.Int("workers", 0, "bounded worker-pool size (0 = GOMAXPROCS)")
 		cacheSize  = flag.Int("cache", 1024, "LRU result-cache entries (0 disables)")
-		indexName  = flag.String("index", "rtree", "per-shard index: rtree, grid, none")
+		indexName  = flag.String("index", "rtree", "per-shard index: rtree (MBR-intersecting candidates only) or none (scan every trajectory)")
 		dataPath   = flag.String("data", "", "optional CSV of trajectories to preload")
 		dataDir    = flag.String("data-dir", "", "directory for the persistent segment log (empty = in-memory only)")
 		snapEvery  = flag.Duration("snapshot-interval", 5*time.Minute, "how often to snapshot derived metadata when -data-dir is set")
@@ -77,12 +77,10 @@ func main() {
 	switch *indexName {
 	case "rtree":
 		kind = engine.RTree
-	case "grid":
-		kind = engine.Grid
 	case "none":
 		kind = engine.ScanAll
 	default:
-		log.Fatalf("unknown -index %q (want rtree, grid or none)", *indexName)
+		log.Fatalf("unknown -index %q (want rtree or none)", *indexName)
 	}
 
 	eng := engine.New(engine.Config{

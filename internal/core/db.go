@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"runtime"
 	"slices"
-	"sync"
 
 	"simsub/internal/geo"
 	"simsub/internal/index"
@@ -75,14 +73,13 @@ func DeriveMeta(t traj.Trajectory) TrajMeta {
 // receiver answering as it did. The R-tree is kept as a forest so that
 // growing costs what was added, not what is stored (see Append).
 type Database struct {
-	be   Backend
-	kind IndexKind
-	// parts is the RTreeIndex forest: STR-packed trees over contiguous,
+	be        Backend
+	withIndex bool
+	// parts is the R-tree forest: STR-packed trees over contiguous,
 	// ascending ranges of local indices that together cover [0, be.Len()),
 	// each more than twice the size of the next. Trees are never modified
 	// once built, so successive views share them.
 	parts []treePart
-	grid  *index.GridIndex
 	// packed counts the entries bulk-loaded over this view's whole lineage
 	// of Appends: the clock-free measure of index maintenance work.
 	packed int
@@ -94,42 +91,22 @@ type treePart struct {
 	tree   *index.RTree
 }
 
-// IndexKind selects the pruning structure of a Database.
-type IndexKind int
-
-// Index kinds: none, the MBR R-tree of §6.2(4), or the inverted grid file
-// alternative mentioned in §3.1.
-const (
-	NoIndex IndexKind = iota
-	RTreeIndex
-	GridFileIndex
-)
-
 // rtreeFill is the fan-out of every tree in the forest.
 const rtreeFill = 32
 
-// NewDatabase builds a database; withIndex controls whether the R-tree is
+// NewDatabase builds a database over the in-memory backend (insert-time
+// metadata derived here, once); withIndex controls whether the R-tree is
 // constructed (bulk-loaded, fan-out 32).
 func NewDatabase(ts []traj.Trajectory, withIndex bool) *Database {
-	kind := NoIndex
-	if withIndex {
-		kind = RTreeIndex
-	}
-	return NewDatabaseIndexed(ts, kind)
-}
-
-// NewDatabaseIndexed builds a database with the chosen index kind over the
-// in-memory backend (insert-time metadata derived here, once).
-func NewDatabaseIndexed(ts []traj.Trajectory, kind IndexKind) *Database {
-	return NewDatabaseBackend(NewMemBackend(ts, nil), kind)
+	return NewDatabaseBackend(NewMemBackend(ts, nil), withIndex)
 }
 
 // NewDatabaseBackend builds a database over an externally owned Backend —
 // the pluggable-storage entry point. The backend's metadata feeds the index
 // build and the filter pushdown, so a backend restoring snapshot metadata
 // pays no per-point derivation here.
-func NewDatabaseBackend(be Backend, kind IndexKind) *Database {
-	empty := &Database{be: &memBackend{}, kind: kind}
+func NewDatabaseBackend(be Backend, withIndex bool) *Database {
+	empty := &Database{be: &memBackend{}, withIndex: withIndex}
 	return empty.Append(be)
 }
 
@@ -145,33 +122,23 @@ func NewDatabaseBackend(be Backend, kind IndexKind) *Database {
 // entry is therefore re-packed only when its tree grows by half or more, so
 // N trajectories arriving in batches of b cost O(N log(N/b)) packing work in
 // at most ⌈log₂(N/b)⌉+1 trees, where rebuilding one tree per batch costs
-// O(N²/b). The grid file is rebuilt (its cell bounds depend on the whole
-// corpus); without an index there is nothing to maintain.
+// O(N²/b). Without an index there is nothing to maintain.
 func (db *Database) Append(be Backend) *Database {
-	next := &Database{be: be, kind: db.kind, parts: db.parts, packed: db.packed}
-	switch db.kind {
-	case RTreeIndex:
-		if be.Len() == db.Len() {
-			break
-		}
-		lo, keep := db.Len(), len(db.parts)
-		for keep > 0 && db.parts[keep-1].hi-db.parts[keep-1].lo <= 2*(be.Len()-lo) {
-			keep--
-			lo = db.parts[keep].lo
-		}
-		entries := make([]index.Entry, be.Len()-lo)
-		for i := range entries {
-			entries[i] = index.Entry{Rect: be.Meta(lo + i).MBR, Ref: lo + i}
-		}
-		next.parts = append(slices.Clip(db.parts[:keep]), treePart{lo, be.Len(), index.BulkLoad(entries, rtreeFill)})
-		next.packed += len(entries)
-	case GridFileIndex:
-		ts := make([]traj.Trajectory, be.Len())
-		for i := range ts {
-			ts[i] = be.Traj(i)
-		}
-		next.grid = index.NewGridIndex(ts, 32)
+	next := &Database{be: be, withIndex: db.withIndex, parts: db.parts, packed: db.packed}
+	if !db.withIndex || be.Len() == db.Len() {
+		return next
 	}
+	lo, keep := db.Len(), len(db.parts)
+	for keep > 0 && db.parts[keep-1].hi-db.parts[keep-1].lo <= 2*(be.Len()-lo) {
+		keep--
+		lo = db.parts[keep].lo
+	}
+	entries := make([]index.Entry, be.Len()-lo)
+	for i := range entries {
+		entries[i] = index.Entry{Rect: be.Meta(lo + i).MBR, Ref: lo + i}
+	}
+	next.parts = append(slices.Clip(db.parts[:keep]), treePart{lo, be.Len(), index.BulkLoad(entries, rtreeFill)})
+	next.packed += len(entries)
 	return next
 }
 
@@ -185,32 +152,29 @@ func (db *Database) Traj(i int) traj.Trajectory { return db.be.Traj(i) }
 func (db *Database) Meta(i int) TrajMeta { return db.be.Meta(i) }
 
 // HasIndex reports whether the database prunes through an index.
-func (db *Database) HasIndex() bool { return db.kind != NoIndex }
+func (db *Database) HasIndex() bool { return db.withIndex }
 
 // Candidates returns the indices of trajectories surviving index pruning
-// for the query (all indices when no index was built). It is a set: the
+// for the query: with the R-tree, exactly those whose MBR intersects the
+// query's MBR (possibly none); without it, all indices. It is a set: the
 // order is unspecified — for the R-tree it is the concatenation of the
 // forest's searches — and nothing downstream depends on it, since the
 // threshold scan visits candidates by (bound, index) and the Collector's
 // ranking is a total order.
 func (db *Database) Candidates(q traj.Trajectory) []int {
-	switch db.kind {
-	case RTreeIndex:
-		var out []int
-		r := q.MBR()
-		for _, p := range db.parts {
-			out = p.tree.Search(r, out)
-		}
-		return out
-	case GridFileIndex:
-		return db.grid.Candidates(q)
-	default:
+	if !db.withIndex {
 		out := make([]int, db.be.Len())
 		for i := range out {
 			out[i] = i
 		}
 		return out
 	}
+	var out []int
+	r := q.MBR()
+	for _, p := range db.parts {
+		out = p.tree.Search(r, out)
+	}
+	return out
 }
 
 // CandidatesFiltered returns Candidates(q) restricted to trajectories
@@ -291,55 +255,6 @@ func (db *Database) ScanFilteredCtx(ctx context.Context, alg Algorithm, q traj.T
 		}
 	}
 	return nil
-}
-
-// TopKParallel is TopK with the per-trajectory searches fanned out over
-// workers goroutines (0 = GOMAXPROCS). The algorithm and measure must be
-// safe for concurrent use; every algorithm and measure in this library is.
-func (db *Database) TopKParallel(alg Algorithm, q traj.Trajectory, k, workers int) []Match {
-	out, _ := db.TopKParallelCtx(context.Background(), alg, q, k, workers)
-	return out
-}
-
-// TopKParallelCtx is TopKParallel with cancellation: on cancellation it
-// returns (nil, ctx.Err()). Each worker runs ScanPrunedSourceCtx over its
-// own stripe of the candidate list, all of them into one Collector, so
-// every per-trajectory search prunes against the best bound any worker has
-// established; pruned candidates are exactly those provably outside the
-// final top-k, keeping the ranking byte-identical.
-func (db *Database) TopKParallelCtx(ctx context.Context, alg Algorithm, q traj.Trajectory, k, workers int) ([]Match, error) {
-	cands := db.Candidates(q)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	stripes := make([][]int, workers)
-	for i, ci := range cands {
-		stripes[i%workers] = append(stripes[i%workers], ci)
-	}
-	c := NewCollector(k)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := range stripes {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			stripe := CandidateSourceFunc(func(traj.Trajectory, *geo.Rect) []int { return stripes[w] })
-			errs[w] = db.ScanPrunedSourceCtx(ctx, alg, q, nil, c, nil, stripe, c.offer)
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return c.Sorted(), nil
 }
 
 // Best returns the single best match (TopK with k = 1); ok is false when

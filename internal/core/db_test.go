@@ -118,45 +118,6 @@ func TestCandidatesWithIndexPrunes(t *testing.T) {
 	}
 }
 
-func TestTopKParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(36))
-	ts := smallDB(rng, 40)
-	db := NewDatabase(ts, false)
-	q := randTraj(rng, 5)
-	alg := PSS{M: sim.DTW{}}
-	seq := db.TopK(alg, q, 10)
-	for _, workers := range []int{0, 1, 2, 8} {
-		par := db.TopKParallel(alg, q, 10, workers)
-		if len(par) != len(seq) {
-			t.Fatalf("workers=%d: %d matches, want %d", workers, len(par), len(seq))
-		}
-		for i := range seq {
-			if par[i].Result.Dist != seq[i].Result.Dist {
-				t.Fatalf("workers=%d rank %d: %v vs %v", workers, i, par[i].Result.Dist, seq[i].Result.Dist)
-			}
-		}
-	}
-}
-
-func TestGridIndexedDatabase(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	ts := smallDB(rng, 30)
-	db := NewDatabaseIndexed(ts, GridFileIndex)
-	if !db.HasIndex() {
-		t.Fatal("grid index not built")
-	}
-	q := ts[5].Sub(1, 4)
-	top := db.TopK(ExactS{M: sim.DTW{}}, q, 3)
-	if len(top) == 0 {
-		t.Fatal("no matches through grid index")
-	}
-	// the source trajectory must survive grid pruning and rank first with
-	// distance 0
-	if top[0].Result.Dist > 1e-9 {
-		t.Errorf("best grid-pruned match dist %v, want 0", top[0].Result.Dist)
-	}
-}
-
 func TestBestEmptyDatabase(t *testing.T) {
 	db := NewDatabase(nil, false)
 	if _, ok := db.Best(ExactS{M: sim.DTW{}}, traj.FromXY(0, 0)); ok {
@@ -201,7 +162,8 @@ func TestDatabaseSurfacePinned(t *testing.T) {
 		// candidate generation
 		"Candidates", "CandidatesFiltered", "SpatialSource",
 		// the one threshold scan, the one top-k on it, their conveniences
-		"ScanPrunedSourceCtx", "TopKPrunedCtx", "TopK", "Best", "TopKParallel", "TopKParallelCtx",
+		// (parallelism is the engine's: its shards share one Collector)
+		"ScanPrunedSourceCtx", "TopKPrunedCtx", "TopK", "Best",
 		// the unpruned reference of the equivalence suites
 		"ScanFilteredCtx",
 	}
@@ -215,6 +177,7 @@ func TestDatabaseSurfacePinned(t *testing.T) {
 		t.Fatalf("exported methods of *Database changed:\ngot  %v\nwant %v\n"+
 			"ISSUE 22 (one scan pipeline) cut this surface to one streaming threshold scan and one top-k on it, and "+
 			"ISSUE 24 (flat-cost ingest) added Append as the one way a Database grows; "+
+			"the engine's shard scatter is the one parallel top-k, so no second scheduler lives on Database; "+
 			"give an existing method a parameter rather than adding another TopKFooBarCtx, and edit this list only with that argument made.",
 			got, allowed)
 	}

@@ -32,7 +32,7 @@ func bruteCandidates(metas []TrajMeta, q traj.Trajectory, filter *geo.Rect) []in
 	return out
 }
 
-// TestAppendForestMatchesOneTree grows databases of every index kind by
+// TestAppendForestMatchesOneTree grows databases with and without the index by
 // random sequences of Appends and holds each view, new and old, to the
 // candidate sets of one bulk-loaded tree and of brute-force MBR
 // intersection.
@@ -55,14 +55,14 @@ func TestAppendForestMatchesOneTree(t *testing.T) {
 				filters[i] = &geo.Rect{MinX: x, MinY: y, MaxX: x + 5 + rng.Float64()*30, MaxY: y + 5 + rng.Float64()*30}
 			}
 		}
-		for _, kind := range []IndexKind{RTreeIndex, GridFileIndex, NoIndex} {
+		for _, withIndex := range []bool{true, false} {
 			type pinned struct {
 				db      *Database
 				n       int
 				answers [][]int
 			}
 			var old []pinned
-			db := NewDatabaseBackend(NewMemBackend(nil, nil), kind)
+			db := NewDatabaseBackend(NewMemBackend(nil, nil), withIndex)
 			for n := 0; n < len(ts); {
 				// mostly small batches, now and then one larger than the store
 				step := 1 + rng.Intn(40)
@@ -72,23 +72,23 @@ func TestAppendForestMatchesOneTree(t *testing.T) {
 				n = min(n+step, len(ts))
 				db = db.Append(NewMemBackend(ts[:n], metas[:n]))
 				if db.Len() != n {
-					t.Fatalf("seed %d kind %d: Len %d after appending to %d", seed, kind, db.Len(), n)
+					t.Fatalf("seed %d index %v: Len %d after appending to %d", seed, withIndex, db.Len(), n)
 				}
-				one := NewDatabaseBackend(NewMemBackend(ts[:n], metas[:n]), kind)
+				one := NewDatabaseBackend(NewMemBackend(ts[:n], metas[:n]), withIndex)
 				answers := make([][]int, len(queries))
 				for qi, q := range queries {
 					got := sortedInts(db.CandidatesFiltered(q, filters[qi]))
 					answers[qi] = got
 					if want := sortedInts(one.CandidatesFiltered(q, filters[qi])); !slices.Equal(got, want) {
-						t.Fatalf("seed %d kind %d n %d query %d: grown view %v, built whole %v", seed, kind, n, qi, got, want)
+						t.Fatalf("seed %d index %v n %d query %d: grown view %v, built whole %v", seed, withIndex, n, qi, got, want)
 					}
-					if kind == RTreeIndex {
+					if withIndex {
 						if want := bruteCandidates(metas[:n], q, filters[qi]); !slices.Equal(got, want) {
 							t.Fatalf("seed %d n %d query %d: forest %v, brute force %v", seed, n, qi, got, want)
 						}
 					}
 					if filters[qi] == nil && !slices.Equal(got, sortedInts(db.Candidates(q))) {
-						t.Fatalf("seed %d kind %d n %d query %d: Candidates and CandidatesFiltered(nil) disagree", seed, kind, n, qi)
+						t.Fatalf("seed %d index %v n %d query %d: Candidates and CandidatesFiltered(nil) disagree", seed, withIndex, n, qi)
 					}
 				}
 				if rng.Intn(6) == 0 {
@@ -104,8 +104,8 @@ func TestAppendForestMatchesOneTree(t *testing.T) {
 			for _, p := range old {
 				for qi, q := range queries {
 					if got := sortedInts(p.db.CandidatesFiltered(q, filters[qi])); p.db.Len() != p.n || !slices.Equal(got, p.answers[qi]) {
-						t.Fatalf("seed %d kind %d: the view of %d trajectories answers query %d with %v after later appends, %v before",
-							seed, kind, p.n, qi, got, p.answers[qi])
+						t.Fatalf("seed %d index %v: the view of %d trajectories answers query %d with %v after later appends, %v before",
+							seed, withIndex, p.n, qi, got, p.answers[qi])
 					}
 				}
 			}
@@ -128,7 +128,7 @@ func TestAppendPackingWorkIsLogarithmic(t *testing.T) {
 		ts[i] = traj.FromXY(x, y, x+rng.Float64(), y+rng.Float64())
 		metas[i] = TrajMeta{N: 2, MBR: ts[i].MBR()}
 	}
-	db := NewDatabaseBackend(NewMemBackend(nil, nil), RTreeIndex)
+	db := NewDatabaseBackend(NewMemBackend(nil, nil), true)
 	for n := batch; n <= total; n += batch {
 		db = db.Append(NewMemBackend(ts[:n], metas[:n]))
 		if limit := int(math.Ceil(math.Log2(float64(n)/batch))) + 1; len(db.parts) > limit {

@@ -401,17 +401,16 @@ func (p *suffixPass) dists(t traj.Trajectory) []float64 {
 // bounded max-heap of the k best matches offered so far under RankBefore,
 // publishing min(seed, k-th-best distance) through an atomic so scan loops
 // read the threshold without locking. Every top-k in the repository ends in
-// one — a serial scan's, the stripes of TopKParallelCtx, an engine query's
-// shard workers (offering under global trajectory IDs, so one shard's good
-// matches prune another's scan) and the router's provisional-match gate. An
-// optional external seed (Seed) caps the published threshold from the
-// start, so a caller that already knows an upper bound of the final
-// k-th-best — a distributed coordinator propagating its running global
-// bound — lets the scan prune before the heap fills. What a Collector
-// retains is a function of the SET of matches offered, not of their order:
-// RankBefore is a strict total order, and the scan only withholds a match
-// it has proved strictly beyond a threshold that never rises. The zero
-// value is unusable; use NewCollector.
+// one — a serial scan's, an engine query's shard workers (offering under
+// global trajectory IDs, so one shard's good matches prune another's scan)
+// and the router's provisional-match gate. An optional external seed (Seed)
+// caps the published threshold from the start, so a caller that already
+// knows an upper bound of the final k-th-best — a distributed coordinator
+// propagating its running global bound — lets the scan prune before the
+// heap fills. What a Collector retains is a function of the SET of matches
+// offered, not of their order: RankBefore is a strict total order, and the
+// scan only withholds a match it has proved strictly beyond a threshold
+// that never rises. The zero value is unusable; use NewCollector.
 type Collector struct {
 	mu   sync.Mutex
 	k    int

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -108,8 +109,36 @@ func TestPrunedScanEquivalence(t *testing.T) {
 		100*float64(total.Scored)/float64(total.Candidates))
 }
 
-// TestPrunedScanSharedThreshold drives the same equivalence through the
-// parallel path, whose workers share the global k-th-best atomically.
+// sharedTopK is the engine's scatter in miniature: workers goroutines each
+// run ScanPrunedSourceCtx over one stripe of the candidate list, all into
+// one Collector, so every search prunes against the best k-th distance any
+// worker has found. Its ranking must be the serial scan's.
+func sharedTopK(db *Database, alg Algorithm, q traj.Trajectory, k, workers int) ([]Match, error) {
+	cands := db.Candidates(q)
+	c := NewCollector(k)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		var stripe []int
+		for i := w; i < len(cands); i += workers {
+			stripe = append(stripe, cands[i])
+		}
+		src := CandidateSourceFunc(func(traj.Trajectory, *geo.Rect) []int { return stripe })
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[w] = db.ScanPrunedSourceCtx(context.Background(), alg, q, nil, c, nil, src, c.offer)
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	return c.Sorted(), nil
+}
+
+// TestPrunedScanSharedThreshold drives the same equivalence through
+// concurrent scans whose workers share the global k-th-best atomically.
 func TestPrunedScanSharedThreshold(t *testing.T) {
 	const k = 10
 	data := equivData(1000, 24, 21)
@@ -119,7 +148,7 @@ func TestPrunedScanSharedThreshold(t *testing.T) {
 		alg := ExactS{M: m}
 		want := unprunedTopK(t, db, alg, q, k, nil)
 		for run := 0; run < 3; run++ {
-			got, err := db.TopKParallelCtx(context.Background(), alg, q, k, 8)
+			got, err := sharedTopK(db, alg, q, k, 8)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -386,7 +415,7 @@ func TestPrunedScanTieHeavy(t *testing.T) {
 			got, err := db.TopKPrunedCtx(context.Background(), alg, q, k, nil, nil, nil)
 			check("serial", got, err)
 			for run := 0; run < 3; run++ {
-				got, err = db.TopKParallelCtx(context.Background(), alg, q, k, 8)
+				got, err = sharedTopK(db, alg, q, k, 8)
 				check("parallel", got, err)
 			}
 		}

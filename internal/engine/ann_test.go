@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"simsub/api"
+	"simsub/internal/geo"
+	"simsub/internal/nn"
 	"simsub/internal/storage"
 	"simsub/internal/t2vec"
 	"simsub/internal/traj"
@@ -163,6 +165,22 @@ func TestEncoderSwapChangesFingerprintAndCacheKey(t *testing.T) {
 	st := e.Stats()
 	if !st.EncoderLoaded || st.EncoderFingerprint != info2.Fingerprint {
 		t.Errorf("stats report encoder %q loaded=%v, want %q", st.EncoderFingerprint, st.EncoderLoaded, info2.Fingerprint)
+	}
+}
+
+// TestSetEncoderRejectsUnusableModel: a model whose encoder does not fit
+// its features is refused before it is installed, so re-embedding the
+// corpus never runs it and the registered encoder stays in place.
+func TestSetEncoderRejectsUnusableModel(t *testing.T) {
+	e, _ := annEngine(t, 2, 30, 91)
+	before, _ := e.Encoder()
+	bad := t2vec.New(nn.NewGRU(1, 8, rand.New(rand.NewSource(92))), geo.Rect{MaxX: 1, MaxY: 1})
+	var ae *api.Error
+	if _, err := e.SetEncoder(bad); !errors.As(err, &ae) || ae.Code != api.CodeInvalidArgument {
+		t.Fatalf("SetEncoder(one-input coordinate model) = %v, want invalid_argument", err)
+	}
+	if after, ok := e.Encoder(); !ok || after.Fingerprint != before.Fingerprint {
+		t.Fatalf("registration changed from %q to %q (ok=%v)", before.Fingerprint, after.Fingerprint, ok)
 	}
 }
 

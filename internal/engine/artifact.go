@@ -195,8 +195,8 @@ func (e *Engine) SetEncoder(m *t2vec.Model) (EncoderInfo, error) {
 	if m == nil {
 		return EncoderInfo{}, api.Errorf(api.CodeInvalidArgument, "nil encoder")
 	}
-	if m.Dim() <= 0 {
-		return EncoderInfo{}, api.Errorf(api.CodeInvalidArgument, "encoder has embedding dimension %d, want > 0", m.Dim())
+	if err := m.Validate(); err != nil {
+		return EncoderInfo{}, api.Errorf(api.CodeInvalidArgument, "%v", err)
 	}
 	fp, err := fingerprint(m)
 	if err != nil {

@@ -37,23 +37,15 @@ import (
 // R-tree, so a zero Config gets MBR pruning.
 type IndexKind int
 
-// Per-shard index kinds.
+// Per-shard index kinds. RTree's candidates are the trajectories whose MBR
+// intersects the query's (§6.2(4)), so a query that meets no stored MBR
+// returns fewer than k matches, possibly none; ScanAll scores every
+// trajectory. Either way a ranking does not depend on the shard count or on
+// how the corpus was batched into Add calls.
 const (
 	RTree IndexKind = iota
-	Grid
 	ScanAll
 )
-
-func (k IndexKind) coreKind() core.IndexKind {
-	switch k {
-	case Grid:
-		return core.GridFileIndex
-	case ScanAll:
-		return core.NoIndex
-	default:
-		return core.RTreeIndex
-	}
-}
 
 // Config sizes an Engine. Zero values select the documented defaults.
 type Config struct {
@@ -371,7 +363,7 @@ func New(cfg Config) *Engine {
 		adm:    newAdmitter(cfg.QuerySlots, cfg.QueueLimit, cfg.QueueTarget, cfg.QueueInterval),
 	}
 	for i := range e.shards {
-		e.shards[i] = &shard{db: core.NewDatabaseBackend(core.NewMemBackend(nil, nil), cfg.Index.coreKind())}
+		e.shards[i] = &shard{db: core.NewDatabaseBackend(core.NewMemBackend(nil, nil), cfg.Index != ScanAll)}
 	}
 	e.art.Store(&artifacts{})
 	return e

@@ -37,9 +37,8 @@ func randSet(rng *rand.Rand, n int) []traj.Trajectory {
 // TestEngineMatchesDatabase loads the same trajectories into a sharded
 // engine and a flat core.Database with matching pruning semantics and
 // checks the rankings coincide across shard counts (the shard-merge
-// correctness test). Scan and R-tree prune per trajectory, so a flat
-// reference exists; the grid's cell geometry depends on shard-local
-// bounds, so its results are validated structurally instead.
+// correctness test). Both index kinds decide each trajectory's candidacy
+// on its own, so the flat database is an exact reference for every one.
 func TestEngineMatchesDatabase(t *testing.T) {
 	rng := rand.New(rand.NewSource(60))
 	ts := randSet(rng, 60)
@@ -51,7 +50,7 @@ func TestEngineMatchesDatabase(t *testing.T) {
 		}
 		alg, _ := core.AlgorithmFor("exacts", m)
 		for _, kind := range []IndexKind{ScanAll, RTree} {
-			db := core.NewDatabaseIndexed(ts, kind.coreKind())
+			db := core.NewDatabase(ts, kind == RTree)
 			want, err := db.TopKPrunedCtx(context.Background(), alg, q, 10, nil, nil, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -84,36 +83,29 @@ func TestEngineMatchesDatabase(t *testing.T) {
 	}
 }
 
-// TestEngineGridIndex checks the grid-sharded engine returns correctly
-// scored, ascending, deduplicated matches (exact set equality with a flat
-// database is not guaranteed because each shard grids its own bounds).
-func TestEngineGridIndex(t *testing.T) {
-	rng := rand.New(rand.NewSource(67))
-	ts := randSet(rng, 40)
-	e := New(Config{Shards: 4, Index: Grid})
-	e.Add(ts)
-	q := randTraj(rng, 6)
-	m, _ := sim.ByName("dtw")
-	got, _, err := e.TopK(context.Background(), Query{Q: q, K: 8, Measure: "dtw", Algorithm: "exacts"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[int]bool{}
-	for i, g := range got {
-		if i > 0 && got[i-1].Result.Dist > g.Result.Dist {
-			t.Fatal("grid matches not ascending")
+// TestEngineMoreShardsThanTrajectories: shards left empty by a small
+// corpus add nothing to a ranking, with the index and without.
+func TestEngineMoreShardsThanTrajectories(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	ts := randSet(rng, 3)
+	q := ts[1].Sub(2, 6)
+	for _, kind := range []IndexKind{ScanAll, RTree} {
+		want := core.NewDatabase(ts, kind == RTree).TopK(core.ExactS{M: sim.DTW{}}, q, 3)
+		e := New(Config{Shards: 64, Index: kind})
+		if _, err := e.Add(ts); err != nil {
+			t.Fatal(err)
 		}
-		if seen[g.TrajID] {
-			t.Fatalf("trajectory %d ranked twice", g.TrajID)
+		got, _, err := e.TopK(context.Background(), Query{Q: q, K: 3, Measure: "dtw", Algorithm: "exacts"})
+		if err != nil {
+			t.Fatal(err)
 		}
-		seen[g.TrajID] = true
-		tr, ok := e.Traj(g.TrajID)
-		if !ok {
-			t.Fatalf("match names unknown trajectory %d", g.TrajID)
+		if len(want) == 0 || len(got) != len(want) {
+			t.Fatalf("kind=%d: %d matches, want %d (> 0)", kind, len(got), len(want))
 		}
-		iv := g.Result.Interval
-		if want := m.Dist(tr.Sub(iv.I, iv.J), q); want != g.Result.Dist {
-			t.Fatalf("match %d: dist %v, recomputed %v", i, g.Result.Dist, want)
+		for i := range want {
+			if got[i].TrajID != want[i].TrajIndex || got[i].Result != want[i].Result {
+				t.Errorf("kind=%d rank %d: got {%d %+v}, want {%d %+v}", kind, i, got[i].TrajID, got[i].Result, want[i].TrajIndex, want[i].Result)
+			}
 		}
 	}
 }

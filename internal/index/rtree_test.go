@@ -69,42 +69,8 @@ func TestBulkLoadSearchMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestInsertSearchMatchesBruteForce(t *testing.T) {
-	es := randomEntries(7, 300)
-	tree := New(8)
-	for _, e := range es {
-		tree.Insert(e)
-	}
-	if tree.Len() != len(es) {
-		t.Fatalf("Len = %d, want %d", tree.Len(), len(es))
-	}
-	rng := rand.New(rand.NewSource(100))
-	for q := 0; q < 30; q++ {
-		x, y := rng.Float64()*100, rng.Float64()*100
-		r := geo.Rect{MinX: x, MinY: y, MaxX: x + rng.Float64()*40, MaxY: y + rng.Float64()*40}
-		got := sortedSearch(tree, r)
-		want := bruteSearch(es, r)
-		if !equalInts(got, want) {
-			t.Fatalf("query %v: got %d refs, want %d", r, len(got), len(want))
-		}
-	}
-}
-
-func TestMixedBulkAndInsert(t *testing.T) {
-	es := randomEntries(8, 200)
-	tree := BulkLoad(es[:100], 16)
-	for _, e := range es[100:] {
-		tree.Insert(e)
-	}
-	got := sortedSearch(tree, geo.Rect{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100})
-	want := bruteSearch(es, geo.Rect{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100})
-	if !equalInts(got, want) {
-		t.Fatalf("full-cover query: got %d, want %d", len(got), len(want))
-	}
-}
-
 func TestSearchEmptyTree(t *testing.T) {
-	tree := New(16)
+	tree := BulkLoad(nil, 16)
 	if got := tree.Search(geo.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, nil); len(got) != 0 {
 		t.Errorf("empty tree returned %v", got)
 	}
@@ -122,28 +88,16 @@ func TestSearchDisjointRect(t *testing.T) {
 }
 
 func TestTreeDepthGrowsLogarithmically(t *testing.T) {
-	tree := New(8)
-	for i := 0; i < 1000; i++ {
-		x := float64(i % 37)
-		y := float64(i % 53)
-		tree.Insert(Entry{Rect: geo.Rect{MinX: x, MinY: y, MaxX: x + 1, MaxY: y + 1}, Ref: i})
-	}
-	if d := tree.Depth(); d < 2 || d > 8 {
-		t.Errorf("depth = %d after 1000 inserts with fan-out 8", d)
-	}
-	bulk := BulkLoad(randomEntries(10, 1000), 16)
-	if d := bulk.Depth(); d < 2 || d > 4 {
-		t.Errorf("bulk depth = %d, want tight packing", d)
+	for _, c := range []struct{ n, fill, depth int }{{1, 16, 1}, {16, 16, 1}, {17, 16, 2}, {1000, 16, 3}, {1000, 8, 4}, {4096, 4, 6}} {
+		if d := BulkLoad(randomEntries(10, c.n), c.fill).Depth(); d != c.depth {
+			t.Errorf("%d entries at fan-out %d: depth %d, want ⌈log_fill n⌉ = %d", c.n, c.fill, d, c.depth)
+		}
 	}
 }
 
 func TestBoundsCoverEverything(t *testing.T) {
 	es := randomEntries(11, 120)
-	tree := New(8)
-	for _, e := range es {
-		tree.Insert(e)
-	}
-	b := tree.Bounds()
+	b := BulkLoad(es, 8).Bounds()
 	for _, e := range es {
 		if !b.ContainsRect(e.Rect) {
 			t.Fatalf("bounds %v do not contain %v", b, e.Rect)

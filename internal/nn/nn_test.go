@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
 	"testing"
@@ -522,6 +523,80 @@ func TestGRUSerializationRoundTrip(t *testing.T) {
 func TestLoadMLPCorrupt(t *testing.T) {
 	if _, err := LoadMLP(bytes.NewReader([]byte("garbage"))); err == nil {
 		t.Error("expected error decoding garbage")
+	}
+}
+
+// TestLoadMLPRejectsHostileShapes: a gob MLP whose dimensions disagree
+// with its tensors — or with each other — is an error, never a panic or an
+// allocation sized by the header alone.
+func TestLoadMLPRejectsHostileShapes(t *testing.T) {
+	layer := func(in, out, act int) mlpWire {
+		return mlpWire{Ins: []int{in}, Outs: []int{out}, Acts: []int{act},
+			Weights: [][]float64{make([]float64, max(in*out, 0))}, Biases: [][]float64{make([]float64, max(out, 0))}}
+	}
+	unchained := layer(2, 3, 1)
+	unchained.Ins, unchained.Outs, unchained.Acts = append(unchained.Ins, 4), append(unchained.Outs, 1), append(unchained.Acts, 0)
+	unchained.Weights, unchained.Biases = append(unchained.Weights, make([]float64, 4)), append(unchained.Biases, make([]float64, 1))
+	huge := layer(1, 1, 0)
+	huge.Ins, huge.Outs = []int{1 << 31}, []int{1 << 31}
+	cases := map[string]mlpWire{
+		"inputs only":        {Ins: []int{3}},
+		"negative widths":    layer(-2, -3, 0),
+		"zero width":         layer(0, 3, 0),
+		"header-sized":       huge,
+		"unchained layers":   unchained,
+		"unknown activation": layer(2, 1, 9),
+		"short bias":         {Ins: []int{2}, Outs: []int{1}, Acts: []int{0}, Weights: [][]float64{{1, 2}}, Biases: [][]float64{{}}},
+	}
+	for name, wire := range cases {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(wire); err != nil {
+			t.Fatal(err)
+		}
+		if m, err := LoadMLP(&buf); err == nil {
+			t.Errorf("%s: decoded %d layers, want an error", name, len(m.Layers))
+		}
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(layer(2, 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadMLP(&buf); err != nil {
+		t.Fatalf("a well-formed layer: %v", err)
+	}
+}
+
+// TestLoadGRURejectsHostileShapes is the GRU's counterpart.
+func TestLoadGRURejectsHostileShapes(t *testing.T) {
+	tensors := func(in, hidden int) [][]float64 {
+		var ts [][]float64
+		for range 3 {
+			ts = append(ts, make([]float64, max(hidden*in, 0)), make([]float64, max(hidden*hidden, 0)), make([]float64, max(hidden, 0)))
+		}
+		return ts
+	}
+	cases := map[string]gruWire{
+		"negative input":      {In: -1, Hidden: 2, Tensors: tensors(-1, 2)},
+		"zero hidden":         {In: 2, Hidden: 0, Tensors: tensors(2, 0)},
+		"header-sized":        {In: 1 << 31, Hidden: 1 << 31, Tensors: tensors(1, 1)},
+		"dimensions disagree": {In: 3, Hidden: 2, Tensors: tensors(2, 2)},
+		"missing tensors":     {In: 2, Hidden: 2, Tensors: tensors(2, 2)[:8]},
+	}
+	for name, wire := range cases {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(wire); err != nil {
+			t.Fatal(err)
+		}
+		if g, err := LoadGRU(&buf); err == nil {
+			t.Errorf("%s: decoded a %d→%d cell, want an error", name, g.InDim, g.HiddenDim)
+		}
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(gruWire{In: 2, Hidden: 3, Tensors: tensors(2, 3)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadGRU(&buf); err != nil {
+		t.Fatalf("a well-formed cell: %v", err)
 	}
 }
 

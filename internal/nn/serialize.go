@@ -28,28 +28,46 @@ func SaveMLP(w io.Writer, m *MLP) error {
 	return gob.NewEncoder(w).Encode(wire)
 }
 
-// LoadMLP reads an MLP previously written by SaveMLP.
+// holds reports whether vals is exactly a rows×cols tensor with positive
+// dimensions, without forming a product that could overflow.
+func holds(vals []float64, rows, cols int) bool {
+	return rows > 0 && cols > 0 && rows <= len(vals) && len(vals)%rows == 0 && len(vals)/rows == cols
+}
+
+// LoadMLP reads an MLP previously written by SaveMLP. The input is
+// untrusted: every layer's dimensions, parameter counts and activation, and
+// the chaining of each layer's input to the previous layer's output, are
+// checked against the decoded values before anything is allocated, so a
+// hostile file is an error here rather than a panic at inference time.
 func LoadMLP(r io.Reader) (*MLP, error) {
 	var wire mlpWire
 	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
 		return nil, fmt.Errorf("nn: decoding MLP: %w", err)
 	}
-	m := &MLP{}
-	for i := range wire.Ins {
-		l := &Dense{
-			W:   NewTensor(wire.Outs[i], wire.Ins[i]),
-			B:   NewTensor(1, wire.Outs[i]),
-			Act: Activation(wire.Acts[i]),
-		}
-		if len(wire.Weights[i]) != l.W.Size() || len(wire.Biases[i]) != l.B.Size() {
+	n := len(wire.Ins)
+	if n == 0 {
+		return nil, fmt.Errorf("nn: decoded MLP has no layers")
+	}
+	if len(wire.Outs) != n || len(wire.Acts) != n || len(wire.Weights) != n || len(wire.Biases) != n {
+		return nil, fmt.Errorf("nn: MLP wire lists %d inputs, %d outputs, %d activations, %d weight and %d bias tensors",
+			n, len(wire.Outs), len(wire.Acts), len(wire.Weights), len(wire.Biases))
+	}
+	for i := range n {
+		switch in, out := wire.Ins[i], wire.Outs[i]; {
+		case !holds(wire.Weights[i], out, in) || !holds(wire.Biases[i], 1, out):
 			return nil, fmt.Errorf("nn: MLP layer %d has inconsistent sizes", i)
+		case i > 0 && in != wire.Outs[i-1]:
+			return nil, fmt.Errorf("nn: MLP layer %d takes %d inputs, layer %d gives %d", i, in, i-1, wire.Outs[i-1])
+		case wire.Acts[i] < int(Linear) || wire.Acts[i] > int(Tanh):
+			return nil, fmt.Errorf("nn: MLP layer %d has unknown activation %d", i, wire.Acts[i])
 		}
+	}
+	m := &MLP{}
+	for i := range n {
+		l := &Dense{W: NewTensor(wire.Outs[i], wire.Ins[i]), B: NewTensor(1, wire.Outs[i]), Act: Activation(wire.Acts[i])}
 		copy(l.W.W, wire.Weights[i])
 		copy(l.B.W, wire.Biases[i])
 		m.Layers = append(m.Layers, l)
-	}
-	if len(m.Layers) == 0 {
-		return nil, fmt.Errorf("nn: decoded MLP has no layers")
 	}
 	return m, nil
 }
@@ -93,11 +111,23 @@ func SaveGRU(w io.Writer, g *GRU) error {
 	return gob.NewEncoder(w).Encode(wire)
 }
 
-// LoadGRU reads a GRU cell previously written by SaveGRU.
+// LoadGRU reads a GRU cell previously written by SaveGRU. Like LoadMLP it
+// checks the untrusted dimensions against the decoded tensors before
+// allocating.
 func LoadGRU(r io.Reader) (*GRU, error) {
 	var wire gruWire
 	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
 		return nil, fmt.Errorf("nn: decoding GRU: %w", err)
+	}
+	// Params order: (W, U, B) for each of the z, r and h gates
+	shapes := [3][2]int{{wire.Hidden, wire.In}, {wire.Hidden, wire.Hidden}, {1, wire.Hidden}}
+	if want := len((&GRU{}).Params()); len(wire.Tensors) != want {
+		return nil, fmt.Errorf("nn: GRU wire has %d tensors, want %d", len(wire.Tensors), want)
+	}
+	for i, t := range wire.Tensors {
+		if sh := shapes[i%3]; !holds(t, sh[0], sh[1]) {
+			return nil, fmt.Errorf("nn: GRU tensor %d has %d values, want %d×%d (in %d, hidden %d)", i, len(t), sh[0], sh[1], wire.In, wire.Hidden)
+		}
 	}
 	g := &GRU{
 		InDim: wire.In, HiddenDim: wire.Hidden,
@@ -105,14 +135,7 @@ func LoadGRU(r io.Reader) (*GRU, error) {
 		Wr: NewTensor(wire.Hidden, wire.In), Ur: NewTensor(wire.Hidden, wire.Hidden), Br: NewTensor(1, wire.Hidden),
 		Wh: NewTensor(wire.Hidden, wire.In), Uh: NewTensor(wire.Hidden, wire.Hidden), Bh: NewTensor(1, wire.Hidden),
 	}
-	ps := g.Params()
-	if len(wire.Tensors) != len(ps) {
-		return nil, fmt.Errorf("nn: GRU wire has %d tensors, want %d", len(wire.Tensors), len(ps))
-	}
-	for i, t := range ps {
-		if len(wire.Tensors[i]) != t.Size() {
-			return nil, fmt.Errorf("nn: GRU tensor %d has %d values, want %d", i, len(wire.Tensors[i]), t.Size())
-		}
+	for i, t := range g.Params() {
 		copy(t.W, wire.Tensors[i])
 	}
 	return g, nil

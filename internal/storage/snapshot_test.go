@@ -98,3 +98,41 @@ func FuzzSnapshotDecode(f *testing.F) {
 		}
 	})
 }
+
+// TestConcurrentSnapshots: overlapping Snapshot calls — a periodic
+// snapshot tick meeting the one Close takes — must each succeed and leave
+// a store that recovers everything, with appends running beside them.
+func TestConcurrentSnapshots(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := mustOpen(t, dir, Options{})
+	rng := rand.New(rand.NewSource(33))
+	const rounds, batch = 100, 50
+	for r := 0; r < rounds; r++ {
+		if _, err := s.Append(genTrajs(rng, batch)); err != nil {
+			t.Fatal(err)
+		}
+		more := genTrajs(rng, 2)
+		errs := make(chan error, 3)
+		for range 2 {
+			go func() { errs <- s.Snapshot() }()
+		}
+		go func() {
+			_, err := s.Append(more)
+			errs <- err
+		}()
+		for range 3 {
+			if err := <-errs; err != nil {
+				t.Fatalf("round %d: %v", r, err)
+			}
+		}
+	}
+	want := s.Len()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, rs := mustOpen(t, dir, Options{})
+	defer s2.Close()
+	if rs.Records != want || rs.SnapshotRecords != want || rs.SnapshotsDiscarded != 0 {
+		t.Fatalf("recovered %+v, want all %d records from an intact snapshot", rs, want)
+	}
+}

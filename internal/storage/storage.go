@@ -147,6 +147,11 @@ type Store struct {
 	dir  string
 	opts Options
 
+	// snapMu serializes Snapshot end to end — image, temp file, rename,
+	// prune — so overlapping calls never share the temp file. It is taken
+	// before mu and never held by Append.
+	snapMu sync.Mutex
+
 	mu          sync.Mutex
 	recs        []Record
 	active      *os.File
@@ -466,7 +471,11 @@ func (s *Store) Sync() error {
 // when no record was appended since the last snapshot. The write happens
 // outside the append lock (appends proceed concurrently) and commits by
 // atomic rename; all but the two newest snapshots are then pruned.
+// Overlapping calls run one after another, and a call that finds the
+// snapshot already current returns nil.
 func (s *Store) Snapshot() error {
+	s.snapMu.Lock()
+	defer s.snapMu.Unlock()
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()

@@ -271,7 +271,51 @@ func (m *Model) Save(w io.Writer) error {
 	return nn.SaveGRU(w, m.enc)
 }
 
-// Load reads a model previously written by Save.
+// maxParam bounds every weight and embedding value a Model accepts. No
+// trained value comes near it, and under it no GRU pre-activation can
+// overflow to ±Inf, so an embedding of points inside the bounds is finite.
+const maxParam = 1e100
+
+// Validate checks that the model can be evaluated: a non-empty encoder,
+// finite bounds of finite extent, every parameter finite and within
+// ±maxParam, and GRU inputs that match the features — two normalized
+// coordinates, or for a token model a grid²×InDim embedding table.
+func (m *Model) Validate() error {
+	if m.enc == nil || m.enc.InDim <= 0 || m.enc.HiddenDim <= 0 {
+		return fmt.Errorf("t2vec: model has no usable encoder")
+	}
+	b := m.bounds
+	for _, v := range []float64{b.MinX, b.MinY, b.MaxX, b.MaxY, b.MaxX - b.MinX, b.MaxY - b.MinY} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("t2vec: normalization bounds %v or their extent are not finite", b)
+		}
+	}
+	params := m.enc.Params()
+	switch {
+	case m.grid < 0:
+		return fmt.Errorf("t2vec: negative token grid %d", m.grid)
+	case m.grid == 0 && m.enc.InDim != 2:
+		return fmt.Errorf("t2vec: coordinate model's encoder takes %d inputs, want 2", m.enc.InDim)
+	case m.grid > 0:
+		if e := m.emb; e == nil || e.Rows%m.grid != 0 || e.Rows/m.grid != m.grid || e.Cols != m.enc.InDim || len(e.W) != e.Rows*e.Cols {
+			return fmt.Errorf("t2vec: token model of grid %d needs a %d²×%d embedding table", m.grid, m.grid, m.enc.InDim)
+		}
+		params = append(params, m.emb)
+	}
+	for _, t := range params {
+		for _, v := range t.W {
+			if !(math.Abs(v) <= maxParam) {
+				return fmt.Errorf("t2vec: parameter %v is not finite or exceeds ±%g", v, maxParam)
+			}
+		}
+	}
+	return nil
+}
+
+// Load reads a model previously written by Save. The input is untrusted:
+// the embedding table's shape is checked against the grid before any value
+// is read, the table grows only as values arrive (a header alone cannot
+// size an allocation), and the decoded model must pass Validate.
 func Load(r io.Reader) (*Model, error) {
 	var b geo.Rect
 	var tag string
@@ -288,18 +332,28 @@ func Load(r io.Reader) (*Model, error) {
 		if _, err := fmt.Fscanf(r, "%d %d\n", &rows, &cols); err != nil {
 			return nil, fmt.Errorf("t2vec: reading embedding shape: %w", err)
 		}
-		emb = nn.NewTensor(rows, cols)
-		for i := range emb.W {
-			if _, err := fmt.Fscanf(r, "%g\n", &emb.W[i]); err != nil {
+		if rows%grid != 0 || rows/grid != grid || cols <= 0 || cols > math.MaxInt/rows {
+			return nil, fmt.Errorf("t2vec: embedding shape %d×%d does not fit grid %d", rows, cols, grid)
+		}
+		vals := make([]float64, 0, min(rows*cols, 1<<16))
+		for range rows * cols {
+			var v float64
+			if _, err := fmt.Fscanf(r, "%g\n", &v); err != nil {
 				return nil, fmt.Errorf("t2vec: reading embedding: %w", err)
 			}
+			vals = append(vals, v)
 		}
+		emb = &nn.Tensor{Rows: rows, Cols: cols, W: vals, G: make([]float64, len(vals))}
 	}
 	enc, err := nn.LoadGRU(r)
 	if err != nil {
 		return nil, err
 	}
-	return &Model{enc: enc, bounds: b, grid: grid, emb: emb}, nil
+	m := &Model{enc: enc, bounds: b, grid: grid, emb: emb}
+	if err := m.Validate(); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // SaveFile writes the model to the named file.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"simsub/internal/geo"
+	"simsub/internal/nn"
 	"simsub/internal/sim"
 	"simsub/internal/traj"
 )
@@ -296,6 +297,49 @@ func TestSaveLoadFile(t *testing.T) {
 func TestLoadCorrupt(t *testing.T) {
 	if _, err := Load(bytes.NewReader([]byte("junk"))); err == nil {
 		t.Error("expected error for corrupt model data")
+	}
+}
+
+// TestLoadRejectsHostileModels: model files whose parts do not fit each
+// other, or carry non-finite numbers, are load errors — never a panic, an
+// allocation sized by the header alone, or a model that fails at embed
+// time.
+func TestLoadRejectsHostileModels(t *testing.T) {
+	gru := func(in int) *nn.GRU { return nn.NewGRU(in, 4, rand.New(rand.NewSource(23))) }
+	unit := geo.Rect{MaxX: 1, MaxY: 1}
+	nanWeight := gru(2)
+	nanWeight.Wz.W[0] = math.NaN()
+	hugeWeight := gru(2)
+	hugeWeight.Uh.W[3] = 1e300
+	models := map[string]*Model{
+		"table too narrow":     {enc: gru(3), bounds: unit, grid: 4, emb: nn.NewTensor(16, 2)},
+		"table too short":      {enc: gru(3), bounds: unit, grid: 4, emb: nn.NewTensor(9, 3)},
+		"one-input coordinate": {enc: gru(1), bounds: unit},
+		"NaN bound":            {enc: gru(2), bounds: geo.Rect{MinX: math.NaN(), MaxX: 1, MaxY: 1}},
+		"infinite bound":       {enc: gru(2), bounds: geo.Rect{MaxX: math.Inf(1), MaxY: 1}},
+		"infinite extent":      {enc: gru(2), bounds: geo.Rect{MinX: -1e308, MaxX: 1e308, MaxY: 1}},
+		"NaN weight":           {enc: nanWeight, bounds: unit},
+		"overflowing weight":   {enc: hugeWeight, bounds: unit},
+	}
+	files := map[string][]byte{}
+	for name, m := range models {
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatalf("%s: Save: %v", name, err)
+		}
+		files[name] = buf.Bytes()
+	}
+	var coord bytes.Buffer
+	if err := nn.SaveGRU(&coord, gru(2)); err != nil {
+		t.Fatal(err)
+	}
+	files["negative grid"] = append([]byte("t2vec -1 0 0 1 1\n"), coord.Bytes()...)
+	files["table shape overflows"] = []byte("t2vec 4 0 0 1 1\n3 4611686018427387904\n")
+	files["table larger than the file"] = []byte("t2vec 4 0 0 1 1\n16 1000000000000\n0\n")
+	for name, b := range files {
+		if m, err := Load(bytes.NewReader(b)); err == nil {
+			t.Errorf("%s: loaded a model (dim %d, grid %d), want an error", name, m.Dim(), m.Grid())
+		}
 	}
 }
 

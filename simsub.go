@@ -294,28 +294,11 @@ func NewDatabase(ts []Trajectory, withIndex bool) *Database {
 	return core.NewDatabase(ts, withIndex)
 }
 
-// IndexKind selects a Database pruning structure.
-type IndexKind = core.IndexKind
-
-// Database index kinds.
-const (
-	NoIndex       = core.NoIndex
-	RTreeIndex    = core.RTreeIndex
-	GridFileIndex = core.GridFileIndex
-)
-
 // Engine per-shard index kinds (the zero value is the R-tree).
 const (
 	EngineRTree   = engine.RTree
-	EngineGrid    = engine.Grid
 	EngineScanAll = engine.ScanAll
 )
-
-// NewDatabaseIndexed builds a database with an explicit index kind
-// (NoIndex, RTreeIndex, or the inverted GridFileIndex of §3.1).
-func NewDatabaseIndexed(ts []Trajectory, kind IndexKind) *Database {
-	return core.NewDatabaseIndexed(ts, kind)
-}
 
 // NewEngine builds the sharded concurrent search service. The zero config
 // is usable: 4 shards, GOMAXPROCS workers, R-tree indexes, no cache.

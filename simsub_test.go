@@ -144,18 +144,19 @@ func TestTopKSubtrajectories(t *testing.T) {
 	}
 }
 
-func TestGridIndexedDatabaseAPI(t *testing.T) {
+func TestIndexedDatabaseAPI(t *testing.T) {
 	var ts []Trajectory
 	for i := 0; i < 15; i++ {
 		tr := RandomWalk(20, 0.01, int64(i+1))
 		tr.ID = i
 		ts = append(ts, tr)
 	}
-	db := NewDatabaseIndexed(ts, GridFileIndex)
 	q := ts[4].Sub(3, 8)
-	top := db.TopKParallel(PrefixSuffix(DTW()), q, 3, 4)
-	if len(top) == 0 {
-		t.Fatal("no matches")
+	for _, withIndex := range []bool{true, false} {
+		top := NewDatabase(ts, withIndex).TopK(PrefixSuffix(DTW()), q, 3)
+		if len(top) == 0 || top[0].TrajIndex != 4 {
+			t.Fatalf("index=%v: %+v, want trajectory 4 first (the query is a piece of it)", withIndex, top)
+		}
 	}
 }
 
