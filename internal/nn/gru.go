@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 )
@@ -13,27 +14,55 @@ import (
 //	r = σ(Wr·x + Ur·h + br)          reset gate
 //	ĥ = tanh(Wh·x + Uh·(r⊙h) + bh)   candidate state
 //	h' = (1-z)⊙h + z⊙ĥ
+//
+// The gate weights are stored stacked: [Wz;Wr;Wh] is one 3H×In array and
+// [Uz;Ur] one 2H×H array (H = HiddenDim, In = InDim), values and gradients
+// alike. The nine tensors Params returns are row-block views into that
+// storage, so the optimizer, serialization and validation see the nine
+// gate tensors while Step runs one mat-vec over x and one over h. Writing
+// through a view's W or G is visible to Step; replacing a tensor field is
+// not, so build cells with NewGRU or LoadGRU and never assign the fields.
+//
+// Step is the one forward. It writes into scratch the caller owns
+// (ScratchLen values) and allocates nothing, so a caller that steps many
+// times (t2vec's incremental computer, Embed) holds one scratch; hOut may
+// alias h, nothing else may alias. A recorded GRURun steps through it
+// with each step's cache as the scratch.
 type GRU struct {
 	InDim, HiddenDim int
 	Wz, Uz, Bz       *Tensor
 	Wr, Ur, Br       *Tensor
 	Wh, Uh, Bh       *Tensor
+	// wx is [Wz;Wr;Wh] and uzr is [Uz;Ur]: the values the views share.
+	wx, uzr []float64
+}
+
+// newGRU builds a zero cell: the one constructor behind NewGRU and LoadGRU.
+func newGRU(in, hidden int) *GRU {
+	wx := NewTensor(3*hidden, in)
+	uzr := NewTensor(2*hidden, hidden)
+	return &GRU{
+		InDim: in, HiddenDim: hidden,
+		Wz: wx.rowBlock(0, hidden), Uz: uzr.rowBlock(0, hidden), Bz: NewTensor(1, hidden),
+		Wr: wx.rowBlock(hidden, hidden), Ur: uzr.rowBlock(hidden, hidden), Br: NewTensor(1, hidden),
+		Wh: wx.rowBlock(2*hidden, hidden), Uh: NewTensor(hidden, hidden), Bh: NewTensor(1, hidden),
+		wx: wx.W, uzr: uzr.W,
+	}
+}
+
+// rowBlock returns the n-row block of t starting at row i, sharing t's values
+// and gradients.
+func (t *Tensor) rowBlock(i, n int) *Tensor {
+	lo, hi := i*t.Cols, (i+n)*t.Cols
+	return &Tensor{Rows: n, Cols: t.Cols, W: t.W[lo:hi:hi], G: t.G[lo:hi:hi]}
 }
 
 // NewGRU builds a GRU cell with Xavier-initialized weights.
 func NewGRU(in, hidden int, rng *rand.Rand) *GRU {
-	g := &GRU{
-		InDim: in, HiddenDim: hidden,
-		Wz: NewTensor(hidden, in), Uz: NewTensor(hidden, hidden), Bz: NewTensor(1, hidden),
-		Wr: NewTensor(hidden, in), Ur: NewTensor(hidden, hidden), Br: NewTensor(1, hidden),
-		Wh: NewTensor(hidden, in), Uh: NewTensor(hidden, hidden), Bh: NewTensor(1, hidden),
+	g := newGRU(in, hidden)
+	for _, t := range []*Tensor{g.Wz, g.Uz, g.Wr, g.Ur, g.Wh, g.Uh} {
+		t.InitXavier(rng)
 	}
-	g.Wz.InitXavier(rng)
-	g.Uz.InitXavier(rng)
-	g.Wr.InitXavier(rng)
-	g.Ur.InitXavier(rng)
-	g.Wh.InitXavier(rng)
-	g.Uh.InitXavier(rng)
 	return g
 }
 
@@ -42,31 +71,40 @@ func (g *GRU) Params() Params {
 	return Params{g.Wz, g.Uz, g.Bz, g.Wr, g.Ur, g.Br, g.Wh, g.Uh, g.Bh}
 }
 
-// StepInfer advances the hidden state by one input without recording
-// anything for backprop: hOut = GRU(h, x). hOut must have length HiddenDim
-// and may alias h. This is the O(1)-per-point primitive behind t2vec's
-// incremental subtrajectory extension (Φinc = O(1) in Table 1).
-func (g *GRU) StepInfer(h, x, hOut []float64) {
-	hd := g.HiddenDim
-	z := make([]float64, hd)
-	r := make([]float64, hd)
-	rh := make([]float64, hd)
-	cand := make([]float64, hd)
+// ScratchLen is the length of the scratch slice Step needs: 4·HiddenDim.
+func (g *GRU) ScratchLen() int { return 4 * g.HiddenDim }
 
-	g.Wz.MatVec(x, z)
-	g.Uz.MatVecAdd(h, z)
-	g.Wr.MatVec(x, r)
-	g.Ur.MatVecAdd(h, r)
-	for i := 0; i < hd; i++ {
-		z[i] = sigmoid(z[i] + g.Bz.W[i])
-		r[i] = sigmoid(r[i] + g.Br.W[i])
+// Step advances the hidden state by one input, hOut = GRU(h, x), and
+// allocates nothing: this is the O(1)-per-point primitive behind t2vec's
+// incremental subtrajectory extension (Φinc = O(1) in Table 1). h and hOut
+// have length HiddenDim, x length InDim, and scratch at least ScratchLen
+// values owned by the caller. hOut may alias h; nothing else may alias.
+//
+// On return scratch holds the step's activations, which a recorded run
+// keeps for backpropagation: z in [0,H), r in [H,2H), ĥ in [2H,3H) and
+// r⊙h in [3H,4H). Every pre-activation is summed as Σ W·x, then += Σ U·h,
+// then + b, row by row in column order, so the result does not depend on
+// how the mat-vec interleaves rows.
+func (g *GRU) Step(h, x, hOut, scratch []float64) {
+	hd := g.HiddenDim
+	if len(h) != hd || len(x) != g.InDim || len(hOut) != hd || len(scratch) < 4*hd {
+		panic(fmt.Sprintf("nn: GRU.Step shape mismatch: in %d hidden %d with h[%d] x[%d] hOut[%d] scratch[%d]",
+			g.InDim, hd, len(h), len(x), len(hOut), len(scratch)))
+	}
+	pre, rh := scratch[:3*hd], scratch[3*hd:4*hd]
+	matVec(g.wx, x, pre, false)        // Wz·x, Wr·x, Wh·x
+	matVec(g.uzr, h, pre[:2*hd], true) // += Uz·h, Ur·h
+	z, r, c := pre[:hd], pre[hd:2*hd], pre[2*hd:]
+	bz, br, bh := g.Bz.W[:hd], g.Br.W[:hd], g.Bh.W[:hd]
+	for i := range z {
+		z[i] = sigmoid(z[i] + bz[i])
+		r[i] = sigmoid(r[i] + br[i])
 		rh[i] = r[i] * h[i]
 	}
-	g.Wh.MatVec(x, cand)
-	g.Uh.MatVecAdd(rh, cand)
-	for i := 0; i < hd; i++ {
-		c := math.Tanh(cand[i] + g.Bh.W[i])
-		hOut[i] = (1-z[i])*h[i] + z[i]*c
+	matVec(g.Uh.W, rh, c, true) // += Uh·(r⊙h)
+	for i := range c {
+		c[i] = math.Tanh(c[i] + bh[i])
+		hOut[i] = (1-z[i])*h[i] + z[i]*c[i]
 	}
 }
 
@@ -108,33 +146,21 @@ func (r *GRURun) Steps() int { return len(r.caches) }
 func (r *GRURun) HiddenAt(t int) []float64 { return r.caches[t].h }
 
 // Step consumes one input and returns the new hidden state. x is copied.
+// It runs GRU.Step with the step's cache as the scratch.
 func (r *GRURun) Step(x []float64) []float64 {
 	g := r.g
-	hd := g.HiddenDim
+	in, hd := g.InDim, g.HiddenDim
+	buf := make([]float64, in+6*hd)
 	c := gruCache{
-		x:     append([]float64(nil), x...),
-		hPrev: append([]float64(nil), r.H()...),
-		z:     make([]float64, hd),
-		r:     make([]float64, hd),
-		rh:    make([]float64, hd),
-		cand:  make([]float64, hd),
-		h:     make([]float64, hd),
+		x:     buf[:in],
+		hPrev: buf[in : in+hd],
+		h:     buf[in+hd : in+2*hd],
 	}
-	g.Wz.MatVec(c.x, c.z)
-	g.Uz.MatVecAdd(c.hPrev, c.z)
-	g.Wr.MatVec(c.x, c.r)
-	g.Ur.MatVecAdd(c.hPrev, c.r)
-	for i := 0; i < hd; i++ {
-		c.z[i] = sigmoid(c.z[i] + g.Bz.W[i])
-		c.r[i] = sigmoid(c.r[i] + g.Br.W[i])
-		c.rh[i] = c.r[i] * c.hPrev[i]
-	}
-	g.Wh.MatVec(c.x, c.cand)
-	g.Uh.MatVecAdd(c.rh, c.cand)
-	for i := 0; i < hd; i++ {
-		c.cand[i] = math.Tanh(c.cand[i] + g.Bh.W[i])
-		c.h[i] = (1-c.z[i])*c.hPrev[i] + c.z[i]*c.cand[i]
-	}
+	s := buf[in+2*hd:]
+	c.z, c.r, c.cand, c.rh = s[:hd], s[hd:2*hd], s[2*hd:3*hd], s[3*hd:]
+	copy(c.x, x)
+	copy(c.hPrev, r.H())
+	g.Step(c.hPrev, c.x, c.h, s)
 	r.caches = append(r.caches, c)
 	return c.h
 }

@@ -318,19 +318,20 @@ func TestAdamGradientClip(t *testing.T) {
 	}
 }
 
-func TestGRUStepInferMatchesRun(t *testing.T) {
+func TestGRUStepMatchesRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(48))
 	g := NewGRU(3, 5, rng)
 	run := g.NewRun(nil)
 	h := make([]float64, 5)
+	s := make([]float64, g.ScratchLen())
 	xs := [][]float64{{1, 0, -1}, {0.5, 0.5, 0.5}, {-0.2, 0.8, 0.1}}
 	for _, x := range xs {
 		run.Step(x)
-		g.StepInfer(h, x, h)
+		g.Step(h, x, h, s)
 	}
 	for i := range h {
-		if math.Abs(h[i]-run.H()[i]) > 1e-12 {
-			t.Fatalf("StepInfer diverges from recorded run at %d: %v vs %v", i, h[i], run.H()[i])
+		if h[i] != run.H()[i] {
+			t.Fatalf("Step diverges from recorded run at %d: %v vs %v", i, h[i], run.H()[i])
 		}
 	}
 	if run.Steps() != 3 {
@@ -510,9 +511,10 @@ func TestGRUSerializationRoundTrip(t *testing.T) {
 	}
 	h1 := make([]float64, 6)
 	h2 := make([]float64, 6)
+	s := make([]float64, g.ScratchLen())
 	x := []float64{1, -1, 0.5, 0.2}
-	g.StepInfer(h1, x, h1)
-	got.StepInfer(h2, x, h2)
+	g.Step(h1, x, h1, s)
+	got.Step(h2, x, h2, s)
 	for i := range h1 {
 		if h1[i] != h2[i] {
 			t.Fatalf("round-tripped GRU hidden differs: %v vs %v", h1, h2)

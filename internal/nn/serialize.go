@@ -129,12 +129,7 @@ func LoadGRU(r io.Reader) (*GRU, error) {
 			return nil, fmt.Errorf("nn: GRU tensor %d has %d values, want %d×%d (in %d, hidden %d)", i, len(t), sh[0], sh[1], wire.In, wire.Hidden)
 		}
 	}
-	g := &GRU{
-		InDim: wire.In, HiddenDim: wire.Hidden,
-		Wz: NewTensor(wire.Hidden, wire.In), Uz: NewTensor(wire.Hidden, wire.Hidden), Bz: NewTensor(1, wire.Hidden),
-		Wr: NewTensor(wire.Hidden, wire.In), Ur: NewTensor(wire.Hidden, wire.Hidden), Br: NewTensor(1, wire.Hidden),
-		Wh: NewTensor(wire.Hidden, wire.In), Uh: NewTensor(wire.Hidden, wire.Hidden), Bh: NewTensor(1, wire.Hidden),
-	}
+	g := newGRU(wire.In, wire.Hidden)
 	for i, t := range g.Params() {
 		copy(t.W, wire.Tensors[i])
 	}

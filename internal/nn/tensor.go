@@ -77,14 +77,7 @@ func (t *Tensor) MatVec(x, y []float64) {
 	if len(x) != t.Cols || len(y) != t.Rows {
 		panic(fmt.Sprintf("nn: MatVec shape mismatch: %dx%d with x[%d] y[%d]", t.Rows, t.Cols, len(x), len(y)))
 	}
-	for r := 0; r < t.Rows; r++ {
-		row := t.W[r*t.Cols : (r+1)*t.Cols]
-		var s float64
-		for c, v := range row {
-			s += v * x[c]
-		}
-		y[r] = s
-	}
+	matVec(t.W, x, y, false)
 }
 
 // MatVecAdd computes y += W·x.
@@ -92,13 +85,53 @@ func (t *Tensor) MatVecAdd(x, y []float64) {
 	if len(x) != t.Cols || len(y) != t.Rows {
 		panic(fmt.Sprintf("nn: MatVecAdd shape mismatch: %dx%d with x[%d] y[%d]", t.Rows, t.Cols, len(x), len(y)))
 	}
-	for r := 0; r < t.Rows; r++ {
-		row := t.W[r*t.Cols : (r+1)*t.Cols]
-		var s float64
-		for c, v := range row {
-			s += v * x[c]
+	matVec(t.W, x, y, true)
+}
+
+// matVec is the package's one mat-vec row loop. w holds a row-major
+// len(y)×len(x) matrix; row r dotted with x is stored into y[r], or added
+// to it when add is set. Each dot product is a fresh sum taken in column
+// order, so y is bit-identical to the textbook one-row-at-a-time loop.
+// Four rows run interleaved with independent accumulators, and every
+// operand is resliced to the length of x so the inner loop carries no
+// bounds checks. y must not alias x or w.
+func matVec(w, x, y []float64, add bool) {
+	n := len(x)
+	w = w[:len(y)*n]
+	r := 0
+	for ; r+4 <= len(y); r += 4 {
+		blk := w[r*n : (r+4)*n]
+		w0, w1, w2, w3 := blk[:n], blk[n:2*n], blk[2*n:3*n], blk[3*n:4*n]
+		w0, w1, w2, w3 = w0[:len(x)], w1[:len(x)], w2[:len(x)], w3[:len(x)]
+		var s0, s1, s2, s3 float64
+		for c, xc := range x {
+			s0 += w0[c] * xc
+			s1 += w1[c] * xc
+			s2 += w2[c] * xc
+			s3 += w3[c] * xc
 		}
-		y[r] += s
+		out := y[r : r+4 : r+4]
+		if add {
+			out[0] += s0
+			out[1] += s1
+			out[2] += s2
+			out[3] += s3
+		} else {
+			out[0], out[1], out[2], out[3] = s0, s1, s2, s3
+		}
+	}
+	for ; r < len(y); r++ {
+		row := w[r*n : (r+1)*n]
+		row = row[:len(x)]
+		var s float64
+		for c, xc := range x {
+			s += row[c] * xc
+		}
+		if add {
+			y[r] += s
+		} else {
+			y[r] = s
+		}
 	}
 }
 

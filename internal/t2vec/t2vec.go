@@ -147,15 +147,24 @@ func (m *Model) feature(p geo.Point, dst []float64) {
 }
 
 // Embed returns the embedding of t: the encoder hidden state after
-// consuming all points. Cost O(n).
+// consuming all points. Cost O(n); the step scratch is allocated once per
+// call, and the returned slice is an allocation of its own, exactly
+// HiddenDim long, so a stored embedding pins nothing else.
 func (m *Model) Embed(t traj.Trajectory) []float64 {
 	h := make([]float64, m.enc.HiddenDim)
-	x := make([]float64, m.enc.InDim)
+	x, s := m.scratch()
 	for _, p := range t.Points {
 		m.feature(p, x)
-		m.enc.StepInfer(h, x, h)
+		m.enc.Step(h, x, h, s)
 	}
 	return h
+}
+
+// scratch allocates a feature vector and GRU step scratch in one block.
+func (m *Model) scratch() (x, s []float64) {
+	in := m.enc.InDim
+	buf := make([]float64, in+m.enc.ScratchLen())
+	return buf[:in], buf[in:]
 }
 
 // QueryEmbedding returns the (cached) embedding of q. Together with Dim
@@ -207,18 +216,20 @@ type inc struct {
 	qEmb  []float64
 	h     []float64
 	x     []float64
-	start int // index in t of the first point consumed since Reset
-	n     int // points consumed since Reset
+	s     []float64 // GRU step scratch: a step allocates nothing
+	start int       // index in t of the first point consumed since Reset
+	n     int       // points consumed since Reset
 }
 
 func (m *Model) newInc(t, q traj.Trajectory) *inc {
-	return &inc{
+	c := &inc{
 		m:    m,
 		t:    t,
 		qEmb: m.queryEmbedding(q),
 		h:    make([]float64, m.enc.HiddenDim),
-		x:    make([]float64, m.enc.InDim),
 	}
+	c.x, c.s = m.scratch()
+	return c
 }
 
 // NewIncremental implements sim.Measure. The query embedding is computed
@@ -233,7 +244,7 @@ func (c *inc) Push(p geo.Point) float64 {
 		clear(c.h)
 	}
 	c.m.feature(p, c.x)
-	c.m.enc.StepInfer(c.h, c.x, c.h)
+	c.m.enc.Step(c.h, c.x, c.h, c.s)
 	c.n++
 	return euclid(c.h, c.qEmb)
 }
