@@ -330,9 +330,13 @@ type RecoveryInfo struct {
 	Segments int `json:"segments"`
 	// Records is the number of trajectory records recovered.
 	Records int `json:"records"`
-	// SnapshotRecords had their derived metadata restored from a snapshot.
+	// SnapshotRecords had their encoder embedding restored from the
+	// newest valid snapshot (an embedding checkpoint); 0 on a node that
+	// never ran with an encoder.
 	SnapshotRecords int `json:"snapshot_records"`
-	// Replayed had their derived metadata re-computed from the log tail.
+	// Replayed is the rest of Records: every record's point count and MBR
+	// are derived from the log, and these also get their embedding
+	// computed afresh when an encoder is registered.
 	Replayed int `json:"replayed"`
 	// TornTailTruncations counts partial tail records truncated on boot.
 	TornTailTruncations int `json:"torn_tail_truncations"`

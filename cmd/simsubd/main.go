@@ -2,9 +2,10 @@
 // in-memory trajectory store answering concurrent top-k queries under any
 // registered measure and algorithm, with a bounded worker pool, per-request
 // timeouts and an LRU result cache. With -data-dir the corpus is also
-// durable: loads append to a checksummed segment log, metadata is
-// snapshotted periodically, and on boot the node recovers the log (serving
-// 503 "recovering" until the replay finishes) before flipping to ready.
+// durable: loads append to a checksummed segment log, the encoder
+// embeddings (with -encoder) are checkpointed periodically, and on boot the
+// node recovers the log (serving 503 "recovering" until the replay
+// finishes) before flipping to ready.
 //
 // Usage:
 //
@@ -56,7 +57,7 @@ func main() {
 		indexName  = flag.String("index", "rtree", "per-shard index: rtree (MBR-intersecting candidates only) or none (scan every trajectory)")
 		dataPath   = flag.String("data", "", "optional CSV of trajectories to preload")
 		dataDir    = flag.String("data-dir", "", "directory for the persistent segment log (empty = in-memory only)")
-		snapEvery  = flag.Duration("snapshot-interval", 5*time.Minute, "how often to snapshot derived metadata when -data-dir is set")
+		snapEvery  = flag.Duration("snapshot-interval", 5*time.Minute, "how often to checkpoint encoder embeddings when -data-dir is set")
 		timeout    = flag.Duration("timeout", 30*time.Second, "per-request search timeout cap")
 		policyPath = flag.String("policy", "", "optional RLS/RLS-Skip policy file (cmd/train -mode rls) enabling the learned algorithms")
 		policyRes  = flag.Int("policy-compile", 0, "compile the -policy network onto a dense action table at this grid resolution (0 = serve the network directly)")
@@ -112,7 +113,7 @@ func main() {
 		}
 	}
 	// The encoder registers BEFORE the store attaches: recovery then finds
-	// the fingerprint of the snapshot's persisted embeddings matching the
+	// the fingerprint of the checkpointed embeddings matching the
 	// registered encoder and reuses them instead of re-encoding the corpus.
 	if *encPath != "" {
 		m, err := t2vec.LoadFile(*encPath)
@@ -205,13 +206,13 @@ func main() {
 		log.Printf("shutdown: %v", err)
 	}
 	// After the HTTP drain, no more appends can arrive: take a final
-	// snapshot and fsync the active segment so the next boot replays
+	// checkpoint and fsync the active segment so the next boot re-encodes
 	// nothing.
 	if st := eng.Store(); st != nil {
 		if err := st.Close(); err != nil {
 			log.Printf("closing store: %v", err)
 		} else {
-			log.Printf("store closed: snapshot covers %d trajectories", st.Len())
+			log.Printf("store closed: %d trajectories", st.Len())
 		}
 	}
 }
@@ -229,8 +230,9 @@ func preload(eng *engine.Engine, path string) {
 	log.Printf("preloaded %d trajectories from %s", len(ts), path)
 }
 
-// snapshotLoop periodically snapshots the attached store's derived
-// metadata so recovery replays only the tail written since the last tick.
+// snapshotLoop periodically checkpoints the attached store's encoder
+// embeddings so recovery re-encodes only the records embedded since the
+// last tick (a store without embeddings writes nothing).
 func snapshotLoop(ctx context.Context, eng *engine.Engine, every time.Duration) {
 	if every <= 0 {
 		return

@@ -108,10 +108,11 @@ func BenchmarkIngest(b *testing.B) {
 }
 
 // BenchmarkRecover measures the cold-boot path at the same scale: open the
-// segment log, load the newest snapshot, replay the tail, and attach the
-// corpus to a fresh engine. The store is written the way a crashed node
-// leaves it — snapshot covering roughly half the corpus, the rest
-// replayed from the log.
+// segment log and attach the corpus to a fresh engine, which derives every
+// record's point count and MBR from the log. The store is written the way
+// a crashed encoder-less node leaves it — a snapshot asked for halfway
+// (a no-op: without embeddings there is nothing to checkpoint), so every
+// record replays from the log.
 func BenchmarkRecover(b *testing.B) {
 	n := ingestN()
 	ts := servingData(n, ingestPts, 11)
@@ -132,7 +133,7 @@ func BenchmarkRecover(b *testing.B) {
 	if err := st.Sync(); err != nil {
 		b.Fatal(err)
 	}
-	// abandoned without Close: recovery must replay the post-snapshot tail
+	// abandoned without Close, as a crash leaves it
 
 	var last *storage.RecoveryStats
 	b.ResetTimer()

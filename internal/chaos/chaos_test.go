@@ -403,7 +403,9 @@ func TestChaosStorageFaults(t *testing.T) {
 }
 
 // TestChaosSnapshotRenameFault: a failed snapshot commit rename must leave
-// the previous snapshot intact — recovery still replays the full log.
+// the store consistent — the embedding set stays uncheckpointed, so the
+// checkpoint Close takes commits it, and recovery brings back the full log
+// with every embedding.
 func TestChaosSnapshotRenameFault(t *testing.T) {
 	failpoint.DisableAll()
 	defer failpoint.DisableAll()
@@ -418,8 +420,12 @@ func TestChaosSnapshotRenameFault(t *testing.T) {
 	for i := range ts {
 		ts[i] = randWalk(rng, 8)
 	}
-	if _, err := st.Append(ts); err != nil {
+	recs, err := st.Append(ts)
+	if err != nil {
 		t.Fatal(err)
+	}
+	for _, r := range recs {
+		st.SetEmbedding(r.ID, 1, []float64{float64(r.ID), 1})
 	}
 	if err := failpoint.Enable("storage/snapshot-rename", "error(rename lost)"); err != nil {
 		t.Fatal(err)
@@ -431,12 +437,12 @@ func TestChaosSnapshotRenameFault(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatalf("close after failed snapshot: %v", err)
 	}
-	st2, _, err := storage.Open(dir, storage.Options{})
+	st2, rs, err := storage.Open(dir, storage.Options{})
 	if err != nil {
 		t.Fatalf("reopen after failed snapshot: %v", err)
 	}
 	defer st2.Close()
-	if st2.Len() != len(ts) {
-		t.Fatalf("recovered %d trajectories, want %d", st2.Len(), len(ts))
+	if st2.Len() != len(ts) || rs.SnapshotRecords != len(ts) || rs.SnapshotsDiscarded != 0 {
+		t.Fatalf("recovered %d trajectories (%s), want %d with every embedding restored", st2.Len(), rs.String(), len(ts))
 	}
 }

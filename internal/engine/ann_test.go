@@ -249,7 +249,7 @@ func TestEmbeddingPersistenceReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	if fp, ok := st2.EmbeddingInfo(); !ok {
+	if fp, _, ok := st2.Embeddings(); !ok {
 		t.Fatal("recovered store lost its embeddings")
 	} else if wantFP, _ := EncoderFingerprint(enc); fp != wantFP {
 		t.Fatalf("recovered embedding fingerprint %x, want %x", fp, wantFP)

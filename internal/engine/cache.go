@@ -2,9 +2,6 @@ package engine
 
 import (
 	"container/list"
-	"encoding/binary"
-	"hash/fnv"
-	"math"
 	"sync"
 
 	"simsub/internal/geo"
@@ -59,7 +56,7 @@ func (e *Engine) cacheKeyFor(q Query, fp uint64) cacheKey {
 		params:   q.Params,
 		distinct: q.Distinct,
 		fp:       fp,
-		digest:   digest(q.Q),
+		digest:   q.Q.Digest(),
 	}
 	if q.ANN != nil {
 		key.annCands, key.annProbes = q.ANN.Candidates, q.ANN.Probes
@@ -71,22 +68,6 @@ func (e *Engine) cacheKeyFor(q Query, fp uint64) cacheKey {
 		key.hasBound, key.bound = true, *q.Bound
 	}
 	return key
-}
-
-// digest fingerprints a query trajectory with FNV-1a over the raw bits of
-// its coordinates and timestamps.
-func digest(t traj.Trajectory) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, p := range t.Points {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(p.X))
-		h.Write(buf[:])
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(p.Y))
-		h.Write(buf[:])
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(p.T))
-		h.Write(buf[:])
-	}
-	return h.Sum64()
 }
 
 // resultCache is a mutex-guarded LRU of top-k answers. Cached match slices

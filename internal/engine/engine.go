@@ -232,19 +232,11 @@ type shard struct {
 	ann *ann.Index
 }
 
-// add appends a batch. metas, when non-nil, carries precomputed scan
-// metadata (recovered from a storage snapshot, or pre-embedded by the
-// engine) aligned with ts; nil metas are derived here, as a pure in-memory
-// engine always did. Readers of the current view never look past its
-// length, so appending in place behind it is safe.
+// add appends a batch with its scan metadata (metas aligned with ts).
+// Readers of the current view never look past its length, so appending in
+// place behind it is safe.
 func (s *shard) add(ts []traj.Trajectory, metas []core.TrajMeta, enc *t2vec.Model) {
-	grown := append(s.metas, metas...)
-	if metas == nil {
-		for _, t := range ts {
-			grown = append(grown, core.DeriveMeta(t))
-		}
-	}
-	s.install(append(s.trajs, ts...), grown, enc)
+	s.install(append(s.trajs, ts...), append(s.metas, metas...), enc)
 }
 
 // reembed re-encodes every stored trajectory under enc into a FRESH meta
@@ -382,12 +374,19 @@ func (e *Engine) Add(ts []traj.Trajectory) ([]int, error) {
 	e.addMu.Lock()
 	defer e.addMu.Unlock()
 	st := e.store.Load()
-	var recs []storage.Record
+	base := int(e.nextID.Load())
+	var stored []traj.Trajectory
 	if st != nil {
 		var err error
-		recs, err = st.Append(ts)
+		stored, err = st.Append(ts)
 		if err != nil {
 			return nil, api.Errorf(api.CodeInternal, "durable append failed: %v", err)
+		}
+	} else {
+		stored = make([]traj.Trajectory, len(ts))
+		for i, t := range ts {
+			t.ID = base + i
+			stored[i] = t
 		}
 	}
 	// seqlock on the store generation: odd while shards are being swapped,
@@ -396,68 +395,21 @@ func (e *Engine) Add(ts []traj.Trajectory) ([]int, error) {
 	// from a mixed pre/post-load snapshot can never enter the cache.
 	e.gen.Add(1)
 	defer e.gen.Add(1)
-	a := e.art.Load()
-	enc := a.enc
+	e.place(stored, st, nil)
 	ids := make([]int, len(ts))
-	buckets := make([][]traj.Trajectory, len(e.shards))
-	var metaBuckets [][]core.TrajMeta
-	if recs != nil || enc != nil {
-		metaBuckets = make([][]core.TrajMeta, len(e.shards))
+	for i := range ids {
+		ids[i] = base + i
 	}
-	base := int(e.nextID.Load())
-	var pts int64
-	for i, t := range ts {
-		id := base + i
-		ids[i] = id
-		pts += int64(t.Len())
-		si := id % len(e.shards)
-		if recs != nil {
-			t = recs[i].Traj
-		} else {
-			t.ID = id
-		}
-		buckets[si] = append(buckets[si], t)
-		if metaBuckets != nil {
-			var meta core.TrajMeta
-			if recs != nil {
-				// the store assigned the same dense ID and already derived
-				// the metadata; reuse both instead of re-deriving
-				meta = recs[i].Meta
-			} else {
-				meta = core.DeriveMeta(t)
-			}
-			if enc != nil {
-				// embed at insert, and record the vector against the store
-				// so the next snapshot persists it for recovery
-				meta.Emb = enc.Embed(t)
-				if st != nil {
-					st.SetEmbedding(id, a.encFP, meta.Emb)
-				}
-			}
-			metaBuckets[si] = append(metaBuckets[si], meta)
-		}
-	}
-	e.nextID.Store(int64(base + len(ts)))
-	for si, b := range buckets {
-		if len(b) > 0 {
-			var ms []core.TrajMeta
-			if metaBuckets != nil {
-				ms = metaBuckets[si]
-			}
-			e.shards[si].add(b, ms, enc)
-		}
-	}
-	e.points.Add(pts)
 	e.cache.purge()
 	return ids, nil
 }
 
 // AttachStore binds a persistent store to an empty engine and loads every
-// recovered record into the shards, reusing snapshot-restored metadata
-// (MBRs, embeddings) instead of re-deriving it. Subsequent Adds are written
-// through the store's log before becoming searchable. The engine takes
-// over the store's ID sequence, which is dense and therefore matches the
-// engine's own assignment scheme exactly.
+// recovered record into the shards, reusing the embeddings the store's
+// checkpoint restored instead of re-encoding them. Subsequent Adds are
+// written through the store's log before becoming searchable. The engine
+// takes over the store's ID sequence, which is dense and therefore matches
+// the engine's own assignment scheme exactly.
 func (e *Engine) AttachStore(st *storage.Store) error {
 	e.addMu.Lock()
 	defer e.addMu.Unlock()
@@ -469,40 +421,57 @@ func (e *Engine) AttachStore(st *storage.Store) error {
 	}
 	e.gen.Add(1)
 	defer e.gen.Add(1)
-	recs := st.Records()
-	a := e.art.Load()
-	enc := a.enc
-	var reusable bool
-	if enc != nil {
-		// snapshot-restored embeddings are reused only under the exact
+	var reuse [][]float64
+	if a := e.art.Load(); a.enc != nil {
+		// checkpointed embeddings are reused only under the exact
 		// registered encoder (fingerprint match); anything else re-encodes
-		fp, ok := st.EmbeddingInfo()
-		reusable = ok && fp == a.encFP
-	}
-	buckets := make([][]traj.Trajectory, len(e.shards))
-	metaBuckets := make([][]core.TrajMeta, len(e.shards))
-	var pts int64
-	for _, r := range recs {
-		si := r.ID % len(e.shards)
-		meta := r.Meta
-		if enc != nil && (!reusable || len(meta.Emb) != enc.Dim()) {
-			meta.Emb = enc.Embed(r.Traj)
-			st.SetEmbedding(r.ID, a.encFP, meta.Emb)
-		}
-		buckets[si] = append(buckets[si], r.Traj)
-		metaBuckets[si] = append(metaBuckets[si], meta)
-		pts += int64(r.Traj.Len())
-	}
-	for si, b := range buckets {
-		if len(b) > 0 {
-			e.shards[si].add(b, metaBuckets[si], enc)
+		if fp, embs, ok := st.Embeddings(); ok && fp == a.encFP {
+			reuse = embs
 		}
 	}
-	e.nextID.Store(int64(len(recs)))
-	e.points.Add(pts)
+	e.place(st.Records(), st, reuse)
 	e.store.Store(st)
 	e.cache.purge()
 	return nil
+}
+
+// place makes ts — records whose dense global IDs are already assigned,
+// continuing the engine's sequence — searchable: each gets its scan
+// metadata derived (core.DeriveMeta) and, with an encoder registered, its
+// embedding, which is reuse[ID] when that vector has the encoder's
+// dimension and is otherwise computed and recorded against st (when
+// non-nil) for the next checkpoint. Records land on shard ID mod shards,
+// each affected shard growing once. The caller holds addMu and the
+// generation seqlock.
+func (e *Engine) place(ts []traj.Trajectory, st *storage.Store, reuse [][]float64) {
+	a := e.art.Load()
+	buckets := make([][]traj.Trajectory, len(e.shards))
+	metaBuckets := make([][]core.TrajMeta, len(e.shards))
+	var pts int64
+	for _, t := range ts {
+		meta := core.DeriveMeta(t)
+		if a.enc != nil {
+			if t.ID < len(reuse) && len(reuse[t.ID]) == a.enc.Dim() {
+				meta.Emb = reuse[t.ID]
+			} else {
+				meta.Emb = a.enc.Embed(t)
+				if st != nil {
+					st.SetEmbedding(t.ID, a.encFP, meta.Emb)
+				}
+			}
+		}
+		si := t.ID % len(e.shards)
+		buckets[si] = append(buckets[si], t)
+		metaBuckets[si] = append(metaBuckets[si], meta)
+		pts += int64(t.Len())
+	}
+	for si, b := range buckets {
+		if len(b) > 0 {
+			e.shards[si].add(b, metaBuckets[si], a.enc)
+		}
+	}
+	e.nextID.Add(int64(len(ts)))
+	e.points.Add(pts)
 }
 
 // Store returns the attached persistent store, or nil for a pure
@@ -653,12 +622,13 @@ func PageOf(full []Match, offset, limit int) []Match {
 	return out
 }
 
-// collapseDuplicates keeps the best-ranked match per distinct matched
-// subtrajectory content. Duplicates arise when the same data is bulk-
-// loaded more than once under different global IDs; with Query.Distinct
-// the ranking collapses them, so it may end up shorter than k. The input
-// must be freshly allocated (it is filtered in place).
-func (e *Engine) collapseDuplicates(ms []Match) []Match {
+// CollapseDistinct keeps the best-ranked match per distinct matched
+// subtrajectory content, resolving each match's trajectory through lookup;
+// a match lookup cannot resolve is kept. Duplicates arise when the same
+// data is bulk-loaded more than once under different global IDs; with
+// Query.Distinct the ranking collapses them, so it may end up shorter than
+// k. ms must be freshly allocated (it is filtered in place).
+func CollapseDistinct(ms []Match, lookup func(id int) (traj.Trajectory, bool)) []Match {
 	if len(ms) < 2 {
 		return ms
 	}
@@ -666,13 +636,13 @@ func (e *Engine) collapseDuplicates(ms []Match) []Match {
 	out := ms[:0]
 next:
 	for _, m := range ms {
-		t, ok := e.Traj(m.TrajID)
+		t, ok := lookup(m.TrajID)
 		if !ok {
 			out = append(out, m)
 			continue
 		}
 		sub := t.Sub(m.Result.Interval.I, m.Result.Interval.J)
-		d := digest(sub)
+		d := sub.Digest()
 		for _, prev := range seen[d] {
 			if prev.Equal(sub) {
 				continue next
@@ -908,7 +878,7 @@ func (e *Engine) topK(ctx context.Context, q Query, emit func(Match) error) (ful
 		e.sampleRecall(ctx, a, b.alg, q, merged, gen)
 	}
 	if q.Distinct {
-		merged = e.collapseDuplicates(merged)
+		merged = CollapseDistinct(merged, e.Traj)
 	}
 	// only cache if the store was stable (even generation) and no load
 	// overlapped the search — see the seqlock in Add. The cache keeps its

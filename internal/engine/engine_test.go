@@ -314,3 +314,16 @@ func TestEngineConcurrentQueries(t *testing.T) {
 		t.Fatal(e)
 	}
 }
+
+// TestCacheDigestPinned pins the result cache's query digest to the values
+// it had when the engine kept its own copy of the content hash.
+func TestCacheDigestPinned(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	e := New(Config{})
+	for i, want := range []uint64{0xe91b037bef72d568, 0x1956841684f8a3dc, 0xd911e4f95fb1c247, 0x3c60394da404b338} {
+		q := randTraj(rng, 5+i)
+		if got := e.cacheKeyFor(Query{Q: q, K: 3}, 0).digest; got != want {
+			t.Errorf("query %d: cache digest %#x, want %#x", i, got, want)
+		}
+	}
+}

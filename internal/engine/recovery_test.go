@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -11,23 +12,30 @@ import (
 
 	"simsub/api"
 	"simsub/internal/storage"
+	"simsub/internal/t2vec"
 	"simsub/internal/traj"
 )
 
 // buildCrashedStore writes ts into a fresh store under dir the way a live
-// node would — batched appends with a metadata snapshot midway — and then
-// abandons the store WITHOUT Close, as a kill -9 would: no final snapshot,
-// no fsync of the active segment. The returned store must not be used.
-func buildCrashedStore(t *testing.T, dir string, ts []traj.Trajectory) {
+// node would — batched loads through an engine, enc registered when
+// non-nil, with a snapshot midway (a checkpoint of the embeddings so far;
+// without an encoder there is none to write) — and then abandons the store
+// WITHOUT Close, as a kill -9 would: no final snapshot, no fsync of the
+// active segment. The store must not be used afterwards.
+func buildCrashedStore(t *testing.T, dir string, ts []traj.Trajectory, enc *t2vec.Model) {
 	t.Helper()
 	st, _, err := storage.Open(dir, storage.Options{SegmentBytes: 64 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
+	e := recoveryEngine(t, enc)
+	if err := e.AttachStore(st); err != nil {
+		t.Fatal(err)
+	}
 	const batch = 100
 	for i := 0; i < len(ts); i += batch {
 		end := min(i+batch, len(ts))
-		if _, err := st.Append(ts[i:end]); err != nil {
+		if _, err := e.Add(ts[i:end]); err != nil {
 			t.Fatal(err)
 		}
 		if end == 6*batch { // a snapshot partway through the corpus
@@ -37,6 +45,32 @@ func buildCrashedStore(t *testing.T, dir string, ts []traj.Trajectory) {
 		}
 	}
 	// no Close: the crash leaves whatever the page cache holds
+}
+
+// recoveryEngine is the engine the recovery tests compare, with enc
+// registered when non-nil.
+func recoveryEngine(t *testing.T, enc *t2vec.Model) *Engine {
+	t.Helper()
+	e := New(Config{Shards: 3, Index: ScanAll})
+	if enc != nil {
+		if _, err := e.SetEncoder(enc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return e
+}
+
+// embeddingsOf returns every stored trajectory's embedding, by global ID.
+func embeddingsOf(e *Engine) [][]float64 {
+	out := make([][]float64, e.Len())
+	for si, s := range e.shards {
+		s.mu.RLock()
+		for li, m := range s.metas {
+			out[li*len(e.shards)+si] = m.Emb
+		}
+		s.mu.RUnlock()
+	}
+	return out
 }
 
 func storeFiles(t *testing.T, dir, pattern string) []string {
@@ -97,8 +131,8 @@ func TestEngineAttachStoreRoundTrip(t *testing.T) {
 	if rs2.Records != len(ts) {
 		t.Fatalf("recovered %d records, want %d", rs2.Records, len(ts))
 	}
-	if rs2.Replayed != 0 {
-		t.Errorf("clean shutdown still replayed %d records; the final snapshot should cover everything", rs2.Replayed)
+	if rs2.Replayed != len(ts) || rs2.SnapshotRecords != 0 {
+		t.Errorf("encoder-less store: recovery %+v, want every record replayed from the log (no checkpoint to restore)", rs2)
 	}
 	e2 := New(Config{Shards: 3, Index: ScanAll})
 	if err := e2.AttachStore(st2); err != nil {
@@ -123,9 +157,12 @@ func TestEngineAttachStoreRoundTrip(t *testing.T) {
 
 // TestCrashRecoveryRankingsByteIdentical is the durability property test:
 // whatever prefix of the corpus survives a crash — torn tail record, torn
-// snapshot, missing snapshot — the recovered engine must serve rankings
-// byte-identical to a never-crashed in-memory engine holding that same
-// prefix, across dtw/frechet × exacts/pss.
+// snapshot, missing snapshot, or an intact snapshot with a log tail past
+// it — the recovered engine must serve rankings byte-identical to a
+// never-crashed in-memory engine holding that same prefix, across
+// dtw/frechet × exacts/pss. The snapshot scenarios run with an encoder
+// registered: there the recovered embeddings must also be bit-equal to
+// the never-crashed engine's, and an ann query must rank identically.
 func TestCrashRecoveryRankingsByteIdentical(t *testing.T) {
 	const nTraj = 1000
 	rng := rand.New(rand.NewSource(70))
@@ -136,6 +173,7 @@ func TestCrashRecoveryRankingsByteIdentical(t *testing.T) {
 	// checked against the recovery stats.
 	type scenario struct {
 		name    string
+		enc     bool
 		corrupt func(t *testing.T, dir string, rng *rand.Rand)
 		check   func(t *testing.T, rs *storage.RecoveryStats, n int)
 	}
@@ -163,6 +201,7 @@ func TestCrashRecoveryRankingsByteIdentical(t *testing.T) {
 		},
 		{
 			name: "torn-snapshot",
+			enc:  true,
 			corrupt: func(t *testing.T, dir string, rng *rand.Rand) {
 				snaps := storeFiles(t, dir, "snap-*.snap")
 				if len(snaps) == 0 {
@@ -188,6 +227,7 @@ func TestCrashRecoveryRankingsByteIdentical(t *testing.T) {
 		},
 		{
 			name: "missing-snapshot",
+			enc:  true,
 			corrupt: func(t *testing.T, dir string, rng *rand.Rand) {
 				for _, snap := range storeFiles(t, dir, "snap-*.snap") {
 					if err := os.Remove(snap); err != nil {
@@ -204,12 +244,26 @@ func TestCrashRecoveryRankingsByteIdentical(t *testing.T) {
 				}
 			},
 		},
+		{
+			name:    "crash-after-snapshot",
+			enc:     true,
+			corrupt: func(t *testing.T, dir string, rng *rand.Rand) {},
+			check: func(t *testing.T, rs *storage.RecoveryStats, n int) {
+				if rs.SnapshotRecords != 600 || rs.Replayed != nTraj-600 || n != nTraj {
+					t.Errorf("recovery %+v of %d records, want 600 embeddings restored and the tail replayed", rs, n)
+				}
+			},
+		},
 	}
 
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
+			var enc *t2vec.Model
+			if sc.enc {
+				enc = t2vec.NewRandomModel(8, 7)
+			}
 			dir := t.TempDir()
-			buildCrashedStore(t, dir, ts)
+			buildCrashedStore(t, dir, ts, enc)
 			sc.corrupt(t, dir, rng)
 
 			st, rs, err := storage.Open(dir, storage.Options{SegmentBytes: 64 << 10})
@@ -223,13 +277,30 @@ func TestCrashRecoveryRankingsByteIdentical(t *testing.T) {
 				t.Fatal("recovery kept nothing")
 			}
 
-			recovered := New(Config{Shards: 3, Index: ScanAll})
+			recovered := recoveryEngine(t, enc)
 			if err := recovered.AttachStore(st); err != nil {
 				t.Fatal(err)
 			}
-			fresh := New(Config{Shards: 3, Index: ScanAll})
+			fresh := recoveryEngine(t, enc)
 			if _, err := fresh.Add(ts[:n]); err != nil {
 				t.Fatal(err)
+			}
+			if enc != nil {
+				got, want := embeddingsOf(recovered), embeddingsOf(fresh)
+				for id := range want {
+					if len(got[id]) != enc.Dim() || !bitsEqual(got[id], want[id]) {
+						t.Fatalf("record %d: recovered embedding %v, never-crashed %v", id, got[id], want[id])
+					}
+				}
+				annSpec := api.QuerySpec{
+					Query: api.FromTraj(queries[0]), K: 10, Measure: "dtw", Algorithm: "exacts",
+					ANN: &api.ANNSpec{Candidates: 60, Probes: 2},
+				}
+				got1, want1 := recovered.QueryOne(context.Background(), annSpec), fresh.QueryOne(context.Background(), annSpec)
+				if got1.Error != nil || want1.Error != nil || !reflect.DeepEqual(got1.Matches, want1.Matches) {
+					t.Errorf("ann ranking diverges from never-crashed engine (errors %v / %v)\n got: %+v\nwant: %+v",
+						got1.Error, want1.Error, got1.Matches, want1.Matches)
+				}
 			}
 
 			for _, measure := range []string{"dtw", "frechet"} {
@@ -253,4 +324,17 @@ func TestCrashRecoveryRankingsByteIdentical(t *testing.T) {
 			}
 		})
 	}
+}
+
+// bitsEqual reports whether a and b hold the same float64 bit patterns.
+func bitsEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -217,11 +217,23 @@ func (r Rect) String() string {
 	return fmt.Sprintf("Rect[%.4g,%.4g - %.4g,%.4g]", r.MinX, r.MinY, r.MaxX, r.MaxY)
 }
 
-// MBR returns the minimum bounding rectangle of the given points.
+// MBR returns the minimum bounding rectangle of the given points: the
+// Extend fold, bit for bit. The fold runs as builtin min/max, which agree
+// with the math.Min/math.Max under Union on every input but NaN — there
+// math.Min lets an infinity win and canonicalizes the NaN's payload, the
+// builtins propagate the NaN they met — so an axis that saw a NaN (the
+// builtins make it NaN) is refolded through Extend.
 func MBR(pts []Point) Rect {
 	r := EmptyRect()
 	for _, p := range pts {
-		r = r.Extend(p)
+		r.MinX, r.MaxX = min(r.MinX, p.X), max(r.MaxX, p.X)
+		r.MinY, r.MaxY = min(r.MinY, p.Y), max(r.MaxY, p.Y)
+	}
+	if r.MinX != r.MinX || r.MinY != r.MinY {
+		r = EmptyRect()
+		for _, p := range pts {
+			r = r.Extend(p)
+		}
 	}
 	return r
 }

@@ -1,6 +1,7 @@
 package geo
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 	"testing/quick"
@@ -235,4 +236,50 @@ func TestRectMargin(t *testing.T) {
 	if got := EmptyRect().Margin(); got != 0 {
 		t.Errorf("empty Margin = %v, want 0", got)
 	}
+}
+
+// extendFold is the reference MBR: the Rect.Extend fold (Union over
+// math.Min/math.Max) that geo.MBR must reproduce bit for bit.
+func extendFold(pts []Point) Rect {
+	r := EmptyRect()
+	for _, p := range pts {
+		r = r.Extend(p)
+	}
+	return r
+}
+
+// FuzzMBR: MBR against the Extend fold on arbitrary float64 bit patterns —
+// NaNs with any payload, ±0, ±Inf, subnormals — and on empty and
+// one-point inputs. All four fields must match bit for bit.
+func FuzzMBR(f *testing.F) {
+	bits := func(vs ...float64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		return b
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	f.Add([]byte{})
+	f.Add(bits(1, 2))
+	f.Add(bits(1, 2, -3, 4, 0.5, -7))
+	f.Add(bits(math.Copysign(0, -1), 0, 0, math.Copysign(0, -1)))
+	f.Add(bits(nan, 1, -inf, inf, 3, nan))
+	f.Add(bits(inf, -inf, nan, nan, -inf, inf))
+	f.Add(append(bits(1, 2), 0xbc, 0x0a, 0, 0, 0, 0, 0xf8, 0x7f, 0, 0, 0, 0, 0, 0, 0xf0, 0x7f)) // NaN payload, +Inf
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pts := make([]Point, len(data)/16)
+		for i := range pts {
+			pts[i].X = math.Float64frombits(binary.LittleEndian.Uint64(data[16*i:]))
+			pts[i].Y = math.Float64frombits(binary.LittleEndian.Uint64(data[16*i+8:]))
+		}
+		got, want := MBR(pts), extendFold(pts)
+		g := [4]float64{got.MinX, got.MinY, got.MaxX, got.MaxY}
+		w := [4]float64{want.MinX, want.MinY, want.MaxX, want.MaxY}
+		for i := range g {
+			if math.Float64bits(g[i]) != math.Float64bits(w[i]) {
+				t.Fatalf("MBR(%v) = %v, Extend fold %v (field %d: %#x vs %#x)", pts, got, want, i, math.Float64bits(g[i]), math.Float64bits(w[i]))
+			}
+		}
+	})
 }

@@ -436,12 +436,11 @@ func (r *Router) QueryStream(ctx context.Context, spec api.QuerySpec, emit func(
 	return r.query(ctx, spec, emit)
 }
 
-// collapseDistinct keeps the best-ranked match per distinct matched
-// subtrajectory content, mirroring the engine's Distinct semantics at the
-// global level (duplicates may live on different groups, so no node can
-// collapse them alone). The referenced trajectories are fetched from their
-// groups once each, concurrently; a match whose trajectory cannot be
-// fetched is kept, like the engine keeps matches it cannot resolve.
+// collapseDistinct applies the engine's Distinct collapse
+// (engine.CollapseDistinct) at the global level: duplicates may live on
+// different groups, so no node can collapse them alone. The referenced
+// trajectories are fetched from their groups once each, concurrently; a
+// match whose trajectory cannot be fetched is kept.
 func (r *Router) collapseDistinct(ctx context.Context, ms []engine.Match) []engine.Match {
 	if len(ms) < 2 {
 		return ms
@@ -475,24 +474,8 @@ func (r *Router) collapseDistinct(ctx context.Context, ms []engine.Match) []engi
 	}
 	wg.Wait()
 
-	seen := make(map[uint64][]traj.Trajectory, len(ms))
-	out := ms[:0]
-next:
-	for _, m := range ms {
-		t := need[m.TrajID]
-		if t.Len() == 0 {
-			out = append(out, m)
-			continue
-		}
-		sub := t.Sub(m.Result.Interval.I, m.Result.Interval.J)
-		d := placementKey(sub)
-		for _, prev := range seen[d] {
-			if prev.Equal(sub) {
-				continue next
-			}
-		}
-		seen[d] = append(seen[d], sub)
-		out = append(out, m)
-	}
-	return out
+	return engine.CollapseDistinct(ms, func(id int) (traj.Trajectory, bool) {
+		t := need[id]
+		return t, t.Len() > 0
+	})
 }

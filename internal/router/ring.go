@@ -1,20 +1,18 @@
 package router
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"math"
 	"sort"
 	"sync"
 	"time"
-
-	"simsub/internal/traj"
 )
 
 // ring is a consistent-hash ring over replica groups: each group owns
 // VNodes points on a 64-bit circle, and a trajectory lands on the group
-// owning the first point at or after its content hash. Virtual nodes keep
+// owning the first point at or after its content hash (traj.Digest, so
+// placement is deterministic across router restarts fed the same data in
+// any batch arrangement). Virtual nodes keep
 // the per-group share near uniform, and — the property consistent hashing
 // buys over modulo placement — growing the fleet by one group moves only
 // ~1/(groups+1) of the keyspace instead of reshuffling everything.
@@ -49,23 +47,6 @@ func (r ring) locate(key uint64) int {
 		i = 0
 	}
 	return r.points[i].group
-}
-
-// placementKey content-hashes a trajectory for ring placement: FNV-1a over
-// the raw bits of its coordinates, so placement is deterministic across
-// router restarts fed the same data in any batch arrangement.
-func placementKey(t traj.Trajectory) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, p := range t.Points {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(p.X))
-		h.Write(buf[:])
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(p.Y))
-		h.Write(buf[:])
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(p.T))
-		h.Write(buf[:])
-	}
-	return h.Sum64()
 }
 
 // latencyTracker keeps a sliding window of a node's recent round-trip

@@ -479,7 +479,7 @@ func (r *Router) Load(ctx context.Context, wts []api.Trajectory) (*api.LoadRespo
 	newPlaces := make([]place, len(wts))
 	counts := r.groupCounts()
 	for i := range wts {
-		gi := r.ring.locate(placementKey(ts[i]))
+		gi := r.ring.locate(ts[i].Digest())
 		ids[i] = base + i
 		newPlaces[i] = place{group: int32(gi), local: int32(counts[gi] + len(buckets[gi]))}
 		buckets[gi] = append(buckets[gi], wts[i])

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/base64"
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -725,5 +727,41 @@ func TestRouterValidation(t *testing.T) {
 	}
 	if _, err := r.Load(context.Background(), nil); err == nil {
 		t.Error("empty load accepted")
+	}
+}
+
+// TestPlacementPinned pins ring placement to the values the content hash
+// and ring produced when the hash was the router's own copy: for a seeded
+// corpus, every trajectory's group under 2, 3 and 5 groups (64 vnodes), and
+// a checksum of the hashes themselves. A change to traj.Digest or the ring
+// would move stored trajectories between groups; this test fails first.
+func TestPlacementPinned(t *testing.T) {
+	ts := randSet(rand.New(rand.NewSource(35)), 120)
+	for _, tc := range []struct {
+		groups int
+		want   string
+	}{
+		{2, "101100101101010010100011100100000100001011100000000010101010101000000010101001001001110010000000011100000111001001011011"},
+		{3, "221100121102010210200011100100200100001012100000200220101020221000002022101002201201210012000000212100002111002002011011"},
+		{5, "221140141142414410200311104134443144441412104340440424141424241444044024141442401441214414404403412100004111342042011411"},
+	} {
+		r := buildRing(tc.groups, 64)
+		got := make([]byte, len(ts))
+		for i, tr := range ts {
+			got[i] = byte('0' + r.locate(tr.Digest()))
+		}
+		if string(got) != tc.want {
+			t.Errorf("%d groups: placement\n got %s\nwant %s", tc.groups, got, tc.want)
+		}
+	}
+	h := fnv.New64a()
+	for _, tr := range ts {
+		fmt.Fprintf(h, "%016x", tr.Digest())
+	}
+	if got := h.Sum64(); got != 0x62086cada72b6554 {
+		t.Errorf("content-hash checksum %#x, want 0x62086cada72b6554", got)
+	}
+	if got := ts[0].Digest(); got != 0xdb825e1c44e9f5e0 {
+		t.Errorf("first trajectory's hash %#x, want 0xdb825e1c44e9f5e0", got)
 	}
 }

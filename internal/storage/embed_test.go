@@ -40,25 +40,25 @@ func TestEmbeddingRoundTrip(t *testing.T) {
 
 	s2, rs := mustOpen(t, dir, Options{})
 	defer s2.Close()
-	if gotFP, ok := s2.EmbeddingInfo(); !ok || gotFP != fp {
-		t.Fatalf("EmbeddingInfo = (%#x, %v), want (%#x, true)", gotFP, ok, fp)
+	gotFP, got, ok := s2.Embeddings()
+	if !ok || gotFP != fp {
+		t.Fatalf("Embeddings fingerprint = (%#x, %v), want (%#x, true)", gotFP, ok, fp)
 	}
 	if got := s2.EmbeddingCount(); got != 7 {
 		t.Fatalf("EmbeddingCount = %d, want 7", got)
 	}
-	got := s2.Records()
 	for i := 0; i < 8; i++ {
-		if !reflect.DeepEqual(got[i].Meta.Emb, want[i]) {
-			t.Fatalf("record %d: emb %v, want %v", i, got[i].Meta.Emb, want[i])
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("record %d: emb %v, want %v", i, got[i], want[i])
 		}
 	}
 	for i := 8; i < 10; i++ {
-		if len(got[i].Meta.Emb) != 0 {
-			t.Fatalf("record %d appended after snapshot should carry no embedding, got %v", i, got[i].Meta.Emb)
+		if len(got[i]) != 0 {
+			t.Fatalf("record %d appended after snapshot should carry no embedding, got %v", i, got[i])
 		}
 	}
-	if rs.SnapshotRecords == 0 {
-		t.Fatalf("expected snapshot-restored records, got %+v", rs)
+	if rs.SnapshotRecords != 7 || rs.Replayed != 3 {
+		t.Fatalf("expected 7 restored embeddings and 3 records left to replay, got %+v", rs)
 	}
 }
 
@@ -85,23 +85,22 @@ func TestEmbeddingFingerprintSwapDiscards(t *testing.T) {
 	}
 	s2, _ := mustOpen(t, dir, Options{})
 	defer s2.Close()
-	if fp, ok := s2.EmbeddingInfo(); !ok || fp != 2 {
-		t.Fatalf("EmbeddingInfo = (%d, %v), want (2, true)", fp, ok)
+	fp, got, ok := s2.Embeddings()
+	if !ok || fp != 2 {
+		t.Fatalf("Embeddings fingerprint = (%d, %v), want (2, true)", fp, ok)
 	}
-	got := s2.Records()
-	if !reflect.DeepEqual(got[0].Meta.Emb, []float64{9, 9}) {
-		t.Fatalf("record 0 emb = %v", got[0].Meta.Emb)
+	if !reflect.DeepEqual(got[0], []float64{9, 9}) {
+		t.Fatalf("record 0 emb = %v", got[0])
 	}
 	for i := 1; i < 4; i++ {
-		if len(got[i].Meta.Emb) != 0 {
-			t.Fatalf("record %d should have been discarded by the swap, got %v", i, got[i].Meta.Emb)
+		if len(got[i]) != 0 {
+			t.Fatalf("record %d should have been discarded by the swap, got %v", i, got[i])
 		}
 	}
 }
 
-// TestSnapshotWithoutEmbeddingsUnchanged: an encoder-less store writes a
-// snapshot with no trailing embedding record, which an embedding-aware
-// reader treats as "none".
+// TestSnapshotWithoutEmbeddingsUnchanged: an encoder-less store recovers
+// with no embedding set.
 func TestSnapshotWithoutEmbeddingsUnchanged(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(3))
@@ -114,12 +113,33 @@ func TestSnapshotWithoutEmbeddingsUnchanged(t *testing.T) {
 	}
 	s2, _ := mustOpen(t, dir, Options{})
 	defer s2.Close()
-	if _, ok := s2.EmbeddingInfo(); ok {
-		t.Fatal("EmbeddingInfo reported a set for an encoder-less store")
+	if _, embs, ok := s2.Embeddings(); ok || len(embs) != 0 {
+		t.Fatalf("encoder-less store recovered an embedding set of %d vectors", len(embs))
 	}
-	for i, r := range s2.Records() {
-		if len(r.Meta.Emb) != 0 {
-			t.Fatalf("record %d unexpectedly carries an embedding", i)
-		}
+}
+
+// TestSnapshotWithoutEmbeddingsWritesNothing: a snapshot is an embedding
+// checkpoint, so a store without an embedding set writes no snapshot file
+// — neither on an explicit Snapshot nor on Close — and recovery replays
+// every record from the log alone.
+func TestSnapshotWithoutEmbeddingsWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := mustOpen(t, dir, Options{})
+	if _, err := s.Append(genTrajs(rand.New(rand.NewSource(4)), 6)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, snaps, err := s.listFiles(); err != nil || len(snaps) != 0 {
+		t.Fatalf("encoder-less store left snapshots %v (err %v)", snaps, err)
+	}
+	s2, rs := mustOpen(t, dir, Options{})
+	defer s2.Close()
+	if rs.Records != 6 || rs.Replayed != 6 || rs.SnapshotRecords != 0 || rs.SnapshotsDiscarded != 0 {
+		t.Fatalf("recovery stats %+v, want all 6 records replayed from the log", rs)
 	}
 }

@@ -30,7 +30,7 @@ import (
 //	id:i64 npts:u32 reserved:u32 point[npts]             point := x:f64 y:f64 t:f64
 const (
 	segMagic   = "SSEG"
-	snapMagic  = "SSNP"
+	snapMagic  = "SCKP"
 	fmtVersion = 1
 
 	fileHeaderSize = 16

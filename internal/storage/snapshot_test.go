@@ -2,43 +2,35 @@ package storage
 
 import (
 	"encoding/binary"
-	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-// withManifest returns img with its manifest's applied count replaced and
-// the frame's checksum recomputed, so the lie survives the CRC check.
-func withManifest(img []byte, applied uint64) []byte {
-	out := append([]byte(nil), img...)
-	payload := out[fileHeaderSize+recHeaderSize : fileHeaderSize+recHeaderSize+manifestPayloadSize]
-	binary.LittleEndian.PutUint64(payload, applied)
-	binary.LittleEndian.PutUint32(out[fileHeaderSize+4:], crc32.ChecksumIEEE(payload))
-	return out
-}
-
-// TestHostileSnapshotHeadersRejected: a CRC-valid snapshot whose u64 and
-// u32 size fields are absurd must be discarded (manifest) or read as "no
-// embeddings" (embedding record) before anything is sized by them — never
-// panic Open. A manifest covering 2^50 records, or one with the top bit
-// set, used to reach make() unchecked; an embedding record whose
-// count*(8+dim*8) wraps to its real length used to be walked past its end.
+// TestHostileSnapshotHeadersRejected: a snapshot whose size claims are
+// absurd must be discarded before anything is sized by them — never panic
+// Open. A file named as covering 2^50 records is ahead of any log; an
+// entry whose u64 id has the top bit set would index out of range as an
+// int; a CRC-valid checkpoint whose count*(8+dim*8) wraps to its real
+// length used to be walked past its end.
 func TestHostileSnapshotHeadersRejected(t *testing.T) {
 	const n = 12
 	// dim = 2^32-1 makes an entry 2^35 bytes; 2^29 of them wrap to 0
 	wrapped := append([]byte(embMagic), make([]byte, embHeaderSize-len(embMagic))...)
 	binary.LittleEndian.PutUint32(wrapped[16:], 1<<32-1)
 	binary.LittleEndian.PutUint32(wrapped[20:], 1<<29)
+	valid := referenceSnapshotImage(testFP, [][]float64{{1, 2}, {3, 4}})
+	topBit := append([]byte(nil), valid[fileHeaderSize+recHeaderSize:]...)
+	binary.LittleEndian.PutUint64(topBit[embHeaderSize:], 1<<63)
 	for _, tc := range []struct {
-		name      string
-		image     func(recs []Record) []byte
-		discarded int
+		name    string
+		covered int
+		image   []byte
 	}{
-		{"applied 2^50", func(recs []Record) []byte { return withManifest(referenceSnapshotImage(recs, nil, false), 1<<50) }, 1},
-		{"applied top bit", func(recs []Record) []byte { return withManifest(referenceSnapshotImage(recs, nil, false), 1<<63|n) }, 1},
-		{"wrapped embedding size", func(recs []Record) []byte { return referenceSnapshotImage(recs, wrapped, false) }, 0},
+		{"applied 2^50", 1 << 50, valid},
+		{"entry id top bit", n, framedImage(topBit)},
+		{"wrapped embedding size", n, framedImage(wrapped)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -50,15 +42,15 @@ func TestHostileSnapshotHeadersRejected(t *testing.T) {
 			if err := s1.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(filepath.Join(dir, snapName(n)), tc.image(recs), 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(dir, snapName(tc.covered)), tc.image, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			s2, rs := mustOpen(t, dir, Options{})
 			defer s2.Close()
-			if rs.SnapshotsDiscarded != tc.discarded || rs.Replayed+rs.SnapshotRecords != n || rs.Replayed != n*tc.discarded {
-				t.Fatalf("recovery stats %+v, want %d discarded and every record back", rs, tc.discarded)
+			if rs.SnapshotsDiscarded != 1 || rs.SnapshotRecords != 0 || rs.Replayed != n {
+				t.Fatalf("recovery stats %+v, want the snapshot discarded and every record back", rs)
 			}
-			if _, ok := s2.EmbeddingInfo(); ok {
+			if _, _, ok := s2.Embeddings(); ok {
 				t.Fatal("hostile snapshot restored an embedding set")
 			}
 			equalRecords(t, s2.Records(), recs)
@@ -67,8 +59,9 @@ func TestHostileSnapshotHeadersRejected(t *testing.T) {
 }
 
 // FuzzSnapshotDecode: decodeSnapshot is the reader of a file on a trust
-// boundary. Whatever the bytes, it returns an error or exactly the
-// manifest's applied metas with applied <= logRecords, and never panics.
+// boundary. Whatever the bytes, it returns an error or an embedding set
+// exactly logRecords long whose vectors sit below covered <= logRecords
+// and share one length, and it never panics.
 func FuzzSnapshotDecode(f *testing.F) {
 	s, _, err := Open(f.TempDir(), Options{})
 	if err != nil {
@@ -82,42 +75,61 @@ func FuzzSnapshotDecode(f *testing.F) {
 	for _, r := range recs[:3] {
 		s.SetEmbedding(r.ID, 7, []float64{float64(r.ID), 0.5})
 	}
-	img := s.snapshotImage(recs)
-	f.Add(img, uint16(len(recs)))
-	f.Add(referenceSnapshotImage(recs, nil, true), uint16(len(recs))) // reversal-carrying format
-	f.Add(img[:len(img)/2], uint16(len(recs)))                        // torn
-	f.Add([]byte{}, uint16(0))
-	f.Fuzz(func(t *testing.T, data []byte, logRecords uint16) {
-		metas, _, _, err := decodeSnapshot(data, int(logRecords))
+	img := s.snapshotImage(len(recs))
+	parent, err := os.ReadFile(filepath.Join("testdata", "parentstore", snapName(40)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(img, uint16(len(recs)), uint16(len(recs)))
+	f.Add(parent, uint16(40), uint16(48))                         // the older meta-record format
+	f.Add(img[:len(img)/2], uint16(len(recs)), uint16(len(recs))) // torn
+	f.Add([]byte{}, uint16(0), uint16(0))
+	f.Fuzz(func(t *testing.T, data []byte, covered, logRecords uint16) {
+		embs, _, err := decodeSnapshot(data, int(covered), int(logRecords))
 		if err != nil {
 			return
 		}
-		applied := binary.LittleEndian.Uint64(data[fileHeaderSize+recHeaderSize:])
-		if uint64(len(metas)) != applied || len(metas) > int(logRecords) {
-			t.Fatalf("decoded %d metas for manifest applied=%d, log of %d", len(metas), applied, logRecords)
+		if covered > logRecords || len(embs) != int(logRecords) {
+			t.Fatalf("decoded %d vectors for a snapshot covering %d of a %d-record log", len(embs), covered, logRecords)
+		}
+		dim := -1
+		for id, e := range embs {
+			if e == nil {
+				continue
+			}
+			if id >= int(covered) || (dim >= 0 && len(e) != dim) {
+				t.Fatalf("vector for record %d of length %d (covered %d, dim %d)", id, len(e), covered, dim)
+			}
+			dim = len(e)
 		}
 	})
 }
 
 // TestConcurrentSnapshots: overlapping Snapshot calls — a periodic
 // snapshot tick meeting the one Close takes — must each succeed and leave
-// a store that recovers everything, with appends running beside them.
+// a store that recovers everything, with appends and embeddings recorded
+// beside them.
 func TestConcurrentSnapshots(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := mustOpen(t, dir, Options{})
 	rng := rand.New(rand.NewSource(33))
 	const rounds, batch = 100, 50
 	for r := 0; r < rounds; r++ {
-		if _, err := s.Append(genTrajs(rng, batch)); err != nil {
+		recs, err := s.Append(genTrajs(rng, batch))
+		if err != nil {
 			t.Fatal(err)
 		}
+		embedAll(s, recs)
 		more := genTrajs(rng, 2)
 		errs := make(chan error, 3)
 		for range 2 {
 			go func() { errs <- s.Snapshot() }()
 		}
 		go func() {
-			_, err := s.Append(more)
+			recs, err := s.Append(more)
+			if err == nil {
+				embedAll(s, recs)
+			}
 			errs <- err
 		}()
 		for range 3 {

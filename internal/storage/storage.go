@@ -1,14 +1,16 @@
 // Package storage is the durability layer under the engine: an append-only
-// segment log of trajectories plus periodic snapshots of their derived scan
-// metadata (core.TrajMeta: point counts and MBRs, plus encoder embeddings
-// when one is registered), so a simsubd node survives restarts and
-// recovers real-scale corpora without re-deriving per-point state.
+// segment log of trajectories plus periodic snapshots that checkpoint the
+// encoder embeddings derived from them, so a simsubd node survives
+// restarts and recovers real-scale corpora without re-encoding them. The
+// log is the only record of everything else: the scan metadata (point
+// counts, MBRs) is re-derived by whoever loads the records, in the same
+// pass that already reads every point.
 //
 // Layout of a data directory:
 //
 //	seg-00000000.log   append-only trajectory records (the write path)
 //	seg-00000001.log   ... sealed segments, rolled at Options.SegmentBytes
-//	snap-<count>.snap  metadata snapshots, named by the record count covered
+//	snap-<count>.snap  embedding checkpoints, named by the record count covered
 //
 // Both file kinds share one record framing: a fixed 16-byte file header
 // (magic, format version), then length-prefixed records
@@ -24,15 +26,15 @@
 // happens on segment roll, snapshot commit and Close (graceful shutdown),
 // bounding loss on machine crash to the active segment's page-cache tail.
 // A torn tail record (crash mid-write) is detected by the length/CRC
-// framing and truncated away on Open. Snapshots commit by atomic rename;
-// a torn or stale snapshot is discarded and the affected records simply
-// re-derive their metadata — recovery never trusts a snapshot it cannot
-// checksum.
+// framing and truncated away on Open. Snapshots commit by atomic rename,
+// after the log they cover is fsync'd; a torn or stale snapshot is
+// discarded and the affected records are simply re-encoded — recovery
+// never trusts a snapshot it cannot checksum.
 //
 // Ownership rules: record point slices may be backed by an mmap'd segment
 // owned by the Store. Treat them as immutable and do not use them after
-// Close. Snapshots are read into memory and decoded, so restored metadata
-// aliases nothing, and only segment mappings live until Close. This
+// Close. Snapshots are read into memory and decoded, so restored
+// embeddings alias nothing, and only segment mappings live until Close. This
 // mirrors the sync.Pool ownership rules of internal/sim: pooled DP scratch
 // is per-search and returned on Release, while backing point data is
 // owned by the store for its whole lifetime.
@@ -43,13 +45,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"simsub/internal/core"
 	"simsub/internal/failpoint"
 	"simsub/internal/traj"
 )
@@ -92,34 +94,17 @@ func (o *Options) fill() {
 	}
 }
 
-// Record is one stored trajectory with its derived scan metadata.
-type Record struct {
-	// ID is the trajectory's global ID, dense in append order (ID == the
-	// record's position in the store).
-	ID int
-	// Traj is the trajectory; points may be a zero-copy view over an
-	// mmap'd segment.
-	Traj traj.Trajectory
-	// Meta is the derived scan metadata: N and the MBR, plus the embedding
-	// when a snapshot persisted one. After recovery it comes from the
-	// newest valid snapshot when one covers the record (FromSnapshot),
-	// otherwise it is re-derived during replay. It never aliases a
-	// mapping.
-	Meta core.TrajMeta
-	// FromSnapshot reports whether Meta was restored rather than derived.
-	FromSnapshot bool
-}
-
 // RecoveryStats describes what Open did to bring the store back.
 type RecoveryStats struct {
 	// Segments is the number of segment files read.
 	Segments int
 	// Records is the total number of trajectory records recovered.
 	Records int
-	// SnapshotRecords is how many records had their metadata restored from
-	// a snapshot (no re-derivation).
+	// SnapshotRecords is how many records had their encoder embedding
+	// restored from a snapshot's checkpoint.
 	SnapshotRecords int
-	// Replayed is how many log-tail records had their metadata re-derived.
+	// Replayed is how many records the checkpoint did not cover: the rest
+	// of Records, whose embedding (under an encoder) is derived afresh.
 	Replayed int
 	// TornTailTruncations counts partial tail records truncated away
 	// (0 or 1: only the last segment can carry a torn tail).
@@ -141,8 +126,8 @@ func (rs RecoveryStats) String() string {
 }
 
 // Store is a persistent trajectory store: an append-only segment log plus
-// metadata snapshots. All methods are safe for concurrent use; appends and
-// snapshots are internally serialized.
+// embedding checkpoints. All methods are safe for concurrent use; appends
+// and snapshots are internally serialized.
 type Store struct {
 	dir  string
 	opts Options
@@ -152,24 +137,25 @@ type Store struct {
 	// before mu and never held by Append.
 	snapMu sync.Mutex
 
-	mu          sync.Mutex
-	recs        []Record
-	active      *os.File
-	activeIdx   int
-	activeSize  int64
-	snapApplied int // records covered by the newest durable snapshot
-	unmaps      []func() error
-	closed      bool
+	mu         sync.Mutex
+	recs       []traj.Trajectory
+	active     *os.File
+	activeIdx  int
+	activeSize int64
+	unmaps     []func() error
+	closed     bool
 
-	// Encoder embeddings, persisted as the snapshot's trailing embedding
-	// record so recovery under the same encoder skips re-encoding. Indexed
-	// by record ID; a nil entry means "not embedded". embFP is the encoder
+	// Encoder embeddings, persisted as the snapshot's checkpoint so
+	// recovery under the same encoder skips re-encoding. Indexed by record
+	// ID; a nil entry means "not embedded". embFP is the encoder
 	// fingerprint the vectors were derived under — a fingerprint change
-	// (encoder hot-swap) discards the whole set.
-	embMu  sync.Mutex
-	embFP  uint64
-	embs   [][]float64
-	hasEmb bool
+	// (encoder hot-swap) discards the whole set. embDirty reports a change
+	// since the last checkpoint image.
+	embMu    sync.Mutex
+	embFP    uint64
+	embs     [][]float64
+	hasEmb   bool
+	embDirty bool
 }
 
 const (
@@ -184,10 +170,9 @@ func snapName(n int) string { return fmt.Sprintf("%s%016d%s", snapPrefix, n, sna
 
 // Open opens (creating if needed) the store rooted at dir and recovers its
 // contents: every segment is read (sealed ones through mmap), a torn tail
-// record is truncated away, and the newest valid snapshot supplies derived
-// metadata for the records it covers — only the log tail past the snapshot
-// re-derives MBRs. The snapshot is read, not mapped: it is garbage once
-// decoded.
+// record is truncated away, and the newest valid snapshot supplies the
+// embedding set it checkpointed. The snapshot is read, not mapped: it is
+// garbage once decoded.
 func Open(dir string, opts Options) (*Store, *RecoveryStats, error) {
 	opts.fill()
 	start := time.Now()
@@ -222,37 +207,22 @@ func Open(dir string, opts Options) (*Store, *RecoveryStats, error) {
 		}
 	}
 
+	s.recs = make([]traj.Trajectory, len(raws))
+	for i, rr := range raws {
+		s.recs[i] = traj.Trajectory{ID: int(rr.id), Points: rr.points}
+	}
 	// newest valid snapshot that the recovered log actually covers wins;
 	// torn or over-reaching snapshots are discarded, not trusted
-	metas, embFP, hasEmb := s.loadBestSnapshot(snaps, len(raws), stats)
-
-	s.recs = make([]Record, len(raws))
-	for i, rr := range raws {
-		t := traj.Trajectory{ID: int(rr.id), Points: rr.points}
-		rec := Record{ID: int(rr.id), Traj: t}
-		if i < len(metas) && metas[i].N == t.Len() {
-			rec.Meta = metas[i]
-			rec.FromSnapshot = true
-			stats.SnapshotRecords++
-		} else {
-			rec.Meta = core.DeriveMeta(t)
-			stats.Replayed++
-		}
-		s.recs[i] = rec
-	}
-	s.snapApplied = len(metas)
-	if hasEmb {
-		// carry the recovered embedding set forward so the next snapshot
-		// re-persists it even if the engine never re-registers an encoder
-		s.embFP, s.hasEmb = embFP, true
-		s.embs = make([][]float64, len(s.recs))
-		for i := range s.recs {
-			if s.recs[i].FromSnapshot {
-				s.embs[i] = s.recs[i].Meta.Emb
+	if embs, fp, ok := s.loadBestSnapshot(snaps, len(raws), stats); ok {
+		s.embFP, s.embs, s.hasEmb = fp, embs, true
+		for _, e := range embs {
+			if e != nil {
+				stats.SnapshotRecords++
 			}
 		}
 	}
 	stats.Records = len(s.recs)
+	stats.Replayed = stats.Records - stats.SnapshotRecords
 
 	// (re)open the active segment for appending
 	if len(segs) == 0 {
@@ -345,11 +315,11 @@ func (s *Store) roll() error {
 }
 
 // Append assigns dense IDs to ts (in order, continuing the store's record
-// sequence), writes them to the log and returns the stored records with
-// their freshly derived metadata. The records are readable by Records and
-// coverable by the next Snapshot. Append returns only after the bytes
-// reached the file, so a process kill cannot lose an acknowledged record.
-func (s *Store) Append(ts []traj.Trajectory) ([]Record, error) {
+// sequence), writes them to the log and returns the stored records: ts
+// with their IDs set. The records are readable by Records and coverable by
+// the next Snapshot. Append returns only after the bytes reached the file,
+// so a process kill cannot lose an acknowledged record.
+func (s *Store) Append(ts []traj.Trajectory) ([]traj.Trajectory, error) {
 	if len(ts) == 0 {
 		return nil, nil
 	}
@@ -359,11 +329,11 @@ func (s *Store) Append(ts []traj.Trajectory) ([]Record, error) {
 		return nil, errors.New("storage: store is closed")
 	}
 	var buf []byte
-	out := make([]Record, len(ts))
+	out := make([]traj.Trajectory, len(ts))
 	for i, t := range ts {
 		t.ID = len(s.recs) + i
 		buf = appendTrajRecord(buf, t)
-		out[i] = Record{ID: t.ID, Traj: t, Meta: core.DeriveMeta(t)}
+		out[i] = t
 	}
 	if s.activeSize >= s.opts.SegmentBytes {
 		if err := s.roll(); err != nil {
@@ -400,10 +370,10 @@ func (s *Store) Len() int {
 	return len(s.recs)
 }
 
-// Records returns a stable view of every stored record, in ID order. The
-// returned slice must not be mutated; its point data may be mmap-backed
-// and is owned by the store until Close.
-func (s *Store) Records() []Record {
+// Records returns a stable view of every stored record, in ID order (a
+// record's ID is its position). The returned slice must not be mutated;
+// its point data may be mmap-backed and is owned by the store until Close.
+func (s *Store) Records() []traj.Trajectory {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.recs[:len(s.recs):len(s.recs)]
@@ -432,15 +402,18 @@ func (s *Store) SetEmbedding(id int, fp uint64, emb []float64) {
 		s.embs = append(s.embs, nil)
 	}
 	s.embs[id] = emb
+	s.embDirty = true
 }
 
-// EmbeddingInfo returns the fingerprint of the encoder the store's
-// embedding set was derived under, and whether such a set exists at all
-// (recovered from a snapshot or recorded since).
-func (s *Store) EmbeddingInfo() (fp uint64, ok bool) {
+// Embeddings returns the store's embedding set: the fingerprint of the
+// encoder it was derived under and the vectors indexed by record ID (a nil
+// entry is "not embedded"; the slice may be shorter than Len). ok reports
+// whether a set exists at all (recovered from a snapshot or recorded
+// since). The returned vectors must not be mutated.
+func (s *Store) Embeddings() (fp uint64, embs [][]float64, ok bool) {
 	s.embMu.Lock()
 	defer s.embMu.Unlock()
-	return s.embFP, s.hasEmb
+	return s.embFP, slices.Clone(s.embs), s.hasEmb
 }
 
 // EmbeddingCount returns how many records currently carry an embedding.
@@ -466,35 +439,42 @@ func (s *Store) Sync() error {
 	return syncFile(s.active)
 }
 
-// Snapshot durably persists the derived metadata of every current record,
-// so the next recovery replays nothing before this point. It is a no-op
-// when no record was appended since the last snapshot. The write happens
-// outside the append lock (appends proceed concurrently) and commits by
-// atomic rename; all but the two newest snapshots are then pruned.
-// Overlapping calls run one after another, and a call that finds the
-// snapshot already current returns nil.
+// Snapshot durably checkpoints the store's embedding set, so the next
+// recovery under the same encoder re-encodes nothing recorded before this
+// point. It is a no-op without an embedding set, and when the set is
+// unchanged since the last checkpoint. The log the checkpoint covers is
+// fsync'd first, so a machine crash can never leave a checkpoint ahead of
+// the log; the write itself happens outside the append lock (appends
+// proceed concurrently) and commits by atomic rename, after which all but
+// the two newest snapshots are pruned. Overlapping calls run one after
+// another, and a call that finds the checkpoint already current returns
+// nil.
 func (s *Store) Snapshot() error {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	closed, covered := s.closed, len(s.recs)
+	s.mu.Unlock()
+	if closed {
 		return errors.New("storage: store is closed")
 	}
-	recs := s.recs[:len(s.recs):len(s.recs)]
-	already := s.snapApplied
-	s.mu.Unlock()
-	if len(recs) == already {
+	img := s.snapshotImage(covered)
+	if img == nil {
 		return nil
 	}
-	if err := s.writeSnapshot(recs); err != nil {
+	err := s.Sync()
+	if err != nil {
+		err = fmt.Errorf("storage: syncing the log a checkpoint covers: %w", err)
+	} else {
+		err = s.writeSnapshot(img, covered)
+	}
+	if err != nil {
+		// the set stays uncheckpointed: the next call tries again
+		s.embMu.Lock()
+		s.embDirty = true
+		s.embMu.Unlock()
 		return err
 	}
-	s.mu.Lock()
-	if len(recs) > s.snapApplied {
-		s.snapApplied = len(recs)
-	}
-	s.mu.Unlock()
 	return s.pruneSnapshots()
 }
 
@@ -511,14 +491,6 @@ func (s *Store) pruneSnapshots() error {
 		}
 	}
 	return nil
-}
-
-// SnapshotCovered returns how many records the newest durable snapshot
-// covers.
-func (s *Store) SnapshotCovered() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.snapApplied
 }
 
 // Close flushes a final snapshot, fsyncs and closes the active segment and

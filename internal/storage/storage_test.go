@@ -40,8 +40,8 @@ func mustOpen(t *testing.T, dir string, opts Options) (*Store, *RecoveryStats) {
 	return s, rs
 }
 
-// equalRecords asserts ids, points and metadata match between stores.
-func equalRecords(t *testing.T, got, want []Record) {
+// equalRecords asserts ids and points match between stores.
+func equalRecords(t *testing.T, got, want []traj.Trajectory) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("record count: got %d, want %d", len(got), len(want))
@@ -51,12 +51,20 @@ func equalRecords(t *testing.T, got, want []Record) {
 		if g.ID != w.ID {
 			t.Fatalf("record %d: id %d, want %d", i, g.ID, w.ID)
 		}
-		if !reflect.DeepEqual(g.Traj.Points, w.Traj.Points) {
+		if !reflect.DeepEqual(g.Points, w.Points) {
 			t.Fatalf("record %d: points differ", i)
 		}
-		if g.Meta.MBR != w.Meta.MBR || g.Meta.N != w.Meta.N {
-			t.Fatalf("record %d: meta differs: %+v vs %+v", i, g.Meta, w.Meta)
-		}
+	}
+}
+
+// testFP is the encoder fingerprint the tests record embeddings under.
+const testFP = uint64(0xfeed)
+
+// embedAll records a deterministic embedding for every record in recs, so
+// the store has an embedding set to checkpoint.
+func embedAll(s *Store, recs []traj.Trajectory) {
+	for _, r := range recs {
+		s.SetEmbedding(r.ID, testFP, []float64{float64(r.ID), -1, 0.25})
 	}
 }
 
@@ -69,13 +77,14 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 	if rs.Records != 0 {
 		t.Fatalf("fresh dir recovered %d records", rs.Records)
 	}
-	var want []Record
+	var want []traj.Trajectory
 	for i := 0; i < len(ts); i += 7 {
 		end := min(i+7, len(ts))
 		recs, err := s1.Append(ts[i:end])
 		if err != nil {
 			t.Fatalf("Append: %v", err)
 		}
+		embedAll(s1, recs)
 		want = append(want, recs...)
 	}
 	if err := s1.Close(); err != nil {
@@ -87,7 +96,7 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 	if rs2.Records != len(ts) || rs2.Segments < 2 {
 		t.Fatalf("recovery stats: %+v", rs2)
 	}
-	// Close wrote a final snapshot: nothing should have been re-derived
+	// Close wrote a final checkpoint: every embedding should be restored
 	if rs2.SnapshotRecords != len(ts) || rs2.Replayed != 0 {
 		t.Fatalf("expected full snapshot coverage, got %+v", rs2)
 	}
@@ -171,9 +180,11 @@ func TestTornSnapshotDiscarded(t *testing.T) {
 	dir := t.TempDir()
 	s1, _ := mustOpen(t, dir, Options{})
 	ts := genTrajs(rand.New(rand.NewSource(5)), 30)
-	if _, err := s1.Append(ts); err != nil {
+	recs, err := s1.Append(ts)
+	if err != nil {
 		t.Fatal(err)
 	}
+	embedAll(s1, recs)
 	want := s1.Records()
 	if err := s1.Close(); err != nil {
 		t.Fatal(err)
@@ -193,6 +204,9 @@ func TestTornSnapshotDiscarded(t *testing.T) {
 	if rs.SnapshotsDiscarded != 1 || rs.Replayed != 30 {
 		t.Fatalf("expected discarded snapshot + full replay, got %+v", rs)
 	}
+	if _, _, ok := s2.Embeddings(); ok {
+		t.Fatal("torn snapshot restored an embedding set")
+	}
 	equalRecords(t, s2.Records(), want)
 }
 
@@ -200,21 +214,22 @@ func TestSnapshotAheadOfLogDiscarded(t *testing.T) {
 	dir := t.TempDir()
 	s1, _ := mustOpen(t, dir, Options{})
 	ts := genTrajs(rand.New(rand.NewSource(6)), 10)
-	if _, err := s1.Append(ts); err != nil {
+	recs, err := s1.Append(ts)
+	if err != nil {
 		t.Fatal(err)
 	}
+	embedAll(s1, recs)
 	if err := s1.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
 	full := s1.Records()
-	s1.Sync()
 
 	// chop the last record off the log: the snapshot now covers more
 	// records than the log holds and must not be trusted
 	seg := filepath.Join(dir, segName(0))
 	fi, _ := os.Stat(seg)
 	last := full[len(full)-1]
-	recBytes := int64(recHeaderSize + trajHeaderSize + last.Traj.Len()*pointSize)
+	recBytes := int64(recHeaderSize + trajHeaderSize + last.Len()*pointSize)
 	if err := os.Truncate(seg, fi.Size()-recBytes); err != nil {
 		t.Fatal(err)
 	}
@@ -224,8 +239,8 @@ func TestSnapshotAheadOfLogDiscarded(t *testing.T) {
 	if rs.SnapshotsDiscarded != 1 {
 		t.Fatalf("expected over-reaching snapshot discarded, got %+v", rs)
 	}
-	if rs.Records != 9 {
-		t.Fatalf("recovered %d records, want 9", rs.Records)
+	if rs.Records != 9 || rs.SnapshotRecords != 0 {
+		t.Fatalf("recovered %+v, want 9 records and no restored embedding", rs)
 	}
 	equalRecords(t, s2.Records(), full[:9])
 }
@@ -235,9 +250,11 @@ func TestSnapshotPruning(t *testing.T) {
 	s, _ := mustOpen(t, dir, Options{})
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 5; i++ {
-		if _, err := s.Append(genTrajs(rng, 4)); err != nil {
+		recs, err := s.Append(genTrajs(rng, 4))
+		if err != nil {
 			t.Fatal(err)
 		}
+		embedAll(s, recs)
 		if err := s.Snapshot(); err != nil {
 			t.Fatal(err)
 		}
@@ -249,32 +266,44 @@ func TestSnapshotPruning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snaps) > 2 {
-		t.Fatalf("snapshot pruning left %d files: %v", len(snaps), snaps)
+	if len(snaps) != 2 || snaps[1] != 20 {
+		t.Fatalf("snapshot pruning left %v, want the two newest ending at 20", snaps)
 	}
 }
 
+// TestSnapshotNoopWhenCurrent: a Snapshot that finds the embedding set
+// unchanged since the last checkpoint writes nothing — not even a
+// same-named replacement — and a changed set is checkpointed again.
 func TestSnapshotNoopWhenCurrent(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := mustOpen(t, dir, Options{})
-	if _, err := s.Append(genTrajs(rand.New(rand.NewSource(8)), 5)); err != nil {
+	defer s.Close()
+	recs, err := s.Append(genTrajs(rand.New(rand.NewSource(8)), 5))
+	if err != nil {
 		t.Fatal(err)
 	}
+	embedAll(s, recs)
 	if err := s.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.SnapshotCovered(); got != 5 {
-		t.Fatalf("SnapshotCovered = %d, want 5", got)
-	}
-	_, snaps, _ := s.listFiles()
-	if err := s.Snapshot(); err != nil { // no new records: must be a no-op
+	snap := filepath.Join(dir, snapName(5))
+	before, err := os.Stat(snap)
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, snaps2, _ := s.listFiles()
-	if len(snaps2) != len(snaps) {
-		t.Fatalf("no-op snapshot wrote a file: %v -> %v", snaps, snaps2)
+	if err := s.Snapshot(); err != nil { // nothing changed: must be a no-op
+		t.Fatal(err)
 	}
-	s.Close()
+	if after, err := os.Stat(snap); err != nil || !os.SameFile(before, after) {
+		t.Fatalf("no-op snapshot replaced %s (err %v)", snap, err)
+	}
+	s.SetEmbedding(0, testFP, []float64{7, 7, 7})
+	if err := s.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if after, err := os.Stat(snap); err != nil || os.SameFile(before, after) {
+		t.Fatalf("changed embedding set not checkpointed again (err %v)", err)
+	}
 }
 
 func TestEmptyTrajectoryRecord(t *testing.T) {
@@ -297,51 +326,45 @@ func TestEmptyTrajectoryRecord(t *testing.T) {
 	equalRecords(t, s2.Records(), want)
 }
 
-// referenceSnapshotImage assembles a snapshot image the way the writer
-// used to — each record framed from a payload of its own, appended to a
-// growing buffer — with emb as the trailing embedding record when non-nil.
-// withRev writes the older format, which stored every trajectory's
-// reversal in its meta record (nrev = n, then the points last to first).
-func referenceSnapshotImage(recs []Record, emb []byte, withRev bool) []byte {
-	framed := func(buf, payload []byte) []byte {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-		buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
-		return append(buf, payload...)
+// referenceSnapshotImage assembles a snapshot image independently of the
+// writer — the checkpoint payload built field by field from embs (nil
+// entries skipped), framed once behind the file header.
+func referenceSnapshotImage(fp uint64, embs [][]float64) []byte {
+	dim, count := 0, 0
+	for _, e := range embs {
+		if e != nil {
+			dim = len(e)
+			count++
+		}
 	}
+	payload := []byte(embMagic)
+	payload = binary.LittleEndian.AppendUint64(payload, fp)
+	payload = binary.LittleEndian.AppendUint32(payload, uint32(dim))
+	payload = binary.LittleEndian.AppendUint32(payload, uint32(count))
+	for id, e := range embs {
+		if e == nil {
+			continue
+		}
+		payload = binary.LittleEndian.AppendUint64(payload, uint64(id))
+		for _, v := range e {
+			payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(v))
+		}
+	}
+	return framedImage(payload)
+}
+
+// framedImage is a snapshot image around an arbitrary checkpoint payload.
+func framedImage(payload []byte) []byte {
 	img := fileHeader(snapMagic)
-	var payload []byte
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(len(recs)))
-	payload = binary.LittleEndian.AppendUint64(payload, uint64(len(recs)))
-	img = framed(img, payload)
-	for _, r := range recs {
-		var rev []geo.Point
-		if withRev {
-			rev = r.Traj.Reverse().Points
-		}
-		payload = payload[:0]
-		payload = binary.LittleEndian.AppendUint64(payload, uint64(int64(r.ID)))
-		payload = binary.LittleEndian.AppendUint32(payload, uint32(r.Meta.N))
-		payload = binary.LittleEndian.AppendUint32(payload, uint32(len(rev)))
-		for _, f := range []float64{r.Meta.MBR.MinX, r.Meta.MBR.MinY, r.Meta.MBR.MaxX, r.Meta.MBR.MaxY} {
-			payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(f))
-		}
-		for _, p := range rev {
-			for _, f := range []float64{p.X, p.Y, p.T} {
-				payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(f))
-			}
-		}
-		img = framed(img, payload)
-	}
-	if emb != nil {
-		img = framed(img, emb)
-	}
-	return img
+	img = binary.LittleEndian.AppendUint32(img, uint32(len(payload)))
+	img = binary.LittleEndian.AppendUint32(img, crc32.ChecksumIEEE(payload))
+	return append(img, payload...)
 }
 
 // TestSnapshotImageUnchangedAndPresized holds the pre-sized snapshot writer
-// to the format: its image equals, byte for byte, the reference encoding
-// (nrev = 0), with and without an embedding record, and its buffer is
-// exactly the file's size, never grown.
+// to the format: its image equals, byte for byte, the reference encoding,
+// for a sparse and a full embedding set, and its buffer is exactly the
+// file's size, never grown.
 func TestSnapshotImageUnchangedAndPresized(t *testing.T) {
 	s, _ := mustOpen(t, t.TempDir(), Options{})
 	defer s.Close()
@@ -350,21 +373,18 @@ func TestSnapshotImageUnchangedAndPresized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, withEmb := range []bool{false, true} {
-		var emb []byte
-		if withEmb {
-			for _, r := range recs[:200] {
-				s.SetEmbedding(r.ID, 0xfeed, []float64{float64(r.ID), -1, 0.25})
-			}
-			emb = s.embPayload(len(recs))
+	want := make([][]float64, len(recs))
+	for _, embedded := range []int{200, 300} {
+		for _, r := range recs[:embedded] {
+			want[r.ID] = []float64{float64(r.ID), -1, 0.25}
+			s.SetEmbedding(r.ID, testFP, want[r.ID])
 		}
-		want := referenceSnapshotImage(recs, emb, false)
-		got := s.snapshotImage(recs)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("embeddings=%v: snapshot image differs from the reference encoding (%d vs %d bytes)", withEmb, len(got), len(want))
+		got := s.snapshotImage(len(recs))
+		if !bytes.Equal(got, referenceSnapshotImage(testFP, want)) {
+			t.Fatalf("%d embedded: snapshot image differs from the reference encoding", embedded)
 		}
 		if cap(got) != len(got) {
-			t.Fatalf("embeddings=%v: image of %d bytes sits in a buffer of %d", withEmb, len(got), cap(got))
+			t.Fatalf("%d embedded: image of %d bytes sits in a buffer of %d", embedded, len(got), cap(got))
 		}
 	}
 }

@@ -7,7 +7,9 @@
 package traj
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 
 	"simsub/internal/geo"
@@ -213,6 +215,26 @@ func (t Trajectory) Equal(u Trajectory) bool {
 		}
 	}
 	return true
+}
+
+// Digest fingerprints the trajectory's content: FNV-1a over the raw bits
+// of every point's coordinates and timestamp, IDs ignored. It keys the
+// engine's result cache and places trajectories on the router's ring, so
+// changing it moves stored trajectories between replica groups. FNV
+// collisions are constructible; callers that must not confuse two
+// trajectories confirm a digest match with Equal.
+func (t Trajectory) Digest() uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, p := range t.Points {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(p.X))
+		h.Write(buf[:])
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(p.Y))
+		h.Write(buf[:])
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(p.T))
+		h.Write(buf[:])
+	}
+	return h.Sum64()
 }
 
 // ApproxEqual reports whether two trajectories match point-wise within eps
