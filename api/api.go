@@ -13,6 +13,7 @@ package api
 
 import (
 	"context"
+	"io"
 	"math"
 	"sync"
 	"time"
@@ -42,6 +43,18 @@ const (
 // deliberately has no id field.
 type Trajectory struct {
 	Points [][]float64 `json:"points"`
+}
+
+// UnmarshalJSON decodes a trajectory with traj.Scanner's strict grammar
+// (traj.UnmarshalPoints), the one every route reads trajectories with.
+// "points" is the only key: encoding/json does not pass
+// DisallowUnknownFields on to a method, so an unknown key is always an
+// error here. A null coordinate is an error too. Otherwise it does what
+// encoding/json did by reflection: null, or an object without "points",
+// leaves t as it was. The points share one backing array; their arity and
+// finiteness are ToTraj's to check.
+func (t *Trajectory) UnmarshalJSON(data []byte) error {
+	return traj.UnmarshalPoints(data, &t.Points)
 }
 
 // FromTraj converts an engine trajectory to wire form.
@@ -297,6 +310,24 @@ type StreamSummary struct {
 // LoadRequest is the body of POST /v2/load.
 type LoadRequest struct {
 	Trajectories []Trajectory `json:"trajectories"`
+}
+
+// ReadLoadRequest decodes a POST /v2/load body, which must be exactly one
+// LoadRequest and nothing but whitespace after it, with traj.ReadBatch: the
+// body is scanned once, with no reflection, and each trajectory's points
+// share one backing array. It accepts and rejects what encoding/json with
+// DisallowUnknownFields does, except a null coordinate, which it rejects.
+// An error reading r is returned as it is.
+func ReadLoadRequest(r io.Reader) (LoadRequest, error) {
+	recs, err := traj.ReadBatch(r, "trajectories")
+	if err != nil || recs == nil {
+		return LoadRequest{}, err
+	}
+	ts := make([]Trajectory, len(recs))
+	for i, pts := range recs {
+		ts[i].Points = pts
+	}
+	return LoadRequest{Trajectories: ts}, nil
 }
 
 // LoadResponse answers a bulk load with the server-assigned global IDs, in

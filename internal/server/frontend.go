@@ -44,9 +44,7 @@ func (o Options) Mux(svc api.Service, gate func(http.HandlerFunc) http.HandlerFu
 	}
 	handle("POST /v2/query", gate(o.handleQuery(svc)))
 	handle("POST /v2/query/stream", gate(o.handleQueryStream(svc)))
-	handle("POST /v2/load", gate(post(o, func(ctx context.Context, req api.LoadRequest) (*api.LoadResponse, error) {
-		return svc.Load(ctx, req.Trajectories)
-	})))
+	handle("POST /v2/load", gate(o.handleLoad(svc)))
 	handle("GET /v2/trajectories/{id}", gate(o.handleGetTrajectory(svc)))
 	handle("GET /v2/stats", get(o, func(ctx context.Context) (*api.StatsResponse, error) {
 		resp, err := svc.Stats(ctx)
@@ -161,6 +159,23 @@ func (o Options) handleQueryStream(s api.StreamSearcher) http.HandlerFunc {
 	}
 }
 
+// handleLoad answers POST /v2/load: the body is decoded by
+// api.ReadLoadRequest, the trajectory scanner's strict grammar, rather than
+// by Decode's reflection, and the batch is committed whole by svc.Load.
+func (o Options) handleLoad(svc api.Service) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		req, err := api.ReadLoadRequest(r.Body)
+		if err != nil {
+			writeBodyErr(w, err)
+			return
+		}
+		ctx, cancel := o.requestContext(r, 0)
+		defer cancel()
+		resp, err := svc.Load(ctx, req.Trajectories)
+		WriteResult(w, resp, err)
+	}
+}
+
 // handleGetTrajectory answers GET /v2/trajectories/{id} with the stored
 // trajectory, or a typed error: invalid_argument for a non-integer id,
 // not_found for an unassigned one.
@@ -217,7 +232,10 @@ var errTrailing = errors.New("trailing data after the JSON value")
 // Decode parses the JSON request body — exactly one value, rejecting
 // unknown fields and anything but whitespace after it — into v; on failure
 // it has answered with the typed error (too_large for a body over the
-// front end's cap) and reports false.
+// front end's cap) and reports false. It decodes the envelopes of the
+// query and admin routes by reflection; the trajectories inside them
+// decode through api.Trajectory.UnmarshalJSON, the trajectory scanner's
+// strict grammar, and POST /v2/load does not come here at all.
 func Decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
@@ -230,13 +248,20 @@ func Decode(w http.ResponseWriter, r *http.Request, v any) bool {
 			err = errTrailing
 		}
 	}
+	writeBodyErr(w, err)
+	return false
+}
+
+// writeBodyErr answers a request whose body could not be decoded:
+// too_large when reading it ran into the front end's cap, invalid_argument
+// otherwise.
+func writeBodyErr(w http.ResponseWriter, err error) {
 	var maxErr *http.MaxBytesError
 	if errors.As(err, &maxErr) {
 		WriteErr(w, api.Errorf(api.CodeTooLarge, "request body exceeds %d bytes", maxErr.Limit))
-		return false
+		return
 	}
 	WriteErr(w, api.Errorf(api.CodeInvalidArgument, "bad request body: %v", err))
-	return false
 }
 
 // requestContext derives the search context: the client connection's

@@ -6,19 +6,20 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 
 	"simsub/internal/geo"
 )
 
-// Scanner reads trajectory records from an NDJSON stream: the one decoder
-// behind POST /v2/load/stream and ReadNDJSON. It parses straight into
-// []geo.Point with no reflection and holds one record at a time, so neither
-// its memory nor its time depends on how long the stream is.
+// Scanner is the one hand-written decoder of trajectory JSON. It parses
+// straight into coordinates with no reflection and, reading a stream, holds
+// one record at a time, so neither its memory nor its time depends on how
+// long the input is. It reads two grammars.
 //
-// The grammar is what encoding/json accepted into
-// struct{ Points [][]float64 `json:"points"` } followed by the wire
-// boundary's trajectory rules:
+// The stream grammar, behind POST /v2/load/stream and ReadNDJSON, is what
+// encoding/json accepted into struct{ Points [][]float64 `json:"points"` }
+// followed by the wire boundary's trajectory rules:
 //
 //   - the stream is a sequence of JSON objects separated by optional
 //     whitespace (space, tab, CR, LF); a newline per record is conventional,
@@ -35,8 +36,25 @@ import (
 //   - a record must end up with at least one point, and every point with
 //     two or three non-null coordinates.
 //
-// Anything else is an error, after which the scanner is stuck: Next keeps
-// returning the same error.
+// The strict grammar, behind ReadBatch (POST /v2/load) and UnmarshalPoints
+// (every api.Trajectory), is the one encoding/json applies with
+// DisallowUnknownFields to one JSON value, except that a null coordinate is
+// an error rather than a zero:
+//
+//   - a record is an object whose only key is "points", matched as above
+//     and holding points of any number of coordinates (the arity rules are
+//     the caller's, api.Trajectory.ToTraj); every other key, "id" included,
+//     is an unknown field;
+//   - a value of the wrong JSON type, a number that does not fit a float64
+//     and an unknown field are errors, but like encoding/json's they are
+//     reported only once the whole value has been read, so that malformed
+//     JSON or a read error further on takes precedence;
+//   - a value decodes into what an earlier one of the same key left, as
+//     encoding/json decodes into a struct: a null record, or one without
+//     "points", keeps the points an earlier value gave its position.
+//
+// In the stream grammar anything else is an error, after which the scanner
+// is stuck: Next keeps returning the same error.
 type Scanner struct {
 	r   io.Reader
 	max int
@@ -51,17 +69,26 @@ type Scanner struct {
 	err  error // what Next returns from now on
 	rerr error // why there is no more input, once r has said so
 
-	pts  []geo.Point // the current record's points; copied out at its end
-	open []byte      // skip's stack of open '{' and '['
+	strict  bool  // the strict grammar
+	depth   int   // how many arrays and objects enclose the value at pos
+	typeErr error // strict: the first value of the wrong type, or unknown field
+
+	// The points value being read: point i's coordinates are
+	// coords[ends[i-1]:ends[i]], a null one held as NaN, which no JSON
+	// number parses to.
+	coords []float64
+	ends   []int
+	open   []byte // skip's stack of open '{' and '['
 }
 
 // ErrRecordTooLarge is returned by Scanner.Next for a record longer than the
 // scanner's limit.
 var ErrRecordTooLarge = errors.New("traj: record exceeds the size limit")
 
-// A SyntaxError reports input that is not a record of the Scanner's grammar:
-// malformed JSON, a record that is not an object, a "points" value of the
-// wrong JSON type or a coordinate outside float64's range.
+// A SyntaxError reports input that is not of the Scanner's grammar:
+// malformed JSON, a value of the wrong JSON type, a coordinate outside
+// float64's range or, in the strict grammar, an unknown field or data after
+// the value.
 type SyntaxError struct {
 	Offset int64 // stream offset of the offending byte
 	Msg    string
@@ -105,6 +132,87 @@ func (s *Scanner) Next() (Trajectory, error) {
 		}
 	}
 	return Trajectory{}, s.err
+}
+
+// ReadBatch decodes r, which must hold exactly one JSON value, in the strict
+// grammar: an object whose only key is key (matched like "points"), holding
+// an array of records. It returns the points of every record, each record's
+// over one backing array; null, or a missing key, is no records. An error
+// reading r is returned as it is. Only whitespace may follow the value;
+// anything else is, like encoding/json's Decoder, an error unless reading
+// it fails first.
+func ReadBatch(r io.Reader, key string) ([][][]float64, error) {
+	s := &Scanner{r: r, max: math.MaxInt, buf: make([]byte, 0, scanBufSize), strict: true}
+	recs, err := s.batch([]byte(key))
+	if err == nil {
+		err = s.typeErr
+	}
+	if err == nil {
+		err = s.trailing()
+	}
+	if err != nil {
+		return nil, err
+	}
+	for i, pts := range recs {
+		if j := nullPoint(pts); j >= 0 {
+			return nil, &InvalidError{fmt.Sprintf("trajectory %d: point %d has a null coordinate", i, j)}
+		}
+	}
+	return recs, nil
+}
+
+// UnmarshalPoints decodes data, one record of the strict grammar, into *pts,
+// the way encoding/json decodes into a struct{ Points [][]float64 }: null,
+// or a record without "points", leaves *pts as it was. The points decoded
+// share one backing array.
+func UnmarshalPoints(data []byte, pts *[][]float64) error {
+	// rerr is set from the start, so buf, the caller's, is never refilled
+	s := Scanner{buf: data[:len(data):len(data)], rerr: io.EOF, strict: true}
+	c, err := s.token()
+	if err != nil {
+		return err
+	}
+	var present bool
+	switch c {
+	case 'n':
+		err = s.literal("null")
+	case '{':
+		present, _, err = s.members()
+	default:
+		err = s.mismatch(c, "invalid character %q, want the '{' of a trajectory object")
+	}
+	if err == nil {
+		err = s.typeErr
+	}
+	if err == nil {
+		if c, err = s.token(); err == nil {
+			err = s.syntax("invalid character %q after the trajectory object", c)
+		} else if err == io.ErrUnexpectedEOF {
+			err = nil
+		}
+	}
+	if err != nil || !present {
+		return err
+	}
+	decoded := s.decoded()
+	if j := nullPoint(decoded); j >= 0 {
+		return &InvalidError{fmt.Sprintf("point %d has a null coordinate", j)}
+	}
+	*pts = decoded
+	return nil
+}
+
+// nullPoint returns the index of the first point holding a null coordinate,
+// or -1.
+func nullPoint(pts [][]float64) int {
+	for i, p := range pts {
+		for _, v := range p {
+			if v != v {
+				return i
+			}
+		}
+	}
+	return -1
 }
 
 // fill reads more input behind buf, first making room if there is none: by
@@ -190,16 +298,13 @@ func (s *Scanner) sep(end byte) (next byte, done bool, err error) {
 	return 0, false, s.syntax("invalid character %q after a value, want ',' or %q", c, end)
 }
 
-const (
-	keyOther = iota
-	keyPoints
-	keyID
+var (
+	pointsKey = []byte("points")
+	idKey     = []byte("id")
 )
 
-var keyNames = [...][]byte{keyPoints: []byte("points"), keyID: []byte("id")}
-
-// record parses one record, from the whitespace before it to its closing
-// brace.
+// record parses one stream record, from the whitespace before it to its
+// closing brace.
 func (s *Scanner) record() (Trajectory, error) {
 	for {
 		s.start = s.pos // whitespace between records belongs to neither
@@ -214,29 +319,65 @@ func (s *Scanner) record() (Trajectory, error) {
 	if s.buf[s.pos] != '{' {
 		return Trajectory{}, s.syntax("invalid character %q, want the '{' of a trajectory object", s.buf[s.pos])
 	}
-	s.pos++
-	s.pts = s.pts[:0]
-	id, bad := 0, ""
-	c, err := s.token()
+	present, id, err := s.members()
 	if err != nil {
 		return Trajectory{}, err
 	}
-	done := c == '}'
-	if done {
-		s.pos++
+	if !present || len(s.ends) == 0 {
+		return Trajectory{}, &InvalidError{"trajectory is empty"}
 	}
-	for !done {
-		var key int
-		if key, err = s.key(c); err != nil {
-			return Trajectory{}, err
+	pts := make([]geo.Point, len(s.ends))
+	from := 0
+	for i, end := range s.ends {
+		c := s.coords[from:end]
+		switch {
+		case len(c) != 2 && len(c) != 3:
+			return Trajectory{}, &InvalidError{fmt.Sprintf("point %d has %d coordinates, want [x,y] or [x,y,t]", i, len(c))}
+		case c[0] != c[0] || c[1] != c[1] || len(c) == 3 && c[2] != c[2]:
+			return Trajectory{}, &InvalidError{fmt.Sprintf("point %d has a null coordinate", i)}
+		case len(c) == 2:
+			pts[i] = geo.Point{X: c[0], Y: c[1], T: float64(i)}
+		default:
+			pts[i] = geo.Point{X: c[0], Y: c[1], T: c[2]}
+		}
+		from = end
+	}
+	return Trajectory{ID: id, Points: pts}, nil
+}
+
+// members parses the record object whose '{' is at pos. The value of its
+// "points" key is left in coords and ends, the last one winning, and
+// present says whether there was one. In the stream grammar an integer
+// "id" is returned and any other key skipped; in the strict grammar every
+// other key is an unknown field.
+func (s *Scanner) members() (present bool, id int, err error) {
+	s.pos++
+	s.depth++
+	s.coords, s.ends = s.coords[:0], s.ends[:0]
+	c, err := s.token()
+	if err == nil && c == '}' {
+		s.pos++
+		s.depth--
+		return false, 0, nil
+	}
+	for done := false; err == nil && !done; {
+		var name []byte
+		if name, err = s.key(c); err != nil {
+			break
+		}
+		isPoints := bytes.EqualFold(name, pointsKey)
+		isID := !s.strict && bytes.EqualFold(name, idKey)
+		if !isPoints && s.strict {
+			s.fail(s.syntax("unknown field %s", s.buf[s.mark:s.pos]))
 		}
 		if c, err = s.colon(); err != nil {
-			return Trajectory{}, err
+			break
 		}
-		switch key {
-		case keyPoints:
-			bad, err = s.points(c)
-		case keyID:
+		switch {
+		case isPoints:
+			present = true
+			err = s.points(c)
+		case isID:
 			if err = s.skip(c); err == nil && (c == '-' || '0' <= c && c <= '9') {
 				if n, aerr := strconv.Atoi(string(s.buf[s.mark:s.pos])); aerr == nil {
 					id = n
@@ -245,146 +386,316 @@ func (s *Scanner) record() (Trajectory, error) {
 		default:
 			err = s.skip(c)
 		}
-		if err != nil {
-			return Trajectory{}, err
-		}
-		if c, done, err = s.sep('}'); err != nil {
-			return Trajectory{}, err
+		if err == nil {
+			c, done, err = s.sep('}')
 		}
 	}
-	switch {
-	case len(s.pts) == 0:
-		return Trajectory{}, &InvalidError{"trajectory is empty"}
-	case bad != "":
-		return Trajectory{}, &InvalidError{bad}
+	if err != nil {
+		return false, 0, err
 	}
-	return Trajectory{ID: id, Points: append(make([]geo.Point, 0, len(s.pts)), s.pts...)}, nil
+	s.depth--
+	return present, id, nil
 }
 
-// key consumes the key string at pos, whose first byte is c, and says which
-// member it names.
-func (s *Scanner) key(c byte) (int, error) {
+// key consumes the key string at pos, whose first byte is c, and returns it
+// unescaped. The literal itself is left between mark and pos.
+func (s *Scanner) key(c byte) ([]byte, error) {
 	if c != '"' {
-		return keyOther, s.syntax("invalid character %q, want a key string", c)
+		return nil, s.syntax("invalid character %q, want a key string", c)
 	}
 	escaped, err := s.str()
 	if err != nil {
-		return keyOther, err
+		return nil, err
 	}
-	name := s.buf[s.mark+1 : s.pos-1]
-	if escaped {
-		var unquoted string
-		if json.Unmarshal(s.buf[s.mark:s.pos], &unquoted) != nil {
-			return keyOther, nil
-		}
-		name = []byte(unquoted)
+	if !escaped {
+		return s.buf[s.mark+1 : s.pos-1], nil
 	}
-	for k := keyPoints; k < len(keyNames); k++ {
-		if bytes.EqualFold(name, keyNames[k]) {
-			return k, nil
-		}
+	var unquoted string
+	if json.Unmarshal(s.buf[s.mark:s.pos], &unquoted) != nil {
+		return nil, nil
 	}
-	return keyOther, nil
+	return []byte(unquoted), nil
 }
 
-// points parses the value of a "points" member, whose first byte is c, into
-// s.pts, and returns the first trajectory rule a point breaks ("" when
-// none). A rule broken here only counts if no later "points" member
-// replaces this one, so it is not an error yet.
-func (s *Scanner) points(c byte) (bad string, err error) {
-	s.pts = s.pts[:0]
-	if c == 'n' {
-		return "", s.literal("null")
-	}
-	if c != '[' {
-		return "", s.syntax("invalid character %q, want the '[' of a points array", c)
+// points parses the value of a "points" key, whose first byte is c, into
+// coords and ends; null reads as no points.
+func (s *Scanner) points(c byte) error {
+	s.coords, s.ends = s.coords[:0], s.ends[:0]
+	switch c {
+	case 'n':
+		return s.literal("null")
+	case '[':
+	default:
+		return s.mismatch(c, "invalid character %q, want the '[' of a points array")
 	}
 	s.pos++
-	if c, err = s.token(); err != nil {
-		return "", err
-	}
-	if c == ']' {
-		s.pos++
-		return "", nil
-	}
-	for done := false; !done; {
-		var p geo.Point
-		n, null := 0, false
-		switch c {
-		case 'n':
-			err = s.literal("null")
-		case '[':
-			n, null, err = s.point(&p)
-		default:
-			err = s.syntax("invalid character %q, want the '[' of a point", c)
-		}
-		if err != nil {
-			return "", err
-		}
-		i := len(s.pts)
-		switch {
-		case bad != "":
-		case n != 2 && n != 3:
-			bad = fmt.Sprintf("point %d has %d coordinates, want [x,y] or [x,y,t]", i, n)
-		case null:
-			bad = fmt.Sprintf("point %d has a null coordinate", i)
-		}
-		if n == 2 {
-			p.T = float64(i)
-		}
-		s.pts = append(s.pts, p)
-		if c, done, err = s.sep(']'); err != nil {
-			return "", err
-		}
-	}
-	return bad, nil
-}
-
-// point parses the coordinate array at pos into p and returns how many
-// coordinates it holds and whether any of them is null.
-func (s *Scanner) point(p *geo.Point) (n int, null bool, err error) {
-	s.pos++
+	s.depth++
 	c, err := s.token()
 	if err != nil {
-		return 0, false, err
+		return err
 	}
 	if c == ']' {
 		s.pos++
-		return 0, false, nil
+		s.depth--
+		return nil
 	}
-	for done := false; !done; n++ {
+	for done := false; !done; {
+		switch c {
+		case 'n': // a null point has no coordinates
+			err = s.literal("null")
+		case '[':
+			err = s.point()
+		default:
+			err = s.mismatch(c, "invalid character %q, want the '[' of a point")
+		}
+		if err != nil {
+			return err
+		}
+		s.ends = append(s.ends, len(s.coords))
+		if c, done, err = s.sep(']'); err != nil {
+			return err
+		}
+	}
+	s.depth--
+	return nil
+}
+
+// point parses the coordinate array whose '[' is at pos onto coords.
+func (s *Scanner) point() error {
+	s.pos++
+	s.depth++
+	c, err := s.token()
+	if err != nil {
+		return err
+	}
+	if c == ']' {
+		s.pos++
+		s.depth--
+		return nil
+	}
+	for done := false; !done; {
 		var v float64
 		switch {
 		case c == 'n':
-			null = true
-			err = s.literal("null")
+			v, err = math.NaN(), s.literal("null")
 		case c == '-' || '0' <= c && c <= '9':
 			if err = s.number(); err == nil {
 				lit := s.buf[s.mark:s.pos]
-				if v, err = strconv.ParseFloat(string(lit), 64); err != nil {
-					s.pos = s.mark
-					err = s.syntax("coordinate %s does not fit a float64", lit)
+				var perr error
+				if v, perr = strconv.ParseFloat(string(lit), 64); perr != nil {
+					err = s.overflow(lit)
 				}
 			}
 		default:
-			err = s.syntax("invalid character %q, want a coordinate", c)
+			err = s.mismatch(c, "invalid character %q, want a coordinate")
 		}
 		if err != nil {
-			return 0, false, err
+			return err
 		}
-		switch n {
-		case 0:
-			p.X = v
-		case 1:
-			p.Y = v
-		case 2:
-			p.T = v
-		}
+		s.coords = append(s.coords, v)
 		if c, done, err = s.sep(']'); err != nil {
-			return 0, false, err
+			return err
 		}
 	}
-	return n, null, nil
+	s.depth--
+	return nil
+}
+
+// overflow reports the number literal lit, just consumed, as outside
+// float64's range: at once in the stream grammar, once the value has been
+// read in the strict one.
+func (s *Scanner) overflow(lit []byte) error {
+	err := &SyntaxError{Offset: s.base + int64(s.mark), Msg: fmt.Sprintf("coordinate %s does not fit a float64", lit)}
+	if !s.strict {
+		return err
+	}
+	s.fail(err)
+	return nil
+}
+
+// mismatch handles a value of the wrong JSON type whose first byte is c.
+// The stream grammar rejects it on the spot with the message format(c);
+// the strict grammar, like encoding/json, keeps that error for when the
+// whole value has been read and skips this one.
+func (s *Scanner) mismatch(c byte, format string) error {
+	err := s.syntax(format, c)
+	if !s.strict {
+		return err
+	}
+	s.fail(err)
+	return s.skip(c)
+}
+
+// fail keeps the first error of the strict grammar's deferred kind.
+func (s *Scanner) fail(err error) {
+	if s.typeErr == nil {
+		s.typeErr = err
+	}
+}
+
+// decoded copies the points value in coords and ends out over one backing
+// array.
+func (s *Scanner) decoded() [][]float64 {
+	if len(s.ends) == 0 {
+		return nil
+	}
+	flat := append(make([]float64, 0, len(s.coords)), s.coords...)
+	pts := make([][]float64, len(s.ends))
+	from := 0
+	for i, end := range s.ends {
+		pts[i] = flat[from:end:end]
+		from = end
+	}
+	return pts
+}
+
+// batch parses the strict grammar's top-level value: the envelope object
+// whose records are under key.
+func (s *Scanner) batch(key []byte) ([][][]float64, error) {
+	c, err := s.token()
+	if err == io.ErrUnexpectedEOF {
+		return nil, io.EOF // an empty body, as encoding/json says it
+	}
+	if err != nil {
+		return nil, err
+	}
+	if c != '{' {
+		if c == 'n' {
+			err = s.literal("null")
+		} else {
+			err = s.mismatch(c, "invalid character %q, want the '{' of the request object")
+		}
+		if err == nil && c != '[' {
+			err = s.endScalar()
+		}
+		return nil, err
+	}
+	var recs [][][]float64
+	s.pos++
+	s.depth++
+	c, err = s.token()
+	if err == nil && c == '}' {
+		s.pos++
+		s.depth--
+		return nil, nil
+	}
+	for done := false; err == nil && !done; {
+		var name []byte
+		if name, err = s.key(c); err != nil {
+			break
+		}
+		isKey := bytes.EqualFold(name, key)
+		if !isKey {
+			s.fail(s.syntax("unknown field %s", s.buf[s.mark:s.pos]))
+		}
+		if c, err = s.colon(); err != nil {
+			break
+		}
+		if isKey {
+			recs, err = s.records(c, recs)
+		} else {
+			err = s.skip(c)
+		}
+		if err == nil {
+			c, done, err = s.sep('}')
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	s.depth--
+	return recs, nil
+}
+
+// records parses the array of records whose first byte is c into recs, the
+// value an earlier key of the same name left, reusing its elements the way
+// encoding/json does: the array's records replace them position by position,
+// a null record or one without "points" keeps what is there, and the length
+// becomes the array's.
+func (s *Scanner) records(c byte, recs [][][]float64) ([][][]float64, error) {
+	switch c {
+	case 'n':
+		return nil, s.literal("null")
+	case '[':
+	default:
+		return recs, s.mismatch(c, "invalid character %q, want the '[' of an array of trajectories")
+	}
+	s.pos++
+	s.depth++
+	c, err := s.token()
+	if err != nil {
+		return nil, err
+	}
+	if c == ']' {
+		s.pos++
+		s.depth--
+		return recs[:0:0], nil
+	}
+	n := 0
+	for done := false; !done; n++ {
+		s.start = s.pos // the records before this one are decoded
+		if n < cap(recs) {
+			recs = recs[:n+1]
+		} else {
+			recs = append(recs, nil)
+		}
+		switch c {
+		case 'n':
+			err = s.literal("null")
+		case '{':
+			var present bool
+			if present, _, err = s.members(); present && err == nil {
+				recs[n] = s.decoded()
+			}
+		default:
+			err = s.mismatch(c, "invalid character %q, want the '{' of a trajectory object")
+		}
+		if err != nil {
+			return nil, err
+		}
+		if c, done, err = s.sep(']'); err != nil {
+			return nil, err
+		}
+	}
+	s.depth--
+	return recs[:n], nil
+}
+
+// endScalar is the end of a top-level string, number or literal: like
+// encoding/json's Decoder, the value is known to have ended only once the
+// byte after it, or the end of the input, has been read.
+func (s *Scanner) endScalar() error {
+	if !s.more() && s.rerr != io.EOF {
+		return s.rerr
+	}
+	return nil
+}
+
+// trailing checks that only whitespace follows the top-level value. What
+// json.Decoder.Token would read there decides, as it did for the
+// reflection decoder, between a read error and trailing data.
+func (s *Scanner) trailing() error {
+	for s.more() {
+		c := s.buf[s.pos]
+		if c == ' ' || c == '\t' || c == '\r' || c == '\n' {
+			s.pos++
+			continue
+		}
+		trailing := &SyntaxError{Offset: s.base + int64(s.pos), Msg: "trailing data after the JSON value"}
+		if c != '{' && c != '[' && c != '}' && c != ']' && c != ',' && c != ':' {
+			if err := s.skip(c); err != nil {
+				return err
+			}
+			if err := s.endScalar(); err != nil {
+				return err
+			}
+		}
+		return trailing
+	}
+	if s.rerr == io.EOF {
+		return nil
+	}
+	return s.rerr
 }
 
 // skip consumes one well-formed JSON value of any type whose first byte is
@@ -395,8 +706,7 @@ func (s *Scanner) skip(c byte) (err error) {
 		// a value starts here
 		switch {
 		case c == '{' || c == '[':
-			// the record itself is one level of nesting
-			if len(s.open)+2 > scanMaxDepth {
+			if s.depth+len(s.open)+1 > scanMaxDepth {
 				return s.syntax("exceeded max depth")
 			}
 			s.open = append(s.open, c)

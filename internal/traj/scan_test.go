@@ -17,8 +17,15 @@ import (
 	"simsub/internal/traj"
 )
 
+// reflectTrajectory is api.Trajectory as encoding/json decoded it by
+// reflection, before api.Trajectory got the Scanner's strict grammar as its
+// UnmarshalJSON: the oracles below must not run the code they judge.
+type reflectTrajectory struct {
+	Points [][]float64 `json:"points"`
+}
+
 // reference decodes an NDJSON stream the way POST /v2/load/stream did before
-// the Scanner existed — json.Decoder into api.Trajectory, then ToTraj — and
+// the Scanner existed — json.Decoder into reflectTrajectory, then ToTraj — and
 // returns the records accepted before the first failure and whether there
 // was one. It is the oracle of FuzzTrajectoryScanner; the one rule on which
 // the Scanner deliberately disagrees with encoding/json is modelled here
@@ -32,11 +39,11 @@ func reference(data []byte) (accepted [][]geo.Point, failed bool) {
 		} else if err != nil {
 			return accepted, true
 		}
-		var wt api.Trajectory
+		var wt reflectTrajectory
 		if err := json.Unmarshal(raw, &wt); err != nil {
 			return accepted, true
 		}
-		t, aerr := wt.ToTraj()
+		t, aerr := api.Trajectory(wt).ToTraj()
 		if aerr != nil || hasNullCoordinate(raw) {
 			return accepted, true
 		}
@@ -89,11 +96,11 @@ var scannerDivergences = []struct {
 
 func TestScannerDivergences(t *testing.T) {
 	for _, d := range scannerDivergences {
-		var wt api.Trajectory
+		var wt reflectTrajectory
 		if err := json.NewDecoder(strings.NewReader(d.input)).Decode(&wt); err != nil {
 			t.Fatalf("%s: json.Decoder: %v", d.name, err)
 		}
-		old, aerr := wt.ToTraj()
+		old, aerr := api.Trajectory(wt).ToTraj()
 		if aerr != nil || !samePoints(old.Points, d.old) {
 			t.Errorf("%s: the reflection decoder read %v (%v), the row says %v", d.name, old.Points, aerr, d.old)
 		}
