@@ -260,8 +260,8 @@ func TestLoadDecodeAllocsPerTrajectory(t *testing.T) {
 	}
 	short, long := allocs(20), allocs(200)
 	if short > 3*n || long > short+n/10 {
-		t.Fatalf("%d trajectories of 20 points take %v allocations, of 200 points %v; want at most %d, and as many for both",
-			n, short, long, 3*n)
+		t.Fatalf("%d trajectories of 20 points take %v allocations, of 200 points %v; want at most %d, and at most %d more",
+			n, short, long, 3*n, n/10)
 	}
 }
 
@@ -294,7 +294,7 @@ func TestUnmarshalTrajectory(t *testing.T) {
 		`{"points":[["0",1]]}`, `{"points":[[1e400,1]]}`, `[[0,1]]`, `{"points":[[0,1]]} 1`,
 	} {
 		var wt Trajectory
-		if err := json.Unmarshal([]byte(in), &wt); err == nil {
+		if err := wt.UnmarshalJSON([]byte(in)); err == nil {
 			t.Errorf("%s: decoded %v, want an error", in, wt.Points)
 		}
 	}

@@ -683,11 +683,12 @@ func (s *Scanner) trailing() error {
 		}
 		trailing := &SyntaxError{Offset: s.base + int64(s.pos), Msg: "trailing data after the JSON value"}
 		if c != '{' && c != '[' && c != '}' && c != ']' && c != ',' && c != ':' {
-			if err := s.skip(c); err != nil {
-				return err
+			err := s.skip(c)
+			if err == nil {
+				err = s.endScalar()
 			}
-			if err := s.endScalar(); err != nil {
-				return err
+			if err != nil && err == s.rerr {
+				return err // reading failed first: the body cap, say
 			}
 		}
 		return trailing
