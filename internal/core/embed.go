@@ -96,10 +96,7 @@ func (s *embedRankSearch) Search(t traj.Trajectory, meta TrajMeta, tau float64) 
 		}
 		r.Dist = EuclidVec(emb, s.qEmb)
 	}
-	if r.Dist > tau {
-		return r, PrunedAbandon
-	}
-	return r, NotPruned
+	return within(r, tau)
 }
 
 func (s *embedRankSearch) Release() {}

@@ -21,9 +21,9 @@ import (
 //	candidate  the measure's lower-bound cascade (sim.SubtrajLowerBounder)
 //	           drops a trajectory before any DP runs, and orders the rest
 //	           best-first;
-//	gate       sim.FreeStartMeasure finds a trajectory's exact best
-//	           distance in one O(n·m) pass and drops it, or hands the
-//	           enumeration that distance as its threshold (ExactS);
+//	gate       sim.FreeStartMeasure finds a trajectory's best interval in
+//	           one pruned O(n·m) pass and drops it beyond the threshold
+//	           or returns it (ExactS; SizeS uses it to drop only);
 //	kernel     sim.ThresholdIncremental abandons a DP scan once no
 //	           extension can beat the threshold;
 //	result     a completed search whose best distance exceeds the
@@ -168,25 +168,15 @@ func (c cascade) prunes(t traj.Trajectory, meta TrajMeta, tau float64) bool {
 	return !math.IsInf(tau, 1) && c.Bound(t, meta, tau) > tau
 }
 
-// exactThresholdSearch implements ThresholdSearch for ExactS: the full
-// enumeration with early-abandoning inner scans, behind the free-start gate
-// when the measure has one. Per start index i, abandoning skips only
-// evaluations the kernel proved strictly worse than min(local best, tau),
-// so the first minimizer — interval tie-breaking included — is exactly the
-// unpruned one whenever the trajectory's true best is within tau.
-//
-// The gate (sim.FreeStartMeasure) computes the trajectory's exact best
-// distance d* in one O(n·m) pass. Beyond tau, the candidate is dropped with
-// no enumeration at all; otherwise the enumeration runs against d* instead
-// of tau. Nothing it reports changes: d* carries the very bits the
-// enumeration's minimum does, comparisons stay strict, so the row holding
-// the lexicographically first interval at distance d* is never abandoned
-// before reaching it, while nearly every other start row is after one or
-// two extensions.
+// exactThresholdSearch implements ThresholdSearch for ExactS. When the
+// measure has a free-start form (sim.FreeStartMeasure) one pruned O(n·m)
+// pass returns the answer — the lexicographically first minimizing interval
+// and its distance, bit-identical to the enumeration — or abandons once the
+// minimum is provably beyond tau. Otherwise it enumerates (enumerate).
 type exactThresholdSearch struct {
 	cascade
 	m    sim.Measure
-	gate sim.FreeStartMeasure // nil: enumerate against tau alone
+	gate sim.FreeStartMeasure // nil: enumerate
 	q    traj.Trajectory
 }
 
@@ -197,113 +187,42 @@ func (a ExactS) NewThresholdSearch(q traj.Trajectory) ThresholdSearch {
 }
 
 func (s *exactThresholdSearch) Search(t traj.Trajectory, meta TrajMeta, tau float64) (Result, Pruned) {
-	// the enumeration ends at the first interval as good as stop: never
-	// without the gate, and behind it at the minimum itself — the first
-	// interval to reach it is the answer, nothing later is strictly smaller
-	stop := math.Inf(-1)
-	if s.gate != nil {
-		d, abandoned := s.gate.MinSubDist(t, s.q, tau)
-		if abandoned {
-			return Result{}, PrunedAbandon
-		}
-		tau, stop = d, d
-	}
 	n := t.Len()
-	best := Result{Dist: math.Inf(1)}
-	inc := s.m.NewIncremental(t, s.q)
-	defer sim.Release(inc)
-	tinc, _ := inc.(sim.ThresholdIncremental)
-	for i := 0; i < n && best.Dist > stop; i++ {
-		d := inc.Init(i)
-		if d < best.Dist {
-			best.Dist = d
-			best.Interval = traj.Interval{I: i, J: i}
-		}
-		bsf := math.Min(best.Dist, tau)
-		for j := i + 1; j < n && best.Dist > stop; j++ {
-			if tinc != nil {
-				var abandoned bool
-				d, abandoned = tinc.ExtendAbandoning(bsf)
-				if abandoned {
-					break
-				}
-			} else {
-				d = inc.Extend()
-			}
-			if d < best.Dist {
-				best.Dist = d
-				best.Interval = traj.Interval{I: i, J: j}
-				bsf = math.Min(best.Dist, tau)
-			}
-		}
+	if s.gate == nil {
+		return within(enumerate(s.m, t, s.q, 1, n, tau), tau)
 	}
-	// the logical candidate count, not the evaluations performed — see the
-	// determinism note in the file comment
-	best.Explored = n * (n + 1) / 2
-	if best.Dist > tau {
-		return best, PrunedAbandon
+	iv, d, abandoned := s.gate.MinSub(t, s.q, tau)
+	if abandoned {
+		return Result{}, PrunedAbandon
 	}
-	return best, NotPruned
+	// Explored is the logical candidate count, as enumerate counts it
+	return Result{Interval: iv, Dist: d, Explored: n * (n + 1) / 2}, NotPruned
 }
 
 func (s *exactThresholdSearch) Release() {}
 
-// sizeThresholdSearch is exactThresholdSearch restricted to SizeS's
-// [m-ξ, m+ξ] length window.
-type sizeThresholdSearch struct {
-	cascade
-	m  sim.Measure
-	xi int
-	q  traj.Trajectory
-}
-
-// NewThresholdSearch implements ThresholdSearcher.
-func (a SizeS) NewThresholdSearch(q traj.Trajectory) ThresholdSearch {
-	return &sizeThresholdSearch{cascade: cascadeFor(a.M, q), m: a.M, xi: a.Xi, q: q}
-}
-
-func (s *sizeThresholdSearch) Search(t traj.Trajectory, meta TrajMeta, tau float64) (Result, Pruned) {
-	n, m := t.Len(), s.q.Len()
-	lo := m - s.xi
-	if lo < 1 {
-		lo = 1
-	}
-	hi := m + s.xi
-	if lo > n {
-		// whole-trajectory fallback, exactly as the unpruned search
-		r := Result{
-			Interval: traj.Interval{I: 0, J: n - 1},
-			Dist:     s.m.Dist(t, s.q),
-			Explored: 1,
-		}
-		if r.Dist > tau {
-			return r, PrunedAbandon
-		}
-		return r, NotPruned
-	}
+// enumerate is ExactS's enumeration over the intervals of t whose length
+// lies in [lo, hi], with early-abandoning inner scans: per start index i,
+// abandoning skips only evaluations the kernel proved strictly worse than
+// min(local best, tau), so the first minimizer — interval tie-breaking
+// included — is exactly the unpruned one whenever the true best is within
+// tau. Explored counts every interval in the window, not the evaluations
+// performed — see the determinism note in the file comment.
+func enumerate(m sim.Measure, t, q traj.Trajectory, lo, hi int, tau float64) Result {
+	n := t.Len()
 	best := Result{Dist: math.Inf(1)}
-	inc := s.m.NewIncremental(t, s.q)
+	inc := m.NewIncremental(t, q)
 	defer sim.Release(inc)
 	tinc, _ := inc.(sim.ThresholdIncremental)
-	explored := 0
-	for i := 0; i < n; i++ {
-		if i+lo-1 >= n {
-			break
-		}
+	for i := 0; i+lo-1 < n; i++ {
 		d := inc.Init(i)
-		explored++
 		if lo == 1 && d < best.Dist {
 			best.Dist = d
 			best.Interval = traj.Interval{I: i, J: i}
 		}
 		bsf := math.Min(best.Dist, tau)
-		// the unpruned search evaluates j up to min(n-1, i+hi-1); count
-		// them all so Explored stays the deterministic logical size
-		top := i + hi - 1
-		if top > n-1 {
-			top = n - 1
-		}
-		explored += top - i
+		top := min(i+hi-1, n-1)
+		best.Explored += top - i + 1
 		for j := i + 1; j <= top; j++ {
 			if tinc != nil {
 				var abandoned bool
@@ -321,11 +240,50 @@ func (s *sizeThresholdSearch) Search(t traj.Trajectory, meta TrajMeta, tau float
 			}
 		}
 	}
-	best.Explored = explored
-	if best.Dist > tau {
-		return best, PrunedAbandon
+	return best
+}
+
+// within is the result level of the pipeline: a completed search whose
+// best distance is beyond tau is suppressed.
+func within(r Result, tau float64) (Result, Pruned) {
+	if r.Dist > tau {
+		return r, PrunedAbandon
 	}
-	return best, NotPruned
+	return r, NotPruned
+}
+
+// sizeThresholdSearch is SizeS's enumeration over its [m-ξ, m+ξ] length
+// window. The free-start pass only drops candidates here: its unconstrained
+// minimum lower-bounds the best interval in the window and the whole
+// trajectory it falls back to, so an abandon proves the answer is beyond
+// tau, but the answer itself comes from the window.
+type sizeThresholdSearch struct {
+	cascade
+	m    sim.Measure
+	gate sim.FreeStartMeasure // nil: no drop-only gate
+	xi   int
+	q    traj.Trajectory
+}
+
+// NewThresholdSearch implements ThresholdSearcher.
+func (a SizeS) NewThresholdSearch(q traj.Trajectory) ThresholdSearch {
+	gate, _ := a.M.(sim.FreeStartMeasure)
+	return &sizeThresholdSearch{cascade: cascadeFor(a.M, q), m: a.M, gate: gate, xi: a.Xi, q: q}
+}
+
+func (s *sizeThresholdSearch) Search(t traj.Trajectory, meta TrajMeta, tau float64) (Result, Pruned) {
+	if s.gate != nil {
+		if _, _, abandoned := s.gate.MinSub(t, s.q, tau); abandoned {
+			return Result{}, PrunedAbandon
+		}
+	}
+	n, m := t.Len(), s.q.Len()
+	lo := max(m-s.xi, 1)
+	if lo > n {
+		// whole-trajectory fallback, exactly as the unpruned search
+		return within(Result{Interval: traj.Interval{I: 0, J: n - 1}, Dist: s.m.Dist(t, s.q), Explored: 1}, tau)
+	}
+	return within(enumerate(s.m, t, s.q, lo, m+s.xi, tau), tau)
 }
 
 func (s *sizeThresholdSearch) Release() {}
@@ -368,10 +326,7 @@ func (s *splitThresholdSearch) Search(t traj.Trajectory, meta TrajMeta, tau floa
 	} else {
 		r = posSearch(s.m, t, s.q, s.delay)
 	}
-	if r.Dist > tau {
-		return r, PrunedAbandon
-	}
-	return r, NotPruned
+	return within(r, tau)
 }
 
 func (s *splitThresholdSearch) Release() {}

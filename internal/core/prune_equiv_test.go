@@ -434,9 +434,9 @@ func TestSpringMatchesFreeStartDTW(t *testing.T) {
 	for _, q := range queries {
 		for _, tr := range data {
 			want := Spring{}.Search(tr, q).Dist
-			got, abandoned := sim.DTW{}.MinSubDist(tr, q, math.Inf(1))
+			_, got, abandoned := sim.DTW{}.MinSub(tr, q, math.Inf(1))
 			if abandoned || math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("traj %d: MinSubDist = (%v, %v), Spring %v", tr.ID, got, abandoned, want)
+				t.Fatalf("traj %d: MinSub = (%v, %v), Spring %v", tr.ID, got, abandoned, want)
 			}
 		}
 	}

@@ -165,10 +165,7 @@ func (s *rlsThresholdSearch) Search(t traj.Trajectory, meta TrajMeta, tau float6
 		iv, d := s.env.Best()
 		r = Result{Interval: iv, Dist: d, Explored: s.env.Explored(), Scanned: s.env.Scanned()}
 	}
-	if r.Dist > tau {
-		return r, PrunedAbandon
-	}
-	return r, NotPruned
+	return within(r, tau)
 }
 
 func (s *rlsThresholdSearch) Release() {

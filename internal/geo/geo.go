@@ -20,10 +20,13 @@ type Point struct {
 }
 
 // Dist returns the Euclidean distance between p and q, ignoring timestamps.
+// It is the square root of SqDist by construction, so Dist(p, q) and
+// math.Sqrt(SqDist(p, q)) carry the same bits on every platform (the Go
+// spec lets a compiler fuse dx*dx + dy*dy into an FMA, so two separately
+// written expressions need not): kernels may fold squared distances and
+// take one square root at the end.
 func Dist(p, q Point) float64 {
-	dx := p.X - q.X
-	dy := p.Y - q.Y
-	return math.Sqrt(dx*dx + dy*dy)
+	return math.Sqrt(SqDist(p, q))
 }
 
 // SqDist returns the squared Euclidean distance between p and q. It avoids

@@ -3,6 +3,7 @@ package geo
 import (
 	"encoding/binary"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -54,6 +55,39 @@ func TestSqDistConsistentWithDist(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDistIsSqrtSqDist pins the identity the squared-distance kernels rest
+// on: Dist is math.Sqrt(SqDist) bit for bit, and both are bit-symmetric in
+// their arguments, over random, lattice, subnormal and 1e±150-magnitude
+// points.
+func TestDistIsSqrtSqDist(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	subnormal := func() float64 {
+		return float64(rng.Intn(9)-4) * math.SmallestNonzeroFloat64 * float64(1+rng.Intn(1<<20))
+	}
+	gens := []struct {
+		name string
+		gen  func() float64
+	}{
+		{"random", func() float64 { return rng.NormFloat64() * 100 }},
+		{"lattice", func() float64 { return float64(rng.Intn(7) - 3) }},
+		{"subnormal", subnormal},
+		{"1e150", func() float64 { return rng.NormFloat64() * 1e150 }},
+		{"1e-150", func() float64 { return rng.NormFloat64() * 1e-150 }},
+	}
+	for _, g := range gens {
+		for i := 0; i < 20000; i++ {
+			p, q := Point{X: g.gen(), Y: g.gen()}, Point{X: g.gen(), Y: g.gen()}
+			d, sq := Dist(p, q), SqDist(p, q)
+			if math.Float64bits(d) != math.Float64bits(math.Sqrt(sq)) {
+				t.Fatalf("%s: Dist(%v, %v) = %v, sqrt(SqDist) = %v", g.name, p, q, d, math.Sqrt(sq))
+			}
+			if math.Float64bits(d) != math.Float64bits(Dist(q, p)) || math.Float64bits(sq) != math.Float64bits(SqDist(q, p)) {
+				t.Fatalf("%s: Dist/SqDist(%v, %v) not symmetric", g.name, p, q)
+			}
+		}
 	}
 }
 

@@ -12,39 +12,44 @@ import (
 
 func freeStartMeasures() []FreeStartMeasure { return []FreeStartMeasure{DTW{}, Frechet{}} }
 
-// enumMin is the reference the free-start pass must reproduce bit for bit:
-// the minimum the ExactS enumeration sees.
-func enumMin(m Measure, t, q traj.Trajectory) float64 {
+// enumFirst is the reference the free-start pass must reproduce bit for
+// bit: the interval and distance the ExactS enumeration keeps, the first one
+// strictly smaller than everything before it.
+func enumFirst(m Measure, t, q traj.Trajectory) (traj.Interval, float64) {
+	var iv traj.Interval
 	best := math.Inf(1)
-	AllSubDists(m, t, q, func(_, _ int, d float64) {
+	AllSubDists(m, t, q, func(i, j int, d float64) {
 		if d < best {
-			best = d
+			iv, best = traj.Interval{I: i, J: j}, d
 		}
 	})
-	return best
+	return iv, best
+}
+
+// enumMin is enumFirst's distance.
+func enumMin(m Measure, t, q traj.Trajectory) float64 {
+	_, d := enumFirst(m, t, q)
+	return d
 }
 
 // checkMinSubDist asserts the FreeStartMeasure contract on one pair: the
-// unbounded pass returns the enumeration's minimum exactly, and for each
-// tau an abandoned pass implies minimum > tau strictly while a completed
-// one returns the minimum itself.
+// unbounded pass returns the enumeration's interval and minimum exactly,
+// and for each tau an abandoned pass implies minimum > tau strictly while
+// a completed one returns the interval and minimum themselves. Besides
+// taus it always tries d*, its two neighbouring floats, 0 and +Inf.
 func checkMinSubDist(t *testing.T, m FreeStartMeasure, data, q traj.Trajectory, taus []float64) {
 	t.Helper()
-	want := enumMin(m, data, q)
-	got, abandoned := m.MinSubDist(data, q, math.Inf(1))
-	if abandoned || math.Float64bits(got) != math.Float64bits(want) {
-		t.Fatalf("%s n=%d m=%d: MinSubDist(+Inf) = (%v, %v), enumeration minimum %v",
-			m.Name(), data.Len(), q.Len(), got, abandoned, want)
-	}
-	for _, tau := range append(taus, want, math.Nextafter(want, 0), math.Nextafter(want, math.Inf(1))) {
-		got, abandoned := m.MinSubDist(data, q, tau)
+	wantIv, want := enumFirst(m, data, q)
+	for _, tau := range append(taus, math.Inf(1), want, math.Nextafter(want, 0), math.Nextafter(want, math.Inf(1)), 0) {
+		iv, got, abandoned := m.MinSub(data, q, tau)
 		switch {
 		case abandoned && !(want > tau):
-			t.Fatalf("%s tau=%v: abandoned although the minimum %v is within tau", m.Name(), tau, want)
-		case abandoned && got > want:
-			t.Fatalf("%s tau=%v: abandoned with %v, not a lower bound of the minimum %v", m.Name(), tau, got, want)
-		case !abandoned && math.Float64bits(got) != math.Float64bits(want):
-			t.Fatalf("%s tau=%v: completed with %v, minimum is %v", m.Name(), tau, got, want)
+			t.Fatalf("%s n=%d m=%d tau=%v: abandoned although the minimum %v is within tau", m.Name(), data.Len(), q.Len(), tau, want)
+		case !abandoned && (iv != wantIv || math.Float64bits(got) != math.Float64bits(want)):
+			t.Fatalf("%s n=%d m=%d tau=%v: completed with %v at %v, enumeration has %v at %v",
+				m.Name(), data.Len(), q.Len(), tau, iv, got, wantIv, want)
+		case !abandoned && want > tau:
+			t.Fatalf("%s n=%d m=%d tau=%v: completed although the minimum %v is beyond tau", m.Name(), data.Len(), q.Len(), tau, want)
 		}
 	}
 }
@@ -127,6 +132,9 @@ func TestMinSubDistDegenerate(t *testing.T) {
 		{"collinear, same line same points", collinear(20, 0.5), collinear(5, 0.5)},
 		{"mixed magnitudes", mixed, traj.New(pt(0.5, 0.25), pt(1e9, -3e9), pt(2e-9, 1e-9))},
 		{"mixed data, small query", mixed, randTraj(rng, 4)},
+		// squared distances overflow to +Inf: some cells, then every cell
+		{"overflowing distances", traj.New(pt(1e200, 0), pt(-1e200, 0), pt(1e200, 1e200), pt(-1e200, 0)), traj.New(pt(-1e200, 0), pt(1e200, 0))},
+		{"every distance +Inf", traj.New(pt(1e200, 0), pt(1e200, 1)), traj.New(pt(-1e200, 0), pt(-1e200, 1))},
 	}
 	for _, m := range freeStartMeasures() {
 		for _, p := range pairs {
@@ -142,22 +150,50 @@ func TestMinSubDistEmpty(t *testing.T) {
 	q := traj.New(geo.Point{X: 1, Y: 1})
 	for _, m := range freeStartMeasures() {
 		for _, pair := range [][2]traj.Trajectory{{{}, q}, {q, {}}, {{}, {}}} {
-			if d, abandoned := m.MinSubDist(pair[0], pair[1], 1); !math.IsInf(d, 1) || abandoned {
-				t.Errorf("%s with an empty side: (%v, %v), want (+Inf, false)", m.Name(), d, abandoned)
+			if iv, d, abandoned := m.MinSub(pair[0], pair[1], 1); iv != (traj.Interval{}) || !math.IsInf(d, 1) || abandoned {
+				t.Errorf("%s with an empty side: (%v, %v, %v), want ({0 0}, +Inf, false)", m.Name(), iv, d, abandoned)
 			}
 		}
 	}
 }
 
-// TestMinSubDistPooledColumn: the column comes from the row pool, so a
-// steady-state pass allocates nothing.
-func TestMinSubDistPooledColumn(t *testing.T) {
+// TestFreeStartAllocatesNothing: the gate's column and the interval rows'
+// row come from the row pool, so a steady-state pass allocates nothing,
+// whether it completes or abandons.
+func TestFreeStartAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
 	rng := rand.New(rand.NewSource(47))
 	data, q := randTraj(rng, 80), randTraj(rng, 12)
 	for _, m := range freeStartMeasures() {
-		m.MinSubDist(data, q, math.Inf(1)) // warm the pool
-		if a := testing.AllocsPerRun(100, func() { m.MinSubDist(data, q, math.Inf(1)) }); a > 0 {
-			t.Errorf("%s: MinSubDist allocates %.1f objects per call, want 0", m.Name(), a)
+		_, d, _ := m.MinSub(data, q, math.Inf(1)) // warm the pool
+		for _, tau := range []float64{math.Inf(1), d, d / 2} {
+			if a := testing.AllocsPerRun(100, func() { m.MinSub(data, q, tau) }); a > 0 {
+				t.Errorf("%s tau=%v: MinSub allocates %.1f objects per call, want 0", m.Name(), tau, a)
+			}
 		}
+	}
+}
+
+// TestSqBound: sqBound(tau) is the largest float whose square root is
+// within tau, the edge the squared Fréchet pass compares against.
+func TestSqBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	taus := []float64{0, math.SmallestNonzeroFloat64, 1e-300, 1e-160, 1, 2, 3, 1e150, 1e154, 1e200, math.MaxFloat64}
+	for i := 0; i < 20000; i++ {
+		taus = append(taus, math.Sqrt(rng.Float64()*100), rng.ExpFloat64()*math.Pow(10, float64(rng.Intn(40)-20)))
+	}
+	for _, tau := range taus {
+		s := sqBound(tau)
+		if !(math.Sqrt(s) <= tau) || (s < math.Inf(1) && math.Sqrt(math.Nextafter(s, math.Inf(1))) <= tau) {
+			t.Fatalf("sqBound(%v) = %v: sqrt %v, next float's sqrt %v", tau, s, math.Sqrt(s), math.Sqrt(math.Nextafter(s, math.Inf(1))))
+		}
+	}
+	if s := sqBound(math.Inf(1)); !math.IsInf(s, 1) {
+		t.Errorf("sqBound(+Inf) = %v, want +Inf", s)
+	}
+	if s := sqBound(-1); s >= 0 {
+		t.Errorf("sqBound(-1) = %v, want below every squared distance", s)
 	}
 }

@@ -111,25 +111,30 @@ func FuzzSuffixDistsReversal(f *testing.F) {
 }
 
 // FuzzMinSubDist cross-checks the free-start pass against the enumeration
-// it replaces: same bits unbounded, and a sound abandon decision under a
-// fuzz-chosen threshold. Coordinates are drawn from a small lattice half
-// the time, so repeated points and tied intervals are common.
+// it replaces: the same interval and bits unbounded, and a sound abandon
+// decision under a fuzz-chosen threshold as well as at d*, its neighbouring
+// floats, 0 and +Inf (checkMinSubDist). Coordinates are drawn from a small
+// lattice half the time, so repeated points and tied intervals are common,
+// and are scaled by 1, 1e-3 or 1e6, so squared distances land on
+// sqBound's rounding edge at several magnitudes.
 func FuzzMinSubDist(f *testing.F) {
-	f.Add(int64(1), uint8(5), uint8(3), 0.5, false)
-	f.Add(int64(99), uint8(17), uint8(1), 2.0, true)
-	f.Add(int64(-7), uint8(2), uint8(8), 0.0, true)
-	f.Add(int64(12), uint8(0), uint8(0), 1.0, false)
-	f.Fuzz(func(t *testing.T, seed int64, nRaw, mRaw uint8, tauScale float64, lattice bool) {
+	f.Add(int64(1), uint8(5), uint8(3), 0.5, false, uint8(0))
+	f.Add(int64(99), uint8(17), uint8(1), 2.0, true, uint8(1))
+	f.Add(int64(-7), uint8(2), uint8(8), 0.0, true, uint8(2))
+	f.Add(int64(12), uint8(0), uint8(0), 1.0, false, uint8(1))
+	f.Add(int64(5), uint8(23), uint8(9), 1.0, false, uint8(2))
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, mRaw uint8, tauScale float64, lattice bool, scaleRaw uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nRaw)%24 + 1
 		m := int(mRaw)%10 + 1
+		scale := [...]float64{1, 1e-3, 1e6}[int(scaleRaw)%3]
 		mk := func(k int) traj.Trajectory {
 			pts := make([]geo.Point, k)
 			for i := range pts {
 				if lattice {
-					pts[i] = geo.Point{X: float64(rng.Intn(4)), Y: float64(rng.Intn(4))}
+					pts[i] = geo.Point{X: float64(rng.Intn(4)) * scale, Y: float64(rng.Intn(4)) * scale}
 				} else {
-					pts[i] = geo.Point{X: rng.NormFloat64() * 5, Y: rng.NormFloat64() * 5}
+					pts[i] = geo.Point{X: rng.NormFloat64() * 5 * scale, Y: rng.NormFloat64() * 5 * scale}
 				}
 			}
 			return traj.New(pts...)

@@ -127,18 +127,20 @@ func (lb *dtwLB) LowerBound(t traj.Trajectory, mbr geo.Rect, tau float64) float6
 
 // endpointMins returns the minimum distances from the points of t to the
 // query's first and last points — the LB_Kim-style stage shared by the DTW
-// and Fréchet cascades.
+// and Fréchet cascades. It folds squared distances and takes one square
+// root per endpoint: geo.Dist is the square root of geo.SqDist and sqrt is
+// monotone, so the result carries the bits of the minimum over geo.Dist.
 func endpointMins(t traj.Trajectory, first, last geo.Point) (min0, minm float64) {
 	min0, minm = math.Inf(1), math.Inf(1)
 	for _, p := range t.Points {
-		if d := geo.Dist(p, first); d < min0 {
+		if d := geo.SqDist(p, first); d < min0 {
 			min0 = d
 		}
-		if d := geo.Dist(p, last); d < minm {
+		if d := geo.SqDist(p, last); d < minm {
 			minm = d
 		}
 	}
-	return min0, minm
+	return math.Sqrt(min0), math.Sqrt(minm)
 }
 
 // frechetLB is the max-norm analogue of dtwLB: the discrete Fréchet
