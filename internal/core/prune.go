@@ -23,7 +23,7 @@ import (
 //	           best-first;
 //	gate       sim.FreeStartMeasure finds a trajectory's best interval in
 //	           one pruned O(n·m) pass and drops it beyond the threshold
-//	           or returns it (ExactS; SizeS uses it to drop only);
+//	           or returns it (ExactS);
 //	kernel     sim.ThresholdIncremental abandons a DP scan once no
 //	           extension can beat the threshold;
 //	result     a completed search whose best distance exceeds the
@@ -253,30 +253,20 @@ func within(r Result, tau float64) (Result, Pruned) {
 }
 
 // sizeThresholdSearch is SizeS's enumeration over its [m-ξ, m+ξ] length
-// window. The free-start pass only drops candidates here: its unconstrained
-// minimum lower-bounds the best interval in the window and the whole
-// trajectory it falls back to, so an abandon proves the answer is beyond
-// tau, but the answer itself comes from the window.
+// window.
 type sizeThresholdSearch struct {
 	cascade
-	m    sim.Measure
-	gate sim.FreeStartMeasure // nil: no drop-only gate
-	xi   int
-	q    traj.Trajectory
+	m  sim.Measure
+	xi int
+	q  traj.Trajectory
 }
 
 // NewThresholdSearch implements ThresholdSearcher.
 func (a SizeS) NewThresholdSearch(q traj.Trajectory) ThresholdSearch {
-	gate, _ := a.M.(sim.FreeStartMeasure)
-	return &sizeThresholdSearch{cascade: cascadeFor(a.M, q), m: a.M, gate: gate, xi: a.Xi, q: q}
+	return &sizeThresholdSearch{cascade: cascadeFor(a.M, q), m: a.M, xi: a.Xi, q: q}
 }
 
 func (s *sizeThresholdSearch) Search(t traj.Trajectory, meta TrajMeta, tau float64) (Result, Pruned) {
-	if s.gate != nil {
-		if _, _, abandoned := s.gate.MinSub(t, s.q, tau); abandoned {
-			return Result{}, PrunedAbandon
-		}
-	}
 	n, m := t.Len(), s.q.Len()
 	lo := max(m-s.xi, 1)
 	if lo > n {
