@@ -27,7 +27,7 @@ func main() {
 	fmt.Printf("reported detour route: %d points\n\n", reported.Len())
 
 	db := simsub.NewDatabase(taxis, true)
-	pruned := len(taxis) - len(db.Candidates(reported))
+	pruned := len(taxis) - len(db.Candidates(reported, nil))
 	fmt.Printf("R-tree MBR pruning discards %d of %d trajectories up front\n\n",
 		pruned, len(taxis))
 

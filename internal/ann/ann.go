@@ -3,8 +3,8 @@
 // width, in the spirit of Tunable-LSH (Aluç, Özsu, Daudjee, VLDB J. 2019).
 //
 // The index is the coarse half of the engine's candidate-generation split:
-// it proposes a small candidate set by embedding distance and the exact
-// lower-bound cascade reranks it (see core.CandidateSource). Accuracy
+// it proposes a small candidate list by embedding distance and the exact
+// lower-bound cascade reranks it (see core.Database.ScanPrunedSourceCtx). Accuracy
 // therefore only needs to hold at the candidate-set level — the index
 // ranks every probed candidate by its EXACT embedding distance before
 // returning, and falls back to a full embedding scan when probing

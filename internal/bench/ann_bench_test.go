@@ -10,13 +10,12 @@ import (
 
 	"simsub/internal/ann"
 	"simsub/internal/core"
-	"simsub/internal/geo"
 	"simsub/internal/sim"
 	"simsub/internal/t2vec"
 	"simsub/internal/traj"
 )
 
-// ANN-prefilter serving benchmarks: the embedding-index CandidateSource
+// ANN-prefilter serving benchmarks: the embedding index's candidate list
 // versus the exhaustive spatial enumeration on the same 1000-trajectory
 // store at k=10. The prefilter trades a coarse LSH probe for a bounded
 // rerank budget; every run records the candidate fraction actually scanned
@@ -52,9 +51,21 @@ func annBenchIndex(data []traj.Trajectory, m *t2vec.Model) *ann.Index {
 	return ann.Build(vecs, m.Dim(), ann.Config{})
 }
 
-// annRecall measures top-10 set overlap between a source-scanned ranking
+// annCands proposes a query's candidate list; nil stands for the
+// exhaustive spatial enumeration.
+type annCands func(q traj.Trajectory) []int
+
+// list returns the scan's candidate list for q: nil without a proposer.
+func (f annCands) list(q traj.Trajectory) []int {
+	if f == nil {
+		return nil
+	}
+	return f(q)
+}
+
+// annRecall measures top-10 set overlap between a list-scanned ranking
 // and the exhaustive one, averaged over a handful of held-out queries.
-func annRecall(b *testing.B, db *core.Database, alg core.Algorithm, src core.CandidateSource, k int) float64 {
+func annRecall(b *testing.B, db *core.Database, alg core.Algorithm, cands annCands, k int) float64 {
 	var sum float64
 	const queries = 5
 	for qi := 0; qi < queries; qi++ {
@@ -63,7 +74,7 @@ func annRecall(b *testing.B, db *core.Database, alg core.Algorithm, src core.Can
 		if err != nil {
 			b.Fatal(err)
 		}
-		got, err := db.TopKPrunedCtx(context.Background(), alg, q, k, nil, src, nil)
+		got, err := db.TopKPrunedCtx(context.Background(), alg, q, k, nil, cands.list(q), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -85,8 +96,8 @@ func annRecall(b *testing.B, db *core.Database, alg core.Algorithm, src core.Can
 }
 
 // benchANN times one serving configuration of the pruned top-k scan under
-// the given candidate source (nil = the exhaustive spatial enumeration).
-func benchANN(b *testing.B, name string, src core.CandidateSource, fraction float64) {
+// the given candidate proposer (nil = the exhaustive spatial enumeration).
+func benchANN(b *testing.B, name string, cands annCands, fraction float64) {
 	db := core.NewDatabase(servingData(1000, 24, 7), false)
 	alg := core.ExactS{M: sim.DTW{}}
 	q := servingData(1, 9, 100)[0]
@@ -95,7 +106,7 @@ func benchANN(b *testing.B, name string, src core.CandidateSource, fraction floa
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.TopKPrunedCtx(context.Background(), alg, q, k, nil, src, nil); err != nil {
+		if _, err := db.TopKPrunedCtx(context.Background(), alg, q, k, nil, cands.list(q), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -106,8 +117,8 @@ func benchANN(b *testing.B, name string, src core.CandidateSource, fraction floa
 		CandidateFraction: fraction,
 		RecallAt10:        1,
 	}
-	if src != nil {
-		res.RecallAt10 = annRecall(b, db, alg, src, k)
+	if cands != nil {
+		res.RecallAt10 = annRecall(b, db, alg, cands, k)
 	}
 	b.ReportMetric(res.RecallAt10, "recall@10")
 	annMu.Lock()
@@ -123,7 +134,7 @@ func BenchmarkANN(b *testing.B) {
 	m := t2vec.NewRandomModel(16, 1)
 	ix := annBenchIndex(data, m)
 	const budget, probes = 250, 2
-	src := core.CandidateSourceFunc(func(q traj.Trajectory, _ *geo.Rect) []int {
+	cands := annCands(func(q traj.Trajectory) []int {
 		return ix.Search(m.QueryEmbedding(q), budget, probes)
 	})
 
@@ -131,7 +142,7 @@ func BenchmarkANN(b *testing.B) {
 		benchANN(b, "exhaustive", nil, 1)
 	})
 	b.Run("ann", func(b *testing.B) {
-		benchANN(b, "ann", src, float64(budget)/float64(len(data)))
+		benchANN(b, "ann", cands, float64(budget)/float64(len(data)))
 	})
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -11,13 +12,15 @@ import (
 	"simsub/internal/traj"
 )
 
-// Equivalence tests for the CandidateSource refactor: handing a scan the
-// explicit SpatialSource must be byte-identical to the nil source (the
-// built-in enumeration), and a subset source's ranking must be exactly the
-// direct scoring of the candidates it returned — the exact cascade reranks
-// whatever it is given, no more and no less.
+// Equivalence tests for the scan's candidate list: an explicit list goes
+// through the same region filter as the built-in enumeration, and a subset
+// list's ranking is exactly the direct scoring of its members — the exact
+// cascade reranks whatever it is given, no more and no less.
 
-func TestSpatialSourceEquivalence(t *testing.T) {
+// TestCandidateListEquivalence hands the scan the spatial enumeration as an
+// explicit list, unfiltered and already filtered, with and without a
+// region filter: every ranking must be byte-identical to the nil list's.
+func TestCandidateListEquivalence(t *testing.T) {
 	const k = 10
 	data := equivData(300, 20, 41)
 	db := NewDatabase(data, true)
@@ -37,16 +40,13 @@ func TestSpatialSourceEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
-					got, err := db.TopKPrunedCtx(context.Background(), alg, q, k, f, db.SpatialSource(), nil)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if len(got) != len(want) {
-						t.Fatalf("%s q%d: got %d matches, want %d", name, qi, len(got), len(want))
-					}
-					for i := range got {
-						if got[i] != want[i] {
-							t.Errorf("%s q%d rank %d: spatial source %+v, nil source %+v", name, qi, i, got[i], want[i])
+					for _, list := range [][]int{db.Candidates(q, nil), db.Candidates(q, f)} {
+						got, err := db.TopKPrunedCtx(context.Background(), alg, q, k, f, list, nil)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						if !slices.Equal(got, want) {
+							t.Errorf("%s q%d: explicit list %+v, nil list %+v", name, qi, got, want)
 						}
 					}
 				}
@@ -55,7 +55,29 @@ func TestSpatialSourceEquivalence(t *testing.T) {
 	}
 }
 
-// subsetRank is the reference for an approximate source: score exactly the
+// TestEmptyCandidateListScansNothing pins the one difference between nil
+// and empty: nil is the spatial enumeration, an empty list (an approximate
+// prefilter that proposed nothing) scans nothing.
+func TestEmptyCandidateListScansNothing(t *testing.T) {
+	data := equivData(50, 10, 71)
+	db := NewDatabase(data, false)
+	q := equivData(1, 5, 72)[0]
+	for _, alg := range []Algorithm{ExactS{M: sim.DTW{}}, Spring{}} {
+		var st PruneStats
+		got, err := db.TopKPrunedCtx(context.Background(), alg, q, 3, nil, []int{}, &st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 0 || st != (PruneStats{}) {
+			t.Fatalf("%s: empty list answered %+v with stats %+v", alg.Name(), got, st)
+		}
+		if got, _ := db.TopKPrunedCtx(context.Background(), alg, q, 3, nil, nil, nil); len(got) != 3 {
+			t.Fatalf("%s: nil list answered %d matches, want 3", alg.Name(), len(got))
+		}
+	}
+}
+
+// subsetRank is the reference for an approximate list: score exactly the
 // given candidates with the plain per-candidate search and rank them.
 func subsetRank(alg Algorithm, data []traj.Trajectory, cands []int, q traj.Trajectory, k int) []Match {
 	var all []Match
@@ -82,13 +104,12 @@ func TestSubsetSourceRanksExactlyItsCandidates(t *testing.T) {
 	for i := 0; i < len(data); i += 3 {
 		subset = append(subset, i)
 	}
-	src := CandidateSourceFunc(func(traj.Trajectory, *geo.Rect) []int { return subset })
 
 	for _, m := range []sim.Measure{sim.DTW{}, sim.Frechet{}} {
 		for _, alg := range []Algorithm{ExactS{M: m}, PSS{M: m}} {
 			want := subsetRank(alg, data, subset, q, k)
 			var st PruneStats
-			got, err := db.TopKPrunedCtx(context.Background(), alg, q, k, nil, src, &st)
+			got, err := db.TopKPrunedCtx(context.Background(), alg, q, k, nil, subset, &st)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,11 +118,11 @@ func TestSubsetSourceRanksExactlyItsCandidates(t *testing.T) {
 			}
 			for i := range got {
 				if got[i] != want[i] {
-					t.Errorf("%s/%s rank %d: source scan %+v, direct scoring %+v", m.Name(), alg.Name(), i, got[i], want[i])
+					t.Errorf("%s/%s rank %d: list scan %+v, direct scoring %+v", m.Name(), alg.Name(), i, got[i], want[i])
 				}
 			}
 			if st.Candidates != int64(len(subset)) {
-				t.Errorf("%s/%s: scanned %d candidates, source returned %d", m.Name(), alg.Name(), st.Candidates, len(subset))
+				t.Errorf("%s/%s: scanned %d candidates, the list holds %d", m.Name(), alg.Name(), st.Candidates, len(subset))
 			}
 		}
 	}
@@ -116,11 +137,10 @@ func TestSourceThreadedThroughBatchAndStream(t *testing.T) {
 	for i := 0; i < len(data); i += 4 {
 		subset = append(subset, i)
 	}
-	src := CandidateSourceFunc(func(traj.Trajectory, *geo.Rect) []int { return subset })
 	alg := ExactS{M: sim.DTW{}}
 	want := subsetRank(alg, data, subset, q, k)
 
-	got, err := db.TopKPrunedCtx(context.Background(), alg, q, k, nil, src, nil)
+	got, err := db.TopKPrunedCtx(context.Background(), alg, q, k, nil, subset, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +155,7 @@ func TestSourceThreadedThroughBatchAndStream(t *testing.T) {
 
 	// the streaming scan sees exactly the subset too: collect and re-rank
 	var streamed []Match
-	err = db.ScanPrunedSourceCtx(context.Background(), alg, q, nil, nil, nil, src, func(m Match) error {
+	err = db.ScanPrunedSourceCtx(context.Background(), alg, q, nil, nil, nil, subset, func(m Match) error {
 		streamed = append(streamed, m)
 		return nil
 	})
@@ -148,7 +168,7 @@ func TestSourceThreadedThroughBatchAndStream(t *testing.T) {
 	}
 	for id := range seen {
 		if id%4 != 0 {
-			t.Errorf("stream scanned trajectory %d outside the source's subset", id)
+			t.Errorf("stream scanned trajectory %d outside the list", id)
 		}
 	}
 }

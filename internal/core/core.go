@@ -26,10 +26,10 @@ import (
 type Result struct {
 	// Interval is the returned subtrajectory range of the data trajectory.
 	Interval traj.Interval
-	// Dist is the dissimilarity the algorithm attributes to the interval.
-	// For splitting algorithms with simplified state maintenance
-	// (RLS-Skip) this can differ from the exact measure value; use
-	// ExactDist to re-score.
+	// Dist is the dissimilarity the algorithm attributes to the interval:
+	// its exact measure value, except for the suffix values of the PSS
+	// family (PSS, RLS with Θsuf) under t2vec, which come from the reversed
+	// pass and can differ; use ExactDist to re-score.
 	Dist float64
 	// Explored counts the subtrajectory similarity evaluations performed,
 	// an implementation-independent cost proxy.

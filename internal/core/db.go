@@ -10,52 +10,8 @@ import (
 	"simsub/internal/traj"
 )
 
-// Backend supplies a Database's trajectories and their precomputed scan
-// metadata (TrajMeta: point count, MBR). The in-memory default is built by
-// the NewDatabase* constructors; persistent backends (package
-// internal/storage) serve mmap'd on-disk points and snapshot-restored
-// metadata through the same interface, so the zero-allocation scan path is
-// oblivious to where the points live. Backends must be immutable once a
-// Database is built over them, and Traj/Meta must be safe for concurrent
-// use.
-type Backend interface {
-	// Len returns the number of trajectories.
-	Len() int
-	// Traj returns the i-th trajectory. The points may be backed by an
-	// mmap'd file and must be treated as read-only.
-	Traj(i int) traj.Trajectory
-	// Meta returns the i-th trajectory's precomputed scan metadata.
-	Meta(i int) TrajMeta
-}
-
-// memBackend is the in-memory default Backend: trajectories plus metadata
-// derived once at construction.
-type memBackend struct {
-	trajs []traj.Trajectory
-	metas []TrajMeta
-}
-
-func (b *memBackend) Len() int                   { return len(b.trajs) }
-func (b *memBackend) Traj(i int) traj.Trajectory { return b.trajs[i] }
-func (b *memBackend) Meta(i int) TrajMeta        { return b.metas[i] }
-
-// NewMemBackend builds the in-memory Backend: per-trajectory point counts
-// and MBRs are derived once, here, so the scan hot path never re-derives
-// them. When metas is non-nil it must be parallel to ts and is adopted
-// as-is (the caller — a persistent store restoring a snapshot — already
-// owns the derivation).
-func NewMemBackend(ts []traj.Trajectory, metas []TrajMeta) Backend {
-	if metas == nil {
-		metas = make([]TrajMeta, len(ts))
-		for i, t := range ts {
-			metas[i] = DeriveMeta(t)
-		}
-	}
-	return &memBackend{trajs: ts, metas: metas}
-}
-
-// DeriveMeta computes a trajectory's scan metadata from scratch: the
-// insert-time derivation the snapshot path exists to skip.
+// DeriveMeta computes a trajectory's scan metadata at insert time: its
+// point count and MBR, with no embedding.
 func DeriveMeta(t traj.Trajectory) TrajMeta {
 	return TrajMeta{N: t.Len(), MBR: t.MBR()}
 }
@@ -66,17 +22,15 @@ func DeriveMeta(t traj.Trajectory) TrajMeta {
 // principle drop the true best subtrajectory but rarely does in practice
 // (and never did for DTW/Fréchet in its experiments).
 //
-// The trajectories live behind a pluggable Backend: in-memory by default,
-// or a persistent segment store serving mmap'd points.
-//
 // A Database is immutable: Append returns a new view and leaves the
 // receiver answering as it did. The R-tree is kept as a forest so that
 // growing costs what was added, not what is stored (see Append).
 type Database struct {
-	be        Backend
+	trajs     []traj.Trajectory
+	metas     []TrajMeta // parallel to trajs
 	withIndex bool
 	// parts is the R-tree forest: STR-packed trees over contiguous,
-	// ascending ranges of local indices that together cover [0, be.Len()),
+	// ascending ranges of local indices that together cover [0, Len()),
 	// each more than twice the size of the next. Trees are never modified
 	// once built, so successive views share them.
 	parts []treePart
@@ -94,106 +48,118 @@ type treePart struct {
 // rtreeFill is the fan-out of every tree in the forest.
 const rtreeFill = 32
 
-// NewDatabase builds a database over the in-memory backend (insert-time
-// metadata derived here, once); withIndex controls whether the R-tree is
+// NewDatabase builds a database over ts, deriving each trajectory's scan
+// metadata here, once; withIndex controls whether the R-tree is
 // constructed (bulk-loaded, fan-out 32).
 func NewDatabase(ts []traj.Trajectory, withIndex bool) *Database {
-	return NewDatabaseBackend(NewMemBackend(ts, nil), withIndex)
+	metas := make([]TrajMeta, len(ts))
+	for i, t := range ts {
+		metas[i] = DeriveMeta(t)
+	}
+	return (&Database{withIndex: withIndex}).Append(ts, metas)
 }
 
-// NewDatabaseBackend builds a database over an externally owned Backend —
-// the pluggable-storage entry point. The backend's metadata feeds the index
-// build and the filter pushdown, so a backend restoring snapshot metadata
-// pays no per-point derivation here.
-func NewDatabaseBackend(be Backend, withIndex bool) *Database {
-	empty := &Database{be: &memBackend{}, withIndex: withIndex}
-	return empty.Append(be)
-}
-
-// Append returns the view of the database grown to be, which must extend
-// the receiver's backend: the same trajectories and metadata at every index
-// below db.Len(), the new ones behind them. The receiver is not modified
-// and shares its sealed trees with the result.
+// Append returns the view of the database grown to (ts, metas): parallel
+// slices that extend the receiver's, holding the same trajectories at
+// every index below db.Len() and the new ones behind them. Metadata below
+// db.Len() may differ in its embeddings only. The view adopts both slices,
+// which must not be modified below their length afterwards; appending
+// behind them is safe (see Contents), since no view reads past its own
+// length. The receiver is not modified and shares its sealed trees with
+// the result.
 //
 // For the R-tree this is the logarithmic method (Bentley & Saxe): the new
 // trajectories get a tree of their own, and while the youngest existing
 // tree is no more than twice the size of what is about to be packed it is
-// absorbed into the same bulk load (rectangles read back from be.Meta). An
+// absorbed into the same bulk load (rectangles read back from metas). An
 // entry is therefore re-packed only when its tree grows by half or more, so
 // N trajectories arriving in batches of b cost O(N log(N/b)) packing work in
 // at most ⌈log₂(N/b)⌉+1 trees, where rebuilding one tree per batch costs
 // O(N²/b). Without an index there is nothing to maintain.
-func (db *Database) Append(be Backend) *Database {
-	next := &Database{be: be, withIndex: db.withIndex, parts: db.parts, packed: db.packed}
-	if !db.withIndex || be.Len() == db.Len() {
+func (db *Database) Append(ts []traj.Trajectory, metas []TrajMeta) *Database {
+	next := &Database{trajs: ts, metas: metas, withIndex: db.withIndex, parts: db.parts, packed: db.packed}
+	if !db.withIndex || len(ts) == db.Len() {
 		return next
 	}
 	lo, keep := db.Len(), len(db.parts)
-	for keep > 0 && db.parts[keep-1].hi-db.parts[keep-1].lo <= 2*(be.Len()-lo) {
+	for keep > 0 && db.parts[keep-1].hi-db.parts[keep-1].lo <= 2*(len(ts)-lo) {
 		keep--
 		lo = db.parts[keep].lo
 	}
-	entries := make([]index.Entry, be.Len()-lo)
+	entries := make([]index.Entry, len(ts)-lo)
 	for i := range entries {
-		entries[i] = index.Entry{Rect: be.Meta(lo + i).MBR, Ref: lo + i}
+		entries[i] = index.Entry{Rect: metas[lo+i].MBR, Ref: lo + i}
 	}
-	next.parts = append(slices.Clip(db.parts[:keep]), treePart{lo, be.Len(), index.BulkLoad(entries, rtreeFill)})
+	next.parts = append(slices.Clip(db.parts[:keep]), treePart{lo, len(ts), index.BulkLoad(entries, rtreeFill)})
 	next.packed += len(entries)
 	return next
 }
 
 // Len returns the number of data trajectories.
-func (db *Database) Len() int { return db.be.Len() }
+func (db *Database) Len() int { return len(db.trajs) }
 
 // Traj returns the i-th data trajectory.
-func (db *Database) Traj(i int) traj.Trajectory { return db.be.Traj(i) }
+func (db *Database) Traj(i int) traj.Trajectory { return db.trajs[i] }
 
 // Meta returns the i-th trajectory's precomputed scan metadata.
-func (db *Database) Meta(i int) TrajMeta { return db.be.Meta(i) }
+func (db *Database) Meta(i int) TrajMeta { return db.metas[i] }
 
-// HasIndex reports whether the database prunes through an index.
-func (db *Database) HasIndex() bool { return db.withIndex }
+// Contents returns the view's trajectories and their parallel metadata:
+// the slices it adopted, shared and read-only. Appending behind them builds
+// the arguments of a grown view's Append; since the next Append may write
+// into the same arrays, only the newest view's contents may be grown.
+func (db *Database) Contents() ([]traj.Trajectory, []TrajMeta) { return db.trajs, db.metas }
 
 // Candidates returns the indices of trajectories surviving index pruning
-// for the query: with the R-tree, exactly those whose MBR intersects the
-// query's MBR (possibly none); without it, all indices. It is a set: the
-// order is unspecified — for the R-tree it is the concatenation of the
-// forest's searches — and nothing downstream depends on it, since the
-// threshold scan visits candidates by (bound, index) and the Collector's
-// ranking is a total order.
-func (db *Database) Candidates(q traj.Trajectory) []int {
+// for the query — with the R-tree, exactly those whose MBR intersects the
+// query's MBR (possibly none); without it, all indices — restricted to
+// those whose MBR intersects filter; a nil filter means no restriction.
+// The filter is the pushdown target for a query's spatial constraint: the
+// similarity pruning and the region constraint compose into one candidate
+// set before any distance is computed. It is a set: the order is
+// unspecified — for the R-tree it is the concatenation of the forest's
+// searches — and nothing downstream depends on it, since the threshold
+// scan visits candidates by (bound, index) and the Collector's ranking is
+// a total order.
+func (db *Database) Candidates(q traj.Trajectory, filter *geo.Rect) []int {
+	var out []int
 	if !db.withIndex {
-		out := make([]int, db.be.Len())
+		out = make([]int, db.Len())
 		for i := range out {
 			out[i] = i
 		}
-		return out
+	} else {
+		r := q.MBR()
+		for _, p := range db.parts {
+			out = p.tree.Search(r, out)
+		}
 	}
-	var out []int
-	r := q.MBR()
-	for _, p := range db.parts {
-		out = p.tree.Search(r, out)
-	}
-	return out
+	return db.within(out, filter)
 }
 
-// CandidatesFiltered returns Candidates(q) restricted to trajectories
-// whose MBR intersects filter; a nil filter means no restriction. This is
-// the pushdown target for a query's spatial constraint: the similarity
-// pruning and the region constraint compose into one candidate set before
-// any distance is computed.
-func (db *Database) CandidatesFiltered(q traj.Trajectory, filter *geo.Rect) []int {
-	cands := db.Candidates(q)
+// within compacts cands in place to the trajectories whose MBR intersects
+// a non-nil filter: the one place a region filter meets a candidate list.
+func (db *Database) within(cands []int, filter *geo.Rect) []int {
 	if filter == nil {
 		return cands
 	}
 	out := cands[:0]
 	for _, ci := range cands {
-		if db.be.Meta(ci).MBR.Intersects(*filter) {
+		if db.metas[ci].MBR.Intersects(*filter) {
 			out = append(out, ci)
 		}
 	}
 	return out
+}
+
+// candidates resolves a scan's candidate list: cands restricted to the
+// filter, or Candidates(q, filter) when cands is nil. An empty non-nil
+// list scans nothing.
+func (db *Database) candidates(q traj.Trajectory, filter *geo.Rect, cands []int) []int {
+	if cands == nil {
+		return db.Candidates(q, filter)
+	}
+	return db.within(cands, filter)
 }
 
 // Match is one ranked answer of a top-k query.
@@ -242,11 +208,11 @@ func (db *Database) TopK(alg Algorithm, q traj.Trajectory, k int) []Match {
 // the unpruned reference the equivalence suites rank ScanPrunedSourceCtx
 // against.
 func (db *Database) ScanFilteredCtx(ctx context.Context, alg Algorithm, q traj.Trajectory, filter *geo.Rect, fn func(Match) error) error {
-	for _, ci := range db.CandidatesFiltered(q, filter) {
+	for _, ci := range db.Candidates(q, filter) {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		t := db.be.Traj(ci)
+		t := db.trajs[ci]
 		if t.Len() == 0 {
 			continue
 		}

@@ -68,9 +68,6 @@ func TestIndexPruningConsistency(t *testing.T) {
 	ts := smallDB(rng, 30)
 	plain := NewDatabase(ts, false)
 	indexed := NewDatabase(ts, true)
-	if !indexed.HasIndex() || plain.HasIndex() {
-		t.Fatal("index flags wrong")
-	}
 	q := ts[7].Sub(1, 3) // query overlapping trajectory 7
 	alg := ExactS{M: sim.DTW{}}
 	bestPlain, ok1 := plain.Best(alg, q)
@@ -89,7 +86,7 @@ func TestCandidatesWithoutIndexIsEverything(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	ts := smallDB(rng, 10)
 	db := NewDatabase(ts, false)
-	c := db.Candidates(randTraj(rng, 3))
+	c := db.Candidates(randTraj(rng, 3), nil)
 	if len(c) != 10 {
 		t.Errorf("got %d candidates", len(c))
 	}
@@ -107,7 +104,7 @@ func TestCandidatesWithIndexPrunes(t *testing.T) {
 	}
 	db := NewDatabase(ts, true)
 	q := randTraj(rng, 4)
-	c := db.Candidates(q)
+	c := db.Candidates(q, nil)
 	if len(c) == 0 || len(c) > 15 {
 		t.Errorf("pruning ineffective: %d candidates of 20", len(c))
 	}
@@ -158,9 +155,9 @@ func TestDatabaseTrajAccessor(t *testing.T) {
 func TestDatabaseSurfacePinned(t *testing.T) {
 	allowed := []string{
 		// the store, and the one way it grows (ISSUE 24: flat-cost ingest)
-		"Len", "Traj", "Meta", "HasIndex", "Append",
-		// candidate generation
-		"Candidates", "CandidatesFiltered", "SpatialSource",
+		"Len", "Traj", "Meta", "Contents", "Append",
+		// candidate generation: index pruning and the region filter
+		"Candidates",
 		// the one threshold scan, the one top-k on it, their conveniences
 		// (parallelism is the engine's: its shards share one Collector)
 		"ScanPrunedSourceCtx", "TopKPrunedCtx", "TopK", "Best",

@@ -62,7 +62,7 @@ func TestAppendForestMatchesOneTree(t *testing.T) {
 				answers [][]int
 			}
 			var old []pinned
-			db := NewDatabaseBackend(NewMemBackend(nil, nil), withIndex)
+			db := NewDatabase(nil, withIndex)
 			for n := 0; n < len(ts); {
 				// mostly small batches, now and then one larger than the store
 				step := 1 + rng.Intn(40)
@@ -70,16 +70,16 @@ func TestAppendForestMatchesOneTree(t *testing.T) {
 					step = 1 + rng.Intn(400)
 				}
 				n = min(n+step, len(ts))
-				db = db.Append(NewMemBackend(ts[:n], metas[:n]))
+				db = db.Append(ts[:n], metas[:n])
 				if db.Len() != n {
 					t.Fatalf("seed %d index %v: Len %d after appending to %d", seed, withIndex, db.Len(), n)
 				}
-				one := NewDatabaseBackend(NewMemBackend(ts[:n], metas[:n]), withIndex)
+				one := NewDatabase(ts[:n], withIndex)
 				answers := make([][]int, len(queries))
 				for qi, q := range queries {
-					got := sortedInts(db.CandidatesFiltered(q, filters[qi]))
+					got := sortedInts(db.Candidates(q, filters[qi]))
 					answers[qi] = got
-					if want := sortedInts(one.CandidatesFiltered(q, filters[qi])); !slices.Equal(got, want) {
+					if want := sortedInts(one.Candidates(q, filters[qi])); !slices.Equal(got, want) {
 						t.Fatalf("seed %d index %v n %d query %d: grown view %v, built whole %v", seed, withIndex, n, qi, got, want)
 					}
 					if withIndex {
@@ -87,8 +87,8 @@ func TestAppendForestMatchesOneTree(t *testing.T) {
 							t.Fatalf("seed %d n %d query %d: forest %v, brute force %v", seed, n, qi, got, want)
 						}
 					}
-					if filters[qi] == nil && !slices.Equal(got, sortedInts(db.Candidates(q))) {
-						t.Fatalf("seed %d index %v n %d query %d: Candidates and CandidatesFiltered(nil) disagree", seed, withIndex, n, qi)
+					if filters[qi] == nil && !slices.Equal(got, sortedInts(db.Candidates(q, nil))) {
+						t.Fatalf("seed %d index %v n %d query %d: Candidates and Candidates(nil) disagree", seed, withIndex, n, qi)
 					}
 				}
 				if rng.Intn(6) == 0 {
@@ -103,7 +103,7 @@ func TestAppendForestMatchesOneTree(t *testing.T) {
 			}
 			for _, p := range old {
 				for qi, q := range queries {
-					if got := sortedInts(p.db.CandidatesFiltered(q, filters[qi])); p.db.Len() != p.n || !slices.Equal(got, p.answers[qi]) {
+					if got := sortedInts(p.db.Candidates(q, filters[qi])); p.db.Len() != p.n || !slices.Equal(got, p.answers[qi]) {
 						t.Fatalf("seed %d index %v: the view of %d trajectories answers query %d with %v after later appends, %v before",
 							seed, withIndex, p.n, qi, got, p.answers[qi])
 					}
@@ -128,9 +128,9 @@ func TestAppendPackingWorkIsLogarithmic(t *testing.T) {
 		ts[i] = traj.FromXY(x, y, x+rng.Float64(), y+rng.Float64())
 		metas[i] = TrajMeta{N: 2, MBR: ts[i].MBR()}
 	}
-	db := NewDatabaseBackend(NewMemBackend(nil, nil), true)
+	db := NewDatabase(nil, true)
 	for n := batch; n <= total; n += batch {
-		db = db.Append(NewMemBackend(ts[:n], metas[:n]))
+		db = db.Append(ts[:n], metas[:n])
 		if limit := int(math.Ceil(math.Log2(float64(n)/batch))) + 1; len(db.parts) > limit {
 			t.Fatalf("%d trajectories sit in %d trees, want at most %d", n, len(db.parts), limit)
 		}
@@ -154,7 +154,7 @@ func TestAppendPackingWorkIsLogarithmic(t *testing.T) {
 	for i := range entries {
 		entries[i] = index.Entry{Rect: metas[i].MBR, Ref: i}
 	}
-	if got, want := sortedInts(db.Candidates(q)), sortedInts(index.BulkLoad(entries, rtreeFill).Search(q.MBR(), nil)); !slices.Equal(got, want) {
+	if got, want := sortedInts(db.Candidates(q, nil)), sortedInts(index.BulkLoad(entries, rtreeFill).Search(q.MBR(), nil)); !slices.Equal(got, want) {
 		t.Fatalf("forest of %d trees finds %d candidates, one tree %d", len(db.parts), len(got), len(want))
 	}
 }

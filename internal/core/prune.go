@@ -56,20 +56,6 @@ type TrajMeta struct {
 	Emb []float64
 }
 
-// Thresholder yields a scan's current best-so-far bound: the running
-// k-th-best distance, +Inf until k matches have been retained. It must be
-// safe for concurrent use.
-type Thresholder interface {
-	Threshold() float64
-}
-
-// NoThreshold is the Thresholder that never prunes.
-var NoThreshold Thresholder = infThresholder{}
-
-type infThresholder struct{}
-
-func (infThresholder) Threshold() float64 { return math.Inf(1) }
-
 // PruneStats counts the pruning outcomes of one scan. Candidates is every
 // non-empty trajectory considered after index/filter pruning; each is
 // either LB-skipped (lower-bound cascade, no DP), abandoned (DP started but
@@ -342,7 +328,7 @@ func (p *suffixPass) dists(t traj.Trajectory) []float64 {
 	return p.suf
 }
 
-// Collector is the result set and the Thresholder of a top-k scan in one: a
+// Collector is the result set and the threshold of a top-k scan in one: a
 // bounded max-heap of the k best matches offered so far under RankBefore,
 // publishing min(seed, k-th-best distance) through an atomic so scan loops
 // read the threshold without locking. Every top-k in the repository ends in
@@ -453,9 +439,13 @@ func (c *Collector) down(i int) {
 	}
 }
 
-// Threshold implements Thresholder: min(seed, k-th best distance), +Inf
-// until k matches are retained and no seed was given.
+// Threshold is the scan's best-so-far bound: min(seed, k-th best
+// distance), +Inf until k matches are retained and no seed was given. It
+// is safe for concurrent use, and a nil Collector never prunes.
 func (c *Collector) Threshold() float64 {
+	if c == nil {
+		return math.Inf(1)
+	}
 	return math.Float64frombits(c.bits.Load())
 }
 
@@ -470,31 +460,31 @@ func (c *Collector) Sorted() []Match {
 }
 
 // ScanPrunedSourceCtx is the one threshold scan every top-k runs on:
-// ScanFilteredCtx with the threshold pipeline. Candidates come from src
-// (nil = the Database's spatial enumeration); those whose lower bound beats
-// the threshold are skipped, per-trajectory searches abandon against it,
-// and fn only sees matches that could still enter a top-k whose k-th-best
-// distance is th.Threshold() (nil = NoThreshold) — in ascending lower-bound
-// order, not candidate order. The pipeline is identical whatever the
-// source: each candidate it yields flows through the lower-bound cascade,
-// the abandoning search and the result post-filter unchanged. Algorithms
-// that do not implement ThresholdSearcher are scanned unpruned, in
-// candidate order. st, when non-nil, receives the scan's pruning counters;
-// it is not synchronized.
-func (db *Database) ScanPrunedSourceCtx(ctx context.Context, alg Algorithm, q traj.Trajectory, filter *geo.Rect, th Thresholder, st *PruneStats, src CandidateSource, fn func(Match) error) error {
+// ScanFilteredCtx with the threshold pipeline. It scans cands restricted to
+// the filter — nil cands means Candidates(q, filter), and an empty non-nil
+// list scans nothing; a non-nil list is the scan's to compact in place.
+// Candidates whose lower bound beats the threshold are skipped,
+// per-trajectory searches abandon against it, and fn only sees matches that
+// could still enter a top-k whose k-th-best distance is col.Threshold()
+// (a nil col never prunes) — in ascending lower-bound order, not candidate
+// order. The pipeline is identical whatever the list: each candidate flows
+// through the lower-bound cascade, the abandoning search and the result
+// post-filter unchanged, so an approximate list (the engine's embedding
+// prefilter) is reranked exactly. Algorithms that do not implement
+// ThresholdSearcher are scanned unpruned, in candidate order. st, when
+// non-nil, receives the scan's pruning counters; it is not synchronized.
+func (db *Database) ScanPrunedSourceCtx(ctx context.Context, alg Algorithm, q traj.Trajectory, filter *geo.Rect, col *Collector, st *PruneStats, cands []int, fn func(Match) error) error {
 	if st == nil {
 		st = &PruneStats{}
 	}
-	if th == nil {
-		th = NoThreshold
-	}
+	cands = db.candidates(q, filter, cands)
 	ts, ok := alg.(ThresholdSearcher)
 	if !ok {
-		for _, ci := range db.candidatesFrom(src, q, filter) {
+		for _, ci := range cands {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			t := db.be.Traj(ci)
+			t := db.trajs[ci]
 			if t.Len() == 0 {
 				continue
 			}
@@ -516,19 +506,18 @@ func (db *Database) ScanPrunedSourceCtx(ctx context.Context, alg Algorithm, q tr
 	// is a function of the match set under RankBefore, not of the offer
 	// order. Searches that cannot bound report 0 for every candidate and so
 	// keep ID order.
-	cands := db.candidatesFrom(src, q, filter)
 	order := make([]boundedCand, 0, len(cands))
 	for _, ci := range cands {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		t := db.be.Traj(ci)
+		t := db.trajs[ci]
 		if t.Len() == 0 {
 			continue
 		}
 		st.Candidates++
-		tau := th.Threshold()
-		if b := search.Bound(t, db.Meta(ci), tau); b > tau {
+		tau := col.Threshold()
+		if b := search.Bound(t, db.metas[ci], tau); b > tau {
 			st.LBSkipped++
 		} else {
 			order = append(order, boundedCand{bound: b, index: ci})
@@ -541,12 +530,12 @@ func (db *Database) ScanPrunedSourceCtx(ctx context.Context, alg Algorithm, q tr
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		tau := th.Threshold()
+		tau := col.Threshold()
 		if c.bound > tau {
 			st.LBSkipped += int64(len(order) - i)
 			break
 		}
-		r, pruned := search.Search(db.be.Traj(c.index), db.Meta(c.index), tau)
+		r, pruned := search.Search(db.trajs[c.index], db.metas[c.index], tau)
 		if pruned != NotPruned {
 			st.Abandoned++
 			continue
@@ -567,19 +556,18 @@ type boundedCand struct {
 }
 
 // TopKPrunedCtx is the one top-k over ScanPrunedSourceCtx: the k best
-// matches among src's candidates (nil = the spatial enumeration, restricted
-// to trajectories whose MBR intersects a non-nil filter), the scan pruning
+// matches among cands (nil = Candidates(q, filter)), restricted to
+// trajectories whose MBR intersects a non-nil filter, the scan pruning
 // against its own running k-th best. The context is checked between
 // per-trajectory searches — a single search is not interruptible — and on
-// cancellation the result is (nil, ctx.Err()). Over the spatial source the
-// ranking is byte-identical to the unpruned scan's; with an approximate
-// source it is the exact top-k OF THE CANDIDATES THE SOURCE RETURNED —
-// every retained match carries the same exact distance the spatial scan
-// would have computed for it, but trajectories the source omitted are
-// simply absent.
-func (db *Database) TopKPrunedCtx(ctx context.Context, alg Algorithm, q traj.Trajectory, k int, filter *geo.Rect, src CandidateSource, st *PruneStats) ([]Match, error) {
+// cancellation the result is (nil, ctx.Err()). Over the spatial candidates
+// the ranking is byte-identical to the unpruned scan's; over an explicit
+// list it is the exact top-k OF THAT LIST — every retained match carries
+// the same exact distance the spatial scan would have computed for it, but
+// trajectories the list omits are simply absent.
+func (db *Database) TopKPrunedCtx(ctx context.Context, alg Algorithm, q traj.Trajectory, k int, filter *geo.Rect, cands []int, st *PruneStats) ([]Match, error) {
 	c := NewCollector(k)
-	if err := db.ScanPrunedSourceCtx(ctx, alg, q, filter, c, st, src, c.offer); err != nil {
+	if err := db.ScanPrunedSourceCtx(ctx, alg, q, filter, c, st, cands, c.offer); err != nil {
 		return nil, err
 	}
 	return c.Sorted(), nil

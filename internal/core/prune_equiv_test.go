@@ -114,20 +114,19 @@ func TestPrunedScanEquivalence(t *testing.T) {
 // one Collector, so every search prunes against the best k-th distance any
 // worker has found. Its ranking must be the serial scan's.
 func sharedTopK(db *Database, alg Algorithm, q traj.Trajectory, k, workers int) ([]Match, error) {
-	cands := db.Candidates(q)
+	cands := db.Candidates(q, nil)
 	c := NewCollector(k)
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for w := range workers {
-		var stripe []int
+		stripe := []int{} // never nil: a nil list would scan every candidate
 		for i := w; i < len(cands); i += workers {
 			stripe = append(stripe, cands[i])
 		}
-		src := CandidateSourceFunc(func(traj.Trajectory, *geo.Rect) []int { return stripe })
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[w] = db.ScanPrunedSourceCtx(context.Background(), alg, q, nil, c, nil, src, c.offer)
+			errs[w] = db.ScanPrunedSourceCtx(context.Background(), alg, q, nil, c, nil, stripe, c.offer)
 		}()
 	}
 	wg.Wait()

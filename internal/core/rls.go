@@ -83,8 +83,20 @@ func (a RLS) Search(t, q traj.Trajectory) Result {
 		defer actor.Release()
 		walk(env, actor)
 	}
+	return walkResult(env, a.M, t, q, simplify)
+}
+
+// walkResult reads a finished walk's answer. A simplified-state walk
+// tracks distances that ignore skipped points and can undercut even the
+// exact optimum, so its winning interval is re-scored with the measure
+// once: every reported distance is the measure value of its interval.
+func walkResult(env *rl.SplitEnv, m sim.Measure, t, q traj.Trajectory, simplify bool) Result {
 	iv, d := env.Best()
-	return Result{Interval: iv, Dist: d, Explored: env.Explored(), Scanned: env.Scanned()}
+	r := Result{Interval: iv, Dist: d, Explored: env.Explored(), Scanned: env.Scanned()}
+	if simplify {
+		r.Dist = ExactDist(m, t, q, r)
+	}
+	return r
 }
 
 // walk drives one environment to completion with greedy actions, without
@@ -101,27 +113,17 @@ func walk(env *rl.SplitEnv, actor rl.Actor) {
 }
 
 // NewThresholdSearch implements ThresholdSearcher for the learned searches.
-//
-// Whether the candidate-level lower-bound cascade applies depends on the
-// policy's state maintenance. With FULL state every interval the walk
-// reports is a genuine subtrajectory whose tracked distance is the true
-// measure value, so — exactly as for the split family — the cascade's
-// bound is below anything the walk could report, and a candidate whose
-// bound beats tau can be skipped without touching the ranking. With
-// SIMPLIFIED state the tracked distance ignores skipped points and can
-// undercut the exact value (even the exact optimum), so the cascade could
-// prune a candidate whose tracked answer would have entered the ranking;
-// the threshold then acts purely as a post-filter — the walk always runs,
-// and a completed result strictly beyond tau is suppressed, which is
-// exactly what the top-k heap would do. Either way rankings stay
-// byte-identical to an unpruned RLS scan.
+// Every interval a walk reports is a genuine subtrajectory carrying its
+// measure value (see walkResult), so — exactly as for the split family —
+// the cascade's bound is below anything the walk could report, and a
+// candidate whose bound beats tau is skipped without touching the ranking.
 //
 // The per-query state mirrors splitThresholdSearch: PSS's suffixPass when
 // the policy reads Θsuf, plus one environment and one actor Rebind-ed at
 // each candidate, so the sequential scan path performs no per-candidate
 // allocation either.
 func (a RLS) NewThresholdSearch(q traj.Trajectory) ThresholdSearch {
-	s := &rlsThresholdSearch{}
+	s := &rlsThresholdSearch{m: a.M, q: q}
 	_, useSuffix, simplify, ok := a.params()
 	if !ok || q.Len() == 0 {
 		return s // degenerate: every candidate reports an infinite distance
@@ -129,9 +131,8 @@ func (a RLS) NewThresholdSearch(q traj.Trajectory) ThresholdSearch {
 	if useSuffix {
 		s.suffixPass = &suffixPass{m: a.M, qRev: q.Reverse()}
 	}
-	if !simplify {
-		s.cascade = cascadeFor(a.M, q)
-	}
+	s.cascade = cascadeFor(a.M, q)
+	s.simplify = simplify
 	s.env = rl.NewScanEnv(a.M, q, rl.EnvConfig{UseSuffix: useSuffix, SimplifyState: simplify})
 	if a.Table != nil {
 		s.table = a.Table
@@ -142,8 +143,11 @@ func (a RLS) NewThresholdSearch(q traj.Trajectory) ThresholdSearch {
 }
 
 type rlsThresholdSearch struct {
-	cascade     // armed only for full-state policies
+	cascade
 	*suffixPass // nil unless the policy reads Θsuf
+	m           sim.Measure
+	q           traj.Trajectory
+	simplify    bool // re-score the winning interval (see walkResult)
 	env         *rl.SplitEnv
 	table       *rl.TablePolicy // serve from the fused table walk when set
 	actor       rl.Actor        // network actor otherwise
@@ -162,8 +166,7 @@ func (s *rlsThresholdSearch) Search(t traj.Trajectory, meta TrajMeta, tau float6
 		} else {
 			walk(s.env, s.actor)
 		}
-		iv, d := s.env.Best()
-		r = Result{Interval: iv, Dist: d, Explored: s.env.Explored(), Scanned: s.env.Scanned()}
+		r = walkResult(s.env, s.m, t, s.q, s.simplify)
 	}
 	return within(r, tau)
 }

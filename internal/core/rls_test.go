@@ -258,10 +258,10 @@ func noisyPolicy(seed int64, k int, useSuffix, simplify bool) *rl.Policy {
 // of the pruned≡unpruned equivalence matrix: a TopKPrunedCtx ranking must
 // be byte-identical to ranking every candidate's direct RLS.Search result —
 // for constant and state-dependent policies, network- and table-served, the
-// policy-less degenerate algorithm and an empty query. Full-state policies
-// may skip candidates through the lower-bound cascade (their tracked
-// distances are genuine subtrajectory distances, which the cascade bounds
-// from below); simplified-state policies must not touch it. A threshold
+// policy-less degenerate algorithm and an empty query. Every policy may
+// skip candidates through the lower-bound cascade: its reported distances
+// are genuine subtrajectory distances, which the cascade bounds from below
+// (TestSimplifiedWalkReportsExactDist pins that for simplified state). A threshold
 // seeded before the scan starts — a sibling shard or a router's bound having
 // got there first — must leave exactly the matches within it.
 func TestRLSThresholdScanMatchesUnpruned(t *testing.T) {
@@ -289,7 +289,6 @@ func TestRLSThresholdScanMatchesUnpruned(t *testing.T) {
 		if _, ok := Algorithm(alg).(ThresholdSearcher); !ok {
 			t.Fatal("RLS does not implement ThresholdSearcher")
 		}
-		_, _, simplified, _ := alg.params()
 		for qi, q := range []traj.Trajectory{randTraj(rng, 5), {}} {
 			// a zero TrajMeta is no special case: the suffix pass never reads
 			// metadata, it reverses every candidate into scratch
@@ -314,9 +313,6 @@ func TestRLSThresholdScanMatchesUnpruned(t *testing.T) {
 				if !slices.Equal(got, want) {
 					t.Fatalf("%s:\ngot  %+v\nwant %+v", name, got, want)
 				}
-				if simplified && st.LBSkipped != 0 {
-					t.Errorf("%s: simplified-state scan used the lower-bound cascade (%d LB skips)", name, st.LBSkipped)
-				}
 
 				tau := want[len(want)/2].Result.Dist
 				seeded := NewCollector(k)
@@ -336,6 +332,56 @@ func TestRLSThresholdScanMatchesUnpruned(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSimplifiedWalkReportsExactDist pins what a served learned distance
+// means: a simplified-state walk tracks distances that ignore skipped
+// points, so its winning interval is re-scored, and every match of a
+// pruned scan — network- and table-served, DTW and Fréchet — carries the
+// measure value of its interval bit for bit. With genuine distances the
+// lower-bound cascade is armed, and it skips candidates here.
+func TestSimplifiedWalkReportsExactDist(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	ts := make([]traj.Trajectory, 80)
+	for i := range ts {
+		ts[i] = randTraj(rng, rng.Intn(20)+6)
+	}
+	db := NewDatabase(ts, false)
+	queries := []traj.Trajectory{randTraj(rng, 5), randTraj(rng, 8)}
+	var lbSkipped int64
+	for _, m := range []sim.Measure{sim.DTW{}, sim.Frechet{}} {
+		table, err := rl.Compile(noisyPolicy(5, 2, true, true), 8)
+		if err != nil {
+			t.Fatalf("Compile: %v", err)
+		}
+		for ai, alg := range []RLS{
+			{M: m, Policy: constPolicy(2, 1, false, true)}, // skip 1 at every step
+			{M: m, Policy: noisyPolicy(3, 3, true, true)},
+			{M: m, Policy: noisyPolicy(4, 3, false, true)},
+			{M: m, Table: table},
+		} {
+			for qi, q := range queries {
+				for _, k := range []int{1, 3, len(ts)} {
+					var st PruneStats
+					got, err := db.TopKPrunedCtx(context.Background(), alg, q, k, nil, nil, &st)
+					if err != nil {
+						t.Fatal(err)
+					}
+					lbSkipped += st.LBSkipped
+					for _, mt := range got {
+						want := ExactDist(m, ts[mt.TrajIndex], q, mt.Result)
+						if math.Float64bits(mt.Result.Dist) != math.Float64bits(want) {
+							t.Fatalf("%s alg%d q%d k=%d trajectory %d %v: dist %v, ExactDist %v",
+								m.Name(), ai, qi, k, mt.TrajIndex, mt.Result.Interval, mt.Result.Dist, want)
+						}
+					}
+				}
+			}
+		}
+	}
+	if lbSkipped == 0 {
+		t.Error("the lower-bound cascade never skipped a candidate of a simplified-state scan")
 	}
 }
 

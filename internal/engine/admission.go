@@ -296,13 +296,21 @@ func (e *Engine) budgetFallback(a *artifacts, q Query, remaining time.Duration, 
 }
 
 // degradeTarget is the overload-path fallback: the first servable entry of
-// the degradation chain, with no cost check — anything on the chain is
-// cheaper than the exhaustive scan being shed.
-func degradeTarget(a *artifacts, q Query) string {
+// the degradation chain that is not known to cost at least as much as the
+// shed query — under DTW/Fréchet the free-start ExactS can undercut PSS, and
+// a degraded answer must be cheaper, not only approximate. A pair whose
+// cost is still unknown keeps the benefit of the doubt.
+func (e *Engine) degradeTarget(a *artifacts, q Query) string {
+	n := e.Len()
+	own, ownKnown := e.cost.estimate(q.Measure, q.Algorithm, n)
 	for _, fb := range degradeChain(q.Algorithm) {
-		if servable(a, q, fb) {
-			return fb
+		if !servable(a, q, fb) {
+			continue
 		}
+		if est, known := e.cost.estimate(q.Measure, fb, n); known && ownKnown && est >= own {
+			continue
+		}
+		return fb
 	}
 	return ""
 }
@@ -344,7 +352,7 @@ func (e *Engine) planAdmit(ctx context.Context, a *artifacts, q *Query) (func(),
 	if aerr != nil && aerr.Code == api.CodeOverloaded && q.AllowDegraded && classOf(q.Algorithm) == classExpensive {
 		// shed as an exhaustive scan, but the caller would rather have a
 		// cheaper answer than an error: retry once in the cheap class
-		if fb := degradeTarget(a, *q); fb != "" {
+		if fb := e.degradeTarget(a, *q); fb != "" {
 			deg = &api.Degraded{Reason: api.DegradedOverload, From: q.Algorithm, To: fb}
 			q.Algorithm = fb
 			rel, aerr = e.adm.acquire(ctx, classOf(q.Algorithm))

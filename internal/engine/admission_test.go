@@ -232,3 +232,37 @@ func TestOverloadDegradesExpensiveWithOptIn(t *testing.T) {
 		t.Fatalf("overloaded rejection carries no Retry-After hint: %+v", res.Error)
 	}
 }
+
+// TestOverloadNeverDegradesToCostlier pins the overload fallback to a
+// cheaper plan: when the cost model knows PSS costs more than the shed
+// ExactS scan (as it does under DTW/Fréchet), a shed opt-in query is not
+// moved onto PSS; with no other fallback it is rejected as overloaded.
+func TestOverloadNeverDegradesToCostlier(t *testing.T) {
+	e := New(Config{Shards: 2, CacheSize: 0, QuerySlots: 1})
+	rng := rand.New(rand.NewSource(8))
+	if _, err := e.Add(randSet(rng, 20)); err != nil {
+		t.Fatal(err)
+	}
+	forceCost(e, "dtw", "exacts", time.Microsecond)
+	forceCost(e, "dtw", "pss", 2*time.Microsecond)
+	rel, aerr := e.adm.acquire(context.Background(), classCheap)
+	if aerr != nil {
+		t.Fatalf("holding slot: %v", aerr)
+	}
+	e.adm.shedding.Store(true)
+	go func() {
+		time.Sleep(30 * time.Millisecond)
+		rel() // a cheap-class retry would drain from the queue
+	}()
+	spec := api.QuerySpec{Query: api.FromTraj(randTraj(rng, 5)), K: 3, Measure: "dtw", Algorithm: "exacts", AllowDegraded: true}
+	res := e.QueryOne(context.Background(), spec)
+	if res.Degraded != nil {
+		t.Fatalf("Degraded = %+v: a shed exacts query moved onto a costlier plan", res.Degraded)
+	}
+	if res.Error == nil || res.Error.Code != api.CodeOverloaded {
+		t.Fatalf("got %+v, want overloaded", res.Error)
+	}
+	if got := e.Stats().DegradedQueries; got != 0 {
+		t.Fatalf("DegradedQueries = %d, want 0", got)
+	}
+}

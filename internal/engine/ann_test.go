@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"simsub/api"
+	"simsub/internal/core"
 	"simsub/internal/geo"
 	"simsub/internal/nn"
 	"simsub/internal/storage"
@@ -16,7 +17,7 @@ import (
 )
 
 // Tests for the ANN prefilter and the encoder registry: the embedding
-// index is a coarse CandidateSource whose survivors are reranked by the
+// index proposes a coarse candidate list whose members are reranked by the
 // unchanged exact cascade, the encoder hot-swaps through the same
 // fingerprint/cache machinery as the policy registry, and persisted
 // embeddings let recovery skip re-encoding.
@@ -102,6 +103,38 @@ func TestANNPrefilterScansFewerCandidates(t *testing.T) {
 	}
 	if e.Stats().ANNQueries == 0 {
 		t.Error("ann_queries counter never moved")
+	}
+}
+
+// TestANNEmptyAnswerScansNothing pins the prefilter's empty answer: an
+// index that proposes nothing — ann.Index.Search answers nil for a query
+// embedding it cannot compare — must leave the shard scanning nothing, never
+// falling back to the spatial candidates.
+func TestANNEmptyAnswerScansNothing(t *testing.T) {
+	e, _ := annEngine(t, 2, 40, 85)
+	q := Query{Q: randTraj(rand.New(rand.NewSource(86)), 6), K: 3, Measure: "dtw", Algorithm: "exacts"}
+	alg, err := e.Resolve(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	annq := &annQuery{qEmb: []float64{1}, want: 10, probes: 2} // wrong dimension
+	for si, s := range e.shards {
+		_, ix := s.view()
+		if ids := ix.Search(annq.qEmb, annq.want, annq.probes); ids != nil {
+			t.Fatalf("shard %d: Search answered %v for a mismatched embedding, want nil", si, ids)
+		}
+		var st core.PruneStats
+		col := core.NewCollector(q.K)
+		err := s.scan(context.Background(), alg, q, col, &st, annq, func(m core.Match) error {
+			col.Offer(m)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st != (core.PruneStats{}) || len(col.Sorted()) != 0 {
+			t.Fatalf("shard %d: an empty prefilter answer scanned %+v and ranked %v", si, st, col.Sorted())
+		}
 	}
 }
 

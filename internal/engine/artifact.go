@@ -13,11 +13,9 @@ import (
 	"simsub/api"
 	"simsub/internal/ann"
 	"simsub/internal/core"
-	"simsub/internal/geo"
 	"simsub/internal/rl"
 	"simsub/internal/sim"
 	"simsub/internal/t2vec"
-	"simsub/internal/traj"
 )
 
 // This file is the serving-artifact registry: the engine's home for the
@@ -348,28 +346,16 @@ func (e *Engine) annQueryFor(enc *t2vec.Model, q Query) *annQuery {
 	}
 }
 
-// annSource adapts one shard's LSH index to core.CandidateSource: the
-// index proposes its embedding-nearest `want` members, restricted to the
-// query's region filter. The exact cascade downstream reranks whatever
-// comes back, so the only approximation is which trajectories are absent.
-type annSource struct {
-	db *core.Database
-	ix *ann.Index
-	q  *annQuery
-}
-
-func (s annSource) Candidates(q traj.Trajectory, filter *geo.Rect) []int {
-	ids := s.ix.Search(s.q.qEmb, s.q.want, s.q.probes)
-	if filter == nil {
+// candidates is the shard's share of the prefilter: the index's
+// embedding-nearest members, which the scan restricts to the region filter
+// and reranks exactly, so the only approximation is which trajectories are
+// absent. It is never nil: an index that proposes nothing scans nothing,
+// where a nil list would fall back to the spatial candidates.
+func (a *annQuery) candidates(ix *ann.Index) []int {
+	if ids := ix.Search(a.qEmb, a.want, a.probes); ids != nil {
 		return ids
 	}
-	out := ids[:0]
-	for _, ci := range ids {
-		if s.db.Meta(ci).MBR.Intersects(*filter) {
-			out = append(out, ci)
-		}
-	}
-	return out
+	return []int{}
 }
 
 // sampler is one sampled serving-telemetry aggregate: a per-query rate

@@ -213,8 +213,8 @@ type Match struct {
 // Stats is a point-in-time snapshot of engine counters, in its wire form.
 type Stats = api.Stats
 
-// shard is one partition of the store: a slice of trajectories (global IDs
-// ≡ shard index mod shard count) behind a core.Database view. Views are
+// shard is one partition of the store: the trajectories with global IDs ≡
+// shard index mod shard count, held by a core.Database view. Views are
 // immutable: a load or an encoder swap builds the next one beside the
 // current one and installs it under the write lock, which is held for the
 // pointer swap only, so in-flight searches keep their consistent view and
@@ -222,10 +222,8 @@ type Stats = api.Stats
 // Engine.addMu, so the fields have one writer at a time and that writer may
 // read them without the lock.
 type shard struct {
-	mu    sync.RWMutex
-	trajs []traj.Trajectory
-	metas []core.TrajMeta
-	db    *core.Database
+	mu sync.RWMutex
+	db *core.Database
 	// ann indexes the shard's embeddings (TrajMeta.Emb) for the approximate
 	// candidate prefilter; nil until an encoder is registered. Installed
 	// together with db, so a view() pair is always consistent.
@@ -236,20 +234,22 @@ type shard struct {
 // Readers of the current view never look past its length, so appending in
 // place behind it is safe.
 func (s *shard) add(ts []traj.Trajectory, metas []core.TrajMeta, enc *t2vec.Model) {
-	s.install(append(s.trajs, ts...), append(s.metas, metas...), enc)
+	stored, storedMetas := s.db.Contents()
+	s.install(append(stored, ts...), append(storedMetas, metas...), enc)
 }
 
 // reembed re-encodes every stored trajectory under enc into a FRESH meta
 // slice (in-flight searches keep reading the old one) and returns the
 // embeddings in local order.
 func (s *shard) reembed(enc *t2vec.Model) [][]float64 {
-	metas := slices.Clone(s.metas)
+	trajs, metas := s.db.Contents()
+	metas = slices.Clone(metas)
 	embs := make([][]float64, len(metas))
 	for i := range metas {
-		embs[i] = enc.Embed(s.trajs[i])
+		embs[i] = enc.Embed(trajs[i])
 		metas[i].Emb = embs[i]
 	}
-	s.install(s.trajs, metas, enc)
+	s.install(trajs, metas, enc)
 	return embs
 }
 
@@ -259,7 +259,7 @@ func (s *shard) reembed(enc *t2vec.Model) [][]float64 {
 // with an encoder registered, the LSH index is rebuilt over every stored
 // embedding, both outside the lock.
 func (s *shard) install(trajs []traj.Trajectory, metas []core.TrajMeta, enc *t2vec.Model) {
-	db := s.db.Append(core.NewMemBackend(trajs, metas))
+	db := s.db.Append(trajs, metas)
 	var ix *ann.Index
 	if enc != nil {
 		vecs := make([][]float64, len(metas))
@@ -269,7 +269,7 @@ func (s *shard) install(trajs []traj.Trajectory, metas []core.TrajMeta, enc *t2v
 		ix = ann.Build(vecs, enc.Dim(), ann.Config{})
 	}
 	s.mu.Lock()
-	s.trajs, s.metas, s.db, s.ann = trajs, metas, db, ix
+	s.db, s.ann = db, ix
 	s.mu.Unlock()
 }
 
@@ -284,14 +284,15 @@ func (s *shard) view() (*core.Database, *ann.Index) {
 
 // scan runs the one threshold scan over the shard's current snapshot,
 // pruning against col and handing fn every surviving match under its global
-// trajectory ID.
+// trajectory ID. With annq set (and an index built), the candidates are the
+// index's embedding-nearest members rather than the spatial enumeration.
 func (s *shard) scan(ctx context.Context, alg core.Algorithm, q Query, col *core.Collector, st *core.PruneStats, annq *annQuery, fn func(core.Match) error) error {
 	db, ix := s.view()
-	var src core.CandidateSource
+	var cands []int
 	if annq != nil && ix != nil {
-		src = annSource{db: db, ix: ix, q: annq}
+		cands = annq.candidates(ix)
 	}
-	return db.ScanPrunedSourceCtx(ctx, alg, q.Q, q.Filter, col, st, src, func(m core.Match) error {
+	return db.ScanPrunedSourceCtx(ctx, alg, q.Q, q.Filter, col, st, cands, func(m core.Match) error {
 		m.TrajIndex = db.Traj(m.TrajIndex).ID
 		return fn(m)
 	})
@@ -355,7 +356,7 @@ func New(cfg Config) *Engine {
 		adm:    newAdmitter(cfg.QuerySlots, cfg.QueueLimit, cfg.QueueTarget, cfg.QueueInterval),
 	}
 	for i := range e.shards {
-		e.shards[i] = &shard{db: core.NewDatabaseBackend(core.NewMemBackend(nil, nil), cfg.Index != ScanAll)}
+		e.shards[i] = &shard{db: core.NewDatabase(nil, cfg.Index != ScanAll)}
 	}
 	e.art.Store(&artifacts{})
 	return e
@@ -486,14 +487,12 @@ func (e *Engine) Traj(id int) (traj.Trajectory, bool) {
 	if id < 0 || id >= e.Len() {
 		return traj.Trajectory{}, false
 	}
-	s := e.shards[id%len(e.shards)]
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	db, _ := e.shards[id%len(e.shards)].view()
 	local := id / len(e.shards)
-	if local >= len(s.trajs) {
+	if local >= db.Len() {
 		return traj.Trajectory{}, false
 	}
-	return s.trajs[local], true
+	return db.Traj(local), true
 }
 
 // ResolveNames builds the named measure and algorithm with their

@@ -64,11 +64,10 @@ func recoveryEngine(t *testing.T, enc *t2vec.Model) *Engine {
 func embeddingsOf(e *Engine) [][]float64 {
 	out := make([][]float64, e.Len())
 	for si, s := range e.shards {
-		s.mu.RLock()
-		for li, m := range s.metas {
-			out[li*len(e.shards)+si] = m.Emb
+		db, _ := s.view()
+		for li := range db.Len() {
+			out[li*len(e.shards)+si] = db.Meta(li).Emb
 		}
-		s.mu.RUnlock()
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/base64"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"testing"
@@ -172,5 +173,93 @@ func TestANNSpecValidation(t *testing.T) {
 		if res.Error == nil || res.Error.Code != api.CodeInvalidArgument {
 			t.Errorf("%s: error %+v, want invalid_argument", tc.name, res.Error)
 		}
+	}
+}
+
+// TestTrajectoriesReadAcrossEncoderSwap reads stored points back after an
+// encoder swap has re-embedded the store, through the engine and through
+// GET /v2/trajectories/{id}: load, swap, load again, and every ID answers
+// its loaded points while ID Len() is not_found. A reader runs against the
+// engine for the whole sequence, so -race sees the swaps' view
+// installation beside concurrent lookups.
+func TestTrajectoriesReadAcrossEncoderSwap(t *testing.T) {
+	rng := rand.New(rand.NewSource(131))
+	srv, eng := newTestServer(t, engine.Config{Shards: 3})
+	loaded := make([]traj.Trajectory, 40)
+	for i := range loaded {
+		loaded[i] = randWalk(rng, 4+rng.Intn(8))
+	}
+	first := loaded[:25]
+	if _, err := eng.Add(first); err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	bad := make(chan string, 1)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			id := i % len(first)
+			if got, ok := eng.Traj(id); !ok || !got.Equal(first[id]) {
+				select {
+				case bad <- fmt.Sprintf("concurrent read of ID %d: ok=%v, points %v", id, ok, got.Points):
+				default:
+				}
+				return
+			}
+		}
+	}()
+	if _, err := eng.SetEncoder(t2vec.NewRandomModel(4, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Add(loaded[len(first):]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.SetEncoder(t2vec.NewRandomModel(6, 4)); err != nil {
+		t.Fatal(err)
+	}
+	close(stop)
+	<-done
+	select {
+	case msg := <-bad:
+		t.Fatal(msg)
+	default:
+	}
+
+	if eng.Len() != len(loaded) {
+		t.Fatalf("Len = %d, want %d", eng.Len(), len(loaded))
+	}
+	for id, want := range loaded {
+		if got, ok := eng.Traj(id); !ok || !got.Equal(want) {
+			t.Fatalf("Engine.Traj(%d): ok=%v, points %v, want %v", id, ok, got.Points, want.Points)
+		}
+		resp, err := http.Get(fmt.Sprintf("%s/v2/trajectories/%d", srv.URL, id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rec api.TrajectoryRecord
+		decodeBody(t, resp, &rec)
+		back, aerr := rec.Trajectory.ToTraj()
+		if rec.ID != id || aerr != nil || !back.Equal(want) {
+			t.Fatalf("GET /v2/trajectories/%d: record %+v (%v), want points %v", id, rec, aerr, want.Points)
+		}
+	}
+	if _, ok := eng.Traj(len(loaded)); ok {
+		t.Fatalf("Engine.Traj(%d) answered past the store", len(loaded))
+	}
+	resp, err := http.Get(fmt.Sprintf("%s/v2/trajectories/%d", srv.URL, len(loaded)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var er api.ErrorResponse
+	decodeBody(t, resp, &er)
+	if er.Err.Code != api.CodeNotFound {
+		t.Fatalf("GET /v2/trajectories/%d: code %q, want %q", len(loaded), er.Err.Code, api.CodeNotFound)
 	}
 }
