@@ -83,10 +83,10 @@ type embedRankSearch struct {
 // Bound implements ThresholdSearch: embedding distances have no cascade.
 func (s *embedRankSearch) Bound(traj.Trajectory, TrajMeta, float64) float64 { return 0 }
 
-func (s *embedRankSearch) Search(t traj.Trajectory, meta TrajMeta, tau float64) (Result, Pruned) {
+func (s *embedRankSearch) Search(t traj.Trajectory, meta TrajMeta, tau float64) (Result, bool) {
 	r := Result{Dist: math.Inf(1), Explored: 1}
 	if t.Len() == 0 {
-		return r, PrunedAbandon
+		return r, true
 	}
 	r.Interval = traj.Interval{I: 0, J: t.Len() - 1}
 	if s.e != nil {

@@ -24,8 +24,8 @@ import (
 //	gate       sim.FreeStartMeasure finds a trajectory's best interval in
 //	           one pruned O(n·m) pass and drops it beyond the threshold
 //	           or returns it (ExactS);
-//	kernel     sim.ThresholdIncremental abandons a DP scan once no
-//	           extension can beat the threshold;
+//	kernel     sim.Incremental.ExtendAbandoning abandons a DP scan once
+//	           no extension can beat the threshold;
 //	result     a completed search whose best distance exceeds the
 //	           threshold is suppressed instead of offered.
 //
@@ -75,19 +75,6 @@ func (s *PruneStats) Add(o PruneStats) {
 	s.Scored += o.Scored
 }
 
-// Pruned reports how a threshold-aware search disposed of a candidate.
-type Pruned uint8
-
-// Candidate outcomes of ThresholdSearch.Search.
-const (
-	// NotPruned: the search completed and its Result is the exact answer
-	// the unpruned Search would have returned.
-	NotPruned Pruned = iota
-	// PrunedAbandon: the search ran but everything it could report has
-	// distance strictly greater than tau; the Result is meaningless.
-	PrunedAbandon
-)
-
 // ThresholdSearcher is an Algorithm that can exploit a best-so-far
 // threshold. NewThresholdSearch returns per-query search state — the
 // measure's lower-bound cascade, the reversed query, pooled scratch —
@@ -109,13 +96,13 @@ type ThresholdSearch interface {
 	// bound exceeds tau. Searches that cannot bound their answer return 0.
 	// meta must describe t (Database.Meta).
 	Bound(t traj.Trajectory, meta TrajMeta, tau float64) float64
-	// Search is Algorithm.Search with pruning against tau. When the
-	// returned outcome is NotPruned, Result is byte-identical (interval
-	// and distance; Explored is the deterministic logical count) to the
-	// unpruned Search. Otherwise every subtrajectory the unpruned search
-	// could have reported has distance strictly greater than tau and the
-	// Result must be discarded.
-	Search(t traj.Trajectory, meta TrajMeta, tau float64) (Result, Pruned)
+	// Search is Algorithm.Search with pruning against tau. When abandoned
+	// is false, Result is byte-identical (interval and distance; Explored
+	// is the deterministic logical count) to the unpruned Search.
+	// Otherwise every subtrajectory the unpruned search could have
+	// reported has distance strictly greater than tau and the Result must
+	// be discarded.
+	Search(t traj.Trajectory, meta TrajMeta, tau float64) (r Result, abandoned bool)
 	// Release returns pooled scratch; the search is unusable afterwards.
 	Release()
 }
@@ -172,17 +159,14 @@ func (a ExactS) NewThresholdSearch(q traj.Trajectory) ThresholdSearch {
 	return &exactThresholdSearch{cascade: cascadeFor(a.M, q), m: a.M, gate: gate, q: q}
 }
 
-func (s *exactThresholdSearch) Search(t traj.Trajectory, meta TrajMeta, tau float64) (Result, Pruned) {
+func (s *exactThresholdSearch) Search(t traj.Trajectory, meta TrajMeta, tau float64) (Result, bool) {
 	n := t.Len()
 	if s.gate == nil {
 		return within(enumerate(s.m, t, s.q, 1, n, tau), tau)
 	}
 	iv, d, abandoned := s.gate.MinSub(t, s.q, tau)
-	if abandoned {
-		return Result{}, PrunedAbandon
-	}
 	// Explored is the logical candidate count, as enumerate counts it
-	return Result{Interval: iv, Dist: d, Explored: n * (n + 1) / 2}, NotPruned
+	return Result{Interval: iv, Dist: d, Explored: n * (n + 1) / 2}, abandoned
 }
 
 func (s *exactThresholdSearch) Release() {}
@@ -199,7 +183,6 @@ func enumerate(m sim.Measure, t, q traj.Trajectory, lo, hi int, tau float64) Res
 	best := Result{Dist: math.Inf(1)}
 	inc := m.NewIncremental(t, q)
 	defer sim.Release(inc)
-	tinc, _ := inc.(sim.ThresholdIncremental)
 	for i := 0; i+lo-1 < n; i++ {
 		d := inc.Init(i)
 		if lo == 1 && d < best.Dist {
@@ -210,14 +193,9 @@ func enumerate(m sim.Measure, t, q traj.Trajectory, lo, hi int, tau float64) Res
 		top := min(i+hi-1, n-1)
 		best.Explored += top - i + 1
 		for j := i + 1; j <= top; j++ {
-			if tinc != nil {
-				var abandoned bool
-				d, abandoned = tinc.ExtendAbandoning(bsf)
-				if abandoned {
-					break
-				}
-			} else {
-				d = inc.Extend()
+			d, abandoned := inc.ExtendAbandoning(bsf)
+			if abandoned {
+				break
 			}
 			if j-i+1 >= lo && d < best.Dist {
 				best.Dist = d
@@ -231,12 +209,7 @@ func enumerate(m sim.Measure, t, q traj.Trajectory, lo, hi int, tau float64) Res
 
 // within is the result level of the pipeline: a completed search whose
 // best distance is beyond tau is suppressed.
-func within(r Result, tau float64) (Result, Pruned) {
-	if r.Dist > tau {
-		return r, PrunedAbandon
-	}
-	return r, NotPruned
-}
+func within(r Result, tau float64) (Result, bool) { return r, r.Dist > tau }
 
 // sizeThresholdSearch is SizeS's enumeration over its [m-ξ, m+ξ] length
 // window.
@@ -252,7 +225,7 @@ func (a SizeS) NewThresholdSearch(q traj.Trajectory) ThresholdSearch {
 	return &sizeThresholdSearch{cascade: cascadeFor(a.M, q), m: a.M, xi: a.Xi, q: q}
 }
 
-func (s *sizeThresholdSearch) Search(t traj.Trajectory, meta TrajMeta, tau float64) (Result, Pruned) {
+func (s *sizeThresholdSearch) Search(t traj.Trajectory, meta TrajMeta, tau float64) (Result, bool) {
 	n, m := t.Len(), s.q.Len()
 	lo := max(m-s.xi, 1)
 	if lo > n {
@@ -295,7 +268,7 @@ func (a POSD) NewThresholdSearch(q traj.Trajectory) ThresholdSearch {
 	return &splitThresholdSearch{cascade: cascadeFor(a.M, q), m: a.M, delay: a.D, q: q}
 }
 
-func (s *splitThresholdSearch) Search(t traj.Trajectory, meta TrajMeta, tau float64) (Result, Pruned) {
+func (s *splitThresholdSearch) Search(t traj.Trajectory, meta TrajMeta, tau float64) (Result, bool) {
 	var r Result
 	if s.suffixPass != nil {
 		r = pssScan(s.m, t, s.q, s.dists(t))
@@ -535,8 +508,8 @@ func (db *Database) ScanPrunedSourceCtx(ctx context.Context, alg Algorithm, q tr
 			st.LBSkipped += int64(len(order) - i)
 			break
 		}
-		r, pruned := search.Search(db.trajs[c.index], db.metas[c.index], tau)
-		if pruned != NotPruned {
+		r, abandoned := search.Search(db.trajs[c.index], db.metas[c.index], tau)
+		if abandoned {
 			st.Abandoned++
 			continue
 		}

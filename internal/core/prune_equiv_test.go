@@ -64,6 +64,7 @@ func TestPrunedScanEquivalence(t *testing.T) {
 
 	measures := []sim.Measure{
 		sim.DTW{}, sim.CDTW{R: 0.25}, sim.Frechet{}, sim.EDR{Eps: 0.4}, sim.LCSS{Eps: 0.4},
+		sim.ERP{}, sim.EDS{}, sim.EDwP{},
 	}
 	algs := func(m sim.Measure) []Algorithm {
 		return []Algorithm{ExactS{M: m}, SizeS{M: m, Xi: 4}, PSS{M: m}, POS{M: m}, POSD{M: m, D: 5}}
@@ -169,7 +170,10 @@ func TestPrunedScanSharedThreshold(t *testing.T) {
 func TestTopKExactPrunedEquivalence(t *testing.T) {
 	data := equivData(40, 30, 31)
 	q := equivData(1, 10, 32)[0]
-	measures := []sim.Measure{sim.DTW{}, sim.Frechet{}, sim.EDR{Eps: 0.4}, sim.LCSS{Eps: 0.4}, sim.ERP{}}
+	measures := []sim.Measure{
+		sim.DTW{}, sim.Frechet{}, sim.EDR{Eps: 0.4}, sim.LCSS{Eps: 0.4}, sim.ERP{},
+		sim.CDTW{R: 0.25}, sim.EDS{}, sim.EDwP{},
+	}
 	for _, m := range measures {
 		for _, distinct := range []bool{false, true} {
 			for _, tr := range data[:8] {

@@ -153,7 +153,7 @@ type rlsThresholdSearch struct {
 	actor       rl.Actor        // network actor otherwise
 }
 
-func (s *rlsThresholdSearch) Search(t traj.Trajectory, meta TrajMeta, tau float64) (Result, Pruned) {
+func (s *rlsThresholdSearch) Search(t traj.Trajectory, meta TrajMeta, tau float64) (Result, bool) {
 	r := Result{Dist: math.Inf(1)}
 	if s.env != nil && t.Len() > 0 {
 		var suf []float64

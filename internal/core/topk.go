@@ -91,7 +91,7 @@ func (h *resultHeap) threshold() float64 {
 // computation — the same O(n·(Φini + n·Φinc)) cost as ExactS. With
 // distinct, overlapping answers are collapsed to the best representative,
 // which is usually what applications (e.g. play retrieval) want.
-// Once the heap fills, inner scans abandon through sim.ThresholdIncremental
+// Once the heap fills, inner scans abandon through ExtendAbandoning
 // against its k-th-best distance: the skipped evaluations are provably
 // strictly worse than every retained result, so the ranking is byte-
 // identical to the full enumeration.
@@ -103,19 +103,12 @@ func TopKExact(m sim.Measure, t, q traj.Trajectory, k int, distinct bool) []Resu
 	}
 	inc := m.NewIncremental(t, q)
 	defer sim.Release(inc)
-	tinc, _ := inc.(sim.ThresholdIncremental)
 	for i := 0; i < n; i++ {
 		h.offer(Result{Interval: traj.Interval{I: i, J: i}, Dist: inc.Init(i)})
 		for j := i + 1; j < n; j++ {
-			var d float64
-			if tinc != nil {
-				var abandoned bool
-				d, abandoned = tinc.ExtendAbandoning(h.threshold())
-				if abandoned {
-					break
-				}
-			} else {
-				d = inc.Extend()
+			d, abandoned := inc.ExtendAbandoning(h.threshold())
+			if abandoned {
+				break
 			}
 			h.offer(Result{Interval: traj.Interval{I: i, J: j}, Dist: d})
 		}

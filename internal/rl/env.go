@@ -35,7 +35,7 @@ type SplitEnv struct {
 	simplifyState bool
 
 	suf      []float64 // suffix dists per start index (when useSuffix)
-	stream   sim.Stream
+	stream   sim.Incremental
 	pos      int // index of the point currently scanned
 	h        int // start of the current segment
 	done     bool

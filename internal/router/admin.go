@@ -169,6 +169,9 @@ func (r *Router) Stats(ctx context.Context) (*api.StatsResponse, error) {
 	var agg api.Stats
 	var measures []string
 	var recallWeighted float64
+	// approx_ratio, mean_rank and skipped_fraction, each times the node's
+	// quality_samples
+	var quality [3]float64
 	idx := 0
 	for _, g := range r.groups {
 		shaped := false
@@ -195,6 +198,9 @@ func (r *Router) Stats(ctx context.Context) (*api.StatsResponse, error) {
 			agg.EarlyAbandoned += e.EarlyAbandoned
 			agg.RLSQueries += e.RLSQueries
 			agg.QualitySamples += e.QualitySamples
+			for i, v := range [3]float64{e.ApproxRatio, e.MeanRank, e.SkippedFraction} {
+				quality[i] += v * float64(e.QualitySamples)
+			}
 			agg.ANNQueries += e.ANNQueries
 			agg.RecallSamples += e.RecallSamples
 			recallWeighted += e.MeanRecall * float64(e.RecallSamples)
@@ -229,6 +235,9 @@ func (r *Router) Stats(ctx context.Context) (*api.StatsResponse, error) {
 	}
 	if agg.RecallSamples > 0 {
 		agg.MeanRecall = recallWeighted / float64(agg.RecallSamples)
+	}
+	if n := float64(agg.QualitySamples); n > 0 {
+		agg.ApproxRatio, agg.MeanRank, agg.SkippedFraction = quality[0]/n, quality[1]/n, quality[2]/n
 	}
 	agg.Trajectories = r.Len()
 

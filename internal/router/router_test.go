@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -632,6 +633,69 @@ func TestRouterSwapPolicyCarriesCompileResolution(t *testing.T) {
 		var ae *api.Error
 		if _, err := r.SwapPolicy(context.Background(), req); !errors.As(err, &ae) || ae.Code != api.CodeInvalidArgument {
 			t.Fatalf("negative compile_resolution: %v, want typed invalid_argument", err)
+		}
+	}
+}
+
+// TestRouterStatsWeighQualityMeans checks the fleet's sampled serving
+// quality: approx_ratio, mean_rank and skipped_fraction are the nodes'
+// means weighted by their quality_samples, as mean_recall is by
+// recall_samples.
+func TestRouterStatsWeighQualityMeans(t *testing.T) {
+	rng := rand.New(rand.NewSource(50))
+	nodes := make([]*testNode, 2)
+	for i := range nodes {
+		eng := engine.New(engine.Config{Shards: 2, Index: engine.ScanAll, QualitySample: 1})
+		srv := httptest.NewServer(server.New(eng, server.Options{}))
+		t.Cleanup(srv.Close)
+		nodes[i] = &testNode{eng: eng, srv: srv}
+	}
+	r := newTestRouter(t, nodes, nil)
+	mustLoad(t, r, randSet(rng, 60))
+	var buf bytes.Buffer
+	if err := testPolicy(2, 1, false).Save(&buf); err != nil { // skip policy
+		t.Fatal(err)
+	}
+	if _, err := r.SwapPolicy(context.Background(), api.PolicySwapRequest{PolicyB64: base64.StdEncoding.EncodeToString(buf.Bytes())}); err != nil {
+		t.Fatal(err)
+	}
+	spec := func() api.QuerySpec {
+		return api.QuerySpec{Query: api.FromTraj(randTraj(rng, 5)), K: 5, Measure: "dtw", Algorithm: "rls-skip"}
+	}
+	for range 3 {
+		if res := r.QueryOne(context.Background(), spec()); res.Error != nil {
+			t.Fatal(res.Error)
+		}
+	}
+	// node 0 alone serves more, so the two weights differ
+	for range 4 {
+		if res := nodes[0].eng.QueryOne(context.Background(), spec()); res.Error != nil {
+			t.Fatal(res.Error)
+		}
+	}
+	a, b := nodes[0].eng.Stats(), nodes[1].eng.Stats()
+	if a.QualitySamples == b.QualitySamples || b.QualitySamples == 0 {
+		t.Fatalf("quality samples %d and %d, want two different non-zero weights", a.QualitySamples, b.QualitySamples)
+	}
+	st, err := r.Stats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := float64(a.QualitySamples + b.QualitySamples)
+	if st.Engine.QualitySamples != a.QualitySamples+b.QualitySamples {
+		t.Errorf("quality_samples = %d, want %d", st.Engine.QualitySamples, a.QualitySamples+b.QualitySamples)
+	}
+	for _, f := range []struct {
+		name      string
+		got, x, y float64
+	}{
+		{"approx_ratio", st.Engine.ApproxRatio, a.ApproxRatio, b.ApproxRatio},
+		{"mean_rank", st.Engine.MeanRank, a.MeanRank, b.MeanRank},
+		{"skipped_fraction", st.Engine.SkippedFraction, a.SkippedFraction, b.SkippedFraction},
+	} {
+		want := (f.x*float64(a.QualitySamples) + f.y*float64(b.QualitySamples)) / n
+		if want == 0 || math.Abs(f.got-want) > 1e-12*want {
+			t.Errorf("%s = %v, want the weighted mean %v of %v and %v", f.name, f.got, want, f.x, f.y)
 		}
 	}
 }

@@ -49,11 +49,19 @@ func dtwFirstRow(row []float64, p geo.Point, q traj.Trajectory) {
 }
 
 // dtwExtendRow advances the DP by one data point in place: on entry row
-// holds D(i-1, ·); on exit it holds D(i, ·).
-func dtwExtendRow(row []float64, p geo.Point, q traj.Trajectory) {
+// holds D(i-1, ·); on exit it holds D(i, ·). It returns the new row's
+// minimum cell, the early-abandoning pivot: DP cells are a non-negative
+// cost plus a minimum over earlier cells, so the row minimum never
+// decreases as the data point index grows, and every future distance (a
+// future row's last cell) is at least the current row minimum. The
+// minimum is tracked with the builtin min, which compiles branch-free, so
+// callers that ignore it (Push) pay next to nothing for it; cells are
+// never NaN or -0 on finite input, where min agrees with a < comparison.
+func dtwExtendRow(row []float64, p geo.Point, q traj.Trajectory) float64 {
 	m := len(row)
 	prevDiag := row[0] // D(i-1, 0)
 	row[0] = geo.Dist(p, q.Pt(0)) + prevDiag
+	rowMin := row[0]
 	for j := 1; j < m; j++ {
 		prevUp := row[j] // D(i-1, j)
 		best := prevDiag // D(i-1, j-1)
@@ -63,42 +71,17 @@ func dtwExtendRow(row []float64, p geo.Point, q traj.Trajectory) {
 		if row[j-1] < best { // D(i, j-1)
 			best = row[j-1]
 		}
-		row[j] = geo.Dist(p, q.Pt(j)) + best
-		prevDiag = prevUp
-	}
-}
-
-// dtwExtendRowMin is dtwExtendRow additionally returning the minimum cell
-// of the new row, the early-abandoning pivot: DP cells are a non-negative
-// cost plus a minimum over earlier cells, so the row minimum never
-// decreases as the data point index grows, and every future distance
-// (a future row's last cell) is at least the current row minimum.
-func dtwExtendRowMin(row []float64, p geo.Point, q traj.Trajectory) float64 {
-	m := len(row)
-	prevDiag := row[0]
-	row[0] = geo.Dist(p, q.Pt(0)) + prevDiag
-	rowMin := row[0]
-	for j := 1; j < m; j++ {
-		prevUp := row[j]
-		best := prevDiag
-		if prevUp < best {
-			best = prevUp
-		}
-		if row[j-1] < best {
-			best = row[j-1]
-		}
-		row[j] = geo.Dist(p, q.Pt(j)) + best
-		if row[j] < rowMin {
-			rowMin = row[j]
-		}
+		v := geo.Dist(p, q.Pt(j)) + best
+		row[j] = v
+		rowMin = min(rowMin, v)
 		prevDiag = prevUp
 	}
 	return rowMin
 }
 
-// dtwInc is DTW's one computer, for both Incremental and Stream: it keeps
-// the last DP row (over query indices) and extends it by one data point
-// per Push. The row is pool-backed; see pool.go for the ownership rules.
+// dtwInc is DTW's one computer: it keeps the last DP row (over query
+// indices) and extends it by one data point per Push. The row is
+// pool-backed; see pool.go for the ownership rules.
 type dtwInc struct {
 	seq
 	row []float64
@@ -110,9 +93,6 @@ func newDTWInc(t, q traj.Trajectory) *dtwInc {
 
 // NewIncremental implements Measure.
 func (DTW) NewIncremental(t, q traj.Trajectory) Incremental { return newDTWInc(t, q) }
-
-// NewStream implements StreamMeasure.
-func (DTW) NewStream(q traj.Trajectory) Stream { return newDTWInc(traj.Trajectory{}, q) }
 
 func (c *dtwInc) Push(p geo.Point) float64 {
 	if c.n == 0 {
@@ -128,10 +108,10 @@ func (c *dtwInc) Init(i int) float64 { return c.Push(c.begin(i)) }
 
 func (c *dtwInc) Extend() float64 { return c.Push(c.next()) }
 
-// ExtendAbandoning implements ThresholdIncremental; see dtwExtendRowMin for
-// the monotone-row-minimum argument.
+// ExtendAbandoning implements Incremental; see dtwExtendRow for the
+// monotone-row-minimum argument.
 func (c *dtwInc) ExtendAbandoning(tau float64) (float64, bool) {
-	rowMin := dtwExtendRowMin(c.row, c.next(), c.q)
+	rowMin := dtwExtendRow(c.row, c.next(), c.q)
 	c.n++
 	if rowMin > tau {
 		return rowMin, true
@@ -254,8 +234,37 @@ func bandRange(i, n, m, w int) (lo, hi int) {
 }
 
 // NewIncremental implements Measure. The band depends on the final
-// subtrajectory length, so CDTW's computer is the buffering fallback fed
-// from t: each Extend recomputes from scratch at cost Φ.
+// subtrajectory length, so CDTW's computer buffers its points: each Extend
+// recomputes from scratch at cost Φ.
 func (c CDTW) NewIncremental(t, q traj.Trajectory) Incremental {
 	return &bufferStream{seq: seq{t: t, q: q}, m: c}
 }
+
+// bufferStream is CDTW's computer: it accumulates points and calls Dist
+// from scratch, because CDTW's Sakoe-Chiba band is laid along the final
+// subtrajectory's own diagonal, so no row of an earlier prefix can be
+// extended (cost Φ per Push). CDTW is only used by the UCR/Spring
+// comparison (Figures 8 and 13), which scores fixed-length windows from
+// scratch and never relies on this computer being cheap.
+type bufferStream struct {
+	seq
+	m   CDTW
+	pts []geo.Point
+}
+
+func (s *bufferStream) Push(p geo.Point) float64 {
+	if s.n == 0 {
+		s.pts = s.pts[:0]
+	}
+	s.pts = append(s.pts, p)
+	s.n++
+	return s.m.Dist(traj.Trajectory{Points: s.pts}, s.q)
+}
+
+func (s *bufferStream) Init(i int) float64 { return s.Push(s.begin(i)) }
+
+func (s *bufferStream) Extend() float64 { return s.Push(s.next()) }
+
+// ExtendAbandoning implements Incremental. A band laid along the final
+// length gives no monotone row minimum, so it never abandons.
+func (s *bufferStream) ExtendAbandoning(float64) (float64, bool) { return s.Extend(), false }

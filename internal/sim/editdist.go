@@ -60,33 +60,10 @@ func (e ERP) baseRowInto(row []float64, q traj.Trajectory) {
 }
 
 // extendRow advances the DP by one data point in place; row has m+1 cells
-// with row[j] = ERP(prefix, q[0..j-1]).
-func (e ERP) extendRow(row []float64, p geo.Point, q traj.Trajectory) {
-	m := q.Len()
-	gp := geo.Dist(p, e.Gap)
-	prevDiag := row[0]
-	row[0] += gp // delete p
-	for j := 1; j <= m; j++ {
-		prevUp := row[j]
-		match := prevDiag + geo.Dist(p, q.Pt(j-1))
-		delP := prevUp + gp
-		delQ := row[j-1] + geo.Dist(q.Pt(j-1), e.Gap)
-		best := match
-		if delP < best {
-			best = delP
-		}
-		if delQ < best {
-			best = delQ
-		}
-		row[j] = best
-		prevDiag = prevUp
-	}
-}
-
-// extendRowMin is extendRow additionally returning the new row's minimum:
+// with row[j] = ERP(prefix, q[0..j-1]). It returns the new row's minimum:
 // every cell adds a non-negative cost to a minimum over earlier cells, so
 // the row minimum never decreases and lower-bounds all future distances.
-func (e ERP) extendRowMin(row []float64, p geo.Point, q traj.Trajectory) float64 {
+func (e ERP) extendRow(row []float64, p geo.Point, q traj.Trajectory) float64 {
 	m := q.Len()
 	gp := geo.Dist(p, e.Gap)
 	prevDiag := row[0]
@@ -105,30 +82,23 @@ func (e ERP) extendRowMin(row []float64, p geo.Point, q traj.Trajectory) float64
 			best = delQ
 		}
 		row[j] = best
-		if best < rowMin {
-			rowMin = best
-		}
+		rowMin = min(rowMin, best) // branch-free; see dtwExtendRow
 		prevDiag = prevUp
 	}
 	return rowMin
 }
 
-// erpInc is ERP's one computer, for both Incremental and Stream.
+// erpInc is ERP's one computer.
 type erpInc struct {
 	seq
 	meas ERP
 	row  []float64
 }
 
-func (e ERP) newInc(t, q traj.Trajectory) *erpInc {
+// NewIncremental implements Measure.
+func (e ERP) NewIncremental(t, q traj.Trajectory) Incremental {
 	return &erpInc{seq: seq{t: t, q: q}, meas: e, row: getRow(q.Len() + 1)}
 }
-
-// NewIncremental implements Measure.
-func (e ERP) NewIncremental(t, q traj.Trajectory) Incremental { return e.newInc(t, q) }
-
-// NewStream implements StreamMeasure.
-func (e ERP) NewStream(q traj.Trajectory) Stream { return e.newInc(traj.Trajectory{}, q) }
 
 func (c *erpInc) Push(p geo.Point) float64 {
 	if c.n == 0 {
@@ -143,9 +113,9 @@ func (c *erpInc) Init(i int) float64 { return c.Push(c.begin(i)) }
 
 func (c *erpInc) Extend() float64 { return c.Push(c.next()) }
 
-// ExtendAbandoning implements ThresholdIncremental; see extendRowMin.
+// ExtendAbandoning implements Incremental; see ERP.extendRow.
 func (c *erpInc) ExtendAbandoning(tau float64) (float64, bool) {
-	rowMin := c.meas.extendRowMin(c.row, c.next(), c.q)
+	rowMin := c.meas.extendRow(c.row, c.next(), c.q)
 	c.n++
 	if rowMin > tau {
 		return rowMin, true
@@ -201,49 +171,11 @@ func edrBaseRow(row []float64) {
 	}
 }
 
-func (e EDR) extendRow(row []float64, p geo.Point, q traj.Trajectory) {
-	m := q.Len()
-	prevDiag := row[0]
-	row[0]++
-	for j := 1; j <= m; j++ {
-		prevUp := row[j]
-		sub := prevDiag
-		if !e.match(p, q.Pt(j-1)) {
-			sub++
-		}
-		best := sub
-		if prevUp+1 < best {
-			best = prevUp + 1
-		}
-		if row[j-1]+1 < best {
-			best = row[j-1] + 1
-		}
-		row[j] = best
-		prevDiag = prevUp
-	}
-}
-
-// edrInc is EDR's one computer, for both Incremental and Stream.
-type edrInc struct {
-	seq
-	meas EDR
-	row  []float64
-}
-
-func (e EDR) newInc(t, q traj.Trajectory) *edrInc {
-	return &edrInc{seq: seq{t: t, q: q}, meas: e, row: getRow(q.Len() + 1)}
-}
-
-// NewIncremental implements Measure.
-func (e EDR) NewIncremental(t, q traj.Trajectory) Incremental { return e.newInc(t, q) }
-
-// NewStream implements StreamMeasure.
-func (e EDR) NewStream(q traj.Trajectory) Stream { return e.newInc(traj.Trajectory{}, q) }
-
-// extendRowMin is extendRow additionally returning the new row's minimum:
-// every cell adds a non-negative edit cost to a minimum over earlier cells,
-// so the row minimum never decreases and lower-bounds all future distances.
-func (e EDR) extendRowMin(row []float64, p geo.Point, q traj.Trajectory) float64 {
+// extendRow advances the DP by one data point in place and returns the new
+// row's minimum: every cell adds a non-negative edit cost to a minimum over
+// earlier cells, so the row minimum never decreases and lower-bounds all
+// future distances.
+func (e EDR) extendRow(row []float64, p geo.Point, q traj.Trajectory) float64 {
 	m := q.Len()
 	prevDiag := row[0]
 	row[0]++
@@ -262,12 +194,22 @@ func (e EDR) extendRowMin(row []float64, p geo.Point, q traj.Trajectory) float64
 			best = row[j-1] + 1
 		}
 		row[j] = best
-		if best < rowMin {
-			rowMin = best
-		}
+		rowMin = min(rowMin, best) // branch-free; see dtwExtendRow
 		prevDiag = prevUp
 	}
 	return rowMin
+}
+
+// edrInc is EDR's one computer.
+type edrInc struct {
+	seq
+	meas EDR
+	row  []float64
+}
+
+// NewIncremental implements Measure.
+func (e EDR) NewIncremental(t, q traj.Trajectory) Incremental {
+	return &edrInc{seq: seq{t: t, q: q}, meas: e, row: getRow(q.Len() + 1)}
 }
 
 func (c *edrInc) Push(p geo.Point) float64 {
@@ -283,9 +225,9 @@ func (c *edrInc) Init(i int) float64 { return c.Push(c.begin(i)) }
 
 func (c *edrInc) Extend() float64 { return c.Push(c.next()) }
 
-// ExtendAbandoning implements ThresholdIncremental; see extendRowMin.
+// ExtendAbandoning implements Incremental; see EDR.extendRow.
 func (c *edrInc) ExtendAbandoning(tau float64) (float64, bool) {
-	rowMin := c.meas.extendRowMin(c.row, c.next(), c.q)
+	rowMin := c.meas.extendRow(c.row, c.next(), c.q)
 	c.n++
 	if rowMin > tau {
 		return rowMin, true
@@ -359,22 +301,17 @@ func (l LCSS) extendRow(row []float64, p geo.Point, q traj.Trajectory) {
 	}
 }
 
-// lcssInc is LCSS's one computer, for both Incremental and Stream.
+// lcssInc is LCSS's one computer.
 type lcssInc struct {
 	seq
 	meas LCSS
 	row  []float64
 }
 
-func (l LCSS) newInc(t, q traj.Trajectory) *lcssInc {
+// NewIncremental implements Measure.
+func (l LCSS) NewIncremental(t, q traj.Trajectory) Incremental {
 	return &lcssInc{seq: seq{t: t, q: q}, meas: l, row: getRow(q.Len() + 1)}
 }
-
-// NewIncremental implements Measure.
-func (l LCSS) NewIncremental(t, q traj.Trajectory) Incremental { return l.newInc(t, q) }
-
-// NewStream implements StreamMeasure.
-func (l LCSS) NewStream(q traj.Trajectory) Stream { return l.newInc(traj.Trajectory{}, q) }
 
 func (c *lcssInc) Push(p geo.Point) float64 {
 	if c.n == 0 {
@@ -389,7 +326,7 @@ func (c *lcssInc) Init(i int) float64 { return c.Push(c.begin(i)) }
 
 func (c *lcssInc) Extend() float64 { return c.Push(c.next()) }
 
-// ExtendAbandoning implements ThresholdIncremental. LCSS grows by at most
+// ExtendAbandoning implements Incremental. LCSS grows by at most
 // one per added data point and is capped by both sequence lengths, so with
 // L = LCSS(T[i,j],Q), R data points remaining after j, len = j-i+1 and
 // mm = min(len+R, m), every future dissimilarity is at least

@@ -49,39 +49,11 @@ func frechetFirstRow(row []float64, p geo.Point, q traj.Trajectory) {
 	}
 }
 
-// frechetExtendRow advances the DP by one data point in place.
-func frechetExtendRow(row []float64, p geo.Point, q traj.Trajectory) {
-	m := len(row)
-	prevDiag := row[0]
-	d0 := geo.Dist(p, q.Pt(0))
-	if d0 > prevDiag {
-		row[0] = d0
-	} else {
-		row[0] = prevDiag
-	}
-	for j := 1; j < m; j++ {
-		prevUp := row[j]
-		best := prevDiag
-		if prevUp < best {
-			best = prevUp
-		}
-		if row[j-1] < best {
-			best = row[j-1]
-		}
-		d := geo.Dist(p, q.Pt(j))
-		if d > best {
-			row[j] = d
-		} else {
-			row[j] = best
-		}
-		prevDiag = prevUp
-	}
-}
-
-// frechetExtendRowMin is frechetExtendRow additionally returning the new
-// row's minimum cell: every cell is max(cost, min of earlier cells), so the
-// row minimum never decreases and lower-bounds all future distances.
-func frechetExtendRowMin(row []float64, p geo.Point, q traj.Trajectory) float64 {
+// frechetExtendRow advances the DP by one data point in place and returns
+// the new row's minimum cell: every cell is max(cost, min of earlier
+// cells), so the row minimum never decreases and lower-bounds all future
+// distances.
+func frechetExtendRow(row []float64, p geo.Point, q traj.Trajectory) float64 {
 	m := len(row)
 	prevDiag := row[0]
 	d0 := geo.Dist(p, q.Pt(0))
@@ -100,35 +72,26 @@ func frechetExtendRowMin(row []float64, p geo.Point, q traj.Trajectory) float64 
 		if row[j-1] < best {
 			best = row[j-1]
 		}
-		d := geo.Dist(p, q.Pt(j))
-		if d > best {
-			row[j] = d
-		} else {
-			row[j] = best
+		if d := geo.Dist(p, q.Pt(j)); d > best {
+			best = d
 		}
-		if row[j] < rowMin {
-			rowMin = row[j]
-		}
+		row[j] = best
+		rowMin = min(rowMin, best) // branch-free; see dtwExtendRow
 		prevDiag = prevUp
 	}
 	return rowMin
 }
 
-// frechetInc is Fréchet's one computer, for both Incremental and Stream.
+// frechetInc is Fréchet's one computer.
 type frechetInc struct {
 	seq
 	row []float64
 }
 
-func newFrechetInc(t, q traj.Trajectory) *frechetInc {
+// NewIncremental implements Measure.
+func (Frechet) NewIncremental(t, q traj.Trajectory) Incremental {
 	return &frechetInc{seq: seq{t: t, q: q}, row: getRow(q.Len())}
 }
-
-// NewIncremental implements Measure.
-func (Frechet) NewIncremental(t, q traj.Trajectory) Incremental { return newFrechetInc(t, q) }
-
-// NewStream implements StreamMeasure.
-func (Frechet) NewStream(q traj.Trajectory) Stream { return newFrechetInc(traj.Trajectory{}, q) }
 
 func (c *frechetInc) Push(p geo.Point) float64 {
 	if c.n == 0 {
@@ -144,10 +107,10 @@ func (c *frechetInc) Init(i int) float64 { return c.Push(c.begin(i)) }
 
 func (c *frechetInc) Extend() float64 { return c.Push(c.next()) }
 
-// ExtendAbandoning implements ThresholdIncremental; see frechetExtendRowMin
-// for the monotone-row-minimum argument.
+// ExtendAbandoning implements Incremental; see frechetExtendRow for the
+// monotone-row-minimum argument.
 func (c *frechetInc) ExtendAbandoning(tau float64) (float64, bool) {
-	rowMin := frechetExtendRowMin(c.row, c.next(), c.q)
+	rowMin := frechetExtendRow(c.row, c.next(), c.q)
 	c.n++
 	if rowMin > tau {
 		return rowMin, true

@@ -12,9 +12,10 @@ import (
 // FuzzIncremental checks every measure's one computer on fuzz-generated
 // pairs: from a fuzzed start, Init then Extend, Reset then Push of the same
 // points, and Dist of each subtrajectory give the same bits. A computer
-// that implements ThresholdIncremental and abandons at tau must have
-// proven every later end's distance strictly above tau, and its d must be
-// a lower bound on each of them, so it never abandons a winner.
+// that abandons at tau must have proven every later end's distance
+// strictly above tau, and its d must be a lower bound on each of them, so
+// it never abandons a winner; until it abandons, ExtendAbandoning returns
+// Extend's bits.
 func FuzzIncremental(f *testing.F) {
 	for i := range allMeasures() {
 		f.Add(uint8(i), int64(i+1), uint8(5+2*i), uint8(3+i), uint8(i), 0.5, i%2 == 0)
@@ -59,14 +60,13 @@ func FuzzIncremental(f *testing.F) {
 			}
 			want = append(want, d)
 		}
-		tinc, ok := inc.(ThresholdIncremental)
 		tau := want[len(want)/2] * tauScale
-		if !ok || math.IsNaN(tau) {
+		if math.IsNaN(tau) {
 			return
 		}
-		tinc.Init(start)
+		inc.Init(start)
 		for j := start + 1; j < n; j++ {
-			d, abandoned := tinc.ExtendAbandoning(tau)
+			d, abandoned := inc.ExtendAbandoning(tau)
 			if !abandoned {
 				if math.Float64bits(d) != math.Float64bits(want[j-start]) {
 					t.Fatalf("%s tau=%v [%d,%d]: ExtendAbandoning %v, Dist %v", meas.Name(), tau, start, j, d, want[j-start])

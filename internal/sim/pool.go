@@ -11,10 +11,9 @@ import "sync"
 //
 // Ownership rules (see DESIGN.md "Buffer pooling"):
 //
-//   - A computer takes its rows with getRow in NewIncremental or
-//     NewStream, and they belong to it alone until Release is called;
-//     Release must not be called while the computer is still in use, and
-//     never twice.
+//   - A computer takes its rows with getRow in NewIncremental, and they
+//     belong to it alone until Release is called; Release must not be
+//     called while the computer is still in use, and never twice.
 //   - Pooled rows carry stale garbage. Every first Push after a Reset (or
 //     Init) must fully overwrite (or explicitly zero) the cells it will
 //     read.

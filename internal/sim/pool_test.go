@@ -71,14 +71,13 @@ func TestRowPoolConcurrentScans(t *testing.T) {
 							default:
 							}
 						}
-						// abandoning path: threshold kernels share the pool too
+						// abandoning path: every computer's ExtendAbandoning
+						// shares the pool too
 						inc := m.NewIncremental(tr, q)
-						if tinc, ok := inc.(ThresholdIncremental); ok {
-							tinc.Init(0)
-							for j := 1; j < tr.Len(); j++ {
-								if _, abandoned := tinc.ExtendAbandoning(want[k][0]); abandoned {
-									break
-								}
+						inc.Init(0)
+						for j := 1; j < tr.Len(); j++ {
+							if _, abandoned := inc.ExtendAbandoning(want[k][0]); abandoned {
+								break
 							}
 						}
 						Release(inc)

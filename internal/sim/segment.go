@@ -116,9 +116,6 @@ func (m EDS) Dist(t, q traj.Trajectory) float64 { return segDist(m, t, q) }
 // NewIncremental implements Measure.
 func (m EDS) NewIncremental(t, q traj.Trajectory) Incremental { return newSegInc(m, t, q) }
 
-// NewStream implements StreamMeasure.
-func (m EDS) NewStream(q traj.Trajectory) Stream { return newSegInc(m, traj.Trajectory{}, q) }
-
 // EDwP is a segment-based edit distance with coverage-weighted replacement
 // in the spirit of Ranu et al.: replacing e with f costs
 // (d(e.a,f.a)+d(e.b,f.b))·(len(e)+len(f)), and a gap (insert/delete) of
@@ -146,14 +143,11 @@ func (m EDwP) Dist(t, q traj.Trajectory) float64 { return segDist(m, t, q) }
 // NewIncremental implements Measure.
 func (m EDwP) NewIncremental(t, q traj.Trajectory) Incremental { return newSegInc(m, t, q) }
 
-// NewStream implements StreamMeasure.
-func (m EDwP) NewStream(q traj.Trajectory) Stream { return newSegInc(m, traj.Trajectory{}, q) }
-
-// segInc is the one computer of a segment measure, for both Incremental
-// and Stream. A sequence of k points has k-1 segments, so a single point,
-// and every sequence against a one-point query, is scored by the DTW
-// fallback, which the computer delegates to a DTW computer; the second
-// point builds the first segment row.
+// segInc is the one computer of a segment measure. A sequence of k points
+// has k-1 segments, so a single point, and every sequence against a
+// one-point query, is scored by the DTW fallback, which the computer
+// delegates to a DTW computer; the second point builds the first segment
+// row.
 type segInc struct {
 	seq
 	cs    segCosts
@@ -194,6 +188,10 @@ func (c *segInc) Push(p geo.Point) float64 {
 func (c *segInc) Init(i int) float64 { return c.Push(c.begin(i)) }
 
 func (c *segInc) Extend() float64 { return c.Push(c.next()) }
+
+// ExtendAbandoning implements Incremental. It never abandons, so a scan
+// over a segment measure evaluates every extension.
+func (c *segInc) ExtendAbandoning(float64) (float64, bool) { return c.Extend(), false }
 
 // Release implements Releaser.
 func (c *segInc) Release() {

@@ -15,14 +15,17 @@
 //	DTW       O(n·m)   O(m)   O(m)
 //	Fréchet   O(n·m)   O(m)   O(m)
 //
-// Each measure has exactly one computer type, which implements both
-// Incremental (ranges of a stored trajectory) and Stream (pushed points,
-// RLS-Skip's simplified state of §5.4). Push is the primitive: Init(i) is
-// Reset then Push(t.Pt(i)), and Extend is Push(t.Pt(End()+1)). The first
-// Push fills the first DP row with the same helper Dist uses, so a
-// computer and Dist agree bit for bit. CDTW, whose band depends on the
-// final length, and measures defined outside the package use the buffering
-// fallback, which recomputes from scratch per point.
+// Each measure has exactly one computer type behind one interface,
+// Incremental, which scores both ranges of a stored trajectory and pushed
+// point sequences that are not ranges of one (RLS-Skip's simplified state
+// of §5.4). Push
+// is the primitive: Init(i) is Reset then Push(t.Pt(i)), and Extend is
+// Push(t.Pt(End()+1)). The first Push fills the first DP row with the same
+// helper Dist uses, so a computer and Dist agree bit for bit. Each DP
+// measure has one row kernel, which also returns the new row's minimum:
+// Push ignores it and ExtendAbandoning compares it against the threshold.
+// CDTW, whose band depends on the final length, buffers its points and
+// recomputes from scratch per point.
 //
 // Suffix similarities Θ(T[i,n]^R, Tq^R) are computed by running an
 // Incremental over the reversed trajectories; SuffixDists wraps that.
@@ -32,6 +35,7 @@ import (
 	"fmt"
 	"sort"
 
+	"simsub/internal/geo"
 	"simsub/internal/traj"
 )
 
@@ -51,7 +55,9 @@ type Measure interface {
 // Incremental computes d(T[i,j], Q) for a fixed start i and increasing end j.
 // Usage: Init(i) returns d(T[i,i],Q); each Extend advances j by one and
 // returns d(T[i,j],Q). Extending past the end of T is a programming error
-// and panics.
+// and panics. The same computer also scores a growing point sequence that
+// is not a range of T (Push, Len, Reset); a computer built with an empty T
+// (NewStream) is used that way only.
 type Incremental interface {
 	// Init begins a fresh scan at start index i (0-based) and returns
 	// d(T[i,i], Q). Cost Φini.
@@ -59,24 +65,25 @@ type Incremental interface {
 	// Extend advances the end index by one and returns the new distance.
 	// Cost Φinc.
 	Extend() float64
-	// End returns the current end index j (0-based).
-	End() int
-}
-
-// ThresholdIncremental is an optional extension of Incremental for measures
-// whose DP admits provable early abandoning: kernels whose row minimum can
-// never decrease as the subtrajectory grows (DTW, Fréchet, ERP, EDR) or
-// that can bound all remaining extensions (LCSS). Algorithms opt in by type
-// assertion; the plain Incremental contract is unchanged.
-type ThresholdIncremental interface {
-	Incremental
 	// ExtendAbandoning advances the end index by one like Extend. When
 	// abandoned is false, d is exactly d(T[i,j], Q) for the new end j. When
 	// abandoned is true, the computer has proven that d(T[i,j'], Q) > tau
 	// strictly for the new end and EVERY later end j' of this start, d is a
 	// lower bound on those distances, and the computer must be re-Init-ed
-	// before further use.
+	// before further use. Kernels whose row minimum never decreases as the
+	// subtrajectory grows (DTW, Fréchet, ERP, EDR) abandon on it, LCSS on a
+	// bound of its remaining extensions; the other computers never abandon.
 	ExtendAbandoning(tau float64) (d float64, abandoned bool)
+	// End returns the current end index j (0-based).
+	End() int
+	// Push appends p to the sequence and returns the distance between the
+	// sequence so far and Q. The first Push after Reset costs Φini, each
+	// later one Φinc.
+	Push(p geo.Point) float64
+	// Len returns the number of points consumed since the last Reset.
+	Len() int
+	// Reset empties the sequence so the computer can be reused.
+	Reset()
 }
 
 // Sim converts a dissimilarity into the paper's similarity Θ = 1/(1+d).

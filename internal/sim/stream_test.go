@@ -55,24 +55,26 @@ func TestStreamMatchesDist(t *testing.T) {
 }
 
 func TestNativeStreamsAvailable(t *testing.T) {
-	// the measures on the hot path must provide native streaming, not the
-	// quadratic fallback
+	// the measures on the hot path must stream natively, not through the
+	// quadratic buffering computer
 	for _, m := range []Measure{DTW{}, Frechet{}, ERP{}, EDR{Eps: 0.5}, LCSS{Eps: 0.5}, EDS{}, EDwP{}} {
-		if _, ok := m.(StreamMeasure); !ok {
-			t.Errorf("%s should implement StreamMeasure", m.Name())
+		s := NewStream(m, traj.FromXY(0, 0))
+		if _, ok := s.(*bufferStream); ok {
+			t.Errorf("%s's computer is the buffering computer", m.Name())
 		}
+		Release(s)
 	}
 }
 
 func TestBufferStreamFallback(t *testing.T) {
-	// CDTW's band depends on the final length, so it uses the fallback;
+	// CDTW's band depends on the final length, so its computer buffers;
 	// verify it still agrees with Dist
 	m := CDTW{R: 0.25}
-	if _, ok := Measure(m).(StreamMeasure); ok {
-		t.Fatal("cdtw should use the buffering fallback")
-	}
 	q := traj.FromXY(0, 0, 1, 0, 2, 0)
 	s := NewStream(m, q)
+	if _, ok := s.(*bufferStream); !ok {
+		t.Fatalf("cdtw's computer is %T, want the buffering computer", s)
+	}
 	pts := traj.FromXY(0, 1, 1, 1, 2, 1)
 	var prefix traj.Trajectory
 	for i := 0; i < pts.Len(); i++ {

@@ -25,11 +25,15 @@
 // kill -9 loses at most records the caller was never told about; fsync
 // happens on segment roll, snapshot commit and Close (graceful shutdown),
 // bounding loss on machine crash to the active segment's page-cache tail.
-// A torn tail record (crash mid-write) is detected by the length/CRC
-// framing and truncated away on Open. Snapshots commit by atomic rename,
-// after the log they cover is fsync'd; a torn or stale snapshot is
-// discarded and the affected records are simply re-encoded — recovery
-// never trusts a snapshot it cannot checksum.
+// A failed Append (a short write, a write error, or a failed fsync under
+// SyncEveryAppend) truncates the segment back to the last acknowledged
+// record before it returns, so a failure never costs a later acknowledged
+// record; if that truncate fails, every later Append fails until the store
+// is reopened. A torn tail record (crash mid-write) is detected by the
+// length/CRC framing and truncated away on Open. Snapshots commit by
+// atomic rename, after the log they cover is fsync'd; a torn or stale
+// snapshot is discarded and the affected records are simply re-encoded —
+// recovery never trusts a snapshot it cannot checksum.
 //
 // Ownership rules: record point slices may be backed by an mmap'd segment
 // owned by the Store. Treat them as immutable and do not use them after
@@ -58,10 +62,11 @@ import (
 
 // Fault sites of the chaos suite (internal/failpoint), all no-ops unless a
 // test or operator arms them: fpAppend fails an append before any byte is
-// written, fpAppendPartial tears the append's batch buffer mid-write
-// (exactly the torn tail a crash leaves — the store must be reopened to
-// recover, like after a real crash), fpFsync fails segment fsyncs, and
-// fpSnapRename fails the snapshot's atomic commit rename.
+// written, fpAppendPartial tears the append's batch buffer mid-write (a
+// short write: the failed Append truncates the torn bytes away before it
+// returns, as it does after any failed write or fsync), fpFsync fails
+// segment fsyncs, and fpSnapRename fails the snapshot's atomic commit
+// rename.
 const (
 	fpAppend        = "storage/append"
 	fpAppendPartial = "storage/append-partial"
@@ -144,6 +149,9 @@ type Store struct {
 	activeSize int64
 	unmaps     []func() error
 	closed     bool
+	// broken is set when a failed Append could not be rolled back; every
+	// later Append fails with it.
+	broken error
 
 	// Encoder embeddings, persisted as the snapshot's checkpoint so
 	// recovery under the same encoder skips re-encoding. Indexed by record
@@ -286,7 +294,9 @@ func (s *Store) listFiles() (segs, snaps []int, err error) {
 // newSegment creates and headers segment idx and makes it active.
 func (s *Store) newSegment(idx int) error {
 	path := filepath.Join(s.dir, segName(idx))
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	// O_APPEND, as on reopen: after rollback truncates, the next write
+	// lands at the new end
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("storage: creating segment: %w", err)
 	}
@@ -328,6 +338,9 @@ func (s *Store) Append(ts []traj.Trajectory) ([]traj.Trajectory, error) {
 	if s.closed {
 		return nil, errors.New("storage: store is closed")
 	}
+	if s.broken != nil {
+		return nil, fmt.Errorf("storage: appends refused until reopened: %w", s.broken)
+	}
 	var buf []byte
 	out := make([]traj.Trajectory, len(ts))
 	for i, t := range ts {
@@ -343,24 +356,46 @@ func (s *Store) Append(ts []traj.Trajectory) ([]traj.Trajectory, error) {
 	if err := failpoint.Inject(fpAppend); err != nil {
 		return nil, fmt.Errorf("storage: appending %d records: %w", len(ts), err)
 	}
-	if n := failpoint.Partial(fpAppendPartial, len(buf)); n < len(buf) {
-		// a torn write, exactly as a crash mid-append leaves it: some bytes
-		// of the batch reach the file, the caller is never acked, and the
-		// tail is truncated away on the next Open
-		_, _ = s.active.Write(buf[:n])
-		return nil, fmt.Errorf("storage: appending %d records: torn write after %d/%d bytes (injected)", len(ts), n, len(buf))
-	}
-	if _, err := s.active.Write(buf); err != nil {
-		return nil, fmt.Errorf("storage: appending %d records: %w", len(ts), err)
+	if err := s.writeBatch(buf); err != nil {
+		return nil, fmt.Errorf("storage: appending %d records: %w", len(ts), s.rollback(err))
 	}
 	s.activeSize += int64(len(buf))
-	if s.opts.SyncEveryAppend {
-		if err := syncFile(s.active); err != nil {
-			return nil, fmt.Errorf("storage: fsync after append: %w", err)
-		}
-	}
 	s.recs = append(s.recs, out...)
 	return out, nil
+}
+
+// writeBatch writes one Append's records to the active segment, fsyncing
+// them under SyncEveryAppend. On error some of buf may be in the file.
+func (s *Store) writeBatch(buf []byte) error {
+	if n := failpoint.Partial(fpAppendPartial, len(buf)); n < len(buf) {
+		// a torn write: the injected error below is what Append reports
+		_, _ = s.active.Write(buf[:n])
+		return fmt.Errorf("torn write after %d/%d bytes (injected)", n, len(buf))
+	}
+	if _, err := s.active.Write(buf); err != nil {
+		return err
+	}
+	if s.opts.SyncEveryAppend {
+		if err := syncFile(s.active); err != nil {
+			return fmt.Errorf("fsync after append: %w", err)
+		}
+	}
+	return nil
+}
+
+// rollback undoes a failed writeBatch: it truncates the active segment back
+// to its last acknowledged byte, so the next Append writes right after the
+// last acknowledged record and Open never sees the failed batch. That size
+// is never below the size recovered at Open, so mapped points stay valid.
+// When the truncate itself fails the store stops appending until reopened:
+// a later batch written after the failed one would be cut away with it as
+// Open's torn tail.
+func (s *Store) rollback(err error) error {
+	if terr := s.active.Truncate(s.activeSize); terr != nil {
+		s.broken = fmt.Errorf("truncating segment %d after a failed append: %w", s.activeIdx, terr)
+		return errors.Join(err, s.broken)
+	}
+	return err
 }
 
 // Len returns the number of stored records.

@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"testing"
 
+	"simsub/internal/failpoint"
 	"simsub/internal/geo"
 	"simsub/internal/traj"
 )
@@ -387,4 +388,53 @@ func TestSnapshotImageUnchangedAndPresized(t *testing.T) {
 			t.Fatalf("%d embedded: image of %d bytes sits in a buffer of %d", embedded, len(got), cap(got))
 		}
 	}
+}
+
+// failedBatchThenMore stores 5 records, makes the next 5-record Append fail
+// under the armed fault site, appends 5 more and reopens: exactly the 10
+// acknowledged records must come back, in dense ID order, and the store
+// must keep appending after the reopen.
+func failedBatchThenMore(t *testing.T, opts Options, site, spec string) {
+	t.Helper()
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(9))
+	s1, _ := mustOpen(t, dir, opts)
+	want, err := s1.Append(genTrajs(rng, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := failpoint.Enable(site, spec); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { failpoint.Disable(site) })
+	if _, err := s1.Append(genTrajs(rng, 5)); err == nil {
+		t.Fatalf("%s=%s: append succeeded", site, spec)
+	}
+	failpoint.Disable(site)
+	more, err := s1.Append(genTrajs(rng, 5))
+	if err != nil {
+		t.Fatalf("append after a failed one: %v", err)
+	}
+	want = append(want, more...)
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, rs := mustOpen(t, dir, opts)
+	defer s2.Close()
+	if rs.TornTailTruncations != 0 {
+		t.Fatalf("reopen truncated a torn tail: %+v", rs)
+	}
+	equalRecords(t, s2.Records(), want)
+	if recs, err := s2.Append(genTrajs(rng, 1)); err != nil || recs[0].ID != len(want) {
+		t.Fatalf("append after reopen: %v, %v", recs, err)
+	}
+}
+
+func TestTornAppendRolledBack(t *testing.T) {
+	failedBatchThenMore(t, Options{}, fpAppendPartial, "1*partial(0.5)")
+}
+
+func TestFailedFsyncAppendRolledBack(t *testing.T) {
+	failedBatchThenMore(t, Options{SyncEveryAppend: true}, fpFsync, "1*error(disk gone)")
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"simsub/internal/sim"
 	"simsub/internal/traj"
 )
 
@@ -28,7 +29,7 @@ func TestStreamPushZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	data, q := randWalk(rng, 40), randWalk(rng, 8)
 	for name, m := range allocModels(t) {
-		s := m.NewStream(q)
+		s := sim.NewStream(m, q)
 		j := 0
 		allocs := testing.AllocsPerRun(100, func() {
 			s.Push(data.Points[j%data.Len()])

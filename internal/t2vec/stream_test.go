@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"simsub/internal/sim"
 	"simsub/internal/traj"
 )
 
@@ -17,7 +18,7 @@ func TestStreamMatchesBatchPrefixes(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	data := randWalk(rng, 14)
 	q := randWalk(rng, 7)
-	s := m.NewStream(q)
+	s := sim.NewStream(m, q)
 	for j := 0; j < data.Len(); j++ {
 		got := s.Push(data.Points[j])
 		want := m.Dist(data.Sub(0, j), q)
@@ -35,7 +36,7 @@ func TestStreamResetReplaysIdentically(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	data := randWalk(rng, 10)
 	q := randWalk(rng, 5)
-	s := m.NewStream(q)
+	s := sim.NewStream(m, q)
 	first := make([]float64, data.Len())
 	for j := range data.Points {
 		first[j] = s.Push(data.Points[j])
@@ -59,7 +60,7 @@ func TestStreamIndependentOfOtherStreams(t *testing.T) {
 	a := randWalk(rng, 9)
 	b := randWalk(rng, 9)
 	q := randWalk(rng, 6)
-	sa, sb := m.NewStream(q), m.NewStream(q)
+	sa, sb := sim.NewStream(m, q), sim.NewStream(m, q)
 	for j := 0; j < 9; j++ {
 		da := sa.Push(a.Points[j])
 		db := sb.Push(b.Points[j])
@@ -85,7 +86,7 @@ func TestStreamTokenModelParity(t *testing.T) {
 		t.Fatalf("Train: %v", err)
 	}
 	data, q := corpus[0], corpus[1]
-	s := m.NewStream(q)
+	s := sim.NewStream(m, q)
 	for j := 0; j < data.Len(); j++ {
 		got := s.Push(data.Points[j])
 		want := m.Dist(data.Sub(0, j), q)

@@ -205,11 +205,11 @@ func euclid(a, b []float64) float64 {
 	return math.Sqrt(s)
 }
 
-// inc is the model's one computer, for both sim.Incremental and
-// sim.Stream: it carries the encoder hidden state of the points consumed so
-// far, and each point costs one GRU step (Φini = Φinc = O(1)). Push is the
-// primitive; Init(i) is Reset then Push(t.Pt(i)) and Extend is
-// Push(t.Pt(End()+1)). A stream has no t.
+// inc is the model's one computer, its sim.Incremental: it carries the
+// encoder hidden state of the points consumed so far, and each point costs
+// one GRU step (Φini = Φinc = O(1)). Push is the primitive; Init(i) is
+// Reset then Push(t.Pt(i)) and Extend is Push(t.Pt(End()+1)). A stream
+// (sim.NewStream) has no t.
 type inc struct {
 	m     *Model
 	t     traj.Trajectory
@@ -221,7 +221,9 @@ type inc struct {
 	n     int       // points consumed since Reset
 }
 
-func (m *Model) newInc(t, q traj.Trajectory) *inc {
+// NewIncremental implements sim.Measure. The query embedding is computed
+// once (amortized per the paper's Φ analysis).
+func (m *Model) NewIncremental(t, q traj.Trajectory) sim.Incremental {
 	c := &inc{
 		m:    m,
 		t:    t,
@@ -231,13 +233,6 @@ func (m *Model) newInc(t, q traj.Trajectory) *inc {
 	c.x, c.s = m.scratch()
 	return c
 }
-
-// NewIncremental implements sim.Measure. The query embedding is computed
-// once (amortized per the paper's Φ analysis).
-func (m *Model) NewIncremental(t, q traj.Trajectory) sim.Incremental { return m.newInc(t, q) }
-
-// NewStream implements sim.StreamMeasure.
-func (m *Model) NewStream(q traj.Trajectory) sim.Stream { return m.newInc(traj.Trajectory{}, q) }
 
 func (c *inc) Push(p geo.Point) float64 {
 	if c.n == 0 {
@@ -255,6 +250,10 @@ func (c *inc) Init(i int) float64 {
 }
 
 func (c *inc) Extend() float64 { return c.Push(c.t.Pt(c.start + c.n)) }
+
+// ExtendAbandoning implements sim.Incremental. An embedding distance has no
+// monotone lower bound over extensions, so it never abandons.
+func (c *inc) ExtendAbandoning(float64) (float64, bool) { return c.Extend(), false }
 
 func (c *inc) End() int { return c.start + c.n - 1 }
 
