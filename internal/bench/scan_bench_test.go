@@ -109,6 +109,7 @@ func benchScan(b *testing.B, measure, algorithm string, pruned bool) {
 func BenchmarkScan(b *testing.B) {
 	for _, tc := range []struct{ measure, algorithm string }{
 		{"dtw", "exacts"}, {"dtw", "pss"}, {"frechet", "exacts"}, {"edr", "pss"},
+		{"erp", "exacts"}, {"edr", "exacts"},
 	} {
 		for _, mode := range []string{"unpruned", "pruned"} {
 			b.Run(fmt.Sprintf("%s/%s/%s", tc.measure, tc.algorithm, mode), func(b *testing.B) {

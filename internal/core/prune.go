@@ -21,9 +21,9 @@ import (
 //	candidate  the measure's lower-bound cascade (sim.SubtrajLowerBounder)
 //	           drops a trajectory before any DP runs, and orders the rest
 //	           best-first;
-//	gate       sim.FreeStartMeasure finds a trajectory's best interval in
-//	           one pruned O(n·m) pass and drops it beyond the threshold
-//	           or returns it (ExactS);
+//	gate       sim.FreeStartMeasure (DTW, Fréchet, ERP, EDR) finds a
+//	           trajectory's best interval in one O(n·m) pass and drops
+//	           it beyond the threshold or returns it (ExactS);
 //	kernel     sim.Incremental.ExtendAbandoning abandons a DP scan once
 //	           no extension can beat the threshold;
 //	result     a completed search whose best distance exceeds the
@@ -142,7 +142,7 @@ func (c cascade) prunes(t traj.Trajectory, meta TrajMeta, tau float64) bool {
 }
 
 // exactThresholdSearch implements ThresholdSearch for ExactS. When the
-// measure has a free-start form (sim.FreeStartMeasure) one pruned O(n·m)
+// measure has a free-start form (sim.FreeStartMeasure) one O(n·m)
 // pass returns the answer — the lexicographically first minimizing interval
 // and its distance, bit-identical to the enumeration — or abandons once the
 // minimum is provably beyond tau. Otherwise it enumerates (enumerate).

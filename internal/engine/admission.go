@@ -297,9 +297,10 @@ func (e *Engine) budgetFallback(a *artifacts, q Query, remaining time.Duration, 
 
 // degradeTarget is the overload-path fallback: the first servable entry of
 // the degradation chain that is not known to cost at least as much as the
-// shed query — under DTW/Fréchet the free-start ExactS can undercut PSS, and
-// a degraded answer must be cheaper, not only approximate. A pair whose
-// cost is still unknown keeps the benefit of the doubt.
+// shed query — under DTW, Fréchet, ERP and EDR the free-start ExactS can
+// undercut PSS, and a degraded answer must be cheaper, not only
+// approximate. A pair whose cost is still unknown keeps the benefit of the
+// doubt.
 func (e *Engine) degradeTarget(a *artifacts, q Query) string {
 	n := e.Len()
 	own, ownKnown := e.cost.estimate(q.Measure, q.Algorithm, n)

@@ -40,30 +40,42 @@ func (e ERP) Dist(t, q traj.Trajectory) float64 {
 	if n == 0 || m == 0 {
 		return math.Inf(1)
 	}
-	row := getRow(m + 1)
+	row, gq := getRow(m+1), getRow(m)
 	defer putRow(row)
-	e.baseRowInto(row, q)
+	defer putRow(gq)
+	e.gapCostsInto(gq, q)
+	erpBaseRow(row, gq)
 	for i := 0; i < n; i++ {
-		e.extendRow(row, t.Pt(i), q)
+		e.extendRow(row, t.Pt(i), q, gq)
 	}
 	return row[m]
 }
 
-// baseRowInto fills row with ERP(∅, q[0..j-1]) for j = 0..m: the cost of
-// deleting the whole query prefix. row must have m+1 cells.
-func (e ERP) baseRowInto(row []float64, q traj.Trajectory) {
-	m := q.Len()
+// gapCostsInto fills gq with d(q_j, Gap), the cost of deleting each query
+// point. They depend on the query alone, so a caller computes them once and
+// hands them to every extendRow.
+func (e ERP) gapCostsInto(gq []float64, q traj.Trajectory) {
+	for j := range gq {
+		gq[j] = geo.Dist(q.Pt(j), e.Gap)
+	}
+}
+
+// erpBaseRow fills row with ERP(∅, q[0..j-1]) for j = 0..m: the cost of
+// deleting the whole query prefix, from the gap costs gq. row must have
+// m+1 cells.
+func erpBaseRow(row, gq []float64) {
 	row[0] = 0
-	for j := 1; j <= m; j++ {
-		row[j] = row[j-1] + geo.Dist(q.Pt(j-1), e.Gap)
+	for j, g := range gq {
+		row[j+1] = row[j] + g
 	}
 }
 
 // extendRow advances the DP by one data point in place; row has m+1 cells
-// with row[j] = ERP(prefix, q[0..j-1]). It returns the new row's minimum:
-// every cell adds a non-negative cost to a minimum over earlier cells, so
-// the row minimum never decreases and lower-bounds all future distances.
-func (e ERP) extendRow(row []float64, p geo.Point, q traj.Trajectory) float64 {
+// with row[j] = ERP(prefix, q[0..j-1]) and gq holds q's gap costs
+// (gapCostsInto). It returns the new row's minimum: every cell adds a
+// non-negative cost to a minimum over earlier cells, so the row minimum
+// never decreases and lower-bounds all future distances.
+func (e ERP) extendRow(row []float64, p geo.Point, q traj.Trajectory, gq []float64) float64 {
 	m := q.Len()
 	gp := geo.Dist(p, e.Gap)
 	prevDiag := row[0]
@@ -73,7 +85,7 @@ func (e ERP) extendRow(row []float64, p geo.Point, q traj.Trajectory) float64 {
 		prevUp := row[j]
 		match := prevDiag + geo.Dist(p, q.Pt(j-1))
 		delP := prevUp + gp
-		delQ := row[j-1] + geo.Dist(q.Pt(j-1), e.Gap)
+		delQ := row[j-1] + gq[j-1]
 		best := match
 		if delP < best {
 			best = delP
@@ -88,23 +100,26 @@ func (e ERP) extendRow(row []float64, p geo.Point, q traj.Trajectory) float64 {
 	return rowMin
 }
 
-// erpInc is ERP's one computer.
+// erpInc is ERP's one computer. gq holds the query's gap costs, computed
+// once in NewIncremental.
 type erpInc struct {
 	seq
-	meas ERP
-	row  []float64
+	meas    ERP
+	row, gq []float64
 }
 
 // NewIncremental implements Measure.
 func (e ERP) NewIncremental(t, q traj.Trajectory) Incremental {
-	return &erpInc{seq: seq{t: t, q: q}, meas: e, row: getRow(q.Len() + 1)}
+	c := &erpInc{seq: seq{t: t, q: q}, meas: e, row: getRow(q.Len() + 1), gq: getRow(q.Len())}
+	e.gapCostsInto(c.gq, q)
+	return c
 }
 
 func (c *erpInc) Push(p geo.Point) float64 {
 	if c.n == 0 {
-		c.meas.baseRowInto(c.row, c.q)
+		erpBaseRow(c.row, c.gq)
 	}
-	c.meas.extendRow(c.row, p, c.q)
+	c.meas.extendRow(c.row, p, c.q, c.gq)
 	c.n++
 	return c.row[len(c.row)-1]
 }
@@ -115,7 +130,7 @@ func (c *erpInc) Extend() float64 { return c.Push(c.next()) }
 
 // ExtendAbandoning implements Incremental; see ERP.extendRow.
 func (c *erpInc) ExtendAbandoning(tau float64) (float64, bool) {
-	rowMin := c.meas.extendRow(c.row, c.next(), c.q)
+	rowMin := c.meas.extendRow(c.row, c.next(), c.q, c.gq)
 	c.n++
 	if rowMin > tau {
 		return rowMin, true
@@ -126,7 +141,8 @@ func (c *erpInc) ExtendAbandoning(tau float64) (float64, bool) {
 // Release implements Releaser.
 func (c *erpInc) Release() {
 	putRow(c.row)
-	c.row = nil
+	putRow(c.gq)
+	c.row, c.gq = nil, nil
 }
 
 // EDR is the Edit Distance on Real sequence: points match (cost 0) when
@@ -156,16 +172,16 @@ func (e EDR) Dist(t, q traj.Trajectory) float64 {
 	}
 	row := getRow(m + 1)
 	defer putRow(row)
-	edrBaseRow(row)
+	e.baseRow(row)
 	for i := 0; i < n; i++ {
 		e.extendRow(row, t.Pt(i), q)
 	}
 	return row[m]
 }
 
-// edrBaseRow fills row with EDR(∅, q[0..j-1]) = j for j = 0..m: inserting
+// baseRow fills row with EDR(∅, q[0..j-1]) = j for j = 0..m: inserting
 // the whole query prefix.
-func edrBaseRow(row []float64) {
+func (EDR) baseRow(row []float64) {
 	for j := range row {
 		row[j] = float64(j)
 	}
@@ -214,7 +230,7 @@ func (e EDR) NewIncremental(t, q traj.Trajectory) Incremental {
 
 func (c *edrInc) Push(p geo.Point) float64 {
 	if c.n == 0 {
-		edrBaseRow(c.row)
+		c.meas.baseRow(c.row)
 	}
 	c.meas.extendRow(c.row, p, c.q)
 	c.n++

@@ -8,7 +8,7 @@ import (
 )
 
 // This file is the free-start DP: the best subtrajectory T[i,j] of T against
-// Q, over EVERY start and end, in one pruned O(n·m) pass where the ExactS
+// Q, over EVERY start and end, in one O(n·m) pass where the ExactS
 // enumeration spends O(n²·m). It is the recurrence SPRING (Sakurai et al.,
 // ICDE 2007) runs with star padding — query column 0 may restart at every
 // data point:
@@ -48,12 +48,30 @@ import (
 // pass takes one sqrt at the end. A squared cell v is within tau exactly
 // when v <= sqBound(tau).
 //
-// The pass runs in two phases over one step kernel per measure
-// (dtwKernel.step, frechetKernel.step):
+// ERP and EDR may delete data points, so their column 0 does not simply
+// restart. They restart from a base row instead: B(j), the cost of the
+// query prefix q[0..j-1] against no data point (the prefix's gap costs for
+// ERP, j for EDR), is where every start's row begins. Folding B into the
+// carried row before each data point and running the measure's own
+// extendRow gives
 //
-//   - the gate, query-major: one pooled column S(·,j) over the n data
-//     points advances one query point at a time. Once every cell is dead
-//     the minimum is beyond tau and the pass abandons.
+//	S(x,·) = extendRow(min(S(x-1,·), B), p_x)
+//
+// which is the same argument with the base row where SPRING has star
+// padding: extendRow adds non-negative costs to minima of earlier cells,
+// so it distributes over the elementwise minimum and S(x,j) =
+// min_{i<=x} D_i(x,j) bit for bit, the start i = x entering through B.
+// These cells are kept exact; none is marked dead.
+//
+// The pass runs in two phases over each measure's one step kernel
+// (dtwKernel.step, frechetKernel.step, ERP.extendRow, EDR.extendRow):
+//
+//   - the gate. DTW and Fréchet run it query-major (columnGate): one
+//     pooled column S(·,j) over the n data points advances one query point
+//     at a time, and once every cell is dead the minimum is beyond tau and
+//     the pass abandons. ERP and EDR run it data-major
+//     (baseRowKernel.gate): one row over the query advances one data point
+//     at a time from the base row, and d* is the minimum of its last cell.
 //   - the interval rows, data-major at tau = d*: for each start i in order,
 //     the per-start row D_i(x,·) over the query advances one data point at
 //     a time. The first (i, x) whose last cell is live is the
@@ -62,9 +80,9 @@ import (
 //     dies first holds no interval at d*.
 
 // FreeStartMeasure is an optional Measure capability: the exact best
-// subtrajectory without enumerating them. Measures whose cells depend on
-// where the subtrajectory starts (CDTW's band is laid along the
-// subtrajectory's own diagonal) cannot offer it.
+// subtrajectory without enumerating them. DTW, Fréchet, ERP and EDR offer
+// it. Measures whose cells depend on where the subtrajectory starts
+// (CDTW's band is laid along the subtrajectory's own diagonal) cannot.
 type FreeStartMeasure interface {
 	Measure
 	// MinSub returns the lexicographically first interval minimizing
@@ -87,58 +105,67 @@ func (Frechet) MinSub(t, q traj.Trajectory, tau float64) (traj.Interval, float64
 	return minSub(frechetKernel{}, t, q, tau)
 }
 
+// MinSub implements FreeStartMeasure. The query's gap costs are computed
+// once per call, as NewIncremental computes them once per computer.
+func (e ERP) MinSub(t, q traj.Trajectory, tau float64) (traj.Interval, float64, bool) {
+	gq := getRow(q.Len())
+	defer putRow(gq)
+	e.gapCostsInto(gq, q)
+	return minSub(baseRowKernel[erpRows]{erpRows{e, gq}}, t, q, tau)
+}
+
+// MinSub implements FreeStartMeasure.
+func (e EDR) MinSub(t, q traj.Trajectory, tau float64) (traj.Interval, float64, bool) {
+	return minSub(baseRowKernel[EDR]{e}, t, q, tau)
+}
+
 // freeStartKernel is the measure-specific part of the pass, in the domain
-// the cells live in (distances for DTW, squared distances for Fréchet).
+// the cells live in (distances for DTW, ERP and EDR, squared distances for
+// Fréchet).
 type freeStartKernel interface {
 	// bound maps a distance threshold into the cell domain.
 	bound(tau float64) float64
 	// dist maps a cell value back to a distance.
 	dist(v float64) float64
-	// column0 fills the gate's first column, S(x,0) = d(q0, p_x), and
-	// returns its live range (lo > hi: every cell is dead).
-	column0(col []float64, q0 geo.Point, t []geo.Point, bound float64) (lo, hi int)
-	// row0 fills the live prefix of a start's first row, the fold of
-	// d(p, q_j) over j, and returns its last live index (-1: none).
+	// gate runs the free-start recurrence over the pair and returns the
+	// minimum of its last query column; live is false when every cell is
+	// beyond bound, and v then carries no information.
+	gate(t, q []geo.Point, bound float64) (v float64, live bool)
+	// rowLen is the length of a start's row against an m-point query.
+	rowLen(m int) int
+	// row0 fills a start's first row from its data point p and returns
+	// its last live index (-1: none).
 	row0(row []float64, p geo.Point, q []geo.Point, bound float64) (hi int)
 	// step advances line, live on [lo, hi], by one point p against seq
 	// and returns the new live range.
 	step(line []float64, p geo.Point, seq []geo.Point, lo, hi int, bound float64) (int, int)
 }
 
-// minSub runs the gate and, within tau, the interval rows.
-func minSub(k freeStartKernel, t, q traj.Trajectory, tau float64) (traj.Interval, float64, bool) {
+// minSub runs the gate and, within tau, the interval rows. It takes the
+// kernel as a type parameter, not an interface value, so a kernel carrying
+// per-call state (ERP's gap costs) is not boxed and the pass allocates
+// nothing.
+func minSub[K freeStartKernel](k K, t, q traj.Trajectory, tau float64) (traj.Interval, float64, bool) {
 	n, m := t.Len(), q.Len()
 	if n == 0 || m == 0 {
 		return traj.Interval{}, math.Inf(1), false
 	}
-	bound := k.bound(tau)
-	col := getRow(n)
-	defer putRow(col)
-	lo, hi := k.column0(col, q.Pt(0), t.Points, bound)
-	for j := 1; j < m && lo <= hi; j++ {
-		lo, hi = k.step(col, q.Pt(j), t.Points, lo, hi, bound)
-	}
-	if lo > hi {
+	v, live := k.gate(t.Points, q.Points, k.bound(tau))
+	if !live {
 		// every cell dead: the minimum is beyond tau, or is +Inf (every
 		// cell +Inf) and the enumeration keeps no interval but the zero one
 		return traj.Interval{}, math.Inf(1), math.Inf(1) > tau
 	}
-	v := math.Inf(1)
-	for _, c := range col[lo : hi+1] {
-		if c < v {
-			v = c
-		}
-	}
 	d := k.dist(v)
 
 	// the interval rows at tau = d: a live last cell is exactly d
-	bound = k.bound(d)
-	row := getRow(m)
+	bound := k.bound(d)
+	row := getRow(k.rowLen(m))
 	defer putRow(row)
 	for i := 0; i < n; i++ {
 		lo, hi := 0, k.row0(row, t.Pt(i), q.Points, bound)
 		for x := i; lo <= hi; {
-			if hi == m-1 {
+			if hi == len(row)-1 {
 				return traj.Interval{I: i, J: x}, d, false
 			}
 			if x++; x == n {
@@ -148,6 +175,37 @@ func minSub(k freeStartKernel, t, q traj.Trajectory, tau float64) (traj.Interval
 		}
 	}
 	panic("sim: the free-start minimum is attained by no interval")
+}
+
+// columnKernel is the part of DTW's and Fréchet's kernels the query-major
+// gate runs on.
+type columnKernel interface {
+	// column0 fills the gate's first column, S(x,0) = d(q0, p_x), and
+	// returns its live range (lo > hi: every cell is dead).
+	column0(col []float64, q0 geo.Point, t []geo.Point, bound float64) (lo, hi int)
+	step(line []float64, p geo.Point, seq []geo.Point, lo, hi int, bound float64) (int, int)
+}
+
+// columnGate is DTW's and Fréchet's gate: one pooled column S(·,j) over the
+// data points advances one query point at a time, and once every cell is
+// dead the minimum is beyond bound.
+func columnGate[K columnKernel](k K, t, q []geo.Point, bound float64) (float64, bool) {
+	col := getRow(len(t))
+	defer putRow(col)
+	lo, hi := k.column0(col, q[0], t, bound)
+	for j := 1; j < len(q) && lo <= hi; j++ {
+		lo, hi = k.step(col, q[j], t, lo, hi, bound)
+	}
+	if lo > hi {
+		return math.Inf(1), false
+	}
+	v := math.Inf(1)
+	for _, c := range col[lo : hi+1] {
+		if c < v {
+			v = c
+		}
+	}
+	return v, true
 }
 
 // sqBound returns the largest float64 s with math.Sqrt(s) <= tau, so that a
@@ -174,6 +232,12 @@ type dtwKernel struct{}
 func (dtwKernel) bound(tau float64) float64 { return tau }
 
 func (dtwKernel) dist(v float64) float64 { return v }
+
+func (k dtwKernel) gate(t, q []geo.Point, bound float64) (float64, bool) {
+	return columnGate(k, t, q, bound)
+}
+
+func (dtwKernel) rowLen(m int) int { return m }
 
 func (dtwKernel) column0(col []float64, q0 geo.Point, t []geo.Point, bound float64) (int, int) {
 	lo, hi := len(col), -1
@@ -252,6 +316,12 @@ func (frechetKernel) bound(tau float64) float64 { return sqBound(tau) }
 
 func (frechetKernel) dist(v float64) float64 { return math.Sqrt(v) }
 
+func (k frechetKernel) gate(t, q []geo.Point, bound float64) (float64, bool) {
+	return columnGate(k, t, q, bound)
+}
+
+func (frechetKernel) rowLen(m int) int { return m }
+
 func (frechetKernel) column0(col []float64, q0 geo.Point, t []geo.Point, bound float64) (int, int) {
 	lo, hi := len(col), -1
 	for x, p := range t {
@@ -326,4 +396,81 @@ func (frechetKernel) step(line []float64, p geo.Point, seq []geo.Point, lo, hi i
 		diag, left = inf, v
 	}
 	return newLo, newHi
+}
+
+// editRows is what the pass needs of ERP and EDR: the base row, the cost of
+// the query prefix q[0..j-1] against no data point, and the measure's one
+// row kernel. Both keep m+1 cells, cell 0 for the empty query prefix.
+type editRows interface {
+	baseRow(row []float64)
+	extendRow(row []float64, p geo.Point, q traj.Trajectory) float64
+}
+
+// erpRows is ERP with the query's gap costs of one MinSub call.
+type erpRows struct {
+	e  ERP
+	gq []float64
+}
+
+func (r erpRows) baseRow(row []float64) { erpBaseRow(row, r.gq) }
+
+func (r erpRows) extendRow(row []float64, p geo.Point, q traj.Trajectory) float64 {
+	return r.e.extendRow(row, p, q, r.gq)
+}
+
+// baseRowKernel is ERP's and EDR's part of the pass: cells are edit costs,
+// kept exact and never marked dead. Every start's row begins as the same
+// base row, so the gate restarts by folding the base row into the carried
+// row before each data point.
+type baseRowKernel[E editRows] struct{ e E }
+
+func (baseRowKernel[E]) bound(tau float64) float64 { return tau }
+
+func (baseRowKernel[E]) dist(v float64) float64 { return v }
+
+// gate is the data-major pass of the file comment: before data point x
+// the carried row S(x-1,·) takes the elementwise minimum with the base row
+// — the start i = x, which has consumed no data point yet — and one
+// extendRow advances it, so cell 0 comes out as the one-point start's own
+// cost. d* is the minimum over x of the last cell.
+func (k baseRowKernel[E]) gate(t, q []geo.Point, bound float64) (float64, bool) {
+	m := len(q)
+	row, base := getRow(m+1), getRow(m+1)
+	defer putRow(row)
+	defer putRow(base)
+	k.e.baseRow(base)
+	copy(row, base)
+	v := math.Inf(1)
+	for _, p := range t {
+		for j, b := range base {
+			row[j] = min(row[j], b)
+		}
+		k.e.extendRow(row, p, traj.Trajectory{Points: q})
+		v = min(v, row[m])
+	}
+	return v, v <= bound
+}
+
+func (baseRowKernel[E]) rowLen(m int) int { return m + 1 }
+
+func (k baseRowKernel[E]) row0(row []float64, p geo.Point, q []geo.Point, bound float64) int {
+	k.e.baseRow(row)
+	_, hi := k.step(row, p, q, 0, len(row)-1, bound)
+	return hi
+}
+
+// step is one extendRow over the whole row. The cells are exact, so the
+// live range it returns brackets the cells within bound: [0, m] when the
+// last one is, [0, m-1] when only an earlier one is, and empty once the row
+// minimum is beyond bound — no later cell of the row can come back, since
+// the row minimum never decreases.
+func (k baseRowKernel[E]) step(row []float64, p geo.Point, q []geo.Point, _, _ int, bound float64) (int, int) {
+	rowMin := k.e.extendRow(row, p, traj.Trajectory{Points: q})
+	switch last := len(row) - 1; {
+	case row[last] <= bound:
+		return 0, last
+	case rowMin <= bound:
+		return 0, last - 1
+	}
+	return 0, -1
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,7 +11,26 @@ import (
 	"simsub/internal/traj"
 )
 
-func freeStartMeasures() []FreeStartMeasure { return []FreeStartMeasure{DTW{}, Frechet{}} }
+// freeStartMeasures lists every measure with a free-start pass: EDR at a
+// tolerance below and above the test coordinates' spread (ties at the
+// minimum are common at ε=3), and ERP with its gap at the origin and off it.
+func freeStartMeasures() []FreeStartMeasure {
+	return []FreeStartMeasure{DTW{}, Frechet{}, ERP{}, ERP{Gap: geo.Point{X: 4, Y: -2}}, EDR{Eps: 0.25}, EDR{Eps: 3}}
+}
+
+// label names a free-start measure in subtests and failures: its name, with
+// EDR's ε and a gap point off the origin.
+func label(m Measure) string {
+	switch m := m.(type) {
+	case EDR:
+		return fmt.Sprintf("edr(eps=%g)", m.Eps)
+	case ERP:
+		if m.Gap != (geo.Point{}) {
+			return fmt.Sprintf("erp(gap=%g,%g)", m.Gap.X, m.Gap.Y)
+		}
+	}
+	return m.Name()
+}
 
 // enumFirst is the reference the free-start pass must reproduce bit for
 // bit: the interval and distance the ExactS enumeration keeps, the first one
@@ -44,12 +64,12 @@ func checkMinSubDist(t *testing.T, m FreeStartMeasure, data, q traj.Trajectory, 
 		iv, got, abandoned := m.MinSub(data, q, tau)
 		switch {
 		case abandoned && !(want > tau):
-			t.Fatalf("%s n=%d m=%d tau=%v: abandoned although the minimum %v is within tau", m.Name(), data.Len(), q.Len(), tau, want)
+			t.Fatalf("%s n=%d m=%d tau=%v: abandoned although the minimum %v is within tau", label(m), data.Len(), q.Len(), tau, want)
 		case !abandoned && (iv != wantIv || math.Float64bits(got) != math.Float64bits(want)):
 			t.Fatalf("%s n=%d m=%d tau=%v: completed with %v at %v, enumeration has %v at %v",
-				m.Name(), data.Len(), q.Len(), tau, iv, got, wantIv, want)
+				label(m), data.Len(), q.Len(), tau, iv, got, wantIv, want)
 		case !abandoned && want > tau:
-			t.Fatalf("%s n=%d m=%d tau=%v: completed although the minimum %v is beyond tau", m.Name(), data.Len(), q.Len(), tau, want)
+			t.Fatalf("%s n=%d m=%d tau=%v: completed although the minimum %v is beyond tau", label(m), data.Len(), q.Len(), tau, want)
 		}
 	}
 }
@@ -138,7 +158,7 @@ func TestMinSubDistDegenerate(t *testing.T) {
 	}
 	for _, m := range freeStartMeasures() {
 		for _, p := range pairs {
-			t.Run(m.Name()+"/"+p.name, func(t *testing.T) {
+			t.Run(label(m)+"/"+p.name, func(t *testing.T) {
 				lo := enumMin(m, p.data, p.q)
 				checkMinSubDist(t, m, p.data, p.q, []float64{0, lo / 2, lo * 2, 1})
 			})
@@ -151,7 +171,7 @@ func TestMinSubDistEmpty(t *testing.T) {
 	for _, m := range freeStartMeasures() {
 		for _, pair := range [][2]traj.Trajectory{{{}, q}, {q, {}}, {{}, {}}} {
 			if iv, d, abandoned := m.MinSub(pair[0], pair[1], 1); iv != (traj.Interval{}) || !math.IsInf(d, 1) || abandoned {
-				t.Errorf("%s with an empty side: (%v, %v, %v), want ({0 0}, +Inf, false)", m.Name(), iv, d, abandoned)
+				t.Errorf("%s with an empty side: (%v, %v, %v), want ({0 0}, +Inf, false)", label(m), iv, d, abandoned)
 			}
 		}
 	}
@@ -170,7 +190,7 @@ func TestFreeStartAllocatesNothing(t *testing.T) {
 		_, d, _ := m.MinSub(data, q, math.Inf(1)) // warm the pool
 		for _, tau := range []float64{math.Inf(1), d, d / 2} {
 			if a := testing.AllocsPerRun(100, func() { m.MinSub(data, q, tau) }); a > 0 {
-				t.Errorf("%s tau=%v: MinSub allocates %.1f objects per call, want 0", m.Name(), tau, a)
+				t.Errorf("%s tau=%v: MinSub allocates %.1f objects per call, want 0", label(m), tau, a)
 			}
 		}
 	}

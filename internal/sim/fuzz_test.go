@@ -116,14 +116,18 @@ func FuzzSuffixDistsReversal(f *testing.F) {
 // floats, 0 and +Inf (checkMinSubDist). Coordinates are drawn from a small
 // lattice half the time, so repeated points and tied intervals are common,
 // and are scaled by 1, 1e-3 or 1e6, so squared distances land on
-// sqBound's rounding edge at several magnitudes.
+// sqBound's rounding edge at several magnitudes. Besides the fixed
+// freeStartMeasures, EDR runs at a tolerance of 0, ½, 1, 1½ or 3 lattice
+// steps of the same scale: from one step up, neighbouring lattice points
+// match and EDR's integer costs tie at the minimum.
 func FuzzMinSubDist(f *testing.F) {
-	f.Add(int64(1), uint8(5), uint8(3), 0.5, false, uint8(0))
-	f.Add(int64(99), uint8(17), uint8(1), 2.0, true, uint8(1))
-	f.Add(int64(-7), uint8(2), uint8(8), 0.0, true, uint8(2))
-	f.Add(int64(12), uint8(0), uint8(0), 1.0, false, uint8(1))
-	f.Add(int64(5), uint8(23), uint8(9), 1.0, false, uint8(2))
-	f.Fuzz(func(t *testing.T, seed int64, nRaw, mRaw uint8, tauScale float64, lattice bool, scaleRaw uint8) {
+	f.Add(int64(1), uint8(5), uint8(3), 0.5, false, uint8(0), uint8(0))
+	f.Add(int64(99), uint8(17), uint8(1), 2.0, true, uint8(1), uint8(2))
+	f.Add(int64(-7), uint8(2), uint8(8), 0.0, true, uint8(2), uint8(4))
+	f.Add(int64(12), uint8(0), uint8(0), 1.0, false, uint8(1), uint8(1))
+	f.Add(int64(5), uint8(23), uint8(9), 1.0, false, uint8(2), uint8(3))
+	f.Add(int64(31), uint8(21), uint8(7), 1.0, true, uint8(0), uint8(2))
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, mRaw uint8, tauScale float64, lattice bool, scaleRaw, epsRaw uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nRaw)%24 + 1
 		m := int(mRaw)%10 + 1
@@ -140,7 +144,8 @@ func FuzzMinSubDist(f *testing.F) {
 			return traj.New(pts...)
 		}
 		data, q := mk(n), mk(m)
-		for _, meas := range freeStartMeasures() {
+		eps := [...]float64{0, 0.5, 1, 1.5, 3}[int(epsRaw)%5] * scale
+		for _, meas := range append(freeStartMeasures(), EDR{Eps: eps}) {
 			want := enumMin(meas, data, q)
 			var taus []float64
 			if tau := want * tauScale; !math.IsNaN(tau) {

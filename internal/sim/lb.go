@@ -201,9 +201,7 @@ type erpLB struct {
 // NewSubtrajLB implements SubtrajLowerBounder.
 func (e ERP) NewSubtrajLB(q traj.Trajectory) SubtrajLB {
 	gapD := make([]float64, q.Len())
-	for j := range gapD {
-		gapD[j] = geo.Dist(q.Pt(j), e.Gap)
-	}
+	e.gapCostsInto(gapD, q)
 	return &erpLB{q: q, gapD: gapD}
 }
 

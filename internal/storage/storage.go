@@ -29,11 +29,12 @@
 // SyncEveryAppend) truncates the segment back to the last acknowledged
 // record before it returns, so a failure never costs a later acknowledged
 // record; if that truncate fails, every later Append fails until the store
-// is reopened. A torn tail record (crash mid-write) is detected by the
-// length/CRC framing and truncated away on Open. Snapshots commit by
-// atomic rename, after the log they cover is fsync'd; a torn or stale
-// snapshot is discarded and the affected records are simply re-encoded —
-// recovery never trusts a snapshot it cannot checksum.
+// is reopened, and Close retries the truncate. A torn tail record (crash
+// mid-write) is detected by the length/CRC framing and truncated away on
+// Open. Snapshots commit by atomic rename, after the log they cover is
+// fsync'd; a torn or stale snapshot is discarded and the affected records
+// are simply re-encoded — recovery never trusts a snapshot it cannot
+// checksum.
 //
 // Ownership rules: record point slices may be backed by an mmap'd segment
 // owned by the Store. Treat them as immutable and do not use them after
@@ -65,12 +66,14 @@ import (
 // written, fpAppendPartial tears the append's batch buffer mid-write (a
 // short write: the failed Append truncates the torn bytes away before it
 // returns, as it does after any failed write or fsync), fpFsync fails
-// segment fsyncs, and fpSnapRename fails the snapshot's atomic commit
-// rename.
+// segment fsyncs, fpTruncate fails that truncate (the store then refuses
+// appends until reopened), and fpSnapRename fails the snapshot's atomic
+// commit rename.
 const (
 	fpAppend        = "storage/append"
 	fpAppendPartial = "storage/append-partial"
 	fpFsync         = "storage/fsync"
+	fpTruncate      = "storage/truncate"
 	fpSnapRename    = "storage/snapshot-rename"
 )
 
@@ -389,13 +392,22 @@ func (s *Store) writeBatch(buf []byte) error {
 // is never below the size recovered at Open, so mapped points stay valid.
 // When the truncate itself fails the store stops appending until reopened:
 // a later batch written after the failed one would be cut away with it as
-// Open's torn tail.
+// Open's torn tail. Close tries the truncate once more.
 func (s *Store) rollback(err error) error {
-	if terr := s.active.Truncate(s.activeSize); terr != nil {
+	if terr := s.truncateActive(); terr != nil {
 		s.broken = fmt.Errorf("truncating segment %d after a failed append: %w", s.activeIdx, terr)
 		return errors.Join(err, s.broken)
 	}
 	return err
+}
+
+// truncateActive cuts the active segment back to its last acknowledged
+// byte, through the fpTruncate fault site.
+func (s *Store) truncateActive() error {
+	if err := failpoint.Inject(fpTruncate); err != nil {
+		return err
+	}
+	return s.active.Truncate(s.activeSize)
 }
 
 // Len returns the number of stored records.
@@ -544,6 +556,13 @@ func (s *Store) Close() error {
 		errs = append(errs, snapErr)
 	}
 	if s.active != nil {
+		if s.broken != nil {
+			// the rollback a failed Append could not finish: without it
+			// the failed batch's whole records would come back on Open
+			if err := s.truncateActive(); err != nil {
+				errs = append(errs, fmt.Errorf("storage: retrying the rollback at close: %w", err))
+			}
+		}
 		if err := syncFile(s.active); err != nil {
 			errs = append(errs, err)
 		}

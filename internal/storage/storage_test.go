@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"simsub/internal/failpoint"
@@ -437,4 +438,52 @@ func TestTornAppendRolledBack(t *testing.T) {
 
 func TestFailedFsyncAppendRolledBack(t *testing.T) {
 	failedBatchThenMore(t, Options{SyncEveryAppend: true}, fpFsync, "1*error(disk gone)")
+}
+
+// TestFailedTruncateRefusesAppends: when an append fails and its rollback
+// truncate fails too, the torn batch stays in the segment, so the store
+// refuses every later append until reopened (a batch written after it
+// would be cut away with it). Close retries the truncate, so the reopened
+// store recovers exactly the acknowledged records — not the torn batch's
+// whole records — and appends again.
+func TestFailedTruncateRefusesAppends(t *testing.T) {
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(11))
+	s1, _ := mustOpen(t, dir, Options{})
+	want, err := s1.Append(genTrajs(rng, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for site, spec := range map[string]string{fpAppendPartial: "1*partial(0.5)", fpTruncate: "1*error(read-only file system)"} {
+		if err := failpoint.Enable(site, spec); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { failpoint.Disable(site) })
+	}
+	if _, err := s1.Append(genTrajs(rng, 5)); err == nil || !strings.Contains(err.Error(), "read-only file system") {
+		t.Fatalf("append with a failed rollback: %v, want the truncate error", err)
+	}
+	failpoint.Disable(fpAppendPartial)
+	failpoint.Disable(fpTruncate)
+	for i := 0; i < 2; i++ {
+		if recs, err := s1.Append(genTrajs(rng, 3)); err == nil || !strings.Contains(err.Error(), "refused until reopened") {
+			t.Fatalf("append %d after a failed rollback: %v, %v; want it refused", i, recs, err)
+		}
+	}
+	if n := s1.Len(); n != len(want) {
+		t.Fatalf("Len after refused appends: %d, want %d", n, len(want))
+	}
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, rs := mustOpen(t, dir, Options{})
+	defer s2.Close()
+	if rs.TornTailTruncations != 0 {
+		t.Fatalf("reopen truncated a torn tail that Close should have cut: %+v", rs)
+	}
+	equalRecords(t, s2.Records(), want)
+	if recs, err := s2.Append(genTrajs(rng, 1)); err != nil || recs[0].ID != len(want) {
+		t.Fatalf("append after reopen: %v, %v", recs, err)
+	}
 }
