@@ -2,9 +2,6 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
-	"os"
 	"sync"
 	"testing"
 
@@ -144,29 +141,4 @@ func BenchmarkANN(b *testing.B) {
 	b.Run("ann", func(b *testing.B) {
 		benchANN(b, "ann", cands, float64(budget)/float64(len(data)))
 	})
-}
-
-// writeANNJSON dumps the collected ann benchmark results; called from
-// TestMain alongside writeScanJSON.
-func writeANNJSON() {
-	annMu.Lock()
-	defer annMu.Unlock()
-	if len(annResults) == 0 {
-		return
-	}
-	path := os.Getenv("BENCH_ANN_OUT")
-	if path == "" {
-		path = "BENCH_ann.json"
-	}
-	data, err := json.MarshalIndent(annResults, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bench: marshal ann results: %v\n", err)
-		return
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "bench: write %s: %v\n", path, err)
-		return
-	}
-	fmt.Printf("ann benchmark results written to %s\n", path)
 }

@@ -2,8 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
-	"fmt"
 	"net/http/httptest"
 	"os"
 	"strconv"
@@ -165,29 +163,4 @@ func BenchmarkRecover(b *testing.B) {
 		Replayed: last.Replayed, Snapshotted: last.SnapshotRecords,
 	}
 	ingestMu.Unlock()
-}
-
-// writeIngestJSON dumps the collected ingest benchmark results; called
-// from TestMain alongside writeScanJSON.
-func writeIngestJSON() {
-	ingestMu.Lock()
-	defer ingestMu.Unlock()
-	if len(ingestResults) == 0 {
-		return
-	}
-	path := os.Getenv("BENCH_INGEST_OUT")
-	if path == "" {
-		path = "BENCH_ingest.json"
-	}
-	data, err := json.MarshalIndent(ingestResults, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bench: marshal ingest results: %v\n", err)
-		return
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "bench: write %s: %v\n", path, err)
-		return
-	}
-	fmt.Printf("ingest benchmark results written to %s\n", path)
 }

@@ -2,9 +2,6 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
-	"os"
 	"sync"
 	"testing"
 
@@ -161,29 +158,4 @@ func BenchmarkRLS(b *testing.B) {
 	b.Run("pss", func(b *testing.B) {
 		benchRLS(b, "pss", core.PSS{M: sim.DTW{}})
 	})
-}
-
-// writeRLSJSON dumps the collected learned-search benchmark results;
-// called from TestMain alongside writeScanJSON.
-func writeRLSJSON() {
-	rlsMu.Lock()
-	defer rlsMu.Unlock()
-	if len(rlsResults) == 0 {
-		return
-	}
-	path := os.Getenv("BENCH_RLS_OUT")
-	if path == "" {
-		path = "BENCH_rls.json"
-	}
-	data, err := json.MarshalIndent(rlsResults, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bench: marshal rls results: %v\n", err)
-		return
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "bench: write %s: %v\n", path, err)
-		return
-	}
-	fmt.Printf("rls benchmark results written to %s\n", path)
 }

@@ -2,9 +2,7 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"sort"
 	"sync"
@@ -109,7 +107,7 @@ func benchScan(b *testing.B, measure, algorithm string, pruned bool) {
 func BenchmarkScan(b *testing.B) {
 	for _, tc := range []struct{ measure, algorithm string }{
 		{"dtw", "exacts"}, {"dtw", "pss"}, {"frechet", "exacts"}, {"edr", "pss"},
-		{"erp", "exacts"}, {"edr", "exacts"},
+		{"erp", "exacts"}, {"edr", "exacts"}, {"frechet", "pss"}, {"dtw", "pos"},
 	} {
 		for _, mode := range []string{"unpruned", "pruned"} {
 			b.Run(fmt.Sprintf("%s/%s/%s", tc.measure, tc.algorithm, mode), func(b *testing.B) {
@@ -117,38 +115,4 @@ func BenchmarkScan(b *testing.B) {
 			})
 		}
 	}
-}
-
-// writeScanJSON dumps the collected scan benchmark results; called from
-// TestMain so a single file covers every sub-benchmark of the run.
-func writeScanJSON() {
-	scanMu.Lock()
-	defer scanMu.Unlock()
-	if len(scanResults) == 0 {
-		return
-	}
-	path := os.Getenv("BENCH_SCAN_OUT")
-	if path == "" {
-		path = "BENCH_scan.json"
-	}
-	data, err := json.MarshalIndent(scanResults, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bench: marshal scan results: %v\n", err)
-		return
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "bench: write %s: %v\n", path, err)
-		return
-	}
-	fmt.Printf("scan benchmark results written to %s\n", path)
-}
-
-func TestMain(m *testing.M) {
-	code := m.Run()
-	writeScanJSON()
-	writeRLSJSON()
-	writeIngestJSON()
-	writeANNJSON()
-	os.Exit(code)
 }

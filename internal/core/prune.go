@@ -23,7 +23,9 @@ import (
 //	           best-first;
 //	gate       sim.FreeStartMeasure (DTW, Fréchet, ERP, EDR) finds a
 //	           trajectory's best interval in one O(n·m) pass and drops
-//	           it beyond the threshold or returns it (ExactS);
+//	           it beyond the threshold or returns it (ExactS); the same
+//	           pass without the interval rows (Beyond, DTW and Fréchet)
+//	           drops it before the two passes of PSS and Θsuf RLS;
 //	kernel     sim.Incremental.ExtendAbandoning abandons a DP scan once
 //	           no extension can beat the threshold;
 //	result     a completed search whose best distance exceeds the
@@ -110,8 +112,23 @@ type ThresholdSearch interface {
 // cascade is the measure's per-query lower-bound cascade, embedded by the
 // threshold searches it is sound for; lb is nil when the measure has none
 // or the search cannot use it.
+//
+// A search that reads suffix values (suffixPass) builds it with
+// suffixCascadeFor. Those values are reversed folds, which may sit ulps
+// below the forward distances the bounds are proved against, so its Bound
+// and its last stage, beyond, take sim.SuffixSlack.
 type cascade struct {
-	lb sim.SubtrajLB
+	lb   sim.SubtrajLB
+	m    sim.Measure     // non-nil: suffix-reading, bounds take the slack
+	gate freeStartGate   // suffix-reading only, nil without a free-start gate
+	q    traj.Trajectory // the query, for the slack and the gate
+}
+
+// freeStartGate is a free-start pass's gate on its own (sim.DTW and
+// sim.Frechet): Beyond reports that every subtrajectory of t is strictly
+// farther than tau from q.
+type freeStartGate interface {
+	Beyond(t, q traj.Trajectory, tau float64) bool
 }
 
 // cascadeFor builds the measure's cascade when it has one.
@@ -120,6 +137,15 @@ func cascadeFor(m sim.Measure, q traj.Trajectory) cascade {
 		return cascade{lb: b.NewSubtrajLB(q)}
 	}
 	return cascade{}
+}
+
+// suffixCascadeFor is cascadeFor for a search with a suffixPass, ending in
+// the measure's free-start gate when it has one.
+func suffixCascadeFor(m sim.Measure, q traj.Trajectory) cascade {
+	c := cascadeFor(m, q)
+	c.m, c.q = m, q
+	c.gate, _ = m.(freeStartGate)
+	return c
 }
 
 // Bound implements ThresholdSearch.
@@ -132,7 +158,23 @@ func (c cascade) Bound(t traj.Trajectory, meta TrajMeta, tau float64) float64 {
 		// defensive: zero-value meta falls back to a fresh MBR
 		mbr = t.MBR()
 	}
-	return c.lb.LowerBound(t, mbr, tau)
+	b := c.lb.LowerBound(t, mbr, tau)
+	if c.m != nil {
+		b *= 1 - sim.SuffixSlack(c.m, t.Len(), c.q.Len())
+	}
+	return b
+}
+
+// beyond is the cascade's last stage, run by a suffix-reading search just
+// before its two passes: the free-start gate proves the best distance d*
+// of any subtrajectory of t beyond tau, with the suffix slack. Every
+// interval the search could report is a genuine subtrajectory, its value
+// at least d* up to that slack, so the search would be abandoned anyway.
+// ERP and EDR have no such gate: theirs cannot stop before its end, and a
+// prototype gating edr/pss with it measured 16% slower.
+func (c cascade) beyond(t traj.Trajectory, tau float64) bool {
+	return c.gate != nil && !math.IsInf(tau, 1) &&
+		c.gate.Beyond(t, c.q, tau*(1+sim.SuffixSlack(c.m, t.Len(), c.q.Len())))
 }
 
 // prunes reports whether the cascade proves every subtrajectory of t is
@@ -244,7 +286,9 @@ func (s *sizeThresholdSearch) Release() {}
 // lower-bound cascade — valid because every split the algorithms report is
 // a genuine subtrajectory, whose distance the cascade bounds from below —
 // and suppresses completed results beyond tau. PSS's suffix state comes
-// from the scan's suffixPass.
+// from the scan's suffixPass, and PSS alone runs the cascade's free-start
+// gate before its two passes: POS is one pass, and a prototype gating it
+// measured 17–20% slower.
 type splitThresholdSearch struct {
 	cascade
 	*suffixPass // PSS only: nil for the prefix-only POS and POS-D
@@ -255,7 +299,7 @@ type splitThresholdSearch struct {
 
 // NewThresholdSearch implements ThresholdSearcher.
 func (a PSS) NewThresholdSearch(q traj.Trajectory) ThresholdSearch {
-	return &splitThresholdSearch{cascade: cascadeFor(a.M, q), suffixPass: &suffixPass{m: a.M, qRev: q.Reverse()}, m: a.M, q: q}
+	return &splitThresholdSearch{cascade: suffixCascadeFor(a.M, q), suffixPass: &suffixPass{m: a.M, qRev: q.Reverse()}, m: a.M, q: q}
 }
 
 // NewThresholdSearch implements ThresholdSearcher.
@@ -271,6 +315,9 @@ func (a POSD) NewThresholdSearch(q traj.Trajectory) ThresholdSearch {
 func (s *splitThresholdSearch) Search(t traj.Trajectory, meta TrajMeta, tau float64) (Result, bool) {
 	var r Result
 	if s.suffixPass != nil {
+		if s.beyond(t, tau) {
+			return r, true
+		}
 		r = pssScan(s.m, t, s.q, s.dists(t))
 	} else {
 		r = posSearch(s.m, t, s.q, s.delay)

@@ -118,10 +118,11 @@ func walk(env *rl.SplitEnv, actor rl.Actor) {
 // the cascade's bound is below anything the walk could report, and a
 // candidate whose bound beats tau is skipped without touching the ranking.
 //
-// The per-query state mirrors splitThresholdSearch: PSS's suffixPass when
-// the policy reads Θsuf, plus one environment and one actor Rebind-ed at
-// each candidate, so the sequential scan path performs no per-candidate
-// allocation either.
+// The per-query state mirrors splitThresholdSearch: PSS's suffixPass and
+// suffix cascade, free-start gate included, when the policy reads Θsuf,
+// plus one environment and one actor Rebind-ed at each candidate, so the
+// sequential scan path performs no per-candidate allocation either.
+// RLS-Skip+ walks one pass and stays ungated, as POS does.
 func (a RLS) NewThresholdSearch(q traj.Trajectory) ThresholdSearch {
 	s := &rlsThresholdSearch{m: a.M, q: q}
 	_, useSuffix, simplify, ok := a.params()
@@ -130,8 +131,10 @@ func (a RLS) NewThresholdSearch(q traj.Trajectory) ThresholdSearch {
 	}
 	if useSuffix {
 		s.suffixPass = &suffixPass{m: a.M, qRev: q.Reverse()}
+		s.cascade = suffixCascadeFor(a.M, q)
+	} else {
+		s.cascade = cascadeFor(a.M, q)
 	}
-	s.cascade = cascadeFor(a.M, q)
 	s.simplify = simplify
 	s.env = rl.NewScanEnv(a.M, q, rl.EnvConfig{UseSuffix: useSuffix, SimplifyState: simplify})
 	if a.Table != nil {
@@ -158,6 +161,9 @@ func (s *rlsThresholdSearch) Search(t traj.Trajectory, meta TrajMeta, tau float6
 	if s.env != nil && t.Len() > 0 {
 		var suf []float64
 		if s.suffixPass != nil {
+			if s.beyond(t, tau) {
+				return r, true
+			}
 			suf = s.dists(t)
 		}
 		s.env.Rebind(t, suf)

@@ -72,6 +72,8 @@ import (
 //     the pass abandons. ERP and EDR run it data-major
 //     (baseRowKernel.gate): one row over the query advances one data point
 //     at a time from the base row, and d* is the minimum of its last cell.
+//     Beyond (DTW, Fréchet) runs the gate alone: a search that only needs
+//     to know whether d* exceeds tau skips the interval rows.
 //   - the interval rows, data-major at tau = d*: for each start i in order,
 //     the per-start row D_i(x,·) over the query advances one data point at
 //     a time. The first (i, x) whose last cell is live is the
@@ -117,6 +119,18 @@ func (e ERP) MinSub(t, q traj.Trajectory, tau float64) (traj.Interval, float64, 
 // MinSub implements FreeStartMeasure.
 func (e EDR) MinSub(t, q traj.Trajectory, tau float64) (traj.Interval, float64, bool) {
 	return minSub(baseRowKernel[EDR]{e}, t, q, tau)
+}
+
+// Beyond reports whether every non-empty subtrajectory of t is strictly
+// farther than tau from q: MinSub's gate alone, without the interval rows,
+// true exactly when MinSub would abandon. It is false for an empty t or q.
+func (DTW) Beyond(t, q traj.Trajectory, tau float64) bool {
+	return beyond(dtwKernel{}, t, q, tau)
+}
+
+// Beyond is DTW.Beyond for Fréchet.
+func (Frechet) Beyond(t, q traj.Trajectory, tau float64) bool {
+	return beyond(frechetKernel{}, t, q, tau)
 }
 
 // freeStartKernel is the measure-specific part of the pass, in the domain
@@ -175,6 +189,15 @@ func minSub[K freeStartKernel](k K, t, q traj.Trajectory, tau float64) (traj.Int
 		}
 	}
 	panic("sim: the free-start minimum is attained by no interval")
+}
+
+// beyond is minSub's gate phase and abandon decision on their own.
+func beyond[K freeStartKernel](k K, t, q traj.Trajectory, tau float64) bool {
+	if t.Len() == 0 || q.Len() == 0 {
+		return false
+	}
+	_, live := k.gate(t.Points, q.Points, k.bound(tau))
+	return !live && math.Inf(1) > tau
 }
 
 // columnKernel is the part of DTW's and Fréchet's kernels the query-major

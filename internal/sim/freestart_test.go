@@ -56,13 +56,19 @@ func enumMin(m Measure, t, q traj.Trajectory) float64 {
 // unbounded pass returns the enumeration's interval and minimum exactly,
 // and for each tau an abandoned pass implies minimum > tau strictly while
 // a completed one returns the interval and minimum themselves. Besides
-// taus it always tries d*, its two neighbouring floats, 0 and +Inf.
+// taus it always tries d*, its two neighbouring floats, 0 and +Inf. A
+// measure with Beyond must answer it exactly as MinSub abandons.
 func checkMinSubDist(t *testing.T, m FreeStartMeasure, data, q traj.Trajectory, taus []float64) {
 	t.Helper()
 	wantIv, want := enumFirst(m, data, q)
+	gate, _ := m.(interface {
+		Beyond(t, q traj.Trajectory, tau float64) bool
+	})
 	for _, tau := range append(taus, math.Inf(1), want, math.Nextafter(want, 0), math.Nextafter(want, math.Inf(1)), 0) {
 		iv, got, abandoned := m.MinSub(data, q, tau)
 		switch {
+		case gate != nil && gate.Beyond(data, q, tau) != abandoned:
+			t.Fatalf("%s n=%d m=%d tau=%v: Beyond is %v, MinSub abandoned=%v", label(m), data.Len(), q.Len(), tau, !abandoned, abandoned)
 		case abandoned && !(want > tau):
 			t.Fatalf("%s n=%d m=%d tau=%v: abandoned although the minimum %v is within tau", label(m), data.Len(), q.Len(), tau, want)
 		case !abandoned && (iv != wantIv || math.Float64bits(got) != math.Float64bits(want)):

@@ -85,7 +85,8 @@ func FuzzIncremental(f *testing.F) {
 }
 
 // FuzzSuffixDistsReversal checks the PSS suffix identity on fuzz inputs:
-// for DTW, reversed-suffix distances equal forward suffix distances.
+// for DTW, reversed-suffix distances equal forward suffix distances up to
+// the reordering of their sums, within SuffixSlack either way.
 func FuzzSuffixDistsReversal(f *testing.F) {
 	f.Add(int64(3), uint8(9), uint8(4))
 	f.Fuzz(func(t *testing.T, seed int64, nRaw, mRaw uint8) {
@@ -103,7 +104,8 @@ func FuzzSuffixDistsReversal(f *testing.F) {
 		suf := SuffixDists(DTW{}, data, q)
 		for i := 0; i < n; i++ {
 			want := (DTW{}).Dist(data.Sub(i, n-1), q)
-			if math.Abs(suf[i]-want) > 1e-9 {
+			slack := 1 - SuffixSlack(DTW{}, n, m)
+			if want*slack > suf[i] || suf[i]*slack > want {
 				t.Fatalf("suffix %d: %v vs %v", i, suf[i], want)
 			}
 		}

@@ -133,6 +133,32 @@ func SuffixDistsInto(dst []float64, m Measure, tr, qr traj.Trajectory) []float64
 	return dst
 }
 
+// SuffixSlack is the relative slack δ between SuffixDistsInto's values and
+// the forward distances of the same suffixes, for an n-point data
+// trajectory and a q-point query under m. A suffix value is the measure's
+// DP run over the reversed pair, so under a sum-based measure (DTW, CDTW,
+// ERP) it folds each alignment path's costs in the opposite order to Dist
+// and may land some ulps below Dist of the same suffix. A path has at most
+// n+q non-negative costs, so with k = n+q and u = 2⁻⁵³ both folds lie
+// within a relative γ_k ≤ 2ku of the exact path sum, and every suffix
+// value s is at least (1−4ku)·X for any X no greater than the forward
+// distance of every subtrajectory (a cascade lower bound, or the
+// free-start minimum d*). δ = 8ku leaves room for the two rounded
+// products a caller forms with it:
+//
+//	X·(1−δ) ≤ s            in floating point, X ≥ 0
+//	X > τ·(1+δ)  ⇒  s > τ   in floating point, τ ≥ 0
+//
+// A max (Fréchet) or an integer count (EDR, LCSS) is the same whatever the
+// order, and takes δ = 0; any other measure takes the sum bound.
+func SuffixSlack(m Measure, n, q int) float64 {
+	switch m.(type) {
+	case Frechet, EDR, LCSS:
+		return 0
+	}
+	return float64(8*(n+q)) * 0x1p-53
+}
+
 // PrefixDists returns d(T[0,j], Q) for every end index j, computed
 // incrementally in O(Φini + n·Φinc) total.
 func PrefixDists(m Measure, t, q traj.Trajectory) []float64 {
