@@ -3,18 +3,22 @@ package bench
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sort"
 	"sync"
 	"testing"
 
 	"simsub/internal/core"
+	"simsub/internal/dataset"
 	"simsub/internal/sim"
 	"simsub/internal/traj"
 )
 
 // Scan hot-path benchmarks: pruned (threshold pipeline) versus unpruned
-// top-k scans over a 1000-trajectory store, k=10. Besides the usual
+// top-k scans, k=10, in the shape of simsubbench's exact_scan workload: a
+// serial scan over 2500 synthetic Porto trajectories (30–90 points), one
+// held-out query of 14–26 points per op, rotated over 64. Besides the usual
 // testing.B metrics, every run records ns/op, allocs/op and prune ratios
 // into BENCH_scan.json (override the path with BENCH_SCAN_OUT) so CI can
 // diff the hot path machine-readably:
@@ -53,6 +57,23 @@ func unprunedScanTopK(db *core.Database, alg core.Algorithm, q traj.Trajectory, 
 	return all[:k]
 }
 
+// scanCorpus is the store and the query list every scan row runs over,
+// built once per process so a -benchtime 1x run stays fast. Queries are
+// clipped from held-out trajectories of the same family, as exact_scan's
+// are, so none has a zero-distance copy in the store.
+var scanCorpus = sync.OnceValues(func() (*core.Database, []traj.Trajectory) {
+	db := core.NewDatabase(dataset.Generate(dataset.Config{Kind: dataset.Porto, N: 2500, Seed: 1001}), false)
+	held := dataset.Generate(dataset.Config{Kind: dataset.Porto, N: 64, Seed: 1002, MinLen: 26, MaxLen: 52})
+	rng := rand.New(rand.NewSource(1003))
+	qs := make([]traj.Trajectory, len(held))
+	for i, h := range held {
+		n := 14 + rng.Intn(13)
+		s := rng.Intn(h.Len() - n + 1)
+		qs[i] = h.Sub(s, s+n-1)
+	}
+	return db, qs
+})
+
 func benchScan(b *testing.B, measure, algorithm string, pruned bool) {
 	m, err := sim.ByName(measure)
 	if err != nil {
@@ -62,8 +83,7 @@ func benchScan(b *testing.B, measure, algorithm string, pruned bool) {
 	if !ok {
 		b.Fatalf("unknown algorithm %q", algorithm)
 	}
-	db := core.NewDatabase(servingData(1000, 24, 7), false)
-	q := servingData(1, 9, 8)[0]
+	db, qs := scanCorpus()
 	const k = 10
 
 	var st core.PruneStats
@@ -73,6 +93,7 @@ func benchScan(b *testing.B, measure, algorithm string, pruned bool) {
 	runtime.ReadMemStats(&m0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		q := qs[i%len(qs)]
 		if pruned {
 			if _, err := db.TopKPrunedCtx(context.Background(), alg, q, k, nil, nil, &st); err != nil {
 				b.Fatal(err)

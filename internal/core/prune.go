@@ -22,10 +22,12 @@ import (
 //	           drops a trajectory before any DP runs, and orders the rest
 //	           best-first;
 //	gate       sim.FreeStartMeasure (DTW, Fréchet, ERP, EDR) finds a
-//	           trajectory's best interval in one O(n·m) pass and drops
-//	           it beyond the threshold or returns it (ExactS); the same
-//	           pass without the interval rows (Beyond, DTW and Fréchet)
-//	           drops it before the two passes of PSS and Θsuf RLS;
+//	           trajectory's best distance in one O(n·m) pass and drops
+//	           it beyond the threshold; within it, a reverse gate (DTW,
+//	           Fréchet) and the interval rows find where that distance
+//	           is attained (ExactS). The gate alone (Beyond, DTW and
+//	           Fréchet) drops a candidate before the two passes of PSS
+//	           and Θsuf RLS;
 //	kernel     sim.Incremental.ExtendAbandoning abandons a DP scan once
 //	           no extension can beat the threshold;
 //	result     a completed search whose best distance exceeds the
@@ -184,7 +186,7 @@ func (c cascade) prunes(t traj.Trajectory, meta TrajMeta, tau float64) bool {
 }
 
 // exactThresholdSearch implements ThresholdSearch for ExactS. When the
-// measure has a free-start form (sim.FreeStartMeasure) one O(n·m)
+// measure has a free-start form (sim.FreeStartMeasure) one pruned O(n·m)
 // pass returns the answer — the lexicographically first minimizing interval
 // and its distance, bit-identical to the enumeration — or abandons once the
 // minimum is provably beyond tau. Otherwise it enumerates (enumerate).

@@ -110,8 +110,9 @@ func TestEndToEnd(t *testing.T) {
 // status and the engine's in-flight gauge drains back to zero.
 func TestClientTimeoutCancelsSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
-	// large trajectories + ExactS make the search far slower than the
-	// client's patience
+	// large trajectories + ERP ExactS, whose free-start gate cannot
+	// abandon, make the search far slower than the client's patience (the
+	// DTW pass answers this store in a few milliseconds)
 	data := make([]traj.Trajectory, 64)
 	for i := range data {
 		data[i] = randWalk(rng, 600)
@@ -123,7 +124,7 @@ func TestClientTimeoutCancelsSearch(t *testing.T) {
 
 	q := toWire(randWalk(rng, 300))
 
-	slow := []api.QuerySpec{{Query: q, K: 3, Measure: "dtw", Algorithm: "exacts"}}
+	slow := []api.QuerySpec{{Query: q, K: 3, Measure: "erp", Algorithm: "exacts"}}
 
 	t.Run("server-side timeout_ms", func(t *testing.T) {
 		// the batch envelope answers 200; the spec that ran out of time

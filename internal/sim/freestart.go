@@ -8,10 +8,9 @@ import (
 )
 
 // This file is the free-start DP: the best subtrajectory T[i,j] of T against
-// Q, over EVERY start and end, in one O(n·m) pass where the ExactS
-// enumeration spends O(n²·m). It is the recurrence SPRING (Sakurai et al.,
-// ICDE 2007) runs with star padding — query column 0 may restart at every
-// data point:
+// Q, over EVERY start and end, in O(n·m) time where the ExactS enumeration
+// spends O(n²·m). It is the recurrence SPRING (Sakurai et al., ICDE 2007)
+// runs with star padding — query column 0 may restart at every data point:
 //
 //	S(x,0) = d(p_x, q_0)
 //	S(x,j) = d(p_x, q_j) ⊕ min(S(x-1,j-1), S(x-1,j), S(x,j-1))
@@ -63,7 +62,7 @@ import (
 // min_{i<=x} D_i(x,j) bit for bit, the start i = x entering through B.
 // These cells are kept exact; none is marked dead.
 //
-// The pass runs in two phases over each measure's one step kernel
+// The pass runs in up to three phases over each measure's one step kernel
 // (dtwKernel.step, frechetKernel.step, ERP.extendRow, EDR.extendRow):
 //
 //   - the gate. DTW and Fréchet run it query-major (columnGate): one
@@ -73,13 +72,31 @@ import (
 //     (baseRowKernel.gate): one row over the query advances one data point
 //     at a time from the base row, and d* is the minimum of its last cell.
 //     Beyond (DTW, Fréchet) runs the gate alone: a search that only needs
-//     to know whether d* exceeds tau skips the interval rows.
-//   - the interval rows, data-major at tau = d*: for each start i in order,
-//     the per-start row D_i(x,·) over the query advances one data point at
-//     a time. The first (i, x) whose last cell is live is the
-//     lexicographically first interval at distance d*, the very one the
-//     enumeration's strict first-minimizer rule keeps; a start whose row
-//     dies first holds no interval at d*.
+//     to know whether d* exceeds tau skips the other two phases. The
+//     query-major gate also reports end, the last x with S(x,m-1) at d*:
+//     no interval at d* ends later, so the later phases stop there.
+//   - the reverse gate (DTW, Fréchet; columnStarts): the same query-major
+//     pass over the reversed pair — T[0..end] and Q both reversed, into
+//     pooled scratch — at d*·(1+δ), δ = SuffixSlack (0 for Fréchet). Its
+//     last column holds, for each start i, R(i): the least reversed-fold
+//     value of any interval starting at i. The first interval at d* has a
+//     forward fold of exactly d*, so its reversed fold is within d*·(1+δ)
+//     (the argument of SuffixSlack, the other way round) and R(i*) is
+//     live; a start whose R(i) is dead holds no interval at d*. The slack
+//     is required: against query terms 1, 2⁻⁵³, 2⁻⁵³ a point at the origin
+//     folds to 1 forward and to 1+2⁻⁵² reversed. ERP and EDR try every
+//     start: their reverse gate would be data-major, could not abandon and
+//     would have to run to its end to reach start 0 — a second unpruned
+//     gate.
+//   - the interval rows, data-major at tau = d*: for each start i the
+//     reverse gate keeps, in order, the per-start row D_i(x,·) over the
+//     query advances one data point at a time. The first (i, x) whose last
+//     cell is live is the lexicographically first interval at distance d*,
+//     the very one the enumeration's strict first-minimizer rule keeps; a
+//     start whose row dies first holds no interval at d*. Without the
+//     reverse gate every start before i* is walked and every cell
+//     recomputes a point distance, which is what a DTW cell costs; with it
+//     the common case is one row.
 
 // FreeStartMeasure is an optional Measure capability: the exact best
 // subtrajectory without enumerating them. DTW, Fréchet, ERP and EDR offer
@@ -122,8 +139,9 @@ func (e EDR) MinSub(t, q traj.Trajectory, tau float64) (traj.Interval, float64, 
 }
 
 // Beyond reports whether every non-empty subtrajectory of t is strictly
-// farther than tau from q: MinSub's gate alone, without the interval rows,
-// true exactly when MinSub would abandon. It is false for an empty t or q.
+// farther than tau from q: MinSub's gate alone, without the phases that
+// locate the interval, true exactly when MinSub would abandon. It is false
+// for an empty t or q.
 func (DTW) Beyond(t, q traj.Trajectory, tau float64) bool {
 	return beyond(dtwKernel{}, t, q, tau)
 }
@@ -142,9 +160,13 @@ type freeStartKernel interface {
 	// dist maps a cell value back to a distance.
 	dist(v float64) float64
 	// gate runs the free-start recurrence over the pair and returns the
-	// minimum of its last query column; live is false when every cell is
-	// beyond bound, and v then carries no information.
-	gate(t, q []geo.Point, bound float64) (v float64, live bool)
+	// minimum v of its last query column and an end no interval at that
+	// minimum ends after; live is false when every cell is beyond bound,
+	// and v and end then carry no information.
+	gate(t, q []geo.Point, bound float64) (v float64, end int, live bool)
+	// starts returns the starts the interval rows try for the minimum d
+	// over intervals of t: a superset of those holding an interval at d.
+	starts(t, q []geo.Point, d float64) startSet
 	// rowLen is the length of a start's row against an m-point query.
 	rowLen(m int) int
 	// row0 fills a start's first row from its data point p and returns
@@ -155,16 +177,16 @@ type freeStartKernel interface {
 	step(line []float64, p geo.Point, seq []geo.Point, lo, hi int, bound float64) (int, int)
 }
 
-// minSub runs the gate and, within tau, the interval rows. It takes the
-// kernel as a type parameter, not an interface value, so a kernel carrying
-// per-call state (ERP's gap costs) is not boxed and the pass allocates
-// nothing.
+// minSub runs the gate and, within tau, the reverse gate and the interval
+// rows. It takes the kernel as a type parameter, not an interface value, so
+// a kernel carrying per-call state (ERP's gap costs) is not boxed and the
+// pass allocates nothing.
 func minSub[K freeStartKernel](k K, t, q traj.Trajectory, tau float64) (traj.Interval, float64, bool) {
 	n, m := t.Len(), q.Len()
 	if n == 0 || m == 0 {
 		return traj.Interval{}, math.Inf(1), false
 	}
-	v, live := k.gate(t.Points, q.Points, k.bound(tau))
+	v, end, live := k.gate(t.Points, q.Points, k.bound(tau))
 	if !live {
 		// every cell dead: the minimum is beyond tau, or is +Inf (every
 		// cell +Inf) and the enumeration keeps no interval but the zero one
@@ -172,17 +194,23 @@ func minSub[K freeStartKernel](k K, t, q traj.Trajectory, tau float64) (traj.Int
 	}
 	d := k.dist(v)
 
-	// the interval rows at tau = d: a live last cell is exactly d
+	// the interval rows at tau = d, over the starts that may hold an
+	// interval at d: a live last cell is exactly d
 	bound := k.bound(d)
+	s := k.starts(t.Points[:end+1], q.Points, d)
+	defer putRow(s.rev)
 	row := getRow(k.rowLen(m))
 	defer putRow(row)
-	for i := 0; i < n; i++ {
+	for i := s.lo; i <= s.hi; i++ {
+		if !s.has(i) {
+			continue
+		}
 		lo, hi := 0, k.row0(row, t.Pt(i), q.Points, bound)
 		for x := i; lo <= hi; {
 			if hi == len(row)-1 {
 				return traj.Interval{I: i, J: x}, d, false
 			}
-			if x++; x == n {
+			if x++; x > end {
 				break
 			}
 			lo, hi = k.step(row, t.Pt(x), q.Points, lo, hi, bound)
@@ -196,31 +224,58 @@ func beyond[K freeStartKernel](k K, t, q traj.Trajectory, tau float64) bool {
 	if t.Len() == 0 || q.Len() == 0 {
 		return false
 	}
-	_, live := k.gate(t.Points, q.Points, k.bound(tau))
+	_, _, live := k.gate(t.Points, q.Points, k.bound(tau))
 	return !live && math.Inf(1) > tau
+}
+
+// startSet is the starts the interval rows try: every i in [lo, hi] when
+// rev is nil, else those whose reverse-gate cell rev[len(rev)-1-i] is
+// within bound.
+type startSet struct {
+	rev    []float64 // pooled; nil: every start in range
+	bound  float64
+	lo, hi int
+}
+
+func (s startSet) has(i int) bool {
+	return s.rev == nil || s.rev[len(s.rev)-1-i] <= s.bound
 }
 
 // columnKernel is the part of DTW's and Fréchet's kernels the query-major
 // gate runs on.
 type columnKernel interface {
+	bound(tau float64) float64
+	dist(v float64) float64
 	// column0 fills the gate's first column, S(x,0) = d(q0, p_x), and
 	// returns its live range (lo > hi: every cell is dead).
 	column0(col []float64, q0 geo.Point, t []geo.Point, bound float64) (lo, hi int)
 	step(line []float64, p geo.Point, seq []geo.Point, lo, hi int, bound float64) (int, int)
 }
 
-// columnGate is DTW's and Fréchet's gate: one pooled column S(·,j) over the
-// data points advances one query point at a time, and once every cell is
-// dead the minimum is beyond bound.
-func columnGate[K columnKernel](k K, t, q []geo.Point, bound float64) (float64, bool) {
-	col := getRow(len(t))
-	defer putRow(col)
-	lo, hi := k.column0(col, q[0], t, bound)
+// column runs the query-major pass over col, one cell per data point: it
+// advances S(·,j) one query point at a time and returns the live range of
+// the last column (lo > hi: every cell died, possibly before the last
+// query point). Within the range a dead cell holds +Inf; outside it col is
+// garbage.
+func column[K columnKernel](k K, col []float64, t, q []geo.Point, bound float64) (lo, hi int) {
+	lo, hi = k.column0(col, q[0], t, bound)
 	for j := 1; j < len(q) && lo <= hi; j++ {
 		lo, hi = k.step(col, q[j], t, lo, hi, bound)
 	}
+	return lo, hi
+}
+
+// columnGate is DTW's and Fréchet's gate: one pooled column S(·,j) over the
+// data points advances one query point at a time, and once every cell is
+// dead the minimum is beyond bound. end is the last data point whose last
+// cell lies within bound(dist(v)): S(x,m-1) is the least distance of an
+// interval ending at x, so no interval at the minimum ends later.
+func columnGate[K columnKernel](k K, t, q []geo.Point, bound float64) (float64, int, bool) {
+	col := getRow(len(t))
+	defer putRow(col)
+	lo, hi := column(k, col, t, q, bound)
 	if lo > hi {
-		return math.Inf(1), false
+		return math.Inf(1), 0, false
 	}
 	v := math.Inf(1)
 	for _, c := range col[lo : hi+1] {
@@ -228,7 +283,37 @@ func columnGate[K columnKernel](k K, t, q []geo.Point, bound float64) (float64, 
 			v = c
 		}
 	}
-	return v, true
+	at := k.bound(k.dist(v))
+	end := hi
+	for col[end] > at {
+		end--
+	}
+	return v, end, true
+}
+
+// columnStarts is DTW's and Fréchet's reverse gate: the query-major pass
+// over the reversed pair (t and q reversed, copied into pooled scratch) at
+// bound. Entry x' of its last column is the least reversed-fold cell of an
+// interval of t starting at i = len(t)-1-x', so a start whose entry is
+// beyond bound holds no interval whose reversed fold is within it. At an
+// infinite bound nothing is pruned and every start is tried.
+func columnStarts[K columnKernel](k K, t, q []geo.Point, bound float64) startSet {
+	n, m := len(t), len(q)
+	if math.IsInf(bound, 1) {
+		return startSet{lo: 0, hi: n - 1}
+	}
+	pts := pointPool.get(n + m)
+	defer pointPool.put(pts)
+	rt, rq := pts[:n], pts[n:]
+	for x, p := range t {
+		rt[n-1-x] = p
+	}
+	for j, p := range q {
+		rq[m-1-j] = p
+	}
+	rev := getRow(n)
+	lo, hi := column(k, rev, rt, rq, bound)
+	return startSet{rev: rev, bound: bound, lo: n - 1 - hi, hi: n - 1 - lo}
 }
 
 // sqBound returns the largest float64 s with math.Sqrt(s) <= tau, so that a
@@ -256,8 +341,15 @@ func (dtwKernel) bound(tau float64) float64 { return tau }
 
 func (dtwKernel) dist(v float64) float64 { return v }
 
-func (k dtwKernel) gate(t, q []geo.Point, bound float64) (float64, bool) {
+func (k dtwKernel) gate(t, q []geo.Point, bound float64) (float64, int, bool) {
 	return columnGate(k, t, q, bound)
+}
+
+// starts runs the reverse gate at d·(1+δ), δ = SuffixSlack: the reversed
+// pass folds each path's costs in the opposite order, so the interval at
+// d may fold some ulps above d there.
+func (k dtwKernel) starts(t, q []geo.Point, d float64) startSet {
+	return columnStarts(k, t, q, d*(1+SuffixSlack(DTW{}, len(t), len(q))))
 }
 
 func (dtwKernel) rowLen(m int) int { return m }
@@ -339,8 +431,14 @@ func (frechetKernel) bound(tau float64) float64 { return sqBound(tau) }
 
 func (frechetKernel) dist(v float64) float64 { return math.Sqrt(v) }
 
-func (k frechetKernel) gate(t, q []geo.Point, bound float64) (float64, bool) {
+func (k frechetKernel) gate(t, q []geo.Point, bound float64) (float64, int, bool) {
 	return columnGate(k, t, q, bound)
+}
+
+// starts runs the reverse gate at sqBound(d): a max is the same in either
+// order, so Fréchet needs no slack.
+func (k frechetKernel) starts(t, q []geo.Point, d float64) startSet {
+	return columnStarts(k, t, q, k.bound(d))
 }
 
 func (frechetKernel) rowLen(m int) int { return m }
@@ -455,8 +553,9 @@ func (baseRowKernel[E]) dist(v float64) float64 { return v }
 // the carried row S(x-1,·) takes the elementwise minimum with the base row
 // — the start i = x, which has consumed no data point yet — and one
 // extendRow advances it, so cell 0 comes out as the one-point start's own
-// cost. d* is the minimum over x of the last cell.
-func (k baseRowKernel[E]) gate(t, q []geo.Point, bound float64) (float64, bool) {
+// cost. d* is the minimum over x of the last cell; the end it reports is
+// the last data point.
+func (k baseRowKernel[E]) gate(t, q []geo.Point, bound float64) (float64, int, bool) {
 	m := len(q)
 	row, base := getRow(m+1), getRow(m+1)
 	defer putRow(row)
@@ -471,7 +570,13 @@ func (k baseRowKernel[E]) gate(t, q []geo.Point, bound float64) (float64, bool) 
 		k.e.extendRow(row, p, traj.Trajectory{Points: q})
 		v = min(v, row[m])
 	}
-	return v, v <= bound
+	return v, len(t) - 1, v <= bound
+}
+
+// starts is every start: a reverse gate would be data-major too, could not
+// abandon, and would have to run to its end to reach start 0.
+func (baseRowKernel[E]) starts(t, _ []geo.Point, _ float64) startSet {
+	return startSet{lo: 0, hi: len(t) - 1}
 }
 
 func (baseRowKernel[E]) rowLen(m int) int { return m + 1 }

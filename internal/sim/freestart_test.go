@@ -172,6 +172,88 @@ func TestMinSubDistDegenerate(t *testing.T) {
 	}
 }
 
+// slackPin is the smallest case of the reverse gate's slack: against query
+// terms 1, 2⁻⁵³, 2⁻⁵³ a candidate at the origin folds to 1 under DTW, but
+// to 1+2⁻⁵² over the reversed pair, so a reverse gate at d* alone keeps no
+// start.
+func slackPin() traj.Trajectory {
+	return traj.New(geo.Point{X: 1}, geo.Point{X: 0x1p-53}, geo.Point{X: 0x1p-53})
+}
+
+// TestMinSubReverseSlack pins the slack of the reverse gate on one and on
+// three origin points.
+func TestMinSubReverseSlack(t *testing.T) {
+	q := slackPin()
+	for _, n := range []int{1, 3} {
+		data := traj.New(make([]geo.Point, n)...)
+		one := data.Sub(0, 0)
+		if fwd, rev := (DTW{}).Dist(one, q), (DTW{}).Dist(one, q.Reverse()); fwd != 1 || rev != 1+0x1p-52 {
+			t.Fatalf("premise: forward fold %v, reversed fold %v, want 1 and 1+2⁻⁵²", fwd, rev)
+		}
+		for _, m := range freeStartMeasures() {
+			t.Run(fmt.Sprintf("%s/n=%d", label(m), n), func(t *testing.T) {
+				checkMinSubDist(t, m, data, q, []float64{1, 1 + 0x1p-52})
+			})
+		}
+	}
+}
+
+// TestMinSubDistTies: pairs whose starts tie at the minimum, exactly or
+// within the reverse gate's slack, so the interval rows must keep the first
+// start holding an interval at d* among several the reverse gate lets
+// through.
+func TestMinSubDistTies(t *testing.T) {
+	pt := func(x, y float64) geo.Point { return geo.Point{X: x, Y: y} }
+	origin, far := pt(0, 0), pt(100, 100)
+	// near folds to a few ulps above 1 either way: start 0 passes the
+	// reverse gate, its row dies, and start 2 holds d* = 1
+	near := pt(0, 1e-15)
+	within := traj.New(near, far, origin)
+	if fwd := (DTW{}).Dist(within.Sub(0, 0), slackPin()); !(fwd > 1) {
+		t.Fatalf("premise: the near start folds to %v, want above 1", fwd)
+	}
+	s := (dtwKernel{}).starts(within.Points, slackPin().Points, 1)
+	if !s.has(0) {
+		t.Fatal("premise: the reverse gate drops the near start")
+	}
+	putRow(s.rev)
+	lattice := func(rng *rand.Rand, n int, scale float64) traj.Trajectory {
+		pts := make([]geo.Point, n)
+		for i := range pts {
+			pts[i] = pt(float64(rng.Intn(4))*scale, float64(rng.Intn(4))*scale)
+		}
+		return traj.New(pts...)
+	}
+	stationary := traj.New(origin, origin, origin, origin, origin, origin)
+
+	rng := rand.New(rand.NewSource(59))
+	pairs := []struct {
+		name    string
+		data, q traj.Trajectory
+	}{
+		{"starts within the slack", within, slackPin()},
+		{"starts tied exactly", traj.New(origin, far, origin), slackPin()},
+		{"stationary data, slack query", stationary, slackPin()},
+		{"stationary data, reversed slack query", stationary, slackPin().Reverse()},
+	}
+	for _, scale := range []float64{1, 1e6} {
+		for trial := 0; trial < 40; trial++ {
+			pairs = append(pairs, struct {
+				name    string
+				data, q traj.Trajectory
+			}{fmt.Sprintf("lattice scale %g #%d", scale, trial), lattice(rng, 1+rng.Intn(24), scale), lattice(rng, 1+rng.Intn(8), scale)})
+		}
+	}
+	for _, m := range freeStartMeasures() {
+		for _, p := range pairs {
+			t.Run(label(m)+"/"+p.name, func(t *testing.T) {
+				lo := enumMin(m, p.data, p.q)
+				checkMinSubDist(t, m, p.data, p.q, []float64{lo / 2, lo * (1 + 0x1p-50)})
+			})
+		}
+	}
+}
+
 func TestMinSubDistEmpty(t *testing.T) {
 	q := traj.New(geo.Point{X: 1, Y: 1})
 	for _, m := range freeStartMeasures() {

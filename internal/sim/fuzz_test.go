@@ -121,15 +121,20 @@ func FuzzSuffixDistsReversal(f *testing.F) {
 // sqBound's rounding edge at several magnitudes. Besides the fixed
 // freeStartMeasures, EDR runs at a tolerance of 0, ½, 1, 1½ or 3 lattice
 // steps of the same scale: from one step up, neighbouring lattice points
-// match and EDR's integer costs tie at the minimum.
+// match and EDR's integer costs tie at the minimum. With pin, the data is
+// stationary at the origin and the query is one unit term followed by
+// 2⁻⁵³ terms (scaled), which fold to different sums forward and reversed
+// (TestMinSubReverseSlack).
 func FuzzMinSubDist(f *testing.F) {
-	f.Add(int64(1), uint8(5), uint8(3), 0.5, false, uint8(0), uint8(0))
-	f.Add(int64(99), uint8(17), uint8(1), 2.0, true, uint8(1), uint8(2))
-	f.Add(int64(-7), uint8(2), uint8(8), 0.0, true, uint8(2), uint8(4))
-	f.Add(int64(12), uint8(0), uint8(0), 1.0, false, uint8(1), uint8(1))
-	f.Add(int64(5), uint8(23), uint8(9), 1.0, false, uint8(2), uint8(3))
-	f.Add(int64(31), uint8(21), uint8(7), 1.0, true, uint8(0), uint8(2))
-	f.Fuzz(func(t *testing.T, seed int64, nRaw, mRaw uint8, tauScale float64, lattice bool, scaleRaw, epsRaw uint8) {
+	f.Add(int64(1), uint8(5), uint8(3), 0.5, false, uint8(0), uint8(0), false)
+	f.Add(int64(99), uint8(17), uint8(1), 2.0, true, uint8(1), uint8(2), false)
+	f.Add(int64(-7), uint8(2), uint8(8), 0.0, true, uint8(2), uint8(4), false)
+	f.Add(int64(12), uint8(0), uint8(0), 1.0, false, uint8(1), uint8(1), false)
+	f.Add(int64(5), uint8(23), uint8(9), 1.0, false, uint8(2), uint8(3), false)
+	f.Add(int64(31), uint8(21), uint8(7), 1.0, true, uint8(0), uint8(2), false)
+	// the reverse gate's slack pin: one origin point against 1, 2⁻⁵³, 2⁻⁵³
+	f.Add(int64(0), uint8(0), uint8(2), 1.0, false, uint8(0), uint8(0), true)
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, mRaw uint8, tauScale float64, lattice bool, scaleRaw, epsRaw uint8, pin bool) {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nRaw)%24 + 1
 		m := int(mRaw)%10 + 1
@@ -146,6 +151,15 @@ func FuzzMinSubDist(f *testing.F) {
 			return traj.New(pts...)
 		}
 		data, q := mk(n), mk(m)
+		if pin {
+			for i := range data.Points {
+				data.Points[i] = geo.Point{}
+			}
+			q.Points[0] = geo.Point{X: scale}
+			for j := 1; j < m; j++ {
+				q.Points[j] = geo.Point{X: 0x1p-53 * scale}
+			}
+		}
 		eps := [...]float64{0, 0.5, 1, 1.5, 3}[int(epsRaw)%5] * scale
 		for _, meas := range append(freeStartMeasures(), EDR{Eps: eps}) {
 			want := enumMin(meas, data, q)

@@ -1,6 +1,10 @@
 package sim
 
-import "sync"
+import (
+	"sync"
+
+	"simsub/internal/geo"
+)
 
 // The scan hot path creates one incremental computer per (candidate
 // trajectory, query) pair, and before this pool existed each computer
@@ -21,41 +25,54 @@ import "sync"
 //     forgetting Release degrades to the old allocation behavior instead of
 //     corrupting anything.
 
-// rowPool recycles float64 DP rows across incremental computers; boxPool
-// recycles the *[]float64 boxes themselves (storing slices in a pool
-// directly would allocate a header per Put). The two stay balanced: getRow
-// moves a box from rowPool to boxPool, putRow moves one back — rowPool
-// boxes always carry a row, boxPool boxes are always empty, so releasing
-// several rows back-to-back never clobbers one with another.
+// slicePool recycles slices of one element type: the DP rows of the
+// incremental computers and the free-start pass (rowPool), and the reversed
+// pair of the free-start pass's reverse gate (pointPool). It holds two
+// sync.Pools, since storing slices in a pool directly would allocate a
+// header per Put: slices holds boxes carrying a slice, boxes holds empty
+// *[]T boxes. The two stay balanced — get moves a box from slices to boxes,
+// put moves one back — so releasing several slices back-to-back never
+// clobbers one with another.
+type slicePool[T any] struct {
+	slices, boxes sync.Pool
+}
+
 var (
-	rowPool = sync.Pool{New: func() any { return new([]float64) }}
-	boxPool sync.Pool
+	rowPool   slicePool[float64]
+	pointPool slicePool[geo.Point]
 )
 
-// getRow returns a length-n float64 slice with arbitrary contents.
-func getRow(n int) []float64 {
-	boxed := rowPool.Get().(*[]float64)
-	row := *boxed
-	*boxed = nil
-	boxPool.Put(boxed)
-	if cap(row) < n {
-		row = make([]float64, n)
+// get returns a length-n slice with arbitrary contents.
+func (p *slicePool[T]) get(n int) []T {
+	var s []T
+	if boxed, _ := p.slices.Get().(*[]T); boxed != nil {
+		s, *boxed = *boxed, nil
+		p.boxes.Put(boxed)
 	}
-	return row[:n]
+	if cap(s) < n {
+		s = make([]T, n)
+	}
+	return s[:n]
 }
 
-// putRow returns a row obtained from getRow to the pool.
-func putRow(row []float64) {
-	if cap(row) == 0 {
+// put returns a slice obtained from get to the pool; a nil slice is a no-op.
+func (p *slicePool[T]) put(s []T) {
+	if cap(s) == 0 {
 		return
 	}
-	boxed, _ := boxPool.Get().(*[]float64)
+	boxed, _ := p.boxes.Get().(*[]T)
 	if boxed == nil {
-		boxed = new([]float64)
+		boxed = new([]T)
 	}
-	*boxed = row[:0]
-	rowPool.Put(boxed)
+	*boxed = s[:0]
+	p.slices.Put(boxed)
 }
+
+// getRow returns a length-n float64 slice with arbitrary contents.
+func getRow(n int) []float64 { return rowPool.get(n) }
+
+// putRow returns a row obtained from getRow to the pool.
+func putRow(row []float64) { rowPool.put(row) }
 
 // Releaser is implemented by incremental computers whose scratch buffers
 // come from the package buffer pool. Release returns the buffers; the

@@ -149,6 +149,10 @@ func SuffixDistsInto(dst []float64, m Measure, tr, qr traj.Trajectory) []float64
 //	X·(1−δ) ≤ s            in floating point, X ≥ 0
 //	X > τ·(1+δ)  ⇒  s > τ   in floating point, τ ≥ 0
 //
+// The free-start pass's reverse gate (freestart.go) uses it the other way
+// round: the first interval at the minimum d* folds to at most d*·(1+δ)
+// over the reversed pair, so a reverse gate at that bound keeps its start.
+//
 // A max (Fréchet) or an integer count (EDR, LCSS) is the same whatever the
 // order, and takes δ = 0; any other measure takes the sum bound.
 func SuffixSlack(m Measure, n, q int) float64 {
