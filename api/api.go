@@ -369,7 +369,8 @@ type RecoveryInfo struct {
 	// are derived from the log, and these also get their embedding
 	// computed afresh when an encoder is registered.
 	Replayed int `json:"replayed"`
-	// TornTailTruncations counts partial tail records truncated on boot.
+	// TornTailTruncations counts the torn or failed loads whose bytes the
+	// boot discarded (see storage.RecoveryStats).
 	TornTailTruncations int `json:"torn_tail_truncations"`
 	// SnapshotsDiscarded counts snapshot files that failed validation.
 	SnapshotsDiscarded int `json:"snapshots_discarded"`

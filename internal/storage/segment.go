@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"os"
 	"path/filepath"
 	"unsafe"
 
@@ -15,28 +14,34 @@ import (
 
 // File framing, shared by segments and snapshots.
 //
-//	file   := header record*
-//	header := magic[4] version:u32 reserved:u64          (16 bytes)
-//	record := payload_len:u32 crc32:u32 payload          (payload_len % 8 == 0)
+//	file   := header frame*
+//	header := magic[4] version:u32 base:u64              (16 bytes)
+//	frame  := payload_len:u32 crc32:u32 payload          (payload_len % 8 == 0)
 //
 // All integers and float bit patterns are little-endian. Because the
-// header and every record are multiples of 8 bytes, any 8-byte-aligned
+// header and every frame are multiples of 8 bytes, any 8-byte-aligned
 // field inside a payload is 8-byte-aligned in the file — which makes the
 // zero-copy []geo.Point cast over an mmap'd region legal on little-endian
 // hosts.
 //
-// Segment record payload (one trajectory):
+// A segment frame holds one Append, all of its records, so a batch is
+// recovered whole or not at all:
 //
-//	id:i64 npts:u32 reserved:u32 point[npts]             point := x:f64 y:f64 t:f64
+//	payload := first_id:u64 count:u32 reserved:u32 record[count]
+//	record  := npts:u32 reserved:u32 point[npts]         point := x:f64 y:f64 t:f64
+//
+// A segment header's base is the number of records acknowledged when the
+// segment was created, the id its first frame must carry; a snapshot's is 0.
 const (
 	segMagic   = "SSEG"
 	snapMagic  = "SCKP"
-	fmtVersion = 1
+	fmtVersion = 2
 
-	fileHeaderSize = 16
-	recHeaderSize  = 8 // payload_len + crc32
-	trajHeaderSize = 16
-	pointSize      = 24
+	fileHeaderSize  = 16
+	recHeaderSize   = 8 // payload_len + crc32
+	batchHeaderSize = 16
+	trajHeaderSize  = 8
+	pointSize       = 24
 )
 
 // nativeLE reports whether this host can reinterpret the on-disk
@@ -65,7 +70,7 @@ func checkFileHeader(data []byte, magic, path string) error {
 		return fmt.Errorf("storage: %s: bad magic %q, want %q", path, data[:4], magic)
 	}
 	if v := binary.LittleEndian.Uint32(data[4:]); v != fmtVersion {
-		return fmt.Errorf("storage: %s: unsupported format version %d", path, v)
+		return fmt.Errorf("storage: %s: unsupported format version %d, want %d", path, v, fmtVersion)
 	}
 	return nil
 }
@@ -84,13 +89,18 @@ func endFramed(buf []byte, at int) {
 	binary.LittleEndian.PutUint32(buf[at+4:], crc32.ChecksumIEEE(payload))
 }
 
-// appendTrajRecord appends the framed record for t to buf.
-func appendTrajRecord(buf []byte, t traj.Trajectory) []byte {
+// appendBatch appends the frame holding ts, whose first record has id
+// first, to buf.
+func appendBatch(buf []byte, first int, ts []traj.Trajectory) []byte {
 	buf, at := beginFramed(buf)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(t.ID)))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(t.Len()))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(first))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ts)))
 	buf = binary.LittleEndian.AppendUint32(buf, 0) // reserved
-	buf = appendPoints(buf, t.Points)
+	for _, t := range ts {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(t.Len()))
+		buf = binary.LittleEndian.AppendUint32(buf, 0) // reserved
+		buf = appendPoints(buf, t.Points)
+	}
 	endFramed(buf, at)
 	return buf
 }
@@ -130,77 +140,86 @@ func viewPoints(data []byte, off, n int) []geo.Point {
 	return pts
 }
 
-// rawRecord is one decoded segment record; points may alias the mapping.
-type rawRecord struct {
-	id     int64
-	points []geo.Point
+// segment is one decoded segment file.
+type segment struct {
+	base    uint64  // records acknowledged when the segment was created
+	batches []batch // its leading whole frames, in file order
+	end     int     // offset just past the last whole frame
+	size    int     // file size; the bytes from end on are a torn tail
 }
 
-// readSegment maps segment idx and decodes its records. When allowTorn
-// (the active, last segment) a partial or corrupt tail is truncated away
-// and recovery continues; in a sealed segment the same condition is an
-// error. The mapping is retained in s.unmaps; returned point slices alias
-// it.
-func (s *Store) readSegment(idx int, allowTorn bool, stats *RecoveryStats) ([]rawRecord, error) {
+// batch is one decoded frame: the records of one Append. Point slices may
+// alias the mapping.
+type batch struct {
+	first  uint64
+	points [][]geo.Point
+	size   int // frame bytes
+}
+
+// readSegment maps segment idx and decodes its frames up to the first one
+// that is not whole; what follows is the torn tail, which replay judges.
+// The mapping is retained in s.unmaps; returned point slices alias it.
+func (s *Store) readSegment(idx int) (segment, error) {
 	path := filepath.Join(s.dir, segName(idx))
 	data, unmap, err := mmapPath(path)
 	if err != nil {
-		return nil, err
+		return segment{}, err
 	}
 	s.mu.Lock()
 	s.unmaps = append(s.unmaps, unmap)
 	s.mu.Unlock()
 
+	// segment files are renamed into place only once their header is
+	// durable, so a bad header is damage, not a crash
 	if err := checkFileHeader(data, segMagic, path); err != nil {
-		if allowTorn && len(data) < fileHeaderSize {
-			// crashed before the header hit the disk: an empty segment
-			stats.TornTailTruncations++
-			stats.TornTailBytes += int64(len(data))
-			return nil, s.truncateSegment(idx, 0)
-		}
-		return nil, err
+		return segment{}, err
 	}
-
-	var recs []rawRecord
-	off := fileHeaderSize
-	for off < len(data) {
-		plen, ok := frameAt(data, off)
+	seg := segment{base: binary.LittleEndian.Uint64(data[8:]), end: fileHeaderSize, size: len(data)}
+	for seg.end < len(data) {
+		b, ok := batchAt(data, seg.end)
 		if !ok {
-			if !allowTorn {
-				return nil, fmt.Errorf("storage: %s: corrupt record at offset %d in sealed segment", path, off)
-			}
-			stats.TornTailTruncations++
-			stats.TornTailBytes += int64(len(data) - off)
-			return recs, s.truncateSegment(idx, off)
+			break
 		}
-		payload := data[off+recHeaderSize : off+recHeaderSize+plen]
-		id := int64(binary.LittleEndian.Uint64(payload))
-		npts := int(binary.LittleEndian.Uint32(payload[8:]))
-		if plen != trajHeaderSize+npts*pointSize {
-			if !allowTorn {
-				return nil, fmt.Errorf("storage: %s: record at offset %d: length %d inconsistent with %d points", path, off, plen, npts)
-			}
-			stats.TornTailTruncations++
-			stats.TornTailBytes += int64(len(data) - off)
-			return recs, s.truncateSegment(idx, off)
-		}
-		recs = append(recs, rawRecord{
-			id:     id,
-			points: viewPoints(data, off+recHeaderSize+trajHeaderSize, npts),
-		})
-		off += recHeaderSize + plen
+		seg.batches = append(seg.batches, b)
+		seg.end += b.size
 	}
-	return recs, nil
+	return seg, nil
 }
 
-// frameAt validates the record frame at data[off] (length sanity + CRC)
-// and returns its payload length.
+// batchAt decodes the frame at data[off]; ok is false unless the frame is
+// whole (length, CRC) and its records fill its payload exactly.
+func batchAt(data []byte, off int) (b batch, ok bool) {
+	plen, ok := frameAt(data, off)
+	if !ok || plen < batchHeaderSize {
+		return batch{}, false
+	}
+	p := off + recHeaderSize
+	b = batch{first: binary.LittleEndian.Uint64(data[p:]), size: recHeaderSize + plen}
+	count := binary.LittleEndian.Uint32(data[p+8:])
+	at, end := p+batchHeaderSize, p+plen
+	for range count {
+		if end-at < trajHeaderSize {
+			return batch{}, false
+		}
+		npts := int(binary.LittleEndian.Uint32(data[at:]))
+		at += trajHeaderSize
+		if npts > (end-at)/pointSize {
+			return batch{}, false
+		}
+		b.points = append(b.points, viewPoints(data, at, npts))
+		at += npts * pointSize
+	}
+	return b, at == end
+}
+
+// frameAt validates the frame at data[off] (length sanity + CRC) and
+// returns its payload length.
 func frameAt(data []byte, off int) (plen int, ok bool) {
 	if off+recHeaderSize > len(data) {
 		return 0, false
 	}
 	plen = int(binary.LittleEndian.Uint32(data[off:]))
-	if plen < trajHeaderSize || plen%8 != 0 || off+recHeaderSize+plen > len(data) {
+	if plen%8 != 0 || off+recHeaderSize+plen > len(data) {
 		return 0, false
 	}
 	want := binary.LittleEndian.Uint32(data[off+4:])
@@ -210,30 +229,60 @@ func frameAt(data []byte, off int) (plen int, ok bool) {
 	return plen, true
 }
 
-// truncateSegment discards a torn tail by truncating the file at off. The
-// segment's mapping stays registered and valid: only pages past the new
-// EOF become inaccessible, and no decoded record aliases them.
-func (s *Store) truncateSegment(idx, off int) error {
-	path := filepath.Join(s.dir, segName(idx))
-	if off == 0 {
-		// nothing valid, not even a header: rewrite the file as a fresh
-		// headered segment (no decoded record aliases the mapping, so the
-		// registered unmap at Close remains safe)
-		if err := os.Truncate(path, 0); err != nil {
-			return fmt.Errorf("storage: truncating torn segment: %w", err)
+// replay reads segments 0..n-1 in order and returns the records of the
+// whole batches the recovery rules let stand, and the last segment read:
+//
+//   - a segment's base id drops every record at or above it (an Append
+//     that failed after its frame reached the file);
+//   - a sealed segment may end in a torn frame only where the next base id
+//     is the count recovered before the tear (an Append that failed
+//     mid-write); the last may always end in one (a crash mid-write);
+//   - every frame carries the next dense id, and a base id falls on a
+//     frame boundary. Anything else is damage, and an error.
+func (s *Store) replay(n int, stats *RecoveryStats) ([]traj.Trajectory, segment, error) {
+	var recs []traj.Trajectory
+	var kept []batch // recovered so far
+	var seg segment
+	torn := -1 // records recovered before the previous segment's torn tail
+	for i := range n {
+		var err error
+		if seg, err = s.readSegment(i); err != nil {
+			return nil, seg, err
 		}
-		f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
-		if err != nil {
-			return err
+		switch {
+		case torn >= 0 && seg.base != uint64(torn):
+			return nil, seg, fmt.Errorf("storage: %s: torn tail after record %d, but the next segment starts at %d", segName(i-1), torn, seg.base)
+		case seg.base > uint64(len(recs)):
+			return nil, seg, fmt.Errorf("storage: %s starts at record %d, but the log before it holds %d", segName(i), seg.base, len(recs))
+		case seg.base < uint64(len(recs)):
+			k := len(kept) - 1
+			for kept[k].first > seg.base {
+				k--
+			}
+			if kept[k].first != seg.base {
+				return nil, seg, fmt.Errorf("storage: %s starts at record %d, inside a batch", segName(i), seg.base)
+			}
+			stats.TornTailTruncations++
+			for _, b := range kept[k:] {
+				stats.TornTailBytes += int64(b.size)
+			}
+			recs, kept = recs[:seg.base], kept[:k]
 		}
-		defer f.Close()
-		if _, err := f.Write(fileHeader(segMagic)); err != nil {
-			return err
+		for _, b := range seg.batches {
+			if b.first != uint64(len(recs)) {
+				return nil, seg, fmt.Errorf("storage: %s: batch carries id %d, want dense append order at %d", segName(i), b.first, len(recs))
+			}
+			kept = append(kept, b)
+			for _, p := range b.points {
+				recs = append(recs, traj.Trajectory{ID: len(recs), Points: p})
+			}
 		}
-		return f.Sync()
+		torn = -1
+		if seg.end < seg.size {
+			stats.TornTailTruncations++
+			stats.TornTailBytes += int64(seg.size - seg.end)
+			torn = len(recs)
+		}
 	}
-	if err := os.Truncate(path, int64(off)); err != nil {
-		return fmt.Errorf("storage: truncating torn tail: %w", err)
-	}
-	return nil
+	return recs, seg, nil
 }

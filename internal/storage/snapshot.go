@@ -7,8 +7,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-
-	"simsub/internal/failpoint"
 )
 
 // Snapshot file layout: the shared file header under the "SCKP" magic,
@@ -77,40 +75,6 @@ func (s *Store) snapshotImage(covered int) []byte {
 	endFramed(buf, at)
 	s.embDirty = false
 	return buf
-}
-
-// writeSnapshot persists buf as the snapshot covering the log's first
-// covered records, atomically (temp file + fsync + rename).
-func (s *Store) writeSnapshot(buf []byte, covered int) error {
-	tmp := filepath.Join(s.dir, ".tmp"+snapSuffix)
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("storage: creating snapshot temp: %w", err)
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("storage: writing snapshot: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("storage: syncing snapshot: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	final := filepath.Join(s.dir, snapName(covered))
-	if err := failpoint.Inject(fpSnapRename); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("storage: committing snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("storage: committing snapshot: %w", err)
-	}
-	return syncDir(s.dir)
 }
 
 // loadBestSnapshot tries snapshots newest-first and returns the embedding

@@ -12,29 +12,26 @@
 //	seg-00000001.log   ... sealed segments, rolled at Options.SegmentBytes
 //	snap-<count>.snap  embedding checkpoints, named by the record count covered
 //
-// Both file kinds share one record framing: a fixed 16-byte file header
-// (magic, format version), then length-prefixed records
-// [payload_len u32][crc32 u32][payload], every payload a multiple of 8
-// bytes so point arrays stay 8-aligned. Sealed files are mmap'd on
-// recovery and point arrays are served as zero-copy views over the
-// mapping (on little-endian hosts; others decode-copy), so the PR 3
-// zero-allocation scan path runs directly over on-disk points.
+// Both file kinds share one framing (segment.go): a 16-byte file header,
+// then CRC'd frames whose payloads keep point arrays 8-aligned; a segment
+// frame holds one Append's records. Segments are mmap'd on recovery and
+// point arrays are served as zero-copy views over the mapping (on
+// little-endian hosts; others decode-copy), so the zero-allocation scan
+// path runs directly over on-disk points.
 //
-// Recovery contract: a record is visible iff its bytes fully reached the
-// file. Append issues one write(2) per batch before returning, so a
-// kill -9 loses at most records the caller was never told about; fsync
-// happens on segment roll, snapshot commit and Close (graceful shutdown),
-// bounding loss on machine crash to the active segment's page-cache tail.
-// A failed Append (a short write, a write error, or a failed fsync under
-// SyncEveryAppend) truncates the segment back to the last acknowledged
-// record before it returns, so a failure never costs a later acknowledged
-// record; if that truncate fails, every later Append fails until the store
-// is reopened, and Close retries the truncate. A torn tail record (crash
-// mid-write) is detected by the length/CRC framing and truncated away on
-// Open. Snapshots commit by atomic rename, after the log they cover is
-// fsync'd; a torn or stale snapshot is discarded and the affected records
-// are simply re-encoded — recovery never trusts a snapshot it cannot
-// checksum.
+// Recovery contract: an Append is one CRC'd frame, so a batch comes back
+// whole or not at all. Append issues one write(2) per batch before
+// returning, so a kill -9 loses at most batches the caller was never told
+// about; fsync happens on segment roll, snapshot commit and Close
+// (graceful shutdown), bounding loss on machine crash to the active
+// segment's page-cache tail. A failed Append (a short write, a write
+// error, or a failed fsync under SyncEveryAppend) retires its segment: the
+// next Append rolls to a new one whose header holds the acknowledged count
+// as its base id, and Open drops every record at or above a later
+// segment's base id. Open cuts a torn frame off the active segment.
+// Snapshots commit by atomic rename, after the log they cover is fsync'd;
+// a torn or stale snapshot is discarded and the affected records are
+// simply re-encoded — recovery never trusts a snapshot it cannot checksum.
 //
 // Ownership rules: record point slices may be backed by an mmap'd segment
 // owned by the Store. Treat them as immutable and do not use them after
@@ -46,8 +43,10 @@
 package storage
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -63,17 +62,14 @@ import (
 
 // Fault sites of the chaos suite (internal/failpoint), all no-ops unless a
 // test or operator arms them: fpAppend fails an append before any byte is
-// written, fpAppendPartial tears the append's batch buffer mid-write (a
-// short write: the failed Append truncates the torn bytes away before it
-// returns, as it does after any failed write or fsync), fpFsync fails
-// segment fsyncs, fpTruncate fails that truncate (the store then refuses
-// appends until reopened), and fpSnapRename fails the snapshot's atomic
-// commit rename.
+// written, fpAppendPartial tears the append's frame mid-write (a short
+// write: the failed Append retires its segment, as it does after any
+// failed write or fsync), fpFsync fails segment fsyncs, and fpSnapRename
+// fails the snapshot's atomic commit rename.
 const (
 	fpAppend        = "storage/append"
 	fpAppendPartial = "storage/append-partial"
 	fpFsync         = "storage/fsync"
-	fpTruncate      = "storage/truncate"
 	fpSnapRename    = "storage/snapshot-rename"
 )
 
@@ -114,10 +110,12 @@ type RecoveryStats struct {
 	// Replayed is how many records the checkpoint did not cover: the rest
 	// of Records, whose embedding (under an encoder) is derived afresh.
 	Replayed int
-	// TornTailTruncations counts partial tail records truncated away
-	// (0 or 1: only the last segment can carry a torn tail).
+	// TornTailTruncations counts the torn or failed Appends recovery
+	// discarded, in any segment. Only the active segment's torn tail is cut
+	// from its file: a sealed segment is never rewritten, so its discarded
+	// tail counts again on every Open.
 	TornTailTruncations int
-	// TornTailBytes is how many bytes the truncation discarded.
+	// TornTailBytes is how many bytes the discarded tails held.
 	TornTailBytes int64
 	// SnapshotsDiscarded counts snapshot files that failed validation
 	// (torn, corrupt, or ahead of the recovered log) and were ignored.
@@ -152,9 +150,9 @@ type Store struct {
 	activeSize int64
 	unmaps     []func() error
 	closed     bool
-	// broken is set when a failed Append could not be rolled back; every
-	// later Append fails with it.
-	broken error
+	// retired is set when an Append failed after its bytes may have
+	// reached the active segment; the next Append rolls first.
+	retired bool
 
 	// Encoder embeddings, persisted as the snapshot's checkpoint so
 	// recovery under the same encoder skips re-encoding. Indexed by record
@@ -180,10 +178,10 @@ func segName(i int) string  { return fmt.Sprintf("%s%08d%s", segPrefix, i, segSu
 func snapName(n int) string { return fmt.Sprintf("%s%016d%s", snapPrefix, n, snapSuffix) }
 
 // Open opens (creating if needed) the store rooted at dir and recovers its
-// contents: every segment is read (sealed ones through mmap), a torn tail
-// record is truncated away, and the newest valid snapshot supplies the
-// embedding set it checkpointed. The snapshot is read, not mapped: it is
-// garbage once decoded.
+// contents: every segment is read through mmap and replayed, a torn tail
+// of the active segment is truncated away, and the newest valid snapshot
+// supplies the embedding set it checkpointed. The snapshot is read, not
+// mapped: it is garbage once decoded.
 func Open(dir string, opts Options) (*Store, *RecoveryStats, error) {
 	opts.fill()
 	start := time.Now()
@@ -198,33 +196,16 @@ func Open(dir string, opts Options) (*Store, *RecoveryStats, error) {
 		return nil, nil, err
 	}
 
-	// read every segment; only the last may carry a torn tail
-	var raws []rawRecord
-	for i, idx := range segs {
-		last := i == len(segs)-1
-		rs, err := s.readSegment(idx, last, stats)
-		if err != nil {
-			s.unmapAll()
-			return nil, nil, err
-		}
-		raws = append(raws, rs...)
-		stats.Segments++
+	recs, last, err := s.replay(len(segs), stats)
+	if err != nil {
+		s.unmapAll()
+		return nil, nil, err
 	}
-	// dense-ID invariant: record ID == position, in every writer's output
-	for i, rr := range raws {
-		if rr.id != int64(i) {
-			s.unmapAll()
-			return nil, nil, fmt.Errorf("storage: %s: record %d carries id %d, want dense append order", dir, i, rr.id)
-		}
-	}
-
-	s.recs = make([]traj.Trajectory, len(raws))
-	for i, rr := range raws {
-		s.recs[i] = traj.Trajectory{ID: int(rr.id), Points: rr.points}
-	}
+	s.recs = recs
+	stats.Segments = len(segs)
 	// newest valid snapshot that the recovered log actually covers wins;
 	// torn or over-reaching snapshots are discarded, not trusted
-	if embs, fp, ok := s.loadBestSnapshot(snaps, len(raws), stats); ok {
+	if embs, fp, ok := s.loadBestSnapshot(snaps, len(recs), stats); ok {
 		s.embFP, s.embs, s.hasEmb = fp, embs, true
 		for _, e := range embs {
 			if e != nil {
@@ -236,25 +217,21 @@ func Open(dir string, opts Options) (*Store, *RecoveryStats, error) {
 	stats.Replayed = stats.Records - stats.SnapshotRecords
 
 	// (re)open the active segment for appending
-	if len(segs) == 0 {
-		if err := s.newSegment(0); err != nil {
-			s.unmapAll()
-			return nil, nil, err
-		}
+	if idx := len(segs) - 1; idx < 0 {
+		err = s.newSegment(0)
 	} else {
-		idx := segs[len(segs)-1]
-		f, err := os.OpenFile(filepath.Join(dir, segName(idx)), os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			s.unmapAll()
-			return nil, nil, fmt.Errorf("storage: reopening active segment: %w", err)
+		if last.end < last.size {
+			// only pages past the new end become inaccessible, and no
+			// recovered record aliases them
+			err = os.Truncate(filepath.Join(dir, segName(idx)), int64(last.end))
 		}
-		fi, err := f.Stat()
-		if err != nil {
-			f.Close()
-			s.unmapAll()
-			return nil, nil, err
+		if err == nil {
+			err = s.activate(idx, int64(last.end))
 		}
-		s.active, s.activeIdx, s.activeSize = f, idx, fi.Size()
+	}
+	if err != nil {
+		s.unmapAll()
+		return nil, nil, err
 	}
 	stats.Wall = time.Since(start)
 	return s, stats, nil
@@ -294,44 +271,50 @@ func (s *Store) listFiles() (segs, snaps []int, err error) {
 	return segs, snaps, nil
 }
 
-// newSegment creates and headers segment idx and makes it active.
+// newSegment creates segment idx, headed by the acknowledged record count
+// as its base id, and makes it active. The header is committed before any
+// frame goes in, so a segment file never exists without a whole, durable
+// header.
 func (s *Store) newSegment(idx int) error {
-	path := filepath.Join(s.dir, segName(idx))
-	// O_APPEND, as on reopen: after rollback truncates, the next write
-	// lands at the new end
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("storage: creating segment: %w", err)
-	}
 	hdr := fileHeader(segMagic)
-	if _, err := f.Write(hdr); err != nil {
-		f.Close()
-		return fmt.Errorf("storage: writing segment header: %w", err)
+	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(s.recs)))
+	if err := s.commitFile(segName(idx), hdr, ""); err != nil {
+		return fmt.Errorf("storage: creating segment %d: %w", idx, err)
 	}
-	if err := syncDir(s.dir); err != nil {
-		f.Close()
-		return err
+	return s.activate(idx, int64(len(hdr)))
+}
+
+// activate opens segment idx, size bytes long, as the active segment.
+func (s *Store) activate(idx int, size int64) error {
+	f, err := os.OpenFile(filepath.Join(s.dir, segName(idx)), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return fmt.Errorf("storage: opening segment %d for appends: %w", idx, err)
 	}
-	s.active, s.activeIdx, s.activeSize = f, idx, int64(len(hdr))
+	s.active, s.activeIdx, s.activeSize = f, idx, size
 	return nil
 }
 
 // roll seals the active segment (fsync + close) and starts the next one.
+// When the seal or the new segment fails, the active segment stays and the
+// next Append rolls again.
 func (s *Store) roll() error {
 	if err := syncFile(s.active); err != nil {
 		return fmt.Errorf("storage: sealing segment %d: %w", s.activeIdx, err)
 	}
-	if err := s.active.Close(); err != nil {
-		return fmt.Errorf("storage: sealing segment %d: %w", s.activeIdx, err)
+	sealed := s.active
+	if err := s.newSegment(s.activeIdx + 1); err != nil {
+		return err
 	}
-	return s.newSegment(s.activeIdx + 1)
+	s.retired = false
+	return sealed.Close()
 }
 
 // Append assigns dense IDs to ts (in order, continuing the store's record
-// sequence), writes them to the log and returns the stored records: ts
-// with their IDs set. The records are readable by Records and coverable by
-// the next Snapshot. Append returns only after the bytes reached the file,
-// so a process kill cannot lose an acknowledged record.
+// sequence), writes them to the log as one frame and returns the stored
+// records: ts with their IDs set. The records are readable by Records and
+// coverable by the next Snapshot. Append returns only after the bytes
+// reached the file, so a process kill cannot lose an acknowledged record.
+// A batch whose frame would exceed 4 GiB is refused.
 func (s *Store) Append(ts []traj.Trajectory) ([]traj.Trajectory, error) {
 	if len(ts) == 0 {
 		return nil, nil
@@ -341,34 +324,36 @@ func (s *Store) Append(ts []traj.Trajectory) ([]traj.Trajectory, error) {
 	if s.closed {
 		return nil, errors.New("storage: store is closed")
 	}
-	if s.broken != nil {
-		return nil, fmt.Errorf("storage: appends refused until reopened: %w", s.broken)
-	}
-	var buf []byte
 	out := make([]traj.Trajectory, len(ts))
+	size := recHeaderSize + batchHeaderSize
 	for i, t := range ts {
 		t.ID = len(s.recs) + i
-		buf = appendTrajRecord(buf, t)
 		out[i] = t
+		size += trajHeaderSize + t.Len()*pointSize
 	}
-	if s.activeSize >= s.opts.SegmentBytes {
+	if size-recHeaderSize > math.MaxUint32 {
+		return nil, fmt.Errorf("storage: appending %d records: a %d-byte frame exceeds the 4 GiB limit", len(ts), size)
+	}
+	if s.retired || s.activeSize >= s.opts.SegmentBytes {
 		if err := s.roll(); err != nil {
 			return nil, err
 		}
 	}
+	buf := appendBatch(make([]byte, 0, size), len(s.recs), ts)
 	if err := failpoint.Inject(fpAppend); err != nil {
 		return nil, fmt.Errorf("storage: appending %d records: %w", len(ts), err)
 	}
 	if err := s.writeBatch(buf); err != nil {
-		return nil, fmt.Errorf("storage: appending %d records: %w", len(ts), s.rollback(err))
+		s.retired = true
+		return nil, fmt.Errorf("storage: appending %d records: %w", len(ts), err)
 	}
 	s.activeSize += int64(len(buf))
 	s.recs = append(s.recs, out...)
 	return out, nil
 }
 
-// writeBatch writes one Append's records to the active segment, fsyncing
-// them under SyncEveryAppend. On error some of buf may be in the file.
+// writeBatch writes one Append's frame to the active segment, fsyncing it
+// under SyncEveryAppend. On error some or all of buf may be in the file.
 func (s *Store) writeBatch(buf []byte) error {
 	if n := failpoint.Partial(fpAppendPartial, len(buf)); n < len(buf) {
 		// a torn write: the injected error below is what Append reports
@@ -384,30 +369,6 @@ func (s *Store) writeBatch(buf []byte) error {
 		}
 	}
 	return nil
-}
-
-// rollback undoes a failed writeBatch: it truncates the active segment back
-// to its last acknowledged byte, so the next Append writes right after the
-// last acknowledged record and Open never sees the failed batch. That size
-// is never below the size recovered at Open, so mapped points stay valid.
-// When the truncate itself fails the store stops appending until reopened:
-// a later batch written after the failed one would be cut away with it as
-// Open's torn tail. Close tries the truncate once more.
-func (s *Store) rollback(err error) error {
-	if terr := s.truncateActive(); terr != nil {
-		s.broken = fmt.Errorf("truncating segment %d after a failed append: %w", s.activeIdx, terr)
-		return errors.Join(err, s.broken)
-	}
-	return err
-}
-
-// truncateActive cuts the active segment back to its last acknowledged
-// byte, through the fpTruncate fault site.
-func (s *Store) truncateActive() error {
-	if err := failpoint.Inject(fpTruncate); err != nil {
-		return err
-	}
-	return s.active.Truncate(s.activeSize)
 }
 
 // Len returns the number of stored records.
@@ -513,7 +474,9 @@ func (s *Store) Snapshot() error {
 	if err != nil {
 		err = fmt.Errorf("storage: syncing the log a checkpoint covers: %w", err)
 	} else {
-		err = s.writeSnapshot(img, covered)
+		if err = s.commitFile(snapName(covered), img, fpSnapRename); err != nil {
+			err = fmt.Errorf("storage: committing snapshot: %w", err)
+		}
 	}
 	if err != nil {
 		// the set stays uncheckpointed: the next call tries again
@@ -555,20 +518,11 @@ func (s *Store) Close() error {
 	if snapErr != nil {
 		errs = append(errs, snapErr)
 	}
-	if s.active != nil {
-		if s.broken != nil {
-			// the rollback a failed Append could not finish: without it
-			// the failed batch's whole records would come back on Open
-			if err := s.truncateActive(); err != nil {
-				errs = append(errs, fmt.Errorf("storage: retrying the rollback at close: %w", err))
-			}
-		}
-		if err := syncFile(s.active); err != nil {
-			errs = append(errs, err)
-		}
-		if err := s.active.Close(); err != nil {
-			errs = append(errs, err)
-		}
+	if err := syncFile(s.active); err != nil {
+		errs = append(errs, err)
+	}
+	if err := s.active.Close(); err != nil {
+		errs = append(errs, err)
 	}
 	errs = append(errs, s.unmapLocked())
 	return errors.Join(errs...)
@@ -589,6 +543,36 @@ func (s *Store) unmapLocked() error {
 	return errors.Join(errs...)
 }
 
+// commitFile writes buf to the store's directory as name, atomically: to
+// a temporary file that is fsync'd, closed and renamed into place, so name
+// only ever exists whole and durable. A non-empty renameSite is a fault
+// site that fails the rename.
+func (s *Store) commitFile(name string, buf []byte, renameSite string) error {
+	tmp := filepath.Join(s.dir, ".tmp"+filepath.Ext(name))
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(buf)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = failpoint.Inject(renameSite)
+	}
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(s.dir, name))
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return syncDir(s.dir)
+}
+
 // syncDir fsyncs a directory so a just-created or just-renamed file's
 // directory entry is durable.
 func syncDir(dir string) error {
@@ -597,9 +581,6 @@ func syncDir(dir string) error {
 		return fmt.Errorf("storage: syncing dir: %w", err)
 	}
 	defer d.Close()
-	if err := d.Sync(); err != nil {
-		// some filesystems reject directory fsync; treat as best-effort
-		return nil
-	}
+	_ = d.Sync() // best effort: some filesystems reject directory fsync
 	return nil
 }

@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"simsub/internal/failpoint"
@@ -135,16 +134,30 @@ func TestRecoveryWithoutSnapshotReplays(t *testing.T) {
 	equalRecords(t, s2.Records(), want)
 }
 
+// TestTornTailTruncated: a torn last Append is dropped whole; the batches
+// before it survive.
 func TestTornTailTruncated(t *testing.T) {
-	for _, cut := range []int{1, 3, 9, 17, 23} { // bytes to chop off the tail
+	for _, tc := range []struct{ batches, cut int }{ // cut: bytes to chop off the tail
+		{1, 1}, {1, 3}, {1, 9}, {1, 17}, {1, 23},
+		{2, 1}, {2, 3}, {2, 9}, {2, 17}, {2, 23},
+	} {
+		cut := tc.cut
 		dir := t.TempDir()
 		s1, _ := mustOpen(t, dir, Options{})
 		ts := genTrajs(rand.New(rand.NewSource(3)), 20)
-		if _, err := s1.Append(ts); err != nil {
+		torn := ts
+		if tc.batches == 2 {
+			if _, err := s1.Append(ts[:12]); err != nil {
+				t.Fatal(err)
+			}
+			torn = ts[12:]
+		}
+		if _, err := s1.Append(torn); err != nil {
 			t.Fatal(err)
 		}
 		full := s1.Records()
 		s1.Sync()
+		survivors := full[:len(full)-len(torn)]
 
 		seg := filepath.Join(dir, segName(0))
 		fi, err := os.Stat(seg)
@@ -160,10 +173,10 @@ func TestTornTailTruncated(t *testing.T) {
 			t.Fatalf("cut=%d: expected a torn-tail truncation, got %+v", cut, rs)
 		}
 		got := s2.Records()
-		if len(got) != len(full)-1 {
-			t.Fatalf("cut=%d: recovered %d records, want %d", cut, len(got), len(full)-1)
+		if len(got) != len(survivors) {
+			t.Fatalf("%d batches, cut=%d: recovered %d records, want %d", tc.batches, cut, len(got), len(survivors))
 		}
-		equalRecords(t, got, full[:len(full)-1])
+		equalRecords(t, got, survivors)
 		// the store must accept appends after truncation
 		if _, err := s2.Append(genTrajs(rand.New(rand.NewSource(4)), 2)); err != nil {
 			t.Fatalf("cut=%d: append after truncation: %v", cut, err)
@@ -171,7 +184,7 @@ func TestTornTailTruncated(t *testing.T) {
 		s2.Close()
 
 		s3, rs3 := mustOpen(t, dir, Options{})
-		if rs3.TornTailTruncations != 0 || rs3.Records != len(full)+1 {
+		if rs3.TornTailTruncations != 0 || rs3.Records != len(survivors)+2 {
 			t.Fatalf("cut=%d: second recovery: %+v", cut, rs3)
 		}
 		s3.Close()
@@ -216,22 +229,24 @@ func TestSnapshotAheadOfLogDiscarded(t *testing.T) {
 	dir := t.TempDir()
 	s1, _ := mustOpen(t, dir, Options{})
 	ts := genTrajs(rand.New(rand.NewSource(6)), 10)
-	recs, err := s1.Append(ts)
-	if err != nil {
-		t.Fatal(err)
+	for _, batch := range [][]traj.Trajectory{ts[:9], ts[9:]} {
+		recs, err := s1.Append(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		embedAll(s1, recs)
 	}
-	embedAll(s1, recs)
 	if err := s1.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
 	full := s1.Records()
 
-	// chop the last record off the log: the snapshot now covers more
-	// records than the log holds and must not be trusted
+	// chop the last batch, one record, off the log: the snapshot now
+	// covers more records than the log holds and must not be trusted
 	seg := filepath.Join(dir, segName(0))
 	fi, _ := os.Stat(seg)
 	last := full[len(full)-1]
-	recBytes := int64(recHeaderSize + trajHeaderSize + last.Len()*pointSize)
+	recBytes := int64(recHeaderSize + batchHeaderSize + trajHeaderSize + last.Len()*pointSize)
 	if err := os.Truncate(seg, fi.Size()-recBytes); err != nil {
 		t.Fatal(err)
 	}
@@ -393,14 +408,20 @@ func TestSnapshotImageUnchangedAndPresized(t *testing.T) {
 
 // failedBatchThenMore stores 5 records, makes the next 5-record Append fail
 // under the armed fault site, appends 5 more and reopens: exactly the 10
-// acknowledged records must come back, in dense ID order, and the store
-// must keep appending after the reopen.
+// acknowledged records must come back, in dense ID order, recovery must
+// drop only the failed batch's bytes, and the store must keep appending
+// after the reopen.
 func failedBatchThenMore(t *testing.T, opts Options, site, spec string) {
 	t.Helper()
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(9))
 	s1, _ := mustOpen(t, dir, opts)
 	want, err := s1.Append(genTrajs(rng, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := filepath.Join(dir, segName(0))
+	acked, err := os.Stat(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,11 +441,15 @@ func failedBatchThenMore(t *testing.T, opts Options, site, spec string) {
 	if err := s1.Close(); err != nil {
 		t.Fatal(err)
 	}
+	failed, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	s2, rs := mustOpen(t, dir, opts)
 	defer s2.Close()
-	if rs.TornTailTruncations != 0 {
-		t.Fatalf("reopen truncated a torn tail: %+v", rs)
+	if dropped := failed.Size() - acked.Size(); dropped == 0 || rs.TornTailTruncations != 1 || rs.TornTailBytes != dropped {
+		t.Fatalf("reopen dropped %d bytes in %d tails, want only the failed batch's %d", rs.TornTailBytes, rs.TornTailTruncations, dropped)
 	}
 	equalRecords(t, s2.Records(), want)
 	if recs, err := s2.Append(genTrajs(rng, 1)); err != nil || recs[0].ID != len(want) {
@@ -438,52 +463,4 @@ func TestTornAppendRolledBack(t *testing.T) {
 
 func TestFailedFsyncAppendRolledBack(t *testing.T) {
 	failedBatchThenMore(t, Options{SyncEveryAppend: true}, fpFsync, "1*error(disk gone)")
-}
-
-// TestFailedTruncateRefusesAppends: when an append fails and its rollback
-// truncate fails too, the torn batch stays in the segment, so the store
-// refuses every later append until reopened (a batch written after it
-// would be cut away with it). Close retries the truncate, so the reopened
-// store recovers exactly the acknowledged records — not the torn batch's
-// whole records — and appends again.
-func TestFailedTruncateRefusesAppends(t *testing.T) {
-	dir := t.TempDir()
-	rng := rand.New(rand.NewSource(11))
-	s1, _ := mustOpen(t, dir, Options{})
-	want, err := s1.Append(genTrajs(rng, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for site, spec := range map[string]string{fpAppendPartial: "1*partial(0.5)", fpTruncate: "1*error(read-only file system)"} {
-		if err := failpoint.Enable(site, spec); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { failpoint.Disable(site) })
-	}
-	if _, err := s1.Append(genTrajs(rng, 5)); err == nil || !strings.Contains(err.Error(), "read-only file system") {
-		t.Fatalf("append with a failed rollback: %v, want the truncate error", err)
-	}
-	failpoint.Disable(fpAppendPartial)
-	failpoint.Disable(fpTruncate)
-	for i := 0; i < 2; i++ {
-		if recs, err := s1.Append(genTrajs(rng, 3)); err == nil || !strings.Contains(err.Error(), "refused until reopened") {
-			t.Fatalf("append %d after a failed rollback: %v, %v; want it refused", i, recs, err)
-		}
-	}
-	if n := s1.Len(); n != len(want) {
-		t.Fatalf("Len after refused appends: %d, want %d", n, len(want))
-	}
-	if err := s1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, rs := mustOpen(t, dir, Options{})
-	defer s2.Close()
-	if rs.TornTailTruncations != 0 {
-		t.Fatalf("reopen truncated a torn tail that Close should have cut: %+v", rs)
-	}
-	equalRecords(t, s2.Records(), want)
-	if recs, err := s2.Append(genTrajs(rng, 1)); err != nil || recs[0].ID != len(want) {
-		t.Fatalf("append after reopen: %v, %v", recs, err)
-	}
 }
