@@ -99,11 +99,6 @@ type QuerySpec struct {
 
 	// EDREps overrides the EDR matching tolerance (measure "edr" only).
 	EDREps float64 `json:"edr_eps,omitempty"`
-	// LCSSEps overrides the LCSS matching tolerance (measure "lcss" only).
-	LCSSEps float64 `json:"lcss_eps,omitempty"`
-	// CDTWBand overrides the relative Sakoe-Chiba band width in (0, 1]
-	// (measure "cdtw" only).
-	CDTWBand float64 `json:"cdtw_band,omitempty"`
 	// POSDelay overrides the POS-D split delay (algorithm "pos-d" only).
 	POSDelay int `json:"pos_delay,omitempty"`
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"net/http"
+	"strings"
 	"testing"
 )
 
@@ -119,6 +120,14 @@ func TestSpecDefaults(t *testing.T) {
 	s = QuerySpec{Measure: "frechet", Algorithm: "exacts"}.WithDefaults()
 	if s.Measure != "frechet" || s.Algorithm != "exacts" {
 		t.Fatalf("explicit names overwritten: %q/%q", s.Measure, s.Algorithm)
+	}
+}
+
+// TestAlgorithmTable pins the served algorithms (internal/server's
+// TestUnservedNamesRejected checks that other names are refused).
+func TestAlgorithmTable(t *testing.T) {
+	if got, want := strings.Join(AlgorithmNames(), " "), "exacts sizes pss pos pos-d rls rls-skip embed"; got != want {
+		t.Fatalf("AlgorithmNames() = %q, want %q", got, want)
 	}
 }
 

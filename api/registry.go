@@ -8,9 +8,9 @@ package api
 // routes and client-side validation all consult this table, so adding an
 // algorithm — or pinning one to a new measure — is one edit here plus its
 // implementation, instead of a hunt through per-layer name switches.
-// Measure names themselves stay dynamic (the sim registry): a new measure
-// registers itself and needs no entry here unless an algorithm is pinned
-// to it.
+// Measure names themselves stay dynamic: the sim registry is the one table
+// of served measures, so a new measure registers itself and needs no entry
+// here unless an algorithm is pinned to it.
 
 // AlgorithmInfo describes one search algorithm accepted on the wire.
 type AlgorithmInfo struct {
@@ -40,21 +40,9 @@ var algorithms = []AlgorithmInfo{
 	{Name: "pss"},
 	{Name: "pos"},
 	{Name: "pos-d", Aliases: []string{"posd"}, Param: "pos_delay"},
-	{Name: "spring", Measure: "dtw"},
-	{Name: "ucr", Measure: "dtw"},
-	{Name: "random-s", Aliases: []string{"randoms"}},
-	{Name: "simtra"},
 	{Name: "rls", NeedsPolicy: true},
 	{Name: "rls-skip", NeedsPolicy: true},
 	{Name: "embed", Measure: "t2vec", NeedsEncoder: true},
-}
-
-// MeasureParams maps each per-query measure parameter to the only measure
-// it applies to; setting one under any other measure is rejected.
-var MeasureParams = map[string]string{
-	"edr_eps":   "edr",
-	"lcss_eps":  "lcss",
-	"cdtw_band": "cdtw",
 }
 
 // Algorithms returns the registration table (a copy).
@@ -96,7 +84,7 @@ func LookupAlgorithm(name string) (AlgorithmInfo, bool) {
 func CheckAlgorithm(measure, algorithm string) (AlgorithmInfo, *Error) {
 	info, ok := LookupAlgorithm(algorithm)
 	if !ok {
-		return AlgorithmInfo{}, Errorf(CodeInvalidArgument, "unknown algorithm %q", algorithm)
+		return AlgorithmInfo{}, Errorf(CodeInvalidArgument, "unknown algorithm %q (have %v)", algorithm, AlgorithmNames())
 	}
 	if info.Measure != "" && measure != info.Measure {
 		return AlgorithmInfo{}, Errorf(CodeInvalidArgument,

@@ -322,7 +322,7 @@ func BenchmarkAblationSkipState(b *testing.B) {
 func BenchmarkMeasureDist(b *testing.B) {
 	data := RandomWalk(128, 0.02, 15)
 	q := RandomWalk(32, 0.02, 16)
-	for _, m := range []sim.Measure{sim.DTW{}, sim.Frechet{}, sim.ERP{}, sim.EDR{Eps: 0.1}, sim.LCSS{Eps: 0.1}, sim.EDS{}, sim.EDwP{}} {
+	for _, m := range []sim.Measure{sim.DTW{}, sim.Frechet{}, sim.ERP{}, sim.EDR{Eps: 0.1}, sim.EDS{}, sim.EDwP{}} {
 		b.Run(m.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				m.Dist(data, q)

@@ -30,7 +30,7 @@ func main() {
 		queryPath   = flag.String("query", "", "query trajectory (CSV, first trajectory used; required)")
 		measureName = flag.String("measure", "dtw", "similarity measure")
 		modelPath   = flag.String("t2vec-model", "", "t2vec model file when -measure t2vec")
-		algoName    = flag.String("algo", "pss", "algorithm: exacts, sizes, pss, pos, pos-d, spring, ucr, random-s, simtra, rls")
+		algoName    = flag.String("algo", "pss", "algorithm: exacts, sizes, pss, pos, pos-d, rls")
 		policyPath  = flag.String("policy", "", "trained policy file (required for -algo rls)")
 		topK        = flag.Int("topk", 5, "number of matches to report")
 		useIndex    = flag.Bool("index", false, "build and use the R-tree MBR index")

@@ -1,7 +1,7 @@
 // Measure comparison: the SimSub problem is defined over an abstract
 // similarity measurement (§3.1). This example runs the same search under
 // every implemented measure — DTW, discrete Fréchet, a trained t2vec-style
-// encoder, and the extension measures ERP/EDR/LCSS/EDS/EDwP — showing how
+// encoder, and the extension measures ERP/EDR/EDS/EDwP — showing how
 // the returned subtrajectory shifts with the measure while the exact
 // algorithm stays the same code.
 //
@@ -35,14 +35,8 @@ func main() {
 		t2v,
 		simsub.ERP(),
 		simsub.EDR(0.02),
-		simsub.LCSS(0.02),
-	}
-	for _, name := range []string{"eds", "edwp"} {
-		m, err := simsub.MeasureByName(name)
-		if err != nil {
-			panic(err)
-		}
-		measures = append(measures, m)
+		simsub.EDS(),
+		simsub.EDwP(),
 	}
 
 	fmt.Printf("\n%-8s  %-12s  %-10s  %-10s  %s\n", "measure", "interval", "length", "distance", "time")

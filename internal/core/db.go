@@ -233,9 +233,11 @@ func (db *Database) Best(alg Algorithm, q traj.Trajectory) (Match, bool) {
 	return top[0], true
 }
 
-// AlgorithmFor builds the named algorithm over a measure with reasonable
-// defaults. Names: exacts, sizes, pss, pos, pos-d, spring, ucr, random-s,
-// simtra. RLS variants require a policy and are constructed directly.
+// AlgorithmFor builds the named measure-agnostic search over a measure
+// with reasonable defaults. Names: exacts, sizes, pss, pos, pos-d. RLS
+// variants require a policy and are constructed directly, as are the
+// competitors (Spring, UCR, RandomS, SimTra), which only the experiments
+// run.
 func AlgorithmFor(name string, m sim.Measure) (Algorithm, bool) {
 	switch name {
 	case "exacts":
@@ -248,14 +250,6 @@ func AlgorithmFor(name string, m sim.Measure) (Algorithm, bool) {
 		return POS{M: m}, true
 	case "pos-d", "posd":
 		return POSD{M: m, D: 5}, true
-	case "spring":
-		return Spring{}, true
-	case "ucr":
-		return UCR{Band: 1}, true
-	case "random-s", "randoms":
-		return RandomS{M: m, Samples: 50}, true
-	case "simtra":
-		return SimTra{M: m}, true
 	}
 	return nil, false
 }

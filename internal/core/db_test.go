@@ -126,15 +126,17 @@ func TestBestEmptyDatabase(t *testing.T) {
 }
 
 func TestAlgorithmFor(t *testing.T) {
-	names := []string{"exacts", "sizes", "pss", "pos", "pos-d", "spring", "ucr", "random-s", "simtra"}
-	for _, n := range names {
+	for _, n := range []string{"exacts", "sizes", "pss", "pos", "pos-d"} {
 		a, ok := AlgorithmFor(n, sim.DTW{})
 		if !ok || a == nil {
 			t.Errorf("AlgorithmFor(%q) failed", n)
 		}
 	}
-	if _, ok := AlgorithmFor("nope", sim.DTW{}); ok {
-		t.Error("unknown algorithm should fail")
+	// the competitors are built by type, never by name
+	for _, n := range []string{"nope", "spring", "ucr", "random-s", "randoms", "simtra"} {
+		if _, ok := AlgorithmFor(n, sim.DTW{}); ok {
+			t.Errorf("AlgorithmFor(%q) should fail", n)
+		}
 	}
 }
 

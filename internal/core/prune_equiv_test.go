@@ -63,7 +63,7 @@ func TestPrunedScanEquivalence(t *testing.T) {
 	filter := &geo.Rect{MinX: 0, MinY: 0, MaxX: 14, MaxY: 14}
 
 	measures := []sim.Measure{
-		sim.DTW{}, sim.CDTW{R: 0.25}, sim.Frechet{}, sim.EDR{Eps: 0.4}, sim.LCSS{Eps: 0.4},
+		sim.DTW{}, sim.CDTW{R: 0.25}, sim.Frechet{}, sim.EDR{Eps: 0.4},
 		sim.ERP{}, sim.EDS{}, sim.EDwP{},
 	}
 	algs := func(m sim.Measure) []Algorithm {
@@ -171,7 +171,7 @@ func TestTopKExactPrunedEquivalence(t *testing.T) {
 	data := equivData(40, 30, 31)
 	q := equivData(1, 10, 32)[0]
 	measures := []sim.Measure{
-		sim.DTW{}, sim.Frechet{}, sim.EDR{Eps: 0.4}, sim.LCSS{Eps: 0.4}, sim.ERP{},
+		sim.DTW{}, sim.Frechet{}, sim.EDR{Eps: 0.4}, sim.ERP{},
 		sim.CDTW{R: 0.25}, sim.EDS{}, sim.EDwP{},
 	}
 	for _, m := range measures {

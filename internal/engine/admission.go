@@ -30,10 +30,13 @@ const (
 	classExpensive
 )
 
-// classOf maps an algorithm name to its admission class. The exhaustive
-// searches enumerate every subtrajectory with no threshold to abandon
-// against mid-candidate, so they are the expensive class; everything else
-// (pruned exacts, splitting heuristics, learned searches) stays cheap.
+// classOf maps an algorithm name to its admission class. The exact
+// searches are the expensive class: SizeS enumerates its length window,
+// and ExactS enumerates every subtrajectory under t2vec. Under DTW,
+// Fréchet, ERP and EDR, ExactS is one O(n·m) free-start pass that
+// abandons against the threshold; it keeps the class anyway, because the
+// classes are set by name. Everything else (splitting heuristics, learned
+// searches) stays cheap.
 func classOf(algorithm string) queryClass {
 	switch algorithm {
 	case "exacts", "sizes":

@@ -242,7 +242,7 @@ type binding struct {
 
 // resolve builds the measure and algorithm q names against the pinned
 // snapshot a, driven by the api registration table: names, aliases,
-// measure pinning (spring/ucr are DTW-only, embed is t2vec-only) and
+// measure pinning (embed is t2vec-only) and
 // parameter scoping come from its rows, a NeedsPolicy row binds a's policy
 // (which must be of the row's kind: split-only for "rls", with skip actions
 // for "rls-skip"), a NeedsEncoder row binds a's encoder, and every other

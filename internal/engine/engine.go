@@ -125,11 +125,6 @@ func (c *Config) fill() {
 type Params struct {
 	// EDREps overrides EDR's matching tolerance (measure "edr").
 	EDREps float64
-	// LCSSEps overrides LCSS's matching tolerance (measure "lcss").
-	LCSSEps float64
-	// CDTWBand overrides CDTW's relative Sakoe-Chiba band in (0, 1]
-	// (measure "cdtw").
-	CDTWBand float64
 	// POSDelay overrides POS-D's split delay (algorithm "pos-d").
 	POSDelay int
 }
@@ -144,8 +139,8 @@ type Query struct {
 	K int
 	// Measure names a registered similarity measure ("dtw", "frechet", ...).
 	Measure string
-	// Algorithm names a search algorithm accepted by core.AlgorithmFor
-	// ("exacts", "pss", "pos", ...).
+	// Algorithm names a search algorithm of the api registration table
+	// (api.AlgorithmNames: "exacts", "pss", "pos", ...).
 	Algorithm string
 	// Params overrides parameterized measure/algorithm defaults.
 	Params Params
@@ -503,42 +498,19 @@ func ResolveNames(measure, algorithm string) (core.Algorithm, error) {
 
 func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
-// measureFor builds the named measure, applying parameter overrides. Every
-// parameter is strictly scoped to its measure: a tolerance aimed at a
-// measure that would ignore it is rejected, so a typo can never silently
-// change what a distance means.
+// measureFor builds the named measure, applying parameter overrides. The
+// one measure parameter, edr_eps, is strictly scoped to EDR: a tolerance
+// aimed at a measure that would ignore it is rejected, so a typo can never
+// silently change what a distance means.
 func measureFor(name string, p Params) (sim.Measure, error) {
 	if !finite(p.EDREps) || p.EDREps < 0 {
 		return nil, api.Errorf(api.CodeInvalidArgument, "edr_eps must be finite and non-negative, got %g", p.EDREps)
 	}
-	if !finite(p.LCSSEps) || p.LCSSEps < 0 {
-		return nil, api.Errorf(api.CodeInvalidArgument, "lcss_eps must be finite and non-negative, got %g", p.LCSSEps)
-	}
-	if !finite(p.CDTWBand) || p.CDTWBand < 0 || p.CDTWBand > 1 {
-		return nil, api.Errorf(api.CodeInvalidArgument, "cdtw_band must be in (0, 1], got %g", p.CDTWBand)
-	}
-	// parameter→measure scoping is driven by the api registration table,
-	// so a new parameterized measure needs one table edit, not a new check
-	for _, pc := range []struct {
-		name string
-		set  bool
-	}{
-		{"edr_eps", p.EDREps != 0},
-		{"lcss_eps", p.LCSSEps != 0},
-		{"cdtw_band", p.CDTWBand != 0},
-	} {
-		if pc.set && api.MeasureParams[pc.name] != name {
-			return nil, api.Errorf(api.CodeInvalidArgument,
-				"%s set but measure is %q, not %q", pc.name, name, api.MeasureParams[pc.name])
+	if p.EDREps != 0 {
+		if name != "edr" {
+			return nil, api.Errorf(api.CodeInvalidArgument, "edr_eps set but measure is %q, not \"edr\"", name)
 		}
-	}
-	switch {
-	case name == "edr" && p.EDREps > 0:
 		return sim.EDR{Eps: p.EDREps}, nil
-	case name == "lcss" && p.LCSSEps > 0:
-		return sim.LCSS{Eps: p.LCSSEps}, nil
-	case name == "cdtw" && p.CDTWBand > 0:
-		return sim.CDTW{R: p.CDTWBand}, nil
 	}
 	m, err := sim.ByName(name)
 	if err != nil {

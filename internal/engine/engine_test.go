@@ -205,16 +205,6 @@ func TestEngineErrors(t *testing.T) {
 	if _, _, err := e.TopK(context.Background(), Query{Q: randTraj(rng, 5), K: 3, Measure: "dtw", Algorithm: "nope"}); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
-	// Spring and UCR compute DTW regardless of the requested measure: any
-	// other pairing would return mislabeled distances and must be rejected
-	for _, algo := range []string{"spring", "ucr"} {
-		if _, _, err := e.TopK(context.Background(), Query{Q: randTraj(rng, 5), K: 3, Measure: "frechet", Algorithm: algo}); err == nil {
-			t.Fatalf("%s accepted with a non-DTW measure", algo)
-		}
-		if _, err := ResolveNames("dtw", algo); err != nil {
-			t.Fatalf("%s rejected with dtw: %v", algo, err)
-		}
-	}
 	// k-validation is uniform: k ≤ 0, k > store size and unknown names all
 	// surface as the same typed invalid_argument error shape
 	e.Add(randSet(rng, 4))
@@ -231,8 +221,6 @@ func TestEngineErrors(t *testing.T) {
 		"misdirected eps": {Q: randTraj(rng, 5), K: 2, Measure: "dtw", Algorithm: "pss", Params: Params{EDREps: 0.5}},
 		"misdirected delay": {Q: randTraj(rng, 5), K: 2, Measure: "dtw", Algorithm: "pss",
 			Params: Params{POSDelay: 3}},
-		"band out of range": {Q: randTraj(rng, 5), K: 2, Measure: "cdtw", Algorithm: "pss",
-			Params: Params{CDTWBand: 1.5}},
 	} {
 		_, _, err := e.TopK(context.Background(), q)
 		var ae *api.Error

@@ -88,8 +88,8 @@ func TestEnginePrunedEquivalence(t *testing.T) {
 	filter := &geo.Rect{MinX: 0, MinY: 0, MaxX: 14, MaxY: 14}
 
 	for _, tc := range []struct{ measure, algorithm string }{
-		{"dtw", "exacts"}, {"dtw", "pss"}, {"cdtw", "pss"},
-		{"frechet", "pos-d"}, {"edr", "sizes"}, {"lcss", "pos"},
+		{"dtw", "exacts"}, {"dtw", "pss"},
+		{"frechet", "pos-d"}, {"edr", "sizes"}, {"erp", "pos"},
 	} {
 		for _, distinct := range []bool{false, true} {
 			for _, f := range []*geo.Rect{nil, filter} {

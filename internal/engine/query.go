@@ -54,8 +54,6 @@ func QueryFromSpec(spec api.QuerySpec) (Query, *api.Error) {
 		Algorithm: spec.Algorithm,
 		Params: Params{
 			EDREps:   spec.EDREps,
-			LCSSEps:  spec.LCSSEps,
-			CDTWBand: spec.CDTWBand,
 			POSDelay: spec.POSDelay,
 		},
 		Bound:         spec.Bound,

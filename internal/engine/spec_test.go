@@ -198,12 +198,6 @@ func TestEngineQueryParams(t *testing.T) {
 	check("edr eps",
 		Query{Q: q, K: 5, Measure: "edr", Algorithm: "exacts", Params: Params{EDREps: 0.7}},
 		core.ExactS{M: sim.EDR{Eps: 0.7}})
-	check("lcss eps",
-		Query{Q: q, K: 5, Measure: "lcss", Algorithm: "exacts", Params: Params{LCSSEps: 0.4}},
-		core.ExactS{M: sim.LCSS{Eps: 0.4}})
-	check("cdtw band",
-		Query{Q: q, K: 5, Measure: "cdtw", Algorithm: "exacts", Params: Params{CDTWBand: 0.5}},
-		core.ExactS{M: sim.CDTW{R: 0.5}})
 	check("pos-d delay",
 		Query{Q: q, K: 5, Measure: "dtw", Algorithm: "pos-d", Params: Params{POSDelay: 9}},
 		core.POSD{M: sim.DTW{}, D: 9})

@@ -191,7 +191,7 @@ func (r Rect) DistToRect(s Rect) float64 {
 
 // ChebyshevDistToPoint returns the minimum per-axis (L∞) distance from p to
 // r: max of the horizontal and vertical gaps, 0 when p is inside r. A point
-// can match a trajectory point under an EDR/LCSS tolerance eps only when its
+// can match a trajectory point under an EDR tolerance eps only when its
 // Chebyshev distance to the trajectory's MBR is at most eps.
 func (r Rect) ChebyshevDistToPoint(p Point) float64 {
 	if r.IsEmpty() {

@@ -23,11 +23,13 @@ import (
 )
 
 // stallMeasure is DTW behind a test-controlled gate: while armed, every
-// Dist call after the first blocks until release. Under the
-// one-Dist-per-candidate "simtra" algorithm exactly one candidate can
-// finish, so a stream delivers one match and then provably outlives any
-// deadline — the mid-stream failure the parity table needs.
-type stallMeasure struct{ sim.DTW }
+// NewIncremental call after the first blocks until release. Under
+// "exacts", which builds one computer per candidate, exactly one candidate
+// can finish, so a stream delivers one match and then provably outlives
+// any deadline — the mid-stream failure the parity table needs. DTW is a
+// field, not embedded: embedding would promote its free-start MinSub,
+// which answers ExactS without any computer and so gets round the gate.
+type stallMeasure struct{ dtw sim.DTW }
 
 var stall struct {
 	mu      sync.Mutex
@@ -41,7 +43,8 @@ func stallArm() {
 	stall.passed, stall.release = 0, make(chan struct{})
 }
 
-// stallOpen releases the blocked Dist calls and disarms; it is idempotent.
+// stallOpen releases the blocked NewIncremental calls and disarms; it is
+// idempotent.
 func stallOpen() {
 	stall.mu.Lock()
 	defer stall.mu.Unlock()
@@ -53,7 +56,9 @@ func stallOpen() {
 
 func (stallMeasure) Name() string { return "stalldtw" }
 
-func (m stallMeasure) Dist(t, q traj.Trajectory) float64 {
+func (m stallMeasure) Dist(t, q traj.Trajectory) float64 { return m.dtw.Dist(t, q) }
+
+func (m stallMeasure) NewIncremental(t, q traj.Trajectory) sim.Incremental {
 	stall.mu.Lock()
 	var wait chan struct{}
 	if stall.release != nil {
@@ -65,7 +70,7 @@ func (m stallMeasure) Dist(t, q traj.Trajectory) float64 {
 	if wait != nil {
 		<-wait
 	}
-	return m.DTW.Dist(t, q)
+	return m.dtw.NewIncremental(t, q)
 }
 
 func init() { sim.Register("stalldtw", func() sim.Measure { return stallMeasure{} }) }
@@ -194,7 +199,7 @@ func TestFrontEndParity(t *testing.T) {
 			want: outcome{status: 400, contentType: "application/json", code: api.CodeInvalidArgument}},
 		{name: "stream error after the first record", path: "/v2/query/stream", midStream: true,
 			body: body(api.StreamQuery{
-				Spec:      spec(func(s *api.QuerySpec) { s.Measure, s.Algorithm = "stalldtw", "simtra" }),
+				Spec:      spec(func(s *api.QuerySpec) { s.Measure, s.Algorithm = "stalldtw", "exacts" }),
 				TimeoutMS: 150,
 			}),
 			want: outcome{status: 200, contentType: "application/x-ndjson", code: api.CodeTimeout, detail: "match, then error"}},

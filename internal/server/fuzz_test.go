@@ -47,6 +47,13 @@ func FuzzFrontEnd(f *testing.F) {
 	f.Add(uint8(2), []byte(`{"trajectories":[]}{"trajectories":[]}`))
 	f.Add(uint8(3), []byte(`{"path":"`+garbage+`","compile_resolution":4}`))
 	f.Add(uint8(4), []byte(`{"encoder_b64":"eA=="}`))
+	// names and fields the query surface does not serve
+	for _, field := range []string{
+		`"algorithm":"spring"`, `"measure":"lcss"`, `"measure":"eds"`, `"measure":"edwp"`,
+		`"measure":"cdtw"`, `"lcss_eps":0.1`, `"cdtw_band":0.1`,
+	} {
+		f.Add(uint8(1), []byte(`{"spec":{"query":{"points":[[0,0],[1,1]]},"k":1,`+field+`}}`))
+	}
 	f.Fuzz(func(t *testing.T, route uint8, body []byte) {
 		path := routes[int(route)%len(routes)]
 		var swap struct{ Path string }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"simsub/api"
@@ -110,8 +111,9 @@ func TestLoadAndStats(t *testing.T) {
 	if sr.Engine.Trajectories != 7 || sr.Engine.Points != 70 || sr.Engine.Shards != 2 {
 		t.Fatalf("stats %+v", sr.Engine)
 	}
-	if len(sr.Measures) == 0 {
-		t.Fatal("stats list no measures")
+	// the served measures, plus gatedtw, which this package's tests register
+	if got, want := strings.Join(sr.Measures, " "), "dtw edr erp frechet gatedtw t2vec"; got != want {
+		t.Fatalf("stats measures %q, want %q", got, want)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"math/rand"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 
@@ -16,11 +17,12 @@ import (
 )
 
 // gatedMeasure is DTW behind a test-controlled gate: while armed, every
-// Dist call after the first blocks until the gate opens. Paired with the
-// one-Dist-per-candidate "simtra" algorithm it makes streaming order
-// deterministic: exactly one candidate can finish, so the stream's first
-// match must be delivered while the other ~999 candidates are still
-// pending — no timing assumptions.
+// NewIncremental call after the first blocks until the gate opens. Under
+// "exacts", which builds one computer per candidate (the wrapper has no
+// free-start pass), it makes streaming order deterministic: exactly one
+// candidate can finish, so the stream's first match must be delivered
+// while the other ~999 candidates are still pending — no timing
+// assumptions.
 type gatedMeasure struct{ inner sim.Measure }
 
 var gate struct {
@@ -47,7 +49,9 @@ func gateOpen() {
 
 func (g gatedMeasure) Name() string { return "gatedtw" }
 
-func (g gatedMeasure) Dist(t, q traj.Trajectory) float64 {
+func (g gatedMeasure) Dist(t, q traj.Trajectory) float64 { return g.inner.Dist(t, q) }
+
+func (g gatedMeasure) NewIncremental(t, q traj.Trajectory) sim.Incremental {
 	gate.mu.Lock()
 	var wait chan struct{}
 	if gate.armed {
@@ -60,10 +64,6 @@ func (g gatedMeasure) Dist(t, q traj.Trajectory) float64 {
 	if wait != nil {
 		<-wait
 	}
-	return g.inner.Dist(t, q)
-}
-
-func (g gatedMeasure) NewIncremental(t, q traj.Trajectory) sim.Incremental {
 	return g.inner.NewIncremental(t, q)
 }
 
@@ -144,7 +144,7 @@ func TestV2StreamFirstMatchBeforeSearchCompletes(t *testing.T) {
 	gateArm()
 	defer gateOpen()
 	body, _ := json.Marshal(api.StreamQuery{Spec: api.QuerySpec{
-		Query: toWire(randWalk(rng, 4)), K: 5, Measure: "gatedtw", Algorithm: "simtra",
+		Query: toWire(randWalk(rng, 4)), K: 5, Measure: "gatedtw", Algorithm: "exacts",
 	}})
 	resp, err := http.Post(ts.URL+"/v2/query/stream", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -252,6 +252,46 @@ func TestTypedErrorUniformity(t *testing.T) {
 	decodeBody(t, resp, &er)
 	if code != http.StatusBadRequest || er.Err.Code != api.CodeInvalidArgument {
 		t.Errorf("empty batch: status %d code %q", code, er.Err.Code)
+	}
+}
+
+// TestUnservedNamesRejected pins the query surface to what it serves: the
+// competitor algorithms, the unregistered measures and their parameters
+// answer 400 invalid_argument on a loaded store, and the message names
+// what was refused (for an algorithm, alongside the names that are
+// served).
+func TestUnservedNamesRejected(t *testing.T) {
+	rng := rand.New(rand.NewSource(89))
+	ts, eng := newTestServer(t, engine.Config{})
+	eng.Add([]traj.Trajectory{randWalk(rng, 8), randWalk(rng, 8)})
+
+	const q = `"query":{"points":[[0,0],[1,1]]},"k":1`
+	for _, c := range []struct{ field, want string }{
+		{`"algorithm":"spring"`, `exacts`},
+		{`"algorithm":"ucr"`, `"ucr"`},
+		{`"algorithm":"random-s"`, `"random-s"`},
+		{`"algorithm":"randoms"`, `"randoms"`},
+		{`"algorithm":"simtra"`, `"simtra"`},
+		{`"measure":"lcss"`, `"lcss"`},
+		{`"measure":"eds"`, `"eds"`},
+		{`"measure":"edwp"`, `"edwp"`},
+		{`"measure":"cdtw"`, `"cdtw"`},
+		{`"lcss_eps":0.1`, `lcss_eps`},
+		{`"cdtw_band":0.1`, `cdtw_band`},
+	} {
+		resp, err := http.Post(ts.URL+"/v2/query/stream", "application/json",
+			strings.NewReader(`{"spec":{`+q+`,`+c.field+`}}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var er api.ErrorResponse
+		code := resp.StatusCode
+		decodeBody(t, resp, &er)
+		if code != http.StatusBadRequest || er.Err.Code != api.CodeInvalidArgument {
+			t.Errorf("%s: status %d code %q, want 400 invalid_argument", c.field, code, er.Err.Code)
+		} else if !strings.Contains(er.Err.Message, c.want) {
+			t.Errorf("%s: message %q does not name %s", c.field, er.Err.Message, c.want)
+		}
 	}
 }
 

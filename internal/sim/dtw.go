@@ -125,8 +125,6 @@ func (c *dtwInc) Release() {
 	c.row = nil
 }
 
-func init() { Register("cdtw", func() Measure { return CDTW{R: 0.25} }) }
-
 // CDTW is DTW constrained to a Sakoe-Chiba band: data point p_i may only be
 // aligned with query points q_j whose index satisfies
 // |j·n/m - i| <= R·n (equivalently the paper's j ∈ [i-R·|T|, i+R·|T|] after

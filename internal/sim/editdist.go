@@ -8,15 +8,14 @@ import (
 )
 
 // This file implements the point-based edit-distance family reviewed in §2
-// of the paper: ERP (Chen & Ng, VLDB 2004), EDR (Chen et al., SIGMOD 2005)
-// and LCSS (Vlachos et al., ICDE 2002). They are listed by the paper as
-// measurements the abstract Θ can be instantiated with; all expose the same
-// Incremental contract with Φinc = Φini = O(m).
+// of the paper: ERP (Chen & Ng, VLDB 2004) and EDR (Chen et al., SIGMOD
+// 2005). They are listed by the paper as measurements the abstract Θ can be
+// instantiated with; both expose the same Incremental contract with
+// Φinc = Φini = O(m).
 
 func init() {
 	Register("erp", func() Measure { return ERP{} })
 	Register("edr", func() Measure { return EDR{Eps: 0.25} })
-	Register("lcss", func() Measure { return LCSS{Eps: 0.25} })
 }
 
 // ERP is the Edit distance with Real Penalty. Gaps are penalized by the
@@ -253,125 +252,6 @@ func (c *edrInc) ExtendAbandoning(tau float64) (float64, bool) {
 
 // Release implements Releaser.
 func (c *edrInc) Release() {
-	putRow(c.row)
-	c.row = nil
-}
-
-// LCSS derives a dissimilarity from the Longest Common SubSequence: two
-// points match when within Eps per coordinate, and
-//
-//	dist = 1 - LCSS(T,Q) / min(|T|,|Q|)
-//
-// which lies in [0,1] (0 when one trajectory matches inside the other).
-type LCSS struct {
-	// Eps is the matching tolerance per coordinate.
-	Eps float64
-}
-
-// Name implements Measure.
-func (LCSS) Name() string { return "lcss" }
-
-func (l LCSS) match(p, q geo.Point) bool {
-	return math.Abs(p.X-q.X) <= l.Eps && math.Abs(p.Y-q.Y) <= l.Eps
-}
-
-// Dist computes the LCSS dissimilarity from scratch in O(n·m) time.
-func (l LCSS) Dist(t, q traj.Trajectory) float64 {
-	n, m := t.Len(), q.Len()
-	if n == 0 || m == 0 {
-		return math.Inf(1)
-	}
-	row := getRow(m + 1)
-	defer putRow(row)
-	clear(row)
-	for i := 0; i < n; i++ {
-		l.extendRow(row, t.Pt(i), q)
-	}
-	return l.toDist(row[m], n, m)
-}
-
-func (l LCSS) toDist(lcss float64, n, m int) float64 {
-	den := n
-	if m < den {
-		den = m
-	}
-	return 1 - lcss/float64(den)
-}
-
-func (l LCSS) extendRow(row []float64, p geo.Point, q traj.Trajectory) {
-	m := q.Len()
-	prevDiag := row[0]
-	for j := 1; j <= m; j++ {
-		prevUp := row[j]
-		var v float64
-		if l.match(p, q.Pt(j-1)) {
-			v = prevDiag + 1
-		} else {
-			v = prevUp
-			if row[j-1] > v {
-				v = row[j-1]
-			}
-		}
-		row[j] = v
-		prevDiag = prevUp
-	}
-}
-
-// lcssInc is LCSS's one computer.
-type lcssInc struct {
-	seq
-	meas LCSS
-	row  []float64
-}
-
-// NewIncremental implements Measure.
-func (l LCSS) NewIncremental(t, q traj.Trajectory) Incremental {
-	return &lcssInc{seq: seq{t: t, q: q}, meas: l, row: getRow(q.Len() + 1)}
-}
-
-func (c *lcssInc) Push(p geo.Point) float64 {
-	if c.n == 0 {
-		clear(c.row)
-	}
-	c.meas.extendRow(c.row, p, c.q)
-	c.n++
-	return c.meas.toDist(c.row[len(c.row)-1], c.n, c.q.Len())
-}
-
-func (c *lcssInc) Init(i int) float64 { return c.Push(c.begin(i)) }
-
-func (c *lcssInc) Extend() float64 { return c.Push(c.next()) }
-
-// ExtendAbandoning implements Incremental. LCSS grows by at most
-// one per added data point and is capped by both sequence lengths, so with
-// L = LCSS(T[i,j],Q), R data points remaining after j, len = j-i+1 and
-// mm = min(len+R, m), every future dissimilarity is at least
-// 1 - min(L+R, mm)/mm; the ratio (L+e)/min(len+e, m) is non-decreasing in
-// the number of added points e, so the bound at e = R is the minimum over
-// all futures and the current value (e = 0) is itself above tau whenever
-// the bound is.
-func (c *lcssInc) ExtendAbandoning(tau float64) (float64, bool) {
-	m := c.q.Len()
-	c.meas.extendRow(c.row, c.next(), c.q)
-	c.n++
-	d := c.meas.toDist(c.row[m], c.n, m)
-	remaining := c.t.Len() - c.start - c.n
-	mm := c.n + remaining
-	if m < mm {
-		mm = m
-	}
-	maxFuture := c.row[m] + float64(remaining)
-	if float64(mm) < maxFuture {
-		maxFuture = float64(mm)
-	}
-	if lb := 1 - maxFuture/float64(mm); lb > tau {
-		return lb, true
-	}
-	return d, false
-}
-
-// Release implements Releaser.
-func (c *lcssInc) Release() {
 	putRow(c.row)
 	c.row = nil
 }

@@ -255,31 +255,3 @@ func (lb *edrLB) LowerBound(t traj.Trajectory, mbr geo.Rect, tau float64) float6
 	}
 	return count
 }
-
-// lcssLB: the LCSS dissimilarity 1 - lcss/min(|sub|, m) cannot be bounded
-// away from 0 whenever any query point is matchable (a one-point
-// subtrajectory matching it already scores 0), but when NO query point lies
-// within Eps (Chebyshev) of MBR(t) the common subsequence is empty for
-// every subtrajectory and the dissimilarity is exactly 1.
-type lcssLB struct {
-	q   traj.Trajectory
-	eps float64
-}
-
-// NewSubtrajLB implements SubtrajLowerBounder.
-func (l LCSS) NewSubtrajLB(q traj.Trajectory) SubtrajLB {
-	return &lcssLB{q: q, eps: l.Eps}
-}
-
-func (lb *lcssLB) LowerBound(t traj.Trajectory, mbr geo.Rect, tau float64) float64 {
-	m := lb.q.Len()
-	if m == 0 || t.Len() == 0 {
-		return math.Inf(1)
-	}
-	for j := 0; j < m; j++ {
-		if mbr.ChebyshevDistToPoint(lb.q.Pt(j)) <= lb.eps {
-			return 0
-		}
-	}
-	return 1
-}

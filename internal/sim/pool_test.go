@@ -25,7 +25,7 @@ func poolTraj(seed, n int) traj.Trajectory {
 }
 
 func TestRowPoolConcurrentScans(t *testing.T) {
-	measures := []Measure{DTW{}, CDTW{R: 0.25}, Frechet{}, ERP{}, EDR{Eps: 0.4}, LCSS{Eps: 0.4}}
+	measures := []Measure{DTW{}, CDTW{R: 0.25}, Frechet{}, ERP{}, EDR{Eps: 0.4}}
 	data := make([]traj.Trajectory, 24)
 	for i := range data {
 		data[i] = poolTraj(i+1, 20)
@@ -98,7 +98,7 @@ func TestRowPoolConcurrentScans(t *testing.T) {
 func TestReleaseReuse(t *testing.T) {
 	q := poolTraj(3, 9)
 	tr := poolTraj(5, 15)
-	for _, m := range []Measure{DTW{}, Frechet{}, ERP{}, EDR{Eps: 0.4}, LCSS{Eps: 0.4}} {
+	for _, m := range []Measure{DTW{}, Frechet{}, ERP{}, EDR{Eps: 0.4}} {
 		inc := m.NewIncremental(tr, q)
 		first := inc.Init(2)
 		for j := 3; j < 10; j++ {

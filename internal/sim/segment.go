@@ -22,11 +22,6 @@ import (
 // fall back to DTW for those degenerate inputs (this arises for the
 // single-point Φini case of the Incremental contract).
 
-func init() {
-	Register("eds", func() Measure { return EDS{} })
-	Register("edwp", func() Measure { return EDwP{} })
-}
-
 // segment is a directed trajectory segment.
 type segment struct {
 	a, b geo.Point

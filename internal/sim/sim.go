@@ -71,8 +71,8 @@ type Incremental interface {
 	// strictly for the new end and EVERY later end j' of this start, d is a
 	// lower bound on those distances, and the computer must be re-Init-ed
 	// before further use. Kernels whose row minimum never decreases as the
-	// subtrajectory grows (DTW, Fréchet, ERP, EDR) abandon on it, LCSS on a
-	// bound of its remaining extensions; the other computers never abandon.
+	// subtrajectory grows (DTW, Fréchet, ERP, EDR) abandon on it; the other
+	// computers never abandon.
 	ExtendAbandoning(tau float64) (d float64, abandoned bool)
 	// End returns the current end index j (0-based).
 	End() int
@@ -153,11 +153,11 @@ func SuffixDistsInto(dst []float64, m Measure, tr, qr traj.Trajectory) []float64
 // round: the first interval at the minimum d* folds to at most d*·(1+δ)
 // over the reversed pair, so a reverse gate at that bound keeps its start.
 //
-// A max (Fréchet) or an integer count (EDR, LCSS) is the same whatever the
+// A max (Fréchet) or an integer count (EDR) is the same whatever the
 // order, and takes δ = 0; any other measure takes the sum bound.
 func SuffixSlack(m Measure, n, q int) float64 {
 	switch m.(type) {
-	case Frechet, EDR, LCSS:
+	case Frechet, EDR:
 		return 0
 	}
 	return float64(8*(n+q)) * 0x1p-53
@@ -201,7 +201,10 @@ func AllSubDists(m Measure, t, q traj.Trajectory, fn func(i, j int, d float64)) 
 	}
 }
 
-// registry of constructors for ByName. Parameterized measures register
+// registry of constructors for ByName. It is the one table of served
+// measures: the query surface resolves measure names here and /v2/stats
+// lists Names(), so a measure type that is not registered (CDTW, EDS,
+// EDwP) is a library type only. Parameterized measures register
 // reasonable defaults.
 var registry = map[string]func() Measure{}
 

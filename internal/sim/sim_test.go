@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -77,7 +78,7 @@ func randTraj(rng *rand.Rand, n int) traj.Trajectory {
 }
 
 func allMeasures() []Measure {
-	return []Measure{DTW{}, Frechet{}, ERP{}, EDR{Eps: 0.5}, LCSS{Eps: 0.5}, EDS{}, EDwP{}, CDTW{R: 0.5}}
+	return []Measure{DTW{}, Frechet{}, ERP{}, EDR{Eps: 0.5}, EDS{}, EDwP{}, CDTW{R: 0.5}}
 }
 
 // closeEnough treats a pair of +Inf values (unreachable band-constrained
@@ -343,25 +344,6 @@ func TestERPTriangleInequality(t *testing.T) {
 	}
 }
 
-func TestLCSSRange(t *testing.T) {
-	rng := rand.New(rand.NewSource(18))
-	m := LCSS{Eps: 0.5}
-	for trial := 0; trial < 30; trial++ {
-		a := randTraj(rng, rng.Intn(8)+1)
-		b := randTraj(rng, rng.Intn(8)+1)
-		d := m.Dist(a, b)
-		if d < -1e-12 || d > 1+1e-12 {
-			t.Errorf("LCSS dist out of [0,1]: %v", d)
-		}
-	}
-	// contained trajectory matches fully
-	a := traj.FromXY(0, 0, 1, 1, 2, 2, 3, 3)
-	b := traj.FromXY(1, 1, 2, 2)
-	if d := m.Dist(a, b); d != 0 {
-		t.Errorf("LCSS of contained subsequence = %v, want 0", d)
-	}
-}
-
 func TestEDRCountsEdits(t *testing.T) {
 	m := EDR{Eps: 0.1}
 	a := traj.FromXY(0, 0, 1, 0, 2, 0)
@@ -426,8 +408,8 @@ func TestCDTWBandMonotoneInR(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	names := Names()
-	if len(names) < 8 {
-		t.Fatalf("expected at least 8 registered measures, got %v", names)
+	if got, want := strings.Join(names, " "), "dtw edr erp frechet"; got != want {
+		t.Fatalf("registered measures %q, want %q", got, want)
 	}
 	for _, n := range names {
 		m, err := ByName(n)
@@ -446,7 +428,7 @@ func TestRegistry(t *testing.T) {
 func TestEmptyTrajectoryDistances(t *testing.T) {
 	a := traj.FromXY(0, 0, 1, 1)
 	empty := traj.New()
-	for _, m := range []Measure{DTW{}, Frechet{}, ERP{}, EDR{Eps: 0.5}, LCSS{Eps: 0.5}} {
+	for _, m := range []Measure{DTW{}, Frechet{}, ERP{}, EDR{Eps: 0.5}} {
 		if d := m.Dist(a, empty); !math.IsInf(d, 1) {
 			t.Errorf("%s vs empty = %v, want +Inf", m.Name(), d)
 		}

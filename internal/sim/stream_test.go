@@ -57,7 +57,7 @@ func TestStreamMatchesDist(t *testing.T) {
 func TestNativeStreamsAvailable(t *testing.T) {
 	// the measures on the hot path must stream natively, not through the
 	// quadratic buffering computer
-	for _, m := range []Measure{DTW{}, Frechet{}, ERP{}, EDR{Eps: 0.5}, LCSS{Eps: 0.5}, EDS{}, EDwP{}} {
+	for _, m := range []Measure{DTW{}, Frechet{}, ERP{}, EDR{Eps: 0.5}, EDS{}, EDwP{}} {
 		s := NewStream(m, traj.FromXY(0, 0))
 		if _, ok := s.(*bufferStream); ok {
 			t.Errorf("%s's computer is the buffering computer", m.Name())

@@ -7,13 +7,16 @@
 // Deep Reinforcement Learning" (Wang, Long, Cong, Liu; PVLDB 2020),
 // including the exact algorithm ExactS, the size-restricted SizeS, the
 // splitting heuristics PSS/POS/POS-D, the deep-reinforcement-learning
-// searches RLS and RLS-Skip, the competitor methods Spring, UCR and
-// Random-S, three similarity measures (DTW, discrete Fréchet and a
-// t2vec-style learned measure) plus extension measures (ERP, EDR, LCSS,
-// EDS, EDwP), an R-tree database index and the paper's full experiment
-// harness. Beyond the reproduction, a sharded concurrent serving layer
-// (Engine, exposed over HTTP by cmd/simsubd) answers top-k queries under
-// heavy traffic. See DESIGN.md for the system inventory and architecture;
+// searches RLS and RLS-Skip, the competitor methods Spring, UCR,
+// Random-S and SimTra, three similarity measures (DTW, discrete Fréchet
+// and a t2vec-style learned measure) plus extension measures (ERP, EDR,
+// CDTW, EDS, EDwP), an R-tree database index and the paper's full
+// experiment harness. Beyond the reproduction, a sharded concurrent
+// serving layer (Engine, exposed over HTTP by cmd/simsubd) answers top-k
+// queries under heavy traffic. It serves the registered measures (dtw,
+// frechet, erp, edr, t2vec; MeasureNames) under the measure-agnostic
+// searches; the competitors and CDTW, EDS and EDwP are library
+// constructors only. See DESIGN.md for the system inventory and architecture;
 // the experiment harness reproducing the paper's tables is cmd/experiments
 // (run it with -help for the knobs).
 //
@@ -85,7 +88,7 @@ type (
 	// collapsing, offset/limit paging).
 	EngineQuery = engine.Query
 	// EngineParams carries per-query measure/algorithm parameter
-	// overrides (EDR/LCSS eps, CDTW band, POS-D delay).
+	// overrides (EDR eps, POS-D delay).
 	EngineParams = engine.Params
 	// EngineMatch is one ranked Engine answer, identified by global ID.
 	EngineMatch = engine.Match
@@ -190,11 +193,17 @@ func ERP() Measure { return sim.ERP{} }
 // EDR returns the Edit Distance on Real sequence measure with tolerance eps.
 func EDR(eps float64) Measure { return sim.EDR{Eps: eps} }
 
-// LCSS returns the LCSS-derived dissimilarity with tolerance eps.
-func LCSS(eps float64) Measure { return sim.LCSS{Eps: eps} }
+// EDS returns the segment-based edit distance in the spirit of EDS (Xie,
+// SIGMOD 2014).
+func EDS() Measure { return sim.EDS{} }
 
-// MeasureByName constructs a registered measure ("dtw", "frechet", "t2vec",
-// "erp", "edr", "lcss", "eds", "edwp", "cdtw").
+// EDwP returns the coverage-weighted segment edit distance in the spirit of
+// EDwP (Ranu et al., ICDE 2015).
+func EDwP() Measure { return sim.EDwP{} }
+
+// MeasureByName constructs a registered measure: the served set "dtw",
+// "frechet", "erp", "edr" and "t2vec" (MeasureNames lists them). CDTW, EDS
+// and EDwP are not registered; build them with their constructors.
 func MeasureByName(name string) (Measure, error) { return sim.ByName(name) }
 
 // MeasureNames lists all registered measure names.

@@ -2,6 +2,7 @@ package simsub
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -46,14 +47,14 @@ func TestAllAlgorithmConstructors(t *testing.T) {
 
 func TestAllMeasureConstructors(t *testing.T) {
 	a := RandomWalk(10, 0.05, 4)
-	for _, m := range []Measure{DTW(), Frechet(), CDTW(0.5), ERP(), EDR(0.3), LCSS(0.3)} {
+	for _, m := range []Measure{DTW(), Frechet(), CDTW(0.5), ERP(), EDR(0.3), EDS(), EDwP()} {
 		if d := m.Dist(a, a); math.Abs(d) > 1e-9 {
 			t.Errorf("%s: self distance %v", m.Name(), d)
 		}
 	}
 	names := MeasureNames()
-	if len(names) < 9 {
-		t.Errorf("registered measures: %v", names)
+	if got, want := strings.Join(names, " "), "dtw edr erp frechet t2vec"; got != want {
+		t.Errorf("registered measures %q, want %q", got, want)
 	}
 	for _, n := range names {
 		if _, err := MeasureByName(n); err != nil {
