@@ -8,9 +8,10 @@ package api
 // routes and client-side validation all consult this table, so adding an
 // algorithm — or pinning one to a new measure — is one edit here plus its
 // implementation, instead of a hunt through per-layer name switches.
-// Measure names themselves stay dynamic: the sim registry is the one table
-// of served measures, so a new measure registers itself and needs no entry
-// here unless an algorithm is pinned to it.
+// Measure names themselves stay dynamic: the sim registry holds the served
+// measures that need no model, and the serving engine binds "t2vec" to its
+// registered encoder, so a new measure needs no entry here unless an
+// algorithm is pinned to it.
 
 // AlgorithmInfo describes one search algorithm accepted on the wire.
 type AlgorithmInfo struct {
@@ -79,8 +80,9 @@ func LookupAlgorithm(name string) (AlgorithmInfo, bool) {
 
 // CheckAlgorithm validates an algorithm name against the table and its
 // measure pinning, returning the entry on success. It does NOT check that
-// the measure itself exists — measure names are dynamic (the sim
-// registry) and the serving engine rejects unknown ones.
+// the measure itself is served — measure names are dynamic (the sim
+// registry, plus "t2vec" while an encoder is registered) and the serving
+// engine rejects unknown ones, and "t2vec" on an engine with no encoder.
 func CheckAlgorithm(measure, algorithm string) (AlgorithmInfo, *Error) {
 	info, ok := LookupAlgorithm(algorithm)
 	if !ok {

@@ -1,6 +1,6 @@
 // Command datagen generates synthetic trajectory datasets (Porto-like,
 // Harbin-like, Sports-like; see DESIGN.md for the substitution rationale)
-// and writes them as CSV, JSON or NDJSON — or, with -in, converts a real
+// and writes them as CSV or NDJSON — or, with -in, converts a real
 // GPS dump (Porto taxi trips, Microsoft T-Drive logs) into any of those
 // formats, or directly into a persistent segment store that simsubd
 // -data-dir can boot from without replaying a load.
@@ -33,7 +33,7 @@ func main() {
 		kindName = flag.String("kind", "porto", "dataset kind: porto, harbin or sports")
 		n        = flag.Int("n", 1000, "number of trajectories to generate, or cap when converting with -in (0 = all)")
 		seed     = flag.Int64("seed", 1, "random seed")
-		format   = flag.String("format", "csv", "output format: csv, json, ndjson or segments")
+		format   = flag.String("format", "csv", "output format: csv, ndjson or segments")
 		out      = flag.String("out", "", "output file, or directory for -format segments (default stdout)")
 		minLen   = flag.Int("minlen", 0, "minimum trajectory length (0 = family default)")
 		maxLen   = flag.Int("maxlen", 0, "maximum trajectory length (0 = family default)")
@@ -94,8 +94,6 @@ func main() {
 	switch *format {
 	case "csv":
 		err = traj.WriteCSV(w, ts)
-	case "json":
-		err = traj.WriteJSON(w, ts)
 	case "ndjson":
 		err = traj.WriteNDJSON(w, ts)
 	default:

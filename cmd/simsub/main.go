@@ -28,8 +28,8 @@ func main() {
 	var (
 		dataPath    = flag.String("data", "", "data trajectories (CSV, required)")
 		queryPath   = flag.String("query", "", "query trajectory (CSV, first trajectory used; required)")
-		measureName = flag.String("measure", "dtw", "similarity measure")
-		modelPath   = flag.String("t2vec-model", "", "t2vec model file when -measure t2vec")
+		measureName = flag.String("measure", "dtw", "similarity measure: dtw, frechet, erp, edr, or t2vec with -t2vec-model")
+		modelPath   = flag.String("t2vec-model", "", "t2vec model file (required with -measure t2vec)")
 		algoName    = flag.String("algo", "pss", "algorithm: exacts, sizes, pss, pos, pos-d, rls")
 		policyPath  = flag.String("policy", "", "trained policy file (required for -algo rls)")
 		topK        = flag.Int("topk", 5, "number of matches to report")
@@ -54,10 +54,13 @@ func main() {
 	q := queries[0]
 
 	var m sim.Measure
-	if *measureName == "t2vec" && *modelPath != "" {
-		m, err = t2vec.LoadFile(*modelPath)
-	} else {
+	switch {
+	case *measureName != "t2vec":
 		m, err = sim.ByName(*measureName)
+	case *modelPath == "":
+		log.Fatal("-measure t2vec requires -t2vec-model (train one with cmd/train -mode t2vec)")
+	default:
+		m, err = t2vec.LoadFile(*modelPath)
 	}
 	if err != nil {
 		log.Fatal(err)

@@ -42,8 +42,8 @@ func main() {
 		maxLen   = flag.Int("maxlen", 0, "t2vec: truncate training trajectories for bounded BPTT (0 = default)")
 		lr       = flag.Float64("lr", 0, "t2vec: Adam learning rate (0 = default)")
 
-		measureName = flag.String("measure", "dtw", "rls: similarity measure (dtw, frechet, t2vec, ...)")
-		modelPath   = flag.String("t2vec-model", "", "rls: t2vec model file when -measure t2vec")
+		measureName = flag.String("measure", "dtw", "rls: similarity measure (dtw, frechet, erp, edr, or t2vec with -t2vec-model)")
+		modelPath   = flag.String("t2vec-model", "", "rls: t2vec model file (required with -measure t2vec)")
 		k           = flag.Int("k", 0, "rls: skip actions (0 = RLS, >0 = RLS-Skip)")
 		episodes    = flag.Int("episodes", 500, "rls: training episodes")
 		pairs       = flag.Int("pairs", 200, "rls: training pair pool size")
@@ -145,8 +145,11 @@ func loadOrGenerate(path, kindName string, n int, seed int64) ([]traj.Trajectory
 }
 
 func resolveMeasure(name, modelPath string) (sim.Measure, error) {
-	if name == "t2vec" && modelPath != "" {
-		return t2vec.LoadFile(modelPath)
+	switch {
+	case name != "t2vec":
+		return sim.ByName(name)
+	case modelPath == "":
+		return nil, fmt.Errorf("-measure t2vec requires -t2vec-model (train one with -mode t2vec)")
 	}
-	return sim.ByName(name)
+	return t2vec.LoadFile(modelPath)
 }

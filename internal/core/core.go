@@ -13,6 +13,10 @@
 // trajectory Tq, return a subtrajectory T[i,j] with small dissimilarity
 // d(T[i,j], Tq) under an abstract measure (package sim). Exact algorithms
 // minimize it exactly; the others approximate.
+//
+// EmbedRank, the whole-trajectory embedding ranking behind algorithm
+// "embed", takes an internal/t2vec encoder directly: core imports t2vec,
+// and t2vec imports only sim, nn, geo and traj.
 package core
 
 import (

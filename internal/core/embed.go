@@ -3,24 +3,9 @@ package core
 import (
 	"math"
 
+	"simsub/internal/t2vec"
 	"simsub/internal/traj"
 )
-
-// Embedder maps trajectories and queries into a shared vector space in
-// which Euclidean distance approximates trajectory similarity. It is the
-// core-side view of a learned encoder (internal/t2vec's Model satisfies
-// it): the engine embeds every trajectory at insert, stores the vector in
-// TrajMeta.Emb, and builds its approximate candidate index over those
-// vectors. Implementations must be safe for concurrent use.
-type Embedder interface {
-	// Dim is the embedding dimensionality.
-	Dim() int
-	// Embed returns the trajectory's embedding (length Dim).
-	Embed(t traj.Trajectory) []float64
-	// QueryEmbedding returns the query's embedding, possibly served from a
-	// per-query cache.
-	QueryEmbedding(q traj.Trajectory) []float64
-}
 
 // EuclidVec is the Euclidean distance between two equal-length vectors;
 // +Inf when the lengths differ (an embedding from a different encoder must
@@ -39,12 +24,12 @@ func EuclidVec(a, b []float64) float64 {
 
 // EmbedRank is the pure embedding ranking: every data trajectory scores as
 // the Euclidean distance between its embedding and the query's, and the
-// reported match is always the whole trajectory. It is the serving surface
-// of measure "t2vec" — no DP, no subtrajectory enumeration, O(n) encoding
-// per trajectory and O(1) when the scan metadata already carries the
-// vector (TrajMeta.Emb, populated by the engine's registered encoder).
+// reported match is always the whole trajectory. It serves algorithm
+// "embed" under measure "t2vec" — no DP, no subtrajectory enumeration, O(n)
+// encoding per trajectory and O(1) when the scan metadata already carries
+// the vector (TrajMeta.Emb, stored by the engine from the same encoder E).
 type EmbedRank struct {
-	E Embedder
+	E *t2vec.Model
 }
 
 // Name implements Algorithm.
@@ -76,7 +61,7 @@ func (a EmbedRank) NewThresholdSearch(q traj.Trajectory) ThresholdSearch {
 }
 
 type embedRankSearch struct {
-	e    Embedder
+	e    *t2vec.Model
 	qEmb []float64
 }
 

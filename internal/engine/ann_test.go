@@ -180,6 +180,14 @@ func TestEncoderSwapChangesFingerprintAndCacheKey(t *testing.T) {
 	if _, cached, err := e.TopK(context.Background(), q); err != nil || !cached {
 		t.Fatalf("repeat ann query not served from cache (cached=%v err=%v)", cached, err)
 	}
+	// measure t2vec scores with the registered encoder, so a swap changes
+	// a t2vec/pss ranking and the key it is cached under
+	tq := Query{Q: randTraj(rng, 6), K: 5, Measure: "t2vec", Algorithm: "pss"}
+	rank1, _, err := e.TopK(context.Background(), tq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key1 := e.cacheKeyFor(tq, e.art.Load().fp)
 
 	info2, err := e.SetEncoder(t2vec.NewRandomModel(8, 99))
 	if err != nil {
@@ -194,6 +202,16 @@ func TestEncoderSwapChangesFingerprintAndCacheKey(t *testing.T) {
 		t.Fatal(err)
 	} else if cached {
 		t.Error("post-swap ann query served from the pre-swap cache")
+	}
+	rank2, cached, err := e.TopK(context.Background(), tq)
+	if err != nil || cached {
+		t.Fatalf("post-swap t2vec/pss query: cached=%v err=%v", cached, err)
+	}
+	if reflect.DeepEqual(rank1, rank2) {
+		t.Errorf("t2vec/pss ranking unchanged by an encoder swap: %v", rank1)
+	}
+	if key2 := e.cacheKeyFor(tq, e.art.Load().fp); key2.fp == key1.fp || key2 == key1 {
+		t.Errorf("t2vec/pss cache key unchanged by an encoder swap: %+v", key1)
 	}
 	st := e.Stats()
 	if !st.EncoderLoaded || st.EncoderFingerprint != info2.Fingerprint {

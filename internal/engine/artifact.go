@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"sort"
 	"sync"
 
 	"simsub/api"
@@ -22,8 +23,9 @@ import (
 // paper's two learned components. One immutable snapshot holds the DQN
 // splitting policy behind "rls"/"rls-skip" (RLS §5.3, RLS-Skip/RLS-Skip+
 // §5.4), optionally compiled onto an action table, and the t2vec encoder
-// behind "embed" (every trajectory ranked by the Euclidean distance of its
-// stored embedding to the query's) and the ann prefilter (each shard's LSH
+// behind measure "t2vec" (every algorithm scores with it), "embed" (every
+// trajectory ranked by the Euclidean distance of its stored embedding to
+// the query's) and the ann prefilter (each shard's LSH
 // index proposes candidates by embedding distance, the exact cascade
 // reranks them). Each is loaded at construction (cmd/simsubd -policy /
 // -encoder) or hot-swapped at runtime (POST /v2/admin/policy → SetPolicy,
@@ -222,6 +224,17 @@ func (e *Engine) SetEncoder(m *t2vec.Model) (EncoderInfo, error) {
 	return encoderInfoFor(a), nil
 }
 
+// Measures lists the measure names the engine can serve, sorted: the sim
+// registry's, plus "t2vec" exactly when an encoder is registered.
+func (e *Engine) Measures() []string {
+	names := sim.Names()
+	if e.art.Load().enc != nil {
+		names = append(names, "t2vec")
+		sort.Strings(names)
+	}
+	return names
+}
+
 // Encoder returns the registered encoder's description; ok is false when
 // none is loaded.
 func (e *Engine) Encoder() (EncoderInfo, bool) {
@@ -241,15 +254,16 @@ type binding struct {
 }
 
 // resolve builds the measure and algorithm q names against the pinned
-// snapshot a, driven by the api registration table: names, aliases,
-// measure pinning (embed is t2vec-only) and
+// snapshot a. Measure "t2vec" binds a's encoder (measureFor); the api
+// registration table drives the rest: names, aliases, measure pinning
+// (embed is t2vec-only) and
 // parameter scoping come from its rows, a NeedsPolicy row binds a's policy
 // (which must be of the row's kind: split-only for "rls", with skip actions
 // for "rls-skip"), a NeedsEncoder row binds a's encoder, and every other
 // row goes to core.AlgorithmFor. An ann prefilter needs a's encoder too.
 // Every failure is a typed *api.Error with code invalid_argument.
 func resolve(a *artifacts, q Query) (binding, error) {
-	m, err := measureFor(q.Measure, q.Params)
+	m, err := measureFor(a, q.Measure, q.Params)
 	if err != nil {
 		return binding{}, err
 	}
@@ -297,11 +311,11 @@ func resolve(a *artifacts, q Query) (binding, error) {
 }
 
 // ResolveQuery builds the measure and algorithm a query names, applying
-// per-query parameter overrides, with no artifacts registered: the
-// learned searches and embedding ranking, which bind an engine's
-// registered policy or encoder, resolve only through Engine.Resolve. All
-// resolution failures are typed *api.Error values with code
-// invalid_argument.
+// per-query parameter overrides, with no artifacts registered: measure
+// "t2vec", the learned searches and embedding ranking, which bind an
+// engine's registered encoder or policy, resolve only through
+// Engine.Resolve. All resolution failures are typed *api.Error values with
+// code invalid_argument.
 func ResolveQuery(measure, algorithm string, p Params) (core.Algorithm, error) {
 	b, err := resolve(&artifacts{}, Query{Measure: measure, Algorithm: algorithm, Params: p})
 	return b.alg, err

@@ -490,19 +490,16 @@ func (e *Engine) Traj(id int) (traj.Trajectory, bool) {
 	return db.Traj(local), true
 }
 
-// ResolveNames builds the named measure and algorithm with their
-// registered default parameters.
-func ResolveNames(measure, algorithm string) (core.Algorithm, error) {
-	return ResolveQuery(measure, algorithm, Params{})
-}
-
 func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
-// measureFor builds the named measure, applying parameter overrides. The
-// one measure parameter, edr_eps, is strictly scoped to EDR: a tolerance
-// aimed at a measure that would ignore it is rejected, so a typo can never
-// silently change what a distance means.
-func measureFor(name string, p Params) (sim.Measure, error) {
+// measureFor builds the named measure against the pinned snapshot a,
+// applying parameter overrides. "t2vec" is a's registered encoder, the one
+// model behind the name, and fails when none is registered; every other
+// name comes from the sim registry. The one measure parameter, edr_eps, is
+// strictly scoped to EDR: a tolerance aimed at a measure that would ignore
+// it is rejected, so a typo can never silently change what a distance
+// means.
+func measureFor(a *artifacts, name string, p Params) (sim.Measure, error) {
 	if !finite(p.EDREps) || p.EDREps < 0 {
 		return nil, api.Errorf(api.CodeInvalidArgument, "edr_eps must be finite and non-negative, got %g", p.EDREps)
 	}
@@ -511,6 +508,13 @@ func measureFor(name string, p Params) (sim.Measure, error) {
 			return nil, api.Errorf(api.CodeInvalidArgument, "edr_eps set but measure is %q, not \"edr\"", name)
 		}
 		return sim.EDR{Eps: p.EDREps}, nil
+	}
+	if name == "t2vec" {
+		if a.enc == nil {
+			return nil, api.Errorf(api.CodeInvalidArgument,
+				"measure \"t2vec\" requires a registered encoder (start with -encoder or POST /v2/admin/encoder)")
+		}
+		return a.enc, nil
 	}
 	m, err := sim.ByName(name)
 	if err != nil {

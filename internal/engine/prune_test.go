@@ -94,7 +94,7 @@ func TestEnginePrunedEquivalence(t *testing.T) {
 		for _, distinct := range []bool{false, true} {
 			for _, f := range []*geo.Rect{nil, filter} {
 				name := fmt.Sprintf("%s/%s/distinct=%v/filter=%v", tc.measure, tc.algorithm, distinct, f != nil)
-				alg, err := ResolveNames(tc.measure, tc.algorithm)
+				alg, err := ResolveQuery(tc.measure, tc.algorithm, Params{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -204,7 +204,7 @@ func TestEngineTieHeavyEquivalence(t *testing.T) {
 		e := New(Config{Shards: shards, Workers: 4, Index: ScanAll})
 		e.Add(data)
 		for _, measure := range []string{"frechet", "dtw"} {
-			alg, err := ResolveNames(measure, "exacts")
+			alg, err := ResolveQuery(measure, "exacts", Params{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -46,7 +46,6 @@ import (
 	"simsub/internal/engine"
 	"simsub/internal/failpoint"
 	"simsub/internal/rl"
-	"simsub/internal/sim"
 	"simsub/internal/t2vec"
 	"simsub/internal/traj"
 )
@@ -428,13 +427,13 @@ func (s *Server) Encoder(context.Context) (*api.EncoderInfo, error) {
 	return &info, nil
 }
 
-// Stats reports the engine counters, the registered measures and the
-// node's lifecycle state and recovery record; the front end stamps uptime
-// and goroutines.
+// Stats reports the engine counters, the measures the engine can serve
+// (t2vec only while an encoder is registered) and the node's lifecycle
+// state and recovery record; the front end stamps uptime and goroutines.
 func (s *Server) Stats(context.Context) (*api.StatsResponse, error) {
 	return &api.StatsResponse{
 		Engine:   s.eng.Stats(),
-		Measures: sim.Names(),
+		Measures: s.eng.Measures(),
 		State:    s.state(),
 		Recovery: s.recovery.Load(),
 	}, nil

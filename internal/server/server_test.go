@@ -12,6 +12,7 @@ import (
 	"simsub/api"
 	"simsub/internal/engine"
 	"simsub/internal/geo"
+	"simsub/internal/t2vec"
 	"simsub/internal/traj"
 )
 
@@ -102,18 +103,29 @@ func TestLoadAndStats(t *testing.T) {
 		t.Fatalf("engine holds %d trajectories", eng.Len())
 	}
 
-	resp, err := http.Get(ts.URL + "/v2/stats")
-	if err != nil {
-		t.Fatal(err)
+	stats := func() api.StatsResponse {
+		resp, err := http.Get(ts.URL + "/v2/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sr api.StatsResponse
+		decodeBody(t, resp, &sr)
+		return sr
 	}
-	var sr api.StatsResponse
-	decodeBody(t, resp, &sr)
+	sr := stats()
 	if sr.Engine.Trajectories != 7 || sr.Engine.Points != 70 || sr.Engine.Shards != 2 {
 		t.Fatalf("stats %+v", sr.Engine)
 	}
-	// the served measures, plus gatedtw, which this package's tests register
-	if got, want := strings.Join(sr.Measures, " "), "dtw edr erp frechet gatedtw t2vec"; got != want {
-		t.Fatalf("stats measures %q, want %q", got, want)
+	// the served measures, plus gatedtw, which this package's tests
+	// register; t2vec only while an encoder is registered
+	if got, want := strings.Join(sr.Measures, " "), "dtw edr erp frechet gatedtw"; got != want {
+		t.Fatalf("stats measures with no encoder %q, want %q", got, want)
+	}
+	if _, err := eng.SetEncoder(t2vec.NewRandomModel(4, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(stats().Measures, " "), "dtw edr erp frechet gatedtw t2vec"; got != want {
+		t.Fatalf("stats measures with an encoder %q, want %q", got, want)
 	}
 }
 

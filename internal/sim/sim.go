@@ -201,11 +201,12 @@ func AllSubDists(m Measure, t, q traj.Trajectory, fn func(i, j int, d float64)) 
 	}
 }
 
-// registry of constructors for ByName. It is the one table of served
-// measures: the query surface resolves measure names here and /v2/stats
-// lists Names(), so a measure type that is not registered (CDTW, EDS,
-// EDwP) is a library type only. Parameterized measures register
-// reasonable defaults.
+// registry of constructors for ByName: the served measures that need no
+// model (dtw, edr, erp, frechet). The query surface resolves measure names
+// here, except "t2vec", which the engine binds to its registered encoder;
+// /v2/stats lists Names() plus t2vec while an encoder is registered. A
+// measure type that is not registered (CDTW, EDS, EDwP) is a library type
+// only. Parameterized measures register reasonable defaults.
 var registry = map[string]func() Measure{}
 
 // Register installs a measure constructor under its canonical name.

@@ -35,15 +35,6 @@ import (
 // DefaultHidden is the default embedding dimensionality.
 const DefaultHidden = 16
 
-func init() {
-	// Register a deterministic default model so sim.ByName("t2vec") works for
-	// CLI tools and quick experiments. Real experiments train a model with
-	// Train and construct the measure explicitly.
-	sim.Register("t2vec", func() sim.Measure {
-		return NewRandomModel(DefaultHidden, 1)
-	})
-}
-
 // Model is a trained t2vec-style trajectory encoder. It implements
 // sim.Measure: the dissimilarity between two trajectories is the Euclidean
 // distance between their embeddings. A Model is safe for concurrent use.
@@ -76,7 +67,7 @@ func New(enc *nn.GRU, bounds geo.Rect) *Model {
 // NewRandomModel builds an untrained (randomly initialized, deterministic
 // for a given seed) model. Untrained encoders still define a valid
 // measure — random GRU projections preserve coarse locality — and are useful
-// for tests and as a fallback when no trained model is available.
+// for tests.
 func NewRandomModel(hidden int, seed int64) *Model {
 	rng := rand.New(rand.NewSource(seed))
 	return &Model{
@@ -167,16 +158,9 @@ func (m *Model) scratch() (x, s []float64) {
 	return buf[:in], buf[in:]
 }
 
-// QueryEmbedding returns the (cached) embedding of q. Together with Dim
-// and Embed it satisfies core.Embedder, so the engine can store per-
-// trajectory embeddings and rank by embedding distance without knowing the
-// encoder's internals.
+// QueryEmbedding returns the (cached) embedding of q: the measure's
+// computers and core.EmbedRank all score against it.
 func (m *Model) QueryEmbedding(q traj.Trajectory) []float64 {
-	return m.queryEmbedding(q)
-}
-
-// queryEmbedding returns the (cached) embedding of q.
-func (m *Model) queryEmbedding(q traj.Trajectory) []float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if len(q.Points) > 0 && len(m.cacheQ) == len(q.Points) && &m.cacheQ[0] == &q.Points[0] {
@@ -193,7 +177,7 @@ func (m *Model) Dist(t, q traj.Trajectory) float64 {
 	if t.Len() == 0 || q.Len() == 0 {
 		return math.Inf(1)
 	}
-	return euclid(m.Embed(t), m.queryEmbedding(q))
+	return euclid(m.Embed(t), m.QueryEmbedding(q))
 }
 
 func euclid(a, b []float64) float64 {
@@ -227,7 +211,7 @@ func (m *Model) NewIncremental(t, q traj.Trajectory) sim.Incremental {
 	c := &inc{
 		m:    m,
 		t:    t,
-		qEmb: m.queryEmbedding(q),
+		qEmb: m.QueryEmbedding(q),
 		h:    make([]float64, m.enc.HiddenDim),
 	}
 	c.x, c.s = m.scratch()

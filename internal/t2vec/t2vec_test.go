@@ -97,13 +97,13 @@ func TestQueryEmbeddingCache(t *testing.T) {
 	m := NewRandomModel(8, 1)
 	rng := rand.New(rand.NewSource(6))
 	q := randWalk(rng, 10)
-	v1 := m.queryEmbedding(q)
-	v2 := m.queryEmbedding(q)
+	v1 := m.QueryEmbedding(q)
+	v2 := m.QueryEmbedding(q)
 	if &v1[0] != &v2[0] {
 		t.Error("repeated query embedding should hit the cache")
 	}
 	other := randWalk(rng, 10)
-	v3 := m.queryEmbedding(other)
+	v3 := m.QueryEmbedding(other)
 	if &v3[0] == &v1[0] {
 		t.Error("different query should miss the cache")
 	}
@@ -340,20 +340,6 @@ func TestLoadRejectsHostileModels(t *testing.T) {
 		if m, err := Load(bytes.NewReader(b)); err == nil {
 			t.Errorf("%s: loaded a model (dim %d, grid %d), want an error", name, m.Dim(), m.Grid())
 		}
-	}
-}
-
-func TestRegisteredWithSim(t *testing.T) {
-	m, err := sim.ByName("t2vec")
-	if err != nil {
-		t.Fatalf("ByName(t2vec): %v", err)
-	}
-	if m.Name() != "t2vec" {
-		t.Errorf("Name = %q", m.Name())
-	}
-	a := traj.FromXY(0.1, 0.1, 0.2, 0.2)
-	if d := m.Dist(a, a); d != 0 {
-		t.Errorf("registered t2vec self-dist = %v", d)
 	}
 }
 

@@ -156,9 +156,13 @@ func ReadTDriveCSV(r io.Reader, maxTaxis int) ([]Trajectory, error) {
 
 // WriteNDJSON writes one JSON trajectory object per line —
 // {"id":..,"points":[[x,y,t],..]} — the format POST /v2/load/stream
-// ingests. Unlike WriteJSON's single array, an NDJSON corpus can be
-// produced and consumed incrementally at any size.
+// ingests. An NDJSON corpus can be produced and consumed incrementally at
+// any size.
 func WriteNDJSON(w io.Writer, ts []Trajectory) error {
+	type jsonTraj struct {
+		ID     int          `json:"id"`
+		Points [][3]float64 `json:"points"`
+	}
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	for _, t := range ts {

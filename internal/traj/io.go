@@ -3,7 +3,6 @@ package traj
 import (
 	"bufio"
 	"encoding/csv"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -133,41 +132,4 @@ func LoadCSV(path string) ([]Trajectory, error) {
 	}
 	defer f.Close()
 	return ReadCSV(bufio.NewReader(f))
-}
-
-// jsonTraj is the JSON wire form of a trajectory: a compact array-of-arrays.
-type jsonTraj struct {
-	ID     int          `json:"id"`
-	Points [][3]float64 `json:"points"`
-}
-
-// WriteJSON writes trajectories as a JSON array of {id, points:[[x,y,t]..]}.
-func WriteJSON(w io.Writer, ts []Trajectory) error {
-	js := make([]jsonTraj, len(ts))
-	for i, t := range ts {
-		js[i].ID = t.ID
-		js[i].Points = make([][3]float64, len(t.Points))
-		for j, p := range t.Points {
-			js[i].Points[j] = [3]float64{p.X, p.Y, p.T}
-		}
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(js)
-}
-
-// ReadJSON reads trajectories from the format produced by WriteJSON.
-func ReadJSON(r io.Reader) ([]Trajectory, error) {
-	var js []jsonTraj
-	if err := json.NewDecoder(r).Decode(&js); err != nil {
-		return nil, fmt.Errorf("traj: decoding JSON: %w", err)
-	}
-	out := make([]Trajectory, len(js))
-	for i, jt := range js {
-		out[i].ID = jt.ID
-		out[i].Points = make([]geo.Point, len(jt.Points))
-		for j, p := range jt.Points {
-			out[i].Points[j] = geo.Point{X: p[0], Y: p[1], T: p[2]}
-		}
-	}
-	return out, nil
 }

@@ -44,26 +44,6 @@ func TestCSVRoundTrip(t *testing.T) {
 	}
 }
 
-func TestJSONRoundTrip(t *testing.T) {
-	ts := randomTrajs(2, 7)
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, ts); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	got, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatalf("ReadJSON: %v", err)
-	}
-	if len(got) != len(ts) {
-		t.Fatalf("round trip count = %d, want %d", len(got), len(ts))
-	}
-	for i := range ts {
-		if !got[i].Equal(ts[i]) {
-			t.Errorf("trajectory %d mismatched after JSON round trip", i)
-		}
-	}
-}
-
 func TestFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "trajs.csv")
@@ -101,12 +81,6 @@ func TestReadCSVErrors(t *testing.T) {
 				t.Errorf("expected error for %q", c.name)
 			}
 		})
-	}
-}
-
-func TestReadJSONError(t *testing.T) {
-	if _, err := ReadJSON(strings.NewReader("{not json")); err == nil {
-		t.Error("expected error for malformed JSON")
 	}
 }
 

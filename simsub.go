@@ -14,9 +14,9 @@
 // experiment harness. Beyond the reproduction, a sharded concurrent
 // serving layer (Engine, exposed over HTTP by cmd/simsubd) answers top-k
 // queries under heavy traffic. It serves the registered measures (dtw,
-// frechet, erp, edr, t2vec; MeasureNames) under the measure-agnostic
-// searches; the competitors and CDTW, EDS and EDwP are library
-// constructors only. See DESIGN.md for the system inventory and architecture;
+// frechet, erp, edr; MeasureNames) and t2vec, bound to the encoder
+// registered on the engine, under the measure-agnostic searches; the
+// competitors and CDTW, EDS and EDwP are library constructors only. See DESIGN.md for the system inventory and architecture;
 // the experiment harness reproducing the paper's tables is cmd/experiments
 // (run it with -help for the knobs).
 //
@@ -201,12 +201,14 @@ func EDS() Measure { return sim.EDS{} }
 // EDwP (Ranu et al., ICDE 2015).
 func EDwP() Measure { return sim.EDwP{} }
 
-// MeasureByName constructs a registered measure: the served set "dtw",
-// "frechet", "erp", "edr" and "t2vec" (MeasureNames lists them). CDTW, EDS
-// and EDwP are not registered; build them with their constructors.
+// MeasureByName constructs a registered measure: "dtw", "frechet", "erp"
+// or "edr" (MeasureNames lists them). t2vec needs a model: train one with
+// TrainT2Vec. CDTW, EDS and EDwP are not registered; build them with their
+// constructors.
 func MeasureByName(name string) (Measure, error) { return sim.ByName(name) }
 
-// MeasureNames lists all registered measure names.
+// MeasureNames lists all registered measure names, the measures that need
+// no model.
 func MeasureNames() []string { return sim.Names() }
 
 // TrainT2Vec trains a t2vec-style encoder on the trajectories (see

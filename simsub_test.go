@@ -53,7 +53,7 @@ func TestAllMeasureConstructors(t *testing.T) {
 		}
 	}
 	names := MeasureNames()
-	if got, want := strings.Join(names, " "), "dtw edr erp frechet t2vec"; got != want {
+	if got, want := strings.Join(names, " "), "dtw edr erp frechet"; got != want {
 		t.Errorf("registered measures %q, want %q", got, want)
 	}
 	for _, n := range names {
