@@ -119,13 +119,13 @@ func TestANNEmptyAnswerScansNothing(t *testing.T) {
 	}
 	annq := &annQuery{qEmb: []float64{1}, want: 10, probes: 2} // wrong dimension
 	for si, s := range e.shards {
-		_, ix := s.view()
+		_, ix, enc := s.view()
 		if ids := ix.Search(annq.qEmb, annq.want, annq.probes); ids != nil {
 			t.Fatalf("shard %d: Search answered %v for a mismatched embedding, want nil", si, ids)
 		}
 		var st core.PruneStats
 		col := core.NewCollector(q.K)
-		err := s.scan(context.Background(), alg, q, col, &st, annq, func(m core.Match) error {
+		err := s.scan(context.Background(), enc, alg, q, col, &st, annq, func(m core.Match) error {
 			col.Offer(m)
 			return nil
 		})

@@ -17,6 +17,7 @@ import (
 	"simsub/internal/rl"
 	"simsub/internal/sim"
 	"simsub/internal/t2vec"
+	"simsub/internal/traj"
 )
 
 // This file is the serving-artifact registry: the engine's home for the
@@ -34,7 +35,10 @@ import (
 //
 // Swap correctness: a query loads the snapshot once, and resolution, the
 // cache key, the ann query embedding and the samplers' reference rescans
-// all read that pinned value, so a search never mixes two artifacts. The
+// all read that pinned value. The stored embeddings are not in the
+// snapshot: SetEncoder publishes it before re-embedding the shards, so each
+// shard view records its encoder and a scan pinned to another one ignores
+// the view's vectors (shard.scan); a search never mixes two artifacts. The
 // snapshot's fingerprint folds the content hash of whatever is registered
 // and is part of the result-cache key: a ranking that raced a swap lands
 // under the old fingerprint, which no post-swap lookup can construct.
@@ -211,16 +215,25 @@ func (e *Engine) SetEncoder(m *t2vec.Model) (EncoderInfo, error) {
 	next := *e.art.Load()
 	next.enc, next.encFP = m, fp
 	a := e.swapArtifacts(next)
-	st := e.store.Load()
-	nshards := len(e.shards)
+	// re-embed through placement's two phases: every stored record, shard
+	// by shard, into one FRESH meta slice (in-flight searches keep reading
+	// the old ones), cut back into per-shard views that are installed
+	// together; clipped, so a later Add appending behind one shard's view
+	// cannot write into the next one's
+	trajs := make([][]traj.Trajectory, len(e.shards))
+	all := make([]traj.Trajectory, 0, e.Len())
 	for si, s := range e.shards {
-		embs := s.reembed(m)
-		if st != nil {
-			for li, emb := range embs {
-				st.SetEmbedding(li*nshards+si, fp, emb)
-			}
-		}
+		trajs[si], _ = s.db.Contents()
+		all = append(all, trajs[si]...)
 	}
+	metas := e.derive(all, a, e.store.Load(), nil)
+	shardMetas := make([][]core.TrajMeta, len(e.shards))
+	for si, ts := range trajs {
+		shardMetas[si], metas = metas[:len(ts):len(ts)], metas[len(ts):]
+	}
+	e.parallel(len(e.shards), func(si int) {
+		e.shards[si].install(trajs[si], shardMetas[si], m)
+	})
 	return encoderInfoFor(a), nil
 }
 

@@ -53,7 +53,12 @@ type Config struct {
 	// more intra-query parallelism.
 	Shards int
 	// Workers bounds the number of concurrently executing per-shard search
-	// tasks across all in-flight queries (default GOMAXPROCS).
+	// tasks across all in-flight queries (default GOMAXPROCS), and the
+	// goroutines that make records searchable: placement (Add, AttachStore,
+	// SetEncoder's re-embed) encodes records and installs shard views on up
+	// to Workers goroutines of its own. It does not take the query slots:
+	// it runs under the load lock, and a streamed query's scanner may hold a
+	// slot until its deadline, which would stall every load behind it.
 	Workers int
 	// CacheSize is the LRU result-cache capacity in entries; 0 disables
 	// caching.
@@ -221,8 +226,13 @@ type shard struct {
 	db *core.Database
 	// ann indexes the shard's embeddings (TrajMeta.Emb) for the approximate
 	// candidate prefilter; nil until an encoder is registered. Installed
-	// together with db, so a view() pair is always consistent.
+	// together with db, so a view() is always consistent.
 	ann *ann.Index
+	// enc is the encoder db's embeddings and ann came from (nil before one
+	// is registered). An encoder swap publishes the new encoder before it
+	// re-embeds the shards, so a query compares it against its own pinned
+	// encoder before trusting the stored vectors (see scan).
+	enc *t2vec.Model
 }
 
 // add appends a batch with its scan metadata (metas aligned with ts).
@@ -231,21 +241,6 @@ type shard struct {
 func (s *shard) add(ts []traj.Trajectory, metas []core.TrajMeta, enc *t2vec.Model) {
 	stored, storedMetas := s.db.Contents()
 	s.install(append(stored, ts...), append(storedMetas, metas...), enc)
-}
-
-// reembed re-encodes every stored trajectory under enc into a FRESH meta
-// slice (in-flight searches keep reading the old one) and returns the
-// embeddings in local order.
-func (s *shard) reembed(enc *t2vec.Model) [][]float64 {
-	trajs, metas := s.db.Contents()
-	metas = slices.Clone(metas)
-	embs := make([][]float64, len(metas))
-	for i := range metas {
-		embs[i] = enc.Embed(trajs[i])
-		metas[i].Emb = embs[i]
-	}
-	s.install(trajs, metas, enc)
-	return embs
 }
 
 // install makes (trajs, metas) the shard's contents, which must extend the
@@ -264,27 +259,38 @@ func (s *shard) install(trajs []traj.Trajectory, metas []core.TrajMeta, enc *t2v
 		ix = ann.Build(vecs, enc.Dim(), ann.Config{})
 	}
 	s.mu.Lock()
-	s.db, s.ann = db, ix
+	s.db, s.ann, s.enc = db, ix, enc
 	s.mu.Unlock()
 }
 
 // view returns the shard's current database together with the LSH index
-// built over the same meta slice: a consistent pair, both immutable once
-// built and safe to search after the lock is released.
-func (s *shard) view() (*core.Database, *ann.Index) {
+// built over the same meta slice and the encoder both came from: a
+// consistent triple, immutable once built and safe to search after the lock
+// is released.
+func (s *shard) view() (*core.Database, *ann.Index, *t2vec.Model) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.db, s.ann
+	return s.db, s.ann, s.enc
 }
 
 // scan runs the one threshold scan over the shard's current snapshot,
 // pruning against col and handing fn every surviving match under its global
 // trajectory ID. With annq set (and an index built), the candidates are the
 // index's embedding-nearest members rather than the spatial enumeration.
-func (s *shard) scan(ctx context.Context, alg core.Algorithm, q Query, col *core.Collector, st *core.PruneStats, annq *annQuery, fn func(core.Match) error) error {
-	db, ix := s.view()
+// enc is the query's pinned encoder: a view embedded under another one (an
+// encoder swap has not re-embedded this shard yet) has its vectors ignored,
+// so "embed" encodes every candidate afresh and an ann query scans the
+// spatial candidates — one search never scores two encoders' vectors.
+func (s *shard) scan(ctx context.Context, enc *t2vec.Model, alg core.Algorithm, q Query, col *core.Collector, st *core.PruneStats, annq *annQuery, fn func(core.Match) error) error {
+	db, ix, viewEnc := s.view()
 	var cands []int
-	if annq != nil && ix != nil {
+	switch {
+	case viewEnc != enc:
+		if er, ok := alg.(core.EmbedRank); ok {
+			er.Reencode = true
+			alg = er
+		}
+	case annq != nil && ix != nil:
 		cands = annq.candidates(ix)
 	}
 	return db.ScanPrunedSourceCtx(ctx, alg, q.Q, q.Filter, col, st, cands, func(m core.Match) error {
@@ -432,42 +438,80 @@ func (e *Engine) AttachStore(st *storage.Store) error {
 }
 
 // place makes ts — records whose dense global IDs are already assigned,
-// continuing the engine's sequence — searchable: each gets its scan
-// metadata derived (core.DeriveMeta) and, with an encoder registered, its
-// embedding, which is reuse[ID] when that vector has the encoder's
-// dimension and is otherwise computed and recorded against st (when
-// non-nil) for the next checkpoint. Records land on shard ID mod shards,
-// each affected shard growing once. The caller holds addMu and the
-// generation seqlock.
+// continuing the engine's sequence — searchable under the registered
+// encoder, in two phases on the engine's workers: derive's, per record, and
+// then one per affected shard, which grows once (records land on shard ID
+// mod shards). The bucketing between them is serial, so every view is the
+// one a serial placement builds. The caller holds addMu and the generation
+// seqlock.
 func (e *Engine) place(ts []traj.Trajectory, st *storage.Store, reuse [][]float64) {
 	a := e.art.Load()
+	metas := e.derive(ts, a, st, reuse)
 	buckets := make([][]traj.Trajectory, len(e.shards))
 	metaBuckets := make([][]core.TrajMeta, len(e.shards))
 	var pts int64
-	for _, t := range ts {
-		meta := core.DeriveMeta(t)
-		if a.enc != nil {
-			if t.ID < len(reuse) && len(reuse[t.ID]) == a.enc.Dim() {
-				meta.Emb = reuse[t.ID]
-			} else {
-				meta.Emb = a.enc.Embed(t)
-				if st != nil {
-					st.SetEmbedding(t.ID, a.encFP, meta.Emb)
-				}
-			}
-		}
+	for i, t := range ts {
 		si := t.ID % len(e.shards)
 		buckets[si] = append(buckets[si], t)
-		metaBuckets[si] = append(metaBuckets[si], meta)
+		metaBuckets[si] = append(metaBuckets[si], metas[i])
 		pts += int64(t.Len())
 	}
-	for si, b := range buckets {
-		if len(b) > 0 {
-			e.shards[si].add(b, metaBuckets[si], a.enc)
+	e.parallel(len(e.shards), func(si int) {
+		if len(buckets[si]) > 0 {
+			e.shards[si].add(buckets[si], metaBuckets[si], a.enc)
 		}
-	}
+	})
 	e.nextID.Add(int64(len(ts)))
 	e.points.Add(pts)
+}
+
+// derive is placement's per-record phase: each record's scan metadata
+// (core.DeriveMeta) and, with a.enc set, its embedding, which is reuse[ID]
+// when that vector has the encoder's dimension and is otherwise computed —
+// on the engine's workers, into the slot aligned with ts. Computed
+// embeddings are then recorded against st (when non-nil) for the next
+// checkpoint, serially and in ts order.
+func (e *Engine) derive(ts []traj.Trajectory, a *artifacts, st *storage.Store, reuse [][]float64) []core.TrajMeta {
+	reused := func(id int) bool { return id < len(reuse) && len(reuse[id]) == a.enc.Dim() }
+	metas := make([]core.TrajMeta, len(ts))
+	e.parallel(len(ts), func(i int) {
+		t := ts[i]
+		metas[i] = core.DeriveMeta(t)
+		switch {
+		case a.enc == nil:
+		case reused(t.ID):
+			metas[i].Emb = reuse[t.ID]
+		default:
+			metas[i].Emb = a.enc.Embed(t)
+		}
+	})
+	if a.enc != nil && st != nil {
+		for i, t := range ts {
+			if !reused(t.ID) {
+				st.SetEmbedding(t.ID, a.encFP, metas[i].Emb)
+			}
+		}
+	}
+	return metas
+}
+
+// parallel runs fn(i) for every i in [0, n) on up to Config.Workers
+// goroutines of its own, each claiming the next index until none is left,
+// and returns when every call has. It does not take the query slots (e.sem):
+// see Config.Workers.
+func (e *Engine) parallel(n int, fn func(i int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(e.cfg.Workers, n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // Store returns the attached persistent store, or nil for a pure
@@ -482,7 +526,7 @@ func (e *Engine) Traj(id int) (traj.Trajectory, bool) {
 	if id < 0 || id >= e.Len() {
 		return traj.Trajectory{}, false
 	}
-	db, _ := e.shards[id%len(e.shards)].view()
+	db, _, _ := e.shards[id%len(e.shards)].view()
 	local := id / len(e.shards)
 	if local >= db.Len() {
 		return traj.Trajectory{}, false
@@ -716,7 +760,7 @@ func (e *Engine) scatter(ctx context.Context, a *artifacts, alg core.Algorithm, 
 				errs[i] = ferr
 				return
 			}
-			errs[i] = s.scan(ctx, alg, q, col, &stats[i], annq, offer)
+			errs[i] = s.scan(ctx, a.enc, alg, q, col, &stats[i], annq, offer)
 		}(i, s)
 	}
 	var prune core.PruneStats

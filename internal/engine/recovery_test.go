@@ -64,7 +64,7 @@ func recoveryEngine(t *testing.T, enc *t2vec.Model) *Engine {
 func embeddingsOf(e *Engine) [][]float64 {
 	out := make([][]float64, e.Len())
 	for si, s := range e.shards {
-		db, _ := s.view()
+		db, _, _ := s.view()
 		for li := range db.Len() {
 			out[li*len(e.shards)+si] = db.Meta(li).Emb
 		}

@@ -49,13 +49,22 @@ type Model struct {
 	// emb is the grid²×InDim token-embedding table when grid > 0.
 	emb *nn.Tensor
 
-	// single-entry query-embedding cache. The SimSub algorithms compute
-	// distances of many subtrajectories against one query trajectory; the
-	// paper amortizes the O(m) query encoding across those computations
-	// (§3.2). The cache keys on the query's underlying point storage.
-	mu     sync.Mutex
-	cacheQ []geo.Point
-	cacheV []float64
+	// two-entry query-embedding cache, most recently used first. The SimSub
+	// algorithms compute distances of many subtrajectories against one
+	// query trajectory; the paper amortizes the O(m) query encoding across
+	// those computations (§3.2). The splitting searches' suffix passes
+	// score against the query's reversal, so one scan alternates between
+	// two queries and the cache holds both. Entries key on the query's
+	// underlying point storage; a miss replaces the older one.
+	mu    sync.Mutex
+	cache [2]queryEmbedding
+}
+
+// queryEmbedding is one cache entry: a query's point storage and its
+// embedding.
+type queryEmbedding struct {
+	q []geo.Point
+	v []float64
 }
 
 // New wraps a trained encoder with the normalization bounds it was trained
@@ -163,12 +172,14 @@ func (m *Model) scratch() (x, s []float64) {
 func (m *Model) QueryEmbedding(q traj.Trajectory) []float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(q.Points) > 0 && len(m.cacheQ) == len(q.Points) && &m.cacheQ[0] == &q.Points[0] {
-		return m.cacheV
+	for i, c := range m.cache {
+		if len(q.Points) > 0 && len(c.q) == len(q.Points) && &c.q[0] == &q.Points[0] {
+			m.cache[0], m.cache[i] = c, m.cache[0]
+			return c.v
+		}
 	}
 	v := m.Embed(q)
-	m.cacheQ = q.Points
-	m.cacheV = v
+	m.cache[0], m.cache[1] = queryEmbedding{q.Points, v}, m.cache[0]
 	return v
 }
 

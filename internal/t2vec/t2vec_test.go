@@ -109,6 +109,27 @@ func TestQueryEmbeddingCache(t *testing.T) {
 	}
 }
 
+// TestQueryEmbeddingCacheKeepsReversal: a splitting search's prefix pass
+// embeds the query and its suffix pass the query's reversal, alternating
+// per candidate; both must stay cached.
+func TestQueryEmbeddingCacheKeepsReversal(t *testing.T) {
+	m := NewRandomModel(8, 1)
+	q := randWalk(rand.New(rand.NewSource(8)), 10)
+	qRev := q.Reverse()
+	v1 := m.QueryEmbedding(q)
+	vRev := m.QueryEmbedding(qRev)
+	v3 := m.QueryEmbedding(q)
+	if &v1[0] != &v3[0] {
+		t.Error("the query's embedding was evicted by its reversal's")
+	}
+	if vRev2 := m.QueryEmbedding(qRev); &vRev2[0] != &vRev[0] {
+		t.Error("the reversal's embedding was evicted by the query's")
+	}
+	if third := m.QueryEmbedding(q.Clone()); &third[0] == &v1[0] || &third[0] == &vRev[0] {
+		t.Error("a query with other point storage hit the cache")
+	}
+}
+
 func TestEmbedLocality(t *testing.T) {
 	// A small perturbation of a trajectory should move its embedding less
 	// than an unrelated trajectory does — random GRU projections preserve
