@@ -57,6 +57,22 @@ func (t *Trajectory) UnmarshalJSON(data []byte) error {
 	return traj.UnmarshalPoints(data, &t.Points)
 }
 
+// MarshalJSON encodes a trajectory with the trajectory encoder
+// (traj.AppendPoints), the mirror of UnmarshalJSON: the bytes are the ones
+// encoding/json wrote by reflection, and a NaN or ±Inf coordinate is an
+// error.
+func (t Trajectory) MarshalJSON() ([]byte, error) { return t.AppendJSON(nil) }
+
+// AppendJSON appends MarshalJSON's encoding of t to dst. On error it
+// returns dst as it was.
+func (t Trajectory) AppendJSON(dst []byte) ([]byte, error) {
+	out, err := traj.AppendPoints(append(dst, `{"points":`...), t.Points)
+	if err != nil {
+		return dst, err
+	}
+	return append(out, '}'), nil
+}
+
 // FromTraj converts an engine trajectory to wire form.
 func FromTraj(t traj.Trajectory) Trajectory {
 	pts := make([][]float64, t.Len())

@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"simsub/api"
+	"simsub/internal/traj"
 )
 
 var _ api.Service = (*Client)(nil)
@@ -214,19 +215,25 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, in, out any
 		if err != nil {
 			return err
 		}
-		defer resp.Body.Close()
-		if resp.StatusCode/100 != 2 {
-			return errorFrom(resp)
-		}
-		if out == nil {
-			_, _ = io.Copy(io.Discard, resp.Body)
-			return nil
-		}
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return fmt.Errorf("client: decoding %s response: %w", path, err)
-		}
-		return nil
+		return decode(resp, path, out)
 	})
+}
+
+// decode reads a response: a 2xx JSON body into out (discarded when out is
+// nil), anything else as its typed error. It closes the body.
+func decode(resp *http.Response, path string, out any) error {
+	defer resp.Body.Close()
+	if resp.StatusCode/100 != 2 {
+		return errorFrom(resp)
+	}
+	if out == nil {
+		_, _ = io.Copy(io.Discard, resp.Body)
+		return nil
+	}
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		return fmt.Errorf("client: decoding %s response: %w", path, err)
+	}
+	return nil
 }
 
 // call is roundTrip for a request whose JSON answer decodes into a T.
@@ -238,6 +245,8 @@ func call[T any](ctx context.Context, c *Client, method, path string, in any, id
 	return &out, nil
 }
 
+// send issues one request whose body, the small query and admin ones, is
+// json.Marshal(in).
 func (c *Client) send(ctx context.Context, method, path string, in any) (*http.Response, error) {
 	var body io.Reader
 	if in != nil {
@@ -257,10 +266,56 @@ func (c *Client) send(ctx context.Context, method, path string, in any) (*http.R
 	return c.hc.Do(req)
 }
 
+// post is the one streaming POST, behind both bulk loads: net/http pulls
+// body onto the wire as the server reads it, and the 2xx JSON answer
+// decodes into out. Loads are not idempotent, so it is sent once, never
+// retried; getBody, when non-nil, only lets the transport replay a request
+// that never reached the server (a kept-alive connection found closed). A
+// server that answers before it has read the whole body — a recovering
+// node's 503, a 413 for a body over its cap — gets that answer returned as
+// its typed error, and a request given up because ctx ended returns
+// ctx.Err().
+func (c *Client) post(ctx context.Context, path, contentType string, body io.Reader, getBody func() (io.ReadCloser, error), out any) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, body)
+	if err != nil {
+		return err
+	}
+	if getBody != nil {
+		req.GetBody = getBody
+	}
+	req.Header.Set("Content-Type", contentType)
+	resp, err := c.hc.Do(req)
+	if err != nil {
+		if ctx.Err() != nil {
+			return ctx.Err()
+		}
+		return err
+	}
+	return decode(resp, path, out)
+}
+
 // Load bulk-loads trajectories and returns their server-assigned global
-// IDs in input order.
+// IDs in input order. The body streams: it is encoded a few trajectories
+// at a time as the connection takes it (loadBody), so the server decodes
+// the batch while the client is still encoding it, in constant client
+// memory, and the bytes are json.Marshal(api.LoadRequest{ts})'s. A
+// non-finite coordinate fails the call before any request is made. A load
+// is not idempotent and is never retried, whatever the retry policy. Load
+// reads ts only until it returns.
 func (c *Client) Load(ctx context.Context, ts []api.Trajectory) (*api.LoadResponse, error) {
-	return call[api.LoadResponse](ctx, c, http.MethodPost, "/v2/load", api.LoadRequest{Trajectories: ts}, false)
+	for i := range ts {
+		if err := traj.CheckPoints(ts[i].Points); err != nil {
+			return nil, fmt.Errorf("client: encoding /v2/load request: trajectory %d: %w", i, err)
+		}
+	}
+	src := &loadSource{ts: ts}
+	defer src.detach()
+	body, _ := src.open()
+	var out api.LoadResponse
+	if err := c.post(ctx, "/v2/load", "application/json", body, src.open, &out); err != nil {
+		return nil, err
+	}
+	return &out, nil
 }
 
 // LoadStream streams an NDJSON corpus (one {"points":[[x,y,t],...]}
@@ -271,22 +326,9 @@ func (c *Client) Load(ctx context.Context, ts []api.Trajectory) (*api.LoadRespon
 // mid-stream server error may leave earlier batches committed (the typed
 // error's message carries the committed count).
 func (c *Client) LoadStream(ctx context.Context, corpus io.Reader) (*api.BulkLoadResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v2/load/stream", corpus)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/x-ndjson")
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return nil, errorFrom(resp)
-	}
 	var out api.BulkLoadResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("client: decoding /v2/load/stream response: %w", err)
+	if err := c.post(ctx, "/v2/load/stream", "application/x-ndjson", corpus, nil, &out); err != nil {
+		return nil, err
 	}
 	return &out, nil
 }

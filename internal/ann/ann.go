@@ -25,6 +25,7 @@
 package ann
 
 import (
+	"container/heap"
 	"math"
 	"math/rand"
 	"sort"
@@ -267,31 +268,53 @@ func (ix *Index) scanAll(q []float64, want int) []int {
 	return ix.rank(q, cands, want)
 }
 
-// rank orders cands by exact embedding distance to q (ties by index, so
-// results are deterministic) and truncates to want.
+// rank returns the want candidates nearest q by exact embedding distance,
+// ascending, ties broken by the lower index so results are deterministic.
+// It keeps the best want in a bounded max-heap and sorts only those, not
+// every candidate: O(n log want) where the probed buckets, or the scanAll
+// fallback's whole index, hold n.
 func (ix *Index) rank(q []float64, cands []int, want int) []int {
-	type scored struct {
-		vi int
-		d  float64
-	}
-	ss := make([]scored, len(cands))
-	for i, vi := range cands {
-		ss[i] = scored{vi: vi, d: euclid(ix.vecs[vi], q)}
-	}
-	sort.Slice(ss, func(a, b int) bool {
-		if ss[a].d != ss[b].d {
-			return ss[a].d < ss[b].d
+	h := make(worstFirst, 0, min(want, len(cands)))
+	for _, vi := range cands {
+		s := scored{vi: vi, d: euclid(ix.vecs[vi], q)}
+		switch {
+		case len(h) < cap(h):
+			if h = append(h, s); len(h) == cap(h) {
+				heap.Init(&h)
+			}
+		case s.before(h[0]):
+			h[0] = s
+			heap.Fix(&h, 0)
 		}
-		return ss[a].vi < ss[b].vi
-	})
-	if want > len(ss) {
-		want = len(ss)
 	}
-	out := make([]int, want)
-	for i := range out {
-		out[i] = ss[i].vi
+	sort.Slice(h, func(a, b int) bool { return h[a].before(h[b]) })
+	out := make([]int, len(h))
+	for i, s := range h {
+		out[i] = s.vi
 	}
 	return out
+}
+
+type scored struct {
+	vi int
+	d  float64
+}
+
+// before is the ranking order: nearer first, then the lower index.
+func (a scored) before(b scored) bool { return a.d < b.d || a.d == b.d && a.vi < b.vi }
+
+// worstFirst is a heap.Interface whose root ranks last.
+type worstFirst []scored
+
+func (h worstFirst) Len() int           { return len(h) }
+func (h worstFirst) Less(i, j int) bool { return h[j].before(h[i]) }
+func (h worstFirst) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *worstFirst) Push(x any)        { *h = append(*h, x.(scored)) }
+func (h *worstFirst) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
 }
 
 func euclid(a, b []float64) float64 {

@@ -2,6 +2,8 @@ package ann
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -112,6 +114,46 @@ func TestBuildDeterministic(t *testing.T) {
 	for i := range ga {
 		if ga[i] != gb[i] {
 			t.Fatalf("result %d differs: %d vs %d", i, ga[i], gb[i])
+		}
+	}
+}
+
+// TestRankMatchesFullSort holds the bounded-heap selection to the full sort
+// it replaced: the same indices in the same order, ties by ascending index,
+// for every want from 1 past the candidate count. Vectors are drawn from a
+// small integer lattice, so many candidates share a distance.
+func TestRankMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 50; trial++ {
+		dim := 1 + rng.Intn(3)
+		vecs := make([][]float64, 1+rng.Intn(60))
+		for i := range vecs {
+			vecs[i] = make([]float64, dim)
+			for d := range vecs[i] {
+				vecs[i][d] = float64(rng.Intn(3))
+			}
+		}
+		ix := &Index{dim: dim, vecs: vecs}
+		q := make([]float64, dim)
+		for d := range q {
+			q[d] = float64(rng.Intn(3))
+		}
+		// a random subset, in random order, as the probed buckets give it
+		cands := rng.Perm(len(vecs))[:1+rng.Intn(len(vecs))]
+		sorted := append([]int(nil), cands...)
+		sort.Slice(sorted, func(a, b int) bool {
+			da, db := euclid(vecs[sorted[a]], q), euclid(vecs[sorted[b]], q)
+			if da != db {
+				return da < db
+			}
+			return sorted[a] < sorted[b]
+		})
+		for want := 1; want <= len(cands)+1; want++ {
+			got := ix.rank(q, cands, want)
+			ref := sorted[:min(want, len(sorted))]
+			if !reflect.DeepEqual(got, ref) {
+				t.Fatalf("trial %d want %d: rank %v, full sort %v", trial, want, got, ref)
+			}
 		}
 	}
 }

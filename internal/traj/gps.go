@@ -1,7 +1,6 @@
 package traj
 
 import (
-	"bufio"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
@@ -156,25 +155,30 @@ func ReadTDriveCSV(r io.Reader, maxTaxis int) ([]Trajectory, error) {
 
 // WriteNDJSON writes one JSON trajectory object per line —
 // {"id":..,"points":[[x,y,t],..]} — the format POST /v2/load/stream
-// ingests. An NDJSON corpus can be produced and consumed incrementally at
-// any size.
+// ingests, through the trajectory encoder (AppendPoints' grammar, byte for
+// byte what encoding/json writes). An NDJSON corpus can be produced and
+// consumed incrementally at any size. A non-finite coordinate is an error
+// wrapping ErrNonFiniteCoordinate.
 func WriteNDJSON(w io.Writer, ts []Trajectory) error {
-	type jsonTraj struct {
-		ID     int          `json:"id"`
-		Points [][3]float64 `json:"points"`
-	}
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
+	const flushAt = 64 << 10
+	buf := make([]byte, 0, 2*flushAt)
 	for _, t := range ts {
-		jt := jsonTraj{ID: t.ID, Points: make([][3]float64, len(t.Points))}
-		for j, p := range t.Points {
-			jt.Points[j] = [3]float64{p.X, p.Y, p.T}
-		}
-		if err := enc.Encode(jt); err != nil { // Encode appends the newline
+		var err error
+		if buf, err = appendRecord(buf, t); err != nil {
 			return err
 		}
+		if len(buf) >= flushAt {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
+		}
 	}
-	return bw.Flush()
+	if len(buf) == 0 {
+		return nil
+	}
+	_, err := w.Write(buf)
+	return err
 }
 
 // ReadNDJSON reads the format produced by WriteNDJSON through the Scanner,
