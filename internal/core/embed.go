@@ -30,10 +30,6 @@ func EuclidVec(a, b []float64) float64 {
 // the vector (TrajMeta.Emb, stored by the engine from the same encoder E).
 type EmbedRank struct {
 	E *t2vec.Model
-	// Reencode ignores the stored vectors and encodes every candidate with
-	// E: for metadata embedded under another encoder, whose vectors may
-	// share E's dimension but not its space.
-	Reencode bool
 }
 
 // Name implements Algorithm.
@@ -54,10 +50,10 @@ func (a EmbedRank) Search(t, q traj.Trajectory) Result {
 }
 
 // NewThresholdSearch implements ThresholdSearcher: the query embeds once
-// per scan, and unless Reencode is set, candidates whose stored embedding
-// matches the encoder's dimensionality skip re-encoding entirely.
+// per scan, and candidates whose stored embedding matches the encoder's
+// dimensionality skip re-encoding entirely.
 func (a EmbedRank) NewThresholdSearch(q traj.Trajectory) ThresholdSearch {
-	s := &embedRankSearch{e: a.E, reencode: a.Reencode}
+	s := &embedRankSearch{e: a.E}
 	if a.E != nil {
 		s.qEmb = a.E.QueryEmbedding(q)
 	}
@@ -65,9 +61,8 @@ func (a EmbedRank) NewThresholdSearch(q traj.Trajectory) ThresholdSearch {
 }
 
 type embedRankSearch struct {
-	e        *t2vec.Model
-	qEmb     []float64
-	reencode bool
+	e    *t2vec.Model
+	qEmb []float64
 }
 
 // Bound implements ThresholdSearch: embedding distances have no cascade.
@@ -81,7 +76,7 @@ func (s *embedRankSearch) Search(t traj.Trajectory, meta TrajMeta, tau float64) 
 	r.Interval = traj.Interval{I: 0, J: t.Len() - 1}
 	if s.e != nil {
 		emb := meta.Emb
-		if s.reencode || len(emb) != s.e.Dim() {
+		if len(emb) != s.e.Dim() {
 			emb = s.e.Embed(t)
 		}
 		r.Dist = EuclidVec(emb, s.qEmb)

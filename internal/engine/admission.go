@@ -273,7 +273,8 @@ func (a *admitter) queueWait() time.Duration {
 }
 
 // servable reports whether the query could be answered by the given
-// algorithm instead of its own under the query's pinned registry snapshot:
+// algorithm instead of its own under the artifacts of the query's pinned
+// generation:
 // resolution must succeed (the learned fallback needs a loaded policy of
 // the right kind).
 func servable(a *artifacts, q Query, algorithm string) bool {
@@ -285,12 +286,12 @@ func servable(a *artifacts, q Query, algorithm string) bool {
 // budgetFallback picks the first degradation fallback that is servable and
 // whose predicted cost fits the remaining budget (unknown costs are given
 // the benefit of the doubt); "" when none qualifies.
-func (e *Engine) budgetFallback(a *artifacts, q Query, remaining time.Duration, n int) string {
+func (e *Engine) budgetFallback(g *generation, q Query, remaining time.Duration) string {
 	for _, fb := range degradeChain(q.Algorithm) {
-		if !servable(a, q, fb) {
+		if !servable(g.art, q, fb) {
 			continue
 		}
-		if est, known := e.cost.estimate(q.Measure, fb, n); known && est > remaining {
+		if est, known := e.cost.estimate(q.Measure, fb, g.n); known && est > remaining {
 			continue
 		}
 		return fb
@@ -304,14 +305,13 @@ func (e *Engine) budgetFallback(a *artifacts, q Query, remaining time.Duration, 
 // undercut PSS, and a degraded answer must be cheaper, not only
 // approximate. A pair whose cost is still unknown keeps the benefit of the
 // doubt.
-func (e *Engine) degradeTarget(a *artifacts, q Query) string {
-	n := e.Len()
-	own, ownKnown := e.cost.estimate(q.Measure, q.Algorithm, n)
+func (e *Engine) degradeTarget(g *generation, q Query) string {
+	own, ownKnown := e.cost.estimate(q.Measure, q.Algorithm, g.n)
 	for _, fb := range degradeChain(q.Algorithm) {
-		if !servable(a, q, fb) {
+		if !servable(g.art, q, fb) {
 			continue
 		}
-		if est, known := e.cost.estimate(q.Measure, fb, n); known && ownKnown && est >= own {
+		if est, known := e.cost.estimate(q.Measure, fb, g.n); known && ownKnown && est >= own {
 			continue
 		}
 		return fb
@@ -324,10 +324,10 @@ func (e *Engine) degradeTarget(a *artifacts, q Query) string {
 // remaining budget minus the merge reserve, rejecting EARLY with
 // deadline_exceeded), graceful degradation under the caller's explicit
 // opt-in, and admission through the CoDel controller. On success it may
-// have rewritten q.Algorithm to a cheaper fallback servable under a, the
-// query's pinned registry snapshot; it returns the slot release func and
-// the degradation marker for the response.
-func (e *Engine) planAdmit(ctx context.Context, a *artifacts, q *Query) (func(), *api.Degraded, *api.Error) {
+// have rewritten q.Algorithm to a cheaper fallback servable in g, the
+// query's pinned generation; it returns the slot release func and the
+// degradation marker for the response.
+func (e *Engine) planAdmit(ctx context.Context, g *generation, q *Query) (func(), *api.Degraded, *api.Error) {
 	var deg *api.Degraded
 	if dl, ok := ctx.Deadline(); ok {
 		remaining := time.Until(dl) - e.cfg.MergeReserve
@@ -336,11 +336,10 @@ func (e *Engine) planAdmit(ctx context.Context, a *artifacts, q *Query) (func(),
 			return nil, nil, api.Errorf(api.CodeDeadlineExceeded,
 				"remaining deadline budget is inside the %v merge reserve", e.cfg.MergeReserve)
 		}
-		n := e.Len()
-		if est, known := e.cost.estimate(q.Measure, q.Algorithm, n); known && est > remaining {
+		if est, known := e.cost.estimate(q.Measure, q.Algorithm, g.n); known && est > remaining {
 			fb := ""
 			if q.AllowDegraded {
-				fb = e.budgetFallback(a, *q, remaining, n)
+				fb = e.budgetFallback(g, *q, remaining)
 			}
 			if fb == "" {
 				e.deadlineRejects.Add(1)
@@ -356,7 +355,7 @@ func (e *Engine) planAdmit(ctx context.Context, a *artifacts, q *Query) (func(),
 	if aerr != nil && aerr.Code == api.CodeOverloaded && q.AllowDegraded && classOf(q.Algorithm) == classExpensive {
 		// shed as an exhaustive scan, but the caller would rather have a
 		// cheaper answer than an error: retry once in the cheap class
-		if fb := e.degradeTarget(a, *q); fb != "" {
+		if fb := e.degradeTarget(g, *q); fb != "" {
 			deg = &api.Degraded{Reason: api.DegradedOverload, From: q.Algorithm, To: fb}
 			q.Algorithm = fb
 			rel, aerr = e.adm.acquire(ctx, classOf(q.Algorithm))

@@ -118,14 +118,13 @@ func TestANNEmptyAnswerScansNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	annq := &annQuery{qEmb: []float64{1}, want: 10, probes: 2} // wrong dimension
-	for si, s := range e.shards {
-		_, ix, enc := s.view()
-		if ids := ix.Search(annq.qEmb, annq.want, annq.probes); ids != nil {
+	for si, s := range e.cur.Load().shards {
+		if ids := s.ann.Search(annq.qEmb, annq.want, annq.probes); ids != nil {
 			t.Fatalf("shard %d: Search answered %v for a mismatched embedding, want nil", si, ids)
 		}
 		var st core.PruneStats
 		col := core.NewCollector(q.K)
-		err := s.scan(context.Background(), enc, alg, q, col, &st, annq, func(m core.Match) error {
+		err := s.scan(context.Background(), alg, q, col, &st, annq, func(m core.Match) error {
 			col.Offer(m)
 			return nil
 		})
@@ -187,7 +186,7 @@ func TestEncoderSwapChangesFingerprintAndCacheKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key1 := e.cacheKeyFor(tq, e.art.Load().fp)
+	key1 := e.cacheKeyFor(tq, e.cur.Load().id)
 
 	info2, err := e.SetEncoder(t2vec.NewRandomModel(8, 99))
 	if err != nil {
@@ -210,7 +209,7 @@ func TestEncoderSwapChangesFingerprintAndCacheKey(t *testing.T) {
 	if reflect.DeepEqual(rank1, rank2) {
 		t.Errorf("t2vec/pss ranking unchanged by an encoder swap: %v", rank1)
 	}
-	if key2 := e.cacheKeyFor(tq, e.art.Load().fp); key2.fp == key1.fp || key2 == key1 {
+	if key2 := e.cacheKeyFor(tq, e.cur.Load().id); key2.gen == key1.gen || key2 == key1 {
 		t.Errorf("t2vec/pss cache key unchanged by an encoder swap: %+v", key1)
 	}
 	st := e.Stats()

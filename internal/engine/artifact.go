@@ -21,32 +21,26 @@ import (
 )
 
 // This file is the serving-artifact registry: the engine's home for the
-// paper's two learned components. One immutable snapshot holds the DQN
-// splitting policy behind "rls"/"rls-skip" (RLS §5.3, RLS-Skip/RLS-Skip+
+// paper's two learned components. The artifacts of a generation hold the
+// DQN splitting policy behind "rls"/"rls-skip" (RLS §5.3, RLS-Skip/RLS-Skip+
 // §5.4), optionally compiled onto an action table, and the t2vec encoder
 // behind measure "t2vec" (every algorithm scores with it), "embed" (every
 // trajectory ranked by the Euclidean distance of its stored embedding to
-// the query's) and the ann prefilter (each shard's LSH
-// index proposes candidates by embedding distance, the exact cascade
-// reranks them). Each is loaded at construction (cmd/simsubd -policy /
-// -encoder) or hot-swapped at runtime (POST /v2/admin/policy → SetPolicy,
-// POST /v2/admin/encoder → SetEncoder); a swap builds the next snapshot
-// and replaces the pointer.
+// the query's) and the ann prefilter (each shard's LSH index proposes
+// candidates by embedding distance, the exact cascade reranks them). Each
+// is loaded at construction (cmd/simsubd -policy / -encoder) or hot-swapped
+// at runtime (POST /v2/admin/policy → SetPolicy, POST /v2/admin/encoder →
+// SetEncoder); a swap publishes the next generation (generation.go).
 //
-// Swap correctness: a query loads the snapshot once, and resolution, the
-// cache key, the ann query embedding and the samplers' reference rescans
-// all read that pinned value. The stored embeddings are not in the
-// snapshot: SetEncoder publishes it before re-embedding the shards, so each
-// shard view records its encoder and a scan pinned to another one ignores
-// the view's vectors (shard.scan); a search never mixes two artifacts. The
-// snapshot's fingerprint folds the content hash of whatever is registered
-// and is part of the result-cache key: a ranking that raced a swap lands
-// under the old fingerprint, which no post-swap lookup can construct.
-// Every swap also purges the cache, and SetEncoder bumps the store
-// generation while it re-embeds, so a ranking that raced it is never cached.
+// Swap correctness: the artifacts and the stored embeddings live in one
+// generation, and a query reads only the generation it pinned, so a search
+// never mixes two policies or scores one encoder's query vector against
+// another's stored vectors. SetEncoder re-embeds into fresh shard views and
+// publishes the encoder together with them: until then queries keep the old
+// encoder with its own vectors.
 
-// artifacts is one immutable registry snapshot. New installs an empty one,
-// so a loaded snapshot is never nil.
+// artifacts is one generation's registry. New installs an empty one, so a
+// generation's artifacts are never nil.
 type artifacts struct {
 	policy *rl.Policy
 	// table, when non-nil, serves the compiled table-lookup path
@@ -59,8 +53,6 @@ type artifacts struct {
 	// resolution and dropping the table each move it; encFP is the
 	// encoder's content hash, which also keys persisted embeddings.
 	policyFP, encFP uint64
-	// fp folds both into the result-cache key component.
-	fp uint64
 }
 
 // PolicyInfo describes the engine's currently registered policy, in its
@@ -96,21 +88,12 @@ func fold(a, b uint64) uint64 {
 	return h.Sum64()
 }
 
-// swapArtifacts installs next, with its fingerprint derived, as the
-// registry snapshot and purges the result cache: rankings keyed under the
-// old fingerprint are unreachable anyway, so purging frees their LRU
-// slots. Callers hold addMu, so concurrent swaps of different artifacts
-// never lose one another.
-func (e *Engine) swapArtifacts(next artifacts) *artifacts {
-	next.fp = fold(next.policyFP, next.encFP)
-	a := &next
-	e.art.Store(a)
-	e.cache.purge()
-	return a
-}
-
-func policyInfoFor(a *artifacts) PolicyInfo {
-	info := PolicyInfo{
+// policyInfo describes a's policy; ok is false when none is loaded.
+func (a *artifacts) policyInfo() (info PolicyInfo, ok bool) {
+	if a.policy == nil {
+		return PolicyInfo{}, false
+	}
+	info = PolicyInfo{
 		Name:          core.RLS{Policy: a.policy, Table: a.table}.Name(),
 		K:             a.policy.K,
 		UseSuffix:     a.policy.UseSuffix,
@@ -123,15 +106,19 @@ func policyInfoFor(a *artifacts) PolicyInfo {
 		info.CompileDivergence = a.table.Divergence
 		info.CompiledFingerprint = fmt.Sprintf("%016x", a.table.Fingerprint())
 	}
-	return info
+	return info, true
 }
 
-func encoderInfoFor(a *artifacts) EncoderInfo {
+// encoderInfo describes a's encoder; ok is false when none is loaded.
+func (a *artifacts) encoderInfo() (EncoderInfo, bool) {
+	if a.enc == nil {
+		return EncoderInfo{}, false
+	}
 	return EncoderInfo{
 		Dim:         a.enc.Dim(),
 		Grid:        a.enc.Grid(),
 		Fingerprint: fmt.Sprintf("%016x", a.encFP),
-	}
+	}, true
 }
 
 // SetPolicy validates and registers a policy, making the "rls"/"rls-skip"
@@ -139,7 +126,7 @@ func encoderInfoFor(a *artifacts) EncoderInfo {
 // result cache. Invalid policies are rejected with a typed
 // invalid_argument error and leave the current registration untouched.
 // Safe for concurrent use with in-flight queries: each query pins the
-// snapshot it resolved.
+// generation it resolved against.
 func (e *Engine) SetPolicy(p *rl.Policy) (PolicyInfo, error) {
 	return e.SetPolicyCompiled(p, 0)
 }
@@ -172,20 +159,18 @@ func (e *Engine) SetPolicyCompiled(p *rl.Policy, resolution int) (PolicyInfo, er
 	}
 	e.addMu.Lock()
 	defer e.addMu.Unlock()
-	next := *e.art.Load()
-	next.policy, next.table, next.policyFP = p, table, fp
-	return policyInfoFor(e.swapArtifacts(next)), nil
+	next := e.cur.Load().successor()
+	art := *next.art
+	art.policy, art.table, art.policyFP = p, table, fp
+	next.art = &art
+	e.publish(next)
+	info, _ := art.policyInfo()
+	return info, nil
 }
 
 // Policy returns the registered policy's description; ok is false when none
 // is loaded.
-func (e *Engine) Policy() (PolicyInfo, bool) {
-	a := e.art.Load()
-	if a.policy == nil {
-		return PolicyInfo{}, false
-	}
-	return policyInfoFor(a), true
-}
+func (e *Engine) Policy() (PolicyInfo, bool) { return e.cur.Load().art.policyInfo() }
 
 // SetEncoder validates and registers a trajectory encoder, making the
 // "embed" algorithm and the ann prefilter servable, then re-embeds every
@@ -208,40 +193,39 @@ func (e *Engine) SetEncoder(m *t2vec.Model) (EncoderInfo, error) {
 	}
 	e.addMu.Lock()
 	defer e.addMu.Unlock()
-	// seqlock: queries racing the swap observe a changed generation and
-	// skip the cache put — see the matching check in topK
-	e.gen.Add(1)
-	defer e.gen.Add(1)
-	next := *e.art.Load()
-	next.enc, next.encFP = m, fp
-	a := e.swapArtifacts(next)
+	g := e.cur.Load()
+	next := g.successor()
+	art := *g.art
+	art.enc, art.encFP = m, fp
+	next.art = &art
 	// re-embed through placement's two phases: every stored record, shard
-	// by shard, into one FRESH meta slice (in-flight searches keep reading
-	// the old ones), cut back into per-shard views that are installed
-	// together; clipped, so a later Add appending behind one shard's view
-	// cannot write into the next one's
-	trajs := make([][]traj.Trajectory, len(e.shards))
-	all := make([]traj.Trajectory, 0, e.Len())
-	for si, s := range e.shards {
+	// by shard, into one FRESH meta slice, cut back into per-shard views;
+	// clipped, so a later Add appending behind one shard's view cannot
+	// write into the next one's
+	trajs := make([][]traj.Trajectory, len(g.shards))
+	all := make([]traj.Trajectory, 0, g.n)
+	for si, s := range g.shards {
 		trajs[si], _ = s.db.Contents()
 		all = append(all, trajs[si]...)
 	}
-	metas := e.derive(all, a, e.store.Load(), nil)
-	shardMetas := make([][]core.TrajMeta, len(e.shards))
+	metas := e.derive(all, &art, e.store.Load(), nil)
+	shardMetas := make([][]core.TrajMeta, len(g.shards))
 	for si, ts := range trajs {
 		shardMetas[si], metas = metas[:len(ts):len(ts)], metas[len(ts):]
 	}
-	e.parallel(len(e.shards), func(si int) {
-		e.shards[si].install(trajs[si], shardMetas[si], m)
+	e.parallel(len(g.shards), func(si int) {
+		next.shards[si] = g.shards[si].grow(trajs[si], shardMetas[si], m)
 	})
-	return encoderInfoFor(a), nil
+	e.publish(next)
+	info, _ := art.encoderInfo()
+	return info, nil
 }
 
 // Measures lists the measure names the engine can serve, sorted: the sim
 // registry's, plus "t2vec" exactly when an encoder is registered.
 func (e *Engine) Measures() []string {
 	names := sim.Names()
-	if e.art.Load().enc != nil {
+	if e.cur.Load().art.enc != nil {
 		names = append(names, "t2vec")
 		sort.Strings(names)
 	}
@@ -250,13 +234,7 @@ func (e *Engine) Measures() []string {
 
 // Encoder returns the registered encoder's description; ok is false when
 // none is loaded.
-func (e *Engine) Encoder() (EncoderInfo, bool) {
-	a := e.art.Load()
-	if a.enc == nil {
-		return EncoderInfo{}, false
-	}
-	return encoderInfoFor(a), true
-}
+func (e *Engine) Encoder() (EncoderInfo, bool) { return e.cur.Load().art.encoderInfo() }
 
 // binding is one query's resolution: the algorithm, the registration row
 // it was resolved from and the measure it scores under.
@@ -266,11 +244,11 @@ type binding struct {
 	m   sim.Measure
 }
 
-// resolve builds the measure and algorithm q names against the pinned
-// snapshot a. Measure "t2vec" binds a's encoder (measureFor); the api
-// registration table drives the rest: names, aliases, measure pinning
-// (embed is t2vec-only) and
-// parameter scoping come from its rows, a NeedsPolicy row binds a's policy
+// resolve builds the measure and algorithm q names against a, the
+// artifacts of the query's pinned generation. Measure "t2vec" binds a's
+// encoder (measureFor); the api registration table drives the rest: names,
+// aliases, measure pinning (embed is t2vec-only) and parameter scoping
+// come from its rows, a NeedsPolicy row binds a's policy
 // (which must be of the row's kind: split-only for "rls", with skip actions
 // for "rls-skip"), a NeedsEncoder row binds a's encoder, and every other
 // row goes to core.AlgorithmFor. An ann prefilter needs a's encoder too.
@@ -335,9 +313,9 @@ func ResolveQuery(measure, algorithm string, p Params) (core.Algorithm, error) {
 }
 
 // Resolve builds the measure and algorithm a query names against the
-// engine's current registry snapshot.
+// engine's current generation's artifacts.
 func (e *Engine) Resolve(q Query) (core.Algorithm, error) {
-	b, err := resolve(e.art.Load(), q)
+	b, err := resolve(e.cur.Load().art, q)
 	return b.alg, err
 }
 
@@ -364,10 +342,10 @@ type annQuery struct {
 // total candidate budget evenly across shards (rounding up, so the global
 // budget is a floor — every shard contributes, mirroring how the exact
 // scan's top-k draws from every shard).
-func (e *Engine) annQueryFor(enc *t2vec.Model, q Query) *annQuery {
-	n := len(e.shards)
+func annQueryFor(g *generation, q Query) *annQuery {
+	n := len(g.shards)
 	return &annQuery{
-		qEmb:   enc.QueryEmbedding(q.Q),
+		qEmb:   g.art.enc.QueryEmbedding(q.Q),
 		want:   (q.ANN.Candidates + n - 1) / n,
 		probes: q.ANN.Probes,
 	}
@@ -439,35 +417,13 @@ func (s *sampler) snapshot() (samples int64, means [3]float64) {
 	return s.samples, means
 }
 
-// rescan runs a sampler's reference search for one served ranking. gen is
-// the store generation observed before the served scan: if it was odd (a
-// load was in flight) or the store moved by the time the rescan finishes,
-// the two rankings may come from different snapshots and ok is false, so
-// the sample is dropped rather than poisoning the lifetime aggregates. The
-// rescan's pruning work is deliberately not folded into the engine's
-// serving counters.
-func (e *Engine) rescan(ctx context.Context, a *artifacts, alg core.Algorithm, q Query, gen uint64) (ref []Match, ok bool) {
-	// checked before the rescan (don't pay for a doomed sample) and again
-	// after (a load may complete mid-rescan)
-	if gen%2 != 0 || e.gen.Load() != gen {
-		return nil, false
-	}
-	ref, _, err := e.scatter(ctx, a, alg, q, nil)
-	if err != nil || e.gen.Load() != gen {
-		return nil, false
-	}
-	return ref, true
-}
-
 // rankedAnswers converts engine matches to the shared scorer's form,
-// dropping matches whose trajectory is no longer resolvable.
-func (e *Engine) rankedAnswers(ms []Match) []core.RankedAnswer {
+// resolving each trajectory in g; the matches come from scans of g, so
+// every ID resolves.
+func rankedAnswers(g *generation, ms []Match) []core.RankedAnswer {
 	out := make([]core.RankedAnswer, 0, len(ms))
 	for _, m := range ms {
-		t, ok := e.Traj(m.TrajID)
-		if !ok {
-			continue
-		}
+		t, _ := g.traj(m.TrajID)
 		out = append(out, core.RankedAnswer{ID: m.TrajID, T: t, R: m.Result})
 	}
 	return out
@@ -479,16 +435,18 @@ func (e *Engine) rankedAnswers(ms []Match) []core.RankedAnswer {
 // ratio, mean rank and skipped-point fraction of the paper's Tables 4–5
 // into the quality aggregates. Cost: one exact scan over the query's
 // candidates, plus — for skip policies — one policy walk per ranked match;
-// hence the QualitySample knob.
-func (e *Engine) sampleQuality(ctx context.Context, a *artifacts, m sim.Measure, q Query, approx []Match, gen uint64) {
+// hence the QualitySample knob. The rescan runs in g, the served ranking's
+// generation, and its pruning work is not folded into the serving counters.
+func (e *Engine) sampleQuality(ctx context.Context, g *generation, m sim.Measure, q Query, approx []Match) {
 	if len(approx) == 0 {
 		return
 	}
-	exact, ok := e.rescan(ctx, a, core.ExactS{M: m}, q, gen)
-	if !ok {
+	exact, _, err := e.scatter(ctx, g, core.ExactS{M: m}, q, nil)
+	if err != nil {
 		return
 	}
-	res, ok := core.ScoreApproxQuality(m, a.policy, q.Q, e.rankedAnswers(approx), e.rankedAnswers(exact))
+	a := g.art
+	res, ok := core.ScoreApproxQuality(m, a.policy, q.Q, rankedAnswers(g, approx), rankedAnswers(g, exact))
 	if !ok {
 		return
 	}
@@ -508,11 +466,12 @@ func (e *Engine) sampleQuality(ctx context.Context, a *artifacts, m sim.Measure,
 // sampleRecall scores one served ANN-prefiltered ranking against the
 // exhaustive-candidate ranking of the same algorithm (for algorithm
 // "exacts" this is literally recall@k vs ExactS): the fraction of the
-// exact top-k's trajectory IDs the prefiltered ranking retained.
-func (e *Engine) sampleRecall(ctx context.Context, a *artifacts, alg core.Algorithm, q Query, approx []Match, gen uint64) {
+// exact top-k's trajectory IDs the prefiltered ranking retained. Like
+// sampleQuality's, the rescan runs in g and is not counted.
+func (e *Engine) sampleRecall(ctx context.Context, g *generation, alg core.Algorithm, q Query, approx []Match) {
 	q.ANN = nil
-	exact, ok := e.rescan(ctx, a, alg, q, gen)
-	if !ok {
+	exact, _, err := e.scatter(ctx, g, alg, q, nil)
+	if err != nil {
 		return
 	}
 	if len(exact) == 0 {

@@ -8,23 +8,16 @@ import (
 	"simsub/internal/traj"
 )
 
-// cacheKey identifies one full (unpaged) top-k ranking. The generation
-// counter is bumped on every bulk load, so results computed against an
-// older store version become unreachable and age out of the LRU instead of
-// being served stale. Every spec dimension that changes the ranking is
-// part of the key — measure/algorithm names and their parameter overrides,
-// k, the spatial filter, distinct collapsing, the ann prefilter's knobs,
-// and the fingerprint of the registry snapshot (policy and encoder) the
-// ranking was computed under — while offset/limit are deliberately absent:
-// pages are windows over the cached full ranking, so every page of a query
-// hits the same entry.
-//
-// The snapshot fingerprint makes hot swaps cache-correct without any
-// locking: a query pins the snapshot it resolved, so a ranking that raced
-// a swap is keyed under the old fingerprint, which no post-swap lookup can
-// construct — the cache can never serve a ranking computed under a policy
-// or encoder other than the currently registered one. Keying every query
-// by it loses no hit, since every swap purges the cache anyway.
+// cacheKey identifies one full (unpaged) top-k ranking. gen is the id of
+// the generation the ranking was computed in, which moves with every load
+// and every policy or encoder swap (generation.go): a ranking is never
+// served under a store or an artifact other than its own, and rankings of
+// superseded generations age out of the LRU (each publication purges it
+// too). Every spec dimension that changes the ranking is part of the key —
+// measure/algorithm names and their parameter overrides, k, the spatial
+// filter, distinct collapsing, the ann prefilter's knobs — while
+// offset/limit are deliberately absent: pages are windows over the cached
+// full ranking, so every page of a query hits the same entry.
 type cacheKey struct {
 	gen       uint64
 	measure   string
@@ -39,23 +32,21 @@ type cacheKey struct {
 	// it must never be served to a query with a different (or no) bound.
 	bound     float64
 	hasBound  bool
-	fp        uint64
 	annCands  int
 	annProbes int
 	digest    uint64
 }
 
 // cacheKeyFor derives the ranking's cache key from the query spec and the
-// fingerprint of the query's pinned registry snapshot.
-func (e *Engine) cacheKeyFor(q Query, fp uint64) cacheKey {
+// id of the query's pinned generation.
+func (e *Engine) cacheKeyFor(q Query, gen uint64) cacheKey {
 	key := cacheKey{
-		gen:      e.gen.Load(),
+		gen:      gen,
 		measure:  q.Measure,
 		algo:     q.Algorithm,
 		k:        q.K,
 		params:   q.Params,
 		distinct: q.Distinct,
-		fp:       fp,
 		digest:   q.Q.Digest(),
 	}
 	if q.ANN != nil {
@@ -133,9 +124,9 @@ func (c *resultCache) len() int {
 	return c.ll.Len()
 }
 
-// purge drops every entry. Called on bulk loads: the generation bump makes
-// old entries unreachable anyway, so purging frees their LRU slots rather
-// than letting dead entries crowd out fresh answers.
+// purge drops every entry. Called on every publication: the new
+// generation's id makes old entries unreachable anyway, so purging frees
+// their LRU slots rather than letting dead entries crowd out fresh answers.
 func (c *resultCache) purge() {
 	if c == nil {
 		return

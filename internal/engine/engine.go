@@ -8,8 +8,10 @@
 // concurrent service: trajectories are distributed round-robin over shards
 // by global ID, each top-k query fans out one bounded task per shard
 // (core's cancellable threshold scan), and the shard workers offer their
-// matches straight into the query's core.Collector. Package server exposes
-// it over HTTP.
+// matches straight into the query's core.Collector. A query reads one
+// immutable generation of the store and its learned artifacts, however
+// many loads and swaps publish while it runs (generation.go). Package
+// server exposes it over HTTP.
 package engine
 
 import (
@@ -23,13 +25,11 @@ import (
 	"slices"
 
 	"simsub/api"
-	"simsub/internal/ann"
 	"simsub/internal/core"
 	"simsub/internal/failpoint"
 	"simsub/internal/geo"
 	"simsub/internal/sim"
 	"simsub/internal/storage"
-	"simsub/internal/t2vec"
 	"simsub/internal/traj"
 )
 
@@ -55,7 +55,7 @@ type Config struct {
 	// Workers bounds the number of concurrently executing per-shard search
 	// tasks across all in-flight queries (default GOMAXPROCS), and the
 	// goroutines that make records searchable: placement (Add, AttachStore,
-	// SetEncoder's re-embed) encodes records and installs shard views on up
+	// SetEncoder's re-embed) encodes records and builds shard views on up
 	// to Workers goroutines of its own. It does not take the query slots:
 	// it runs under the load lock, and a streamed query's scanner may hold a
 	// slot until its deadline, which would stall every load behind it.
@@ -213,88 +213,17 @@ type Match struct {
 // Stats is a point-in-time snapshot of engine counters, in its wire form.
 type Stats = api.Stats
 
-// shard is one partition of the store: the trajectories with global IDs ≡
-// shard index mod shard count, held by a core.Database view. Views are
-// immutable: a load or an encoder swap builds the next one beside the
-// current one and installs it under the write lock, which is held for the
-// pointer swap only, so in-flight searches keep their consistent view and
-// new ones never wait on an index build. Every mutation runs under
-// Engine.addMu, so the fields have one writer at a time and that writer may
-// read them without the lock.
-type shard struct {
-	mu sync.RWMutex
-	db *core.Database
-	// ann indexes the shard's embeddings (TrajMeta.Emb) for the approximate
-	// candidate prefilter; nil until an encoder is registered. Installed
-	// together with db, so a view() is always consistent.
-	ann *ann.Index
-	// enc is the encoder db's embeddings and ann came from (nil before one
-	// is registered). An encoder swap publishes the new encoder before it
-	// re-embeds the shards, so a query compares it against its own pinned
-	// encoder before trusting the stored vectors (see scan).
-	enc *t2vec.Model
-}
-
-// add appends a batch with its scan metadata (metas aligned with ts).
-// Readers of the current view never look past its length, so appending in
-// place behind it is safe.
-func (s *shard) add(ts []traj.Trajectory, metas []core.TrajMeta, enc *t2vec.Model) {
-	stored, storedMetas := s.db.Contents()
-	s.install(append(stored, ts...), append(storedMetas, metas...), enc)
-}
-
-// install makes (trajs, metas) the shard's contents, which must extend the
-// current ones (metadata may differ in its embeddings only): the database
-// view is grown with core.Database.Append — whatever the index kind — and,
-// with an encoder registered, the LSH index is rebuilt over every stored
-// embedding, both outside the lock.
-func (s *shard) install(trajs []traj.Trajectory, metas []core.TrajMeta, enc *t2vec.Model) {
-	db := s.db.Append(trajs, metas)
-	var ix *ann.Index
-	if enc != nil {
-		vecs := make([][]float64, len(metas))
-		for i := range metas {
-			vecs[i] = metas[i].Emb
-		}
-		ix = ann.Build(vecs, enc.Dim(), ann.Config{})
-	}
-	s.mu.Lock()
-	s.db, s.ann, s.enc = db, ix, enc
-	s.mu.Unlock()
-}
-
-// view returns the shard's current database together with the LSH index
-// built over the same meta slice and the encoder both came from: a
-// consistent triple, immutable once built and safe to search after the lock
-// is released.
-func (s *shard) view() (*core.Database, *ann.Index, *t2vec.Model) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.db, s.ann, s.enc
-}
-
-// scan runs the one threshold scan over the shard's current snapshot,
-// pruning against col and handing fn every surviving match under its global
-// trajectory ID. With annq set (and an index built), the candidates are the
-// index's embedding-nearest members rather than the spatial enumeration.
-// enc is the query's pinned encoder: a view embedded under another one (an
-// encoder swap has not re-embedded this shard yet) has its vectors ignored,
-// so "embed" encodes every candidate afresh and an ann query scans the
-// spatial candidates — one search never scores two encoders' vectors.
-func (s *shard) scan(ctx context.Context, enc *t2vec.Model, alg core.Algorithm, q Query, col *core.Collector, st *core.PruneStats, annq *annQuery, fn func(core.Match) error) error {
-	db, ix, viewEnc := s.view()
+// scan runs the one threshold scan over the shard, pruning against col and
+// handing fn every surviving match under its global trajectory ID. With
+// annq set (and an index built), the candidates are the index's
+// embedding-nearest members rather than the spatial enumeration.
+func (s shard) scan(ctx context.Context, alg core.Algorithm, q Query, col *core.Collector, st *core.PruneStats, annq *annQuery, fn func(core.Match) error) error {
 	var cands []int
-	switch {
-	case viewEnc != enc:
-		if er, ok := alg.(core.EmbedRank); ok {
-			er.Reencode = true
-			alg = er
-		}
-	case annq != nil && ix != nil:
-		cands = annq.candidates(ix)
+	if annq != nil && s.ann != nil {
+		cands = annq.candidates(s.ann)
 	}
-	return db.ScanPrunedSourceCtx(ctx, alg, q.Q, q.Filter, col, st, cands, func(m core.Match) error {
-		m.TrajIndex = db.Traj(m.TrajIndex).ID
+	return s.db.ScanPrunedSourceCtx(ctx, alg, q.Q, q.Filter, col, st, cands, func(m core.Match) error {
+		m.TrajIndex = s.db.Traj(m.TrajIndex).ID
 		return fn(m)
 	})
 }
@@ -302,16 +231,15 @@ func (s *shard) scan(ctx context.Context, enc *t2vec.Model, alg core.Algorithm, 
 // Engine is a sharded, concurrent trajectory-search service. All methods
 // are safe for concurrent use.
 type Engine struct {
-	cfg    Config
-	shards []*shard
-	sem    chan struct{} // bounded worker pool: one slot per running shard task
-	cache  *resultCache
+	cfg   Config
+	sem   chan struct{} // bounded worker pool: one slot per running shard task
+	cache *resultCache
 
-	addMu  sync.Mutex                    // serializes bulk loads so IDs land in shard order
-	store  atomic.Pointer[storage.Store] // durable write-ahead log; nil = in-memory only
-	nextID atomic.Int64
-	points atomic.Int64
-	gen    atomic.Uint64
+	// cur is the published generation: the shard views and the registered
+	// artifacts every query reads, through one load; see generation.go.
+	cur   atomic.Pointer[generation]
+	addMu sync.Mutex                    // serializes writers, so IDs land in shard order
+	store atomic.Pointer[storage.Store] // durable write-ahead log; nil = in-memory only
 
 	queries  atomic.Int64
 	hits     atomic.Int64
@@ -329,10 +257,6 @@ type Engine struct {
 	deadlineRejects atomic.Int64
 	degradedQueries atomic.Int64
 
-	// art is the serving-artifact registry snapshot: the DQN splitting
-	// policy serving "rls"/"rls-skip" and the trajectory encoder serving
-	// "embed" and the ANN candidate prefilter; see artifact.go.
-	art        atomic.Pointer[artifacts]
 	rlsQueries atomic.Int64
 	annQueries atomic.Int64
 	quality    sampler // approximation ratio, mean rank, skipped fraction
@@ -350,16 +274,16 @@ func (e *Engine) recordPrune(st core.PruneStats) {
 func New(cfg Config) *Engine {
 	cfg.fill()
 	e := &Engine{
-		cfg:    cfg,
-		shards: make([]*shard, cfg.Shards),
-		sem:    make(chan struct{}, cfg.Workers),
-		cache:  newResultCache(cfg.CacheSize),
-		adm:    newAdmitter(cfg.QuerySlots, cfg.QueueLimit, cfg.QueueTarget, cfg.QueueInterval),
+		cfg:   cfg,
+		sem:   make(chan struct{}, cfg.Workers),
+		cache: newResultCache(cfg.CacheSize),
+		adm:   newAdmitter(cfg.QuerySlots, cfg.QueueLimit, cfg.QueueTarget, cfg.QueueInterval),
 	}
-	for i := range e.shards {
-		e.shards[i] = &shard{db: core.NewDatabase(nil, cfg.Index != ScanAll)}
+	g := &generation{art: &artifacts{}, shards: make([]shard, cfg.Shards)}
+	for i := range g.shards {
+		g.shards[i].db = core.NewDatabase(nil, cfg.Index != ScanAll)
 	}
-	e.art.Store(&artifacts{})
+	e.cur.Store(g)
 	return e
 }
 
@@ -375,8 +299,8 @@ func New(cfg Config) *Engine {
 func (e *Engine) Add(ts []traj.Trajectory) ([]int, error) {
 	e.addMu.Lock()
 	defer e.addMu.Unlock()
+	g := e.cur.Load()
 	st := e.store.Load()
-	base := int(e.nextID.Load())
 	var stored []traj.Trajectory
 	if st != nil {
 		var err error
@@ -387,22 +311,15 @@ func (e *Engine) Add(ts []traj.Trajectory) ([]int, error) {
 	} else {
 		stored = make([]traj.Trajectory, len(ts))
 		for i, t := range ts {
-			t.ID = base + i
+			t.ID = g.n + i
 			stored[i] = t
 		}
 	}
-	// seqlock on the store generation: odd while shards are being swapped,
-	// even when stable. A query caches its answer only if the generation
-	// was even and unchanged across its whole search, so a ranking built
-	// from a mixed pre/post-load snapshot can never enter the cache.
-	e.gen.Add(1)
-	defer e.gen.Add(1)
-	e.place(stored, st, nil)
+	e.publish(e.place(g, stored, st, nil))
 	ids := make([]int, len(ts))
 	for i := range ids {
-		ids[i] = base + i
+		ids[i] = g.n + i
 	}
-	e.cache.purge()
 	return ids, nil
 }
 
@@ -418,51 +335,50 @@ func (e *Engine) AttachStore(st *storage.Store) error {
 	if e.store.Load() != nil {
 		return api.Errorf(api.CodeInternal, "engine already has a store attached")
 	}
-	if e.Len() != 0 {
-		return api.Errorf(api.CodeInternal, "cannot attach a store to a non-empty engine (%d trajectories loaded)", e.Len())
+	g := e.cur.Load()
+	if g.n != 0 {
+		return api.Errorf(api.CodeInternal, "cannot attach a store to a non-empty engine (%d trajectories loaded)", g.n)
 	}
-	e.gen.Add(1)
-	defer e.gen.Add(1)
 	var reuse [][]float64
-	if a := e.art.Load(); a.enc != nil {
+	if a := g.art; a.enc != nil {
 		// checkpointed embeddings are reused only under the exact
 		// registered encoder (fingerprint match); anything else re-encodes
 		if fp, embs, ok := st.Embeddings(); ok && fp == a.encFP {
 			reuse = embs
 		}
 	}
-	e.place(st.Records(), st, reuse)
+	e.publish(e.place(g, st.Records(), st, reuse))
 	e.store.Store(st)
-	e.cache.purge()
 	return nil
 }
 
-// place makes ts — records whose dense global IDs are already assigned,
-// continuing the engine's sequence — searchable under the registered
-// encoder, in two phases on the engine's workers: derive's, per record, and
-// then one per affected shard, which grows once (records land on shard ID
-// mod shards). The bucketing between them is serial, so every view is the
-// one a serial placement builds. The caller holds addMu and the generation
-// seqlock.
-func (e *Engine) place(ts []traj.Trajectory, st *storage.Store, reuse [][]float64) {
-	a := e.art.Load()
-	metas := e.derive(ts, a, st, reuse)
-	buckets := make([][]traj.Trajectory, len(e.shards))
-	metaBuckets := make([][]core.TrajMeta, len(e.shards))
-	var pts int64
+// place returns the successor of g in which ts — records whose dense global
+// IDs continue g's sequence — are searchable under g's encoder, built in two
+// phases on the engine's workers: derive's, per record, and then one per
+// affected shard, which grows once (records land on shard ID mod shards).
+// The bucketing between them is serial, so every view is the one a serial
+// placement builds. The caller holds addMu and publishes the result.
+func (e *Engine) place(g *generation, ts []traj.Trajectory, st *storage.Store, reuse [][]float64) *generation {
+	metas := e.derive(ts, g.art, st, reuse)
+	next := g.successor()
+	buckets := make([][]traj.Trajectory, len(g.shards))
+	metaBuckets := make([][]core.TrajMeta, len(g.shards))
 	for i, t := range ts {
-		si := t.ID % len(e.shards)
+		si := t.ID % len(g.shards)
 		buckets[si] = append(buckets[si], t)
 		metaBuckets[si] = append(metaBuckets[si], metas[i])
-		pts += int64(t.Len())
+		next.points += int64(t.Len())
 	}
-	e.parallel(len(e.shards), func(si int) {
+	next.n += len(ts)
+	e.parallel(len(g.shards), func(si int) {
 		if len(buckets[si]) > 0 {
-			e.shards[si].add(buckets[si], metaBuckets[si], a.enc)
+			// appending behind g's view is safe: its readers never look
+			// past its length, and g is the newest view of these arrays
+			stored, storedMetas := g.shards[si].db.Contents()
+			next.shards[si] = g.shards[si].grow(append(stored, buckets[si]...), append(storedMetas, metaBuckets[si]...), g.art.enc)
 		}
 	})
-	e.nextID.Add(int64(len(ts)))
-	e.points.Add(pts)
+	return next
 }
 
 // derive is placement's per-record phase: each record's scan metadata
@@ -519,24 +435,14 @@ func (e *Engine) parallel(n int, fn func(i int)) {
 func (e *Engine) Store() *storage.Store { return e.store.Load() }
 
 // Len returns the number of stored trajectories.
-func (e *Engine) Len() int { return int(e.nextID.Load()) }
+func (e *Engine) Len() int { return e.cur.Load().n }
 
 // Traj returns the trajectory with the given global ID.
-func (e *Engine) Traj(id int) (traj.Trajectory, bool) {
-	if id < 0 || id >= e.Len() {
-		return traj.Trajectory{}, false
-	}
-	db, _, _ := e.shards[id%len(e.shards)].view()
-	local := id / len(e.shards)
-	if local >= db.Len() {
-		return traj.Trajectory{}, false
-	}
-	return db.Traj(local), true
-}
+func (e *Engine) Traj(id int) (traj.Trajectory, bool) { return e.cur.Load().traj(id) }
 
 func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
-// measureFor builds the named measure against the pinned snapshot a,
+// measureFor builds the named measure against the pinned artifacts a,
 // applying parameter overrides. "t2vec" is a's registered encoder, the one
 // model behind the name, and fails when none is registered; every other
 // name comes from the sim registry. The one measure parameter, edr_eps, is
@@ -571,7 +477,7 @@ func measureFor(a *artifacts, name string, p Params) (sim.Measure, error) {
 // errors before any search work starts. The same checks guard the wire
 // boundary (api.Trajectory.ToTraj) and the in-process path, so NaN/Inf
 // coordinates and nonsensical k/pages can never reach a distance kernel.
-func (e *Engine) validateQuery(q Query) *api.Error {
+func validateQuery(g *generation, q Query) *api.Error {
 	if q.Q.Len() == 0 {
 		return api.Errorf(api.CodeInvalidArgument, "query trajectory is empty")
 	}
@@ -580,7 +486,7 @@ func (e *Engine) validateQuery(q Query) *api.Error {
 			return api.Errorf(api.CodeInvalidArgument, "query point %d has a non-finite coordinate", i)
 		}
 	}
-	if aerr := q.ValidatePage(e.Len()); aerr != nil {
+	if aerr := q.ValidatePage(g.n); aerr != nil {
 		return aerr
 	}
 	if q.Bound != nil {
@@ -706,9 +612,9 @@ func (e *Engine) TopKStream(ctx context.Context, q Query, emit func(Match) error
 // prune like local ones from the first candidate. With a non-nil emit,
 // every match the collector retains is also handed to emit on the calling
 // goroutine. scatter is the common scan core of topK and of the samplers'
-// reference rescans; a is the query's pinned registry snapshot, whose
-// encoder resolve has checked for every ann-prefiltered query.
-func (e *Engine) scatter(ctx context.Context, a *artifacts, alg core.Algorithm, q Query, emit func(Match) error) ([]Match, core.PruneStats, error) {
+// reference rescans; g is the query's pinned generation, whose encoder
+// resolve has checked for every ann-prefiltered query.
+func (e *Engine) scatter(ctx context.Context, g *generation, alg core.Algorithm, q Query, emit func(Match) error) ([]Match, core.PruneStats, error) {
 	col := core.NewCollector(q.K)
 	if q.Bound != nil {
 		col.Seed(*q.Bound)
@@ -717,7 +623,7 @@ func (e *Engine) scatter(ctx context.Context, a *artifacts, alg core.Algorithm, 
 	// and shared by every shard worker, like the collector
 	var annq *annQuery
 	if q.ANN != nil {
-		annq = e.annQueryFor(a.enc, q)
+		annq = annQueryFor(g, q)
 	}
 	// The stream hand-off: scanners send what the collector retained to the
 	// calling goroutine, which runs emit — no per-shard completion barrier
@@ -742,12 +648,12 @@ func (e *Engine) scatter(ctx context.Context, a *artifacts, alg core.Algorithm, 
 			return ctx.Err()
 		}
 	}
-	stats := make([]core.PruneStats, len(e.shards))
-	errs := make([]error, len(e.shards))
+	stats := make([]core.PruneStats, len(g.shards))
+	errs := make([]error, len(g.shards))
 	var wg sync.WaitGroup
-	for i, s := range e.shards {
+	for i, s := range g.shards {
 		wg.Add(1)
-		go func(i int, s *shard) {
+		go func(i int, s shard) {
 			defer wg.Done()
 			select {
 			case e.sem <- struct{}{}:
@@ -760,7 +666,7 @@ func (e *Engine) scatter(ctx context.Context, a *artifacts, alg core.Algorithm, 
 				errs[i] = ferr
 				return
 			}
-			errs[i] = s.scan(ctx, a.enc, alg, q, col, &stats[i], annq, offer)
+			errs[i] = s.scan(ctx, alg, q, col, &stats[i], annq, offer)
 		}(i, s)
 	}
 	var prune core.PruneStats
@@ -814,13 +720,14 @@ func ranking(col *core.Collector) []Match {
 // the result's Total, and the degradation marker when the
 // overload-resilience plan substituted a cheaper algorithm.
 func (e *Engine) topK(ctx context.Context, q Query, emit func(Match) error) (full, page []Match, cached bool, deg *api.Degraded, err error) {
-	if aerr := e.validateQuery(q); aerr != nil {
+	// the query's one load of the generation: validation, resolution, the
+	// cache key, the cost model, the scan, the samplers and the ID lookups
+	// all read it
+	g := e.cur.Load()
+	if aerr := validateQuery(g, q); aerr != nil {
 		return nil, nil, false, nil, aerr
 	}
-	// the query's one load of the registry snapshot: resolution, the cache
-	// key, the ann query embedding and the samplers all read it
-	a := e.art.Load()
-	b, err := resolve(a, q)
+	b, err := resolve(g.art, q)
 	if err != nil {
 		return nil, nil, false, nil, err
 	}
@@ -849,14 +756,14 @@ func (e *Engine) topK(ctx context.Context, q Query, emit func(Match) error) (ful
 		return ms, page, true, nil
 	}
 	if e.cache != nil {
-		key = e.cacheKeyFor(q, a.fp)
+		key = e.cacheKeyFor(q, g.id)
 		if full, page, hit, err := probe(); hit {
 			return full, page, err == nil, nil, err
 		}
 		e.misses.Add(1)
 	}
 
-	rel, deg, aerr := e.planAdmit(ctx, a, &q)
+	rel, deg, aerr := e.planAdmit(ctx, g, &q)
 	if aerr != nil {
 		return nil, nil, false, nil, aerr
 	}
@@ -864,45 +771,43 @@ func (e *Engine) topK(ctx context.Context, q Query, emit func(Match) error) (ful
 	if deg != nil {
 		// the plan substituted a cheaper algorithm: rebind it and retry the
 		// cache under the rewritten query's key
-		if b, err = resolve(a, q); err != nil {
+		if b, err = resolve(g.art, q); err != nil {
 			return nil, nil, false, nil, err
 		}
 		if e.cache != nil {
-			key = e.cacheKeyFor(q, a.fp)
+			key = e.cacheKeyFor(q, g.id)
 			if full, page, hit, err := probe(); hit {
 				return full, page, err == nil, deg, err
 			}
 		}
 	}
 
-	gen := e.gen.Load()
-	n := e.Len()
 	scanStart := time.Now()
-	merged, prune, err := e.scatter(ctx, a, b.alg, q, emit)
+	merged, prune, err := e.scatter(ctx, g, b.alg, q, emit)
 	if err != nil {
 		return nil, nil, false, nil, err
 	}
 	e.served(b, q)
-	e.cost.observe(q.Measure, q.Algorithm, n, time.Since(scanStart))
+	e.cost.observe(q.Measure, q.Algorithm, g.n, time.Since(scanStart))
 	e.recordPrune(prune)
 	// sampled serving quality of the learned searches: compare this ranking
-	// against the exact one over the same snapshot — before distinct
+	// against the exact one over the same generation — before distinct
 	// collapsing, which the exact reference scan does not apply
 	if b.row.NeedsPolicy && e.quality.sampled(e.cfg.QualitySample) {
-		e.sampleQuality(ctx, a, b.m, q, merged, gen)
+		e.sampleQuality(ctx, g, b.m, q, merged)
 	}
 	// sampled ANN recall: compare the prefiltered ranking against the same
-	// search over the exhaustive candidate set, on the same snapshot
+	// search over the exhaustive candidate set, in the same generation
 	if q.ANN != nil && e.recall.sampled(e.cfg.RecallSample) {
-		e.sampleRecall(ctx, a, b.alg, q, merged, gen)
+		e.sampleRecall(ctx, g, b.alg, q, merged)
 	}
 	if q.Distinct {
-		merged = CollapseDistinct(merged, e.Traj)
+		merged = CollapseDistinct(merged, g.traj)
 	}
-	// only cache if the store was stable (even generation) and no load
-	// overlapped the search — see the seqlock in Add. The cache keeps its
-	// own copy so the miss-path return stays caller-owned.
-	if e.cache != nil && key.gen%2 == 0 && e.gen.Load() == key.gen {
+	// cache only while g is current: a ranking of a superseded generation
+	// would sit under a key no lookup constructs. The cache keeps its own
+	// copy so the miss-path return stays caller-owned.
+	if e.cache != nil && e.cur.Load() == g {
 		e.cache.put(key, q.Q, slices.Clone(merged))
 	}
 	return merged, PageOf(merged, q.Offset, q.Limit), false, deg, nil
@@ -925,10 +830,11 @@ func MergeTopK(lists [][]Match, k int) []Match {
 
 // Stats snapshots the engine counters.
 func (e *Engine) Stats() Stats {
+	g := e.cur.Load()
 	st := Stats{
-		Trajectories:   e.Len(),
-		Points:         int(e.points.Load()),
-		Shards:         len(e.shards),
+		Trajectories:   g.n,
+		Points:         int(g.points),
+		Shards:         len(g.shards),
 		Workers:        e.cfg.Workers,
 		Queries:        e.queries.Load(),
 		CacheHits:      e.hits.Load(),
@@ -948,7 +854,7 @@ func (e *Engine) Stats() Stats {
 		QueueWaitMS:     api.MS(e.adm.queueWait()),
 		Shedding:        e.adm.shedding.Load(),
 	}
-	if info, ok := e.Policy(); ok {
+	if info, ok := g.art.policyInfo(); ok {
 		st.PolicyLoaded = true
 		st.PolicyName = info.Name
 		st.PolicyFingerprint = info.Fingerprint
@@ -960,7 +866,7 @@ func (e *Engine) Stats() Stats {
 	var quality, recall [3]float64
 	st.QualitySamples, quality = e.quality.snapshot()
 	st.ApproxRatio, st.MeanRank, st.SkippedFraction = quality[0], quality[1], quality[2]
-	if info, ok := e.Encoder(); ok {
+	if info, ok := g.art.encoderInfo(); ok {
 		st.EncoderLoaded = true
 		st.EncoderFingerprint = info.Fingerprint
 		st.EncoderDim = info.Dim

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"os"
 	"reflect"
@@ -18,9 +17,7 @@ import (
 )
 
 // Tests for placement — the two parallel phases that make records
-// searchable in Add, AttachStore and SetEncoder — and for the encoder
-// check that keeps a search from scoring another encoder's vectors while
-// SetEncoder re-embeds.
+// searchable in Add, AttachStore and SetEncoder.
 
 // withProcs runs the test body at GOMAXPROCS(4), restoring it after, so an
 // engine built in it places records on four workers (the default).
@@ -30,7 +27,8 @@ func withProcs(t *testing.T) {
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
-// checkPlaced holds every shard's view of e to a serial recomputation: each
+// checkPlaced holds every shard view of e's current generation to a serial
+// recomputation: the generation's encoder is enc, each
 // record's metadata is core.DeriveMeta plus enc.Embed of its trajectory, bit
 // for bit, the view's LSH index equals one built serially over those
 // vectors, and st (when non-nil) holds the same embedding at every ID.
@@ -44,16 +42,17 @@ func checkPlaced(t *testing.T, stage string, e *Engine, enc *t2vec.Model, st *st
 		}
 		stored = embs
 	}
+	g := e.cur.Load()
+	if g.art.enc != enc {
+		t.Fatalf("%s: the generation is embedded under another encoder", stage)
+	}
 	n := 0
-	for si, s := range e.shards {
-		db, ix, viewEnc := s.view()
-		if viewEnc != enc {
-			t.Fatalf("%s: shard %d's view is embedded under another encoder", stage, si)
-		}
+	for si, s := range g.shards {
+		db, ix := s.db, s.ann
 		vecs := make([][]float64, db.Len())
 		for li := range db.Len() {
 			tr, got := db.Traj(li), db.Meta(li)
-			id := li*len(e.shards) + si
+			id := li*len(g.shards) + si
 			if tr.ID != id {
 				t.Fatalf("%s: shard %d local %d holds ID %d, want %d", stage, si, li, tr.ID, id)
 			}
@@ -72,8 +71,8 @@ func checkPlaced(t *testing.T, stage string, e *Engine, enc *t2vec.Model, st *st
 		}
 		n += db.Len()
 	}
-	if n != e.Len() {
-		t.Fatalf("%s: shards hold %d records, engine reports %d", stage, n, e.Len())
+	if n != g.n {
+		t.Fatalf("%s: shards hold %d records, the generation reports %d", stage, n, g.n)
 	}
 }
 
@@ -259,59 +258,4 @@ func TestQueriesDuringParallelAdd(t *testing.T) {
 	}
 	checkPlaced(t, "after the Add stream", e, enc, nil)
 	checkRankings(t, "after the Add stream", e, fresh, specs)
-}
-
-// TestMidSwapSearchIgnoresOtherEncoder sets up the state SetEncoder passes
-// through — the new encoder published, the shards still embedded under the
-// old one, both of the same dimension — and queries it: embed must rank as
-// an engine built under the new encoder does, and an ann query must fall
-// back to the spatial candidates rather than probe the old index with the
-// new query vector.
-func TestMidSwapSearchIgnoresOtherEncoder(t *testing.T) {
-	rng := rand.New(rand.NewSource(52))
-	ts := randSet(rng, 240)
-	oldEnc, newEnc := t2vec.NewRandomModel(8, 1), t2vec.NewRandomModel(8, 2)
-	e := New(Config{Shards: 3})
-	if _, err := e.SetEncoder(oldEnc); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Add(ts); err != nil {
-		t.Fatal(err)
-	}
-	fp, err := EncoderFingerprint(newEnc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.addMu.Lock()
-	next := *e.art.Load()
-	next.enc, next.encFP = newEnc, fp
-	e.swapArtifacts(next)
-	e.addMu.Unlock()
-
-	ref := New(Config{Shards: 3})
-	if _, err := ref.SetEncoder(newEnc); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ref.Add(ts); err != nil {
-		t.Fatal(err)
-	}
-	for qi := range 3 {
-		q := randTraj(rng, 6+3*qi)
-		embed := Query{Q: q, K: 5, Measure: "t2vec", Algorithm: "embed"}
-		checkRankings(t, fmt.Sprintf("mid-swap embed %d", qi), e, ref, []Query{embed})
-
-		exact := Query{Q: q, K: 5, Measure: "dtw", Algorithm: "exacts"}
-		want, _, err := e.TopK(context.Background(), exact)
-		if err != nil {
-			t.Fatal(err)
-		}
-		exact.ANN = &ANNParams{Candidates: 9, Probes: 2}
-		got, _, err := e.TopK(context.Background(), exact)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !matchesEqual(got, want) {
-			t.Fatalf("mid-swap ann query %d ranks %+v, the spatial candidates rank %+v", qi, got, want)
-		}
-	}
 }

@@ -62,11 +62,11 @@ func recoveryEngine(t *testing.T, enc *t2vec.Model) *Engine {
 
 // embeddingsOf returns every stored trajectory's embedding, by global ID.
 func embeddingsOf(e *Engine) [][]float64 {
-	out := make([][]float64, e.Len())
-	for si, s := range e.shards {
-		db, _, _ := s.view()
-		for li := range db.Len() {
-			out[li*len(e.shards)+si] = db.Meta(li).Emb
+	g := e.cur.Load()
+	out := make([][]float64, g.n)
+	for si, s := range g.shards {
+		for li := range s.db.Len() {
+			out[li*len(g.shards)+si] = s.db.Meta(li).Emb
 		}
 	}
 	return out

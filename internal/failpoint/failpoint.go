@@ -169,18 +169,12 @@ func parseSpec(name, spec string) (*point, error) {
 	switch {
 	case term == "drop":
 		p.kind = kindDrop
-	case strings.HasPrefix(term, "sleep("):
-		rest := term
-		var errMsg string
-		if i := strings.Index(term, ")->error("); i > 0 && strings.HasSuffix(term, ")") {
-			rest = term[:i+1]
-			errMsg = term[i+len(")->error(") : len(term)-1]
-			p.kind = kindSleepError
-			p.msg = errMsg
-		} else {
-			p.kind = kindSleep
+	case strings.HasPrefix(term, "sleep(") && strings.HasSuffix(term, ")"):
+		inner := term[len("sleep(") : len(term)-1]
+		p.kind = kindSleep
+		if d, msg, ok := strings.Cut(inner, ")->error("); ok {
+			inner, p.msg, p.kind = d, msg, kindSleepError
 		}
-		inner := strings.TrimSuffix(strings.TrimPrefix(rest, "sleep("), ")")
 		d, err := time.ParseDuration(inner)
 		if err != nil || d < 0 {
 			return nil, fmt.Errorf("failpoint %s: bad sleep duration %q", name, inner)
@@ -194,7 +188,7 @@ func parseSpec(name, spec string) (*point, error) {
 		}
 		if fr, ok := arg("partial"); ok {
 			f, err := strconv.ParseFloat(fr, 64)
-			if err != nil || f < 0 || f >= 1 {
+			if err != nil || !(f >= 0 && f < 1) { // NaN fails both
 				return nil, fmt.Errorf("failpoint %s: partial fraction must be in [0,1), got %q", name, fr)
 			}
 			p.kind = kindPartial

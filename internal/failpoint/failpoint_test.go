@@ -3,6 +3,7 @@ package failpoint
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 )
@@ -160,6 +161,8 @@ func TestBadSpecs(t *testing.T) {
 	for _, spec := range []string{
 		"explode", "0*error(x)", "-3*drop", "101%drop", "0%drop",
 		"sleep(notadur)", "partial(1.5)", "partial(-0.1)",
+		"sleep(1s", "3*sleep(1ms", "sleep(1ms)->error(x", "error(x", "partial(0.5",
+		"partial(NaN)",
 	} {
 		if err := Enable("t/bad", spec); err == nil {
 			Disable("t/bad")
@@ -191,4 +194,45 @@ func TestEnableFromEnv(t *testing.T) {
 	if _, err := EnableFromEnv(); err == nil {
 		t.Fatal("malformed env accepted")
 	}
+}
+
+// FuzzFailpointSpec holds parseSpec to the grammar: it never panics, and
+// every spec it accepts is "drop" or a term closed by ")", with a
+// non-negative sleep, a partial fraction in [0,1), a positive count and a
+// percentage in [1,100].
+func FuzzFailpointSpec(f *testing.F) {
+	for _, spec := range []string{
+		// TestBadSpecs' inputs
+		"explode", "0*error(x)", "-3*drop", "101%drop", "0%drop",
+		"sleep(notadur)", "partial(1.5)", "partial(-0.1)",
+		"sleep(1s", "3*sleep(1ms", "sleep(1ms)->error(x", "error(x", "partial(0.5",
+		"partial(NaN)",
+		// the package comment's examples
+		"error(injected)", "3*sleep(50ms)", "sleep(10ms)->error(late)", "drop",
+		"partial(0.5)", "50%drop", "100%error(x)",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := parseSpec("t/fuzz", spec)
+		if err != nil {
+			return
+		}
+		term := strings.TrimSpace(spec)
+		if p.kind != kindDrop && !strings.HasSuffix(term, ")") {
+			t.Fatalf("accepted %q, a %v term not closed by \")\"", spec, p.kind)
+		}
+		if p.sleep < 0 {
+			t.Fatalf("accepted %q with sleep %v", spec, p.sleep)
+		}
+		if !(p.fraction >= 0 && p.fraction < 1) {
+			t.Fatalf("accepted %q with fraction %v", spec, p.fraction)
+		}
+		if p.remaining == 0 || p.remaining < -1 {
+			t.Fatalf("accepted %q with count %d", spec, p.remaining)
+		}
+		if p.pct != 0 && (p.pct < 1 || p.pct > 100) {
+			t.Fatalf("accepted %q with pct %d", spec, p.pct)
+		}
+	})
 }
