@@ -733,9 +733,10 @@ func msContext(ctx context.Context, ms int) (context.Context, context.CancelFunc
 }
 
 // QueryBatch is the batch half of every Searcher that answers one spec at
-// a time: the specs run concurrently through one, Results[i] answers
-// Specs[i], a failed spec carries its typed error without failing the
-// batch, and TimeoutMS (when positive) bounds the whole batch.
+// a time: the specs run concurrently through one, spec 0 on the caller's
+// goroutine and every other spec on a goroutine of its own, Results[i]
+// answers Specs[i], a failed spec carries its typed error without failing
+// the batch, and TimeoutMS (when positive) bounds the whole batch.
 func QueryBatch(ctx context.Context, req Query, one func(context.Context, QuerySpec) QueryResult) (*QueryResponse, error) {
 	if len(req.Specs) == 0 {
 		return nil, Errorf(CodeInvalidArgument, "query batch has no specs")
@@ -745,13 +746,14 @@ func QueryBatch(ctx context.Context, req Query, one func(context.Context, QueryS
 	start := time.Now()
 	results := make([]QueryResult, len(req.Specs))
 	var wg sync.WaitGroup
-	for i, spec := range req.Specs {
+	for i := 1; i < len(req.Specs); i++ {
 		wg.Add(1)
-		go func(i int, spec QuerySpec) {
+		go func(i int) {
 			defer wg.Done()
-			results[i] = one(ctx, spec)
-		}(i, spec)
+			results[i] = one(ctx, req.Specs[i])
+		}(i)
 	}
+	results[0] = one(ctx, req.Specs[0])
 	wg.Wait()
 	return &QueryResponse{Results: results, TookMS: TookMS(start)}, nil
 }

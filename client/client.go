@@ -230,7 +230,13 @@ func decode(resp *http.Response, path string, out any) error {
 		_, _ = io.Copy(io.Discard, resp.Body)
 		return nil
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	var err error
+	if qr, ok := out.(*api.QueryResponse); ok {
+		err = api.ReadQueryResponse(resp.Body, qr) // one pass, no reflection
+	} else {
+		err = json.NewDecoder(resp.Body).Decode(out)
+	}
+	if err != nil {
 		return fmt.Errorf("client: decoding %s response: %w", path, err)
 	}
 	return nil

@@ -193,11 +193,37 @@ func (o Options) handleGetTrajectory(svc api.Service) http.HandlerFunc {
 	}
 }
 
-// WriteJSON renders v as the response body under the given status.
+// WriteJSON renders v as the response body under the given status: the
+// bytes json.Encoder.Encode writes, which a query answer
+// (*api.QueryResponse) gets from api's query-response codec without
+// reflection. v is encoded before the status is written, so a value JSON
+// cannot express (a NaN or ±Inf) answers the typed internal error instead
+// of the status with an empty body.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
+	body, err := encodeJSON(v)
+	if err != nil {
+		ae := api.Errorf(api.CodeInternal, "encoding the response: %v", err)
+		code = ae.HTTPStatus()
+		body, _ = encodeJSON(api.ErrorResponse{Err: *ae}) // strings and ints: cannot fail
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(body) // the status is sent; a failed write has no one left to tell
+}
+
+// encodeJSON returns v as json.Encoder.Encode writes it, newline included.
+func encodeJSON(v any) ([]byte, error) {
+	var body []byte
+	var err error
+	if qr, ok := v.(*api.QueryResponse); ok {
+		body, err = qr.AppendJSON(nil)
+	} else {
+		body, err = json.Marshal(v)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return append(body, '\n'), nil
 }
 
 // WriteErr renders the typed error envelope with its mapped HTTP status.

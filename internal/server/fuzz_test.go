@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -21,6 +22,9 @@ import (
 // in-process node. Whatever arrives, the front end must not panic, every
 // non-2xx answer must be the typed error envelope under its code's status,
 // and every status must be one that api.Error.HTTPStatus maps a code to.
+// Every 200 answer on /v2/query must read back through api's
+// query-response codec as encoding/json reads it, and re-encode to the
+// same bytes.
 func FuzzFrontEnd(f *testing.F) {
 	routes := []string{"/v2/query", "/v2/query/stream", "/v2/load", "/v2/admin/policy", "/v2/admin/encoder"}
 	statuses := map[int]bool{http.StatusOK: true}
@@ -71,6 +75,9 @@ func FuzzFrontEnd(f *testing.F) {
 		if !statuses[w.Code] {
 			t.Fatalf("POST %s answered status %d, which no error code maps to", path, w.Code)
 		}
+		if path == "/v2/query" && w.Code == http.StatusOK {
+			checkQueryAnswer(t, w.Body.Bytes())
+		}
 		if w.Code/100 == 2 {
 			return
 		}
@@ -84,4 +91,22 @@ func FuzzFrontEnd(f *testing.F) {
 			t.Fatalf("POST %s answered %d with error %+v", path, w.Code, er.Err)
 		}
 	})
+}
+
+// checkQueryAnswer holds a /v2/query answer body to the query-response
+// codec: api.ReadQueryResponse reads the value json.Decoder reads, and
+// AppendJSON writes the body back byte for byte.
+func checkQueryAnswer(t *testing.T, body []byte) {
+	t.Helper()
+	var want, got api.QueryResponse
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&want); err != nil {
+		t.Fatalf("/v2/query answered 200 with a body encoding/json cannot read: %v\n%s", err, body)
+	}
+	if err := api.ReadQueryResponse(bytes.NewReader(body), &got); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("/v2/query answer read as %+v (error %v), encoding/json read %+v", got, err, want)
+	}
+	again, err := got.AppendJSON(nil)
+	if err != nil || string(again)+"\n" != string(body) {
+		t.Fatalf("/v2/query answer re-encoded as %s (error %v), want %s", again, err, body)
+	}
 }

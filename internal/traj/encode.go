@@ -37,7 +37,7 @@ func AppendPoints(dst []byte, pts [][]float64) ([]byte, error) {
 			if j > 0 {
 				dst = append(dst, ',')
 			}
-			dst = appendFloat(dst, v)
+			dst = AppendFloat(dst, v)
 		}
 		dst = append(dst, ']')
 	}
@@ -75,11 +75,11 @@ func appendRecord(dst []byte, t Trajectory) ([]byte, error) {
 			dst = append(dst, ',')
 		}
 		dst = append(dst, '[')
-		dst = appendFloat(dst, p.X)
+		dst = AppendFloat(dst, p.X)
 		dst = append(dst, ',')
-		dst = appendFloat(dst, p.Y)
+		dst = AppendFloat(dst, p.Y)
 		dst = append(dst, ',')
-		dst = appendFloat(dst, p.T)
+		dst = AppendFloat(dst, p.T)
 		dst = append(dst, ']')
 	}
 	return append(dst, "]}\n"...), nil
@@ -89,11 +89,13 @@ func nonFinite(point int, v float64) error {
 	return fmt.Errorf("point %d: %w %s", point, ErrNonFiniteCoordinate, strconv.FormatFloat(v, 'g', -1, 64))
 }
 
-// appendFloat appends the finite f as encoding/json writes a float64: the
+// AppendFloat appends the finite f as encoding/json writes a float64: the
 // shortest representation that reads back to f, in exponent form below
 // 1e-6 and from 1e21 on (ES6 number to string), with the exponent's
-// leading zero dropped.
-func appendFloat(dst []byte, f float64) []byte {
+// leading zero dropped. It is the one float rule of every hand-written JSON
+// encoder (AppendPoints, WriteNDJSON and api's query-response codec); the
+// caller refuses a NaN or ±Inf, which JSON cannot express.
+func AppendFloat(dst []byte, f float64) []byte {
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
