@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -223,24 +224,54 @@ func loadBody(tb testing.TB, n, minLen, maxLen int) []byte {
 	return body
 }
 
-// BenchmarkLoadDecode decodes and validates one POST /v2/load body of 250
-// Porto-length trajectories (30 to 90 points, about 15k in all): the
-// scanner the front end runs, and the reflection decoder it replaced.
-func BenchmarkLoadDecode(b *testing.B) {
-	body := loadBody(b, 250, 0, 0)
-	for _, dec := range []struct {
-		name   string
-		decode func(io.Reader) loadOutcome
-	}{{"scanner", scanned}, {"reflection", reflected}} {
-		b.Run(dec.name, func(b *testing.B) {
-			b.SetBytes(int64(len(body)))
-			b.ReportAllocs()
-			for b.Loop() {
-				if out := dec.decode(bytes.NewReader(body)); out.err != nil {
-					b.Fatal(out.err)
-				}
+// fixedBody is the POST /v2/load body of loadBody's trajectories with every
+// coordinate at 6 decimals, the format of real GPS dumps, instead of the
+// shortest form the client writes.
+func fixedBody(n int) []byte {
+	ts := dataset.Generate(dataset.Config{Kind: dataset.Porto, N: n, Seed: 1})
+	body := []byte(`{"trajectories":[`)
+	for i, t := range ts {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		body = append(body, `{"points":[`...)
+		for j, p := range t.Points {
+			if j > 0 {
+				body = append(body, ',')
 			}
-		})
+			body = strconv.AppendFloat(append(body, '['), p.X, 'f', 6, 64)
+			body = strconv.AppendFloat(append(body, ','), p.Y, 'f', 6, 64)
+			body = strconv.AppendFloat(append(body, ','), p.T, 'f', 6, 64)
+			body = append(body, ']')
+		}
+		body = append(body, "]}"...)
+	}
+	return append(body, "]}"...)
+}
+
+// BenchmarkLoadDecode decodes and validates one POST /v2/load body of 250
+// Porto-length trajectories (30 to 90 points, about 15k in all), written in
+// shortest form and at 6 decimals: the scanner the front end runs, and the
+// reflection decoder it replaced.
+func BenchmarkLoadDecode(b *testing.B) {
+	for _, body := range []struct {
+		name string
+		data []byte
+	}{{"shortest", loadBody(b, 250, 0, 0)}, {"fixed6", fixedBody(250)}} {
+		for _, dec := range []struct {
+			name   string
+			decode func(io.Reader) loadOutcome
+		}{{"scanner", scanned}, {"reflection", reflected}} {
+			b.Run(body.name+"/"+dec.name, func(b *testing.B) {
+				b.SetBytes(int64(len(body.data)))
+				b.ReportAllocs()
+				for b.Loop() {
+					if out := dec.decode(bytes.NewReader(body.data)); out.err != nil {
+						b.Fatal(out.err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -500,11 +500,12 @@ func (db *Database) ScanPrunedSourceCtx(ctx context.Context, alg Algorithm, q tr
 		st = &PruneStats{}
 	}
 	cands = db.candidates(q, filter, cands)
+	done := ctx.Done()
 	ts, ok := alg.(ThresholdSearcher)
 	if !ok {
 		for _, ci := range cands {
-			if err := ctx.Err(); err != nil {
-				return err
+			if stopped(done) {
+				return ctx.Err()
 			}
 			t := db.trajs[ci]
 			if t.Len() == 0 {
@@ -530,8 +531,8 @@ func (db *Database) ScanPrunedSourceCtx(ctx context.Context, alg Algorithm, q tr
 	// keep ID order.
 	order := make([]boundedCand, 0, len(cands))
 	for _, ci := range cands {
-		if err := ctx.Err(); err != nil {
-			return err
+		if stopped(done) {
+			return ctx.Err()
 		}
 		t := db.trajs[ci]
 		if t.Len() == 0 {
@@ -549,8 +550,8 @@ func (db *Database) ScanPrunedSourceCtx(ctx context.Context, alg Algorithm, q tr
 		return cmp.Or(cmp.Compare(a.bound, b.bound), cmp.Compare(a.index, b.index))
 	})
 	for i, c := range order {
-		if err := ctx.Err(); err != nil {
-			return err
+		if stopped(done) {
+			return ctx.Err()
 		}
 		tau := col.Threshold()
 		if c.bound > tau {
@@ -568,6 +569,19 @@ func (db *Database) ScanPrunedSourceCtx(ctx context.Context, alg Algorithm, q tr
 		}
 	}
 	return nil
+}
+
+// stopped polls a context's done channel without blocking. A scan checks
+// for cancellation once per candidate, and every shard worker of a query
+// checks the same context: ctx.Err would take that context's lock each
+// time.
+func stopped(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
 }
 
 // boundedCand is one entry of a scan's visit order: a candidate and its

@@ -666,7 +666,11 @@ func (e *Engine) scatter(ctx context.Context, g *generation, alg core.Algorithm,
 				errs[i] = ferr
 				return
 			}
-			errs[i] = s.scan(ctx, alg, q, col, &stats[i], annq, offer)
+			// counted apart and copied out once: neighbouring elements of
+			// stats share a cache line, and scans bump them per candidate
+			var st core.PruneStats
+			errs[i] = s.scan(ctx, alg, q, col, &st, annq, offer)
+			stats[i] = st
 		}(i, s)
 	}
 	var prune core.PruneStats

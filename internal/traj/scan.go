@@ -79,6 +79,13 @@ type Scanner struct {
 	coords []float64
 	ends   []int
 	open   []byte // skip's stack of open '{' and '['
+
+	// The number literal last consumed, as number accumulated it: man·10^exp10,
+	// negated when neg, unless slow says digits did not fit man or the
+	// exponent grew too large to track.
+	man       uint64
+	exp10     int
+	neg, slow bool
 }
 
 // ErrRecordTooLarge is returned by Scanner.Next for a record longer than the
@@ -480,11 +487,7 @@ func (s *Scanner) point() error {
 			v, err = math.NaN(), s.literal("null")
 		case c == '-' || '0' <= c && c <= '9':
 			if err = s.number(); err == nil {
-				lit := s.buf[s.mark:s.pos]
-				var perr error
-				if v, perr = strconv.ParseFloat(string(lit), 64); perr != nil {
-					err = s.overflow(lit)
-				}
+				v, err = s.float()
 			}
 		default:
 			err = s.mismatch(c, "invalid character %q, want a coordinate")
@@ -499,6 +502,23 @@ func (s *Scanner) point() error {
 	}
 	s.depth--
 	return nil
+}
+
+// float converts the number literal just consumed: by decimalFloat from
+// what number accumulated, else by strconv.ParseFloat, whose failure, for a
+// literal of JSON's grammar, is overflow.
+func (s *Scanner) float() (float64, error) {
+	if !s.slow {
+		if v, ok := decimalFloat(s.man, s.exp10, s.neg); ok {
+			return v, nil
+		}
+	}
+	lit := s.buf[s.mark:s.pos]
+	v, err := strconv.ParseFloat(string(lit), 64)
+	if err != nil {
+		return v, s.overflow(lit)
+	}
+	return v, nil
 }
 
 // overflow reports the number literal lit, just consumed, as outside
@@ -834,10 +854,13 @@ func (s *Scanner) str() (escaped bool, err error) {
 }
 
 // number consumes the number literal at pos — JSON's grammar, so no leading
-// zeros, no bare '.', no '+' — leaving its bounds in mark and pos.
+// zeros, no bare '.', no '+' — leaving its bounds in mark and pos and its
+// value, as a decimal, in man, exp10, neg and slow.
 func (s *Scanner) number() error {
 	s.mark = s.pos
-	if s.buf[s.pos] == '-' {
+	s.man, s.exp10, s.slow = 0, 0, false
+	s.neg = s.buf[s.pos] == '-'
+	if s.neg {
 		s.pos++
 	}
 	switch c := s.peek(); {
@@ -850,18 +873,27 @@ func (s *Scanner) number() error {
 	}
 	if s.peek() == '.' {
 		s.pos++
-		if s.digits() == 0 {
+		n := s.digits()
+		if n == 0 {
 			return s.badNumber()
 		}
+		s.exp10 = -n
 	}
 	if c := s.peek(); c == 'e' || c == 'E' {
 		s.pos++
+		neg := false
 		if c := s.peek(); c == '+' || c == '-' {
+			neg = c == '-'
 			s.pos++
 		}
-		if s.digits() == 0 {
+		e, n := s.exponent()
+		if n == 0 {
 			return s.badNumber()
 		}
+		if neg {
+			e = -e
+		}
+		s.exp10 += e
 	}
 	return nil
 }
@@ -874,19 +906,52 @@ func (s *Scanner) peek() byte {
 	return s.buf[s.pos]
 }
 
-// digits consumes a run of decimal digits and returns its length.
+// digits consumes a run of decimal digits, appending them to man, and
+// returns its length. Once man is full, the rest are dropped and the literal
+// is slow.
 func (s *Scanner) digits() (n int) {
+	man, slow := s.man, s.slow
 	for {
 		i := s.pos
-		for i < len(s.buf) && s.buf[i]-'0' <= 9 {
-			i++
+		for ; i < len(s.buf); i++ {
+			d := s.buf[i] - '0'
+			if d > 9 {
+				break
+			}
+			if man <= maxMan {
+				man = man*10 + uint64(d)
+			} else {
+				slow = true
+			}
 		}
 		n += i - s.pos
 		s.pos = i
 		if i < len(s.buf) || !s.fill() {
-			return n
+			break
 		}
 	}
+	s.man, s.slow = man, slow
+	return n
+}
+
+// exponent consumes the digits of an exponent and returns their value and
+// count. More than seven significant ones make the literal slow rather than
+// tracked: only millions of digits before the exponent could bring such a
+// value back into float64's range, and ParseFloat reads those.
+func (s *Scanner) exponent() (e, n int) {
+	for ; s.more(); n++ {
+		d := s.buf[s.pos] - '0'
+		if d > 9 {
+			break
+		}
+		if e < 1e6 {
+			e = e*10 + int(d)
+		} else {
+			s.slow = true
+		}
+		s.pos++
+	}
+	return e, n
 }
 
 func (s *Scanner) badNumber() error {

@@ -184,6 +184,9 @@ func FuzzTrajectoryScanner(f *testing.F) {
 	for _, d := range scannerDivergences {
 		f.Add([]byte(d.input))
 	}
+	for _, lit := range numberSeeds {
+		f.Add([]byte(`{"points":[[` + lit + `,0],[1,` + lit + `,` + lit + `]]}`))
+	}
 	for _, seed := range []string{
 		"", " \n\t\r ",
 		// [x,y] / [x,y,t] mixes; t defaults to the index
