@@ -82,12 +82,12 @@ func main() {
 	}
 
 	w := io.Writer(os.Stdout)
+	var f *os.File
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
+		var err error
+		if f, err = os.Create(*out); err != nil {
 			log.Fatal(err)
 		}
-		defer f.Close()
 		w = f
 	}
 	var err error
@@ -101,6 +101,12 @@ func main() {
 	}
 	if err != nil {
 		log.Fatal(err)
+	}
+	// a failed Close can lose what was written: report it, not success
+	if f != nil {
+		if err := f.Close(); err != nil {
+			log.Fatal(err)
+		}
 	}
 	fmt.Fprintf(os.Stderr, "wrote %d trajectories (%d points)\n",
 		len(ts), dataset.TotalPoints(ts))

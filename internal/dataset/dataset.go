@@ -129,8 +129,20 @@ func Generate(cfg Config) []traj.Trajectory {
 	return out
 }
 
-// roadGridCells is the granularity of the synthetic road network.
+// roadGridCells is the granularity of the synthetic road network. It is a
+// power of two, which the constant below checks (it overflows otherwise), so
+// that genRoad's offset into a cell is exact.
 const roadGridCells = 64
+
+const _ uint = -(roadGridCells & (roadGridCells - 1))
+
+// offset returns x mod 1/roadGridCells for x ≥ 0, exactly, as math.Mod
+// would: scaling by a power of two and flooring are exact, and x is at most
+// twice the multiple subtracted from it (or that is 0), so by Sterbenz's
+// lemma the difference is too.
+func offset(x float64) float64 {
+	return x - math.Floor(x*roadGridCells)/roadGridCells
+}
 
 // genRoad simulates taxi movement on a Manhattan-style road grid inside the
 // unit square: the vehicle travels along axis-aligned streets at a jittered
@@ -161,16 +173,16 @@ func genRoad(rng *rand.Rand, n int, interval float64, nonUniform bool) traj.Traj
 			var toNext float64
 			switch heading {
 			case 0:
-				toNext = cell - math.Mod(x, cell)
+				toNext = cell - offset(x)
 			case 1:
-				toNext = cell - math.Mod(y, cell)
+				toNext = cell - offset(y)
 			case 2:
-				toNext = math.Mod(x, cell)
+				toNext = offset(x)
 				if toNext == 0 {
 					toNext = cell
 				}
 			default:
-				toNext = math.Mod(y, cell)
+				toNext = offset(y)
 				if toNext == 0 {
 					toNext = cell
 				}

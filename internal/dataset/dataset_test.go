@@ -190,3 +190,10 @@ func TestTotalPoints(t *testing.T) {
 		t.Errorf("TotalPoints = %d, want %d", got, want)
 	}
 }
+
+// BenchmarkGenerate generates 30000 Porto records of 8–24 points per op.
+func BenchmarkGenerate(b *testing.B) {
+	for b.Loop() {
+		Generate(Config{Kind: Porto, N: 30000, Seed: 1, MinLen: 8, MaxLen: 24})
+	}
+}

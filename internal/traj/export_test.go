@@ -25,3 +25,9 @@ func ParseNumber(lit []byte) (v float64, fast bool, err error) {
 	v, err = s.float()
 	return v, fast, err
 }
+
+// AppendFloatFast reports whether AppendFloat writes f without strconv.
+func AppendFloatFast(f float64) bool {
+	_, _, ok := shortestDecimal(f)
+	return ok
+}

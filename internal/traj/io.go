@@ -14,8 +14,15 @@ import (
 )
 
 // WriteCSV writes trajectories in the flat CSV format
-// "id,seq,x,y,t" with one row per point, preceded by a header row.
+// "id,seq,x,y,t" with one row per point, preceded by a header row. A NaN
+// or ±Inf coordinate, which ReadCSV refuses, is an error wrapping
+// ErrNonFiniteCoordinate, returned before anything is written.
 func WriteCSV(w io.Writer, ts []Trajectory) error {
+	for _, t := range ts {
+		if err := checkFinite(t.Points); err != nil {
+			return fmt.Errorf("traj: trajectory %d: %w", t.ID, err)
+		}
+	}
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"id", "seq", "x", "y", "t"}); err != nil {
 		return err

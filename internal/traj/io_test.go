@@ -2,6 +2,8 @@ package traj
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"strings"
@@ -87,5 +89,24 @@ func TestReadCSVErrors(t *testing.T) {
 func TestLoadCSVMissingFile(t *testing.T) {
 	if _, err := LoadCSV(filepath.Join(t.TempDir(), "nope.csv")); err == nil {
 		t.Error("expected error for missing file")
+	}
+}
+
+// TestWriteCSVRejectsNonFinite: WriteCSV refuses, before writing a byte,
+// the coordinates ReadCSV would refuse, so it never writes a file its own
+// reader rejects; SaveCSV passes the error on.
+func TestWriteCSVRejectsNonFinite(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		ts := []Trajectory{{ID: 4, Points: []geo.Point{{X: 0, Y: 0}, {X: 1, Y: v, T: 2}}}}
+		var buf bytes.Buffer
+		if err := WriteCSV(&buf, ts); !errors.Is(err, ErrNonFiniteCoordinate) {
+			t.Fatalf("y = %v: %v, want ErrNonFiniteCoordinate", v, err)
+		}
+		if buf.Len() != 0 {
+			t.Fatalf("y = %v: wrote %q before refusing", v, buf.String())
+		}
+		if err := SaveCSV(filepath.Join(t.TempDir(), "bad.csv"), ts); !errors.Is(err, ErrNonFiniteCoordinate) {
+			t.Fatalf("SaveCSV, y = %v: %v, want ErrNonFiniteCoordinate", v, err)
+		}
 	}
 }
